@@ -75,12 +75,38 @@ pub trait Benchmark: Send + Sync {
 /// tests and quick sweeps (the per-unit compute costs stay calibrated, so
 /// cost ratios are preserved).
 pub fn paper_suite(scale: f64) -> Vec<Box<dyn Benchmark>> {
+    suite(scale, false)
+}
+
+/// [`paper_suite`] with result verification switched on: every run's
+/// [`AppRun::checksum`] is comparable to
+/// [`Benchmark::expected_checksum`].
+pub fn verified_suite(scale: f64) -> Vec<Box<dyn Benchmark>> {
+    suite(scale, true)
+}
+
+fn suite(scale: f64, verify: bool) -> Vec<Box<dyn Benchmark>> {
     vec![
-        Box::new(lu::Lu::scaled(scale)),
-        Box::new(sor::Sor::scaled(scale)),
-        Box::new(water_ns::WaterNsq::scaled(scale)),
-        Box::new(water_sp::WaterSp::scaled(scale)),
-        Box::new(raytrace::Raytrace::scaled(scale)),
+        Box::new(lu::Lu {
+            verify,
+            ..lu::Lu::scaled(scale)
+        }),
+        Box::new(sor::Sor {
+            verify,
+            ..sor::Sor::scaled(scale)
+        }),
+        Box::new(water_ns::WaterNsq {
+            verify,
+            ..water_ns::WaterNsq::scaled(scale)
+        }),
+        Box::new(water_sp::WaterSp {
+            verify,
+            ..water_sp::WaterSp::scaled(scale)
+        }),
+        Box::new(raytrace::Raytrace {
+            verify,
+            ..raytrace::Raytrace::scaled(scale)
+        }),
     ]
 }
 

@@ -14,25 +14,18 @@ use svm_apps::sor::Sor;
 use svm_apps::Benchmark;
 use svm_core::{FaultProfile, ProtocolName, SvmConfig};
 
-/// Parse the `SOR` row of the recorded table and return the `HLRC@8`
-/// cell as printed.
-fn recorded_sor_hlrc_at_8() -> String {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/table2_paper.txt"
-    );
-    let text = std::fs::read_to_string(path).expect("results/table2_paper.txt must exist");
-    let header: Vec<String> = text
+/// Parse the `SOR` row of the recorded table `results/<file>` and return
+/// the cell under `column` as printed.
+fn recorded_sor_cell(file: &str, column: &str) -> String {
+    let path = format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let col = text
         .lines()
         .find(|l| l.contains("Application"))
         .expect("table header")
         .split_whitespace()
-        .map(str::to_string)
-        .collect();
-    let col = header
-        .iter()
-        .position(|h| h == "HLRC@8")
-        .expect("HLRC@8 column");
+        .position(|h| h == column)
+        .unwrap_or_else(|| panic!("{column} column"));
     let row: Vec<&str> = text
         .lines()
         .find(|l| l.split_whitespace().next() == Some("SOR"))
@@ -64,38 +57,10 @@ fn sor_hlrc_speedup_matches_recorded_table2() {
     let got = format!("{:.2}", run.report.speedup_vs(sor.seq_secs()));
     assert_eq!(
         got,
-        recorded_sor_hlrc_at_8(),
+        recorded_sor_cell("table2_paper.txt", "HLRC@8"),
         "SOR HLRC@8 speedup drifted from the recorded Table 2 \
          (zero-fault virtual time is no longer bit-identical)"
     );
-}
-
-/// Parse the `SOR` row of the recorded 64-node table and return the
-/// `HLRC@64` cell as printed.
-fn recorded_sor_hlrc_at_64() -> String {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/table2_full64.txt"
-    );
-    let text = std::fs::read_to_string(path).expect("results/table2_full64.txt must exist");
-    let header: Vec<String> = text
-        .lines()
-        .find(|l| l.contains("Application"))
-        .expect("table header")
-        .split_whitespace()
-        .map(str::to_string)
-        .collect();
-    let col = header
-        .iter()
-        .position(|h| h == "HLRC@64")
-        .expect("HLRC@64 column");
-    let row: Vec<&str> = text
-        .lines()
-        .find(|l| l.split_whitespace().next() == Some("SOR"))
-        .expect("SOR row")
-        .split_whitespace()
-        .collect();
-    row[col].to_string()
 }
 
 /// The paper-scale pin: SOR at the paper's largest configuration (64
@@ -117,7 +82,7 @@ fn sor_hlrc_speedup_matches_recorded_table2_at_64_nodes() {
     let got = format!("{:.2}", run.report.speedup_vs(sor.seq_secs()));
     assert_eq!(
         got,
-        recorded_sor_hlrc_at_64(),
+        recorded_sor_cell("table2_full64.txt", "HLRC@64"),
         "SOR HLRC@64 speedup drifted from the recorded 64-node Table 2 \
          (zero-fault virtual time is no longer bit-identical)"
     );

@@ -14,10 +14,8 @@
 //! The dominated columns derive their intensity from the largest
 //! requested rate.
 
-use svm_apps::{
-    lu::Lu, raytrace::Raytrace, sor::Sor, water_ns::WaterNsq, water_sp::WaterSp, Benchmark,
-};
-use svm_bench::{parallel, Table};
+use svm_apps::verified_suite;
+use svm_bench::{cli, parallel, Table};
 use svm_core::{FaultProfile, ProtocolName, SvmConfig};
 
 struct Opts {
@@ -28,40 +26,17 @@ struct Opts {
 }
 
 fn parse_args() -> Opts {
-    let mut o = Opts {
-        scale: 0.05,
-        nodes: 4,
-        drops: vec![0.0, 0.001, 0.01],
-        seed: 1,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                o.scale = args[i].parse().expect("--scale takes a number");
-            }
-            "--nodes" => {
-                i += 1;
-                o.nodes = args[i].parse().expect("--nodes takes a count");
-            }
-            "--drop" => {
-                i += 1;
-                o.drops = args[i]
-                    .split(',')
-                    .map(|s| s.parse().expect("--drop takes rates like 0,0.001,0.01"))
-                    .collect();
-            }
-            "--seed" => {
-                i += 1;
-                o.seed = args[i].parse().expect("--seed takes an integer");
-            }
-            other => panic!("unknown option {other} (try --scale/--nodes/--drop/--seed)"),
-        }
-        i += 1;
-    }
-    o
+    cli::parse(
+        "chaos [--scale X] [--nodes N] [--drop a,b,c] [--seed S]",
+        |a| {
+            Ok(Opts {
+                scale: a.value("--scale")?.unwrap_or(0.05),
+                nodes: a.value("--nodes")?.unwrap_or(4),
+                drops: a.list("--drop")?.unwrap_or(vec![0.0, 0.001, 0.01]),
+                seed: a.value("--seed")?.unwrap_or(1),
+            })
+        },
+    )
 }
 
 /// The matrix's fault columns: one mixed chaos column per requested drop
@@ -104,32 +79,6 @@ fn fault_columns(opts: &Opts) -> Vec<(String, FaultProfile)> {
         },
     ));
     cols
-}
-
-/// The five workloads with result verification switched on.
-fn verified_suite(scale: f64) -> Vec<Box<dyn Benchmark>> {
-    vec![
-        Box::new(Lu {
-            verify: true,
-            ..Lu::scaled(scale)
-        }),
-        Box::new(Sor {
-            verify: true,
-            ..Sor::scaled(scale)
-        }),
-        Box::new(WaterNsq {
-            verify: true,
-            ..WaterNsq::scaled(scale)
-        }),
-        Box::new(WaterSp {
-            verify: true,
-            ..WaterSp::scaled(scale)
-        }),
-        Box::new(Raytrace {
-            verify: true,
-            ..Raytrace::scaled(scale)
-        }),
-    ]
 }
 
 fn main() {

@@ -22,7 +22,7 @@
 use svm_apps::{
     lu::Lu, raytrace::Raytrace, sor::Sor, water_ns::WaterNsq, water_sp::WaterSp, Benchmark,
 };
-use svm_bench::{parallel, Table};
+use svm_bench::{cli, parallel, Table};
 use svm_checker::selftest::run_selftests;
 use svm_checker::{check_trace, CheckReport};
 use svm_core::{FaultProfile, ProtocolName, SvmConfig, TraceConfig};
@@ -35,34 +35,14 @@ struct Opts {
 }
 
 fn parse_args() -> Opts {
-    let mut o = Opts {
-        scale: 0.02,
-        nodes: 8,
-        seed: 1,
-        fast: false,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                o.scale = args[i].parse().expect("--scale takes a number");
-            }
-            "--nodes" => {
-                i += 1;
-                o.nodes = args[i].parse().expect("--nodes takes a count");
-            }
-            "--seed" => {
-                i += 1;
-                o.seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--fast" => o.fast = true,
-            other => panic!("unknown option {other} (try --scale/--nodes/--seed/--fast)"),
-        }
-        i += 1;
-    }
-    o
+    cli::parse("check [--scale X] [--nodes N] [--seed S] [--fast]", |a| {
+        Ok(Opts {
+            scale: a.value("--scale")?.unwrap_or(0.02),
+            nodes: a.value("--nodes")?.unwrap_or(8),
+            seed: a.value("--seed")?.unwrap_or(1),
+            fast: a.flag("--fast"),
+        })
+    })
 }
 
 fn suite(scale: f64, fast: bool) -> Vec<Box<dyn Benchmark>> {

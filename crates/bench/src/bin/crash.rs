@@ -19,10 +19,8 @@
 //! 60 ms window, seeds 1,2, graceful). Crash times land in
 //! `[W/4, W)`; node 0 is always spared by the seeded schedule.
 
-use svm_apps::{
-    lu::Lu, raytrace::Raytrace, sor::Sor, water_ns::WaterNsq, water_sp::WaterSp, Benchmark,
-};
-use svm_bench::{parallel, Table};
+use svm_apps::verified_suite;
+use svm_bench::{cli, parallel, Table};
 use svm_core::{ProtocolName, RecoveryMode, RecoveryProfile, SvmConfig};
 use svm_machine::NodeFaultConfig;
 use svm_sim::SimDuration;
@@ -37,83 +35,29 @@ struct Opts {
 }
 
 fn parse_args() -> Opts {
-    let mut o = Opts {
-        scale: 0.03,
-        nodes: 4,
-        crashes: 1,
-        window_us: 60_000,
-        seeds: vec![1, 2],
-        mode: RecoveryMode::Graceful,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                o.scale = args[i].parse().expect("--scale takes a number");
-            }
-            "--nodes" => {
-                i += 1;
-                o.nodes = args[i].parse().expect("--nodes takes a count");
-            }
-            "--crashes" => {
-                i += 1;
-                o.crashes = args[i].parse().expect("--crashes takes a count");
-            }
-            "--window-us" => {
-                i += 1;
-                o.window_us = args[i].parse().expect("--window-us takes microseconds");
-            }
-            "--seeds" => {
-                i += 1;
-                o.seeds = args[i]
-                    .split(',')
-                    .map(|s| s.parse().expect("--seeds takes integers like 1,2"))
-                    .collect();
-            }
-            "--fail-fast" => o.mode = RecoveryMode::FailFast,
-            other => panic!(
-                "unknown option {other} \
-                 (try --scale/--nodes/--crashes/--window-us/--seeds/--fail-fast)"
-            ),
-        }
-        i += 1;
-    }
-    o
+    cli::parse(
+        "crash [--scale X] [--nodes N] [--crashes K] [--window-us W] [--seeds a,b] [--fail-fast]",
+        |a| {
+            Ok(Opts {
+                scale: a.value("--scale")?.unwrap_or(0.03),
+                nodes: a.value("--nodes")?.unwrap_or(4),
+                crashes: a.value("--crashes")?.unwrap_or(1),
+                window_us: a.value("--window-us")?.unwrap_or(60_000),
+                seeds: a.list("--seeds")?.unwrap_or(vec![1, 2]),
+                mode: if a.flag("--fail-fast") {
+                    RecoveryMode::FailFast
+                } else {
+                    RecoveryMode::Graceful
+                },
+            })
+        },
+    )
 }
 
 /// Home-based protocols only: homeless LRC/OLRC diffs can live solely on
 /// the dead node, so their crash story is "structured error", exercised by
 /// the core test suite; the *matrix* is about failover actually recovering.
 const PROTOCOLS: [ProtocolName; 2] = [ProtocolName::Hlrc, ProtocolName::Ohlrc];
-
-/// The five workloads with result verification switched on, so a cell
-/// whose schedule never fires can prove the armed detector is inert.
-fn verified_suite(scale: f64) -> Vec<Box<dyn Benchmark>> {
-    vec![
-        Box::new(Lu {
-            verify: true,
-            ..Lu::scaled(scale)
-        }),
-        Box::new(Sor {
-            verify: true,
-            ..Sor::scaled(scale)
-        }),
-        Box::new(WaterNsq {
-            verify: true,
-            ..WaterNsq::scaled(scale)
-        }),
-        Box::new(WaterSp {
-            verify: true,
-            ..WaterSp::scaled(scale)
-        }),
-        Box::new(Raytrace {
-            verify: true,
-            ..Raytrace::scaled(scale)
-        }),
-    ]
-}
 
 fn recovery(mode: RecoveryMode) -> RecoveryProfile {
     RecoveryProfile {

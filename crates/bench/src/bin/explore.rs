@@ -17,6 +17,7 @@
 //!   minute. The full run adds the 3-node OLRC/OHLRC crash cells and the
 //!   deeper non-crash matrix (minutes, not hours).
 
+use svm_bench::cli;
 use svm_core::ProtocolName;
 use svm_explore::{base_config, ExploreOptions, Explorer, Program};
 use svm_testkit::bench::Stopwatch;
@@ -69,7 +70,7 @@ fn matrix(fast: bool) -> Vec<Cell> {
 }
 
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
+    let fast = cli::parse("explore [--fast]", |a| Ok(a.flag("--fast")));
     let cells = matrix(fast);
     let total_sw = Stopwatch::start();
     let mut total_states = 0u64;

@@ -26,7 +26,7 @@
 //!   exit 0 iff it parses and has the expected shape.
 
 use svm_bench::json::{self, Json};
-use svm_bench::{parallel, run_sweep_serial, run_sweep_with, Options, Record};
+use svm_bench::{cli, fingerprint, parallel, run_sweep_serial, run_sweep_with, Options};
 use svm_core::ProtocolName;
 use svm_mem::{Diff, PageBuf};
 use svm_testkit::alloc as talloc;
@@ -62,34 +62,19 @@ struct Opts {
 }
 
 fn parse_args() -> Opts {
-    let mut o = Opts {
-        fast: false,
-        threads: None,
-        out: "BENCH_svm.json".to_string(),
-        check: None,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fast" => o.fast = true,
-            "--threads" => {
-                i += 1;
-                o.threads = Some(args[i].parse().expect("--threads takes a count"));
-            }
-            "--out" => {
-                i += 1;
-                o.out = args[i].clone();
-            }
-            "--check" => {
-                i += 1;
-                o.check = Some(args[i].clone());
-            }
-            other => panic!("unknown option {other} (try --fast/--threads/--out/--check)"),
-        }
-        i += 1;
-    }
-    o
+    cli::parse(
+        "perf [--fast] [--threads N] [--out PATH] [--check PATH]",
+        |a| {
+            Ok(Opts {
+                threads: a.value("--threads")?,
+                out: a
+                    .value("--out")?
+                    .unwrap_or_else(|| "BENCH_svm.json".to_string()),
+                check: a.value("--check")?,
+                fast: a.flag("--fast"),
+            })
+        },
+    )
 }
 
 /// Validate a baseline file's shape; returns every problem found.
@@ -244,25 +229,6 @@ fn matrix(fast: bool) -> Options {
     }
 }
 
-/// Everything that must be bit-identical between the serial and parallel
-/// sweeps, per run, in order.
-fn fingerprint(records: &[Record]) -> Vec<(String, u64, u64, u64, u64, u64)> {
-    records
-        .iter()
-        .map(|r| {
-            let traffic = r.run.report.outcome.traffic.grand_total();
-            (
-                format!("{}/{}/{}", r.app, r.protocol.label(), r.nodes),
-                r.run.report.outcome.total_time.as_nanos(),
-                r.run.report.outcome.events_executed,
-                traffic.messages,
-                traffic.bytes,
-                r.run.checksum,
-            )
-        })
-        .collect()
-}
-
 fn micro_benches() -> Vec<(&'static str, f64)> {
     // Reduced measurement budget: the baseline tracks these medians for
     // drift, not for publication-grade precision, and the alloc-heavy
@@ -322,6 +288,23 @@ fn micro_benches() -> Vec<(&'static str, f64)> {
     out
 }
 
+/// Run one stage; returns its result, wall-clock ms, peak live bytes and
+/// allocation count.
+fn measured<T>(stage: impl FnOnce() -> T) -> (T, f64, u64, u64) {
+    talloc::reset_peak();
+    let sw = Stopwatch::start();
+    let alloc0 = talloc::stats().allocation_count;
+    let out = stage();
+    let wall_ms = sw.elapsed_ms();
+    let after = talloc::stats();
+    (
+        out,
+        wall_ms,
+        after.peak_live_bytes,
+        after.allocation_count - alloc0,
+    )
+}
+
 fn main() {
     let opts = parse_args();
     if let Some(path) = &opts.check {
@@ -344,36 +327,14 @@ fn main() {
         if opts.fast { "fast" } else { "full" }
     );
 
-    // Stage 1: micro-benches.
-    talloc::reset_peak();
-    let sw = Stopwatch::start();
-    let alloc0 = talloc::stats().allocation_count;
-    let micro = micro_benches();
-    let micro_ms = sw.elapsed_ms();
-    let micro_peak = talloc::stats().peak_live_bytes;
-    let micro_allocs = talloc::stats().allocation_count - alloc0;
-
-    // Stage 2: serial sweep.
-    talloc::reset_peak();
-    let sw = Stopwatch::start();
-    let alloc0 = talloc::stats().allocation_count;
-    let serial = run_sweep_serial(&m);
-    let serial_ms = sw.elapsed_ms();
-    let serial_peak = talloc::stats().peak_live_bytes;
-    let serial_allocs = talloc::stats().allocation_count - alloc0;
+    let (micro, micro_ms, micro_peak, micro_allocs) = measured(micro_benches);
+    let (serial, serial_ms, serial_peak, serial_allocs) = measured(|| run_sweep_serial(&m));
     let events: u64 = serial
         .iter()
         .map(|r| r.run.report.outcome.events_executed)
         .sum();
-
-    // Stage 3: parallel sweep, same matrix.
-    talloc::reset_peak();
-    let sw = Stopwatch::start();
-    let alloc0 = talloc::stats().allocation_count;
-    let par = run_sweep_with(&m, threads);
-    let par_ms = sw.elapsed_ms();
-    let par_peak = talloc::stats().peak_live_bytes;
-    let par_allocs = talloc::stats().allocation_count - alloc0;
+    // Same matrix on the parallel driver.
+    let (par, par_ms, par_peak, par_allocs) = measured(|| run_sweep_with(&m, threads));
 
     // The determinism gate: every run bit-identical, in order.
     let fp_serial = fingerprint(&serial);

@@ -18,7 +18,7 @@
 
 use svm_bench::hist::Histogram;
 use svm_bench::json::{self, Json};
-use svm_bench::{parallel, Table};
+use svm_bench::{cli, parallel, Table};
 use svm_core::ProtocolName;
 use svm_serve::{KeyDist, LoadMode, ServeRun, ServeSpec, ServiceKind};
 
@@ -31,29 +31,13 @@ struct Opts {
 }
 
 fn parse_args() -> Opts {
-    let mut o = Opts {
-        fast: false,
-        threads: None,
-        out: None,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fast" => o.fast = true,
-            "--threads" => {
-                i += 1;
-                o.threads = Some(args[i].parse().expect("--threads takes a count"));
-            }
-            "--out" => {
-                i += 1;
-                o.out = Some(args[i].clone());
-            }
-            other => panic!("unknown option {other} (try --fast/--threads/--out)"),
-        }
-        i += 1;
-    }
-    o
+    cli::parse("serve [--fast] [--threads N] [--out PATH]", |a| {
+        Ok(Opts {
+            threads: a.value("--threads")?,
+            out: a.value("--out")?,
+            fast: a.flag("--fast"),
+        })
+    })
 }
 
 /// One matrix cell: a scenario under a protocol.

@@ -2,7 +2,7 @@
 //! and applied, lock acquires, barriers — for LRC versus HLRC at the
 //! smallest and largest machine sizes (the "home effect" table).
 
-use svm_bench::{run_sweep, Options, Table};
+use svm_bench::{apps_in, run_sweep, Options, Table};
 use svm_core::ProtocolName;
 
 fn main() {
@@ -29,15 +29,6 @@ fn main() {
         "LockAcq",
         "Barriers",
     ]);
-    let apps: Vec<&str> = {
-        let mut seen = Vec::new();
-        for r in &records {
-            if !seen.contains(&r.app) {
-                seen.push(r.app);
-            }
-        }
-        seen
-    };
     let cell =
         |app: &str, nodes: usize, p: ProtocolName, f: &dyn Fn(&svm_core::NodeCounters) -> u64| {
             records
@@ -46,7 +37,7 @@ fn main() {
                 .map(|r| format!("{:.0}", r.run.report.counters.avg(f)))
                 .unwrap_or_default()
         };
-    for app in apps {
+    for app in apps_in(&records) {
         for &n in &opts.nodes {
             t.row(vec![
                 app.into(),

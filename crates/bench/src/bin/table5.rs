@@ -1,7 +1,7 @@
 //! Table 5: communication traffic — message counts, update-related data,
 //! and protocol data — LRC versus HLRC.
 
-use svm_bench::{mb, run_sweep, Options, Table};
+use svm_bench::{apps_in, mb, run_sweep, Options, Table};
 use svm_core::ProtocolName;
 use svm_machine::TrafficClass;
 
@@ -21,16 +21,7 @@ fn main() {
         "Proto MB LRC",
         "Proto MB HLRC",
     ]);
-    let apps: Vec<&str> = {
-        let mut seen = Vec::new();
-        for r in &records {
-            if !seen.contains(&r.app) {
-                seen.push(r.app);
-            }
-        }
-        seen
-    };
-    for app in apps {
+    for app in apps_in(&records) {
         for &n in &opts.nodes {
             let get = |p: ProtocolName| {
                 records

@@ -1,0 +1,140 @@
+//! The one command-line parser behind every `svm-bench` binary.
+//!
+//! Cursor style: a binary asks for each option it knows ([`Args::flag`],
+//! [`Args::value`], [`Args::list`]), each call consuming what it matched
+//! (a repeated option's last occurrence wins), and whatever is left over is
+//! an error. Ask for valued options before bare flags, so the word after a
+//! valued option is always taken as its value. [`parse`] wires that to the
+//! process arguments and turns any error into a one-line message naming
+//! the offending option, the usage string, and exit status 2.
+
+use std::str::FromStr;
+
+/// The not-yet-consumed command-line words.
+pub struct Args {
+    rest: Vec<String>,
+}
+
+impl Args {
+    /// Wrap an argument list (program name already stripped).
+    pub fn new(args: impl IntoIterator<Item = String>) -> Self {
+        Args {
+            rest: args.into_iter().collect(),
+        }
+    }
+
+    /// Consume every bare `name`; `true` if it was given.
+    pub fn flag(&mut self, name: &str) -> bool {
+        let before = self.rest.len();
+        self.rest.retain(|a| a != name);
+        self.rest.len() < before
+    }
+
+    /// Consume every `name WORD` pair, unparsed; the last one wins.
+    fn raw(&mut self, name: &str) -> Result<Option<String>, String> {
+        let mut last = None;
+        while let Some(i) = self.rest.iter().position(|a| a == name) {
+            self.rest.remove(i);
+            if i == self.rest.len() {
+                return Err(format!("{name} needs a value"));
+            }
+            last = Some(self.rest.remove(i));
+        }
+        Ok(last)
+    }
+
+    /// Consume `name VALUE`; `None` if `name` was not given.
+    pub fn value<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, String> {
+        let raw = self.raw(name)?;
+        raw.map(|word| parse_word(name, &word)).transpose()
+    }
+
+    /// Consume `name a,b,c`; `None` if `name` was not given.
+    pub fn list<T: FromStr>(&mut self, name: &str) -> Result<Option<Vec<T>>, String> {
+        let raw = self.raw(name)?;
+        raw.map(|words| words.split(',').map(|w| parse_word(name, w)).collect())
+            .transpose()
+    }
+
+    /// Every option has been asked for: anything left is unknown.
+    pub fn finish(self) -> Result<(), String> {
+        match self.rest.first() {
+            Some(word) => Err(format!("unknown option {word}")),
+            None => Ok(()),
+        }
+    }
+}
+
+fn parse_word<T: FromStr>(name: &str, word: &str) -> Result<T, String> {
+    word.parse()
+        .map_err(|_| format!("{name} cannot parse '{word}'"))
+}
+
+/// Build a binary's options from the process arguments — the only place
+/// `svm-bench` reads them. `build` pulls each option it knows out of the
+/// [`Args`]; a missing or unparsable value, or any leftover word, prints
+/// `error: <what>; usage: <usage>` and exits with status 2.
+pub fn parse<T>(usage: &str, build: impl FnOnce(&mut Args) -> Result<T, String>) -> T {
+    let mut args = Args::new(std::env::args().skip(1));
+    match build(&mut args).and_then(|opts| args.finish().map(|()| opts)) {
+        Ok(opts) => opts,
+        Err(what) => {
+            eprintln!("error: {what}; usage: {usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Args {
+        Args::new(words.iter().map(|w| w.to_string()))
+    }
+
+    #[test]
+    fn flags_values_and_lists_in_any_order() {
+        let mut a = args(&["--nodes", "4,64", "--fast", "--scale", "0.5"]);
+        assert_eq!(a.value::<f64>("--scale"), Ok(Some(0.5)));
+        assert!(a.flag("--fast"));
+        assert!(!a.flag("--paper"));
+        assert_eq!(a.list::<usize>("--nodes"), Ok(Some(vec![4, 64])));
+        assert_eq!(a.value::<u64>("--seed"), Ok(None));
+        assert_eq!(a.finish(), Ok(()));
+    }
+
+    #[test]
+    fn a_missing_value_names_the_flag() {
+        let mut a = args(&["--fast", "--scale"]);
+        assert_eq!(
+            a.value::<f64>("--scale"),
+            Err("--scale needs a value".to_string())
+        );
+    }
+
+    #[test]
+    fn an_unparsable_value_names_the_flag_and_the_word() {
+        let mut a = args(&["--nodes", "four"]);
+        assert_eq!(
+            a.value::<usize>("--nodes"),
+            Err("--nodes cannot parse 'four'".to_string())
+        );
+        let mut a = args(&["--seeds", "1,x,3"]);
+        assert_eq!(
+            a.list::<u64>("--seeds"),
+            Err("--seeds cannot parse 'x'".to_string())
+        );
+    }
+
+    #[test]
+    fn an_unknown_flag_is_rejected_by_finish_and_a_repeat_is_last_wins() {
+        let mut a = args(&["--fats"]);
+        assert!(!a.flag("--fast"));
+        assert_eq!(a.finish(), Err("unknown option --fats".to_string()));
+        let mut a = args(&["--seed", "1", "--fast", "--seed", "2", "--fast"]);
+        assert_eq!(a.value::<u64>("--seed"), Ok(Some(2)));
+        assert!(a.flag("--fast"));
+        assert_eq!(a.finish(), Ok(()));
+    }
+}

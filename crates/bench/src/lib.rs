@@ -8,6 +8,7 @@
 //! the *shapes* — who wins, by what factor, where crossovers fall — are
 //! the reproduction targets (EXPERIMENTS.md).
 
+pub mod cli;
 pub mod hist;
 pub mod json;
 pub mod parallel;
@@ -43,50 +44,24 @@ impl Default for Options {
 
 impl Options {
     /// Parse `--scale X | --paper | --nodes a,b | --protocols A,B |
-    /// --apps x,y` from the process arguments.
+    /// --apps x,y` from the process arguments ([`cli::parse`]: a usage
+    /// error exits 2). `--paper` is `--scale 1` and wins over `--scale`.
     pub fn from_args() -> Self {
-        let mut o = Options::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--paper" => o.scale = 1.0,
-                "--scale" => {
-                    i += 1;
-                    o.scale = args[i].parse().expect("--scale takes a number");
-                }
-                "--nodes" => {
-                    i += 1;
-                    o.nodes = args[i]
-                        .split(',')
-                        .map(|s| s.parse().expect("--nodes takes a,b,c"))
-                        .collect();
-                }
-                "--protocols" => {
-                    i += 1;
-                    o.protocols = args[i]
-                        .split(',')
-                        .map(|s| match s.to_ascii_uppercase().as_str() {
-                            "LRC" => ProtocolName::Lrc,
-                            "OLRC" => ProtocolName::Olrc,
-                            "HLRC" => ProtocolName::Hlrc,
-                            "OHLRC" => ProtocolName::Ohlrc,
-                            "AURC" => ProtocolName::Aurc,
-                            other => panic!("unknown protocol {other}"),
-                        })
-                        .collect();
-                }
-                "--apps" => {
-                    i += 1;
-                    o.apps = args[i].split(',').map(|s| s.to_lowercase()).collect();
-                }
-                other => panic!(
-                    "unknown option {other} (try --scale/--paper/--nodes/--protocols/--apps)"
-                ),
-            }
-            i += 1;
-        }
-        o
+        cli::parse(
+            "[--scale X | --paper] [--nodes a,b] [--protocols A,B] [--apps x,y]",
+            |a| {
+                let d = Options::default();
+                let scale = a.value("--scale")?.unwrap_or(d.scale);
+                Ok(Options {
+                    nodes: a.list("--nodes")?.unwrap_or(d.nodes),
+                    protocols: a.list("--protocols")?.unwrap_or(d.protocols),
+                    apps: a
+                        .list::<String>("--apps")?
+                        .map_or(d.apps, |v| v.iter().map(|s| s.to_lowercase()).collect()),
+                    scale: if a.flag("--paper") { 1.0 } else { scale },
+                })
+            },
+        )
     }
 
     /// The selected workloads at the selected scale.
@@ -167,6 +142,46 @@ pub fn run_sweep_with(opts: &Options, threads: usize) -> Vec<Record> {
             run,
         }
     })
+}
+
+/// Names of the values in a [`fingerprint`] row, in order.
+pub const FINGERPRINT_FIELDS: [&str; 5] =
+    ["total_time_ns", "events", "messages", "bytes", "checksum"];
+
+/// Per record, in sweep order: the cell name (`app/PROTOCOL/nodes`) and
+/// everything about the cell that must be bit-identical across drivers
+/// (serial vs parallel, `--bin perf`) and across time
+/// (`results/engine_fingerprints.txt`), one value per
+/// [`FINGERPRINT_FIELDS`] entry.
+pub fn fingerprint(records: &[Record]) -> Vec<(String, [u64; 5])> {
+    records
+        .iter()
+        .map(|r| {
+            let outcome = &r.run.report.outcome;
+            let traffic = outcome.traffic.grand_total();
+            (
+                format!("{}/{}/{}", r.app, r.protocol.label(), r.nodes),
+                [
+                    outcome.total_time.as_nanos(),
+                    outcome.events_executed,
+                    traffic.messages,
+                    traffic.bytes,
+                    r.run.checksum,
+                ],
+            )
+        })
+        .collect()
+}
+
+/// The distinct workload names in `records`, in sweep order.
+pub fn apps_in(records: &[Record]) -> Vec<&'static str> {
+    let mut seen = Vec::new();
+    for r in records {
+        if !seen.contains(&r.app) {
+            seen.push(r.app);
+        }
+    }
+    seen
 }
 
 /// Index records by `(app, nodes, protocol)`.

@@ -82,6 +82,18 @@ impl ProtocolName {
     }
 }
 
+impl std::str::FromStr for ProtocolName {
+    type Err = String;
+
+    /// Parse a table label (`LRC`, `ohlrc`, …), case-insensitively.
+    fn from_str(s: &str) -> Result<Self, String> {
+        ProtocolName::WITH_AURC
+            .into_iter()
+            .find(|p| p.label().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown protocol {s}"))
+    }
+}
+
 impl std::fmt::Display for ProtocolName {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())

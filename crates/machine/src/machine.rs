@@ -7,6 +7,12 @@
 //! agent. The agent reacts to requests and to message deliveries by doing
 //! priced work on a processor, sending messages, and completing blocked
 //! application requests.
+//!
+//! There is one boot and one run loop. [`World::run`] and
+//! [`World::run_explore`] differ only in what they do when the event queue
+//! drains: `run` stops, the explorer picks the next held delivery or crash.
+//! The loop's virtual-time results are pinned by `table2_pin` and by
+//! `results/engine_fingerprints.txt`.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -293,8 +299,7 @@ pub struct Machine<A: Agent> {
     /// points with coincidentally equal protocol state apart.
     progress: Vec<u64>,
     /// Recycled segment vectors for [`Ctx`]; every handler invocation takes
-    /// one here instead of allocating. Bounded, and empty in legacy-engine
-    /// mode (see `svm_sim::engine`).
+    /// one here instead of allocating. Bounded by [`MAX_POOLED_SEG_VECS`].
     seg_pool: Vec<Vec<(SimDuration, Category)>>,
 }
 
@@ -401,13 +406,10 @@ impl<A: Agent> Machine<A> {
         self.seg_pool.pop().unwrap_or_default()
     }
 
-    /// Return a drained segment vector to the pool. No-op in legacy-engine
-    /// mode, when the vector never grew, or when the pool is full.
+    /// Return a drained segment vector to the pool. No-op when the vector
+    /// never grew or the pool is full.
     fn put_seg_vec(&mut self, mut v: Vec<(SimDuration, Category)>) {
-        if v.capacity() == 0
-            || self.seg_pool.len() >= MAX_POOLED_SEG_VECS
-            || svm_sim::engine::legacy_engine()
-        {
+        if v.capacity() == 0 || self.seg_pool.len() >= MAX_POOLED_SEG_VECS {
             return;
         }
         v.clear();
@@ -443,16 +445,30 @@ impl<A: Agent> Machine<A> {
         self.nodes[node.index()].crashed
     }
 
+    /// The processor `at` names.
+    fn unit_mut(&mut self, at: ProcAddr) -> &mut ProcUnit<A::Msg> {
+        let node = &mut self.nodes[at.node.index()];
+        match at.kind {
+            ProcKind::Cpu => &mut node.cpu,
+            ProcKind::CoProc => &mut node.coproc,
+        }
+    }
+
     /// Record a meaningful event at `now` (see [`Machine::effective_end`]).
     fn note_activity(&mut self, now: SimTime) {
         self.effective_end = now;
     }
 
-    /// Whether every application has ended (finished or crashed).
+    /// Indices of the nodes whose application has not ended (neither
+    /// finished nor crashed).
+    fn live_apps(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.nodes.len())
+            .filter(|&i| !matches!(self.nodes[i].app, AppState::Finished | AppState::Crashed))
+    }
+
+    /// Whether every application has ended.
     fn all_apps_ended(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|n| matches!(n.app, AppState::Finished | AppState::Crashed))
+        self.live_apps().next().is_none()
     }
 
     /// Tally and report a stale node-local event (epoch moved on).
@@ -575,46 +591,24 @@ impl<A: Agent> World<A> {
             let limit = cfg.effective_stall_limit();
             sched.after(limit, move |s, w: &mut World<A>| w.watchdog_tick(s, limit));
         }
-        // Let the agent arm standing machinery (heartbeats), then kick every
-        // node: obtain and handle its first yield at t = 0.
-        for i in 0..self.machine.nodes.len() {
-            let node = NodeId(i as u16);
-            let World { machine, agent } = &mut self;
-            let mut ctx = Ctx::new(&mut sched, machine, ProcAddr::cpu(node));
-            agent.on_init(&mut ctx, node);
-            let segments = ctx.take_segments();
-            self.begin_service(&mut sched, ProcAddr::cpu(node), segments);
-        }
-        for i in 0..self.machine.nodes.len() {
-            let y = self.machine.nodes[i]
-                .process
-                .as_mut()
-                .expect("process present")
-                .next_yield();
-            self.handle_yield(&mut sched, NodeId(i as u16), y);
-        }
-        // Run until the queue drains — or until a structured protocol
-        // failure halts the machine, truncating the run at that instant.
-        while !self.machine.halted && sched.step(&mut self) {}
+        self.boot(&mut sched);
+        // A drained queue ends the run: quiescence is terminal.
+        self.drive(&mut sched, |_| ExploreStep::Stop);
 
         if self.machine.errors.is_empty() {
-            let mut stuck = Vec::new();
-            let mut first: Option<usize> = None;
-            for (i, n) in self.machine.nodes.iter().enumerate() {
-                if !matches!(n.app, AppState::Finished | AppState::Crashed) {
-                    let state = match &n.app {
-                        AppState::Blocked(c) => format!("blocked on {c}"),
-                        AppState::Computing { .. } => "computing".into(),
-                        AppState::ComputePaused { .. } => "compute-paused".into(),
-                        AppState::PendingRequest(_) => "request pending".into(),
-                        AppState::Ready => "ready".into(),
-                        AppState::Finished | AppState::Crashed => unreachable!(),
-                    };
-                    first.get_or_insert(i);
-                    stuck.push(format!("node {i}: {state}"));
-                }
-            }
-            if let (Some(first), Some(_)) = (first, self.machine.node_fault.as_ref()) {
+            let live: Vec<usize> = self.machine.live_apps().collect();
+            let stuck: Vec<String> = live
+                .iter()
+                .map(|&i| match &self.machine.nodes[i].app {
+                    AppState::Blocked(c) => format!("node {i}: blocked on {c}"),
+                    AppState::Computing { .. } => format!("node {i}: computing"),
+                    AppState::ComputePaused { .. } => format!("node {i}: compute-paused"),
+                    AppState::PendingRequest(_) => format!("node {i}: request pending"),
+                    AppState::Ready => format!("node {i}: ready"),
+                    AppState::Finished | AppState::Crashed => unreachable!("not live"),
+                })
+                .collect();
+            if let (Some(&first), Some(_)) = (live.first(), self.machine.node_fault.as_ref()) {
                 // Under a crash plan a post-crash deadlock is an expected
                 // failure mode (e.g. recovery disabled): report it as a
                 // structured error, never a panic.
@@ -651,19 +645,26 @@ impl<A: Agent> World<A> {
     /// checking (deadlock, orphaned messages) is the controller's job —
     /// unlike [`World::run`], a drained queue with blocked applications
     /// returns instead of panicking.
-    pub fn run_explore<F>(mut self, mut choose: F) -> (RunOutcome, A)
+    pub fn run_explore<F>(mut self, choose: F) -> (RunOutcome, A)
     where
         F: FnMut(&mut World<A>) -> ExploreStep,
     {
         let mut sched: Scheduler<World<A>> = Scheduler::new();
         self.machine.explore = Some(ExploreHold::new());
+        self.boot(&mut sched);
+        self.drive(&mut sched, choose);
+        self.finish_outcome(&sched)
+    }
+
+    /// The t = 0 prologue of every run: let the agent arm standing
+    /// machinery (heartbeats), then kick every node — obtain and handle its
+    /// first yield.
+    fn boot(&mut self, sched: &mut Scheduler<World<A>>) {
         for i in 0..self.machine.nodes.len() {
             let node = NodeId(i as u16);
-            let World { machine, agent } = &mut self;
-            let mut ctx = Ctx::new(&mut sched, machine, ProcAddr::cpu(node));
-            agent.on_init(&mut ctx, node);
-            let segments = ctx.take_segments();
-            self.begin_service(&mut sched, ProcAddr::cpu(node), segments);
+            self.serve(sched, ProcAddr::cpu(node), |agent, ctx| {
+                agent.on_init(ctx, node)
+            });
         }
         for i in 0..self.machine.nodes.len() {
             let y = self.machine.nodes[i]
@@ -671,15 +672,26 @@ impl<A: Agent> World<A> {
                 .as_mut()
                 .expect("process present")
                 .next_yield();
-            self.handle_yield(&mut sched, NodeId(i as u16), y);
+            self.handle_yield(sched, NodeId(i as u16), y);
         }
+    }
+
+    /// The one run loop. Execute events until the queue drains — or a
+    /// structured protocol failure halts the machine, truncating the run at
+    /// that instant — then ask `at_quiescence` what happens next, until it
+    /// says [`ExploreStep::Stop`]. Every step but `Stop` needs the explore
+    /// hold pool armed.
+    fn drive<F>(&mut self, sched: &mut Scheduler<World<A>>, mut at_quiescence: F)
+    where
+        F: FnMut(&mut World<A>) -> ExploreStep,
+    {
         loop {
-            while !self.machine.halted && sched.step(&mut self) {}
+            while !self.machine.halted && sched.step(self) {}
             if self.machine.halted {
-                break;
+                return;
             }
-            match choose(&mut self) {
-                ExploreStep::Stop => break,
+            match at_quiescence(self) {
+                ExploreStep::Stop => return,
                 ExploreStep::Deliver(idx) => {
                     let held = self
                         .machine
@@ -695,11 +707,10 @@ impl<A: Agent> World<A> {
                     let now = sched.now();
                     sched.at(now, move |s, w: &mut World<A>| w.deliver(s, to, from, msg));
                 }
-                ExploreStep::Crash(node) => self.explore_crash(&mut sched, node),
-                ExploreStep::Detect(node) => self.explore_detect(&mut sched, node),
+                ExploreStep::Crash(node) => self.explore_crash(sched, node),
+                ExploreStep::Detect(node) => self.explore_detect(sched, node),
             }
         }
-        self.finish_outcome(&sched)
     }
 
     /// Explore-mode crash action: crash-stop `node` and drop held
@@ -720,11 +731,9 @@ impl<A: Agent> World<A> {
             .map(|i| NodeId(i as u16))
             .find(|n| !self.machine.nodes[n.index()].crashed);
         if let Some(det) = detector {
-            let World { machine, agent } = self;
-            let mut ctx = Ctx::new(sched, machine, ProcAddr::cpu(det));
-            agent.on_explore_crash(&mut ctx, det, node);
-            let segments = ctx.take_segments();
-            self.begin_service(sched, ProcAddr::cpu(det), segments);
+            self.serve(sched, ProcAddr::cpu(det), |agent, ctx| {
+                agent.on_explore_crash(ctx, det, node)
+            });
         }
     }
 
@@ -735,26 +744,20 @@ impl<A: Agent> World<A> {
         // plan, is exactly when the event queue drains. On a halted run,
         // nodes that never finished are pinned at the halt time.
         let now = self.machine.effective_end;
-        let total_time = self
+        let finish_times: Vec<SimTime> = self
             .machine
             .finish
             .iter()
             .map(|t| t.unwrap_or(now))
-            .max()
-            .expect("at least one node")
-            .max(now);
+            .collect();
+        let total_time = finish_times.iter().fold(now, |latest, &t| latest.max(t));
         let breakdowns = (0..self.machine.nodes.len())
             .map(|i| self.machine.clocks[i].snapshot(total_time))
             .collect();
         let outcome = RunOutcome {
             total_time,
             breakdowns,
-            finish_times: self
-                .machine
-                .finish
-                .iter()
-                .map(|t| t.unwrap_or(now))
-                .collect(),
+            finish_times,
             traffic: self.machine.traffic.clone(),
             coproc_busy: self.machine.coproc_busy.clone(),
             events_executed: sched.executed(),
@@ -847,11 +850,9 @@ impl<A: Agent> World<A> {
             .expect("restart without a plan")
             .stats_mut()
             .restarts += 1;
-        let World { machine, agent } = self;
-        let mut ctx = Ctx::new(sched, machine, ProcAddr::cpu(node));
-        agent.on_restart(&mut ctx, node);
-        let segments = ctx.take_segments();
-        self.begin_service(sched, ProcAddr::cpu(node), segments);
+        self.serve(sched, ProcAddr::cpu(node), |agent, ctx| {
+            agent.on_restart(ctx, node)
+        });
     }
 
     /// Periodic liveness check under a crash plan: if no application has
@@ -861,14 +862,7 @@ impl<A: Agent> World<A> {
         if self.machine.halted {
             return;
         }
-        let waiting: Vec<usize> = self
-            .machine
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !matches!(n.app, AppState::Finished | AppState::Crashed))
-            .map(|(i, _)| i)
-            .collect();
+        let waiting: Vec<usize> = self.machine.live_apps().collect();
         if waiting.is_empty() {
             return; // all done: stop rearming so the queue can drain
         }
@@ -993,11 +987,9 @@ impl<A: Agent> World<A> {
         debug_assert!(self.machine.nodes[i].cpu.service.is_none());
         self.machine.nodes[i].app = AppState::Blocked(Category::Protocol);
         self.machine.refresh(i, sched.now());
-        let World { machine, agent } = self;
-        let mut ctx = Ctx::new(sched, machine, ProcAddr::cpu(node));
-        agent.on_request(&mut ctx, node, req);
-        let segments = ctx.take_segments();
-        self.begin_service(sched, ProcAddr::cpu(node), segments);
+        self.serve(sched, ProcAddr::cpu(node), |agent, ctx| {
+            agent.on_request(ctx, node, req)
+        });
     }
 
     /// A message arrived at `to`; queue it and service if possible.
@@ -1016,23 +1008,18 @@ impl<A: Agent> World<A> {
             }
             return;
         }
-        let work = Work::Msg { from, msg };
-        match to.kind {
-            ProcKind::Cpu => self.machine.nodes[i].cpu.queue.push_back(work),
-            ProcKind::CoProc => self.machine.nodes[i].coproc.queue.push_back(work),
-        }
-        self.try_dispatch(sched, to);
+        self.enqueue(sched, to, Work::Msg { from, msg });
     }
 
     /// A timer armed via [`Ctx::set_timer`] expired; queue its service.
     fn timer_fired(&mut self, sched: &mut Scheduler<World<A>>, at: ProcAddr, token: u64) {
         self.machine.note_activity(sched.now());
-        let i = at.node.index();
-        let work = Work::Timer { token };
-        match at.kind {
-            ProcKind::Cpu => self.machine.nodes[i].cpu.queue.push_back(work),
-            ProcKind::CoProc => self.machine.nodes[i].coproc.queue.push_back(work),
-        }
+        self.enqueue(sched, at, Work::Timer { token });
+    }
+
+    /// Queue `work` on `at` and service it if the processor is free.
+    fn enqueue(&mut self, sched: &mut Scheduler<World<A>>, at: ProcAddr, work: Work<A::Msg>) {
+        self.machine.unit_mut(at).queue.push_back(work);
         self.try_dispatch(sched, at);
     }
 
@@ -1040,18 +1027,13 @@ impl<A: Agent> World<A> {
     fn try_dispatch(&mut self, sched: &mut Scheduler<World<A>>, at: ProcAddr) {
         let i = at.node.index();
         let now = sched.now();
-        let busy = match at.kind {
-            ProcKind::Cpu => self.machine.nodes[i].cpu.service.is_some(),
-            ProcKind::CoProc => self.machine.nodes[i].coproc.service.is_some(),
-        };
-        if busy {
+        let unit = self.machine.unit_mut(at);
+        if unit.service.is_some() {
             return;
         }
-        let next = match at.kind {
-            ProcKind::Cpu => self.machine.nodes[i].cpu.queue.pop_front(),
-            ProcKind::CoProc => self.machine.nodes[i].coproc.queue.pop_front(),
+        let Some(work) = unit.queue.pop_front() else {
+            return;
         };
-        let Some(work) = next else { return };
 
         // Preempt application compute for interrupt-driven cpu service. The
         // full receive-interrupt cost is paid only when this dispatch
@@ -1083,13 +1065,26 @@ impl<A: Agent> World<A> {
             self.machine.cost.coproc_dispatch
         };
 
+        self.serve(sched, at, |agent, ctx| {
+            ctx.work(prelude, Category::Protocol);
+            match work {
+                Work::Msg { from, msg } => agent.on_message(ctx, at, from, msg),
+                Work::Timer { token } => agent.on_timer(ctx, at, token),
+            }
+        });
+    }
+
+    /// Run one agent handler on `at`, then occupy `at` with the work it
+    /// charged.
+    fn serve(
+        &mut self,
+        sched: &mut Scheduler<World<A>>,
+        at: ProcAddr,
+        handler: impl FnOnce(&mut A, &mut Ctx<'_, A>),
+    ) {
         let World { machine, agent } = self;
         let mut ctx = Ctx::new(sched, machine, at);
-        ctx.work(prelude, Category::Protocol);
-        match work {
-            Work::Msg { from, msg } => agent.on_message(&mut ctx, at, from, msg),
-            Work::Timer { token } => agent.on_timer(&mut ctx, at, token),
-        }
+        handler(agent, &mut ctx);
         let segments = ctx.take_segments();
         self.begin_service(sched, at, segments);
     }
@@ -1115,11 +1110,7 @@ impl<A: Agent> World<A> {
             let total: SimDuration = segments.iter().map(|(d, _)| *d).sum();
             self.machine.coproc_busy[i] += total;
         }
-        let unit = match at.kind {
-            ProcKind::Cpu => &mut self.machine.nodes[i].cpu,
-            ProcKind::CoProc => &mut self.machine.nodes[i].coproc,
-        };
-        unit.service = Some(Service {
+        self.machine.unit_mut(at).service = Some(Service {
             cat,
             segments,
             cursor: 1,
@@ -1127,7 +1118,17 @@ impl<A: Agent> World<A> {
         if at.kind == ProcKind::Cpu {
             self.machine.refresh(i, now);
         }
-        let epoch = self.machine.nodes[i].epoch;
+        self.schedule_segment_end(sched, at, d);
+    }
+
+    /// Schedule the end of `at`'s current segment, `d` from now.
+    fn schedule_segment_end(
+        &mut self,
+        sched: &mut Scheduler<World<A>>,
+        at: ProcAddr,
+        d: SimDuration,
+    ) {
+        let epoch = self.machine.nodes[at.node.index()].epoch;
         sched.after(d, move |s, w: &mut World<A>| {
             if w.machine.stale(at.node, epoch) {
                 return;
@@ -1140,10 +1141,7 @@ impl<A: Agent> World<A> {
         let i = at.node.index();
         let now = sched.now();
         self.machine.note_activity(now);
-        let unit = match at.kind {
-            ProcKind::Cpu => &mut self.machine.nodes[i].cpu,
-            ProcKind::CoProc => &mut self.machine.nodes[i].coproc,
-        };
+        let unit = self.machine.unit_mut(at);
         let service = unit.service.as_mut().expect("segment_done without service");
         if let Some(&(d, cat)) = service.segments.get(service.cursor) {
             service.cursor += 1;
@@ -1151,13 +1149,7 @@ impl<A: Agent> World<A> {
             if at.kind == ProcKind::Cpu {
                 self.machine.refresh(i, now);
             }
-            let epoch = self.machine.nodes[i].epoch;
-            sched.after(d, move |s, w: &mut World<A>| {
-                if w.machine.stale(at.node, epoch) {
-                    return;
-                }
-                w.segment_done(s, at)
-            });
+            self.schedule_segment_end(sched, at, d);
             return;
         }
         if let Some(done) = unit.service.take() {
@@ -1355,10 +1347,7 @@ impl<'a, A: Agent> Ctx<'a, A> {
     /// — heartbeats — stop rearming on this signal so the event queue can
     /// drain.
     pub fn apps_done(&self) -> bool {
-        self.machine
-            .nodes
-            .iter()
-            .all(|n| matches!(n.app, AppState::Finished | AppState::Crashed))
+        self.machine.all_apps_ended()
     }
 
     /// Report a structured protocol failure and halt the run. The machine

@@ -6,8 +6,8 @@
 //! invariant that per-node categories sum exactly to elapsed time.
 
 use svm_machine::{
-    Agent, AppRequest, AppResponse, Category, CostModel, Ctx, Message, NodeId, ProcAddr,
-    TrafficClass, World,
+    Agent, AppRequest, AppResponse, Category, CostModel, Ctx, ExploreStep, Message, NodeId,
+    ProcAddr, TrafficClass, World,
 };
 use svm_sim::process::ProcessPort;
 use svm_sim::SimDuration;
@@ -318,6 +318,32 @@ fn deterministic_across_runs() {
     assert_eq!(o1.total_time, o2.total_time);
     assert_eq!(o1.finish_times, o2.finish_times);
     assert_eq!(o1.events_executed, o2.events_executed);
+}
+
+/// `run` and `run_explore` are one loop under two quiescence policies:
+/// with no cross-node traffic nothing is ever parked, so an explorer that
+/// stops at the first quiescent point must reproduce `run` exactly.
+#[test]
+fn run_and_run_explore_agree_without_cross_node_traffic() {
+    let mk = || -> Vec<svm_machine::machine::AppBody<ToyAgent>> {
+        (0..3u64)
+            .map(|i| -> svm_machine::machine::AppBody<ToyAgent> {
+                Box::new(move |port: &Port| {
+                    compute(port, 100 * (i + 1));
+                    compute(port, 7);
+                })
+            })
+            .collect()
+    };
+    let (ran, _) = World::new(CostModel::paragon(), ToyAgent::default(), mk()).run();
+    let (explored, _) = World::new(CostModel::paragon(), ToyAgent::default(), mk())
+        .run_explore(|_| ExploreStep::Stop);
+    assert_eq!(ran.total_time, explored.total_time);
+    assert_eq!(ran.breakdowns, explored.breakdowns);
+    assert_eq!(ran.finish_times, explored.finish_times);
+    assert_eq!(ran.events_executed, explored.events_executed);
+    assert_eq!(ran.events_executed, 6, "two compute completions per node");
+    assert!(ran.is_clean() && explored.is_clean());
 }
 
 #[test]

@@ -11,12 +11,11 @@
 //!
 //! Pooling never changes observable values: buffers are handed out with
 //! `len == 0` (or fully overwritten by `take_bytes_copy`), so virtual-time
-//! results are bit-identical with pooling on or off. The
-//! `SVM_LEGACY_ENGINE=1` environment knob (or [`set_thread_engine`])
-//! disables reuse entirely, which the sequential-equivalence suite uses to
-//! pin that claim.
+//! results are bit-identical with pooling on or off;
+//! `results/engine_fingerprints.txt`, recorded on the pool-free engine,
+//! pins that claim (`crates/bench/tests/engine_fingerprints.rs`).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 /// Most vectors retained per thread. Bounds idle pool memory.
 const MAX_POOLED_VECS: usize = 64;
@@ -25,39 +24,12 @@ const MAX_POOLED_VECS: usize = 64;
 const MAX_POOLED_CAP: usize = 64 * 1024;
 
 thread_local! {
-    static LEGACY: Cell<Option<bool>> = const { Cell::new(None) };
     static BYTE_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Whether this thread runs the legacy (pool-free) engine.
-///
-/// Resolved once per thread from `SVM_LEGACY_ENGINE` ("1" or any
-/// non-empty value other than "0" enables it), unless overridden first by
-/// [`set_thread_engine`].
-pub fn legacy_engine() -> bool {
-    LEGACY.with(|l| match l.get() {
-        Some(v) => v,
-        None => {
-            let v = std::env::var("SVM_LEGACY_ENGINE").is_ok_and(|s| !s.is_empty() && s != "0");
-            l.set(Some(v));
-            v
-        }
-    })
-}
-
-/// Force this thread onto the legacy (`true`) or pooled (`false`) engine,
-/// overriding the environment. Used by the sequential-equivalence tests to
-/// compare both paths inside one process.
-pub fn set_thread_engine(legacy: bool) {
-    LEGACY.with(|l| l.set(Some(legacy)));
 }
 
 /// Hand out an empty byte vector, reusing a pooled allocation when one is
 /// available.
 pub fn take_bytes() -> Vec<u8> {
-    if legacy_engine() {
-        return Vec::new();
-    }
     BYTE_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
 }
 
@@ -69,10 +41,10 @@ pub fn take_bytes_copy(src: &[u8]) -> Vec<u8> {
     v
 }
 
-/// Return a byte vector to this thread's pool (or drop it, when pooling is
-/// off or the pool is full).
+/// Return a byte vector to this thread's pool (or drop it, when the pool
+/// is full or the buffer is not worth keeping).
 pub fn put_bytes(mut v: Vec<u8>) {
-    if legacy_engine() || v.capacity() == 0 || v.capacity() > MAX_POOLED_CAP {
+    if v.capacity() == 0 || v.capacity() > MAX_POOLED_CAP {
         return;
     }
     v.clear();
@@ -90,7 +62,6 @@ mod tests {
 
     #[test]
     fn take_returns_empty_and_copy_matches_source() {
-        set_thread_engine(false);
         let v = take_bytes();
         assert!(v.is_empty());
         let c = take_bytes_copy(&[1, 2, 3]);
@@ -101,19 +72,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_engine_never_retains() {
-        set_thread_engine(true);
-        let mut v = Vec::with_capacity(128);
-        v.push(7u8);
-        put_bytes(v);
-        let out = take_bytes();
-        assert_eq!(out.capacity(), 0, "legacy path must not pool");
-        set_thread_engine(false);
-    }
-
-    #[test]
     fn pool_is_bounded() {
-        set_thread_engine(false);
         for _ in 0..(MAX_POOLED_VECS * 2) {
             put_bytes(Vec::with_capacity(16));
         }
@@ -123,7 +82,6 @@ mod tests {
 
     #[test]
     fn oversized_buffers_are_dropped() {
-        set_thread_engine(false);
         put_bytes(Vec::with_capacity(MAX_POOLED_CAP + 1));
         let any_giant =
             BYTE_POOL.with(|p| p.borrow().iter().any(|v| v.capacity() > MAX_POOLED_CAP));

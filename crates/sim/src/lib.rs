@@ -12,7 +12,6 @@
 //! and nothing reads wall-clock time, so a simulation run is a pure function
 //! of its inputs.
 
-pub mod engine;
 pub mod handoff;
 pub mod process;
 pub mod rng;

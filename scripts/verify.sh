@@ -4,10 +4,10 @@
 # instead of passing on a warm cache.
 #
 # Usage: verify.sh [--fast]
-#   --fast skips the example/bench compiles and the chaos matrix, but
-#   always keeps the static analyzer, the crash-recovery smoke, and the
-#   consistency-check subset — the cheap gates that catch whole bug
-#   classes.
+#   --fast skips the example/bench compiles, the standalone benchmark
+#   crate build, and the chaos matrix, but always keeps the static
+#   analyzer, the crash-recovery smoke, and the consistency-check subset
+#   — the cheap gates that catch whole bug classes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +36,12 @@ if [[ "$FAST" -eq 0 ]]; then
 
   echo "== benches compile (offline)"
   cargo build --benches
+
+  # benchmark/ is its own workspace, invisible to the root build: a
+  # deleted or renamed crates/ API must fail here, not in the pipeline.
+  echo "== standalone benchmark crate builds and tests against crates/ (offline)"
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
 fi
 
 echo "== clippy, warnings denied (offline)"
