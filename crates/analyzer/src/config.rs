@@ -9,8 +9,9 @@
 /// Which files each rule applies to, by workspace-relative path prefix.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// `HashMap`/`HashSet` are banned here (simulated, order-sensitive
-    /// code): iteration order must not be able to affect results.
+    /// `HashMap`/`HashSet` and `env::var`/`env::vars` are banned here
+    /// (simulated, order-sensitive code): neither iteration order nor the
+    /// process environment may be able to affect results.
     pub hash_ban_paths: Vec<String>,
     /// Wall-clock sources (`Instant::now`, `SystemTime`, `thread::sleep`,
     /// `process::id`) are banned everywhere EXCEPT these prefixes (the

@@ -9,8 +9,9 @@
 //! walks every workspace `.rs` file.
 //!
 //! Rules (ids as printed):
-//! - `determinism` — no hash-ordered containers in simulated crates; no
-//!   wall-clock or host-process identity outside exempt crates.
+//! - `determinism` — no hash-ordered containers or environment reads in
+//!   simulated crates; no wall-clock or host-process identity outside
+//!   exempt crates.
 //! - `unsafe-audit` — every `unsafe` block/impl carries `// SAFETY:`.
 //! - `panic-policy` — `unwrap`/`expect`/`panic!`/`unreachable!` in
 //!   `crates/core/src/protocol/` carry `// INVARIANT:` or become

@@ -152,8 +152,9 @@ pub fn run(files: &[SourceSpec], cfg: &Config) -> Vec<Finding> {
     findings
 }
 
-/// determinism: no hash-ordered containers in simulated code, no
-/// wall-clock or host-process identity anywhere non-exempt.
+/// determinism: no hash-ordered containers and no process-environment
+/// reads in simulated code, no wall-clock or host-process identity anywhere
+/// non-exempt.
 fn determinism(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Finding>) {
     const RULE: &str = "determinism";
     let banned_types: [&str; 2] = ["HashMap", "HashSet"];
@@ -175,13 +176,23 @@ fn determinism(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Finding>) {
             "host process identity leaks into simulated state",
         ),
     ];
+    // Banned only where the hash containers are: bench binaries and test
+    // harnesses legitimately read flags and `TESTKIT_*` from the host.
+    const ENV_WHY: &str =
+        "a run must be a function of its config and seed, not the process environment";
+    let sim_banned_calls = [("env", "var", ENV_WHY), ("env", "vars", ENV_WHY)];
+    let in_sim = cfg.in_hash_ban(&ctx.path);
+    let calls: Vec<(&str, &str, &str)> = banned_calls
+        .into_iter()
+        .chain(sim_banned_calls.into_iter().filter(|_| in_sim))
+        .collect();
     let sig = &ctx.sig;
     for i in 0..sig.len() {
         let t = &sig[i];
         if t.kind != TokKind::Ident {
             continue;
         }
-        if cfg.in_hash_ban(&ctx.path) && banned_types.contains(&t.text.as_str()) {
+        if in_sim && banned_types.contains(&t.text.as_str()) {
             if !ctx.allowed(t.line, RULE) {
                 out.push(ctx.finding(
                     RULE,
@@ -209,7 +220,7 @@ fn determinism(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Finding>) {
             );
             continue;
         }
-        for (qual, member, why) in banned_calls {
+        for &(qual, member, why) in &calls {
             if t.text == qual && is_sep(sig, i + 1) && is_ident(sig.get(i + 3), member) {
                 let line = sig[i + 3].line;
                 if !ctx.allowed(line, RULE) {

@@ -72,6 +72,22 @@ fn determinism_suppressed_by_allow_with_reason() {
     );
 }
 
+#[test]
+fn determinism_flags_environment_reads_in_sim_scope() {
+    let src = "fn f() -> bool {\n\
+               std::env::var(\"SVM_DEBUG\").is_ok()\n\
+               || std::env::vars().count() > 0\n\
+               }\n";
+    let findings = analyze_one("crates/core/src/trace.rs", src);
+    expect_hit(&findings, "determinism", 2);
+    expect_hit(&findings, "determinism", 3);
+    // Out of scope: bench binaries and harnesses read the host environment.
+    assert!(analyze_one("crates/bench/src/cli.rs", src).is_empty());
+    let src = "// lint: allow(determinism, read once to seed the config default)\n\
+               fn f() -> bool { std::env::var(\"X\").is_ok() }\n";
+    assert!(analyze_one("crates/core/src/trace.rs", src).is_empty());
+}
+
 // ---- unsafe-audit ----
 
 #[test]

@@ -1,10 +1,10 @@
-//! Minimal hand-rolled JSON support for the perf baseline file.
+//! Minimal hand-rolled JSON support for the machine-readable outputs.
 //!
-//! The workspace is hermetic (no registry crates), so `--bin perf` needs
-//! its own writer to emit `BENCH_svm.json` and its own parser so
-//! `scripts/verify.sh` can gate on the file being well-formed. This is a
-//! deliberately small dialect: objects, arrays, strings, finite numbers,
-//! booleans, null — everything the baseline format uses, nothing more.
+//! The workspace is hermetic (no registry crates), so `--bin serve` and
+//! the standalone `benchmark/` driver need their own writer to emit their
+//! result files and their own parser to re-check what they wrote. This is
+//! a deliberately small dialect: objects, arrays, strings, finite numbers,
+//! booleans, null — everything those formats use, nothing more.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn roundtrips_the_baseline_shape() {
         let doc = Json::obj([
-            ("schema", Json::str("svm-perf-v1")),
+            ("schema", Json::str("svm-serve-v1")),
             ("cores", Json::int(4)),
             ("speedup", Json::Num(2.5)),
             (

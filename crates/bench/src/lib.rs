@@ -96,20 +96,14 @@ pub struct Record {
 /// Run every (app x protocol x node-count) combination on the parallel
 /// experiment driver.
 ///
-/// Worker count comes from [`parallel::workers`] (`SVM_BENCH_THREADS` or
-/// the machine's parallelism). Each cell is an independent seeded
+/// Worker count comes from [`parallel::workers`] (the machine's
+/// parallelism). Each cell is an independent seeded
 /// virtual-time simulation, so the records are bit-identical to the serial
 /// sweep and come back in the canonical serial order regardless of which
 /// worker ran what (DESIGN.md §13).
 pub fn run_sweep(opts: &Options) -> Vec<Record> {
     let cells = opts.suite().len() * opts.nodes.len() * opts.protocols.len();
     run_sweep_with(opts, parallel::workers(cells))
-}
-
-/// The serial sweep: same cells, same order, one at a time on the calling
-/// thread. Kept as the wall-clock baseline for `--bin perf`.
-pub fn run_sweep_serial(opts: &Options) -> Vec<Record> {
-    run_sweep_with(opts, 1)
 }
 
 /// Run the sweep on an explicit number of worker threads.
@@ -150,7 +144,7 @@ pub const FINGERPRINT_FIELDS: [&str; 5] =
 
 /// Per record, in sweep order: the cell name (`app/PROTOCOL/nodes`) and
 /// everything about the cell that must be bit-identical across drivers
-/// (serial vs parallel, `--bin perf`) and across time
+/// (serial vs parallel) and across time
 /// (`results/engine_fingerprints.txt`), one value per
 /// [`FINGERPRINT_FIELDS`] entry.
 pub fn fingerprint(records: &[Record]) -> Vec<(String, [u64; 5])> {

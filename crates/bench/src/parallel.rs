@@ -10,10 +10,10 @@
 //! the one the serial loop would have produced — only the wall-clock order
 //! of execution changes (DESIGN.md §13).
 //!
-//! Worker count: `SVM_BENCH_THREADS` if set, else the machine's available
-//! parallelism, always clamped to the job count. `threads <= 1` runs the
-//! jobs inline on the calling thread with no pool at all, which keeps the
-//! serial path available for speedup baselines (`--bin perf`).
+//! Worker count: the machine's available parallelism, clamped to the job
+//! count. `threads <= 1` runs the jobs inline on the calling thread with no
+//! pool at all; the engine pin test (`tests/engine_fingerprints.rs`) runs
+//! its sweep both ways against one recorded file.
 //!
 //! Memory behavior: the engine's scratch arenas (`svm_mem::pool` byte
 //! vectors, the machine's service-segment vectors, the scheduler's event
@@ -30,19 +30,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker threads to use for `jobs` independent runs: the explicit
-/// `SVM_BENCH_THREADS` override, else available parallelism, clamped to
-/// the job count (and to at least 1).
+/// Worker threads to use for `jobs` independent runs: available
+/// parallelism, clamped to the job count (and to at least 1).
 pub fn workers(jobs: usize) -> usize {
-    let configured = std::env::var("SVM_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    configured.clamp(1, jobs.max(1))
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .clamp(1, jobs.max(1))
 }
 
 /// Run `f(0..n)` across `threads` scoped workers and return the results in

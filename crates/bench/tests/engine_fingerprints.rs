@@ -3,14 +3,25 @@
 //! virtual-time results recorded in `results/engine_fingerprints.txt`.
 //!
 //! The file was recorded once on the allocation-per-event engine this one
-//! replaced (EXPERIMENTS.md "Engine fingerprints"), so the pin is against
-//! that engine's behaviour across time, not against a second code path
-//! carried in the build. Every fingerprint component that `perf` compares
-//! is pinned: total virtual time, events executed, traffic message/byte
-//! totals, and the application checksum.
+//! replaced (EXPERIMENTS.md "Engine pin and allocation budget"), so the pin
+//! is against that engine's behaviour across time, not against a second
+//! code path carried in the build. Every cell pins total virtual time,
+//! events executed, traffic message/byte totals, and the application
+//! checksum.
+//!
+//! The one measuring test runs the sweep twice against that file: on the
+//! calling thread, with allocations counted against a recorded budget (a
+//! pool that stopped pooling or a clone back in a hot path is an engine
+//! bug, and the count is deterministic for a fixed sweep), and on four
+//! worker threads, so the parallel driver is held to the same recorded
+//! bits as the serial one.
 
 use svm_bench::{fingerprint, run_sweep_with, Options, FINGERPRINT_FIELDS};
 use svm_core::ProtocolName;
+use svm_testkit::alloc::{self, CountingAlloc};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const PIN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -19,17 +30,26 @@ const PIN_PATH: &str = concat!(
 const REGENERATE: &str =
     "cargo test --release -p svm-bench --test engine_fingerprints -- --ignored regenerate";
 
+/// Allocations (count, not bytes) the serial leg made when the budget was
+/// last recorded; debug and release builds differ by single digits. The
+/// measuring test prints the current count, which is how this is re-recorded
+/// after an intended change (EXPERIMENTS.md).
+const SERIAL_ALLOC_BUDGET: u64 = 904_719;
+/// Headroom over the budget: the harness's own allocations and the other
+/// tests of this binary land in the same process-wide counter.
+const ALLOC_BUDGET_SLACK: f64 = 1.10;
+
 /// All four protocols, two workloads with different sharing patterns
 /// (SOR: migratory rows; Water-Nsquared: the homeless diff-store stress),
 /// at a small and a paper-scale node count: 16 cells.
-fn pinned_sweep() -> Vec<(String, [u64; 5])> {
+fn pinned_sweep(threads: usize) -> Vec<(String, [u64; 5])> {
     let opts = Options {
         scale: 0.03,
         nodes: vec![4, 64],
         protocols: ProtocolName::ALL.to_vec(),
         apps: vec!["sor".into(), "water-n".into()],
     };
-    fingerprint(&run_sweep_with(&opts, 1))
+    fingerprint(&run_sweep_with(&opts, threads))
 }
 
 fn render(fps: &[(String, [u64; 5])]) -> String {
@@ -83,17 +103,39 @@ fn mismatches(recorded: &str, got: &str) -> Vec<String> {
     out
 }
 
+fn assert_matches_pin(leg: &str, recorded: &str, got: &[(String, [u64; 5])]) {
+    let diff = mismatches(recorded, &render(got));
+    assert!(
+        diff.is_empty(),
+        "{leg} leg: virtual-time results drifted from results/engine_fingerprints.txt:\n  {}\n\
+         if the change is intended, regenerate with:\n  {REGENERATE}",
+        diff.join("\n  ")
+    );
+}
+
 #[test]
 fn sweep_matches_recorded_fingerprints() {
     let recorded = std::fs::read_to_string(PIN_PATH).expect("results/engine_fingerprints.txt");
     assert_eq!(rows(&recorded).len(), 16, "the pin covers 16 cells");
-    let diff = mismatches(&recorded, &render(&pinned_sweep()));
+
+    let before = alloc::stats().allocation_count;
+    let serial = pinned_sweep(1);
+    let count = alloc::stats().allocation_count - before;
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    eprintln!("serial leg: {count} allocations ({profile} profile)");
+    assert_matches_pin("serial", &recorded, &serial);
     assert!(
-        diff.is_empty(),
-        "virtual-time results drifted from results/engine_fingerprints.txt:\n  {}\n\
-         if the change is intended, regenerate with:\n  {REGENERATE}",
-        diff.join("\n  ")
+        count as f64 <= SERIAL_ALLOC_BUDGET as f64 * ALLOC_BUDGET_SLACK,
+        "serial leg made {count} allocations, more than 10% over the recorded budget \
+         {SERIAL_ALLOC_BUDGET} ({profile} profile): an allocation crept back into the \
+         engine, or SERIAL_ALLOC_BUDGET needs re-recording"
     );
+
+    assert_matches_pin("4-thread", &recorded, &pinned_sweep(4));
 }
 
 /// A one-digit change in the file must be reported by cell and field.
@@ -115,5 +157,5 @@ fn a_flipped_digit_names_the_cell_and_field() {
 #[test]
 #[ignore = "rewrites results/engine_fingerprints.txt"]
 fn regenerate() {
-    std::fs::write(PIN_PATH, render(&pinned_sweep())).expect("write pin file");
+    std::fs::write(PIN_PATH, render(&pinned_sweep(1))).expect("write pin file");
 }

@@ -193,11 +193,6 @@ impl<'a> SvmCtx<'a> {
         self.sleep_until(self.now() + d);
     }
 
-    /// Park this node's application for `us` virtual microseconds.
-    pub fn sleep_us(&self, us: u64) {
-        self.sleep(SimDuration::from_micros(us));
-    }
-
     fn request(&self, req: SvmReq) {
         match self.port.request(AppRequest::Custom(req)) {
             AppResponse::Done => {}

@@ -137,16 +137,8 @@ pub struct FaultProfile {
     pub dup_rate: f64,
     /// Probability a delivery gets extra jitter (causes reordering).
     pub delay_rate: f64,
-    /// Upper bound on injected jitter, microseconds.
-    pub max_extra_delay_us: u64,
     /// Probability a message triggers a transient destination-node stall.
     pub stall_rate: f64,
-    /// Upper bound on a stall window, microseconds.
-    pub max_stall_us: u64,
-    /// Retransmission timeout, microseconds.
-    pub rto_us: u64,
-    /// Max exponent for the exponential backoff (RTO × 2^cap ceiling).
-    pub backoff_cap: u32,
     /// Maximum retransmission timeouts per channel before the peer is
     /// declared unreachable (reset whenever an ack makes progress). `None`
     /// retransmits forever — the pre-crash-tolerance behavior, which hangs
@@ -168,11 +160,7 @@ impl Default for FaultProfile {
             drop_rate: 0.0,
             dup_rate: 0.0,
             delay_rate: 0.0,
-            max_extra_delay_us: 2_000,
             stall_rate: 0.0,
-            max_stall_us: 20_000,
-            rto_us: 5_000,
-            backoff_cap: 6,
             max_retries: None,
             drop_first_kind: None,
         }
@@ -338,8 +326,7 @@ pub struct SvmConfig {
     pub recovery: RecoveryProfile,
     /// Node crash–stop schedule executed by the machine (default: none).
     pub node_fault: svm_machine::NodeFaultConfig,
-    /// Debug logging + access-trace recording (default: log from
-    /// `SVM_TRACE`, recording off).
+    /// Debug logging + access-trace recording (default: both off).
     pub trace: crate::trace::TraceConfig,
     /// Deliberately seeded protocol bug for checker self-tests
     /// (default: none).

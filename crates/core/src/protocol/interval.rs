@@ -129,7 +129,7 @@ impl SvmAgent {
                 Rc::new(Diff::create(&twin, cur))
             };
             svm_mem::pool::put_bytes(twin);
-            self.finish_diff(ctx, n, p, interval, &stored_vt, diff, ProcKind::Cpu);
+            self.finish_diff(ctx, n, p, interval, &stored_vt, diff);
         }
 
         if !task_items.is_empty() {
@@ -149,7 +149,6 @@ impl SvmAgent {
     }
 
     /// Account a freshly created diff and route it (store or flush home).
-    #[allow(clippy::too_many_arguments)] // diff identity is naturally wide
     fn finish_diff(
         &mut self,
         ctx: &mut MCtx<'_>,
@@ -158,7 +157,6 @@ impl SvmAgent {
         interval: u32,
         vt: &Rc<VectorTime>,
         diff: Rc<Diff>,
-        _on: ProcKind,
     ) {
         let idx = n.index();
         self.counters[idx].diffs_created += 1;
@@ -233,7 +231,7 @@ impl SvmAgent {
             let create = ctx.cost().diff_create(ps);
             ctx.work(create, Category::Protocol);
             self.nodes_st[idx].pending_diffs.remove(&(p.0, interval));
-            self.finish_diff(ctx, n, p, interval, &vt, Rc::new(diff), ProcKind::CoProc);
+            self.finish_diff(ctx, n, p, interval, &vt, Rc::new(diff));
             self.serve_parked_diff_requests(ctx, n, p);
         }
     }

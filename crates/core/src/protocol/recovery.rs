@@ -630,34 +630,21 @@ impl SvmAgent {
             if self.dir[pg as usize].home != Some(h) {
                 continue;
             }
+            let page = PageNum(pg);
             let st = &self.nodes_st[h.index()].pages[pg as usize];
-            let flush_pending = |w: NodeId, applied: u32| {
-                self.recovery
-                    .pending_flushes
-                    .iter()
-                    .any(|&(p2, w2, i2, _)| p2.0 == pg && w2 == w && i2 > applied)
-            };
-            let locals = (st.home_stale && st.local_waiter)
-                .then(|| st.seen.to_vec())
-                .into_iter()
-                .map(|need| (h, need));
+            let seen = (st.home_stale && st.local_waiter).then(|| st.seen.to_vec());
             let waits = st
                 .waiting_fetches
                 .iter()
-                .map(|(req, need)| (*req, need.clone()));
-            for (who, need) in waits.chain(locals) {
-                for &(w, i) in &need {
-                    if i > st.applied.get(w)
-                        && !self.recovery.alive[w.index()]
-                        && !flush_pending(w, st.applied.get(w))
-                    {
-                        err = Some(ProtocolError::UnrecoverableDiffs {
-                            node: who,
-                            page: PageNum(pg),
-                            writer: w,
-                        });
-                        break 'pages;
-                    }
+                .map(|(req, need)| (*req, need.as_slice()));
+            for (who, need) in waits.chain(seen.as_deref().map(|need| (h, need))) {
+                if let Some(writer) = self.dead_dep_in(h, page, need) {
+                    err = Some(ProtocolError::UnrecoverableDiffs {
+                        node: who,
+                        page,
+                        writer,
+                    });
+                    break 'pages;
                 }
             }
         }
@@ -883,11 +870,6 @@ impl SvmAgent {
         }
     }
 
-    /// Write notices a regenerated grant must carry: the union over the
-    /// survivors' forwarding logs (plus the barrier manager's archive) of
-    /// every record past the requester's vector time. A superset of what
-    /// the dead holder would have selected is safe — record processing is
-    /// idempotent per `(writer, interval)`.
     /// The first dead-writer interval past `base` that `token_vt` claims
     /// but no survivor can substantiate: the record is in no live
     /// forwarding log and not in the barrier archive. Write-free critical
@@ -918,6 +900,11 @@ impl SvmAgent {
         None
     }
 
+    /// Write notices a regenerated grant must carry: the union over the
+    /// survivors' forwarding logs (plus the barrier manager's archive) of
+    /// every record past the requester's vector time. A superset of what
+    /// the dead holder would have selected is safe — record processing is
+    /// idempotent per `(writer, interval)`.
     fn records_union_for(&self, peer_vt: &VectorTime) -> Vec<Rc<IntervalRec>> {
         let mut out: BTreeMap<(u16, u32), Rc<IntervalRec>> = BTreeMap::new();
         for p in 0..self.cfg.nodes {

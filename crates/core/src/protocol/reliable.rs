@@ -129,8 +129,6 @@ pub struct ReliableNet {
     /// recovery enabled — recovery's in-flight harvest needs the sequenced
     /// envelopes and unacked buffers).
     pub enabled: bool,
-    rto: SimDuration,
-    backoff_cap: u32,
     /// Timeouts-without-progress per channel before the peer is declared
     /// unreachable; `None` retransmits forever.
     max_retries: Option<u32>,
@@ -151,8 +149,6 @@ impl ReliableNet {
     pub fn new(profile: &FaultProfile, force_enabled: bool) -> Self {
         ReliableNet {
             enabled: profile.is_active() || force_enabled,
-            rto: SimDuration::from_micros(profile.rto_us),
-            backoff_cap: profile.backoff_cap,
             max_retries: profile.max_retries,
             drop_first: profile.drop_first_kind,
             chans: Vec::new(),
@@ -176,10 +172,17 @@ impl ReliableNet {
             self.chans.len() - 1
         })
     }
+}
 
-    fn timeout(&self, backoff: u32) -> SimDuration {
-        self.rto * (1u64 << backoff.min(self.backoff_cap))
-    }
+/// Base retransmission timeout.
+const RTO: SimDuration = SimDuration::from_micros(5_000);
+/// Max exponent for the exponential backoff (`RTO × 2^BACKOFF_CAP` ceiling).
+const BACKOFF_CAP: u32 = 6;
+
+/// The retransmission timer for a channel that has timed out `backoff`
+/// times without progress.
+fn timeout(backoff: u32) -> SimDuration {
+    RTO * (1u64 << backoff.min(BACKOFF_CAP))
 }
 
 impl SvmAgent {
@@ -235,7 +238,7 @@ impl SvmAgent {
     /// Arm channel `idx`'s retransmit timer at its current backoff. The
     /// channel must not already be armed (callers disarm first).
     fn net_arm(&mut self, ctx: &mut MCtx<'_>, idx: usize) {
-        let delay = self.net.timeout(self.net.chans[idx].backoff);
+        let delay = timeout(self.net.chans[idx].backoff);
         let token = self.net.tokens.arm(idx);
         let ev = ctx.set_timer(delay, token);
         self.net.chans[idx].armed = Some((ev, token));
@@ -362,7 +365,7 @@ impl SvmAgent {
         }
         let ch = &mut self.net.chans[idx];
         ch.unacked = unacked;
-        ch.backoff = (ch.backoff + 1).min(self.net.backoff_cap);
+        ch.backoff = (ch.backoff + 1).min(BACKOFF_CAP);
         self.net_arm(ctx, idx);
     }
 }
@@ -400,15 +403,9 @@ mod tests {
 
     #[test]
     fn backoff_doubles_to_cap() {
-        let profile = FaultProfile {
-            rto_us: 1_000,
-            backoff_cap: 3,
-            ..FaultProfile::default()
-        };
-        let net = ReliableNet::new(&profile, false);
-        assert_eq!(net.timeout(0), SimDuration::from_micros(1_000));
-        assert_eq!(net.timeout(1), SimDuration::from_micros(2_000));
-        assert_eq!(net.timeout(3), SimDuration::from_micros(8_000));
-        assert_eq!(net.timeout(9), SimDuration::from_micros(8_000), "capped");
+        assert_eq!(timeout(0), SimDuration::from_micros(5_000));
+        assert_eq!(timeout(1), SimDuration::from_micros(10_000));
+        assert_eq!(timeout(6), SimDuration::from_micros(320_000));
+        assert_eq!(timeout(9), SimDuration::from_micros(320_000), "capped");
     }
 }

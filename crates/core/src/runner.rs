@@ -312,10 +312,8 @@ where
         drop_rate: config.fault.drop_rate,
         dup_rate: config.fault.dup_rate,
         delay_rate: config.fault.delay_rate,
-        max_extra_delay: svm_sim::SimDuration::from_micros(config.fault.max_extra_delay_us),
         stall_rate: config.fault.stall_rate,
-        max_stall: svm_sim::SimDuration::from_micros(config.fault.max_stall_us),
-        only_link: None,
+        ..svm_machine::NetFaultConfig::default()
     });
     world.machine.set_node_faults(config.node_fault.clone());
     let (outcome, mut agent) = world.run();

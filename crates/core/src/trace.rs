@@ -4,9 +4,8 @@
 //! [`crate::SvmConfig::trace`] (no process-global state):
 //!
 //! * **Debug logging** ([`TraceConfig::debug_log`]) — the human-readable
-//!   protocol event log on stderr. The `SVM_TRACE` environment variable is
-//!   only the *default*; tests and programs can toggle the flag per run
-//!   without racing each other through a process-wide cache.
+//!   protocol event log on stderr, off unless a program sets the flag
+//!   for its run (`fig12_trace` does).
 //! * **Recording** ([`TraceConfig::record`]) — a compact, deterministic
 //!   [`AccessTrace`]: per node, the ordered stream of shared-memory reads
 //!   and writes interleaved with every synchronization event (lock
@@ -41,8 +40,9 @@ use svm_sim::SimTime;
 
 use crate::vt::VectorTime;
 
-/// Per-run trace configuration (carried on [`crate::SvmConfig`]).
-#[derive(Clone, Debug)]
+/// Per-run trace configuration (carried on [`crate::SvmConfig`]); both
+/// facilities default off.
+#[derive(Clone, Debug, Default)]
 pub struct TraceConfig {
     /// Emit the human-readable protocol event log on stderr.
     pub debug_log: bool,
@@ -50,21 +50,8 @@ pub struct TraceConfig {
     pub record: bool,
 }
 
-impl Default for TraceConfig {
-    /// `debug_log` defaults from the `SVM_TRACE` environment variable
-    /// (read at configuration time, not once per process); `record`
-    /// defaults off.
-    fn default() -> Self {
-        TraceConfig {
-            debug_log: std::env::var("SVM_TRACE").is_ok_and(|v| v != "0"),
-            record: false,
-        }
-    }
-}
-
 impl TraceConfig {
-    /// A configuration with recording on (debug log still from the
-    /// environment).
+    /// A configuration with recording on.
     pub fn recording() -> Self {
         TraceConfig {
             record: true,
@@ -189,11 +176,6 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Whether this is a synchronization (non-data) event.
-    pub fn is_sync(&self) -> bool {
-        !matches!(self, TraceEvent::Read { .. } | TraceEvent::Write { .. })
-    }
-
     /// Fold the event into a running FNV-1a digest, excluding the virtual
     /// time stamps (`at`). The explorer's canonical state hash must equate
     /// states that differ only in *when* things happened, never in *what*

@@ -440,11 +440,6 @@ impl<A: Agent> Machine<A> {
         }
     }
 
-    /// Whether `node` is currently crashed.
-    pub fn node_crashed(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].crashed
-    }
-
     /// The processor `at` names.
     fn unit_mut(&mut self, at: ProcAddr) -> &mut ProcUnit<A::Msg> {
         let node = &mut self.nodes[at.node.index()];
@@ -490,11 +485,6 @@ impl<A: Agent> Machine<A> {
     /// Traffic counters so far.
     pub fn traffic(&self) -> &TrafficStats {
         &self.traffic
-    }
-
-    /// Whether explore mode is on (sends and timers are being parked).
-    pub fn is_exploring(&self) -> bool {
-        self.explore.is_some()
     }
 
     /// The parked cross-node deliveries (empty outside explore mode).
@@ -1277,7 +1267,7 @@ impl<'a, A: Agent> Ctx<'a, A> {
                     .at(at, move |s, w: &mut World<A>| w.deliver(s, to, from, msg));
             }
             Some(plan) => {
-                let arrivals = plan.route(from.node, to.node, at);
+                let arrivals = plan.route(to.node, at);
                 // Schedule in arrival-slot order (original first, duplicate
                 // second) so event sequence numbers — and thus tie-breaking
                 // — are unchanged. Only a duplicated message clones; the
@@ -1327,20 +1317,6 @@ impl<'a, A: Agent> Ctx<'a, A> {
             };
         }
         self.sched.cancel(id)
-    }
-
-    /// Fault-injection counters so far (all-zero when no plan is active).
-    pub fn net_fault_stats(&self) -> NetFaultStats {
-        self.machine
-            .fault
-            .as_ref()
-            .map(|p| p.stats().clone())
-            .unwrap_or_default()
-    }
-
-    /// Whether `node`'s transport is currently up (not crash-stopped).
-    pub fn node_alive(&self, node: NodeId) -> bool {
-        !self.machine.nodes[node.index()].crashed
     }
 
     /// Whether every application has finished (or crashed). Standing timers

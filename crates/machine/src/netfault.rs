@@ -39,9 +39,6 @@ pub struct NetFaultConfig {
     pub stall_rate: f64,
     /// Upper bound on a stall window (uniform in `[0, max]`).
     pub max_stall: SimDuration,
-    /// When set, faults apply only to messages on this `(from, to)` link;
-    /// every other link behaves perfectly (targeted regression tests).
-    pub only_link: Option<(NodeId, NodeId)>,
 }
 
 impl Default for NetFaultConfig {
@@ -54,7 +51,6 @@ impl Default for NetFaultConfig {
             max_extra_delay: SimDuration::from_micros(2_000),
             stall_rate: 0.0,
             max_stall: SimDuration::from_micros(20_000),
-            only_link: None,
         }
     }
 }
@@ -170,19 +166,14 @@ impl FaultPlan {
         SimDuration::from_nanos(self.rng.below(max.as_nanos() + 1))
     }
 
-    /// Decide the fate of one message sent `from -> to`, nominally arriving
-    /// at `base`. Returns the delivery times (empty = dropped, two =
+    /// Decide the fate of one message sent to `to`, nominally arriving at
+    /// `base`. Returns the delivery times (empty = dropped, two =
     /// duplicated), each clamped past any stall window at the destination.
     ///
     /// Exactly four uniform draws are consumed per examined message
     /// regardless of configuration, plus one per triggered magnitude — so a
     /// schedule is reproducible from `(seed, send order)` alone.
-    pub fn route(&mut self, from: NodeId, to: NodeId, base: SimTime) -> Arrivals {
-        if let Some(link) = self.cfg.only_link {
-            if link != (from, to) {
-                return Arrivals::one(base.max(self.stalled_until[to.index()]));
-            }
-        }
+    pub fn route(&mut self, to: NodeId, base: SimTime) -> Arrivals {
         self.stats.examined += 1;
         let r_stall = self.rng.next_f64();
         let r_drop = self.rng.next_f64();
@@ -238,7 +229,7 @@ mod tests {
     fn zero_rates_deliver_exactly_once_on_time() {
         let mut plan = FaultPlan::new(NetFaultConfig::default(), 4);
         for i in 0..100 {
-            let arrivals = plan.route(NodeId(0), NodeId(1), t(i));
+            let arrivals = plan.route(NodeId(1), t(i));
             assert_eq!(arrivals.as_slice(), &[t(i)]);
         }
         assert_eq!(plan.stats().dropped, 0);
@@ -259,9 +250,8 @@ mod tests {
         let mut a = FaultPlan::new(cfg.clone(), 4);
         let mut b = FaultPlan::new(cfg, 4);
         for i in 0..500 {
-            let from = NodeId((i % 4) as u16);
             let to = NodeId(((i + 1) % 4) as u16);
-            assert_eq!(a.route(from, to, t(i)), b.route(from, to, t(i)));
+            assert_eq!(a.route(to, t(i)), b.route(to, t(i)));
         }
         assert_eq!(a.stats(), b.stats());
         assert!(a.stats().dropped > 0, "a 20% drop rate must drop something");
@@ -279,7 +269,7 @@ mod tests {
         let mut plan = FaultPlan::new(cfg, 2);
         let mut delivered = 0usize;
         for i in 0..1000 {
-            delivered += plan.route(NodeId(0), NodeId(1), t(i)).len();
+            delivered += plan.route(NodeId(1), t(i)).len();
         }
         let s = plan.stats();
         assert!((300..700).contains(&(s.dropped as usize)), "{s:?}");
@@ -297,28 +287,14 @@ mod tests {
             ..NetFaultConfig::default()
         };
         let mut plan = FaultPlan::new(cfg, 2);
-        let a1 = plan.route(NodeId(0), NodeId(1), t(10));
+        let a1 = plan.route(NodeId(1), t(10));
         assert!(a1.as_slice()[0] >= t(10));
         // Every message stalls the destination further; arrivals never
         // precede the accumulated window.
         let window = plan.stalled_until[1];
-        let a2 = plan.route(NodeId(0), NodeId(1), t(11));
+        let a2 = plan.route(NodeId(1), t(11));
         assert!(a2.as_slice()[0] >= window);
         assert!(plan.stats().stalls >= 2);
         assert!(plan.stats().stall_time > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn only_link_shields_other_links() {
-        let cfg = NetFaultConfig {
-            seed: 9,
-            drop_rate: 1.0,
-            only_link: Some((NodeId(0), NodeId(1))),
-            ..NetFaultConfig::default()
-        };
-        let mut plan = FaultPlan::new(cfg, 3);
-        assert!(plan.route(NodeId(0), NodeId(1), t(1)).is_empty());
-        assert_eq!(plan.route(NodeId(0), NodeId(2), t(1)).as_slice(), &[t(1)]);
-        assert_eq!(plan.route(NodeId(1), NodeId(0), t(1)).as_slice(), &[t(1)]);
     }
 }

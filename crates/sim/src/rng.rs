@@ -32,11 +32,6 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Uniform integer in `[0, n)`.
     ///
     /// # Panics

@@ -235,11 +235,6 @@ impl<W> Scheduler<W> {
         self.executed
     }
 
-    /// Number of pending (non-cancelled) events.
-    pub fn pending(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
-    }
-
     /// Schedule `f` at absolute time `at`.
     ///
     /// Scheduling in the past is a logic error; debug builds panic, release
@@ -322,35 +317,6 @@ impl<W> Scheduler<W> {
     /// Run until no events remain.
     pub fn run(&mut self, world: &mut W) {
         while self.step(world) {}
-    }
-
-    /// Run until no events remain or virtual time would pass `limit`.
-    ///
-    /// Returns `true` if the queue drained, `false` if the limit stopped it
-    /// (the first event past the limit stays queued).
-    pub fn run_until(&mut self, world: &mut W, limit: SimTime) -> bool {
-        loop {
-            match self.heap.first() {
-                None => return true,
-                Some(e) if e.at > limit => {
-                    // Skip over tombstoned entries past the limit check.
-                    if !self.cancelled.is_empty() && self.cancelled.contains(&e.seq) {
-                        let key = *e;
-                        self.heap_pop();
-                        self.cancelled.remove(&key.seq);
-                        let slot = &mut self.slots[key.slot as usize];
-                        debug_assert_eq!(slot.seq, key.seq, "slot/heap desync");
-                        std::mem::replace(&mut slot.stored, Stored::Empty).dispose();
-                        self.free.push(key.slot);
-                        continue;
-                    }
-                    return false;
-                }
-                Some(_) => {
-                    self.step(world);
-                }
-            }
-        }
     }
 
     // --- index heap (min-heap on `(at, seq)`) -------------------------------
@@ -470,20 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_limit() {
-        let mut s: Scheduler<Vec<u64>> = Scheduler::new();
-        let mut w = Vec::new();
-        for t in [10u64, 20, 30] {
-            s.at(SimTime::from_nanos(t), move |_, w: &mut Vec<u64>| w.push(t));
-        }
-        let drained = s.run_until(&mut w, SimTime::from_nanos(20));
-        assert!(!drained);
-        assert_eq!(w, vec![10, 20]);
-        s.run(&mut w);
-        assert_eq!(w, vec![10, 20, 30]);
-    }
-
-    #[test]
     fn now_advances_monotonically() {
         let mut s: Scheduler<Vec<u64>> = Scheduler::new();
         let mut w = Vec::new();
@@ -512,16 +464,6 @@ mod tests {
         assert!(!s.cancel(fake));
         s.run(&mut w);
         assert_eq!(w, 1, "real event still fired");
-    }
-
-    #[test]
-    fn pending_counts_exclude_cancelled() {
-        let mut s: Scheduler<()> = Scheduler::new();
-        let a = s.after(SimDuration::from_nanos(1), |_, _| {});
-        let _b = s.after(SimDuration::from_nanos(2), |_, _| {});
-        assert_eq!(s.pending(), 2);
-        s.cancel(a);
-        assert_eq!(s.pending(), 1);
     }
 
     #[test]

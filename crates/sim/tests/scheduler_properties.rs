@@ -2,7 +2,7 @@
 //! the foundation of the simulator's determinism — on the in-tree
 //! `svm-testkit` harness (seeded, deterministic, shrinking).
 
-use svm_sim::{Scheduler, SimDuration, SimTime};
+use svm_sim::{Scheduler, SimDuration};
 use svm_testkit::check;
 
 /// Events fire in (time, insertion) order regardless of the order they
@@ -103,33 +103,6 @@ fn nested_events_interleave_correctly() {
             for pair in world.windows(2) {
                 assert!(pair[0] <= pair[1], "time must be monotone: {:?}", world);
             }
-        },
-    );
-}
-
-/// run_until never executes past the limit and resumes exactly.
-#[test]
-fn run_until_partitions_execution() {
-    check(
-        "run_until_partitions_execution",
-        |src| {
-            let times = src.vec(1..50, |s| s.u64_in(0..1_000));
-            let limit = src.u64_in(0..1_000);
-            (times, limit)
-        },
-        |(times, limit)| {
-            let limit = *limit;
-            let mut s: Scheduler<Vec<u64>> = Scheduler::new();
-            let mut world = Vec::new();
-            for &t in times.iter() {
-                s.at(SimTime::from_nanos(t), move |_, w: &mut Vec<u64>| w.push(t));
-            }
-            s.run_until(&mut world, SimTime::from_nanos(limit));
-            assert!(world.iter().all(|&t| t <= limit));
-            let before = world.len();
-            s.run(&mut world);
-            assert!(world[before..].iter().all(|&t| t > limit));
-            assert_eq!(world.len(), times.len());
         },
     );
 }

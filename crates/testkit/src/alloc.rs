@@ -1,7 +1,8 @@
 //! A counting global allocator for peak-memory baselines.
 //!
-//! `BENCH_svm.json` records a peak-RSS proxy; the portable, hermetic way
-//! to get one is to count allocations ourselves. A binary opts in with
+//! The engine pin test gates an allocation count and the `benchmark/`
+//! driver records a peak-RSS proxy; the portable, hermetic way to get
+//! either is to count allocations ourselves. A binary opts in with
 //!
 //! ```ignore
 //! #[global_allocator]

@@ -40,8 +40,7 @@ impl Harness {
     }
 
     /// A harness with an explicit substring filter (`None` = run all),
-    /// for callers that are not bench binaries (e.g. `svm-bench --bin
-    /// perf` embeds the micro-benches in its baseline).
+    /// for callers that are not bench binaries.
     pub fn new(filter: Option<String>) -> Self {
         Harness::with_budget(filter, SAMPLES, TARGET_SAMPLE_NANOS)
     }
@@ -49,9 +48,9 @@ impl Harness {
     /// A harness with an explicit measurement budget: `samples` timed
     /// samples of roughly `target_sample_nanos` each. The default budget
     /// (`Harness::new`) favors stable medians for interactive `cargo
-    /// bench`; embedded callers that mainly track allocation counts (the
-    /// `perf` baseline's micro stage) pass a smaller budget so the
-    /// benches' own allocations don't swamp the stage's counter.
+    /// bench`; embedded callers (the `benchmark/` driver's micro section)
+    /// pass a smaller budget so the micro-benches stay a small share of
+    /// their run.
     pub fn with_budget(filter: Option<String>, samples: usize, target_sample_nanos: u128) -> Self {
         Harness {
             filter,

@@ -27,6 +27,9 @@ cargo build --release
 echo "== tier-1: tests (offline)"
 cargo test -q
 
+# Includes the engine pin (crates/bench/tests/engine_fingerprints.rs):
+# serial and 4-thread sweeps, 64-node cells included, against
+# results/engine_fingerprints.txt, plus the serial allocation budget.
 echo "== workspace tests (offline)"
 cargo test -q --workspace
 
@@ -66,15 +69,5 @@ cargo run --release -p svm-bench --bin check -- --fast
 
 echo "== serve smoke (DSM-backed services under load; same-seed rerun must be bit-identical)"
 cargo run --release -p svm-bench --bin serve -- --fast --out target/serve_fast.json
-
-# The fast matrix includes 64-node cells (paper-scale fan-out smoke), and
-# --check gates the deterministic sweep_serial allocation budget plus the
-# parallel-vs-serial speedup on multi-core recordings, not just file shape.
-echo "== perf smoke (parallel driver must match serial bit-for-bit; 64-node cells)"
-cargo run --release -p svm-bench --bin perf -- --fast --out target/BENCH_fast.json
-cargo run --release -p svm-bench --bin perf -- --check target/BENCH_fast.json
-
-echo "== recorded perf baseline (BENCH_svm.json) well-formed and within budgets"
-cargo run --release -p svm-bench --bin perf -- --check BENCH_svm.json
 
 echo "verify: OK"
