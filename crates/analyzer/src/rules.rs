@@ -12,6 +12,17 @@ use crate::config::Config;
 use crate::lexer::{lex, Tok, TokKind};
 use crate::{Finding, SourceSpec};
 
+/// Every rule id, in the order the crate docs list them: the one list
+/// [`run`] holds its findings to and `svm-bench analyze` prints on success.
+pub const RULES: [&str; 6] = [
+    "determinism",
+    "unsafe-audit",
+    "panic-policy",
+    "message-totality",
+    "trace-totality",
+    "timer-token-disjointness",
+];
+
 /// How many lines above a site an annotation or suppression comment may
 /// end and still apply to it. Large enough for a `#[derive]`/attribute
 /// line between comment and site, small enough that one comment cannot
@@ -147,6 +158,10 @@ pub fn run(files: &[SourceSpec], cfg: &Config) -> Vec<Finding> {
     }
     totality(&ctxs, cfg, &mut findings);
     timer_token_ranges(&ctxs, cfg, &mut findings);
+    debug_assert!(
+        findings.iter().all(|f| RULES.contains(&f.rule)),
+        "a pass reported a rule that RULES does not list"
+    );
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     findings
@@ -176,7 +191,7 @@ fn determinism(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Finding>) {
             "host process identity leaks into simulated state",
         ),
     ];
-    // Banned only where the hash containers are: bench binaries and test
+    // Banned only where the hash containers are: the bench commands and test
     // harnesses legitimately read flags and `TESTKIT_*` from the host.
     const ENV_WHY: &str =
         "a run must be a function of its config and seed, not the process environment";

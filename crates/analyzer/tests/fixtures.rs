@@ -81,7 +81,7 @@ fn determinism_flags_environment_reads_in_sim_scope() {
     let findings = analyze_one("crates/core/src/trace.rs", src);
     expect_hit(&findings, "determinism", 2);
     expect_hit(&findings, "determinism", 3);
-    // Out of scope: bench binaries and harnesses read the host environment.
+    // Out of scope: bench commands and harnesses read the host environment.
     assert!(analyze_one("crates/bench/src/cli.rs", src).is_empty());
     let src = "// lint: allow(determinism, read once to seed the config default)\n\
                fn f() -> bool { std::env::var(\"X\").is_ok() }\n";

@@ -1,5 +1,5 @@
 //! The workspace itself must pass every lint — the `#[test]` twin of
-//! `cargo run -p svm-bench --bin analyze`, so `cargo test` alone catches
+//! `cargo run -p svm-bench -- analyze`, so `cargo test` alone catches
 //! a new violation.
 
 use std::path::PathBuf;

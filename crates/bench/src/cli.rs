@@ -1,12 +1,12 @@
-//! The one command-line parser behind every `svm-bench` binary.
+//! The one command-line parser behind every `svm-bench` command.
 //!
-//! Cursor style: a binary asks for each option it knows ([`Args::flag`],
+//! Cursor style: a command asks for each option it honours ([`Args::flag`],
 //! [`Args::value`], [`Args::list`]), each call consuming what it matched
 //! (a repeated option's last occurrence wins), and whatever is left over is
 //! an error. Ask for valued options before bare flags, so the word after a
-//! valued option is always taken as its value. [`parse`] wires that to the
-//! process arguments and turns any error into a one-line message naming
-//! the offending option, the usage string, and exit status 2.
+//! valued option is always taken as its value. [`parse`] turns any error
+//! into a one-line message naming the offending option, the command's
+//! usage line, and exit status 2.
 
 use std::str::FromStr;
 
@@ -16,7 +16,7 @@ pub struct Args {
 }
 
 impl Args {
-    /// Wrap an argument list (program name already stripped).
+    /// Wrap an argument list (program and command name already stripped).
     pub fn new(args: impl IntoIterator<Item = String>) -> Self {
         Args {
             rest: args.into_iter().collect(),
@@ -70,16 +70,19 @@ fn parse_word<T: FromStr>(name: &str, word: &str) -> Result<T, String> {
         .map_err(|_| format!("{name} cannot parse '{word}'"))
 }
 
-/// Build a binary's options from the process arguments — the only place
-/// `svm-bench` reads them. `build` pulls each option it knows out of the
-/// [`Args`]; a missing or unparsable value, or any leftover word, prints
-/// `error: <what>; usage: <usage>` and exits with status 2.
-pub fn parse<T>(usage: &str, build: impl FnOnce(&mut Args) -> Result<T, String>) -> T {
-    let mut args = Args::new(std::env::args().skip(1));
+/// Build a command's options from the words `main` handed it. `build`
+/// pulls each option the command honours out of the [`Args`]; a missing or
+/// unparsable value, or any leftover word, prints
+/// `error: <what>; usage: svm-bench <usage>` and exits with status 2.
+pub fn parse<T>(
+    mut args: Args,
+    usage: &str,
+    build: impl FnOnce(&mut Args) -> Result<T, String>,
+) -> T {
     match build(&mut args).and_then(|opts| args.finish().map(|()| opts)) {
         Ok(opts) => opts,
         Err(what) => {
-            eprintln!("error: {what}; usage: {usage}");
+            eprintln!("error: {what}; usage: svm-bench {usage}");
             std::process::exit(2);
         }
     }

@@ -5,9 +5,13 @@
 //! `scripts/verify.sh` so a new violation fails tier-1 alongside clippy.
 
 use std::path::PathBuf;
-use std::process::ExitCode;
+use std::process::exit;
 
-fn main() -> ExitCode {
+use svm_analyzer::rules::RULES;
+use svm_bench::cli::{self, Args};
+
+pub fn run(args: Args) {
+    cli::parse(args, "analyze", |_| Ok(()));
     // crates/bench -> workspace root, independent of the caller's cwd.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -17,18 +21,16 @@ fn main() -> ExitCode {
         Ok(f) => f,
         Err(e) => {
             eprintln!("analyze: failed to read workspace: {e}");
-            return ExitCode::from(2);
+            exit(2);
         }
     };
     if findings.is_empty() {
-        println!(
-            "analyze: workspace clean (determinism, unsafe-audit, panic-policy, message-totality)"
-        );
-        return ExitCode::SUCCESS;
+        println!("analyze: workspace clean ({})", RULES.join(", "));
+        return;
     }
     for f in &findings {
         println!("{f}");
     }
     println!("analyze: {} finding(s)", findings.len());
-    ExitCode::FAILURE
+    exit(1);
 }

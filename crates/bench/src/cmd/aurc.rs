@@ -7,13 +7,12 @@
 //! for less traffic. "The major tradeoff between AURC and LRC is between
 //! bandwidth and protocol overhead."
 
-use svm_bench::{mb, Options, Table};
+use svm_bench::{cli::Args, mb, Options, Table};
 use svm_core::{ProtocolName, SvmConfig};
 use svm_machine::{Category, TrafficClass};
 
-fn main() {
-    let mut opts = Options::from_args();
-    opts.protocols = vec![ProtocolName::Hlrc, ProtocolName::Aurc];
+pub fn run(args: Args) {
+    let opts = Options::parse(args, "aurc", "[--nodes a,b] [--apps x,y]");
     println!("\nAURC vs HLRC (scale {})\n", opts.scale);
     let mut t = Table::new(&[
         "Application",

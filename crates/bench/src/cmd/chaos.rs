@@ -25,20 +25,6 @@ struct Opts {
     seed: u64,
 }
 
-fn parse_args() -> Opts {
-    cli::parse(
-        "chaos [--scale X] [--nodes N] [--drop a,b,c] [--seed S]",
-        |a| {
-            Ok(Opts {
-                scale: a.value("--scale")?.unwrap_or(0.05),
-                nodes: a.value("--nodes")?.unwrap_or(4),
-                drops: a.list("--drop")?.unwrap_or(vec![0.0, 0.001, 0.01]),
-                seed: a.value("--seed")?.unwrap_or(1),
-            })
-        },
-    )
-}
-
 /// The matrix's fault columns: one mixed chaos column per requested drop
 /// rate, then one column per dominated knob so duplication, reordering
 /// jitter, and receiver stalls each get exercised in (near-)isolation.
@@ -81,8 +67,19 @@ fn fault_columns(opts: &Opts) -> Vec<(String, FaultProfile)> {
     cols
 }
 
-fn main() {
-    let opts = parse_args();
+pub fn run(args: cli::Args) {
+    let opts = cli::parse(
+        args,
+        "chaos [--scale X] [--nodes N] [--drop a,b,c] [--seed S]",
+        |a| {
+            Ok(Opts {
+                scale: a.value("--scale")?.unwrap_or(0.05),
+                nodes: a.value("--nodes")?.unwrap_or(4),
+                drops: a.list("--drop")?.unwrap_or(vec![0.0, 0.001, 0.01]),
+                seed: a.value("--seed")?.unwrap_or(1),
+            })
+        },
+    );
     println!(
         "\nChaos matrix: apps x protocols x fault regimes (scale {}, {} nodes, seed {})\n\
          (mixed columns inject drop+dup+4x delay at the listed rate; the dup/delay/stall\n\

@@ -34,17 +34,6 @@ struct Opts {
     fast: bool,
 }
 
-fn parse_args() -> Opts {
-    cli::parse("check [--scale X] [--nodes N] [--seed S] [--fast]", |a| {
-        Ok(Opts {
-            scale: a.value("--scale")?.unwrap_or(0.02),
-            nodes: a.value("--nodes")?.unwrap_or(8),
-            seed: a.value("--seed")?.unwrap_or(1),
-            fast: a.flag("--fast"),
-        })
-    })
-}
-
 fn suite(scale: f64, fast: bool) -> Vec<Box<dyn Benchmark>> {
     let mut s: Vec<Box<dyn Benchmark>> =
         vec![Box::new(Sor::scaled(scale)), Box::new(Lu::scaled(scale))];
@@ -69,8 +58,19 @@ fn record_check(bench: &dyn Benchmark, cfg: &SvmConfig) -> (CheckReport, usize) 
     (check_trace(trace), trace.approx_bytes())
 }
 
-fn main() {
-    let opts = parse_args();
+pub fn run(args: cli::Args) {
+    let opts = cli::parse(
+        args,
+        "check [--scale X] [--nodes N] [--seed S] [--fast]",
+        |a| {
+            Ok(Opts {
+                scale: a.value("--scale")?.unwrap_or(0.02),
+                nodes: a.value("--nodes")?.unwrap_or(8),
+                seed: a.value("--seed")?.unwrap_or(1),
+                fast: a.flag("--fast"),
+            })
+        },
+    );
     let mut failures = 0usize;
 
     println!(
@@ -107,29 +107,27 @@ fn main() {
         let (bi, protocol) = jobs[i];
         record_check(suite[bi].as_ref(), &SvmConfig::new(protocol, opts.nodes))
     });
-    for ((bi, protocol), (r, bytes)) in jobs.iter().zip(&checks) {
-        {
-            let (bench, protocol, bytes) = (&suite[*bi], *protocol, *bytes);
-            let pass = r.coherent();
-            if !pass {
-                failures += 1;
-                for v in &r.violations {
-                    println!("  {} / {}: {v}", bench.name(), protocol.label());
-                }
+    for (&(bi, protocol), (r, bytes)) in jobs.iter().zip(&checks) {
+        let bench = &suite[bi];
+        let pass = r.coherent();
+        if !pass {
+            failures += 1;
+            for v in &r.violations {
+                println!("  {} / {}: {v}", bench.name(), protocol.label());
             }
-            t.row(vec![
-                bench.name().to_string(),
-                protocol.label().to_string(),
-                r.episodes.to_string(),
-                r.reads.to_string(),
-                r.writes.to_string(),
-                r.racy_reads.to_string(),
-                r.ww_races.to_string(),
-                r.violations_total.to_string(),
-                format!("{}K", bytes / 1024),
-                if pass { "pass".into() } else { "FAIL".into() },
-            ]);
         }
+        t.row(vec![
+            bench.name().to_string(),
+            protocol.label().to_string(),
+            r.episodes.to_string(),
+            r.reads.to_string(),
+            r.writes.to_string(),
+            r.racy_reads.to_string(),
+            r.ww_races.to_string(),
+            r.violations_total.to_string(),
+            format!("{}K", bytes / 1024),
+            if pass { "pass".into() } else { "FAIL".into() },
+        ]);
     }
     t.print();
 

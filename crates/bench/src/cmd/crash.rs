@@ -34,8 +34,14 @@ struct Opts {
     mode: RecoveryMode,
 }
 
-fn parse_args() -> Opts {
-    cli::parse(
+/// Home-based protocols only: homeless LRC/OLRC diffs can live solely on
+/// the dead node, so their crash story is "structured error", exercised by
+/// the core test suite; the *matrix* is about failover actually recovering.
+const PROTOCOLS: [ProtocolName; 2] = [ProtocolName::Hlrc, ProtocolName::Ohlrc];
+
+pub fn run(args: cli::Args) {
+    let opts = cli::parse(
+        args,
         "crash [--scale X] [--nodes N] [--crashes K] [--window-us W] [--seeds a,b] [--fail-fast]",
         |a| {
             Ok(Opts {
@@ -51,25 +57,7 @@ fn parse_args() -> Opts {
                 },
             })
         },
-    )
-}
-
-/// Home-based protocols only: homeless LRC/OLRC diffs can live solely on
-/// the dead node, so their crash story is "structured error", exercised by
-/// the core test suite; the *matrix* is about failover actually recovering.
-const PROTOCOLS: [ProtocolName; 2] = [ProtocolName::Hlrc, ProtocolName::Ohlrc];
-
-fn recovery(mode: RecoveryMode) -> RecoveryProfile {
-    RecoveryProfile {
-        enabled: true,
-        heartbeat_us: 2_000,
-        miss_threshold: 3,
-        mode,
-    }
-}
-
-fn main() {
-    let opts = parse_args();
+    );
     let mode_label = match opts.mode {
         RecoveryMode::Graceful => "graceful",
         RecoveryMode::FailFast => "fail-fast",
@@ -99,7 +87,12 @@ fn main() {
     }
     let run_cell = |bi: usize, protocol: ProtocolName, seed: u64| {
         let mut cfg = SvmConfig::new(protocol, opts.nodes);
-        cfg.recovery = recovery(opts.mode);
+        cfg.recovery = RecoveryProfile {
+            enabled: true,
+            heartbeat_us: 2_000,
+            miss_threshold: 3,
+            mode: opts.mode,
+        };
         cfg.node_fault = NodeFaultConfig::seeded(seed, opts.nodes, opts.crashes, window);
         suite[bi].run(&cfg)
     };

@@ -69,8 +69,8 @@ fn matrix(fast: bool) -> Vec<Cell> {
     cells
 }
 
-fn main() {
-    let fast = cli::parse("explore [--fast]", |a| Ok(a.flag("--fast")));
+pub fn run(args: cli::Args) {
+    let fast = cli::parse(args, "explore [--fast]", |a| Ok(a.flag("--fast")));
     let cells = matrix(fast);
     let total_sw = Stopwatch::start();
     let mut total_states = 0u64;

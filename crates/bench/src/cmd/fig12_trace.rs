@@ -3,15 +3,17 @@
 //! node 2 is the page's home. Run with the four protocols and print the
 //! message sequence (requires the trace hook, enabled here).
 
-use svm_core::{run, BarrierId, LockId, ProtocolName, SvmConfig};
+use svm_bench::cli::{self, Args};
+use svm_core::{BarrierId, LockId, ProtocolName, SvmConfig};
 
-fn main() {
+pub fn run(args: Args) {
+    cli::parse(args, "fig12_trace", |_| Ok(()));
     for protocol in ProtocolName::ALL {
         eprintln!("\n==== {protocol}: write(x) on n0; acquire+read(x) on n1; home = n2 ====");
         let mut cfg = SvmConfig::new(protocol, 3);
         cfg.home_policy = svm_core::HomePolicy::Explicit;
         cfg.trace.debug_log = true;
-        run(
+        svm_core::run(
             &cfg,
             |s| {
                 let x = s.alloc_array_pages::<u64>(1, "x");

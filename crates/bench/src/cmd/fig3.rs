@@ -2,11 +2,11 @@
 //! transfer, garbage collection, lock, barrier, protocol overhead — per
 //! application, protocol, and machine size (printed as percentage stacks).
 
-use svm_bench::{run_sweep, Options, Table};
+use svm_bench::{cli::Args, run_sweep, Options, Table};
 use svm_machine::Category;
 
-fn main() {
-    let opts = Options::from_args();
+pub fn run(args: Args) {
+    let opts = Options::parse(args, "fig3", "[--nodes a,b] [--protocols A,B] [--apps x,y]");
     let records = run_sweep(&opts);
 
     println!(

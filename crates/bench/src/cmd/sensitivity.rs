@@ -4,12 +4,12 @@
 //! ablation reruns the sweep under a modern-network cost model and compares
 //! the HLRC-over-LRC advantage.
 
-use svm_bench::{Options, Table};
+use svm_bench::{cli::Args, Options, Table};
 use svm_core::{ProtocolName, SvmConfig};
 use svm_machine::CostModel;
 
-fn main() {
-    let opts = Options::from_args();
+pub fn run(args: Args) {
+    let opts = Options::parse(args, "sensitivity", "[--nodes a,b] [--apps x,y]");
     println!(
         "\nSection 4.8 sensitivity: HLRC advantage over LRC, Paragon vs fast network (scale {})\n",
         opts.scale

@@ -8,13 +8,13 @@
 //! `svm_bench::hist`) and achieved throughput.
 //!
 //! Everything reported is **virtual-time** data: stdout and the JSON file
-//! are bit-identical across reruns with the same arguments. The binary
+//! are bit-identical across reruns with the same arguments. The command
 //! enforces that itself — the first cell is executed twice and the run
 //! aborts on any checksum difference — and exits nonzero if any cell
 //! observed a consistency violation (value or FIFO errors), so the matrix
 //! doubles as an end-to-end protocol check under served traffic.
 //!
-//! Usage: `serve [--fast] [--threads N] [--out PATH]`
+//! Usage: `serve [--fast] [--out PATH]`
 
 use svm_bench::hist::Histogram;
 use svm_bench::json::{self, Json};
@@ -23,22 +23,6 @@ use svm_core::ProtocolName;
 use svm_serve::{KeyDist, LoadMode, ServeRun, ServeSpec, ServiceKind};
 
 const SCHEMA: &str = "svm-serve-v1";
-
-struct Opts {
-    fast: bool,
-    threads: Option<usize>,
-    out: Option<String>,
-}
-
-fn parse_args() -> Opts {
-    cli::parse("serve [--fast] [--threads N] [--out PATH]", |a| {
-        Ok(Opts {
-            threads: a.value("--threads")?,
-            out: a.value("--out")?,
-            fast: a.flag("--fast"),
-        })
-    })
-}
 
 /// One matrix cell: a scenario under a protocol.
 struct Cell {
@@ -170,16 +154,16 @@ fn row_json(r: &Row) -> Json {
     ])
 }
 
-fn main() {
-    let opts = parse_args();
-    let matrix = cells(opts.fast);
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| parallel::workers(matrix.len()));
+pub fn run(args: cli::Args) {
+    let (out, fast) = cli::parse(args, "serve [--fast] [--out PATH]", |a| {
+        Ok((a.value::<String>("--out")?, a.flag("--fast")))
+    });
+    let matrix = cells(fast);
+    let threads = parallel::workers(matrix.len());
     eprintln!(
         "serve matrix: {} cells ({}), {threads} threads",
         matrix.len(),
-        if opts.fast { "fast" } else { "full" }
+        if fast { "fast" } else { "full" }
     );
 
     // Determinism gate: the first cell, executed twice, must be
@@ -237,15 +221,15 @@ fn main() {
     let doc = Json::obj([
         ("schema", Json::str(SCHEMA)),
         ("generated_by", Json::str("svm-bench --bin serve")),
-        ("fast", Json::Bool(opts.fast)),
+        ("fast", Json::Bool(fast)),
         ("nodes", Json::int(8)),
         ("servers", Json::int(2)),
         ("cells", Json::Arr(rows.iter().map(row_json).collect())),
     ]);
     let text = doc.pretty();
     json::parse(&text).expect("serve emitted malformed JSON");
-    if let Some(path) = &opts.out {
-        std::fs::write(path, &text).expect("write serve matrix file");
+    if let Some(path) = out {
+        std::fs::write(&path, &text).expect("write serve matrix file");
         eprintln!("wrote {path}");
     }
 

@@ -4,11 +4,11 @@
 //! (protocol overheads are nearly zero there, so it lands on the
 //! calibrated sequential time).
 
-use svm_bench::{secs, Options, Table};
+use svm_bench::{cli::Args, secs, Options, Table};
 use svm_core::{ProtocolName, SvmConfig};
 
-fn main() {
-    let opts = Options::from_args();
+pub fn run(args: Args) {
+    let opts = Options::parse(args, "table1", "[--apps x,y]");
     let mut t = Table::new(&[
         "Application",
         "Problem size",

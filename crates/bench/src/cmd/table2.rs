@@ -1,9 +1,13 @@
 //! Table 2: speedups for all four protocols at each machine size.
 
-use svm_bench::{apps_in, index, run_sweep, Options, Table};
+use svm_bench::{apps_in, cli::Args, index, run_sweep, Options, Table};
 
-fn main() {
-    let opts = Options::from_args();
+pub fn run(args: Args) {
+    let opts = Options::parse(
+        args,
+        "table2",
+        "[--nodes a,b] [--protocols A,B] [--apps x,y]",
+    );
     let records = run_sweep(&opts);
     let idx = index(&records);
 

@@ -1,6 +1,7 @@
 //! Table 3: costs of basic operations, and the paper's Section-4.3
 //! minimum critical-path sums derived from them.
 
+use svm_bench::cli::{self, Args};
 use svm_machine::CostModel;
 use svm_sim::SimDuration;
 
@@ -8,7 +9,8 @@ fn us(d: SimDuration) -> String {
     format!("{:.1}", d.as_micros_f64())
 }
 
-fn main() {
+pub fn run(args: Args) {
+    cli::parse(args, "table3", |_| Ok(()));
     let c = CostModel::paragon();
     println!("Table 3: timings for basic operations (microseconds)\n");
     let rows: Vec<(&str, String)> = vec![

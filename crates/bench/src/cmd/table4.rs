@@ -2,16 +2,21 @@
 //! and applied, lock acquires, barriers — for LRC versus HLRC at the
 //! smallest and largest machine sizes (the "home effect" table).
 
-use svm_bench::{apps_in, run_sweep, Options, Table};
+use svm_bench::{apps_in, cli::Args, index, run_sweep, Options, Table};
 use svm_core::ProtocolName;
 
-fn main() {
-    let mut opts = Options::from_args();
+pub fn run(args: Args) {
+    let mut opts = Options::parse(
+        args,
+        "table4",
+        "[--nodes a,b,c: the first and last are run] [--apps x,y]",
+    );
     opts.protocols = vec![ProtocolName::Lrc, ProtocolName::Hlrc];
     if opts.nodes.len() > 2 {
         opts.nodes = vec![*opts.nodes.first().unwrap(), *opts.nodes.last().unwrap()];
     }
     let records = run_sweep(&opts);
+    let idx = index(&records);
 
     println!(
         "\nTable 4: average per-node operation counts (scale {})\n",
@@ -31,9 +36,7 @@ fn main() {
     ]);
     let cell =
         |app: &str, nodes: usize, p: ProtocolName, f: &dyn Fn(&svm_core::NodeCounters) -> u64| {
-            records
-                .iter()
-                .find(|r| r.app == app && r.nodes == nodes && r.protocol == p)
+            idx.get(&(app, nodes, p.label()))
                 .map(|r| format!("{:.0}", r.run.report.counters.avg(f)))
                 .unwrap_or_default()
         };

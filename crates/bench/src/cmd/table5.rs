@@ -1,14 +1,15 @@
 //! Table 5: communication traffic — message counts, update-related data,
 //! and protocol data — LRC versus HLRC.
 
-use svm_bench::{apps_in, mb, run_sweep, Options, Table};
+use svm_bench::{apps_in, cli::Args, index, mb, run_sweep, Options, Table};
 use svm_core::ProtocolName;
 use svm_machine::TrafficClass;
 
-fn main() {
-    let mut opts = Options::from_args();
+pub fn run(args: Args) {
+    let mut opts = Options::parse(args, "table5", "[--nodes a,b] [--apps x,y]");
     opts.protocols = vec![ProtocolName::Lrc, ProtocolName::Hlrc];
     let records = run_sweep(&opts);
+    let idx = index(&records);
 
     println!("\nTable 5: communication traffic (scale {})\n", opts.scale);
     let mut t = Table::new(&[
@@ -23,21 +24,13 @@ fn main() {
     ]);
     for app in apps_in(&records) {
         for &n in &opts.nodes {
-            let get = |p: ProtocolName| {
-                records
-                    .iter()
-                    .find(|r| r.app == app && r.nodes == n && r.protocol == p)
-                    .expect("swept")
-            };
+            let get = |p: ProtocolName| idx[&(app, n, p.label())];
             let (lrc, hlrc) = (get(ProtocolName::Lrc), get(ProtocolName::Hlrc));
             let tr = |r: &svm_bench::Record, class| r.run.report.outcome.traffic.total(class);
             t.row(vec![
                 app.into(),
                 n.to_string(),
-                tr(lrc, TrafficClass::Data)
-                    .messages
-                    .checked_add(tr(lrc, TrafficClass::Protocol).messages)
-                    .unwrap()
+                (tr(lrc, TrafficClass::Data).messages + tr(lrc, TrafficClass::Protocol).messages)
                     .to_string(),
                 (tr(hlrc, TrafficClass::Data).messages + tr(hlrc, TrafficClass::Protocol).messages)
                     .to_string(),

@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON support for the machine-readable outputs.
 //!
-//! The workspace is hermetic (no registry crates), so `--bin serve` and
+//! The workspace is hermetic (no registry crates), so `svm-bench serve` and
 //! the standalone `benchmark/` driver need their own writer to emit their
 //! result files and their own parser to re-check what they wrote. This is
 //! a deliberately small dialect: objects, arrays, strings, finite numbers,

@@ -1,10 +1,10 @@
 //! The evaluation harness: everything needed to regenerate the paper's
 //! tables and figures.
 //!
-//! Each `table*`/`fig*` binary runs the needed sweep and prints the rows
-//! the paper reports. Sweeps share [`run_sweep`] and the [`Options`]
-//! command line (`--scale`, `--nodes`, `--protocols`, `--paper`,
-//! `--apps`). Absolute numbers depend on the calibration (DESIGN.md §5);
+//! Each `svm-bench table*`/`fig*` command (`src/cmd/`, compiled into the
+//! one binary) runs the needed sweep and prints the rows the paper
+//! reports. Sweeps share [`run_sweep`] and the [`Options`] command line
+//! (`--scale`, `--nodes`, `--protocols`, `--paper`, `--apps`). Absolute numbers depend on the calibration (DESIGN.md §5);
 //! the *shapes* — who wins, by what factor, where crossovers fall — are
 //! the reproduction targets (EXPERIMENTS.md).
 
@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use svm_apps::{paper_suite, AppRun, Benchmark};
 use svm_core::{ProtocolName, SvmConfig};
 
-/// Command-line options shared by the generator binaries.
+/// Command-line options shared by the table and figure commands.
 #[derive(Clone, Debug)]
 pub struct Options {
     /// Problem scale (1.0 = paper sizes).
@@ -43,25 +43,35 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Parse `--scale X | --paper | --nodes a,b | --protocols A,B |
-    /// --apps x,y` from the process arguments ([`cli::parse`]: a usage
-    /// error exits 2). `--paper` is `--scale 1` and wins over `--scale`.
-    pub fn from_args() -> Self {
-        cli::parse(
-            "[--scale X | --paper] [--nodes a,b] [--protocols A,B] [--apps x,y]",
-            |a| {
-                let d = Options::default();
-                let scale = a.value("--scale")?.unwrap_or(d.scale);
-                Ok(Options {
-                    nodes: a.list("--nodes")?.unwrap_or(d.nodes),
-                    protocols: a.list("--protocols")?.unwrap_or(d.protocols),
-                    apps: a
-                        .list::<String>("--apps")?
-                        .map_or(d.apps, |v| v.iter().map(|s| s.to_lowercase()).collect()),
-                    scale: if a.flag("--paper") { 1.0 } else { scale },
-                })
-            },
-        )
+    /// Parse `command`'s sweep options: `--scale X | --paper`, which every
+    /// sweep honours, and of `--nodes a,b`, `--protocols A,B` and
+    /// `--apps x,y` those that `axes`, the rest of its usage line, names. A
+    /// command declares the axes its experiment has by spelling them there;
+    /// one it does not name is unknown to it ([`cli::parse`]: a usage error
+    /// exits 2). `--paper` is `--scale 1` and wins over `--scale`.
+    pub fn parse(args: cli::Args, command: &str, axes: &str) -> Self {
+        let usage = format!("{command} [--scale X | --paper] {axes}");
+        cli::parse(args, &usage, |a| {
+            let mut o = Options::default();
+            if let Some(scale) = a.value("--scale")? {
+                o.scale = scale;
+            }
+            if axes.contains("--nodes") {
+                o.nodes = a.list("--nodes")?.unwrap_or(o.nodes);
+            }
+            if axes.contains("--protocols") {
+                o.protocols = a.list("--protocols")?.unwrap_or(o.protocols);
+            }
+            if axes.contains("--apps") {
+                if let Some(apps) = a.list::<String>("--apps")? {
+                    o.apps = apps.iter().map(|s| s.to_lowercase()).collect();
+                }
+            }
+            if a.flag("--paper") {
+                o.scale = 1.0;
+            }
+            Ok(o)
+        })
     }
 
     /// The selected workloads at the selected scale.

@@ -1,0 +1,68 @@
+//! The `svm-bench` argument contract, driven through the real executable:
+//! one program, commands by name, and a word a command does not honour is
+//! a usage error (exit status 2) — never silently dropped.
+
+use std::process::{Command, Output};
+
+/// The old binary names, which are the command names.
+const COMMANDS: &str = "table1 table2 table3 table4 table5 table6 fig12_trace fig3 fig4 sor48 \
+                        aurc sensitivity chaos crash check explore serve analyze";
+
+fn svm_bench(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_svm-bench"))
+        .args(args)
+        .output()
+        .expect("svm-bench runs")
+}
+
+/// `args` is a usage error: exit status 2, nothing on stdout, and stderr
+/// names `culprit`.
+fn assert_usage_error(args: &[&str], culprit: &str) {
+    let out = svm_bench(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed results");
+    assert!(stderr.contains(culprit), "{args:?}: {stderr}");
+}
+
+#[test]
+fn a_missing_or_unknown_command_lists_every_command() {
+    for args in [&[][..], &["table7"], &["--bin", "table2"]] {
+        let out = svm_bench(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for command in COMMANDS.split_whitespace() {
+            assert!(stderr.contains(command), "{args:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn table3_prints_the_pinned_table() {
+    let out = svm_bench(&["table3"]);
+    assert!(out.status.success());
+    let pinned = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/table3.txt");
+    let pinned = std::fs::read_to_string(pinned).expect("results/table3.txt");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), pinned);
+}
+
+#[test]
+fn an_option_a_command_does_not_honour_is_a_usage_error() {
+    assert_usage_error(&["table3", "--bogus"], "--bogus");
+    assert_usage_error(&["analyze", "--bogus"], "--bogus");
+    assert_usage_error(&["fig12_trace", "--bogus"], "--bogus");
+    // The LRC/HLRC pair is the experiment, and Table 1 runs on one node.
+    assert_usage_error(&["table4", "--protocols", "OLRC"], "--protocols");
+    assert_usage_error(&["table1", "--nodes", "4"], "--nodes");
+    assert_usage_error(&["serve", "--threads", "1"], "--threads");
+}
+
+#[test]
+fn analyze_is_clean_and_names_every_rule() {
+    let out = svm_bench(&["analyze"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    for rule in svm_analyzer::rules::RULES {
+        assert!(stdout.contains(rule), "{rule} missing from: {stdout}");
+    }
+}

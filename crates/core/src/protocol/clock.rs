@@ -27,8 +27,6 @@ use super::tokens;
 use super::{MCtx, SvmAgent};
 use crate::msg::SvmResp;
 
-pub use super::tokens::{is_sleep_token, SLEEP_TOKEN_BASE};
-
 impl SvmAgent {
     /// `SvmReq::Clock`: answer with the cursor time, charging nothing.
     pub(crate) fn on_clock(&mut self, ctx: &mut MCtx<'_>, node: NodeId) {

@@ -685,20 +685,19 @@ impl Agent for SvmAgent {
     }
 
     fn on_timer(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, token: u64) {
-        if token == recovery::HB_TOKEN {
+        if token == tokens::HB_TOKEN {
             self.on_heartbeat_tick(ctx, at);
-        } else if clock::is_sleep_token(token) {
+        } else if tokens::is_sleep_token(token) {
             self.on_sleep_timer(ctx, token);
         } else {
             self.on_net_timer(ctx, at, token);
         }
     }
 
-    fn on_init(&mut self, ctx: &mut MCtx<'_>, node: NodeId) {
+    fn on_init(&mut self, ctx: &mut MCtx<'_>, _node: NodeId) {
         // Arming the detector only when recovery is configured keeps
         // recovery-off runs event-for-event identical to the pre-recovery
         // protocol.
-        let _ = node;
         if self.recovery_active() {
             self.arm_heartbeat(ctx);
         }
@@ -708,7 +707,7 @@ impl Agent for SvmAgent {
         self.on_node_restart(ctx, node);
     }
 
-    fn on_explore_crash(&mut self, ctx: &mut MCtx<'_>, at: NodeId, dead: NodeId) {
+    fn on_explore_crash(&mut self, ctx: &mut MCtx<'_>, _at: NodeId, dead: NodeId) {
         // Explore mode has no heartbeat lapse: the controller issues the
         // detection verdict as its own explored action — only after the
         // dead node's outbound backlog has drained, mirroring the timed
@@ -717,7 +716,6 @@ impl Agent for SvmAgent {
         // triggers) re-enters the hold pool as ordinary explorable
         // actions. Without recovery there is no detector; the survivors'
         // fate (deadlock or completion) is what the explorer observes.
-        let _ = at;
         if self.recovery_active() {
             self.declare_dead(ctx, dead);
         }

@@ -59,11 +59,8 @@ use crate::vt::VectorTime;
 
 use super::reliable::Wire;
 use super::state::{FaultStage, TokenState, WriterMap};
+use super::tokens;
 use super::{MCtx, ProtocolError, SvmAgent};
-
-/// Timer token reserved for heartbeat ticks: the heartbeat namespace's
-/// single member in the declared registry ([`super::tokens`]).
-pub use super::tokens::HB_TOKEN;
 
 /// What recovery did during a run (reported on `RunReport`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -144,7 +141,7 @@ impl SvmAgent {
     /// Arm the calling node's next heartbeat tick.
     pub(crate) fn arm_heartbeat(&mut self, ctx: &mut MCtx<'_>) {
         let period = SimDuration::from_micros(self.cfg.recovery.heartbeat_us);
-        ctx.set_timer(period, HB_TOKEN);
+        ctx.set_timer(period, tokens::HB_TOKEN);
     }
 
     /// One heartbeat period elapsed on `at`'s node: check peers for

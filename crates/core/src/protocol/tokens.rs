@@ -38,9 +38,6 @@ pub const HEARTBEAT_LO: u64 = 1 << 63;
 /// Heartbeat-token range end (exclusive): the namespace holds one token.
 pub const HEARTBEAT_HI: u64 = (1 << 63) + 1;
 
-/// Base of the sleep namespace: bit 62 set, node id in the low bits.
-pub const SLEEP_TOKEN_BASE: u64 = SLEEP_LO;
-
 /// The failure detector's heartbeat token (the heartbeat namespace's only
 /// member).
 pub const HB_TOKEN: u64 = HEARTBEAT_LO;
@@ -141,7 +138,7 @@ mod tests {
         // first 2^62 tokens are all outside the sleep namespace.
         assert!(!is_sleep_token(0));
         assert!(!is_sleep_token(123_456));
-        assert!(!is_sleep_token(SLEEP_TOKEN_BASE - 1));
+        assert!(!is_sleep_token(SLEEP_LO - 1));
         assert_eq!(sleep_node(t), NodeId(7));
     }
 

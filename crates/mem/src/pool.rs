@@ -2,8 +2,8 @@
 //!
 //! Diff creation, twin capture, and page-reply marshalling all need
 //! short-lived byte buffers on the sweep hot path. Allocating each one
-//! fresh made the engine allocation-bound (~4M run/twin vectors per
-//! `perf` sweep); instead, finished buffers are returned here and handed
+//! fresh made the engine allocation-bound (~4M run/twin vectors over the
+//! 60-cell Table-2 sweep); instead, finished buffers are returned here and handed
 //! back out cleared. Pools are per-thread (simulation runs are
 //! single-threaded; parallel sweeps get one pool per worker, which is the
 //! per-worker arena reuse of `svm_bench::parallel`) and bounded in both

@@ -1,60 +1,29 @@
-//! A std-only micro-benchmark harness for the `harness = false` bench
-//! binaries in `crates/bench` — the hermetic stand-in for criterion.
+//! A std-only micro-benchmark harness — the hermetic stand-in for
+//! criterion, used by the `benchmark/` driver's per-layer unit costs.
 //!
 //! Methodology: warm up, calibrate an iteration count so one sample takes
-//! a few milliseconds, take a fixed number of samples, and report the
-//! median (with min and mean) in ns/iteration. `black_box` is re-exported
-//! from `std::hint` so bench bodies keep optimizer barriers.
-//!
-//! Run with `cargo bench` as before; an optional positional argument
-//! filters benchmarks by substring (`cargo bench -- diff/create`).
+//! roughly the budgeted time, take a fixed number of samples, and report
+//! the median in ns/iteration. `black_box` is re-exported from `std::hint`
+//! so bench bodies keep optimizer barriers.
 
 pub use std::hint::black_box;
 use std::time::Instant;
 
-const SAMPLES: usize = 15;
-const TARGET_SAMPLE_NANOS: u128 = 4_000_000;
-
-/// A group of timed benchmarks printed as one table.
+/// A group of timed benchmarks sharing one measurement budget.
 pub struct Harness {
     filter: Option<String>,
-    rows: Vec<(String, Stats)>,
     samples: usize,
     target_sample_nanos: u128,
 }
 
-struct Stats {
-    median_ns: f64,
-    min_ns: f64,
-    mean_ns: f64,
-    iters: u64,
-}
-
 impl Harness {
-    /// A harness honoring the CLI: flags (`--bench`, cargo's harness args)
-    /// are ignored, the first positional argument becomes a substring
-    /// filter.
-    pub fn from_args() -> Self {
-        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        Harness::new(filter)
-    }
-
-    /// A harness with an explicit substring filter (`None` = run all),
-    /// for callers that are not bench binaries.
-    pub fn new(filter: Option<String>) -> Self {
-        Harness::with_budget(filter, SAMPLES, TARGET_SAMPLE_NANOS)
-    }
-
-    /// A harness with an explicit measurement budget: `samples` timed
-    /// samples of roughly `target_sample_nanos` each. The default budget
-    /// (`Harness::new`) favors stable medians for interactive `cargo
-    /// bench`; embedded callers (the `benchmark/` driver's micro section)
-    /// pass a smaller budget so the micro-benches stay a small share of
-    /// their run.
+    /// A harness with a substring filter (`None` = run all) and a
+    /// measurement budget: `samples` timed samples of roughly
+    /// `target_sample_nanos` each, sized by the caller so the
+    /// micro-benches stay a small share of its run.
     pub fn with_budget(filter: Option<String>, samples: usize, target_sample_nanos: u128) -> Self {
         Harness {
             filter,
-            rows: Vec::new(),
             samples: samples.max(1),
             target_sample_nanos: target_sample_nanos.max(1),
         }
@@ -92,7 +61,7 @@ impl Harness {
             }
             samples.push(t.elapsed().as_nanos() as f64 / iters as f64);
         }
-        Some(self.push(name, samples, iters))
+        Some(report(name, samples))
     }
 
     /// Time `routine` over inputs produced by `setup`, excluding setup
@@ -123,39 +92,17 @@ impl Harness {
             }
             samples.push(t.elapsed().as_nanos() as f64 / iters as f64);
         }
-        Some(self.push(name, samples, iters))
+        Some(report(name, samples))
     }
+}
 
-    fn push(&mut self, name: &str, mut samples: Vec<f64>, iters: u64) -> f64 {
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let stats = Stats {
-            median_ns: samples[samples.len() / 2],
-            min_ns: samples[0],
-            mean_ns: samples.iter().sum::<f64>() / samples.len() as f64,
-            iters,
-        };
-        let median = stats.median_ns;
-        eprintln!("  {name:<40} {}", fmt_ns(stats.median_ns));
-        self.rows.push((name.to_string(), stats));
-        median
-    }
-
-    /// Print the final table. Call last in the bench `main`.
-    pub fn finish(self) {
-        println!(
-            "\n{:<40} {:>12} {:>12} {:>12} {:>10}",
-            "benchmark", "median", "min", "mean", "iters"
-        );
-        for (name, s) in &self.rows {
-            println!(
-                "{name:<40} {:>12} {:>12} {:>12} {:>10}",
-                fmt_ns(s.median_ns),
-                fmt_ns(s.min_ns),
-                fmt_ns(s.mean_ns),
-                s.iters
-            );
-        }
-    }
+/// The median of `samples`, echoed to stderr as the benchmark's progress
+/// line.
+fn report(name: &str, mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.total_cmp(b));
+    let median = samples[samples.len() / 2];
+    eprintln!("  {name:<40} {}", fmt_ns(median));
+    median
 }
 
 /// A wall-clock stopwatch for stage timing.

@@ -4,7 +4,7 @@
 //! requests on a seeded open-loop arrival schedule (a Poisson process in
 //! virtual time). Prints the latency percentiles and achieved throughput
 //! for each protocol at one offered-load point — a single column of the
-//! `--bin serve` matrix, as library code.
+//! `svm-bench serve` matrix, as library code.
 //!
 //! Run with `cargo run --release --example served_kv -- [offered_per_sec]`
 //! (default 9000).

@@ -4,8 +4,8 @@
 # instead of passing on a warm cache.
 #
 # Usage: verify.sh [--fast]
-#   --fast skips the example/bench compiles, the standalone benchmark
-#   crate build, and the chaos matrix, but always keeps the static
+#   --fast skips the example compile, the standalone benchmark crate
+#   build, and the chaos matrix, but always keeps the static
 #   analyzer, the crash-recovery smoke, and the consistency-check subset
 #   — the cheap gates that catch whole bug classes.
 set -euo pipefail
@@ -37,9 +37,6 @@ if [[ "$FAST" -eq 0 ]]; then
   echo "== examples compile (offline)"
   cargo build --examples
 
-  echo "== benches compile (offline)"
-  cargo build --benches
-
   # benchmark/ is its own workspace, invisible to the root build: a
   # deleted or renamed crates/ API must fail here, not in the pipeline.
   echo "== standalone benchmark crate builds and tests against crates/ (offline)"
@@ -50,24 +47,31 @@ fi
 echo "== clippy, warnings denied (offline)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== static analysis (svm-analyzer: determinism, unsafe-audit, panic-policy, message-totality, trace-totality, timer-token-disjointness)"
-cargo run --release -p svm-bench --bin analyze
+# The gates below are commands of the one svm-bench executable
+# (crates/bench/src/cmd/), built once; a second link target must not return.
+echo "== svm-bench: release build (offline)"
+[[ ! -e crates/bench/src/bin && ! -e crates/bench/benches ]] || { echo "crates/bench has src/bin or benches again: add a command under src/cmd" >&2; exit 1; }
+cargo build --release -p svm-bench
+BENCH=target/release/svm-bench
+
+echo "== static analysis (svm-analyzer; the clean line names the rules)"
+$BENCH analyze
 
 echo "== exhaustive exploration gate (svm-explore: bounded matrix, all four protocols, crash on/off)"
-cargo run --release -p svm-bench --bin explore -- --fast
+$BENCH explore --fast
 
 if [[ "$FAST" -eq 0 ]]; then
   echo "== fault-injection smoke matrix (mixed 0 / 0.1% / 1% + dup/delay/stall-dominated)"
-  cargo run --release -p svm-bench --bin chaos -- --scale 0.03 --nodes 4 --drop 0,0.001,0.01
+  $BENCH chaos --scale 0.03 --nodes 4 --drop 0,0.001,0.01
 fi
 
 echo "== crash-recovery smoke matrix (seeded node crashes, graceful recovery)"
-cargo run --release -p svm-bench --bin crash -- --scale 0.03 --nodes 4 --seeds 1,2
+$BENCH crash --scale 0.03 --nodes 4 --seeds 1,2
 
 echo "== consistency check matrix (record -> svm-checker, fast subset)"
-cargo run --release -p svm-bench --bin check -- --fast
+$BENCH check --fast
 
 echo "== serve smoke (DSM-backed services under load; same-seed rerun must be bit-identical)"
-cargo run --release -p svm-bench --bin serve -- --fast --out target/serve_fast.json
+$BENCH serve --fast --out target/serve_fast.json
 
 echo "verify: OK"
