@@ -9,9 +9,12 @@
 //! Rust's type system cannot express "these two threads never run at the same
 //! time", so the cell exposes `unsafe` accessors with that contract spelled
 //! out. The strict-alternation discipline of [`crate::process`] (the kernel
-//! only runs while every process thread is blocked in `request()`, a process
-//! only runs between `resume()` and its next yield) plus the channel
-//! happens-before edges make the accesses race-free.
+//! only runs while every process is not yet started, blocked in `request()`
+//! or finished; a process only runs while the kernel is blocked in
+//! `next_yield()`/`resume()`, and that holds from `spawn_process` on) plus
+//! the happens-before edges of the rendezvous mutex — every slot is written
+//! and read under it, whichever worker thread runs the body and whenever it
+//! is woken — make the accesses race-free.
 
 use std::cell::UnsafeCell;
 use std::sync::Arc;
@@ -25,7 +28,7 @@ pub struct HandoffCell<T> {
 // SAFETY: `HandoffCell` hands out `&mut T` only through `unsafe` methods
 // whose contract requires externally enforced mutual exclusion (the strict
 // kernel/process alternation) with proper synchronization between phases
-// (the rendezvous channels). Under that contract, sending the cell to
+// (the rendezvous mutex). Under that contract, sending the cell to
 // another thread and sharing references to it are sound for any `T: Send`.
 unsafe impl<T: Send> Send for HandoffCell<T> {}
 // SAFETY: see `Send` above; shared access never yields `&T`/`&mut T` without
@@ -47,9 +50,10 @@ impl<T> HandoffCell<T> {
     /// The caller must guarantee that for the lifetime of the returned
     /// reference no other reference into the cell exists. In this crate's
     /// intended use that follows from strict kernel/process alternation:
-    /// the kernel side calls this only while the owning process thread is
-    /// parked in `request()`, and the process side only between being
-    /// resumed and its next request — and neither side retains the
+    /// the kernel side calls this only while the owning process is parked
+    /// in `request()` (or has not been started by its first `next_yield()`,
+    /// or has finished), and the process side only between being started
+    /// or resumed and its next request — and neither side retains the
     /// reference across those boundaries.
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn get_mut(&self) -> &mut T {

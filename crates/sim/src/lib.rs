@@ -2,7 +2,7 @@
 //!
 //! This crate provides the execution substrate for the shared-virtual-memory
 //! simulator: virtual time, a deterministic event scheduler, simulated
-//! processes (application programs running on their own OS threads, resumed
+//! processes (application programs running on reused OS threads, resumed
 //! one at a time in strict rendezvous with the event kernel), a
 //! [`HandoffCell`] for state shared between the kernel and a parked process,
 //! and a small deterministic RNG for workload generation.
