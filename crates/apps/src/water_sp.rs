@@ -294,7 +294,7 @@ impl Benchmark for WaterSp {
                 let lists = s.alloc_array_pages::<u32>(ncells * CELL_CAP, "cell-lists");
                 let counts = s.alloc_array_pages::<u32>(ncells, "cell-counts");
                 let mut membership: Vec<Vec<u32>> = vec![Vec::new(); ncells];
-                #[allow(clippy::needless_range_loop)] // indexing two arrays by cell
+                #[allow(clippy::needless_range_loop, reason = "indexing two arrays by cell")]
                 for (i, p) in init.iter().enumerate() {
                     membership[cell_of(p)].push(i as u32);
                     let v = me.initial_velocity(i);

@@ -10,7 +10,6 @@
 use svm_bench::cli::Args;
 
 mod cmd {
-    pub mod analyze;
     pub mod aurc;
     pub mod chaos;
     pub mod check;
@@ -42,7 +41,7 @@ type Command = (&'static str, fn(Args));
 
 const COMMANDS: &[Command] = commands! {
     table1 table2 table3 table4 table5 table6 fig12_trace fig3 fig4 sor48 aurc sensitivity
-    chaos crash check explore serve analyze
+    chaos crash check explore serve
 };
 
 fn main() {

@@ -47,6 +47,14 @@
 //!   already calls racy, which are excluded — so the checker is sound
 //!   for race-free traces.
 
+// Trace totality (DESIGN §12): no `_ =>` over any enum in this crate, so a
+// new `TraceEvent` variant is a compile error (E0004) in the replay. Clippy
+// reports a wildcard that hides exactly one variant under the second name.
+#![warn(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 pub mod model;
 pub mod replay;
 pub mod selftest;

@@ -119,7 +119,10 @@ impl<'t> Memory<'t> {
 
     /// Replay a read: race it against prior writes, and for race-free
     /// reads compare the recorded digest with the expected image.
-    #[allow(clippy::too_many_arguments)] // a read's identity is naturally wide
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a read's identity is naturally wide"
+    )]
     pub fn read(
         &mut self,
         ctx: &EpCtx,

@@ -173,8 +173,9 @@ impl<'t> Replay<'t> {
     ///
     /// Every [`TraceEvent`] variant is matched explicitly (no catch-all):
     /// adding a variant must force a decision here about its gate, not
-    /// silently inherit "always ready" — the analyzer's `trace-totality`
-    /// rule pins this.
+    /// silently inherit "always ready" — `clippy::wildcard_enum_match_arm`
+    /// (crate root) refuses a `_ =>` arm, so rustc's exhaustiveness check
+    /// pins this.
     fn ready(&self, ev: &TraceEvent) -> bool {
         match ev {
             TraceEvent::Acquire { lock, seq, .. } => {

@@ -27,7 +27,7 @@ use crate::config::SvmConfig;
 use crate::msg::{DiffPacket, IntervalRec, SvmMsg};
 use crate::protocol::reliable::Wire;
 use crate::protocol::state::{FaultStage, TokenState};
-use crate::protocol::tokens;
+use crate::protocol::tokens::{TimerKind, Token};
 use crate::protocol::{ProtocolError, SvmAgent};
 use crate::runner::{build_world, collect_trace, BuiltWorld, Setup};
 use crate::trace::{fnv1a64, AccessTrace, FNV_BASIS};
@@ -623,19 +623,21 @@ pub fn state_digest(world: &World<SvmAgent>) -> u64 {
         .map(|&(at, token)| {
             let mut td = Digest::new();
             digest_addr(&mut td, at);
-            if token == tokens::HB_TOKEN {
-                td.u64(41);
-            } else if tokens::is_sleep_token(token) {
-                td.u64(42);
-                td.u64(tokens::sleep_node(token).0 as u64);
-            } else {
-                td.u64(43);
-                match agent.net.tokens.resolve(token).and_then(|i| rev.get(&i)) {
-                    Some(&(from, to)) => {
-                        digest_addr(&mut td, from);
-                        digest_addr(&mut td, to);
+            match Token::classify(token) {
+                TimerKind::Heartbeat => td.u64(41),
+                TimerKind::Sleep(node) => {
+                    td.u64(42);
+                    td.u64(node.0 as u64);
+                }
+                TimerKind::Retransmit(token) => {
+                    td.u64(43);
+                    match agent.net.tokens.resolve(token).and_then(|i| rev.get(&i)) {
+                        Some(&(from, to)) => {
+                            digest_addr(&mut td, from);
+                            digest_addr(&mut td, to);
+                        }
+                        None => td.u64(44), // disarmed but never cancelled
                     }
-                    None => td.u64(44), // disarmed but never cancelled
                 }
             }
             td.finish()
@@ -852,7 +854,9 @@ pub fn terminal_violations(world: &World<SvmAgent>) -> Vec<String> {
         let node = NodeId(i as u16);
         match m.app_phase(node) {
             AppPhase::Finished | AppPhase::Crashed => {}
-            p => out.push(format!("deadlock: node {i} ended the run in {p:?}")),
+            p @ (AppPhase::Running | AppPhase::Blocked(_)) => {
+                out.push(format!("deadlock: node {i} ended the run in {p:?}"))
+            }
         }
     }
     for h in m.held_deliveries() {

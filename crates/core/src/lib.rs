@@ -22,6 +22,15 @@
 //! with everything the paper's tables and figures need: speedups, time
 //! breakdowns, operation counts, traffic, and protocol memory.
 
+// Message totality (DESIGN §12): no `_ =>` over any enum in this crate, so a
+// new `SvmMsg`/`SvmReq`/`Wire` variant is a compile error (E0004) at every
+// match that must decide about it. Clippy reports a wildcard that hides
+// exactly one variant under the second name.
+#![warn(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 pub mod api;
 pub mod config;
 pub mod explore;

@@ -23,7 +23,7 @@
 use svm_machine::{Category, NodeId};
 use svm_sim::SimTime;
 
-use super::tokens;
+use super::tokens::Token;
 use super::{MCtx, SvmAgent};
 use crate::msg::SvmResp;
 
@@ -44,14 +44,13 @@ impl SvmAgent {
             return;
         }
         ctx.block_app(node, Category::Idle);
-        ctx.set_timer(until.since(now), tokens::sleep_token(node));
+        Self::arm_timer(ctx, until.since(now), Token::sleep(node));
     }
 
     /// A sleep deadline fired: wake the application. Timers are
     /// epoch-fenced by the machine, so a sleeper that crashed and
     /// restarted never sees a stale wakeup.
-    pub(crate) fn on_sleep_timer(&mut self, ctx: &mut MCtx<'_>, token: u64) {
-        let node = tokens::sleep_node(token);
+    pub(crate) fn on_sleep_timer(&mut self, ctx: &mut MCtx<'_>, node: NodeId) {
         ctx.ack_app(node);
     }
 }

@@ -79,14 +79,13 @@ impl SvmAgent {
             // Under AURC the hardware snoops writes; the simulator still
             // keeps a twin internally to reconstruct the propagated bytes,
             // but charges no time or protocol memory for it.
-            st.twin = Some(
-                st.buf
-                    .as_mut()
-                    // INVARIANT: make_writable runs at the end of a validated fault, so
-                    // the page buffer was installed before any write upgrade.
-                    .expect("writable page has a copy")
-                    .to_pooled_vec(),
-            );
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: make_writable runs at the end of a validated fault, so \
+                          the page buffer was installed before any write upgrade."
+            )]
+            let buf = st.buf.as_mut().expect("writable page has a copy");
+            st.twin = Some(buf.to_pooled_vec());
             if !auto_update {
                 self.counters[idx].mem.twins(ps as i64);
             }
@@ -100,11 +99,14 @@ impl SvmAgent {
 
     /// Complete an outstanding fault: upgrade if needed, map, unblock.
     pub(crate) fn finish_fault(&mut self, ctx: &mut MCtx<'_>, n: NodeId) {
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: applications are synchronous; finish_fault is only reached \
+                      from the reply path of the single outstanding fault."
+        )]
         let f = self.nodes_st[n.index()]
             .fault
             .take()
-            // INVARIANT: applications are synchronous; finish_fault is only reached
-            // from the reply path of the single outstanding fault.
             .expect("fault in progress");
         debug_assert!(self.nodes_st[n.index()].pages[f.page.0 as usize]
             .access
@@ -126,8 +128,12 @@ impl SvmAgent {
             // Cold (or post-GC) miss: fetch a base copy first.
             let validator = self.dir[page.0 as usize].validator;
             debug_assert_ne!(validator, n, "validator faulting on its own page");
-            // INVARIANT: the LRC fetch path runs inside the fault recorded by on_fault.
-            self.nodes_st[idx].fault.as_mut().expect("fault").stage = FaultStage::AwaitPage;
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: the LRC fetch path runs inside the fault recorded by on_fault."
+            )]
+            let fault = self.nodes_st[idx].fault.as_mut().expect("fault");
+            fault.stage = FaultStage::AwaitPage;
             let to = self.data_proc(validator);
             self.send_or_local(ctx, to, SvmMsg::PageRequest { page, requester: n });
         } else {
@@ -170,8 +176,12 @@ impl SvmAgent {
                 return;
             }
         }
-        // INVARIANT: request_diffs runs inside the fault recorded by on_fault.
-        self.nodes_st[idx].fault.as_mut().expect("fault").stage = FaultStage::AwaitDiffs {
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: request_diffs runs inside the fault recorded by on_fault."
+        )]
+        let fault = self.nodes_st[idx].fault.as_mut().expect("fault");
+        fault.stage = FaultStage::AwaitDiffs {
             outstanding: needs.len() as u32,
             stash: Vec::new(),
         };
@@ -342,12 +352,17 @@ impl SvmAgent {
         if let Ok(v) = std::rc::Rc::try_unwrap(data) {
             svm_mem::pool::put_bytes(v);
         }
-        debug_assert!(matches!(
-            // INVARIANT: a PageReply only arrives for the outstanding fault that
-            // sent the PageRequest.
-            self.nodes_st[idx].fault.as_ref().expect("fault").stage,
-            FaultStage::AwaitPage
-        ));
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: a PageReply only arrives for the outstanding fault that \
+                      sent the PageRequest."
+        )]
+        {
+            debug_assert!(matches!(
+                self.nodes_st[idx].fault.as_ref().expect("fault").stage,
+                FaultStage::AwaitPage
+            ));
+        }
         self.request_diffs(ctx, r, page);
     }
 
@@ -383,14 +398,20 @@ impl SvmAgent {
             *outstanding == 0
         };
         if done {
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: the AwaitDiffs stage was just observed above; the fault is \
+                          still outstanding."
+            )]
+            #[expect(
+                clippy::unreachable,
+                reason = "INVARIANT: the stage was AwaitDiffs on entry and nothing since \
+                          replaced it."
+            )]
             let FaultStage::AwaitDiffs { stash, .. } = std::mem::replace(
-                // INVARIANT: the AwaitDiffs stage was just observed above; the fault is
-                // still outstanding.
                 &mut self.nodes_st[idx].fault.as_mut().expect("fault").stage,
                 FaultStage::AwaitHome,
             ) else {
-                // INVARIANT: the stage was AwaitDiffs on entry and nothing since
-                // replaced it.
                 unreachable!()
             };
             self.validate_lrc_page(ctx, r, page, stash);
@@ -417,8 +438,11 @@ impl SvmAgent {
             let skip_apply = self.bug_skip_diff_apply();
             let st = &mut self.nodes_st[idx].pages[page.0 as usize];
             if !skip_apply {
-                // INVARIANT: start_lrc_fetch fetched a base copy before
-                // diff collection began.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: start_lrc_fetch fetched a base copy before \
+                              diff collection began."
+                )]
                 // SAFETY: kernel phase; app threads parked.
                 pkt.diff
                     .apply(unsafe { st.buf.as_ref().expect("base copy present").bytes_mut() });
@@ -515,11 +539,17 @@ pub fn causal_sort(packets: &mut Vec<DiffPacket>) {
                 }
             });
         }
-        // INVARIANT: vector-time ordering is a strict partial order, so a
-        // non-empty set always has a minimal element.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: vector-time ordering is a strict partial order, so a \
+                      non-empty set always has a minimal element."
+        )]
         let pick = best.expect("happens-before is acyclic");
-        // INVARIANT: `pick` was chosen among live chains, which are never
-        // empty.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: `pick` was chosen among live chains, which are never \
+                      empty."
+        )]
         let emitted = chains[pick].pop().expect("live chain has a head");
         // The emitted head stops blocking; its successor keeps any block
         // it implies (same chain, so successor < h ⟹ emitted < h — the

@@ -51,6 +51,11 @@ impl SvmAgent {
                     }
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: the page survived GC as live, so at least one writer \
+                          interval is recorded."
+            )]
             let validator = candidates
                 .iter()
                 .reduce(|a, b| {
@@ -67,8 +72,6 @@ impl SvmAgent {
                         }
                     }
                 })
-                // INVARIANT: the page survived GC as live, so at least one writer
-                // interval is recorded.
                 .expect("live page has a writer")
                 .0;
 
@@ -115,9 +118,12 @@ impl SvmAgent {
                 for pkt in &missing {
                     cost[vidx] += ctx.cost().diff_apply(pkt.diff.payload_bytes());
                     let st = &mut self.nodes_st[vidx].pages[p as usize];
-                    // INVARIANT: the validator was elected among the page's
-                    // writers, and writers keep their copies until this GC
-                    // pass frees them below.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: the validator was elected among the page's \
+                                  writers, and writers keep their copies until this GC \
+                                  pass frees them below."
+                    )]
                     // SAFETY: kernel phase (barrier; all apps parked).
                     pkt.diff
                         .apply(unsafe { st.buf.as_ref().expect("writer has copy").bytes_mut() });

@@ -40,9 +40,12 @@ impl SvmAgent {
                 let st = &mut self.nodes_st[idx].pages[page.0 as usize];
                 self.counters[idx].home_stalls += 1;
                 st.local_waiter = true;
-                // INVARIANT: this path runs inside the fault recorded by on_fault.
-                self.nodes_st[idx].fault.as_mut().expect("fault").stage =
-                    FaultStage::AwaitHomeDiffs;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: this path runs inside the fault recorded by on_fault."
+                )]
+                let fault = self.nodes_st[idx].fault.as_mut().expect("fault");
+                fault.stage = FaultStage::AwaitHomeDiffs;
                 return;
             }
             // First-touch just materialized the page here (or it was
@@ -143,14 +146,13 @@ impl SvmAgent {
 
     fn reply_home_page(&mut self, ctx: &mut MCtx<'_>, h: NodeId, page: PageNum, to: NodeId) {
         let st = &mut self.nodes_st[h.index()].pages[page.0 as usize];
-        let data = std::rc::Rc::new(
-            st.buf
-                .as_mut()
-                // INVARIANT: a home page materializes at first touch and the master
-                // copy is never dropped (homes are exempt from GC).
-                .expect("home holds the master copy")
-                .to_pooled_vec(),
-        );
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: a home page materializes at first touch and the master \
+                      copy is never dropped (homes are exempt from GC)."
+        )]
+        let buf = st.buf.as_mut().expect("home holds the master copy");
+        let data = std::rc::Rc::new(buf.to_pooled_vec());
         let applied = st.applied.to_vec();
         self.send_or_local(
             ctx,
@@ -189,11 +191,14 @@ impl SvmAgent {
         {
             let st = &mut self.nodes_st[idx].pages[page.0 as usize];
             if !skip_apply {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: diffs are flushed to the page's home, whose master copy \
+                              always exists."
+                )]
                 // SAFETY: kernel phase; app threads parked. The home's copy
                 // is the master; applying in place is the protocol (Section
                 // 2.3).
-                // INVARIANT: diffs are flushed to the page's home, whose master copy
-                // always exists.
                 diff.apply(unsafe { st.buf.as_ref().expect("home copy").bytes_mut() });
             }
             st.applied.raise(writer, interval);
@@ -223,16 +228,21 @@ impl SvmAgent {
             }
         };
         if wake_local {
-            debug_assert!(matches!(
-                self.nodes_st[idx]
-                    .fault
-                    .as_ref()
-                    // INVARIANT: wake_local is set only when a stalled local fault recorded
-                    // a waiter.
-                    .expect("stalled fault")
-                    .stage,
-                FaultStage::AwaitHomeDiffs
-            ));
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: wake_local is set only when a stalled local fault recorded \
+                          a waiter."
+            )]
+            {
+                debug_assert!(matches!(
+                    self.nodes_st[idx]
+                        .fault
+                        .as_ref()
+                        .expect("stalled fault")
+                        .stage,
+                    FaultStage::AwaitHomeDiffs
+                ));
+            }
             self.finish_fault(ctx, h);
         }
         // Remote fetches whose requirements are now satisfied.
@@ -283,12 +293,17 @@ impl SvmAgent {
         if let Ok(v) = std::rc::Rc::try_unwrap(data) {
             svm_mem::pool::put_bytes(v);
         }
-        debug_assert!(matches!(
-            // INVARIANT: a HomeReply only arrives for the outstanding fault that
-            // sent the HomeRequest.
-            self.nodes_st[idx].fault.as_ref().expect("fault").stage,
-            FaultStage::AwaitHome
-        ));
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: a HomeReply only arrives for the outstanding fault that \
+                      sent the HomeRequest."
+        )]
+        {
+            debug_assert!(matches!(
+                self.nodes_st[idx].fault.as_ref().expect("fault").stage,
+                FaultStage::AwaitHome
+            ));
+        }
         self.finish_fault(ctx, r);
     }
 }

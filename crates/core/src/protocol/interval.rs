@@ -86,11 +86,14 @@ impl SvmAgent {
                 continue;
             }
 
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: a page enters the dirty list only via make_writable, which \
+                          installs the twin."
+            )]
             let twin = self.nodes_st[idx].pages[p.0 as usize]
                 .twin
                 .take()
-                // INVARIANT: a page enters the dirty list only via make_writable, which
-                // installs the twin.
                 .expect("dirty non-home page must have a twin");
             if !auto_update {
                 self.counters[idx].mem.twins(-(ps as i64));
@@ -102,8 +105,11 @@ impl SvmAgent {
                 // computation time is charged when the task executes.
                 let diff = {
                     let st = &self.nodes_st[idx].pages[p.0 as usize];
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: dirty pages were write-faulted, which installs a copy."
+                    )]
                     // SAFETY: kernel phase; application threads are parked.
-                    // INVARIANT: dirty pages were write-faulted, which installs a copy.
                     let cur = unsafe { st.buf.as_ref().expect("dirty page has a copy").bytes() };
                     Diff::create(&twin, cur)
                 };
@@ -123,8 +129,11 @@ impl SvmAgent {
             }
             let diff = {
                 let st = &self.nodes_st[idx].pages[p.0 as usize];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: dirty pages were write-faulted, which installs a copy."
+                )]
                 // SAFETY: kernel phase; application threads are parked.
-                // INVARIANT: dirty pages were write-faulted, which installs a copy.
                 let cur = unsafe { st.buf.as_ref().expect("dirty page has a copy").bytes() };
                 Rc::new(Diff::create(&twin, cur))
             };
@@ -174,10 +183,13 @@ impl SvmAgent {
                     diff,
                 });
         } else {
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: the write fault that dirtied this page resolved its home \
+                          first."
+            )]
             let home = self.dir[page.0 as usize]
                 .home
-                // INVARIANT: the write fault that dirtied this page resolved its home
-                // first.
                 .expect("home resolved for dirty page");
             debug_assert_ne!(home, n, "home pages produce no diffs");
             // HLRC flushes to the home's compute processor; OHLRC to its

@@ -5,6 +5,19 @@
 //! with the processor they occupy, so work is priced on the right resource.
 //! Node-local shortcuts (manager == self, home == self…) dispatch inline
 //! instead of sending wire messages, matching the real implementations.
+//!
+//! Panic policy (DESIGN §12): in this module tree a condition an input can
+//! reach is a [`ProtocolError`], never a panic. The lints below flag every
+//! `unwrap`/`expect`/`panic!`/`unreachable!` outside `#[cfg(test)]`; a site
+//! that guards an internal invariant carries
+//! `#[expect(clippy::…, reason = "INVARIANT: …")]` arguing why it cannot fire.
+
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod clock;
 pub mod fault;
@@ -31,6 +44,7 @@ use crate::vt::VectorTime;
 use recovery::RecoveryState;
 use reliable::ReliableNet;
 use state::{DirEntry, ProtoNode};
+use tokens::{TimerKind, Token};
 
 /// Handler context alias.
 pub type MCtx<'a> = Ctx<'a, SvmAgent>;
@@ -442,11 +456,14 @@ impl SvmAgent {
 
     /// Install a mapping into `node`'s application cache.
     pub fn install_mapping(&mut self, node: NodeId, page: PageNum, writable: bool) {
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: install_mapping runs only after the fault path validated \
+                      or installed this node's copy."
+        )]
         let ptr = self.nodes_st[node.index()].pages[page.0 as usize]
             .buf
             .as_ref()
-            // INVARIANT: install_mapping runs only after the fault path validated
-            // or installed this node's copy.
             .expect("mapping a page without a copy")
             .as_ptr();
         // SAFETY: handlers run in kernel phases; every application thread is
@@ -497,11 +514,14 @@ impl SvmAgent {
 
     /// The acquisition number `node`'s held `lock` entered with.
     pub fn lock_seq_release(&mut self, node: NodeId, lock: u32) -> u64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: grants record the acquisition before the app resumes, and \
+                      only the holder issues the release."
+        )]
         self.lock_seqs
             .held
             .remove(&(node.0, lock))
-            // INVARIANT: grants record the acquisition before the app resumes, and
-            // only the holder issues the release.
             .expect("release of a lock with no recorded acquisition")
     }
 
@@ -685,12 +705,10 @@ impl Agent for SvmAgent {
     }
 
     fn on_timer(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, token: u64) {
-        if token == tokens::HB_TOKEN {
-            self.on_heartbeat_tick(ctx, at);
-        } else if tokens::is_sleep_token(token) {
-            self.on_sleep_timer(ctx, token);
-        } else {
-            self.on_net_timer(ctx, at, token);
+        match Token::classify(token) {
+            TimerKind::Heartbeat => self.on_heartbeat_tick(ctx, at),
+            TimerKind::Sleep(node) => self.on_sleep_timer(ctx, node),
+            TimerKind::Retransmit(token) => self.on_net_timer(ctx, at, token),
         }
     }
 

@@ -59,7 +59,7 @@ use crate::vt::VectorTime;
 
 use super::reliable::Wire;
 use super::state::{FaultStage, TokenState, WriterMap};
-use super::tokens;
+use super::tokens::Token;
 use super::{MCtx, ProtocolError, SvmAgent};
 
 /// What recovery did during a run (reported on `RunReport`).
@@ -141,7 +141,7 @@ impl SvmAgent {
     /// Arm the calling node's next heartbeat tick.
     pub(crate) fn arm_heartbeat(&mut self, ctx: &mut MCtx<'_>) {
         let period = SimDuration::from_micros(self.cfg.recovery.heartbeat_us);
-        ctx.set_timer(period, tokens::HB_TOKEN);
+        Self::arm_timer(ctx, period, Token::heartbeat());
     }
 
     /// One heartbeat period elapsed on `at`'s node: check peers for
@@ -381,7 +381,9 @@ impl SvmAgent {
                         },
                     )
                 }
-                _ => None,
+                // A base-copy wait on a live validator is unaffected; waits
+                // on a home are failover_homes' business.
+                FaultStage::AwaitPage | FaultStage::AwaitHome | FaultStage::AwaitHomeDiffs => None,
             };
             if let Some(err) = err {
                 self.protocol_error(ctx, err);
@@ -754,14 +756,20 @@ impl SvmAgent {
                 // manager advanced the tail. Re-point the tail at the
                 // surviving chain first, or the forward would name the
                 // requester as its own predecessor.
-                // INVARIANT: repair iterates lock_mgr's own keys.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: repair iterates lock_mgr's own keys."
+                )]
                 let entry = self.lock_mgr.get_mut(&l).expect("repair of unknown lock");
                 if entry.tail == dead || entry.tail == w {
                     entry.tail = reattach;
                 }
                 self.mgr_lock_request(ctx, m, LockId(l), w, vt);
             }
-            // INVARIANT: repair iterates lock_mgr's own keys.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: repair iterates lock_mgr's own keys."
+            )]
             let entry = self.lock_mgr.get_mut(&l).expect("repair of unknown lock");
             if entry.tail == dead {
                 entry.tail = reattach;
@@ -781,10 +789,13 @@ impl SvmAgent {
             let at = ctx.now();
             self.with_recorder(dead, |r| r.release(l, seq, vt, at));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: token_lost without a held token implies a harvested grant."
+        )]
         let token_vt = if dead_token != TokenState::Absent {
             self.nodes_st[dead.index()].vt.clone()
         } else {
-            // INVARIANT: token_lost without a held token implies a harvested grant.
             lost_grant.expect("token lost without a harvested grant").0
         };
         match orphans.split_first() {
@@ -827,8 +838,12 @@ impl SvmAgent {
                     }
                 }
                 self.nodes_st[m.index()].lock(l).token = TokenState::HeldFree;
-                // INVARIANT: repair iterates lock_mgr's own keys.
-                self.lock_mgr.get_mut(&l).expect("repair").tail = m;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: repair iterates lock_mgr's own keys."
+                )]
+                let entry = self.lock_mgr.get_mut(&l).expect("repair");
+                entry.tail = m;
             }
             Some((first, others)) => {
                 let (first, first_vt) = first.clone();
@@ -848,8 +863,12 @@ impl SvmAgent {
                     );
                     return;
                 }
-                // INVARIANT: repair iterates lock_mgr's own keys.
-                self.lock_mgr.get_mut(&l).expect("repair").tail = first;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: repair iterates lock_mgr's own keys."
+                )]
+                let entry = self.lock_mgr.get_mut(&l).expect("repair");
+                entry.tail = first;
                 let mut records = self.records_union_for(&first_vt);
                 if self.bug_leak_dead_lock_grant() {
                     records.clear();

@@ -35,7 +35,7 @@ use svm_sim::{EventId, SimDuration};
 
 use crate::config::FaultProfile;
 use crate::msg::SvmMsg;
-use crate::protocol::tokens::TimerTokens;
+use crate::protocol::tokens::{TimerTokens, Token};
 use crate::protocol::{MCtx, ProtocolError, SvmAgent};
 
 /// The on-wire envelope around protocol messages.
@@ -102,7 +102,7 @@ pub(crate) struct SendChannel {
     pub(crate) unacked: BTreeMap<u32, SvmMsg>,
     /// The armed retransmit timer, if any: its scheduler event (for
     /// cancellation) and its token in [`TimerTokens`].
-    pub(crate) armed: Option<(EventId, u64)>,
+    pub(crate) armed: Option<(EventId, Token)>,
     pub(crate) backoff: u32,
     /// Retransmit timeouts fired since the last ack progress; compared
     /// against [`ReliableNet::max_retries`].
@@ -240,7 +240,7 @@ impl SvmAgent {
     fn net_arm(&mut self, ctx: &mut MCtx<'_>, idx: usize) {
         let delay = timeout(self.net.chans[idx].backoff);
         let token = self.net.tokens.arm(idx);
-        let ev = ctx.set_timer(delay, token);
+        let ev = Self::arm_timer(ctx, delay, token);
         self.net.chans[idx].armed = Some((ev, token));
     }
 
@@ -315,7 +315,7 @@ impl SvmAgent {
 
     /// A retransmit timer reached service: resend everything unacked on its
     /// channel, double the backoff, rearm.
-    pub fn on_net_timer(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, token: u64) {
+    pub fn on_net_timer(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, token: Token) {
         let Some(idx) = self.net.tokens.resolve(token) else {
             return; // stale: disarmed after this firing was queued
         };

@@ -102,7 +102,10 @@ impl SvmAgent {
         let overhead = ctx.cost().handler_overhead;
         ctx.work(overhead, Category::Protocol);
         self.ensure_lock(l);
-        // INVARIANT: ensure_lock on the preceding line inserted the entry.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: ensure_lock on the preceding line inserted the entry."
+        )]
         let entry = self.lock_mgr.get_mut(&l.0).expect("ensured");
         let prev = entry.tail;
         entry.tail = requester;

@@ -1,61 +1,98 @@
 //! The declared timer-token namespaces.
 //!
-//! Every timer the protocol arms through `Ctx::set_timer` carries a `u64`
-//! token that [`super::SvmAgent::on_timer`] routes on. Three subsystems arm
-//! timers — retransmission, application sleep, and the failure-detector
-//! heartbeat — and each draws from its own half-open range declared here,
-//! so a token can never be routed to the wrong handler:
+//! Every timer the protocol arms carries a `u64` value that
+//! [`super::SvmAgent::on_timer`] routes on. Three subsystems arm timers —
+//! retransmission, application sleep, and the failure-detector heartbeat —
+//! and each draws from its own half-open range declared here, so a value can
+//! never be routed to the wrong handler:
 //!
-//! | namespace  | range                          | allocation                |
+//! | namespace  | range                          | minted by                 |
 //! |------------|--------------------------------|---------------------------|
-//! | retransmit | `[RETRANSMIT_LO, RETRANSMIT_HI)` | monotonic counter ([`TimerTokens`]) |
-//! | sleep      | `[SLEEP_LO, SLEEP_HI)`         | `SLEEP_LO \| node`        |
-//! | heartbeat  | `[HEARTBEAT_LO, HEARTBEAT_HI)` | the single `HB_TOKEN`     |
+//! | retransmit | `[RETRANSMIT_LO, RETRANSMIT_HI)` | `TimerTokens::arm` (monotonic counter) |
+//! | sleep      | `[SLEEP_LO, SLEEP_HI)`         | `Token::sleep` (`SLEEP_LO \| node`) |
+//! | heartbeat  | `[HEARTBEAT_LO, HEARTBEAT_HI)` | `Token::heartbeat` (its only member) |
 //!
 //! The ranges partition by the top two bits: retransmit tokens count up
 //! from zero (reaching bit 62 would take more arms than any run schedules,
 //! and the allocator asserts it), sleep tokens set bit 62, the heartbeat
-//! token is exactly bit 63. `svm-analyzer`'s `timer-token-disjointness`
-//! rule checks two things against this file: that the declared `*_LO`/`*_HI`
-//! ranges are well-formed and pairwise disjoint, and that every
-//! `set_timer` call site in the protocol derives its token from a name
-//! declared here.
+//! token is exactly bit 63. Both halves of that hold by construction: the
+//! const assertion below refuses to compile ranges that are empty or
+//! overlap, and a [`Token`]'s field is private to this file, so one is only
+//! ever minted inside a range, armed by `SvmAgent::arm_timer` (the one
+//! `Ctx::set_timer` call `crates/core/clippy.toml` lets this crate make),
+//! and told apart again by `Token::classify`.
 
 use std::collections::BTreeMap;
 
 use svm_machine::NodeId;
+use svm_sim::{EventId, SimDuration};
 
-/// Retransmit-token range start (inclusive).
-pub const RETRANSMIT_LO: u64 = 0;
-/// Retransmit-token range end (exclusive).
-pub const RETRANSMIT_HI: u64 = 1 << 62;
-/// Sleep-token range start (inclusive).
-pub const SLEEP_LO: u64 = 1 << 62;
-/// Sleep-token range end (exclusive).
-pub const SLEEP_HI: u64 = 1 << 63;
-/// Heartbeat-token range start (inclusive).
-pub const HEARTBEAT_LO: u64 = 1 << 63;
-/// Heartbeat-token range end (exclusive): the namespace holds one token.
-pub const HEARTBEAT_HI: u64 = (1 << 63) + 1;
+use super::{MCtx, SvmAgent};
 
-/// The failure detector's heartbeat token (the heartbeat namespace's only
-/// member).
-pub const HB_TOKEN: u64 = HEARTBEAT_LO;
+const RETRANSMIT_LO: u64 = 0;
+const RETRANSMIT_HI: u64 = 1 << 62;
+const SLEEP_LO: u64 = 1 << 62;
+const SLEEP_HI: u64 = 1 << 63;
+const HEARTBEAT_LO: u64 = 1 << 63;
+/// Exclusive, like every `*_HI`: the namespace holds one token.
+const HEARTBEAT_HI: u64 = (1 << 63) + 1;
 
-/// The sleep token for `node`'s pending [`crate::msg::SvmReq::SleepUntil`].
-pub fn sleep_token(node: NodeId) -> u64 {
-    SLEEP_LO | node.0 as u64
+const _: () = assert!(
+    RETRANSMIT_LO < RETRANSMIT_HI
+        && RETRANSMIT_HI <= SLEEP_LO
+        && SLEEP_LO < SLEEP_HI
+        && SLEEP_HI <= HEARTBEAT_LO
+        && HEARTBEAT_LO < HEARTBEAT_HI,
+    "timer-token ranges must be non-empty and pairwise disjoint (declared in ascending order)"
+);
+
+/// A timer value inside one of the declared namespaces.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Token(u64);
+
+/// The namespace a fired timer's value belongs to, with what it encodes.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum TimerKind {
+    /// The failure detector's tick.
+    Heartbeat,
+    /// The deadline of this node's pending [`crate::msg::SvmReq::SleepUntil`].
+    Sleep(NodeId),
+    /// A retransmit timeout; `TimerTokens::resolve` says whether it is stale.
+    Retransmit(Token),
 }
 
-/// Whether `token` belongs to the sleep namespace.
-pub fn is_sleep_token(token: u64) -> bool {
-    (SLEEP_LO..SLEEP_HI).contains(&token)
+impl Token {
+    /// The failure detector's heartbeat token.
+    pub(crate) fn heartbeat() -> Token {
+        Token(HEARTBEAT_LO)
+    }
+
+    /// The sleep token for `node`.
+    pub(crate) fn sleep(node: NodeId) -> Token {
+        Token(SLEEP_LO | node.0 as u64)
+    }
+
+    /// Sort a value the machine handed back (`Agent::on_timer`, a parked
+    /// explorer timer) into its namespace.
+    pub(crate) fn classify(raw: u64) -> TimerKind {
+        match raw {
+            HEARTBEAT_LO => TimerKind::Heartbeat,
+            SLEEP_LO..SLEEP_HI => TimerKind::Sleep(NodeId((raw & !SLEEP_LO) as u16)),
+            _ => TimerKind::Retransmit(Token(raw)),
+        }
+    }
 }
 
-/// The node a sleep token was armed for.
-pub fn sleep_node(token: u64) -> NodeId {
-    debug_assert!(is_sleep_token(token));
-    NodeId((token & !SLEEP_LO) as u16)
+impl SvmAgent {
+    /// Arm a machine timer. Taking a [`Token`] is the point: every timer
+    /// value this crate schedules lies in a declared namespace.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one Ctx::set_timer call in svm-core: its value is a Token"
+    )]
+    pub(super) fn arm_timer(ctx: &mut MCtx<'_>, delay: SimDuration, token: Token) -> EventId {
+        ctx.set_timer(delay, token.0)
+    }
 }
 
 /// Live retransmit-timer tokens, allocated from one 64-bit counter within
@@ -71,34 +108,40 @@ pub fn sleep_node(token: u64) -> NodeId {
 #[derive(Default)]
 pub(crate) struct TimerTokens {
     next: u64,
-    live: BTreeMap<u64, usize>,
+    live: BTreeMap<Token, usize>,
 }
 
 impl TimerTokens {
     /// Allocate a fresh token for `chan`'s timer.
-    pub(crate) fn arm(&mut self, chan: usize) -> u64 {
-        let token = RETRANSMIT_LO + self.next;
+    pub(crate) fn arm(&mut self, chan: usize) -> Token {
+        let token = Token(RETRANSMIT_LO + self.next);
         // INVARIANT: a simulation would need 2^62 timer arms to exhaust the
         // namespace; that is unreachable in any run, so leaving the range is
         // internal-state corruption, not an input condition.
         assert!(
-            token < RETRANSMIT_HI,
+            token.0 < RETRANSMIT_HI,
             "retransmit token namespace exhausted"
         );
-        let next = self.next.checked_add(1);
-        // INVARIANT: bounded by the same 2^62-arms argument as the assert.
-        self.next = next.expect("retransmit timer token space exhausted");
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: bounded by the same 2^62-arms argument as the assert."
+        )]
+        let next = self
+            .next
+            .checked_add(1)
+            .expect("retransmit timer token space exhausted");
+        self.next = next;
         self.live.insert(token, chan);
         token
     }
 
     /// Kill a token; returns whether it was live.
-    pub(crate) fn disarm(&mut self, token: u64) -> bool {
+    pub(crate) fn disarm(&mut self, token: Token) -> bool {
         self.live.remove(&token).is_some()
     }
 
     /// The channel a live token belongs to (`None` = stale).
-    pub(crate) fn resolve(&self, token: u64) -> Option<usize> {
+    pub(crate) fn resolve(&self, token: Token) -> Option<usize> {
         self.live.get(&token).copied()
     }
 }
@@ -108,38 +151,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn namespaces_partition_the_token_space() {
-        // Same shape as the analyzer's timer-token-disjointness rule:
-        // every declared range is well-formed and pairwise disjoint.
-        let ranges = [
-            ("retransmit", RETRANSMIT_LO, RETRANSMIT_HI),
-            ("sleep", SLEEP_LO, SLEEP_HI),
-            ("heartbeat", HEARTBEAT_LO, HEARTBEAT_HI),
-        ];
-        for (name, lo, hi) in ranges {
-            assert!(lo < hi, "{name} range is empty or inverted");
+    fn classify_inverts_every_mint() {
+        assert_eq!(Token::classify(Token::heartbeat().0), TimerKind::Heartbeat);
+        for node in [NodeId(0), NodeId(7), NodeId(u16::MAX)] {
+            assert_eq!(
+                Token::classify(Token::sleep(node).0),
+                TimerKind::Sleep(node)
+            );
         }
-        for (i, &(a, a_lo, a_hi)) in ranges.iter().enumerate() {
-            for &(b, b_lo, b_hi) in &ranges[i + 1..] {
-                assert!(
-                    a_hi <= b_lo || b_hi <= a_lo,
-                    "{a} and {b} token ranges overlap"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sleep_tokens_are_disjoint_from_heartbeat_and_retransmit_ranges() {
-        let t = sleep_token(NodeId(7));
-        assert!(is_sleep_token(t));
-        assert!(!is_sleep_token(HB_TOKEN));
         // The retransmit registry allocates monotonically from 0; the
-        // first 2^62 tokens are all outside the sleep namespace.
-        assert!(!is_sleep_token(0));
-        assert!(!is_sleep_token(123_456));
-        assert!(!is_sleep_token(SLEEP_LO - 1));
-        assert_eq!(sleep_node(t), NodeId(7));
+        // first 2^62 values all classify as retransmit tokens.
+        let armed = TimerTokens::default().arm(3);
+        assert_eq!(Token::classify(armed.0), TimerKind::Retransmit(armed));
+        for raw in [0, 123_456, SLEEP_LO - 1] {
+            assert_eq!(Token::classify(raw), TimerKind::Retransmit(Token(raw)));
+        }
     }
 
     /// Regression for the old `channel | gen << 32` token packing: drive

@@ -505,11 +505,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_reads_env_per_call() {
-        // No OnceLock: two defaults constructed in one process can differ
-        // if the environment changed in between. We cannot mutate the
-        // environment safely in a threaded test runner, so just assert the
-        // flag is off-by-default shape and record defaults off.
+    fn recording_is_off_by_default() {
         let c = TraceConfig::default();
         assert!(!c.record);
         assert!(TraceConfig::recording().record);

@@ -130,7 +130,10 @@ impl PageBuf {
     ///
     /// No other access to this buffer may exist while the returned slice is
     /// alive (same kernel-phase argument as [`PageBuf::bytes`]).
-    #[allow(clippy::mut_from_ref)]
+    #[allow(
+        clippy::mut_from_ref,
+        reason = "the buffer is UnsafeCell bytes; exclusivity is the caller's contract"
+    )]
     pub unsafe fn bytes_mut(&self) -> &mut [u8] {
         // SAFETY: caller guarantees exclusivity; layout as above.
         unsafe { std::slice::from_raw_parts_mut(self.as_ptr(), self.data.len()) }

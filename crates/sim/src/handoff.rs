@@ -55,7 +55,10 @@ impl<T> HandoffCell<T> {
     /// or has finished), and the process side only between being started
     /// or resumed and its next request — and neither side retains the
     /// reference across those boundaries.
-    #[allow(clippy::mut_from_ref)]
+    #[allow(
+        clippy::mut_from_ref,
+        reason = "the cell is the interior-mutability primitive; exclusivity is the caller's contract"
+    )]
     pub unsafe fn get_mut(&self) -> &mut T {
         // SAFETY: exclusivity is the caller's contract, per above.
         unsafe { &mut *self.inner.get() }

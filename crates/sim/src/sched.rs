@@ -3,8 +3,8 @@
 //! Events are closures over a caller-supplied world type `W`. Two events at
 //! the same instant fire in the order they were scheduled (a monotonically
 //! increasing sequence number breaks ties), so runs are fully reproducible.
-//! Events can be cancelled by [`EventId`]; cancellation is implemented as a
-//! tombstone set consulted at pop time.
+//! Events can be cancelled by [`EventId`], which names the event's slot:
+//! cancelling drops the closure in place, and the pop skips the emptied slot.
 //!
 //! Storage is allocation-free on the hot path: closures small enough for a
 //! slot's inline buffer are written in place into a slab of reusable slots,
@@ -15,14 +15,17 @@
 //! (recorded on the box-per-event engine this one replaced) by
 //! `crates/bench/tests/engine_fingerprints.rs`.
 
-use std::collections::BTreeSet;
 use std::mem::MaybeUninit;
 
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a scheduled event so it can be cancelled.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    /// Where the event's closure lives while it is pending.
+    slot: u32,
+}
 
 impl EventId {
     /// Marks ids minted outside the scheduler (see [`EventId::synthetic`]).
@@ -33,22 +36,25 @@ impl EventId {
     /// Explore-mode machines park timers instead of scheduling them but must
     /// still hand their callers an `EventId`. Synthetic ids live in a
     /// reserved range (bit 63 set, far above any reachable sequence number),
-    /// so passing one to [`Scheduler::cancel`] is a safe no-op: the
-    /// sequence-bound check rejects it before it can tombstone a real event.
+    /// so passing one to [`Scheduler::cancel`] is a safe no-op: no slot ever
+    /// holds its sequence number.
     pub fn synthetic(key: u64) -> EventId {
         debug_assert!(key & Self::SYNTHETIC_BIT == 0, "synthetic key too large");
-        EventId(Self::SYNTHETIC_BIT | key)
+        EventId {
+            seq: Self::SYNTHETIC_BIT | key,
+            slot: 0,
+        }
     }
 
     /// Whether this id came from [`EventId::synthetic`].
     pub fn is_synthetic(self) -> bool {
-        self.0 & Self::SYNTHETIC_BIT != 0
+        self.seq & Self::SYNTHETIC_BIT != 0
     }
 
     /// The `key` this synthetic id was minted with.
     pub fn synthetic_key(self) -> u64 {
         debug_assert!(self.is_synthetic());
-        self.0 & !Self::SYNTHETIC_BIT
+        self.seq & !Self::SYNTHETIC_BIT
     }
 }
 
@@ -84,7 +90,7 @@ enum Stored<W> {
     },
     /// Fallback for closures too big (or too aligned) for the buffer.
     Boxed(EventFn<W>),
-    /// Free slot (the closure was taken or never set).
+    /// The closure was taken (fired) or dropped (cancelled).
     Empty,
 }
 
@@ -153,7 +159,8 @@ impl<W> Stored<W> {
 }
 
 struct Slot<W> {
-    /// Sequence number of the occupying event (debug cross-check).
+    /// Sequence number of the last event to occupy the slot; an [`EventId`]
+    /// is pending iff its slot still has its `seq` and a closure.
     seq: u64,
     stored: Stored<W>,
 }
@@ -201,7 +208,6 @@ pub struct Scheduler<W> {
     /// Slab of event slots; freed slots are reused via `free`.
     slots: Vec<Slot<W>>,
     free: Vec<u32>,
-    cancelled: BTreeSet<u64>,
     executed: u64,
 }
 
@@ -220,7 +226,6 @@ impl<W> Scheduler<W> {
             heap: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            cancelled: BTreeSet::new(),
             executed: 0,
         }
     }
@@ -267,7 +272,7 @@ impl<W> Scheduler<W> {
             }
         };
         self.heap_push(HeapKey { at, seq, slot });
-        EventId(seq)
+        EventId { seq, slot }
     }
 
     /// Schedule `f` after a delay from now.
@@ -282,14 +287,15 @@ impl<W> Scheduler<W> {
     /// Cancel a previously scheduled event.
     ///
     /// Returns `true` if the event had not yet fired (or been cancelled).
+    /// The closure is dropped now; the slot is freed when its heap key pops.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
+        match self.slots.get_mut(id.slot as usize) {
+            Some(slot) if slot.seq == id.seq && !matches!(slot.stored, Stored::Empty) => {
+                std::mem::replace(&mut slot.stored, Stored::Empty).dispose();
+                true
+            }
+            _ => false,
         }
-        // We cannot cheaply check whether the event is still queued, so the
-        // tombstone set may briefly hold ids of already-fired events; they are
-        // swept when the heap drains past them. Double-cancel returns false.
-        self.cancelled.insert(id.0)
     }
 
     /// Run a single event. Returns `false` when the queue is empty.
@@ -299,11 +305,8 @@ impl<W> Scheduler<W> {
             debug_assert_eq!(slot.seq, key.seq, "slot/heap desync");
             let stored = std::mem::replace(&mut slot.stored, Stored::Empty);
             self.free.push(key.slot);
-            // Tombstones are rare (only cancelled timers); skip the set
-            // probe entirely on the common empty-set path.
-            if !self.cancelled.is_empty() && self.cancelled.remove(&key.seq) {
-                stored.dispose();
-                continue;
+            if matches!(stored, Stored::Empty) {
+                continue; // cancelled
             }
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
@@ -436,6 +439,24 @@ mod tests {
     }
 
     #[test]
+    fn cancel_after_fire_reports_false_and_keeps_no_state() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let mut w = 0u32;
+        for _ in 0..10_000 {
+            let id = s.after(SimDuration::from_nanos(1), |_, w: &mut u32| *w += 1);
+            s.run(&mut w);
+            assert!(!s.cancel(id), "the event already fired");
+            // A recycled slot must not make the stale id cancel its new tenant.
+            s.after(SimDuration::from_nanos(1), |_, w: &mut u32| *w += 1);
+            assert!(!s.cancel(id));
+            s.run(&mut w);
+        }
+        assert_eq!(w, 20_000);
+        assert!(s.heap.is_empty());
+        assert_eq!((s.slots.len(), s.free.len()), (1, 1), "one recycled slot");
+    }
+
+    #[test]
     fn now_advances_monotonically() {
         let mut s: Scheduler<Vec<u64>> = Scheduler::new();
         let mut w = Vec::new();
@@ -456,11 +477,11 @@ mod tests {
         let mut s: Scheduler<u32> = Scheduler::new();
         let mut w = 0u32;
         let real = s.after(SimDuration::from_nanos(1), |_, w: &mut u32| *w += 1);
-        let fake = EventId::synthetic(real.0); // same low bits as a live event
+        let fake = EventId::synthetic(real.seq); // same low bits and slot as a live event
         assert!(fake.is_synthetic());
         assert!(!real.is_synthetic());
-        assert_eq!(fake.synthetic_key(), real.0);
-        // Cancelling the synthetic id must not tombstone the real event.
+        assert_eq!(fake.synthetic_key(), real.seq);
+        // Cancelling the synthetic id must not cancel the real event.
         assert!(!s.cancel(fake));
         s.run(&mut w);
         assert_eq!(w, 1, "real event still fired");
@@ -502,13 +523,14 @@ mod tests {
             let _k = &t2;
         });
         s.cancel(id);
+        assert_eq!(Rc::strong_count(&token), 2, "cancel drops t2's closure");
         let t3 = token.clone();
         s.after(SimDuration::from_nanos(3), move |_, _w: &mut u32| {
             let _k = &t3;
         });
         s.step(&mut w); // fires t1
         assert_eq!(w, 1);
-        drop(s); // t2 (tombstoned) and t3 (queued) disposed at teardown
+        drop(s); // t3 (queued) disposed at teardown
         assert_eq!(Rc::strong_count(&token), 1, "all captures released");
     }
 

@@ -107,10 +107,10 @@ fn report(name: &str, mut samples: Vec<f64>) -> f64 {
 
 /// A wall-clock stopwatch for stage timing.
 ///
-/// Lives here (not in the caller) because the analyzer's `determinism`
-/// rule bans `Instant::now` outside `svm-testkit`/`svm-analyzer`: wall
-/// clocks must never leak into simulation code, and routing all timing
-/// through this type keeps that audit trivially greppable.
+/// Lives here (not in the caller) because the root `clippy.toml` bans
+/// `Instant::now` everywhere but this crate: wall clocks must never leak
+/// into simulation code, and routing all timing through this type keeps
+/// that audit trivially greppable.
 pub struct Stopwatch(Instant);
 
 impl Stopwatch {
