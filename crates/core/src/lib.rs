@@ -33,7 +33,6 @@
 
 pub mod api;
 pub mod config;
-pub mod explore;
 pub mod metrics;
 pub mod msg;
 pub mod protocol;
@@ -46,15 +45,11 @@ pub use config::{
     FaultProfile, HomePolicy, ProtocolKind, ProtocolName, RecoveryMode, RecoveryProfile, SeededBug,
     SvmConfig,
 };
-pub use explore::{
-    all_done, crash_key, detect_key, enabled_deliveries, invariant_violations, live_nodes,
-    pending_detects, run_explored, state_digest, terminal_violations, DeliveryChoice, ExploreRun,
-};
 pub use metrics::{MemoryStats, NodeCounters, ProtocolReport};
 pub use msg::{SvmReq, SvmResp};
 pub use protocol::recovery::RecoveryStats;
 pub use protocol::reliable::{RetransmitEvent, Wire};
 pub use protocol::{ProtocolError, SvmAgent};
-pub use runner::{run, RunReport, Setup};
+pub use runner::{run, run_explored, RunReport, Setup};
 pub use trace::{AccessTrace, TraceConfig, TraceEvent};
 pub use vt::VectorTime;

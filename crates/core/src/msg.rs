@@ -16,7 +16,7 @@ use crate::vt::VectorTime;
 /// full vector timestamp, which is what makes their write notices grow with
 /// the machine size (paper Section 4.6); the home-based protocols only need
 /// `(writer, interval, pages)`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct IntervalRec {
     /// The writing node.
     pub writer: NodeId,
@@ -91,7 +91,7 @@ pub enum SvmResp {
 /// Protocol messages. `Clone` so the reliable-delivery layer can keep
 /// unacked copies for retransmission (diffs, records, and reply payloads
 /// are `Rc`-shared, so clones are cheap).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum SvmMsg {
     // ---- synchronization (always serviced by the compute processor) ----
     /// Acquire request, to the lock's manager.
@@ -245,7 +245,7 @@ pub enum SvmMsg {
 }
 
 /// One diff in a [`SvmMsg::DiffReply`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct DiffPacket {
     /// The writer (all packets in a reply share it).
     pub writer: NodeId,

@@ -79,13 +79,7 @@ impl SvmAgent {
             // Under AURC the hardware snoops writes; the simulator still
             // keeps a twin internally to reconstruct the propagated bytes,
             // but charges no time or protocol memory for it.
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: make_writable runs at the end of a validated fault, so \
-                          the page buffer was installed before any write upgrade."
-            )]
-            let buf = st.buf.as_mut().expect("writable page has a copy");
-            st.twin = Some(buf.to_pooled_vec());
+            st.twin = Some(st.copy_mut().to_pooled_vec());
             if !auto_update {
                 self.counters[idx].mem.twins(ps as i64);
             }
@@ -99,25 +93,28 @@ impl SvmAgent {
 
     /// Complete an outstanding fault: upgrade if needed, map, unblock.
     pub(crate) fn finish_fault(&mut self, ctx: &mut MCtx<'_>, n: NodeId) {
-        #[expect(
-            clippy::expect_used,
-            reason = "INVARIANT: applications are synchronous; finish_fault is only reached \
-                      from the reply path of the single outstanding fault."
-        )]
-        let f = self.nodes_st[n.index()]
-            .fault
-            .take()
-            .expect("fault in progress");
-        debug_assert!(self.nodes_st[n.index()].pages[f.page.0 as usize]
+        let &mut FaultProgress { page, write, .. } = self.outstanding_fault(n);
+        self.nodes_st[n.index()].fault = None;
+        debug_assert!(self.nodes_st[n.index()].pages[page.0 as usize]
             .access
             .readable());
-        if f.write {
-            self.make_writable(ctx, n, f.page);
-            self.install_mapping(n, f.page, true);
-        } else {
-            self.install_mapping(n, f.page, false);
+        if write {
+            self.make_writable(ctx, n, page);
         }
+        self.install_mapping(n, page, write);
         ctx.ack_app(n);
+    }
+
+    /// `n`'s outstanding fault.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: applications are synchronous, so a node has one outstanding \
+                  fault at most; every caller runs inside the fault on_fault recorded — the \
+                  fetch it starts, or the reply (or home-diff wake-up) only that fetch's \
+                  request can cause — and only finish_fault clears it."
+    )]
+    pub(crate) fn outstanding_fault(&mut self, n: NodeId) -> &mut FaultProgress {
+        self.nodes_st[n.index()].fault.as_mut().expect("fault")
     }
 
     // ---- homeless fetch ----
@@ -128,12 +125,7 @@ impl SvmAgent {
             // Cold (or post-GC) miss: fetch a base copy first.
             let validator = self.dir[page.0 as usize].validator;
             debug_assert_ne!(validator, n, "validator faulting on its own page");
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: the LRC fetch path runs inside the fault recorded by on_fault."
-            )]
-            let fault = self.nodes_st[idx].fault.as_mut().expect("fault");
-            fault.stage = FaultStage::AwaitPage;
+            self.outstanding_fault(n).stage = FaultStage::AwaitPage;
             let to = self.data_proc(validator);
             self.send_or_local(ctx, to, SvmMsg::PageRequest { page, requester: n });
         } else {
@@ -176,12 +168,7 @@ impl SvmAgent {
                 return;
             }
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "INVARIANT: request_diffs runs inside the fault recorded by on_fault."
-        )]
-        let fault = self.nodes_st[idx].fault.as_mut().expect("fault");
-        fault.stage = FaultStage::AwaitDiffs {
+        self.outstanding_fault(n).stage = FaultStage::AwaitDiffs {
             outstanding: needs.len() as u32,
             stash: Vec::new(),
         };
@@ -352,17 +339,10 @@ impl SvmAgent {
         if let Ok(v) = std::rc::Rc::try_unwrap(data) {
             svm_mem::pool::put_bytes(v);
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "INVARIANT: a PageReply only arrives for the outstanding fault that \
-                      sent the PageRequest."
-        )]
-        {
-            debug_assert!(matches!(
-                self.nodes_st[idx].fault.as_ref().expect("fault").stage,
-                FaultStage::AwaitPage
-            ));
-        }
+        debug_assert!(matches!(
+            self.outstanding_fault(r).stage,
+            FaultStage::AwaitPage
+        ));
         self.request_diffs(ctx, r, page);
     }
 
@@ -399,19 +379,13 @@ impl SvmAgent {
         };
         if done {
             #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: the AwaitDiffs stage was just observed above; the fault is \
-                          still outstanding."
-            )]
-            #[expect(
                 clippy::unreachable,
                 reason = "INVARIANT: the stage was AwaitDiffs on entry and nothing since \
                           replaced it."
             )]
-            let FaultStage::AwaitDiffs { stash, .. } = std::mem::replace(
-                &mut self.nodes_st[idx].fault.as_mut().expect("fault").stage,
-                FaultStage::AwaitHome,
-            ) else {
+            let FaultStage::AwaitDiffs { stash, .. } =
+                std::mem::replace(&mut self.outstanding_fault(r).stage, FaultStage::AwaitHome)
+            else {
                 unreachable!()
             };
             self.validate_lrc_page(ctx, r, page, stash);
@@ -438,14 +412,8 @@ impl SvmAgent {
             let skip_apply = self.bug_skip_diff_apply();
             let st = &mut self.nodes_st[idx].pages[page.0 as usize];
             if !skip_apply {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "INVARIANT: start_lrc_fetch fetched a base copy before \
-                              diff collection began."
-                )]
                 // SAFETY: kernel phase; app threads parked.
-                pkt.diff
-                    .apply(unsafe { st.buf.as_ref().expect("base copy present").bytes_mut() });
+                pkt.diff.apply(unsafe { st.copy().bytes_mut() });
             }
             st.applied.raise(pkt.writer, pkt.interval);
             self.counters[idx].diffs_applied += 1;

@@ -118,15 +118,8 @@ impl SvmAgent {
                 for pkt in &missing {
                     cost[vidx] += ctx.cost().diff_apply(pkt.diff.payload_bytes());
                     let st = &mut self.nodes_st[vidx].pages[p as usize];
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "INVARIANT: the validator was elected among the page's \
-                                  writers, and writers keep their copies until this GC \
-                                  pass frees them below."
-                    )]
                     // SAFETY: kernel phase (barrier; all apps parked).
-                    pkt.diff
-                        .apply(unsafe { st.buf.as_ref().expect("writer has copy").bytes_mut() });
+                    pkt.diff.apply(unsafe { st.copy().bytes_mut() });
                     st.applied.raise(pkt.writer, pkt.interval);
                     self.counters[vidx].diffs_applied += 1;
                 }

@@ -40,12 +40,7 @@ impl SvmAgent {
                 let st = &mut self.nodes_st[idx].pages[page.0 as usize];
                 self.counters[idx].home_stalls += 1;
                 st.local_waiter = true;
-                #[expect(
-                    clippy::expect_used,
-                    reason = "INVARIANT: this path runs inside the fault recorded by on_fault."
-                )]
-                let fault = self.nodes_st[idx].fault.as_mut().expect("fault");
-                fault.stage = FaultStage::AwaitHomeDiffs;
+                self.outstanding_fault(n).stage = FaultStage::AwaitHomeDiffs;
                 return;
             }
             // First-touch just materialized the page here (or it was
@@ -146,13 +141,7 @@ impl SvmAgent {
 
     fn reply_home_page(&mut self, ctx: &mut MCtx<'_>, h: NodeId, page: PageNum, to: NodeId) {
         let st = &mut self.nodes_st[h.index()].pages[page.0 as usize];
-        #[expect(
-            clippy::expect_used,
-            reason = "INVARIANT: a home page materializes at first touch and the master \
-                      copy is never dropped (homes are exempt from GC)."
-        )]
-        let buf = st.buf.as_mut().expect("home holds the master copy");
-        let data = std::rc::Rc::new(buf.to_pooled_vec());
+        let data = std::rc::Rc::new(st.copy_mut().to_pooled_vec());
         let applied = st.applied.to_vec();
         self.send_or_local(
             ctx,
@@ -191,15 +180,10 @@ impl SvmAgent {
         {
             let st = &mut self.nodes_st[idx].pages[page.0 as usize];
             if !skip_apply {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "INVARIANT: diffs are flushed to the page's home, whose master copy \
-                              always exists."
-                )]
                 // SAFETY: kernel phase; app threads parked. The home's copy
                 // is the master; applying in place is the protocol (Section
                 // 2.3).
-                diff.apply(unsafe { st.buf.as_ref().expect("home copy").bytes_mut() });
+                diff.apply(unsafe { st.copy().bytes_mut() });
             }
             st.applied.raise(writer, interval);
         }
@@ -228,21 +212,10 @@ impl SvmAgent {
             }
         };
         if wake_local {
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: wake_local is set only when a stalled local fault recorded \
-                          a waiter."
-            )]
-            {
-                debug_assert!(matches!(
-                    self.nodes_st[idx]
-                        .fault
-                        .as_ref()
-                        .expect("stalled fault")
-                        .stage,
-                    FaultStage::AwaitHomeDiffs
-                ));
-            }
+            debug_assert!(matches!(
+                self.outstanding_fault(h).stage,
+                FaultStage::AwaitHomeDiffs
+            ));
             self.finish_fault(ctx, h);
         }
         // Remote fetches whose requirements are now satisfied.
@@ -293,17 +266,10 @@ impl SvmAgent {
         if let Ok(v) = std::rc::Rc::try_unwrap(data) {
             svm_mem::pool::put_bytes(v);
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "INVARIANT: a HomeReply only arrives for the outstanding fault that \
-                      sent the HomeRequest."
-        )]
-        {
-            debug_assert!(matches!(
-                self.nodes_st[idx].fault.as_ref().expect("fault").stage,
-                FaultStage::AwaitHome
-            ));
-        }
+        debug_assert!(matches!(
+            self.outstanding_fault(r).stage,
+            FaultStage::AwaitHome
+        ));
         self.finish_fault(ctx, r);
     }
 }

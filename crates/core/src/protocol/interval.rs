@@ -105,12 +105,8 @@ impl SvmAgent {
                 // computation time is charged when the task executes.
                 let diff = {
                     let st = &self.nodes_st[idx].pages[p.0 as usize];
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "INVARIANT: dirty pages were write-faulted, which installs a copy."
-                    )]
                     // SAFETY: kernel phase; application threads are parked.
-                    let cur = unsafe { st.buf.as_ref().expect("dirty page has a copy").bytes() };
+                    let cur = unsafe { st.copy().bytes() };
                     Diff::create(&twin, cur)
                 };
                 svm_mem::pool::put_bytes(twin);
@@ -129,12 +125,8 @@ impl SvmAgent {
             }
             let diff = {
                 let st = &self.nodes_st[idx].pages[p.0 as usize];
-                #[expect(
-                    clippy::expect_used,
-                    reason = "INVARIANT: dirty pages were write-faulted, which installs a copy."
-                )]
                 // SAFETY: kernel phase; application threads are parked.
-                let cur = unsafe { st.buf.as_ref().expect("dirty page has a copy").bytes() };
+                let cur = unsafe { st.copy().bytes() };
                 Rc::new(Diff::create(&twin, cur))
             };
             svm_mem::pool::put_bytes(twin);

@@ -30,6 +30,8 @@ pub mod state;
 pub mod sync;
 pub mod tokens;
 
+use std::hash::{Hash, Hasher};
+
 use svm_machine::{Agent, Ctx, NodeId, ProcAddr, ProcKind};
 use svm_mem::{Geometry, PageBuf, PageNum};
 use svm_sim::{HandoffCell, SimDuration, SimTime};
@@ -52,7 +54,7 @@ pub type MCtx<'a> = Ctx<'a, SvmAgent>;
 /// A protocol invariant violation, reported structurally instead of
 /// panicking: the run halts and the error rides out through
 /// `RunOutcome::errors` / `RunReport::errors`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ProtocolError {
     /// A node acquired a lock it already holds (no recursive locks).
     RecursiveLockAcquire {
@@ -238,6 +240,24 @@ pub struct BarrierState {
     pub archive_bytes: Vec<i64>,
 }
 
+/// `gc_cost` is a duration and `archive_bytes` memory accounting: neither is
+/// read by a decision (DESIGN §16).
+impl Hash for BarrierState {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let BarrierState {
+            seq,
+            current,
+            arrived,
+            count,
+            gc_wanted,
+            gc_cost: _,
+            archive,
+            archive_bytes: _,
+        } = self;
+        (seq, current, arrived, count, gc_wanted, archive).hash(h);
+    }
+}
+
 impl BarrierState {
     fn new(nodes: usize) -> Self {
         BarrierState {
@@ -257,7 +277,7 @@ impl BarrierState {
 /// numbers. Acquisition `s` of a lock happens-after release `s-1`
 /// (the token chain is a total order per lock), which is exactly the
 /// release→acquire edge the checker rebuilds.
-#[derive(Default)]
+#[derive(Default, Hash)]
 pub struct LockSeqs {
     /// Next acquisition number per lock (first acquisition is 1).
     pub next: std::collections::BTreeMap<u32, u64>,
@@ -269,7 +289,7 @@ pub struct LockSeqs {
 /// mutations, plus how often the seeded bug actually fired (self-tests
 /// assert `hits > 0` so a mutation that never triggers fails loudly
 /// instead of vacuously passing).
-#[derive(Default)]
+#[derive(Default, Hash)]
 pub struct MutationState {
     /// Diff applications performed so far (flush + fetch validation).
     pub diff_applies: u32,
@@ -318,6 +338,44 @@ pub struct SvmAgent {
     pub lock_seqs: LockSeqs,
     /// Seeded-bug occurrence counters.
     pub mutation: MutationState,
+}
+
+/// The explorer's definition of protocol state (DESIGN §16): the fields
+/// hashed here, through the `Hash` impls of their types, are what a quiescent
+/// state *is*. Not state: the run's constants (`cfg`, `geometry`,
+/// `num_pages`, `golden`), the accounting (`counters`, `barrier_marks`), and
+/// `caches`, which the handlers that set `pages[..].access` fill and revoke.
+/// Every hand-written `Hash` in this crate destructures without `..`, so a
+/// new field does not compile until someone says whether it is state.
+impl Hash for SvmAgent {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let SvmAgent {
+            cfg: _,
+            geometry: _,
+            num_pages: _,
+            nodes_st,
+            dir,
+            lock_mgr,
+            barrier,
+            counters: _,
+            barrier_marks: _,
+            caches: _,
+            golden: _,
+            net,
+            recovery,
+            errors,
+            recorders,
+            lock_seqs,
+            mutation,
+        } = self;
+        (nodes_st, dir, lock_mgr, barrier, net, recovery).hash(h);
+        (errors, lock_seqs, mutation).hash(h);
+        for cell in recorders.iter().flatten() {
+            // SAFETY: quiescent point — every application thread is parked
+            // in its rendezvous, so the recorder handle is exclusive.
+            unsafe { cell.get_mut() }.hash(h);
+        }
+    }
 }
 
 impl SvmAgent {
@@ -456,15 +514,8 @@ impl SvmAgent {
 
     /// Install a mapping into `node`'s application cache.
     pub fn install_mapping(&mut self, node: NodeId, page: PageNum, writable: bool) {
-        #[expect(
-            clippy::expect_used,
-            reason = "INVARIANT: install_mapping runs only after the fault path validated \
-                      or installed this node's copy."
-        )]
         let ptr = self.nodes_st[node.index()].pages[page.0 as usize]
-            .buf
-            .as_ref()
-            .expect("mapping a page without a copy")
+            .copy()
             .as_ptr();
         // SAFETY: handlers run in kernel phases; every application thread is
         // parked, so the HandoffCell contract holds.
@@ -759,6 +810,7 @@ mod tests {
     use super::*;
     use crate::api::NodeCache;
     use crate::config::ProtocolName;
+    use crate::trace::Fnv64;
 
     fn first_touch_agent(nodes: usize, num_pages: u32) -> SvmAgent {
         let mut cfg = SvmConfig::new(ProtocolName::Hlrc, nodes);
@@ -805,6 +857,16 @@ mod tests {
         // Other pages remain untouched, and resolution is sticky.
         assert!(agent.nodes_st[2].pages[4].buf.is_none());
         assert_eq!(agent.resolve_home(PageNum(3), NodeId(0)), NodeId(2));
+    }
+
+    #[test]
+    fn barrier_hash_erases_cost_and_accounting_only() {
+        let (a, mut b) = (BarrierState::new(2), BarrierState::new(2));
+        b.gc_cost[0] = SimDuration::from_micros(5);
+        b.archive_bytes[1] = 64;
+        assert_eq!(Fnv64::of(&a), Fnv64::of(&b));
+        b.gc_wanted = true;
+        assert_ne!(Fnv64::of(&a), Fnv64::of(&b));
     }
 
     #[test]

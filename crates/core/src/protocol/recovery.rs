@@ -46,6 +46,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use svm_machine::{Category, NodeId, ProcAddr};
@@ -113,6 +114,38 @@ pub struct RecoveryState {
     pub(crate) refetch: Vec<(NodeId, PageNum)>,
     /// Counters.
     pub stats: RecoveryStats,
+}
+
+/// The discrete fields only: `last_heard`, the death instants and `stats`
+/// are time and accounting. A lost grant's records are hashed by identity
+/// `(writer, interval)`, which names one interval of the run.
+impl Hash for RecoveryState {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let RecoveryState {
+            alive,
+            last_heard: _,
+            deaths,
+            pending_flushes,
+            pending_arrivals,
+            lost_grants,
+            orphaned_acquires,
+            refetch,
+            stats: _,
+        } = self;
+        (alive, pending_flushes, pending_arrivals).hash(h);
+        (orphaned_acquires, refetch).hash(h);
+        deaths.len().hash(h);
+        for (node, _at) in deaths {
+            node.hash(h);
+        }
+        lost_grants.len().hash(h);
+        for (lock, (vt, records)) in lost_grants {
+            (lock, vt, records.len()).hash(h);
+            for r in records {
+                (r.writer, r.interval).hash(h);
+            }
+        }
+    }
 }
 
 impl RecoveryState {
@@ -756,23 +789,15 @@ impl SvmAgent {
                 // manager advanced the tail. Re-point the tail at the
                 // surviving chain first, or the forward would name the
                 // requester as its own predecessor.
-                #[expect(
-                    clippy::expect_used,
-                    reason = "INVARIANT: repair iterates lock_mgr's own keys."
-                )]
-                let entry = self.lock_mgr.get_mut(&l).expect("repair of unknown lock");
-                if entry.tail == dead || entry.tail == w {
-                    entry.tail = reattach;
+                let tail = self.repaired_tail(l);
+                if *tail == dead || *tail == w {
+                    *tail = reattach;
                 }
                 self.mgr_lock_request(ctx, m, LockId(l), w, vt);
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: repair iterates lock_mgr's own keys."
-            )]
-            let entry = self.lock_mgr.get_mut(&l).expect("repair of unknown lock");
-            if entry.tail == dead {
-                entry.tail = reattach;
+            let tail = self.repaired_tail(l);
+            if *tail == dead {
+                *tail = reattach;
             }
             return;
         }
@@ -838,12 +863,7 @@ impl SvmAgent {
                     }
                 }
                 self.nodes_st[m.index()].lock(l).token = TokenState::HeldFree;
-                #[expect(
-                    clippy::expect_used,
-                    reason = "INVARIANT: repair iterates lock_mgr's own keys."
-                )]
-                let entry = self.lock_mgr.get_mut(&l).expect("repair");
-                entry.tail = m;
+                *self.repaired_tail(l) = m;
             }
             Some((first, others)) => {
                 let (first, first_vt) = first.clone();
@@ -863,12 +883,7 @@ impl SvmAgent {
                     );
                     return;
                 }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "INVARIANT: repair iterates lock_mgr's own keys."
-                )]
-                let entry = self.lock_mgr.get_mut(&l).expect("repair");
-                entry.tail = first;
+                *self.repaired_tail(l) = first;
                 let mut records = self.records_union_for(&first_vt);
                 if self.bug_leak_dead_lock_grant() {
                     records.clear();
@@ -884,6 +899,19 @@ impl SvmAgent {
                 }
             }
         }
+    }
+
+    /// The chain tail of a lock under repair, at its manager.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: repair iterates lock_mgr's own keys."
+    )]
+    fn repaired_tail(&mut self, l: u32) -> &mut NodeId {
+        &mut self
+            .lock_mgr
+            .get_mut(&l)
+            .expect("repair of unknown lock")
+            .tail
     }
 
     /// The first dead-writer interval past `base` that `token_vt` claims
@@ -939,5 +967,21 @@ impl SvmAgent {
             }
         }
         out.into_values().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::Fnv64;
+
+    #[test]
+    fn recovery_hash_erases_clocks_and_stats_only() {
+        let (a, mut b) = (RecoveryState::new(2), RecoveryState::new(2));
+        b.last_heard[0][1] = SimTime::from_nanos(7);
+        b.stats.fenced_messages = 3;
+        assert_eq!(Fnv64::of(&a), Fnv64::of(&b));
+        b.alive[1] = false;
+        assert_ne!(Fnv64::of(&a), Fnv64::of(&b));
     }
 }

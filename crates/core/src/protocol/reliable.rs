@@ -29,6 +29,7 @@
 //! structured peer-down signal instead of spinning forever at a dead peer.
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 use svm_machine::{Category, Message, ProcAddr, TrafficClass};
 use svm_sim::{EventId, SimDuration};
@@ -39,7 +40,7 @@ use crate::protocol::tokens::{TimerTokens, Token};
 use crate::protocol::{MCtx, ProtocolError, SvmAgent};
 
 /// The on-wire envelope around protocol messages.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum Wire {
     /// Reliable layer off: the bare message, byte-for-byte what the
     /// pre-fault-layer build sent.
@@ -109,6 +110,7 @@ pub(crate) struct SendChannel {
     pub(crate) attempts: u32,
 }
 
+#[derive(Hash)]
 pub(crate) struct RecvChannel {
     pub(crate) next_expected: u32,
     pub(crate) buffered: BTreeMap<u32, SvmMsg>,
@@ -159,6 +161,22 @@ impl ReliableNet {
         }
     }
 
+    /// The `(from, to)` channel whose armed retransmit timer carries `token`
+    /// (`None` = stale: disarmed after the timer was queued).
+    pub fn timer_channel(&self, token: Token) -> Option<(ProcAddr, ProcAddr)> {
+        let idx = self.tokens.resolve(token)?;
+        self.index
+            .iter()
+            .find_map(|(&k, &i)| (i == idx).then_some(k))
+    }
+
+    /// `(from, to, unacknowledged messages)` per send channel.
+    pub fn unacked(&self) -> impl Iterator<Item = (ProcAddr, ProcAddr, usize)> + '_ {
+        self.index
+            .iter()
+            .map(|(&(from, to), &i)| (from, to, self.chans[i].unacked.len()))
+    }
+
     fn channel(&mut self, from: ProcAddr, to: ProcAddr) -> usize {
         *self.index.entry((from, to)).or_insert_with(|| {
             self.chans.push(SendChannel {
@@ -171,6 +189,37 @@ impl ReliableNet {
             });
             self.chans.len() - 1
         })
+    }
+}
+
+/// Channels canonically by `(from, to)`, never by index or raw timer token:
+/// both encode the order channels and timers were first used — history, not
+/// state. `max_retries` and `drop_first` belong to the fault profile (which
+/// explore mode refuses), `trace` is a log.
+impl Hash for ReliableNet {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let ReliableNet {
+            enabled,
+            max_retries: _,
+            drop_first: _,
+            chans,
+            index,
+            recv,
+            tokens: _,
+            trace: _,
+        } = self;
+        (enabled, recv, index.len()).hash(h);
+        for (key, &idx) in index {
+            let SendChannel {
+                to: _, // the key's second half
+                next_seq,
+                unacked,
+                armed,
+                backoff,
+                attempts,
+            } = &chans[idx];
+            (key, next_seq, unacked, armed.is_some(), backoff, attempts).hash(h);
+        }
     }
 }
 
@@ -399,6 +448,30 @@ mod tests {
         assert_eq!(wire.wire_bytes(), bytes + 8);
         assert_eq!(Wire::Ack { cum: 3 }.wire_bytes(), 12);
         assert_eq!(Wire::Ack { cum: 3 }.class(), TrafficClass::Protocol);
+    }
+
+    #[test]
+    fn net_hash_is_canonical_by_channel() {
+        let (x, y) = (
+            ProcAddr::cpu(svm_machine::NodeId(0)),
+            ProcAddr::cpu(svm_machine::NodeId(1)),
+        );
+        let opened = |order: [(ProcAddr, ProcAddr); 2]| {
+            let mut net = ReliableNet::new(&FaultProfile::default(), true);
+            for (from, to) in order {
+                net.channel(from, to);
+            }
+            net
+        };
+        let (a, mut b) = (opened([(x, y), (y, x)]), opened([(y, x), (x, y)]));
+        let of = |net: &ReliableNet| crate::trace::Fnv64::of(net);
+        assert_eq!(of(&a), of(&b), "the opening order is history");
+        let idx = b.channel(x, y);
+        let msg = SvmMsg::NodeDown {
+            dead: svm_machine::NodeId(1),
+        };
+        b.chans[idx].unacked.insert(1, msg);
+        assert_ne!(of(&a), of(&b), "one unacked entry is state");
     }
 
     #[test]

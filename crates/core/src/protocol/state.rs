@@ -1,6 +1,7 @@
 //! Per-node and per-page protocol state.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use svm_machine::NodeId;
@@ -10,7 +11,7 @@ use crate::msg::{DiffPacket, IntervalRec};
 use crate::vt::VectorTime;
 
 /// A small per-writer map (pages rarely have more than a few writers).
-#[derive(Clone, Default, Debug)]
+#[derive(Clone, Default, Debug, Hash)]
 pub struct WriterMap(Vec<(u16, u32)>);
 
 impl WriterMap {
@@ -99,10 +100,54 @@ impl PageState {
             local_waiter: false,
         }
     }
+
+    /// The local copy of a page this node is known to hold one of.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: every caller is past the point that installed the copy. A fault \
+                  fetches or validates the copy before diff collection, the write upgrade \
+                  (which is what makes a page dirty) and the mapping; a home's master copy \
+                  materializes at first touch and is never dropped (homes are exempt from \
+                  GC); GC's validator is elected among the page's writers, which keep their \
+                  copies until that pass frees them."
+    )]
+    pub fn copy(&self) -> &PageBuf {
+        self.buf.as_ref().expect("page has a copy")
+    }
+
+    /// [`Self::copy`], exclusively (for the `&mut` snapshot helpers).
+    #[expect(clippy::expect_used, reason = "INVARIANT: as for `copy`.")]
+    pub fn copy_mut(&mut self) -> &mut PageBuf {
+        self.buf.as_mut().expect("page has a copy")
+    }
+}
+
+/// Every field is state; the impl is written out only because the page bytes
+/// are read through [`PageBuf::bytes`] (`PageBuf` itself implements no `Hash`).
+impl Hash for PageState {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let PageState {
+            access,
+            buf,
+            twin,
+            seen,
+            applied,
+            home_stale,
+            waiting_fetches,
+            local_waiter,
+        } = self;
+        // SAFETY: digests run at explore quiescent points (or after
+        // shutdown): every application thread is parked in its rendezvous
+        // (or gone), so the kernel thread has exclusive access to the page
+        // bytes.
+        let bytes = buf.as_ref().map(|b| unsafe { b.bytes() });
+        (access, bytes, twin, seen, applied).hash(h);
+        (home_stale, waiting_fetches, local_waiter).hash(h);
+    }
 }
 
 /// A diff kept in a homeless node's store until garbage collection.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct StoredDiff {
     /// The interval that produced it.
     pub interval: u32,
@@ -115,7 +160,7 @@ pub struct StoredDiff {
 }
 
 /// Where a node stands with a lock's token.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum TokenState {
     /// The token is elsewhere.
     #[default]
@@ -127,7 +172,7 @@ pub enum TokenState {
 }
 
 /// Progress of one node's outstanding page fault.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub enum FaultStage {
     /// Waiting for the home's page (home-based).
     AwaitHome,
@@ -145,7 +190,7 @@ pub enum FaultStage {
 }
 
 /// An outstanding application page fault.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct FaultProgress {
     /// The faulting page.
     pub page: PageNum,
@@ -156,14 +201,14 @@ pub struct FaultProgress {
 }
 
 /// Per-lock state at its manager.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct LockManagerState {
     /// The last node to request the lock (tail of the distributed chain).
     pub tail: NodeId,
 }
 
 /// Per-lock state at a node.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Hash)]
 pub struct LockNodeState {
     /// Token presence.
     pub token: TokenState,
@@ -176,6 +221,7 @@ pub struct LockNodeState {
 }
 
 /// One node's protocol state.
+#[derive(Hash)]
 pub struct ProtoNode {
     /// Vector time; `vt[self]` is the last closed interval's index.
     pub vt: VectorTime,
@@ -233,7 +279,7 @@ impl ProtoNode {
 }
 
 /// Global page directory entry.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct DirEntry {
     /// The page's home (resolved lazily under first-touch).
     pub home: Option<NodeId>,
@@ -262,6 +308,21 @@ mod tests {
         let mut m2 = WriterMap::default();
         m2.merge_max(&v);
         assert_eq!(m2.get(NodeId(3)), 5);
+    }
+
+    #[test]
+    fn page_hash_covers_copy_twin_and_flags() {
+        let page = |byte: u8, twin: u8, home_stale: bool| {
+            let mut p = PageState::cold();
+            p.buf = Some(PageBuf::from_slice(&[0, byte]));
+            p.twin = Some(vec![0, twin]);
+            p.home_stale = home_stale;
+            crate::trace::Fnv64::of(p)
+        };
+        assert_eq!(page(1, 2, false), page(1, 2, false));
+        assert_ne!(page(1, 2, false), page(9, 2, false), "a page byte");
+        assert_ne!(page(1, 2, false), page(1, 9, false), "a twin byte");
+        assert_ne!(page(1, 2, false), page(1, 2, true), "home_stale");
     }
 
     #[test]

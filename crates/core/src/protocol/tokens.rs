@@ -52,7 +52,7 @@ pub struct Token(u64);
 
 /// The namespace a fired timer's value belongs to, with what it encodes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum TimerKind {
+pub enum TimerKind {
     /// The failure detector's tick.
     Heartbeat,
     /// The deadline of this node's pending [`crate::msg::SvmReq::SleepUntil`].
@@ -74,7 +74,7 @@ impl Token {
 
     /// Sort a value the machine handed back (`Agent::on_timer`, a parked
     /// explorer timer) into its namespace.
-    pub(crate) fn classify(raw: u64) -> TimerKind {
+    pub fn classify(raw: u64) -> TimerKind {
         match raw {
             HEARTBEAT_LO => TimerKind::Heartbeat,
             SLEEP_LO..SLEEP_HI => TimerKind::Sleep(NodeId((raw & !SLEEP_LO) as u16)),

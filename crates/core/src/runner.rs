@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use svm_machine::{Breakdown, NodeId, RunOutcome, World};
+use svm_machine::{Breakdown, ExploreStep, NodeId, RunOutcome, World};
 use svm_mem::{GAddr, Geometry, GlobalHeap};
 use svm_sim::HandoffCell;
 
@@ -180,21 +180,20 @@ impl RunReport {
     }
 }
 
-/// A fully wired [`World`] plus the run-independent facts `run`-style
-/// drivers need afterwards (the explorer reuses the exact same wiring via
-/// [`build_world`], so what it checks is the shipped construction path).
-pub(crate) struct BuiltWorld {
-    pub(crate) world: World<SvmAgent>,
-    pub(crate) geometry: Geometry,
-    pub(crate) num_pages: u32,
-    pub(crate) app_bytes: u64,
+/// The run-independent facts of a wired [`World`] that the report needs once
+/// the run is over.
+struct Wiring {
+    geometry: Geometry,
+    num_pages: u32,
+    app_bytes: u64,
     /// Post-initialization image (`Some` iff `config.trace.record`).
-    pub(crate) initial: Option<Vec<u8>>,
+    initial: Option<Vec<u8>>,
 }
 
 /// Allocate, initialize, and wire a machine for `config`: the shared build
-/// phase of [`run`] and the explorer's controlled runs.
-pub(crate) fn build_world<L, S, B>(config: &SvmConfig, setup: S, body: B) -> BuiltWorld
+/// phase of [`run`] and [`run_explored`], so what the explorer checks is the
+/// shipped construction path.
+fn build_world<L, S, B>(config: &SvmConfig, setup: S, body: B) -> (World<SvmAgent>, Wiring)
 where
     L: Clone + Send + 'static,
     S: FnOnce(&mut Setup) -> L,
@@ -250,38 +249,52 @@ where
         })
         .collect();
 
-    BuiltWorld {
-        world: World::new(config.cost.clone(), agent, bodies),
+    let wiring = Wiring {
         geometry,
         num_pages,
         app_bytes: heap.allocated_bytes(),
         initial,
-    }
+    };
+    (World::new(config.cost.clone(), agent, bodies), wiring)
 }
 
-/// Collect the recorded trace out of a finished agent. The machine has shut
-/// down (or, for the explorer, is quiescent with every application thread
-/// gone), so the recorder handles are exclusive.
-pub(crate) fn collect_trace(
-    agent: &mut SvmAgent,
-    nodes: usize,
-    geometry: Geometry,
-    num_pages: u32,
-    initial: Option<Vec<u8>>,
-) -> Option<AccessTrace> {
-    agent.recorders.take().map(|recs| AccessTrace {
-        nodes,
-        page_size: geometry.page_size(),
-        num_pages,
-        initial: initial.expect("initial image kept when recording"),
-        events: recs
-            .iter()
-            .map(|cell| {
-                // SAFETY: the run is over; no other reference exists.
-                unsafe { cell.get_mut() }.finish()
-            })
-            .collect(),
-    })
+impl Wiring {
+    /// Assemble the report of a finished run: the shared tail of [`run`]
+    /// and [`run_explored`].
+    fn report(self, config: &SvmConfig, outcome: RunOutcome, mut agent: SvmAgent) -> RunReport {
+        let trace = agent.recorders.take().map(|recs| AccessTrace {
+            nodes: config.nodes,
+            page_size: self.geometry.page_size(),
+            num_pages: self.num_pages,
+            initial: self.initial.expect("initial image kept when recording"),
+            events: recs
+                .iter()
+                .map(|cell| {
+                    // SAFETY: the run is over (the machine has shut down, or
+                    // the explorer stopped it with every application thread
+                    // gone); no other reference exists.
+                    unsafe { cell.get_mut() }.finish()
+                })
+                .collect(),
+        });
+        RunReport {
+            protocol: config.protocol,
+            nodes: config.nodes,
+            outcome,
+            counters: ProtocolReport {
+                nodes: agent.counters,
+                barrier_marks: agent.barrier_marks,
+            },
+            app_bytes: self.app_bytes,
+            num_pages: self.num_pages,
+            errors: agent.errors,
+            retransmit_trace: agent.net.trace,
+            trace,
+            mutation_hits: agent.mutation.hits,
+            recovery: agent.recovery.stats,
+            deaths: agent.recovery.deaths,
+        }
+    }
 }
 
 /// Run `body` on every node of a fresh machine under `config`.
@@ -299,14 +312,7 @@ where
     S: FnOnce(&mut Setup) -> L,
     B: Fn(&SvmCtx<'_>, &L) + Send + Sync + 'static,
 {
-    let nodes = config.nodes;
-    let BuiltWorld {
-        mut world,
-        geometry,
-        num_pages,
-        app_bytes,
-        initial,
-    } = build_world(config, setup, body);
+    let (mut world, wiring) = build_world(config, setup, body);
     world.machine.set_faults(svm_machine::NetFaultConfig {
         seed: config.fault.seed,
         drop_rate: config.fault.drop_rate,
@@ -316,7 +322,7 @@ where
         ..svm_machine::NetFaultConfig::default()
     });
     world.machine.set_node_faults(config.node_fault.clone());
-    let (outcome, mut agent) = world.run();
+    let (outcome, agent) = world.run();
 
     // Sanity: the protocols must leave no dangling fault state. (Open
     // intervals at exit are fine: nothing synchronizes after the end.) A
@@ -334,26 +340,45 @@ where
             );
         }
     }
+    wiring.report(config, outcome, agent)
+}
 
-    let trace = collect_trace(&mut agent, nodes, geometry, num_pages, initial);
-
-    RunReport {
-        protocol: config.protocol,
-        nodes,
-        outcome,
-        counters: ProtocolReport {
-            nodes: agent.counters,
-            barrier_marks: agent.barrier_marks,
-        },
-        app_bytes,
-        num_pages,
-        errors: std::mem::take(&mut agent.errors),
-        retransmit_trace: std::mem::take(&mut agent.net.trace),
-        trace,
-        mutation_hits: agent.mutation.hits,
-        recovery: agent.recovery.stats.clone(),
-        deaths: std::mem::take(&mut agent.recovery.deaths),
-    }
+/// Run `body` under `config` with every scheduler choice delegated to
+/// `controller` — the entry of the `svm-explore` model checker and of its
+/// counterexample replayer (DESIGN §16).
+///
+/// The wiring is [`run`]'s own, so an explored transition exercises exactly
+/// the shipped handler code, while `svm-machine`'s explore mode parks every
+/// cross-node send and timer: "what arrives next" is the controller's choice
+/// at each quiescent point. Recording is forced on: the state digest and the
+/// terminal trace-checker oracle both need the recorder streams. Timing in
+/// the report is synthetic.
+///
+/// # Panics
+///
+/// Panics if `config` carries fault injection or a timed crash plan: in
+/// explore mode the controller owns every source of nondeterminism
+/// (crashes are [`ExploreStep::Crash`] actions).
+pub fn run_explored<L, S, B, C>(config: &SvmConfig, setup: S, body: B, controller: C) -> RunReport
+where
+    L: Clone + Send + 'static,
+    S: FnOnce(&mut Setup) -> L,
+    B: Fn(&SvmCtx<'_>, &L) + Send + Sync + 'static,
+    C: FnMut(&mut World<SvmAgent>) -> ExploreStep,
+{
+    let mut cfg = config.clone();
+    cfg.trace.record = true;
+    assert!(
+        !cfg.fault.is_active(),
+        "explore mode owns all nondeterminism: no fault injection"
+    );
+    assert!(
+        cfg.node_fault.crashes.is_empty(),
+        "explore crashes are controller actions, not a timed plan"
+    );
+    let (world, wiring) = build_world(&cfg, setup, body);
+    let (outcome, agent) = world.run_explore(controller);
+    wiring.report(&cfg, outcome, agent)
 }
 
 #[cfg(test)]

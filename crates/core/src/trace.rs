@@ -35,6 +35,7 @@
 //!   into its digest instead of appending a new one.
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 use svm_sim::SimTime;
 
@@ -66,12 +67,67 @@ pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// Continue an FNV-1a 64-bit digest over `bytes` (start from
 /// [`FNV_BASIS`]). Streaming: hashing a concatenation equals chaining the
 /// calls.
+#[inline]
 pub fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// [`fnv1a64`] as a [`Hasher`]: what turns the protocol types' `Hash` impls
+/// into the explorer's canonical state digest (DESIGN §16). Integers are fed
+/// as fixed-width little-endian bytes and `usize` as a `u64`, so a digest
+/// committed under `results/` does not depend on the host's pointer width.
+/// (Std hands a *slice* of integers to `write` as native-endian bytes: the
+/// pins assume a little-endian host.)
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(FNV_BASIS)
+    }
+}
+
+impl Fnv64 {
+    /// The digest of one value.
+    pub fn of(value: impl Hash) -> u64 {
+        let mut h = Fnv64::default();
+        value.hash(&mut h);
+        h.finish()
+    }
+}
+
+impl Hasher for Fnv64 {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a64(self.0, bytes);
+    }
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.write(&v.to_le_bytes());
+    }
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
+    }
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+    #[inline]
+    fn write_u128(&mut self, v: u128) {
+        self.write(&v.to_le_bytes());
+    }
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
 }
 
 /// One recorded event in a node's stream.
@@ -175,87 +231,56 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Fold the event into a running FNV-1a digest, excluding the virtual
-    /// time stamps (`at`). The explorer's canonical state hash must equate
-    /// states that differ only in *when* things happened, never in *what*
-    /// the application observed — so every content field is hashed and
-    /// every `SimTime` is dropped.
-    pub fn fold_digest(&self, h: u64) -> u64 {
-        let mut h = h;
-        let word = |h: u64, v: u64| fnv1a64(h, &v.to_le_bytes());
+/// Time-erased: every content field, never a virtual-time stamp. The
+/// explorer's canonical state must equate states that differ only in *when*
+/// things happened, never in *what* the application observed.
+impl Hash for TraceEvent {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
         match self {
             TraceEvent::Read {
                 page,
                 off,
                 len,
                 digest,
-            } => {
-                h = word(h, 1);
-                h = word(h, *page as u64);
-                h = word(h, *off as u64);
-                h = word(h, *len as u64);
-                h = word(h, *digest);
+            } => (page, off, len, digest).hash(h),
+            TraceEvent::Write { page, runs } => (page, runs).hash(h),
+            TraceEvent::Acquire {
+                lock,
+                seq,
+                vt,
+                at: _,
             }
-            TraceEvent::Write { page, runs } => {
-                h = word(h, 2);
-                h = word(h, *page as u64);
-                h = word(h, runs.len() as u64);
-                for (off, bytes) in runs {
-                    h = word(h, *off as u64);
-                    h = word(h, bytes.len() as u64);
-                    h = fnv1a64(h, bytes);
-                }
-            }
-            TraceEvent::Acquire { lock, seq, vt, .. } => {
-                h = word(h, 3);
-                h = word(h, *lock as u64);
-                h = word(h, *seq);
-                h = vt.fold_digest(h);
-            }
-            TraceEvent::Release { lock, seq, vt, .. } => {
-                h = word(h, 4);
-                h = word(h, *lock as u64);
-                h = word(h, *seq);
-                h = vt.fold_digest(h);
-            }
+            | TraceEvent::Release {
+                lock,
+                seq,
+                vt,
+                at: _,
+            } => (lock, seq, vt).hash(h),
             TraceEvent::BarrierEnter {
-                barrier, round, vt, ..
-            } => {
-                h = word(h, 5);
-                h = word(h, *barrier as u64);
-                h = word(h, *round);
-                h = vt.fold_digest(h);
+                barrier,
+                round,
+                vt,
+                at: _,
             }
-            TraceEvent::BarrierLeave {
-                barrier, round, vt, ..
-            } => {
-                h = word(h, 6);
-                h = word(h, *barrier as u64);
-                h = word(h, *round);
-                h = vt.fold_digest(h);
-            }
+            | TraceEvent::BarrierLeave {
+                barrier,
+                round,
+                vt,
+                at: _,
+            } => (barrier, round, vt).hash(h),
             TraceEvent::IntervalEnd {
                 interval,
                 vt,
+                at: _,
                 pages,
-                ..
-            } => {
-                h = word(h, 7);
-                h = word(h, *interval as u64);
-                h = vt.fold_digest(h);
-                h = word(h, pages.len() as u64);
-                for p in pages {
-                    h = word(h, *p as u64);
-                }
-            }
-            TraceEvent::Crash { .. } => {
-                h = word(h, 8);
-            }
+            } => (interval, vt, pages).hash(h),
+            TraceEvent::Crash { at: _ } => {}
         }
-        h
     }
+}
 
+impl TraceEvent {
     /// Approximate heap footprint, bytes (for the trace-size bound).
     pub fn approx_bytes(&self) -> usize {
         let payload = match self {
@@ -315,7 +340,11 @@ impl AccessTrace {
 /// vice versa, so access is exclusive and — because the kernel only runs
 /// handlers *after* the app thread parks at its next request — stream
 /// order equals virtual-time order.
-#[derive(Debug, Default)]
+///
+/// Its `Hash` is the application-observation part of the explorer's state:
+/// two states with equal recorders have shown their applications identical
+/// data and synchronization histories.
+#[derive(Debug, Default, Hash)]
 pub struct NodeRecorder {
     events: Vec<TraceEvent>,
     /// Pending (unflushed) write runs per page: `off -> bytes`, disjoint.
@@ -474,30 +503,6 @@ impl NodeRecorder {
         self.flush_all();
         std::mem::take(&mut self.events)
     }
-
-    /// Time-erased digest of everything recorded so far: the flushed event
-    /// stream in order, the pending (unflushed) per-page write runs, and
-    /// the barrier-round counter. This is the application-observation
-    /// component of the explorer's canonical state hash: two explore states
-    /// with equal recorder digests have shown their applications identical
-    /// data and synchronization histories.
-    pub fn digest(&self) -> u64 {
-        let mut h = fnv1a64(FNV_BASIS, &(self.events.len() as u64).to_le_bytes());
-        for e in &self.events {
-            h = e.fold_digest(h);
-        }
-        h = fnv1a64(h, &(self.pending.len() as u64).to_le_bytes());
-        for (page, runs) in &self.pending {
-            h = fnv1a64(h, &(*page as u64).to_le_bytes());
-            h = fnv1a64(h, &(runs.len() as u64).to_le_bytes());
-            for (off, bytes) in runs {
-                h = fnv1a64(h, &(*off as u64).to_le_bytes());
-                h = fnv1a64(h, &(bytes.len() as u64).to_le_bytes());
-                h = fnv1a64(h, bytes);
-            }
-        }
-        fnv1a64(h, &self.rounds.to_le_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -517,6 +522,26 @@ mod tests {
         let chained = fnv1a64(fnv1a64(FNV_BASIS, b"hello "), b"world");
         assert_eq!(whole, chained);
         assert_ne!(whole, fnv1a64(FNV_BASIS, b"hello worle"));
+    }
+
+    #[test]
+    fn event_hash_erases_time_not_content() {
+        let acquire = |vt: &VectorTime, at| {
+            Fnv64::of(TraceEvent::Acquire {
+                lock: 0,
+                seq: 1,
+                vt: vt.clone(),
+                at: SimTime::from_nanos(at),
+            })
+        };
+        let (zero, mut later) = (VectorTime::zero(2), VectorTime::zero(2));
+        later.bump(svm_machine::NodeId(1));
+        assert_eq!(acquire(&zero, 0), acquire(&zero, 99), "`at` is erased");
+        assert_ne!(
+            acquire(&zero, 0),
+            acquire(&later, 0),
+            "the vector time is not"
+        );
     }
 
     #[test]

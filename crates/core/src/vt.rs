@@ -26,16 +26,6 @@ impl VectorTime {
         self.0.len()
     }
 
-    /// Fold the components into a running FNV-1a digest (explore-state
-    /// hashing): length-prefixed so adjacent vectors cannot alias.
-    pub fn fold_digest(&self, mut h: u64) -> u64 {
-        h = crate::trace::fnv1a64(h, &(self.0.len() as u64).to_le_bytes());
-        for &c in &self.0 {
-            h = crate::trace::fnv1a64(h, &c.to_le_bytes());
-        }
-        h
-    }
-
     /// Whether the vector has zero components (never for a real machine).
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()

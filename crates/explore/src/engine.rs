@@ -11,9 +11,10 @@
 //! Soundness of the two reductions (argued in DESIGN.md §16):
 //!
 //! * **Visited-set pruning** — the canonical digest
-//!   ([`svm_core::state_digest`]) is time-erased and covers every bit of
-//!   state that can influence future behavior, so digest equality implies
-//!   identical reachable futures: a revisited state explores nothing new.
+//!   ([`crate::state::state_digest`], `SvmAgent`'s `Hash` plus the machine's
+//!   hold pool) is time-erased and covers every bit of state that can
+//!   influence future behavior, so digest equality implies identical
+//!   reachable futures: a revisited state explores nothing new.
 //! * **Sleep sets** (Godefroid) — a delivery's handler runs entirely at
 //!   its destination node, and cross-destination handler effects commute
 //!   (manager structures are only mutated by their manager node's
@@ -27,14 +28,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use svm_core::{
-    crash_key, detect_key, enabled_deliveries, invariant_violations, live_nodes, pending_detects,
-    state_digest, terminal_violations, ExploreRun, ProtocolError, SvmAgent, SvmConfig,
-};
+use svm_core::{ProtocolError, RunReport, SvmAgent, SvmConfig};
 use svm_machine::{AppPhase, ExploreStep, World};
 
 use crate::program::{run_program, Program};
-use crate::schedule::{apply_action, Action};
+use crate::schedule::Action;
+use crate::state::{
+    apply_action, enabled, invariant_violations, live_nodes, state_digest, terminal_violations, Key,
+};
 
 /// Sleep-set variants stored per visited digest before the engine falls
 /// back to a single full (empty-sleep) exploration of that state.
@@ -118,11 +119,11 @@ pub struct Explorer {
 }
 
 struct Frame {
-    actions: Vec<Action>,
-    keys: Vec<u64>,
+    /// The open (enabled, not asleep) actions, in exploration order.
+    keys: Vec<Key>,
     chosen: usize,
-    sleep: BTreeSet<u64>,
-    explored: BTreeSet<u64>,
+    sleep: BTreeSet<Key>,
+    explored: BTreeSet<Key>,
 }
 
 struct Engine {
@@ -132,11 +133,9 @@ struct Engine {
     stack: Vec<Frame>,
     path: Vec<Action>,
     /// Sleep set the *next* frontier state inherits from its parent.
-    next_sleep: BTreeSet<u64>,
-    /// Action key → destination node (`None` = crash: dependent with all).
-    key_dest: BTreeMap<u64, Option<u16>>,
+    next_sleep: BTreeSet<Key>,
     /// Canonical digest → sleep sets it was explored under.
-    visited: BTreeMap<u64, Vec<BTreeSet<u64>>>,
+    visited: BTreeMap<u64, Vec<BTreeSet<Key>>>,
     transitions: u64,
     replays: u64,
     terminals: u64,
@@ -149,6 +148,8 @@ struct Engine {
     error: Option<String>,
 }
 
+/// The node an action's handler runs at (`None` = crash or detection:
+/// dependent with everything).
 fn action_dest(a: Action) -> Option<u16> {
     match a {
         Action::Deliver { to, .. } => Some(to.node.0),
@@ -164,7 +165,7 @@ fn action_dest(a: Action) -> Option<u16> {
 /// outcomes, not violations — the safety properties (no lost
 /// release-protected write, coherence) are still enforced by the per-state
 /// invariants and the trace checker on the paths that *do* survive.
-fn effective_errors(run: &ExploreRun, crashed: bool) -> Vec<String> {
+fn effective_errors(run: &RunReport, crashed: bool) -> Vec<String> {
     let benign = |e: &ProtocolError| {
         crashed
             && matches!(
@@ -206,7 +207,6 @@ impl Engine {
             stack: Vec::new(),
             path: Vec::new(),
             next_sleep: BTreeSet::new(),
-            key_dest: BTreeMap::new(),
             visited: BTreeMap::new(),
             transitions: 0,
             replays: 0,
@@ -232,10 +232,10 @@ impl Engine {
     /// independent of `a`.
     fn child_sleep(
         &self,
-        sleep: &BTreeSet<u64>,
-        explored: &BTreeSet<u64>,
+        sleep: &BTreeSet<Key>,
+        explored: &BTreeSet<Key>,
         a: Action,
-    ) -> BTreeSet<u64> {
+    ) -> BTreeSet<Key> {
         if !self.opts.sleep_sets {
             return BTreeSet::new();
         }
@@ -243,7 +243,7 @@ impl Engine {
         sleep
             .iter()
             .chain(explored.iter())
-            .filter(|k| self.independent(self.key_dest.get(k).copied().flatten(), a_dest))
+            .filter(|k| self.independent(action_dest(k.0), a_dest))
             .copied()
             .collect()
     }
@@ -269,31 +269,14 @@ impl Engine {
 
     /// Enumerate the enabled actions: first the *progress* actions
     /// (deliveries and pending detections — the ones whose absence defines
-    /// a terminal state), then the crash injections the budget still
-    /// allows. Returns the actions, their stable keys, and how many of
-    /// them are progress actions.
-    fn enumerate(&mut self, world: &World<SvmAgent>) -> (Vec<Action>, Vec<u64>, usize) {
-        let mut acts = Vec::new();
-        let mut keys = Vec::new();
-        for d in enabled_deliveries(world) {
-            acts.push(Action::Deliver {
-                from: d.from,
-                to: d.to,
-            });
-            keys.push(d.key);
-            self.key_dest.insert(d.key, Some(d.to.node.0));
-        }
-        // Crashed-but-undetected nodes whose outbound backlog has drained:
-        // the detection verdict is its own explored action (it races with
-        // ongoing survivor traffic, but never with the dead node's own
-        // messages — see `Action::Detect`).
-        for n in pending_detects(world) {
-            let k = detect_key(n);
-            acts.push(Action::Detect(n));
-            keys.push(k);
-            self.key_dest.insert(k, None);
-        }
-        let progress = acts.len();
+    /// a terminal state; a detection verdict is its own explored action, it
+    /// races with ongoing survivor traffic but never with the dead node's
+    /// own messages), then the crash injections the budget still allows.
+    /// Returns the actions' stable keys and how many of them are progress
+    /// actions.
+    fn enumerate(&self, world: &World<SvmAgent>) -> (Vec<Key>, usize) {
+        let mut keys: Vec<Key> = enabled(world).into_iter().map(|(k, _)| k).collect();
+        let progress = keys.len();
         let crashed_so_far = self
             .path
             .iter()
@@ -308,14 +291,11 @@ impl Engine {
                     if world.machine.app_phase(n) == AppPhase::Finished {
                         continue;
                     }
-                    let k = crash_key(n);
-                    acts.push(Action::Crash(n));
-                    keys.push(k);
-                    self.key_dest.insert(k, None);
+                    keys.push((Action::Crash(n), 0));
                 }
             }
         }
-        (acts, keys, progress)
+        (keys, progress)
     }
 
     /// One fresh decision at the frontier state.
@@ -329,7 +309,7 @@ impl Engine {
             return ExploreStep::Stop;
         }
 
-        let (actions, keys, progress) = self.enumerate(world);
+        let (keys, progress) = self.enumerate(world);
         if progress == 0 {
             // No delivery and no pending detection can fire: the run has
             // quiesced. Remaining crash *injections* don't count — a state
@@ -377,24 +357,14 @@ impl Engine {
             return ExploreStep::Stop;
         }
 
-        let mut open_acts = Vec::new();
-        let mut open_keys = Vec::new();
-        for (a, k) in actions.into_iter().zip(keys) {
-            if !sleep.contains(&k) {
-                open_acts.push(a);
-                open_keys.push(k);
-            }
-        }
-        if open_acts.is_empty() {
+        let open: Vec<Key> = keys.into_iter().filter(|k| !sleep.contains(k)).collect();
+        let Some(&(a, _)) = open.first() else {
             // Every enabled action is asleep: all covered on other paths.
             return ExploreStep::Stop;
-        }
-
-        let a = open_acts[0];
+        };
         self.next_sleep = self.child_sleep(&sleep, &BTreeSet::new(), a);
         self.stack.push(Frame {
-            actions: open_acts,
-            keys: open_keys,
+            keys: open,
             chosen: 0,
             sleep,
             explored: BTreeSet::new(),
@@ -422,11 +392,11 @@ impl Engine {
             f.explored.insert(k);
             self.path.pop();
             f.chosen += 1;
-            if f.chosen >= f.actions.len() {
+            if f.chosen >= f.keys.len() {
                 self.stack.pop();
                 continue;
             }
-            let a = f.actions[f.chosen];
+            let a = f.keys[f.chosen].0;
             let (sleep, explored) = (f.sleep.clone(), f.explored.clone());
             self.next_sleep = self.child_sleep(&sleep, &explored, a);
             self.path.push(a);
@@ -560,7 +530,7 @@ pub fn replay_schedule(cfg: &SvmConfig, program: Program, schedule: &[Action]) -
         }
         if st.idx >= schedule.len() {
             st.final_digest = state_digest(w);
-            if enabled_deliveries(w).is_empty() && pending_detects(w).is_empty() {
+            if enabled(w).is_empty() {
                 st.terminal = true;
                 st.violations = terminal_violations(w);
             }

@@ -13,12 +13,14 @@
 //!
 //! * **It checks the shipped code.** Exploration runs through
 //!   [`svm_core::run_explored`], which builds its world with the same
-//!   construction path as `svm_core::runner::run`; a transition executes
-//!   the production handler, not a model of it.
+//!   construction path as `svm_core::run`; a transition executes the
+//!   production handler, not a model of it. What a state *is* comes from
+//!   the same source: the digest is `SvmAgent`'s `Hash`, defined beside the
+//!   protocol's fields, not a mirror of them kept here.
 //! * **It is exhaustive modulo sound reductions.** Canonical time-erased
 //!   state digests dedup revisits; sleep sets prune commuting delivery
 //!   orders (the visited state set is provably unchanged — the
-//!   `reduction` test checks exactly that).
+//!   `smoke` test checks exactly that).
 //! * **Failures are replayable.** A violation comes back as a minimal
 //!   [`Action`] schedule that replays bit-identically through the real
 //!   machine and trace checker; the committed corpus
@@ -31,6 +33,7 @@ mod corpus;
 mod engine;
 mod program;
 mod schedule;
+mod state;
 
 pub use corpus::Case;
 pub use engine::{

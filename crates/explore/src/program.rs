@@ -9,7 +9,7 @@
 //! home fetches). Both are parameterized by a round count, which is the
 //! state-space size dial.
 
-use svm_core::{run_explored, BarrierId, ExploreRun, LockId, ProtocolName, SvmAgent, SvmConfig};
+use svm_core::{run_explored, BarrierId, LockId, ProtocolName, RunReport, SvmAgent, SvmConfig};
 use svm_machine::{ExploreStep, World};
 
 /// A workload the explorer knows how to build, keyed by a stable name so
@@ -75,7 +75,7 @@ pub fn base_config(
 /// Run `program` under `cfg` with every scheduler choice delegated to
 /// `controller` (via [`svm_core::run_explored`], i.e. the shipped world
 /// construction and handler code).
-pub fn run_program<C>(cfg: &SvmConfig, program: Program, controller: C) -> ExploreRun
+pub fn run_program<C>(cfg: &SvmConfig, program: Program, controller: C) -> RunReport
 where
     C: FnMut(&mut World<SvmAgent>) -> ExploreStep,
 {

@@ -8,8 +8,7 @@
 
 use std::fmt;
 
-use svm_core::{enabled_deliveries, SvmAgent};
-use svm_machine::{AppPhase, ExploreStep, NodeId, ProcAddr, ProcKind, World};
+use svm_machine::{NodeId, ProcAddr, ProcKind};
 
 /// One controller decision, identified structurally (not by hold-pool
 /// index): a channel's FIFO head is unique given the path so far, so
@@ -26,9 +25,8 @@ pub enum Action {
     /// Crash-stop a node (recovery configurations only).
     Crash(NodeId),
     /// Run the failure-detection verdict for an already-crashed node.
-    /// Enabled only once the dead node's outbound backlog has drained —
-    /// the timed system's detection timeout dwarfs its network latency,
-    /// so no message from a dead node ever arrives after its detection.
+    /// Enabled only with recovery armed, while the node is not yet declared
+    /// dead, and once its outbound backlog has drained.
     Detect(NodeId),
 }
 
@@ -112,31 +110,6 @@ pub fn parse_schedule(text: &str) -> Result<Vec<Action>, String> {
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(Action::parse)
         .collect()
-}
-
-/// Resolve an [`Action`] against the current quiescent state. `None` means
-/// the action is not applicable here (the channel is empty or the node is
-/// already down) — a replay divergence for the DFS engine, a rejected
-/// candidate for the minimizer.
-pub(crate) fn apply_action(world: &mut World<SvmAgent>, a: Action) -> Option<ExploreStep> {
-    match a {
-        Action::Deliver { from, to } => enabled_deliveries(world)
-            .into_iter()
-            .find(|d| d.from == from && d.to == to)
-            .map(|d| ExploreStep::Deliver(d.index)),
-        Action::Crash(n) => {
-            (world.machine.app_phase(n) != AppPhase::Crashed).then_some(ExploreStep::Crash(n))
-        }
-        Action::Detect(n) => {
-            let m = &world.machine;
-            let crashed = m.app_phase(n) == AppPhase::Crashed;
-            let drained = !m
-                .held_deliveries()
-                .iter()
-                .any(|h| h.from.node == n && m.app_phase(h.to.node) != AppPhase::Crashed);
-            (crashed && drained).then_some(ExploreStep::Detect(n))
-        }
-    }
 }
 
 #[cfg(test)]

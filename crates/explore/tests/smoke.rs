@@ -1,7 +1,9 @@
 //! Exploration smoke: tiny spaces exhaust cleanly and deterministically.
 
 use svm_core::ProtocolName;
-use svm_explore::{base_config, ExploreOptions, Explorer, Program};
+use svm_explore::{
+    base_config, parse_schedule, replay_schedule, ExploreOptions, Explorer, Program,
+};
 
 #[test]
 fn lrc_two_node_lock_counter_explores_clean() {
@@ -62,4 +64,23 @@ fn sleep_sets_preserve_the_visited_state_set() {
         "sleep sets must not change the state set"
     );
     assert!(a.transitions <= b.transitions);
+}
+
+/// `detect` has one enabledness predicate: replay accepts it exactly where
+/// the explorer can produce it — the node is crashed and drained, recovery
+/// is armed, and the node is not yet declared dead.
+#[test]
+fn detect_replays_only_where_the_explorer_enumerates_it() {
+    let schedule = parse_schedule("crash 1\ndeliver 1c 0c\ndetect 1\n").unwrap();
+    let replay = |recovery| {
+        let cfg = base_config(ProtocolName::Hlrc, 2, recovery, 256);
+        replay_schedule(&cfg, Program::LockCounter { rounds: 1 }, &schedule)
+    };
+    let off = replay(false);
+    assert!(
+        off.diverged && off.applied == 2,
+        "no detector, no detection: {off:?}"
+    );
+    let on = replay(true);
+    assert!(!on.diverged && on.applied == 3, "{on:?}");
 }

@@ -242,7 +242,7 @@ impl<M> ExploreHold<M> {
 /// Coarse application state, exposed for explore-state digests and
 /// terminal checks. At a quiescent point an application is blocked,
 /// finished, or crashed; `Running` covers the transient in-event states.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum AppPhase {
     /// Ready / computing / compute-paused / request-pending.
     Running,

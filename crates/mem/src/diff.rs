@@ -25,7 +25,7 @@ const DIFF_HEADER_BYTES: usize = 16;
 
 /// One run's descriptor: byte offset within the page and payload length.
 /// The payload itself lives in the diff's shared data buffer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct RunRef {
     offset: u32,
     len: u32,
@@ -41,7 +41,7 @@ pub struct RunView<'a> {
 }
 
 /// A set of page updates: the difference between a twin and a dirty copy.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Diff {
     runs: Vec<RunRef>,
     /// Concatenated run payloads, in run order.

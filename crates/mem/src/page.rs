@@ -7,7 +7,7 @@ use std::cell::UnsafeCell;
 /// Mirrors the `vm_protect` states of the paper's implementation: an
 /// `Invalid` copy faults on any access, a `ReadOnly` copy faults on writes
 /// (the write fault creates the twin and upgrades to `ReadWrite`).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Access {
     /// Any access faults; the data bytes (if present) are stale.
     Invalid,

@@ -18,6 +18,18 @@ fi
 
 export CARGO_NET_OFFLINE=true
 
+# `cargo clippy "$@"`, which must also not say that a path in a clippy.toml
+# list names nothing: that is a warning `-D warnings` does not deny, and it
+# means a ban was silently disarmed (by a rename, or a typo).
+clippy_gate() {
+  mkdir -p target
+  cargo clippy "$@" 2>&1 | tee target/clippy.log
+  if grep -q 'does not refer to a reachable' target/clippy.log; then
+    echo "clippy: a clippy.toml path matches nothing (see above): the ban it spells is off" >&2
+    exit 1
+  fi
+}
+
 echo "== formatting (cargo fmt --check)"
 cargo fmt --check
 
@@ -45,13 +57,13 @@ if [[ "$FAST" -eq 0 ]]; then
   # The root workspace's clippy never sees benchmark/; the root clippy.toml
   # (wall-clock ban) is found from there by clippy's parent-directory search.
   echo "== clippy on benchmark/, warnings denied (offline)"
-  cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks
+  clippy_gate --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks
 fi
 
 # The static-analysis gate (DESIGN §12). The lint levels come from
 # [workspace.lints] in Cargo.toml, the banned paths from the clippy.toml files.
 echo "== clippy, warnings denied (offline)"
-cargo clippy --workspace --all-targets -- -D warnings
+clippy_gate --workspace --all-targets -- -D warnings
 
 # The gates below are commands of the one svm-bench executable
 # (crates/bench/src/cmd/), built once; a second link target must not return.
@@ -60,8 +72,13 @@ echo "== svm-bench: release build (offline)"
 cargo build --release -p svm-bench
 BENCH=target/release/svm-bench
 
-echo "== exhaustive exploration gate (svm-explore: bounded matrix, all four protocols, crash on/off)"
-$BENCH explore --fast
+# Every cell's `states` and `transitions` are pinned, not only "clean": they
+# are a function of what the digest decides is state, so a `Hash` impl that
+# loses a field merges states and moves them. The wall-clock column (chars
+# 60-69) and the total are cut; re-record on purpose with the same `sed`.
+echo "== exhaustive exploration gate (svm-explore: bounded matrix, all four protocols, crash on/off; counts pinned by results/explore_fast.txt)"
+$BENCH explore --fast | tee target/explore_fast.txt
+sed -E -e 's/^(.{59}).{10}/\1/' -e 's/, [0-9.]+ ms total$//' target/explore_fast.txt | diff -u results/explore_fast.txt -
 
 if [[ "$FAST" -eq 0 ]]; then
   echo "== fault-injection smoke matrix (mixed 0 / 0.1% / 1% + dup/delay/stall-dominated)"
