@@ -112,12 +112,7 @@ fn suite(scale: f64, verify: bool) -> Vec<Box<dyn Benchmark>> {
 
 /// FNV-1a digest helper for checksums.
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    svm_sim::fnv1a64(svm_sim::FNV_BASIS, bytes)
 }
 
 /// Digest a slice of f64 (bitwise, so results must match exactly).

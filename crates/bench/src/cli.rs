@@ -6,7 +6,9 @@
 //! an error. Ask for valued options before bare flags, so the word after a
 //! valued option is always taken as its value. [`parse`] turns any error
 //! into a one-line message naming the offending option, the command's
-//! usage line, and exit status 2.
+//! usage line, and exit status 2. A value that parses but that its option
+//! cannot mean ([`Args::value_if`]) is the same error, raised here and not as
+//! a panic or a hang inside the run.
 
 use std::str::FromStr;
 
@@ -45,14 +47,32 @@ impl Args {
 
     /// Consume `name VALUE`; `None` if `name` was not given.
     pub fn value<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, String> {
+        self.value_if(name, |_| true)
+    }
+
+    /// [`Args::value`] that also refuses a value `ok` does not accept.
+    pub fn value_if<T: FromStr>(
+        &mut self,
+        name: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
         let raw = self.raw(name)?;
-        raw.map(|word| parse_word(name, &word)).transpose()
+        raw.map(|word| parse_word(name, &word, &ok)).transpose()
     }
 
     /// Consume `name a,b,c`; `None` if `name` was not given.
     pub fn list<T: FromStr>(&mut self, name: &str) -> Result<Option<Vec<T>>, String> {
+        self.list_if(name, |_| true)
+    }
+
+    /// [`Args::list`] that also refuses a value `ok` does not accept.
+    pub fn list_if<T: FromStr>(
+        &mut self,
+        name: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<Vec<T>>, String> {
         let raw = self.raw(name)?;
-        raw.map(|words| words.split(',').map(|w| parse_word(name, w)).collect())
+        raw.map(|words| words.split(',').map(|w| parse_word(name, w, &ok)).collect())
             .transpose()
     }
 
@@ -65,9 +85,23 @@ impl Args {
     }
 }
 
-fn parse_word<T: FromStr>(name: &str, word: &str) -> Result<T, String> {
-    word.parse()
-        .map_err(|_| format!("{name} cannot parse '{word}'"))
+fn parse_word<T: FromStr>(name: &str, word: &str, ok: impl Fn(&T) -> bool) -> Result<T, String> {
+    let value = word
+        .parse()
+        .map_err(|_| format!("{name} cannot parse '{word}'"))?;
+    ok(&value)
+        .then_some(value)
+        .ok_or_else(|| format!("{name} {word} is out of range"))
+}
+
+/// `--scale`: a finite factor above zero.
+pub fn scale_ok(scale: &f64) -> bool {
+    scale.is_finite() && *scale > 0.0
+}
+
+/// `--nodes`: at least `min`, at most the 65 535 a `NodeId` can name.
+pub fn nodes_ok(min: usize) -> impl Fn(&usize) -> bool {
+    move |n| (min..=usize::from(u16::MAX)).contains(n)
 }
 
 /// Build a command's options from the words `main` handed it. `build`

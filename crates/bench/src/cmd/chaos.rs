@@ -73,9 +73,12 @@ pub fn run(args: cli::Args) {
         "chaos [--scale X] [--nodes N] [--drop a,b,c] [--seed S]",
         |a| {
             Ok(Opts {
-                scale: a.value("--scale")?.unwrap_or(0.05),
-                nodes: a.value("--nodes")?.unwrap_or(4),
-                drops: a.list("--drop")?.unwrap_or(vec![0.0, 0.001, 0.01]),
+                scale: a.value_if("--scale", cli::scale_ok)?.unwrap_or(0.05),
+                nodes: a.value_if("--nodes", cli::nodes_ok(1))?.unwrap_or(4),
+                // At rate 1 nothing arrives and retransmission never gives up.
+                drops: a
+                    .list_if("--drop", |r| (0.0..1.0).contains(r))?
+                    .unwrap_or(vec![0.0, 0.001, 0.01]),
                 seed: a.value("--seed")?.unwrap_or(1),
             })
         },

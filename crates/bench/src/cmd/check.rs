@@ -64,8 +64,8 @@ pub fn run(args: cli::Args) {
         "check [--scale X] [--nodes N] [--seed S] [--fast]",
         |a| {
             Ok(Opts {
-                scale: a.value("--scale")?.unwrap_or(0.02),
-                nodes: a.value("--nodes")?.unwrap_or(8),
+                scale: a.value_if("--scale", cli::scale_ok)?.unwrap_or(0.02),
+                nodes: a.value_if("--nodes", cli::nodes_ok(1))?.unwrap_or(8),
                 seed: a.value("--seed")?.unwrap_or(1),
                 fast: a.flag("--fast"),
             })

@@ -45,8 +45,9 @@ pub fn run(args: cli::Args) {
         "crash [--scale X] [--nodes N] [--crashes K] [--window-us W] [--seeds a,b] [--fail-fast]",
         |a| {
             Ok(Opts {
-                scale: a.value("--scale")?.unwrap_or(0.03),
-                nodes: a.value("--nodes")?.unwrap_or(4),
+                scale: a.value_if("--scale", cli::scale_ok)?.unwrap_or(0.03),
+                // A crash schedule needs a victim and a survivor.
+                nodes: a.value_if("--nodes", cli::nodes_ok(2))?.unwrap_or(4),
                 crashes: a.value("--crashes")?.unwrap_or(1),
                 window_us: a.value("--window-us")?.unwrap_or(60_000),
                 seeds: a.list("--seeds")?.unwrap_or(vec![1, 2]),

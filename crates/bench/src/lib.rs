@@ -53,11 +53,11 @@ impl Options {
         let usage = format!("{command} [--scale X | --paper] {axes}");
         cli::parse(args, &usage, |a| {
             let mut o = Options::default();
-            if let Some(scale) = a.value("--scale")? {
+            if let Some(scale) = a.value_if("--scale", cli::scale_ok)? {
                 o.scale = scale;
             }
             if axes.contains("--nodes") {
-                o.nodes = a.list("--nodes")?.unwrap_or(o.nodes);
+                o.nodes = a.list_if("--nodes", cli::nodes_ok(1))?.unwrap_or(o.nodes);
             }
             if axes.contains("--protocols") {
                 o.protocols = a.list("--protocols")?.unwrap_or(o.protocols);
@@ -69,6 +69,9 @@ impl Options {
             }
             if a.flag("--paper") {
                 o.scale = 1.0;
+            }
+            if o.suite().is_empty() {
+                return Err(format!("--apps {} names no workload", o.apps.join(",")));
             }
             Ok(o)
         })

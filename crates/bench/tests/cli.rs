@@ -58,6 +58,19 @@ fn an_option_a_command_does_not_honour_is_a_usage_error() {
     assert_usage_error(&["serve", "--threads", "1"], "--threads");
 }
 
+/// Each of these once parsed, then was a panic, a hang or an empty table.
+#[test]
+fn an_out_of_range_value_is_a_usage_error() {
+    assert_usage_error(&["table2", "--nodes", "0"], "--nodes 0");
+    assert_usage_error(&["table2", "--nodes", "8,70000"], "--nodes 70000");
+    assert_usage_error(&["crash", "--nodes", "1"], "--nodes 1");
+    assert_usage_error(&["chaos", "--drop", "0,1"], "--drop 1");
+    for scale in ["0", "-1", "nan"] {
+        assert_usage_error(&["table2", "--scale", scale], "--scale");
+    }
+    assert_usage_error(&["table4", "--apps", "nosuch"], "--apps nosuch");
+}
+
 /// The trace is written to stderr; `results/fig12_trace.txt` is that stream,
 /// byte for byte (`target/release/svm-bench fig12_trace 2> results/fig12_trace.txt`).
 #[test]

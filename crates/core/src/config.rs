@@ -1,6 +1,6 @@
 //! Protocol and run configuration.
 
-use svm_machine::{CostModel, NodeId};
+use svm_machine::{CostModel, NetFaultConfig, NodeId};
 use svm_mem::PageNum;
 
 /// Update-location strategy: the paper's central axis.
@@ -179,12 +179,22 @@ impl FaultProfile {
         }
     }
 
-    /// Whether random network faults can fire (drives the machine plan).
+    /// The machine's fault plan for this profile (the one place the two
+    /// configurations' fields are paired), with the machine's default bounds.
+    pub fn net_faults(&self) -> NetFaultConfig {
+        NetFaultConfig {
+            seed: self.seed,
+            drop_rate: self.drop_rate,
+            dup_rate: self.dup_rate,
+            delay_rate: self.delay_rate,
+            stall_rate: self.stall_rate,
+            ..NetFaultConfig::default()
+        }
+    }
+
+    /// Whether random network faults can fire, by the machine's definition.
     pub fn network_active(&self) -> bool {
-        self.drop_rate > 0.0
-            || self.dup_rate > 0.0
-            || self.delay_rate > 0.0
-            || self.stall_rate > 0.0
+        self.net_faults().is_active()
     }
 
     /// Whether the reliable-delivery sublayer must be on (random faults or

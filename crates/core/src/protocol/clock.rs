@@ -10,20 +10,15 @@
 //!   a program that timestamps every operation is bit-identical in
 //!   virtual time to one that does not.
 //! * [`SvmReq::SleepUntil`] blocks the application as **idle** (not
-//!   protocol wait) and arms a machine timer for the deadline. The node's
-//!   protocol layer keeps servicing remote faults, diff flushes, and lock
-//!   traffic while the application sleeps, exactly like a real server
-//!   blocked in `epoll_wait`.
-//!
-//! Sleep timer tokens live in their own declared namespace (bit 62), one
-//! of the three ranges [`super::tokens`] partitions the token space into;
-//! the retransmit allocator counts up from 0 and the heartbeat token is
-//! bit 63, so the three ranges can never collide.
+//!   protocol wait) and arms a machine timer for the deadline
+//!   ([`Timer::Wake`]). The node's protocol layer keeps servicing remote
+//!   faults, diff flushes, and lock traffic while the application sleeps,
+//!   exactly like a real server blocked in `epoll_wait`.
 
 use svm_machine::{Category, NodeId};
 use svm_sim::SimTime;
 
-use super::tokens::Token;
+use super::reliable::{Timer, Wire};
 use super::{MCtx, SvmAgent};
 use crate::msg::SvmResp;
 
@@ -44,13 +39,6 @@ impl SvmAgent {
             return;
         }
         ctx.block_app(node, Category::Idle);
-        Self::arm_timer(ctx, until.since(now), Token::sleep(node));
-    }
-
-    /// A sleep deadline fired: wake the application. Timers are
-    /// epoch-fenced by the machine, so a sleeper that crashed and
-    /// restarted never sees a stale wakeup.
-    pub(crate) fn on_sleep_timer(&mut self, ctx: &mut MCtx<'_>, node: NodeId) {
-        ctx.ack_app(node);
+        ctx.set_timer(until.since(now), Wire::Timer(Timer::Wake));
     }
 }

@@ -28,7 +28,6 @@ pub mod recovery;
 pub mod reliable;
 pub mod state;
 pub mod sync;
-pub mod tokens;
 
 use std::hash::{Hash, Hasher};
 
@@ -46,7 +45,6 @@ use crate::vt::VectorTime;
 use recovery::RecoveryState;
 use reliable::ReliableNet;
 use state::{DirEntry, ProtoNode};
-use tokens::{TimerKind, Token};
 
 /// Handler context alias.
 pub type MCtx<'a> = Ctx<'a, SvmAgent>;
@@ -753,14 +751,6 @@ impl Agent for SvmAgent {
         msg: reliable::Wire,
     ) {
         self.on_wire(ctx, at, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, token: u64) {
-        match Token::classify(token) {
-            TimerKind::Heartbeat => self.on_heartbeat_tick(ctx, at),
-            TimerKind::Sleep(node) => self.on_sleep_timer(ctx, node),
-            TimerKind::Retransmit(token) => self.on_net_timer(ctx, at, token),
-        }
     }
 
     fn on_init(&mut self, ctx: &mut MCtx<'_>, _node: NodeId) {

@@ -58,9 +58,8 @@ use crate::config::RecoveryMode;
 use crate::msg::{IntervalRec, SvmMsg};
 use crate::vt::VectorTime;
 
-use super::reliable::Wire;
+use super::reliable::{Timer, Wire};
 use super::state::{FaultStage, TokenState, WriterMap};
-use super::tokens::Token;
 use super::{MCtx, ProtocolError, SvmAgent};
 
 /// What recovery did during a run (reported on `RunReport`).
@@ -174,7 +173,7 @@ impl SvmAgent {
     /// Arm the calling node's next heartbeat tick.
     pub(crate) fn arm_heartbeat(&mut self, ctx: &mut MCtx<'_>) {
         let period = SimDuration::from_micros(self.cfg.recovery.heartbeat_us);
-        Self::arm_timer(ctx, period, Token::heartbeat());
+        ctx.set_timer(period, Wire::Timer(Timer::HeartbeatTick));
     }
 
     /// One heartbeat period elapsed on `at`'s node: check peers for
@@ -303,20 +302,13 @@ impl SvmAgent {
     /// resolves elsewhere or surfaces as a structured error). Channels out
     /// of the dead node are disarmed and dropped wholesale.
     fn harvest_channels(&mut self, ctx: &mut MCtx<'_>, dead: NodeId) {
-        let chans: Vec<(bool, usize)> = self
-            .net
-            .index
-            .iter()
-            .filter(|((from, to), _)| (to.node == dead) != (from.node == dead))
-            .map(|((from, _), &i)| (from.node == dead, i))
-            .collect();
-        for (from_dead, i) in chans {
-            if let Some((ev, token)) = self.net.chans[i].armed.take() {
-                ctx.cancel_timer(ev);
-                self.net.tokens.disarm(token);
+        for (&(from, to), ch) in &mut self.net.send {
+            if (to.node == dead) == (from.node == dead) {
+                continue;
             }
-            let unacked = std::mem::take(&mut self.net.chans[i].unacked);
-            if from_dead {
+            ch.disarm(ctx);
+            let unacked = std::mem::take(&mut ch.unacked);
+            if from.node == dead {
                 continue; // outbound from the dead node: dropped
             }
             for (_seq, msg) in unacked {

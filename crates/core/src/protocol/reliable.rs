@@ -36,7 +36,6 @@ use svm_sim::{EventId, SimDuration};
 
 use crate::config::FaultProfile;
 use crate::msg::SvmMsg;
-use crate::protocol::tokens::{TimerTokens, Token};
 use crate::protocol::{MCtx, ProtocolError, SvmAgent};
 
 /// The on-wire envelope around protocol messages.
@@ -61,6 +60,45 @@ pub enum Wire {
     /// for the sender. Unsequenced and unacknowledged, like an ack — a
     /// lost heartbeat is recovered by the next period's heartbeat.
     Heartbeat,
+    /// A timer expiry: never on the network, only from a processor to itself
+    /// ([`svm_machine::Ctx::set_timer`]).
+    Timer(Timer),
+}
+
+/// What a processor's timer says when it expires. It arrives with
+/// `from == at`: `at` names the node and the near end of the channel.
+#[derive(Clone, Debug, Hash)]
+pub enum Timer {
+    /// The failure detector's period elapsed on this node.
+    HeartbeatTick,
+    /// The deadline of this node's pending [`crate::msg::SvmReq::SleepUntil`].
+    Wake,
+    /// The retransmit timeout of the send channel from this processor to
+    /// `to`; stale unless `arming` is still the channel's live one.
+    Retransmit {
+        /// The channel's far end.
+        to: ProcAddr,
+        /// Which arming of the channel's timer this expiry belongs to.
+        arming: Arming,
+    },
+}
+
+/// One arming of a retransmit timer. An expiry can already sit in its
+/// processor's service queue when an ack disarms or re-arms the channel; this
+/// number, never a modular generation, tells it from the live arming. Arm
+/// order is history, not state (DESIGN §16), so it hashes as nothing.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Arming(u64);
+
+impl Hash for Arming {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
+}
+
+impl Arming {
+    /// Hand out this arming and step to the next: never reset, never reused.
+    fn take(&mut self) -> Arming {
+        std::mem::replace(self, Arming(self.0 + 1))
+    }
 }
 
 impl Message for Wire {
@@ -71,13 +109,14 @@ impl Message for Wire {
             Wire::Data { msg, .. } => msg.wire_bytes() + 8,
             Wire::Ack { .. } => 12,
             Wire::Heartbeat => 12,
+            Wire::Timer(_) => 0,
         }
     }
 
     fn class(&self) -> TrafficClass {
         match self {
             Wire::Plain(m) | Wire::Data { msg: m, .. } => m.class(),
-            Wire::Ack { .. } | Wire::Heartbeat => TrafficClass::Protocol,
+            Wire::Ack { .. } | Wire::Heartbeat | Wire::Timer(_) => TrafficClass::Protocol,
         }
     }
 }
@@ -97,32 +136,64 @@ pub struct RetransmitEvent {
     pub attempt: u32,
 }
 
+#[derive(Default)]
 pub(crate) struct SendChannel {
-    pub(crate) to: ProcAddr,
-    pub(crate) next_seq: u32,
+    /// Messages sent so far: the last sequence number assigned (1-based).
+    sent: u32,
     pub(crate) unacked: BTreeMap<u32, SvmMsg>,
     /// The armed retransmit timer, if any: its scheduler event (for
-    /// cancellation) and its token in [`TimerTokens`].
-    pub(crate) armed: Option<(EventId, Token)>,
-    pub(crate) backoff: u32,
+    /// cancellation) and the arming its expiry will carry.
+    armed: Option<(EventId, Arming)>,
+    backoff: u32,
     /// Retransmit timeouts fired since the last ack progress; compared
     /// against [`ReliableNet::max_retries`].
-    pub(crate) attempts: u32,
+    attempts: u32,
 }
 
-#[derive(Hash)]
-pub(crate) struct RecvChannel {
-    pub(crate) next_expected: u32,
-    pub(crate) buffered: BTreeMap<u32, SvmMsg>,
+/// Whether a timer is armed is state; which event and which arming is not.
+impl Hash for SendChannel {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let SendChannel {
+            sent,
+            unacked,
+            armed,
+            backoff,
+            attempts,
+        } = self;
+        (sent, unacked, armed.is_some(), backoff, attempts).hash(h);
+    }
 }
 
-impl Default for RecvChannel {
-    fn default() -> Self {
-        RecvChannel {
-            next_expected: 1,
-            buffered: BTreeMap::new(),
+impl SendChannel {
+    /// Arm the retransmit timer at the current backoff, on the handler's
+    /// processor. The channel must not already be armed (callers disarm first).
+    fn arm(&mut self, ctx: &mut MCtx<'_>, to: ProcAddr, next: &mut Arming) {
+        let arming = next.take();
+        let expiry = Wire::Timer(Timer::Retransmit { to, arming });
+        let ev = ctx.set_timer(timeout(self.backoff), expiry);
+        self.armed = Some((ev, arming));
+    }
+
+    /// Cancel the pending timer, if any. An expiry already queued for
+    /// service still arrives, and finds no live arming.
+    pub(crate) fn disarm(&mut self, ctx: &mut MCtx<'_>) {
+        if let Some((ev, _)) = self.armed.take() {
+            ctx.cancel_timer(ev);
         }
     }
+
+    /// An expiry reached service: if `arming` is the live one consume it,
+    /// otherwise (`false`) the expiry is stale.
+    fn expire(&mut self, arming: Arming) -> bool {
+        self.armed.take_if(|(_, live)| *live == arming).is_some()
+    }
+}
+
+#[derive(Default, Hash)]
+pub(crate) struct RecvChannel {
+    /// Highest sequence number delivered in order: the cumulative ack.
+    pub(crate) delivered: u32,
+    pub(crate) buffered: BTreeMap<u32, SvmMsg>,
 }
 
 /// Reliable-delivery state for one run.
@@ -136,11 +207,11 @@ pub struct ReliableNet {
     max_retries: Option<u32>,
     /// One-shot deterministic drop of the first message of a given kind.
     drop_first: Option<&'static str>,
-    /// Send channels, indexed densely so timer tokens can address them.
-    pub(crate) chans: Vec<SendChannel>,
-    pub(crate) index: BTreeMap<(ProcAddr, ProcAddr), usize>,
+    /// Send channels by `(from, to)`.
+    pub(crate) send: BTreeMap<(ProcAddr, ProcAddr), SendChannel>,
     pub(crate) recv: BTreeMap<(ProcAddr, ProcAddr), RecvChannel>,
-    pub(crate) tokens: TimerTokens,
+    /// The next retransmit-timer arming, over all channels.
+    next_arming: Arming,
     /// Every retransmission, in event order.
     pub trace: Vec<RetransmitEvent>,
 }
@@ -153,73 +224,36 @@ impl ReliableNet {
             enabled: profile.is_active() || force_enabled,
             max_retries: profile.max_retries,
             drop_first: profile.drop_first_kind,
-            chans: Vec::new(),
-            index: BTreeMap::new(),
+            send: BTreeMap::new(),
             recv: BTreeMap::new(),
-            tokens: TimerTokens::default(),
+            next_arming: Arming(0),
             trace: Vec::new(),
         }
     }
 
-    /// The `(from, to)` channel whose armed retransmit timer carries `token`
-    /// (`None` = stale: disarmed after the timer was queued).
-    pub fn timer_channel(&self, token: Token) -> Option<(ProcAddr, ProcAddr)> {
-        let idx = self.tokens.resolve(token)?;
-        self.index
-            .iter()
-            .find_map(|(&k, &i)| (i == idx).then_some(k))
-    }
-
     /// `(from, to, unacknowledged messages)` per send channel.
     pub fn unacked(&self) -> impl Iterator<Item = (ProcAddr, ProcAddr, usize)> + '_ {
-        self.index
+        self.send
             .iter()
-            .map(|(&(from, to), &i)| (from, to, self.chans[i].unacked.len()))
-    }
-
-    fn channel(&mut self, from: ProcAddr, to: ProcAddr) -> usize {
-        *self.index.entry((from, to)).or_insert_with(|| {
-            self.chans.push(SendChannel {
-                to,
-                next_seq: 1,
-                unacked: BTreeMap::new(),
-                armed: None,
-                backoff: 0,
-                attempts: 0,
-            });
-            self.chans.len() - 1
-        })
+            .map(|(&(from, to), ch)| (from, to, ch.unacked.len()))
     }
 }
 
-/// Channels canonically by `(from, to)`, never by index or raw timer token:
-/// both encode the order channels and timers were first used — history, not
-/// state. `max_retries` and `drop_first` belong to the fault profile (which
-/// explore mode refuses), `trace` is a log.
+/// `next_arming` counts how many timers were ever armed — history, not state.
+/// `max_retries` and `drop_first` belong to the fault profile (which explore
+/// mode refuses), `trace` is a log.
 impl Hash for ReliableNet {
     fn hash<H: Hasher>(&self, h: &mut H) {
         let ReliableNet {
             enabled,
             max_retries: _,
             drop_first: _,
-            chans,
-            index,
+            send,
             recv,
-            tokens: _,
+            next_arming: _,
             trace: _,
         } = self;
-        (enabled, recv, index.len()).hash(h);
-        for (key, &idx) in index {
-            let SendChannel {
-                to: _, // the key's second half
-                next_seq,
-                unacked,
-                armed,
-                backoff,
-                attempts,
-            } = &chans[idx];
-            (key, next_seq, unacked, armed.is_some(), backoff, attempts).hash(h);
-        }
+        (enabled, recv, send).hash(h);
     }
 }
 
@@ -265,10 +299,9 @@ impl SvmAgent {
             }
             _ => false,
         };
-        let idx = self.net.channel(from, to);
-        let ch = &mut self.net.chans[idx];
-        let seq = ch.next_seq;
-        ch.next_seq += 1;
+        let ch = self.net.send.entry((from, to)).or_default();
+        ch.sent += 1;
+        let seq = ch.sent;
         if !suppressed {
             ctx.send(
                 to,
@@ -280,22 +313,13 @@ impl SvmAgent {
         }
         ch.unacked.insert(seq, msg);
         if ch.armed.is_none() {
-            self.net_arm(ctx, idx);
+            ch.arm(ctx, to, &mut self.net.next_arming);
         }
     }
 
-    /// Arm channel `idx`'s retransmit timer at its current backoff. The
-    /// channel must not already be armed (callers disarm first).
-    fn net_arm(&mut self, ctx: &mut MCtx<'_>, idx: usize) {
-        let delay = timeout(self.net.chans[idx].backoff);
-        let token = self.net.tokens.arm(idx);
-        let ev = Self::arm_timer(ctx, delay, token);
-        self.net.chans[idx].armed = Some((ev, token));
-    }
-
     /// Unwrap an incoming envelope: dispatch plain messages directly, run
-    /// sequenced data through duplicate suppression + in-order release, and
-    /// consume acks.
+    /// sequenced data through duplicate suppression + in-order release,
+    /// consume acks, and route the processor's own timers.
     pub fn on_wire(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, from: ProcAddr, wire: Wire) {
         // Crash-recovery fence + freshness: anything from a declared-dead
         // sender is dropped (its state was already repaired around it; late
@@ -316,18 +340,18 @@ impl SvmAgent {
             Wire::Data { seq, msg } => {
                 let node = at.node;
                 let rc = self.net.recv.entry((from, at)).or_default();
-                let dup = seq < rc.next_expected || rc.buffered.contains_key(&seq);
+                let dup = seq <= rc.delivered || rc.buffered.contains_key(&seq);
                 let mut ready = Vec::new();
                 if dup {
                     self.counters[node.index()].dup_suppressed += 1;
                 } else {
                     rc.buffered.insert(seq, msg);
-                    while let Some(m) = rc.buffered.remove(&rc.next_expected) {
+                    while let Some(m) = rc.buffered.remove(&(rc.delivered + 1)) {
                         ready.push(m);
-                        rc.next_expected += 1;
+                        rc.delivered += 1;
                     }
                 }
-                let cum = self.net.recv[&(from, at)].next_expected - 1;
+                let cum = self.net.recv[&(from, at)].delivered;
                 self.counters[node.index()].acks_sent += 1;
                 ctx.send(from, Wire::Ack { cum });
                 for m in ready {
@@ -335,10 +359,9 @@ impl SvmAgent {
                 }
             }
             Wire::Ack { cum } => {
-                let Some(&idx) = self.net.index.get(&(at, from)) else {
+                let Some(ch) = self.net.send.get_mut(&(at, from)) else {
                     return;
                 };
-                let ch = &mut self.net.chans[idx];
                 let before = ch.unacked.len();
                 ch.unacked = ch.unacked.split_off(&(cum + 1));
                 let progress = ch.unacked.len() < before;
@@ -348,53 +371,49 @@ impl SvmAgent {
                 }
                 let empty = ch.unacked.is_empty();
                 if empty || progress {
-                    // Cancel the pending event and kill its token, so a
-                    // firing already queued for service resolves stale.
-                    if let Some((ev, token)) = ch.armed.take() {
-                        ctx.cancel_timer(ev);
-                        self.net.tokens.disarm(token);
-                    }
+                    ch.disarm(ctx);
                 }
                 if !empty && progress {
-                    self.net_arm(ctx, idx);
+                    ch.arm(ctx, from, &mut self.net.next_arming);
                 }
             }
+            Wire::Timer(Timer::HeartbeatTick) => self.on_heartbeat_tick(ctx, at),
+            // Epoch-fenced by the machine: a sleeper that crashed and
+            // restarted never sees a stale wakeup.
+            Wire::Timer(Timer::Wake) => ctx.ack_app(at.node),
+            Wire::Timer(Timer::Retransmit { to, arming }) => self.on_net_timer(ctx, at, to, arming),
         }
     }
 
-    /// A retransmit timer reached service: resend everything unacked on its
-    /// channel, double the backoff, rearm.
-    pub fn on_net_timer(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, token: Token) {
-        let Some(idx) = self.net.tokens.resolve(token) else {
-            return; // stale: disarmed after this firing was queued
+    /// The retransmit timer of channel `at -> to` reached service: resend
+    /// everything unacked, double the backoff, rearm.
+    fn on_net_timer(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, to: ProcAddr, arming: Arming) {
+        let Some(ch) = self.net.send.get_mut(&(at, to)) else {
+            return;
         };
-        // The firing consumes the token; rearming allocates a fresh one.
-        self.net.tokens.disarm(token);
-        self.net.chans[idx].armed = None;
-        if self.net.chans[idx].unacked.is_empty() {
+        if !ch.expire(arming) {
+            return; // stale: disarmed or re-armed after this expiry was queued
+        }
+        if ch.unacked.is_empty() {
             return; // nothing outstanding; next send rearms
         }
         let node = at.node;
         let overhead = ctx.cost().handler_overhead;
-        let to = self.net.chans[idx].to;
         // Retry exhaustion: `max_retries` timeouts without ack progress and
         // the peer is treated as unreachable. The unacked buffer is left in
         // place — it is exactly the in-flight state the recovery harvest
         // reads — and the channel stays disarmed.
         if let Some(max) = self.net.max_retries {
-            if self.net.chans[idx].attempts >= max {
+            if ch.attempts >= max {
                 self.counters[node.index()].retry_exhaustions += 1;
                 self.peer_down(ctx, at, to.node);
                 return;
             }
         }
-        self.net.chans[idx].attempts += 1;
-        let attempt = self.net.chans[idx].backoff + 1;
+        ch.attempts += 1;
+        let attempt = ch.backoff + 1;
         self.counters[node.index()].retransmit_timeouts += 1;
-        // Take the unacked map out for the send loop instead of cloning it
-        // wholesale; only each resent message is cloned (for the wire).
-        let unacked = std::mem::take(&mut self.net.chans[idx].unacked);
-        for (&seq, msg) in &unacked {
+        for (&seq, msg) in &ch.unacked {
             ctx.work(overhead, Category::Retransmit);
             self.net.trace.push(RetransmitEvent {
                 at_ns: ctx.now().as_nanos(),
@@ -412,16 +431,15 @@ impl SvmAgent {
                 },
             );
         }
-        let ch = &mut self.net.chans[idx];
-        ch.unacked = unacked;
         ch.backoff = (ch.backoff + 1).min(BACKOFF_CAP);
-        self.net_arm(ctx, idx);
+        ch.arm(ctx, to, &mut self.net.next_arming);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Fnv64;
     use svm_mem::PageNum;
 
     #[test]
@@ -451,27 +469,46 @@ mod tests {
     }
 
     #[test]
-    fn net_hash_is_canonical_by_channel() {
-        let (x, y) = (
-            ProcAddr::cpu(svm_machine::NodeId(0)),
-            ProcAddr::cpu(svm_machine::NodeId(1)),
-        );
-        let opened = |order: [(ProcAddr, ProcAddr); 2]| {
+    fn net_hash_is_channels_and_unacked_never_arm_order() {
+        let [x, y] = [0, 1].map(|n| ProcAddr::cpu(svm_machine::NodeId(n)));
+        let opened = || {
             let mut net = ReliableNet::new(&FaultProfile::default(), true);
-            for (from, to) in order {
-                net.channel(from, to);
-            }
+            net.send.entry((x, y)).or_default();
             net
         };
-        let (a, mut b) = (opened([(x, y), (y, x)]), opened([(y, x), (x, y)]));
-        let of = |net: &ReliableNet| crate::trace::Fnv64::of(net);
-        assert_eq!(of(&a), of(&b), "the opening order is history");
-        let idx = b.channel(x, y);
-        let msg = SvmMsg::NodeDown {
-            dead: svm_machine::NodeId(1),
+        let (a, mut b) = (opened(), opened());
+        b.next_arming.take();
+        assert_eq!(Fnv64::of(&a), Fnv64::of(&b), "arm order is history");
+        let msg = SvmMsg::NodeDown { dead: y.node };
+        b.send.entry((x, y)).or_default().unacked.insert(1, msg);
+        assert_ne!(Fnv64::of(&a), Fnv64::of(&b), "one unacked entry is state");
+
+        let expiry = |to, arming| Fnv64::of(Timer::Retransmit { to, arming });
+        assert_eq!(expiry(y, Arming(0)), expiry(y, Arming(9)));
+        assert_ne!(expiry(y, Arming(0)), expiry(x, Arming(0)));
+    }
+
+    /// Successor of the timer-token wrap regression: an expiry is stale by
+    /// comparison with the channel's one live arming, never by a counter
+    /// that could come round again.
+    #[test]
+    fn only_the_live_arming_expires() {
+        let mut next = Arming(u64::from(u32::MAX)); // where a u32 would wrap
+        let mut ch = SendChannel::default();
+        let mut arm = |ch: &mut SendChannel| {
+            ch.armed = Some((EventId::synthetic(0), next.take()));
+            ch.armed.map(|(_, arming)| arming).unwrap()
         };
-        b.chans[idx].unacked.insert(1, msg);
-        assert_ne!(of(&a), of(&b), "one unacked entry is state");
+        let first = arm(&mut ch);
+        ch.armed = None; // an ack emptied the channel
+        assert!(!ch.expire(first), "disarmed: a queued expiry is ignored");
+
+        let (second, third) = (arm(&mut ch), arm(&mut ch)); // re-armed on progress
+        assert!(first != second && second != third && first != third);
+        assert!(!ch.expire(first) && !ch.expire(second));
+        assert!(ch.armed.is_some(), "a stale expiry leaves the live arming");
+        assert!(ch.expire(third), "the live arming fires");
+        assert!(ch.armed.is_none() && !ch.expire(third), "and is consumed");
     }
 
     #[test]

@@ -313,14 +313,7 @@ where
     B: Fn(&SvmCtx<'_>, &L) + Send + Sync + 'static,
 {
     let (mut world, wiring) = build_world(config, setup, body);
-    world.machine.set_faults(svm_machine::NetFaultConfig {
-        seed: config.fault.seed,
-        drop_rate: config.fault.drop_rate,
-        dup_rate: config.fault.dup_rate,
-        delay_rate: config.fault.delay_rate,
-        stall_rate: config.fault.stall_rate,
-        ..svm_machine::NetFaultConfig::default()
-    });
+    world.machine.set_faults(config.fault.net_faults());
     world.machine.set_node_faults(config.node_fault.clone());
     let (outcome, agent) = world.run();
 

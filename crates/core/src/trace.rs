@@ -61,12 +61,16 @@ impl TraceConfig {
     }
 }
 
-/// FNV-1a 64-bit offset basis.
-pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+pub use svm_sim::FNV_BASIS;
 
-/// Continue an FNV-1a 64-bit digest over `bytes` (start from
+/// Continue an FNV-1a-shaped 64-bit digest over `bytes` (start from
 /// [`FNV_BASIS`]). Streaming: hashing a concatenation equals chaining the
 /// calls.
+///
+/// Not [`svm_sim::fnv1a64`]: the multiplier here is 2^44 + 0x1b3, the FNV
+/// prime is 2^40 + 0x1b3. Every digest this crate committed was taken with
+/// it (`results/serve_matrix.json`'s checksums, `results/explore_*.txt`'s
+/// `got`/`want`/`final_digest`), so it stays until a PR re-records those.
 #[inline]
 pub fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {

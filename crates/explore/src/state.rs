@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 use svm_core::protocol::state::TokenState;
-use svm_core::protocol::tokens::{TimerKind, Token};
 use svm_core::trace::Fnv64;
 use svm_core::SvmAgent;
 use svm_machine::{AppPhase, ExploreStep, NodeId, ProcAddr, World};
@@ -57,19 +56,8 @@ pub(crate) fn state_digest(world: &World<SvmAgent>) -> u64 {
     held.sort_unstable();
     held.hash(&mut d);
 
-    // Parked timers, with retransmit tokens erased to their channel (the
-    // allocator's counter is shared across channels, so raw values encode
-    // arm order — history, not state). A retransmit timer with no channel
-    // was disarmed but never cancelled.
-    let mut timers: Vec<u64> = m
-        .held_timers()
-        .iter()
-        .map(|&(at, token)| match Token::classify(token) {
-            TimerKind::Heartbeat => Fnv64::of((at, 0u8)),
-            TimerKind::Sleep(node) => Fnv64::of((at, 1u8, node)),
-            TimerKind::Retransmit(t) => Fnv64::of((at, 2u8, agent.net.timer_channel(t))),
-        })
-        .collect();
+    // Parked timers (messages to oneself), a multiset like the deliveries.
+    let mut timers: Vec<u64> = m.held_timers().map(Fnv64::of).collect();
     timers.sort_unstable();
     timers.hash(&mut d);
     d.finish()

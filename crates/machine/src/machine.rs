@@ -57,14 +57,9 @@ pub trait Agent: Sized + 'static {
     /// Custom application-response payload.
     type Resp: Send + 'static;
 
-    /// A message has reached the head of `at`'s service queue.
+    /// A message has reached the head of `at`'s service queue. `from == at`
+    /// marks a timer: a message `at` sent itself through [`Ctx::set_timer`].
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, at: ProcAddr, from: ProcAddr, msg: Self::Msg);
-
-    /// A timer armed via [`Ctx::set_timer`] fired and reached the head of
-    /// `at`'s service queue. Timers are serviced like messages (same
-    /// interrupt/dispatch pricing); agents that never arm timers can ignore
-    /// this.
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _at: ProcAddr, _token: u64) {}
 
     /// The application on `node` issued a custom request.
     ///
@@ -137,16 +132,10 @@ struct Service {
     cursor: usize,
 }
 
-/// One unit of pending processor service: a delivered message or an expired
-/// timer, both serviced in arrival order.
-enum Work<M> {
-    Msg { from: ProcAddr, msg: M },
-    Timer { token: u64 },
-}
-
 struct ProcUnit<M> {
     service: Option<Service>,
-    queue: VecDeque<Work<M>>,
+    /// `(from, message)` in arrival order; a timer is a message from itself.
+    queue: VecDeque<(ProcAddr, M)>,
 }
 
 impl<M> ProcUnit<M> {
@@ -204,7 +193,7 @@ struct ExploreHold<M> {
     /// Parked timers keyed by synthetic-[`EventId`] key: explore mode never
     /// fires them (timeouts are modeled as explicit choices), but
     /// [`Ctx::cancel_timer`] must still resolve them.
-    timers: BTreeMap<u64, (ProcAddr, u64)>,
+    timers: BTreeMap<u64, (ProcAddr, M)>,
     next_timer_key: u64,
     channel_seqs: BTreeMap<(ProcAddr, ProcAddr), u64>,
 }
@@ -231,10 +220,10 @@ impl<M> ExploreHold<M> {
         });
     }
 
-    fn park_timer(&mut self, at: ProcAddr, token: u64) -> u64 {
+    fn park_timer(&mut self, at: ProcAddr, msg: M) -> u64 {
         let key = self.next_timer_key;
         self.next_timer_key += 1;
-        self.timers.insert(key, (at, token));
+        self.timers.insert(key, (at, msg));
         key
     }
 }
@@ -492,13 +481,11 @@ impl<A: Agent> Machine<A> {
         self.explore.as_ref().map_or(&[], |h| &h.deliveries)
     }
 
-    /// Parked timers as `(processor, token)` pairs, in park order (explore
+    /// Parked timers as `(processor, message)` pairs, in park order (explore
     /// mode; empty otherwise). They never fire — digests and orphan checks
     /// still want to see them.
-    pub fn held_timers(&self) -> Vec<(ProcAddr, u64)> {
-        self.explore
-            .as_ref()
-            .map_or_else(Vec::new, |h| h.timers.values().copied().collect())
+    pub fn held_timers(&self) -> impl Iterator<Item = &(ProcAddr, A::Msg)> {
+        self.explore.iter().flat_map(|h| h.timers.values())
     }
 
     /// Per-node counts of application yields handled so far.
@@ -998,19 +985,8 @@ impl<A: Agent> World<A> {
             }
             return;
         }
-        self.enqueue(sched, to, Work::Msg { from, msg });
-    }
-
-    /// A timer armed via [`Ctx::set_timer`] expired; queue its service.
-    fn timer_fired(&mut self, sched: &mut Scheduler<World<A>>, at: ProcAddr, token: u64) {
-        self.machine.note_activity(sched.now());
-        self.enqueue(sched, at, Work::Timer { token });
-    }
-
-    /// Queue `work` on `at` and service it if the processor is free.
-    fn enqueue(&mut self, sched: &mut Scheduler<World<A>>, at: ProcAddr, work: Work<A::Msg>) {
-        self.machine.unit_mut(at).queue.push_back(work);
-        self.try_dispatch(sched, at);
+        self.machine.unit_mut(to).queue.push_back((from, msg));
+        self.try_dispatch(sched, to);
     }
 
     /// If `at` is free and has queued messages, service the next one.
@@ -1021,7 +997,7 @@ impl<A: Agent> World<A> {
         if unit.service.is_some() {
             return;
         }
-        let Some(work) = unit.queue.pop_front() else {
+        let Some((from, msg)) = unit.queue.pop_front() else {
             return;
         };
 
@@ -1057,10 +1033,7 @@ impl<A: Agent> World<A> {
 
         self.serve(sched, at, |agent, ctx| {
             ctx.work(prelude, Category::Protocol);
-            match work {
-                Work::Msg { from, msg } => agent.on_message(ctx, at, from, msg),
-                Work::Timer { token } => agent.on_timer(ctx, at, token),
-            }
+            agent.on_message(ctx, at, from, msg)
         });
     }
 
@@ -1285,26 +1258,28 @@ impl<'a, A: Agent> Ctx<'a, A> {
         }
     }
 
-    /// Arm a timer on `here()` that fires `delay` after the cursor,
-    /// delivering `token` to [`Agent::on_timer`] through the processor's
-    /// service queue. Returns the event for [`Ctx::cancel_timer`].
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> EventId {
-        let at_addr = self.at;
+    /// Arm a timer: `delay` after the cursor, `msg` joins `here()`'s service
+    /// queue as a message from itself ([`Agent::on_message`], `from == at`).
+    /// It is not network traffic (uncounted, unseen by a fault plan) and is
+    /// void once the node's epoch moves. Returns the event for
+    /// [`Ctx::cancel_timer`].
+    pub fn set_timer(&mut self, delay: SimDuration, msg: A::Msg) -> EventId {
+        let at = self.at;
         if let Some(hold) = &mut self.machine.explore {
             // Explore mode: park the timer under a synthetic id. It never
             // fires — timeout-driven machinery (heartbeats, retransmits) is
             // replaced by explicit driver actions — but cancel_timer still
             // resolves it through the hold map.
-            let key = hold.park_timer(at_addr, token);
+            let key = hold.park_timer(at, msg);
             return EventId::synthetic(key);
         }
         let when = self.now() + delay;
-        let epoch = self.machine.nodes[at_addr.node.index()].epoch;
+        let epoch = self.machine.nodes[at.node.index()].epoch;
         self.sched.at(when, move |s, w: &mut World<A>| {
-            if w.machine.stale(at_addr.node, epoch) {
+            if w.machine.stale(at.node, epoch) {
                 return;
             }
-            w.timer_fired(s, at_addr, token)
+            w.deliver(s, at, at, msg)
         })
     }
 

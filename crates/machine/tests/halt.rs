@@ -29,8 +29,9 @@ enum Req {
     Ping(NodeId),
 }
 
-/// Arms a recurring timer per node; counts timer fires and handled pings;
-/// optionally poisons the run on the nth handled ping.
+/// Arms a recurring timer per node (a `Ping` the processor sends itself);
+/// counts timer fires and handled pings; optionally poisons the run on the
+/// nth handled ping.
 struct HaltAgent {
     timer_period_us: Option<u64>,
     fail_on_ping: Option<u32>,
@@ -56,20 +57,20 @@ impl Agent for HaltAgent {
 
     fn on_init(&mut self, ctx: &mut Ctx<'_, Self>, _node: NodeId) {
         if let Some(us) = self.timer_period_us {
-            ctx.set_timer(SimDuration::from_micros(us), 1);
+            ctx.set_timer(SimDuration::from_micros(us), Ping);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, _at: ProcAddr, _token: u64) {
-        self.timers_fired += 1;
-        if let Some(us) = self.timer_period_us {
-            if !ctx.apps_done() {
-                ctx.set_timer(SimDuration::from_micros(us), 1);
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, at: ProcAddr, from: ProcAddr, _msg: Ping) {
+        if from == at {
+            self.timers_fired += 1;
+            if let Some(us) = self.timer_period_us {
+                if !ctx.apps_done() {
+                    ctx.set_timer(SimDuration::from_micros(us), Ping);
+                }
             }
+            return;
         }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, at: ProcAddr, _from: ProcAddr, _msg: Ping) {
         self.pings_handled += 1;
         if self.fail_on_ping == Some(self.pings_handled) {
             ctx.fail(at.node, "poisoned ping");

@@ -2,15 +2,15 @@
 //!
 //! These pin down the semantics the protocols rely on: message latencies,
 //! interrupt-versus-polled receive costs, compute preemption, processor
-//! serialization (hot spots), co-processor overlap, and the accounting
-//! invariant that per-node categories sum exactly to elapsed time.
+//! serialization (hot spots), co-processor overlap, timers, and the
+//! accounting invariant that per-node categories sum exactly to elapsed time.
 
 use svm_machine::{
-    Agent, AppRequest, AppResponse, Category, CostModel, Ctx, ExploreStep, Message, NodeId,
-    ProcAddr, TrafficClass, World,
+    Agent, AppRequest, AppResponse, Category, CostModel, CrashSpec, Ctx, ExploreStep, Message,
+    NodeFaultConfig, NodeId, ProcAddr, TrafficClass, World,
 };
 use svm_sim::process::ProcessPort;
-use svm_sim::SimDuration;
+use svm_sim::{SimDuration, SimTime};
 
 #[derive(Clone, Debug)]
 enum Msg {
@@ -22,17 +22,20 @@ enum Msg {
     Pong {
         bytes: usize,
     },
+    /// The timer every node arms at boot when [`ToyAgent::alarm_us`] is set.
+    Tick,
 }
 
 impl Message for Msg {
     fn wire_bytes(&self) -> usize {
         match self {
             Msg::Ping { bytes, .. } | Msg::Pong { bytes } => *bytes,
+            Msg::Tick => 0,
         }
     }
     fn class(&self) -> TrafficClass {
         match self {
-            Msg::Ping { .. } => TrafficClass::Protocol,
+            Msg::Ping { .. } | Msg::Tick => TrafficClass::Protocol,
             Msg::Pong { .. } => TrafficClass::Data,
         }
     }
@@ -50,6 +53,11 @@ struct Fetch {
 #[derive(Default)]
 struct ToyAgent {
     served: u64,
+    /// After 7 us of boot work every node arms a timer this far out, twice,
+    /// and cancels the first on the spot.
+    alarm_us: Option<u64>,
+    /// `(at, from, handler time)` of every `Tick` serviced.
+    ticks: Vec<(ProcAddr, ProcAddr, SimTime)>,
 }
 
 impl Agent for ToyAgent {
@@ -57,8 +65,19 @@ impl Agent for ToyAgent {
     type Req = Fetch;
     type Resp = u64;
 
+    fn on_init(&mut self, ctx: &mut Ctx<'_, Self>, _node: NodeId) {
+        let Some(delay) = self.alarm_us.map(SimDuration::from_micros) else {
+            return;
+        };
+        ctx.work(SimDuration::from_micros(7), Category::Protocol);
+        let cancelled = ctx.set_timer(delay, Msg::Tick);
+        assert!(ctx.cancel_timer(cancelled) && !ctx.cancel_timer(cancelled));
+        ctx.set_timer(delay, Msg::Tick);
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, at: ProcAddr, from: ProcAddr, msg: Msg) {
         match msg {
+            Msg::Tick => self.ticks.push((at, from, ctx.now())),
             Msg::Ping {
                 requester,
                 bytes: _,
@@ -354,4 +373,46 @@ fn app_panic_propagates() {
         panic!("boom");
     })];
     let _ = World::new(CostModel::paragon(), ToyAgent::default(), bodies).run();
+}
+
+/// A timer reaches `on_message` with `from == at`, `delay` after the cursor
+/// it was armed at (plus the interrupt a message that preempts compute pays),
+/// is no traffic, is stopped by `cancel_timer`, and dies with its epoch.
+#[test]
+fn timer_is_a_message_from_the_processor_to_itself() {
+    let cost = CostModel::paragon();
+    let run = |crashes: Vec<CrashSpec>| {
+        let body = || -> svm_machine::machine::AppBody<ToyAgent> {
+            Box::new(|port: &Port| compute(port, 1_000))
+        };
+        let agent = ToyAgent {
+            alarm_us: Some(50),
+            ..ToyAgent::default()
+        };
+        let mut world = World::new(cost.clone(), agent, vec![body(), body()]);
+        world.machine.set_node_faults(NodeFaultConfig {
+            crashes,
+            stall_limit: None,
+        });
+        world.run()
+    };
+    let due = SimTime::ZERO + SimDuration::from_micros(7 + 50) + cost.receive_interrupt;
+    let tick = |n: u16| (ProcAddr::cpu(NodeId(n)), ProcAddr::cpu(NodeId(n)), due);
+
+    let (outcome, agent) = run(Vec::new());
+    assert_eq!(
+        agent.ticks,
+        vec![tick(0), tick(1)],
+        "one each: not the cancelled"
+    );
+    assert_eq!(outcome.traffic.total(TrafficClass::Protocol).messages, 0);
+
+    // Node 1 is down at 20 us and back up, in a fresh epoch, before the
+    // deadline passes: live again, and still never sees the expiry.
+    let crash = CrashSpec {
+        node: 1,
+        at: SimTime::ZERO + SimDuration::from_micros(20),
+        restart_after: Some(SimDuration::from_micros(10)),
+    };
+    assert_eq!(run(vec![crash]).1.ticks, vec![tick(0)]);
 }

@@ -242,7 +242,9 @@ impl Diff {
     /// Merge `later` into `self`: the result applied once equals applying
     /// `self` then `later`.
     ///
-    /// Used by the home to coalesce, and by tests as an algebraic check.
+    /// No protocol path calls it (a home applies each diff as it arrives):
+    /// the diff property tests use it as an algebraic check, and
+    /// `benchmark/` times it (`mem.diff_merge_sparse_ns`).
     ///
     /// # Panics
     ///

@@ -20,6 +20,6 @@ pub mod time;
 
 pub use handoff::HandoffCell;
 pub use process::{spawn_process, ProcessPort, SimProcess, Yielded};
-pub use rng::SplitMix64;
+pub use rng::{fnv1a64, SplitMix64, FNV_BASIS};
 pub use sched::{EventId, Scheduler};
 pub use time::{SimDuration, SimTime};

@@ -1,9 +1,20 @@
-//! A small deterministic RNG (SplitMix64) for workload generation.
+//! A small deterministic RNG (SplitMix64) for workload generation, and
+//! FNV-1a for result checksums and name-derived seeds.
 //!
 //! Workloads must be bit-reproducible across protocols and node counts so
 //! that parallel results can be checked against sequential references; a
 //! fixed, seedable generator with no global state is what we need. SplitMix64
 //! passes BigCrush and is trivially portable.
+
+/// FNV-1a 64-bit offset basis.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a 64-bit digest over `bytes` (start from [`FNV_BASIS`]).
+#[inline]
+pub fn fnv1a64(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let step = |h: u64, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    bytes.into_iter().fold(h, step)
+}
 
 /// SplitMix64 pseudo-random generator.
 #[derive(Clone, Debug)]
@@ -53,6 +64,13 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_a_published_vector_and_streams() {
+        let of = |s: &str| fnv1a64(FNV_BASIS, s.bytes());
+        assert_eq!(of("foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64(of("foo"), "bar".bytes()), of("foobar"));
+    }
 
     #[test]
     fn deterministic_for_seed() {

@@ -6,11 +6,11 @@
 //! Events can be cancelled by [`EventId`], which names the event's slot:
 //! cancelling drops the closure in place, and the pop skips the emptied slot.
 //!
-//! Storage is allocation-free on the hot path: closures small enough for a
-//! slot's inline buffer are written in place into a slab of reusable slots,
-//! and the priority queue is an index heap of `(time, seq, slot)` keys over
-//! that slab. Only oversized closures fall back to a `Box`; both
-//! representations pop in the same `(time, seq)` order. The engine's
+//! Storage is allocation-free: every closure is written in place into the
+//! inline buffer of a slab of reusable slots, and the priority queue is an
+//! index heap of `(time, seq, slot)` keys over that slab. A closure bigger
+//! than `INLINE_BYTES` (or more aligned than `INLINE_ALIGN`) does not
+//! compile: box its captures and move the box in. The engine's
 //! virtual-time results are pinned against `results/engine_fingerprints.txt`
 //! (recorded on the box-per-event engine this one replaced) by
 //! `crates/bench/tests/engine_fingerprints.rs`.
@@ -58,11 +58,8 @@ impl EventId {
     }
 }
 
-type EventFn<W> = Box<dyn FnOnce(&mut Scheduler<W>, &mut W)>;
-
 /// Inline closure capacity per slot. Sized for the protocol's send/timer
-/// closures (message + addressing captures); the occasional bigger closure
-/// takes the `Box` fallback.
+/// closures (message + addressing captures).
 const INLINE_BYTES: usize = 192;
 /// Maximum supported alignment for inline closures.
 const INLINE_ALIGN: usize = 16;
@@ -79,25 +76,23 @@ impl InlineBuf {
     }
 }
 
-/// Type-erased storage for one event closure.
-enum Stored<W> {
-    /// The closure's bytes live in `buf`; `call` reads it out (taking
-    /// ownership) and runs it, `drop_fn` drops it in place without running.
-    Inline {
-        buf: InlineBuf,
-        call: unsafe fn(*mut u8, &mut Scheduler<W>, &mut W),
-        drop_fn: unsafe fn(*mut u8),
-    },
-    /// Fallback for closures too big (or too aligned) for the buffer.
-    Boxed(EventFn<W>),
-    /// The closure was taken (fired) or dropped (cancelled).
-    Empty,
+/// Type-erased storage for one event closure: its bytes live in `buf`;
+/// `call` reads it out (taking ownership) and runs it, `drop_fn` drops it in
+/// place without running (a cancelled event, scheduler teardown).
+struct Stored<W> {
+    buf: InlineBuf,
+    call: unsafe fn(*mut u8, &mut Scheduler<W>, &mut W),
+    drop_fn: unsafe fn(*mut u8),
 }
 
 impl<W> Stored<W> {
     fn new<F: FnOnce(&mut Scheduler<W>, &mut W) + 'static>(f: F) -> Stored<W> {
-        if std::mem::size_of::<F>() > INLINE_BYTES || std::mem::align_of::<F>() > INLINE_ALIGN {
-            return Stored::Boxed(Box::new(f));
+        const {
+            assert!(
+                std::mem::size_of::<F>() <= INLINE_BYTES
+                    && std::mem::align_of::<F>() <= INLINE_ALIGN,
+                "event closure does not fit a scheduler slot: box its captures"
+            )
         }
         unsafe fn call_impl<W, F: FnOnce(&mut Scheduler<W>, &mut W)>(
             p: *mut u8,
@@ -115,46 +110,33 @@ impl<W> Stored<W> {
             unsafe { std::ptr::drop_in_place(p as *mut F) }
         }
         let mut buf = InlineBuf([MaybeUninit::uninit(); INLINE_BYTES]);
-        // SAFETY: size and alignment were checked above; the buffer is
-        // exclusively ours and uninitialized.
+        // SAFETY: size and alignment were checked (at compile time) above;
+        // the buffer is exclusively ours and uninitialized.
         unsafe { (buf.ptr() as *mut F).write(f) };
-        Stored::Inline {
+        Stored {
             buf,
             call: call_impl::<W, F>,
             drop_fn: drop_impl::<F>,
         }
     }
 
-    /// Run the stored closure. Consumes the storage (inline closures are
-    /// moved out of the buffer; moving the buffer itself is fine because
-    /// Rust values relocate by plain memcpy).
+    /// Run the stored closure. Consumes the storage (the closure is moved
+    /// out of the buffer; moving the buffer itself is fine because Rust
+    /// values relocate by plain memcpy).
     fn invoke(self, sched: &mut Scheduler<W>, world: &mut W) {
-        match self {
-            Stored::Inline { mut buf, call, .. } => {
-                // SAFETY: `buf` holds the closure written at schedule time;
-                // `call` reads it out exactly once. `self` is consumed, so no
-                // second read or drop can happen.
-                unsafe { call(buf.ptr(), sched, world) }
-            }
-            Stored::Boxed(f) => f(sched, world),
-            Stored::Empty => unreachable!("invoke on empty slot"),
-        }
+        let mut this = std::mem::ManuallyDrop::new(self);
+        // SAFETY: `buf` holds the closure written at schedule time; `call`
+        // reads it out exactly once. `self` is consumed and never dropped,
+        // so no second read or drop can happen.
+        unsafe { (this.call)(this.buf.ptr(), sched, world) }
     }
+}
 
-    /// Drop the stored closure without running it (cancelled events,
-    /// scheduler teardown).
-    fn dispose(self) {
-        match self {
-            Stored::Inline {
-                mut buf, drop_fn, ..
-            } => {
-                // SAFETY: `buf` holds a valid closure that was never invoked;
-                // `self` is consumed, so this is the single drop.
-                unsafe { drop_fn(buf.ptr()) }
-            }
-            Stored::Boxed(f) => drop(f),
-            Stored::Empty => {}
-        }
+impl<W> Drop for Stored<W> {
+    fn drop(&mut self) {
+        // SAFETY: `buf` holds a valid closure that was never invoked
+        // (`invoke` forgets `self`), and a value is dropped once.
+        unsafe { (self.drop_fn)(self.buf.ptr()) }
     }
 }
 
@@ -162,7 +144,8 @@ struct Slot<W> {
     /// Sequence number of the last event to occupy the slot; an [`EventId`]
     /// is pending iff its slot still has its `seq` and a closure.
     seq: u64,
-    stored: Stored<W>,
+    /// `None` once the closure was taken (fired) or dropped (cancelled).
+    stored: Option<Stored<W>>,
 }
 
 /// Index-heap key: total order is `(at, seq)`; `slot` locates the closure.
@@ -257,11 +240,11 @@ impl<W> Scheduler<W> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let stored = Stored::new(f);
+        let stored = Some(Stored::new(f));
         let slot = match self.free.pop() {
             Some(s) => {
                 let sl = &mut self.slots[s as usize];
-                debug_assert!(matches!(sl.stored, Stored::Empty), "free slot occupied");
+                debug_assert!(sl.stored.is_none(), "free slot occupied");
                 sl.seq = seq;
                 sl.stored = stored;
                 s
@@ -290,10 +273,7 @@ impl<W> Scheduler<W> {
     /// The closure is dropped now; the slot is freed when its heap key pops.
     pub fn cancel(&mut self, id: EventId) -> bool {
         match self.slots.get_mut(id.slot as usize) {
-            Some(slot) if slot.seq == id.seq && !matches!(slot.stored, Stored::Empty) => {
-                std::mem::replace(&mut slot.stored, Stored::Empty).dispose();
-                true
-            }
+            Some(slot) if slot.seq == id.seq => slot.stored.take().is_some(),
             _ => false,
         }
     }
@@ -303,11 +283,11 @@ impl<W> Scheduler<W> {
         while let Some(key) = self.heap_pop() {
             let slot = &mut self.slots[key.slot as usize];
             debug_assert_eq!(slot.seq, key.seq, "slot/heap desync");
-            let stored = std::mem::replace(&mut slot.stored, Stored::Empty);
+            let stored = slot.stored.take();
             self.free.push(key.slot);
-            if matches!(stored, Stored::Empty) {
+            let Some(stored) = stored else {
                 continue; // cancelled
-            }
+            };
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
             self.executed += 1;
@@ -366,17 +346,6 @@ impl<W> Scheduler<W> {
             }
         }
         key
-    }
-}
-
-impl<W> Drop for Scheduler<W> {
-    fn drop(&mut self) {
-        // Undrained events (halted runs, crash teardown) hold captured
-        // resources; dispose them explicitly since inline closures have no
-        // automatic drop.
-        for slot in self.slots.drain(..) {
-            slot.stored.dispose();
-        }
     }
 }
 
@@ -532,19 +501,5 @@ mod tests {
         assert_eq!(w, 1);
         drop(s); // t3 (queued) disposed at teardown
         assert_eq!(Rc::strong_count(&token), 1, "all captures released");
-    }
-
-    /// Closures bigger than the inline buffer take the box fallback and
-    /// still run correctly.
-    #[test]
-    fn oversized_closures_fall_back_to_box() {
-        let mut s: Scheduler<u64> = Scheduler::new();
-        let mut w = 0u64;
-        let big = [7u64; 64]; // 512 bytes of captures, > INLINE_BYTES
-        s.after(SimDuration::from_nanos(1), move |_, w: &mut u64| {
-            *w = big.iter().sum();
-        });
-        s.run(&mut w);
-        assert_eq!(w, 7 * 64);
     }
 }

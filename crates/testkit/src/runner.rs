@@ -28,7 +28,9 @@ impl Config {
     /// `TESTKIT_SEED`, `TESTKIT_CASES`, and `TESTKIT_MAX_SHRINK`.
     pub fn from_env(name: &str) -> Self {
         Config {
-            seed: env_u64("TESTKIT_SEED").unwrap_or_else(|| fnv1a(name.as_bytes())),
+            // FNV-1a of the name: a stable, dependency-free default seed.
+            seed: env_u64("TESTKIT_SEED")
+                .unwrap_or_else(|| svm_sim::fnv1a64(svm_sim::FNV_BASIS, name.bytes())),
             cases: env_u64("TESTKIT_CASES").map(|v| v as u32).unwrap_or(64),
             max_shrink: env_u64("TESTKIT_MAX_SHRINK")
                 .map(|v| v as u32)
@@ -45,16 +47,6 @@ fn env_u64(var: &str) -> Option<u64> {
         None => raw.parse(),
     };
     Some(parsed.unwrap_or_else(|_| panic!("{var}={raw:?} is not a u64")))
-}
-
-/// FNV-1a: a stable, dependency-free name hash for default seeds.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 thread_local! {

@@ -5,7 +5,8 @@
 #
 # Usage: verify.sh [--fast]
 #   --fast skips the example compile, the standalone benchmark crate
-#   build and lint, and the chaos matrix, but always keeps the workspace
+#   build and lint, the chaos matrix, and the regeneration of six
+#   results/*_s025.txt tables, but always keeps the workspace
 #   clippy, the crash-recovery smoke, and the consistency-check subset
 #   — the cheap gates that catch whole bug classes.
 set -euo pipefail
@@ -83,6 +84,16 @@ sed -E -e 's/^(.{59}).{10}/\1/' -e 's/, [0-9.]+ ms total$//' target/explore_fast
 if [[ "$FAST" -eq 0 ]]; then
   echo "== fault-injection smoke matrix (mixed 0 / 0.1% / 1% + dup/delay/stall-dominated)"
   $BENCH chaos --scale 0.03 --nodes 4 --drop 0,0.001,0.01
+
+  # "Every other results/*.txt unmoved" as a gate: the six tables that take
+  # under 20 s each, regenerated with the flags EXPERIMENTS.md records and
+  # compared byte for byte (`name:extra args`; all at --scale 0.25).
+  echo "== results/*_s025.txt regenerate byte for byte (table1 sor48 fig4 table4 table5 fig3)"
+  for spec in table1: "sor48:--nodes 8,64" "fig4:--nodes 8,64" "table4:--nodes 8,64" "table5:--nodes 8,64" "fig3:--nodes 8,64"; do
+    name=${spec%%:*}
+    # shellcheck disable=SC2086  # the extra args are words
+    $BENCH "$name" --scale 0.25 ${spec#*:} | diff -u "results/${name}_s025.txt" -
+  done
 fi
 
 echo "== crash-recovery smoke matrix (seeded node crashes, graceful recovery)"
