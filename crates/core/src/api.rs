@@ -44,7 +44,7 @@ pub struct Mapping {
     pub writable: bool,
 }
 
-/// The per-node mapping cache, shared between the application thread (fast
+/// The per-node mapping cache, shared between the application body (fast
 /// path) and the protocol agent (installs, downgrades, revocations).
 pub struct NodeCache {
     /// One slot per page of the shared address space.
@@ -54,8 +54,9 @@ pub struct NodeCache {
 // SAFETY: `Mapping` holds a raw pointer into a `PageBuf` whose storage is
 // stable and whose bytes sit in `UnsafeCell`s. The cache itself is only
 // accessed under the `HandoffCell` contract (strict kernel/process
-// alternation), so sending it across the kernel/app thread boundary is
-// sound.
+// alternation, which is program order on the kernel's one thread). It is
+// `Send` only because an `AppBody` is `+ Send` and captures one: a cache may
+// move to another thread with its whole simulation, never apart from it.
 unsafe impl Send for NodeCache {}
 
 impl NodeCache {
@@ -107,9 +108,10 @@ impl<'a> SvmCtx<'a> {
     /// Run `f` against this node's recorder, if the run is recording.
     fn record(&self, f: impl FnOnce(&mut NodeRecorder)) {
         if let Some(rec) = &self.recorder {
-            // SAFETY: the application thread runs only between a resume and
-            // its next request; the kernel is parked, so this is the only
-            // live reference (HandoffCell contract, as for the cache).
+            // SAFETY: the application body runs only between a resume and
+            // its next request, on the kernel's thread while the kernel is
+            // suspended, so this is the only live reference (HandoffCell
+            // contract, as for the cache).
             f(unsafe { rec.get_mut() });
         }
     }
@@ -206,9 +208,10 @@ impl<'a> SvmCtx<'a> {
     fn mapping(&self, page: u32, write: bool) -> *mut u8 {
         for attempt in 0..8 {
             {
-                // SAFETY: the application thread runs only between a resume
-                // and its next request; the kernel is parked, so we hold the
-                // only live reference into the cache (HandoffCell contract).
+                // SAFETY: the application body runs only between a resume
+                // and its next request, on the kernel's thread while the
+                // kernel is suspended, so we hold the only live reference
+                // into the cache (HandoffCell contract).
                 let cache = unsafe { self.cache.get_mut() };
                 if let Some(m) = &cache.slots[page as usize] {
                     if !write || m.writable {
@@ -225,8 +228,8 @@ impl<'a> SvmCtx<'a> {
             debug_assert!(attempt < 7, "fault did not install a usable mapping");
         }
         // Out of retries: report a structured protocol error. The request
-        // halts the run and never completes; the kernel tears this thread
-        // down during shutdown.
+        // halts the run and never completes; the kernel unwinds this body
+        // during shutdown.
         self.request(SvmReq::MapFailed {
             page: svm_mem::PageNum(page),
         });

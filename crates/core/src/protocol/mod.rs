@@ -369,8 +369,8 @@ impl Hash for SvmAgent {
         (nodes_st, dir, lock_mgr, barrier, net, recovery).hash(h);
         (errors, lock_seqs, mutation).hash(h);
         for cell in recorders.iter().flatten() {
-            // SAFETY: quiescent point — every application thread is parked
-            // in its rendezvous, so the recorder handle is exclusive.
+            // SAFETY: quiescent point — every application body is suspended
+            // in a request, so the recorder handle is exclusive.
             unsafe { cell.get_mut() }.hash(h);
         }
     }
@@ -515,8 +515,9 @@ impl SvmAgent {
         let ptr = self.nodes_st[node.index()].pages[page.0 as usize]
             .copy()
             .as_ptr();
-        // SAFETY: handlers run in kernel phases; every application thread is
-        // parked, so the HandoffCell contract holds.
+        // SAFETY: handlers run in kernel phases; every application body is
+        // suspended in a request (or not started, or finished) on this same
+        // thread, so the HandoffCell contract holds.
         let cache = unsafe { self.caches[node.index()].get_mut() };
         cache.slots[page.0 as usize] = Some(Mapping { ptr, writable });
     }
@@ -541,7 +542,7 @@ impl SvmAgent {
     pub fn with_recorder(&mut self, node: NodeId, f: impl FnOnce(&mut NodeRecorder)) {
         if let Some(recs) = &self.recorders {
             // SAFETY: handlers run in kernel phases; every application
-            // thread is parked, so the HandoffCell contract holds (see
+            // body is suspended, so the HandoffCell contract holds (see
             // install_mapping).
             f(unsafe { recs[node.index()].get_mut() });
         }
@@ -837,7 +838,7 @@ mod tests {
         let ps = agent.page_size();
         let st = &agent.nodes_st[2].pages[3];
         assert_eq!(st.access, svm_mem::Access::ReadOnly);
-        // SAFETY: no application threads exist in this test; the kernel
+        // SAFETY: no application bodies exist in this test; the kernel
         // phase contract trivially holds.
         let bytes = unsafe { st.buf.as_ref().unwrap().bytes() };
         assert_eq!(bytes, &agent.golden[3 * ps..4 * ps]);

@@ -784,8 +784,8 @@ impl<A: Agent> World<A> {
         n.cpu.service = None;
         n.coproc.queue.clear();
         n.coproc.service = None;
-        // Dropping the SimProcess closes the resume channel; a parked app
-        // thread unwinds cleanly and is joined (see svm-sim::process).
+        // Dropping the SimProcess unwinds a parked app body, here and now,
+        // and unmaps its stack (see svm-sim::process).
         n.process = None;
         if !matches!(n.app, AppState::Finished) {
             n.app = AppState::Crashed;

@@ -1,25 +1,26 @@
 //! State shared between the kernel and a parked process.
 //!
 //! The SVM access layer keeps a per-node page-mapping cache that the
-//! application thread consults on every shared read/write (the fast path,
+//! application body consults on every shared read/write (the fast path,
 //! no kernel round trip) and that the kernel must be able to revoke entries
 //! from when the protocol invalidates pages or closes an interval — possibly
-//! while the application thread is parked mid-computation.
+//! while the application body is parked mid-computation.
 //!
-//! Rust's type system cannot express "these two threads never run at the same
-//! time", so the cell exposes `unsafe` accessors with that contract spelled
-//! out. The strict-alternation discipline of [`crate::process`] (the kernel
-//! only runs while every process is not yet started, blocked in `request()`
-//! or finished; a process only runs while the kernel is blocked in
-//! `next_yield()`/`resume()`, and that holds from `spawn_process` on) plus
-//! the happens-before edges of the rendezvous mutex — every slot is written
-//! and read under it, whichever worker thread runs the body and whenever it
-//! is woken — make the accesses race-free.
+//! Rust's type system cannot express "these two owners never use it at the
+//! same time", so the cell exposes `unsafe` accessors with that contract
+//! spelled out. What makes it hold is the strict alternation of
+//! [`crate::process`]: the kernel only runs while every process is not yet
+//! started, suspended in `request()` or finished; a process only runs while
+//! the kernel is suspended in `next_yield()`/`resume()`, and that holds from
+//! `spawn_process` on. Kernel and bodies are coroutines on one thread, so the
+//! accesses are ordered by program order — there is no second thread to race
+//! with, and nothing to synchronise; the contract left to the caller is not
+//! to keep a reference across a switch.
 
 use std::cell::UnsafeCell;
 use std::sync::Arc;
 
-/// A cell both the kernel and one process thread may access, at
+/// A cell both the kernel and one process body may access, at
 /// non-overlapping times.
 pub struct HandoffCell<T> {
     inner: Arc<UnsafeCell<T>>,
@@ -27,9 +28,12 @@ pub struct HandoffCell<T> {
 
 // SAFETY: `HandoffCell` hands out `&mut T` only through `unsafe` methods
 // whose contract requires externally enforced mutual exclusion (the strict
-// kernel/process alternation) with proper synchronization between phases
-// (the rendezvous mutex). Under that contract, sending the cell to
-// another thread and sharing references to it are sound for any `T: Send`.
+// kernel/process alternation). In a simulation every clone is used on the
+// kernel's thread. The impls stay only because a process body must be
+// `+ Send` (`svm_machine::AppBody`) and captures a clone: a cell, like the
+// `Arc` inside it, may move to another thread with all its clones — a whole
+// simulation moving before it starts — which is sound for any `T: Send`;
+// clones used from two threads at once would break `get_mut`'s contract.
 unsafe impl<T: Send> Send for HandoffCell<T> {}
 // SAFETY: see `Send` above; shared access never yields `&T`/`&mut T` without
 // the caller promising exclusivity.
@@ -84,8 +88,8 @@ mod tests {
         let proc_cell = cell.clone();
         let mut p = spawn_process("user", move |port: &ProcessPort<(), ()>| {
             for i in 0..5 {
-                // SAFETY: this thread runs only between resume and the next
-                // request; the kernel is blocked in next_yield()/resume().
+                // SAFETY: this body runs only between resume and the next
+                // request; the kernel is suspended in next_yield()/resume().
                 unsafe { proc_cell.get_mut().push(i) };
                 port.request(());
             }

@@ -2,8 +2,9 @@
 //!
 //! This crate provides the execution substrate for the shared-virtual-memory
 //! simulator: virtual time, a deterministic event scheduler, simulated
-//! processes (application programs running on reused OS threads, resumed
-//! one at a time in strict rendezvous with the event kernel), a
+//! processes (application programs running as coroutines on the kernel's
+//! thread, each on a stack of its own, resumed one at a time in strict
+//! alternation with the event kernel; x86-64 Linux only), a
 //! [`HandoffCell`] for state shared between the kernel and a parked process,
 //! and a small deterministic RNG for workload generation.
 //!

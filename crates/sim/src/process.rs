@@ -1,66 +1,51 @@
-//! Simulated processes: application code on real threads, in strict
-//! rendezvous with the event kernel.
+//! Simulated processes: application code as stackful coroutines on the
+//! kernel's own thread.
 //!
 //! A simulated process is an ordinary Rust closure (for us: a Splash-2-style
-//! program against the SVM API) running on an OS thread. It interacts with
-//! the simulation exclusively by calling [`ProcessPort::request`], which
-//! hands a request to the kernel and blocks until the kernel resumes it with
-//! a response. The kernel side ([`SimProcess::resume`]) symmetrically blocks
-//! until the process either issues its next request or finishes.
+//! program against the SVM API). It interacts with the simulation
+//! exclusively by calling [`ProcessPort::request`], which hands a request to
+//! the kernel and returns when the kernel resumes it with a response. The
+//! kernel side ([`SimProcess::resume`]) symmetrically returns when the
+//! process either issues its next request or finishes.
 //!
 //! The discipline is *strict alternation*: at any moment either the kernel
-//! thread or exactly one process thread is running, never both — from
+//! or exactly one process body is running, never both — from
 //! [`spawn_process`] on: a body first runs inside the kernel's first
-//! [`SimProcess::next_yield`]. The exchange is a single `Mutex`+`Condvar`
-//! rendezvous cell — one request and one response slot — rather than a pair
-//! of mpsc channels: strict alternation means the slots never hold more than
-//! one value, the mutex provides the happens-before edges (see
-//! [`crate::HandoffCell`]), and no allocation happens per request.
+//! [`SimProcess::next_yield`]. That is a fact about one thread, not a
+//! convention between several: a body runs on a stack of its own, and
+//! `request`, `next_yield` and `resume` put a value in a one-request,
+//! one-response cell and [`switch`] stacks — a few dozen instructions, no
+//! system call, no thread to wake. What one side wrote before a switch the
+//! other reads after it in program order (see [`crate::HandoffCell`]), and
+//! none of it can change a virtual-time result: which stack runs a body is
+//! invisible to the kernel, which observes only the sequence of yields.
 //!
-//! Two things keep a round trip at the cost of the two context switches it
-//! cannot avoid. *Wake after unlock*: an endpoint changes a slot under the
-//! mutex, releases the mutex, and only then calls `notify_one`, so the woken
-//! thread never runs into a held lock and bounces back. No wake-up can be
-//! lost, because a waiter re-checks its slot under the mutex before it
-//! sleeps: a change made before that check is seen by it, and a change made
-//! after it is followed by a `notify_one` that finds the waiter asleep (or
-//! about to be — `Condvar::wait` releases the mutex and sleeps atomically).
-//! Alternation leaves at most one sleeper per cell, so `notify_one` wakes
-//! everyone `notify_all` would. *Worker reuse*: bodies run on a process-wide
-//! list of parked worker threads, so after warm-up a process costs no thread
-//! spawn; the list is as long as the largest number of processes that were
-//! ever live at once. A body is handed to its worker through the worker's own
-//! mutex-guarded slot (or the thread spawn), which orders everything the
-//! kernel did before the first `next_yield` before the body. Neither can
-//! change a virtual-time result: which OS thread runs a body, and when it is
-//! woken, are invisible to the kernel, which observes only the sequence of
-//! yields.
+//! A stack is a mapping of its own, not from the global allocator: a guard
+//! page (running off the end is a bare `SIGSEGV`), then [`STACK_BYTES`] with
+//! the [`Start`] record at the top and the first `switch`'s frame below it
+//! (DESIGN §17). [`entry`] runs exactly once per stack: it drops the body and
+//! any panic payload, posts the final yield, switches out and is never
+//! resumed. A `SimProcess` dropped before that sets `kernel_gone` and
+//! switches in: a parked `request` raises the quiet [`KernelShutdown`] panic
+//! for `entry` to catch, a body never started is dropped uncalled.
 
+use std::arch::naked_asm;
+use std::ffi::{c_int, c_void};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
+use std::ptr;
+
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+compile_error!(
+    "svm-sim runs process bodies as coroutines and needs x86-64 Linux. A port must supply, in \
+     crates/sim/src/process.rs: `switch`, the `trampoline`, the initial frame (and mmap's flags)."
+);
 
 /// Panic payload used to unwind a process body when the kernel has shut
 /// down while the process was parked in [`ProcessPort::request`]. This is
 /// the *expected* teardown path for a halted simulation (e.g., a run ended
-/// early by a protocol error), so the global panic hook is taught to stay
-/// silent for it — no stderr message, no backtrace.
+/// early by a protocol error), so it is raised with `resume_unwind`, which
+/// bypasses the panic hook — no stderr message, no backtrace.
 struct KernelShutdown;
-
-/// Install (once, process-wide) a panic hook that suppresses output for
-/// [`KernelShutdown`] unwinds and delegates everything else to the
-/// previously installed hook.
-fn install_quiet_shutdown_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<KernelShutdown>().is_some() {
-                return;
-            }
-            prev(info);
-        }));
-    });
-}
 
 /// What a process produced when control returned to the kernel.
 #[derive(Debug)]
@@ -71,105 +56,86 @@ pub enum Yielded<Req> {
     Finished(Result<(), String>),
 }
 
-/// Lock `m`, ignoring poison.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A poisoned lock means a thread panicked *while holding it*; every
-    // critical section here only moves plain data, and panics happen
-    // outside them, so this is unreachable in practice.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// Usable bytes of a process stack: what a `std` thread gets by default.
+const STACK_BYTES: usize = 2 << 20;
+/// The inaccessible page below a stack (x86-64 pages are 4 KiB).
+const GUARD_BYTES: usize = 4096;
+/// `MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK`, Linux values.
+const MAP_FLAGS: c_int = 0x2 | 0x20 | 0x4000 | 0x2_0000;
+const PROT_NONE: c_int = 0;
+const PROT_READ_WRITE: c_int = 1 | 2;
+
+// std already links libc, so no new dependency. `mmap`'s arguments are
+// (addr, length, prot, flags, fd, offset).
+extern "C" {
+    fn mmap(_: *mut c_void, _: usize, _: c_int, _: c_int, _: c_int, _: i64) -> *mut c_void;
+    fn mprotect(addr: *mut c_void, length: usize, prot: c_int) -> c_int;
+    fn munmap(addr: *mut c_void, length: usize) -> c_int;
 }
 
-/// Sleep on `cv`, ignoring poison (see [`lock`]).
-fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+/// Push the running side's callee-saved registers, store its stack pointer
+/// in `*save_sp`, make `load_sp` the stack pointer and pop what the other
+/// side pushed there; "returns" when a later `switch` loads what this stored.
+///
+/// # Safety
+///
+/// `load_sp` is the initial frame of [`spawn_process`] or was stored by a
+/// `switch` on this thread that has not been returned to since. Alternation
+/// is the rest: the sides share only the [`Chan`], through raw pointers.
+// SAFETY: only `rsp` and the System V callee-saved integer registers carry
+// state across a call, and both sides save and restore exactly those. MXCSR
+// and the x87 control word are *not* saved: nothing in this workspace changes
+// them, so every stack on a thread runs with the same values.
+#[unsafe(naked)]
+unsafe extern "sysv64" fn switch(save_sp: *mut *mut u8, load_sp: *mut u8) {
+    naked_asm!(
+        "push rbp; push rbx; push r12; push r13; push r14; push r15",
+        "mov [rdi], rsp; mov rsp, rsi",
+        "pop r15; pop r14; pop r13; pop r12; pop rbx; pop rbp",
+        "ret",
+    )
 }
 
-/// The rendezvous cell both endpoints share.
+/// Where the first [`switch`] to a process "returns": calls `rbx(r12)`, which
+/// is [`entry`] on its [`Start`] record.
+// SAFETY: reached only through the frame `spawn_process` writes, which puts
+// `entry` in `rbx`, its argument in `r12`, and leaves `rsp` 16-byte aligned
+// here, as the ABI wants at a `call`; `entry` never returns. Nothing called
+// this, which `.cfi_undefined rip` tells unwinders and backtraces.
+#[unsafe(naked)]
+unsafe extern "sysv64" fn trampoline() {
+    naked_asm!(
+        ".cfi_startproc; .cfi_undefined rip",
+        "mov rdi, r12; call rbx; ud2",
+        ".cfi_endproc",
+    )
+}
+
+/// The cell both sides share: one request slot, one response slot, and the
+/// stack pointer of whichever side is not running.
 struct Chan<Req, Resp> {
-    state: Mutex<ChanState<Req, Resp>>,
-    cv: Condvar,
-}
-
-struct ChanState<Req, Resp> {
     /// Process -> kernel: the pending yield (at most one, by alternation).
     yielded: Option<Yielded<Req>>,
     /// Kernel -> process: the pending resume value (at most one).
     resp: Option<Resp>,
-    /// The kernel endpoint was dropped; a parked process must unwind.
+    /// The kernel endpoint is being dropped; the process must unwind.
     kernel_gone: bool,
+    /// Stored by the `switch` that suspends the kernel.
+    kernel_sp: *mut u8,
+    /// The initial frame, then stored by each `switch` that suspends the body.
+    body_sp: *mut u8,
 }
 
-impl<Req, Resp> Chan<Req, Resp> {
-    fn new() -> Self {
-        Chan {
-            state: Mutex::new(ChanState {
-                yielded: None,
-                resp: None,
-                kernel_gone: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Change the state under the mutex, then wake the other endpoint
-    /// *after* releasing it (module doc: "wake after unlock").
-    fn publish(&self, change: impl FnOnce(&mut ChanState<Req, Resp>)) {
-        change(&mut lock(&self.state));
-        self.cv.notify_one();
-    }
-}
-
-/// What a worker runs: one process body, up to and including its final
-/// yield. It is handed its worker so that it can put the worker back on
-/// [`IDLE`] itself, before that yield (see [`spawn_process`]).
-type Job = Box<dyn FnOnce(&Arc<Worker>) + Send>;
-
-/// A reusable OS thread, parked on a one-job slot between processes.
-struct Worker {
-    job: Mutex<Option<Job>>,
-    cv: Condvar,
-}
-
-/// The workers that have no process to run. Process-wide; it holds at most
-/// the peak number of simultaneously live processes, and its threads are
-/// never joined: they stay parked until the host process exits.
-static IDLE: Mutex<Vec<Arc<Worker>>> = Mutex::new(Vec::new());
-
-/// Run `job` on an idle worker, or on a new one when none is idle.
-fn start(job: Job) {
-    let idle = lock(&IDLE).pop();
-    let worker = idle.unwrap_or_else(spawn_worker);
-    *lock(&worker.job) = Some(job);
-    worker.cv.notify_one();
-}
-
-/// A new worker thread: run the job in the slot, sleep until the next one.
-fn spawn_worker() -> Arc<Worker> {
-    let worker = Arc::new(Worker {
-        job: Mutex::new(None),
-        cv: Condvar::new(),
-    });
-    let me = worker.clone();
-    std::thread::Builder::new()
-        .name("sim-process".to_string())
-        .spawn(move || loop {
-            let mut slot = lock(&me.job);
-            let job = loop {
-                match slot.take() {
-                    Some(job) => break job,
-                    None => slot = wait(&me.cv, slot),
-                }
-            };
-            drop(slot);
-            job(&me);
-        })
-        .expect("failed to spawn simulated process thread");
-    worker
+/// What [`spawn_process`] writes at the top of a process's stack; [`entry`]
+/// moves `body` out.
+struct Start<Req, Resp, F> {
+    chan: Chan<Req, Resp>,
+    body: F,
 }
 
 /// The process-side endpoint: issue requests, receive responses.
 pub struct ProcessPort<Req, Resp> {
-    chan: Arc<Chan<Req, Resp>>,
+    chan: *mut Chan<Req, Resp>,
 }
 
 impl<Req, Resp> ProcessPort<Req, Resp> {
@@ -178,41 +144,65 @@ impl<Req, Resp> ProcessPort<Req, Resp> {
     /// # Panics
     ///
     /// Panics if the kernel has shut down (its [`SimProcess`] was dropped);
-    /// the panic unwinds the process body so its worker is free again. The
-    /// payload is a private marker the panic hook recognizes, so this
-    /// expected teardown produces no stderr noise.
+    /// the panic unwinds the process body so what it holds is freed. It is
+    /// raised past the panic hook, so this expected teardown produces no
+    /// stderr noise.
     pub fn request(&self, req: Req) -> Resp {
-        self.chan.publish(|st| {
-            debug_assert!(st.yielded.is_none(), "request while a yield is pending");
-            st.yielded = Some(Yielded::Request(req));
-        });
-        let mut st = lock(&self.chan.state);
-        loop {
-            // Take a response even if the kernel dropped right after
-            // sending it — the resume must not be lost.
-            if let Some(resp) = st.resp.take() {
-                return resp;
-            }
-            if st.kernel_gone {
-                drop(st);
-                panic::panic_any(KernelShutdown);
-            }
-            st = wait(&self.chan.cv, st);
-        }
-    }
-
-    /// Post the final yield (body returned or panicked).
-    fn finish(&self, outcome: Result<(), String>) {
-        self.chan
-            .publish(|st| st.yielded = Some(Yielded::Finished(outcome)));
+        // SAFETY: a port is made only by `entry`, lent to the body, and is
+        // `!Send + !Sync`, so this runs on the process's own stack while the
+        // kernel is suspended in the `switch` that stored `kernel_sp`: the
+        // cell is ours until we switch, and again once we are switched to.
+        let resp = unsafe {
+            debug_assert!((*self.chan).yielded.is_none(), "a yield is pending");
+            (*self.chan).yielded = Some(Yielded::Request(req));
+            switch(&raw mut (*self.chan).body_sp, (*self.chan).kernel_sp);
+            (*self.chan).resp.take()
+        };
+        // Resumed without a response: the kernel endpoint is being dropped.
+        resp.unwrap_or_else(|| panic::resume_unwind(Box::new(KernelShutdown)))
     }
 }
 
-/// The kernel-side endpoint of a simulated process.
+/// The one function on a process stack: run the body (unless the kernel is
+/// gone already), post the final yield, leave for good.
+///
+/// # Safety
+///
+/// Called once, through [`trampoline`], on the stack whose top holds `*start`.
+unsafe extern "sysv64" fn entry<Req, Resp, F>(start: *mut Start<Req, Resp, F>) -> !
+where
+    F: FnOnce(&ProcessPort<Req, Resp>),
+{
+    // SAFETY: `spawn_process` initialised `*start`, and this is the one read
+    // of `body`. The kernel is suspended until the `switch` below, so outside
+    // the body's own `request`s the cell is ours.
+    unsafe {
+        let chan = &raw mut (*start).chan;
+        let body = ptr::read(&raw const (*start).body);
+        let outcome = if (*chan).kernel_gone {
+            drop(body); // dropped before its first `next_yield`: never called
+            Ok(())
+        } else {
+            let port = ProcessPort { chan };
+            // `&*payload` derefs the box: passing `&payload` would unsize
+            // the `Box` itself into `dyn Any` and the downcasts would miss.
+            panic::catch_unwind(AssertUnwindSafe(|| body(&port)))
+                .map_err(|payload| panic_message(&*payload))
+        };
+        // The body, what it captured and any panic payload are dropped by
+        // now: this stack owns nothing, and is never switched to again.
+        (*chan).yielded = Some(Yielded::Finished(outcome));
+        switch(&raw mut (*chan).body_sp, (*chan).kernel_sp);
+    }
+    std::process::abort() // a finished process was resumed
+}
+
+/// The kernel-side endpoint of a simulated process. `!Send`: a body that
+/// has started must be resumed on the thread that started it.
 pub struct SimProcess<Req, Resp> {
-    chan: Arc<Chan<Req, Resp>>,
-    /// The body, until the first `next_yield` hands it to a worker.
-    job: Option<Job>,
+    /// The mapping: guard page, then the stack, with `*chan` at its top.
+    base: *mut u8,
+    chan: *mut Chan<Req, Resp>,
     /// True while the process is blocked in `request()` awaiting a resume.
     awaiting_resume: bool,
     finished: bool,
@@ -221,39 +211,53 @@ pub struct SimProcess<Req, Resp> {
 
 /// Create a simulated process that will run `body`.
 ///
-/// Nothing of the body runs yet: the first [`SimProcess::next_yield`] hands
-/// it to a worker thread and returns its first request, so alternation with
-/// the kernel is strict from the start (the kernel may build its world
-/// between the two calls without a body running beside it). Panics inside
-/// the body are caught and reported as [`Yielded::Finished(Err(..))`].
+/// Nothing of the body runs yet: the first [`SimProcess::next_yield`]
+/// switches to it and returns its first request, so alternation with the
+/// kernel is strict from the start (the kernel may build its world between
+/// the two calls without a body running beside it). Panics inside the body
+/// are caught and reported as [`Yielded::Finished(Err(..))`].
 pub fn spawn_process<Req, Resp, F>(name: &str, body: F) -> SimProcess<Req, Resp>
 where
     Req: Send + 'static,
     Resp: Send + 'static,
     F: FnOnce(&ProcessPort<Req, Resp>) + Send + 'static,
 {
-    install_quiet_shutdown_hook();
-    let chan = Arc::new(Chan::new());
-    let port = ProcessPort { chan: chan.clone() };
-    let job: Job = Box::new(move |worker| {
-        let result = panic::catch_unwind(AssertUnwindSafe(|| body(&port)));
-        let outcome = match result {
-            Ok(()) => Ok(()),
-            // `&*payload` derefs the box: passing `&payload` would unsize
-            // the `Box` itself into `dyn Any` and the downcasts would miss.
-            Err(payload) => Err(panic_message(&*payload)),
+    let align = align_of::<Start<Req, Resp, F>>().max(16);
+    let size = size_of::<Start<Req, Resp, F>>().next_multiple_of(align);
+    // Memory safety needs the record to fit, and its alignment to be met by
+    // the page-aligned end of the mapping.
+    let fits = size <= STACK_BYTES / 2 && align <= GUARD_BYTES;
+    assert!(fits, "body captures {size} bytes, aligned to {align}");
+    let len = GUARD_BYTES + STACK_BYTES;
+    // SAFETY: a fresh anonymous mapping, placed by the OS, aliases nothing.
+    let map = unsafe { mmap(ptr::null_mut(), len, PROT_READ_WRITE, MAP_FLAGS, -1, 0) };
+    assert!(map as isize != -1, "cannot map a process stack");
+    // SAFETY: the first page of the mapping just made, which nothing uses yet.
+    let guarded = unsafe { mprotect(map, GUARD_BYTES, PROT_NONE) };
+    assert!(guarded == 0, "cannot protect a process stack's guard page");
+    // SAFETY: `size` below the mapping's end is aligned for the record and
+    // 16-byte aligned for the frame under it (asserted above); both lie in
+    // the writable part, far above the guard page.
+    let chan = unsafe {
+        let start: *mut Start<Req, Resp, F> = map.byte_add(len - size).cast();
+        let entry = entry::<Req, Resp, F> as *const () as usize;
+        let ret = trampoline as *const () as usize;
+        // What the first `switch` pops: r15 r14 r13 r12 rbx rbp, return address.
+        let frame: *mut [usize; 7] = start.cast::<[usize; 7]>().sub(1);
+        frame.write([0, 0, 0, start as usize, entry, 0, ret]);
+        let chan = Chan {
+            yielded: None,
+            resp: None,
+            kernel_gone: false,
+            kernel_sp: ptr::null_mut(),
+            body_sp: frame.cast(),
         };
-        // Idle again *before* the final yield: a kernel that has seen this
-        // process finish finds the worker listed, so runs of processes that
-        // never overlap never grow the thread count. A job posted to the
-        // slot meanwhile is picked up when this one returns.
-        lock(&IDLE).push(worker.clone());
-        // Posted even when the kernel is gone: its Drop waits for this.
-        port.finish(outcome);
-    });
+        start.write(Start { chan, body });
+        &raw mut (*start).chan
+    };
     SimProcess {
+        base: map.cast(),
         chan,
-        job: Some(job),
         awaiting_resume: false,
         finished: false,
         name: name.to_string(),
@@ -288,7 +292,7 @@ impl<Req, Resp> SimProcess<Req, Resp> {
         self.awaiting_resume
     }
 
-    /// Start the freshly spawned process and block until it yields.
+    /// Start the freshly spawned process and run it until it yields.
     ///
     /// Use this once after [`spawn_process`] to obtain the first request;
     /// afterwards use [`SimProcess::resume`].
@@ -299,17 +303,14 @@ impl<Req, Resp> SimProcess<Req, Resp> {
             "process {} is awaiting a resume, not running",
             self.name
         );
-        if let Some(job) = self.job.take() {
-            start(job);
-        }
-        let mut st = lock(&self.chan.state);
-        let y = loop {
-            match st.yielded.take() {
-                Some(y) => break y,
-                None => st = wait(&self.chan.cv, st),
-            }
+        // SAFETY: not finished, so `body_sp` is the initial frame or what the
+        // body's last `switch` stored, on this thread (`Self: !Send`). The
+        // body is suspended: the cell is ours before the switch and after.
+        let yielded = unsafe {
+            switch(&raw mut (*self.chan).kernel_sp, (*self.chan).body_sp);
+            (*self.chan).yielded.take()
         };
-        drop(st);
+        let y = yielded.expect("a process switches to the kernel only with a yield posted");
         match &y {
             Yielded::Request(_) => self.awaiting_resume = true,
             Yielded::Finished(_) => self.finished = true,
@@ -329,30 +330,29 @@ impl<Req, Resp> SimProcess<Req, Resp> {
             self.name
         );
         self.awaiting_resume = false;
-        self.chan.publish(|st| {
-            debug_assert!(st.resp.is_none(), "resume while a response is pending");
-            st.resp = Some(resp);
-        });
+        // SAFETY: the body is suspended in `request`; the cell is ours.
+        let pending = unsafe { (*self.chan).resp.replace(resp) };
+        debug_assert!(pending.is_none(), "resume while a response is pending");
         self.next_yield()
     }
 }
 
 impl<Req, Resp> Drop for SimProcess<Req, Resp> {
     fn drop(&mut self) {
-        // A body that was never started, or has posted its final yield, has
-        // nothing left to unwind.
-        if self.job.is_some() || self.finished {
-            return;
+        // SAFETY: the body is suspended or not started; the cell is ours.
+        unsafe { (*self.chan).kernel_gone = true };
+        // Run the body to its final yield (see the module doc; a second round
+        // only if the body caught the panic itself and asked again).
+        while !self.finished {
+            self.awaiting_resume = false;
+            self.next_yield();
         }
-        // Flagging the kernel gone unblocks the parked process: its wait
-        // loop observes the flag, request() panics, catch_unwind catches,
-        // and the worker posts the final yield. Waiting for that yield
-        // means the body and everything it captured are dropped before
-        // this returns.
-        self.chan.publish(|st| st.kernel_gone = true);
-        let mut st = lock(&self.chan.state);
-        while !matches!(st.yielded, Some(Yielded::Finished(_))) {
-            st = wait(&self.chan.cv, st);
+        // SAFETY: `entry` has switched out for good, so no frame on the stack
+        // is live and this is the last use of the cell; `base` is the mapping
+        // `spawn_process` made (a failed `munmap` would only leak it).
+        unsafe {
+            ptr::drop_in_place(self.chan);
+            munmap(self.base.cast(), GUARD_BYTES + STACK_BYTES);
         }
     }
 }
@@ -360,6 +360,8 @@ impl<Req, Resp> Drop for SimProcess<Req, Resp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
+    use std::sync::Arc;
     use std::thread::ThreadId;
 
     #[test]
@@ -416,11 +418,11 @@ mod tests {
         drop(p); // must not hang
     }
 
-    /// A body whose requests carry the worker thread it runs on.
+    /// A body whose requests carry the thread it runs on.
     type Probe = SimProcess<(ThreadId, u32), u32>;
 
     /// Run a two-request body to completion, checking every value that
-    /// crosses the port; returns the worker it ran on.
+    /// crosses the port; returns the thread the body ran on.
     fn fresh_body_runs(base: u32) -> ThreadId {
         let mut p: Probe = spawn_process("fresh", move |port| {
             let me = std::thread::current().id();
@@ -428,57 +430,68 @@ mod tests {
             let b = port.request((me, a + 1));
             assert_eq!(b, base + 12);
         });
-        let Yielded::Request((worker, r)) = p.next_yield() else {
+        let Yielded::Request((thread, r)) = p.next_yield() else {
             panic!("no first request");
         };
         assert_eq!(r, base);
         assert!(
-            matches!(p.resume(base + 10), Yielded::Request((w, r)) if w == worker && r == base + 11)
+            matches!(p.resume(base + 10), Yielded::Request((t, r)) if t == thread && r == base + 11)
         );
         assert!(matches!(p.resume(base + 12), Yielded::Finished(Ok(()))));
-        worker
+        thread
     }
 
-    /// Runs alone in a child process (see `workers_survive_unwinds`), so
-    /// the worker list and stderr are its own: one worker, used four times.
     #[test]
-    #[ignore = "child process of workers_survive_unwinds"]
+    fn a_body_runs_on_the_kernels_thread() {
+        assert_eq!(fresh_body_runs(0), std::thread::current().id());
+    }
+
+    /// Runs alone in a child process (see `unwinds_leave_the_thread_usable`),
+    /// so stderr is its own: one loud panic, one silent shutdown, and bodies
+    /// before, between and after them all on this thread.
+    #[test]
+    #[ignore = "child process of unwinds_leave_the_thread_usable"]
     fn child_unwinds_then_fresh_bodies() {
+        let kernel = std::thread::current().id();
         let mut bomb: Probe = spawn_process("bomb", |port| {
             port.request((std::thread::current().id(), 0));
             panic!("kaboom-loud");
         });
-        let Yielded::Request((worker, _)) = bomb.next_yield() else {
-            panic!("no first request");
-        };
+        assert!(matches!(bomb.next_yield(), Yielded::Request((t, 0)) if t == kernel));
         assert!(
             matches!(bomb.resume(0), Yielded::Finished(Err(msg)) if msg.contains("kaboom-loud"))
         );
-        assert_eq!(fresh_body_runs(100), worker);
+        assert_eq!(fresh_body_runs(100), kernel);
 
         let mut parked: Probe = spawn_process("parked", |port| {
             port.request((std::thread::current().id(), 0));
             port.request((std::thread::current().id(), 1)); // never resumed
         });
-        assert!(matches!(parked.next_yield(), Yielded::Request((w, 0)) if w == worker));
+        assert!(matches!(parked.next_yield(), Yielded::Request((t, 0)) if t == kernel));
         drop(parked); // the KernelShutdown unwind
-        assert_eq!(fresh_body_runs(200), worker);
+        assert_eq!(fresh_body_runs(200), kernel);
     }
 
     #[test]
-    fn workers_survive_unwinds() {
+    fn unwinds_leave_the_thread_usable() {
         let exe = std::env::current_exe().expect("path of this test binary");
         let child = std::process::Command::new(exe)
             .args(["--ignored", "--exact", "--nocapture"])
             .arg("process::tests::child_unwinds_then_fresh_bodies")
+            .env("RUST_BACKTRACE", "1")
             .output()
             .expect("run the child test");
         let stderr = String::from_utf8_lossy(&child.stderr);
+        // `success()` is false for a death by signal too: a backtrace that
+        // walked off the top of a process stack would end in one.
         assert!(child.status.success(), "child failed:\n{stderr}");
         // The hook is still loud for the real panic and still silent for
-        // the KernelShutdown unwind that followed it on the same worker.
+        // the KernelShutdown unwind that followed it on the same thread.
         assert_eq!(stderr.matches("panicked at").count(), 1, "{stderr}");
         assert!(stderr.contains("kaboom-loud"), "{stderr}");
+        // The backtrace was printed, and ended at `entry`, the last frame
+        // with unwind information on a process stack.
+        assert_eq!(stderr.matches("stack backtrace:").count(), 1, "{stderr}");
     }
 
     #[test]
@@ -505,6 +518,91 @@ mod tests {
         });
         drop(p); // must not hang, and drops what the body captured
         assert_eq!(Arc::strong_count(&held), 1);
+    }
+
+    #[test]
+    fn kernel_panic_with_a_process_parked_frees_the_body() {
+        let held = Arc::new(());
+        let captured = held.clone();
+        // The kernel unwinds through `p`'s Drop, which unwinds the body: a
+        // second panic on this thread, caught on the process stack.
+        let caught = panic::catch_unwind(AssertUnwindSafe(move || {
+            let mut p = spawn_process("parked", move |port: &ProcessPort<u8, u8>| {
+                let _captured = captured;
+                port.request(0);
+                unreachable!("never resumed");
+            });
+            assert!(matches!(p.next_yield(), Yielded::Request(0)));
+            panic!("kernel-side failure");
+        }));
+        let payload = caught.expect_err("the kernel closure panics");
+        assert_eq!(panic_message(&*payload), "kernel-side failure");
+        assert_eq!(Arc::strong_count(&held), 1);
+    }
+
+    #[test]
+    fn a_thousand_parked_processes_resume_in_any_order() {
+        const PROCS: usize = 1024;
+        const TRIPS: usize = 10;
+        let mut procs: Vec<SimProcess<usize, usize>> = (0..PROCS)
+            .map(|i| {
+                spawn_process(&format!("p{i}"), move |port: &ProcessPort<usize, usize>| {
+                    let mut v = i;
+                    for _ in 0..TRIPS {
+                        v = port.request(v) + 1;
+                    }
+                    assert_eq!(port.request(v), 0);
+                })
+            })
+            .collect();
+        let mut last: Vec<usize> = procs
+            .iter_mut()
+            .map(|p| match p.next_yield() {
+                Yielded::Request(r) => r,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let mut rng = SplitMix64::new(0x1024);
+        let mut order: Vec<usize> = (0..PROCS * TRIPS).map(|k| k % PROCS).collect();
+        for k in (1..order.len()).rev() {
+            order.swap(k, rng.below(k as u64 + 1) as usize);
+        }
+        for i in order {
+            match procs[i].resume(last[i] + 2) {
+                Yielded::Request(r) => {
+                    assert_eq!(r, last[i] + 3);
+                    last[i] = r;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        for (i, mut p) in procs.into_iter().enumerate() {
+            assert_eq!(last[i], i + 3 * TRIPS);
+            assert!(matches!(p.resume(0), Yielded::Finished(Ok(()))));
+        }
+    }
+
+    /// Recurse until the stack is `bytes` below `base`; returns the depth in bytes.
+    fn recurse_to(base: usize, bytes: usize) -> usize {
+        let pad = std::hint::black_box([0u8; 256]);
+        let used = base - pad.as_ptr() as usize;
+        if used >= bytes {
+            return used;
+        }
+        let deepest = recurse_to(base, bytes);
+        std::hint::black_box(&pad); // live across the call: no tail call
+        deepest
+    }
+
+    #[test]
+    fn a_body_may_use_a_megabyte_of_stack() {
+        const MIB: usize = 1 << 20;
+        let mut p = spawn_process("deep", |port: &ProcessPort<usize, ()>| {
+            let anchor = 0u8;
+            port.request(recurse_to(&raw const anchor as usize, MIB));
+        });
+        assert!(matches!(p.next_yield(), Yielded::Request(used) if used >= MIB));
+        assert!(matches!(p.resume(()), Yielded::Finished(Ok(()))));
     }
 
     #[test]

@@ -1,15 +1,30 @@
-//! Worker reuse and lost-wakeup stress for the process rendezvous.
-//!
-//! An integration test is its own host process, so the process-wide worker
-//! list of `svm_sim::process` is shared with nothing but the tests below —
-//! which take `ALONE` so that they do not share it with each other either.
+//! What a process costs the host, and a long random interleaving.
 
-use std::sync::{Mutex, PoisonError};
 use svm_sim::{spawn_process, ProcessPort, SimProcess, SplitMix64, Yielded};
 
-static ALONE: Mutex<()> = Mutex::new(());
+/// Whether this process runs `test` and nothing else (the harness was given
+/// `--exact`); otherwise run such a child and require it to pass. The
+/// harness's threads for the other tests come and go — and their stacks are
+/// mappings — so what `/proc/self` says is only a fact about `test` in a
+/// process of its own.
+#[cfg(target_os = "linux")]
+fn alone_in_a_child(test: &str) -> bool {
+    if std::env::args().any(|arg| arg == "--exact") {
+        return true;
+    }
+    let exe = std::env::current_exe().expect("path of this test binary");
+    let child = std::process::Command::new(exe)
+        .args(["--exact", test, "--test-threads=1"])
+        .output()
+        .expect("run the child test");
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(child.status.success(), "{test}, alone:\n{stdout}");
+    assert!(stdout.contains("1 passed"), "{test} did not run:\n{stdout}");
+    false
+}
 
 /// Run 64 processes, all live at once, to completion.
+#[cfg(target_os = "linux")]
 fn run_64_to_completion() {
     let mut procs: Vec<SimProcess<usize, usize>> = (0..64)
         .map(|i| {
@@ -38,22 +53,53 @@ fn os_threads() -> usize {
 #[cfg(target_os = "linux")]
 #[test]
 fn second_round_of_64_processes_spawns_no_thread() {
-    let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
+    if !alone_in_a_child("second_round_of_64_processes_spawns_no_thread") {
+        return;
+    }
+    // Bodies run on the kernel's thread: 64 live processes are 64 stacks.
+    let before = os_threads();
     run_64_to_completion();
-    let after_one = os_threads();
-    assert!(
-        after_one >= 64,
-        "{after_one} threads cannot hold 64 workers"
-    );
+    assert_eq!(os_threads(), before);
     run_64_to_completion();
-    // Workers never exit, so any thread spawned in round two would show.
-    assert!(os_threads() <= after_one);
+    assert_eq!(os_threads(), before);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_finished_or_dropped_process_leaves_no_mapping() {
+    if !alone_in_a_child("a_finished_or_dropped_process_leaves_no_mapping") {
+        return;
+    }
+    fn mappings() -> usize {
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("read /proc/self/maps");
+        maps.lines().count()
+    }
+    let cycles = |n: usize| {
+        for i in 0..n {
+            let mut p = spawn_process("cycle", move |port: &ProcessPort<usize, ()>| {
+                port.request(i);
+                port.request(i); // reached by the odd ones only
+            });
+            assert!(matches!(p.next_yield(), Yielded::Request(r) if r == i));
+            if i % 2 == 1 {
+                assert!(matches!(p.resume(()), Yielded::Request(r) if r == i));
+            }
+            drop(p); // parked in its first or second request
+            let mut q = spawn_process("cycle", |_port: &ProcessPort<(), ()>| {});
+            assert!(matches!(q.next_yield(), Yielded::Finished(Ok(()))));
+        }
+    };
+    cycles(10); // whatever the first use maps (allocator arenas) is mapped
+    let before = mappings();
+    cycles(1_000);
+    // A stack is two lines (guard page, stack): a leak would add 4 000.
+    let after = mappings();
+    assert!(after <= before, "{before} mappings grew to {after}");
 }
 
 #[test]
 fn long_random_interleaving_then_drop_while_parked() {
     const ROUNDS: usize = 10_000;
-    let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
     // Each body echoes what it is resumed with, plus one, until told 0.
     let mut procs: Vec<SimProcess<usize, usize>> = (0..8)
         .map(|i| {
