@@ -49,6 +49,12 @@ pub struct AppRun {
     pub checksum: u64,
 }
 
+// A finished run is plain data: the parallel driver's workers send it home.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<AppRun>();
+};
+
 /// A runnable workload instance for the evaluation harness.
 ///
 /// `Send + Sync` so the parallel experiment driver (`svm-bench`) can share

@@ -8,7 +8,8 @@
 //! phases. Coarse-grained single-writer sharing, low synchronization
 //! frequency, inherently imbalanced (paper Section 4.1).
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use svm_core::api::SharedArr;
 use svm_core::{run, BarrierId, SvmConfig};
@@ -205,8 +206,8 @@ impl Benchmark for Lu {
         let me = self.clone();
         let (b, nb) = (me.block, me.nb());
         let flop_ns = me.flop_ns();
-        let out = Arc::new(Mutex::new(0u64));
-        let out_w = Arc::clone(&out);
+        let out = Rc::new(Cell::new(0u64));
+        let out_w = Rc::clone(&out);
         let verify = me.verify;
         let n_total = me.n * me.n;
 
@@ -305,12 +306,12 @@ impl Benchmark for Lu {
             if verify && ctx.node() == 0 {
                 let mut all = vec![0.0f64; n_total];
                 l.m.read_into(ctx, 0, &mut all);
-                *out_w.lock().expect("poisoned") = digest_f64(&all);
+                out_w.set(digest_f64(&all));
             }
         };
 
         let report = run(cfg, setup, body);
-        let checksum = *out.lock().expect("poisoned");
+        let checksum = out.get();
         AppRun { report, checksum }
     }
 }

@@ -7,7 +7,8 @@
 //! initialization) and, in Section 4.8, as an extreme LRC-favourable case
 //! (interior zeros, so diffs are empty or tiny).
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use svm_core::api::SharedArr;
 use svm_core::{run, BarrierId, SvmConfig};
@@ -156,8 +157,8 @@ impl Benchmark for Sor {
         let (rows, cols, iters) = (me.rows, me.cols, me.iters);
         let update_ns = me.update_ns();
         let verify = me.verify;
-        let out = Arc::new(Mutex::new(0u64));
-        let out_w = Arc::clone(&out);
+        let out = Rc::new(Cell::new(0u64));
+        let out_w = Rc::clone(&out);
 
         let setup = {
             let me = me.clone();
@@ -201,12 +202,12 @@ impl Benchmark for Sor {
             if verify && ctx.node() == 0 {
                 let mut all = vec![0.0f64; rows * cols];
                 l.grid.read_into(ctx, 0, &mut all);
-                *out_w.lock().expect("poisoned") = digest_f64(&all);
+                out_w.set(digest_f64(&all));
             }
         };
 
         let report = run(cfg, setup, body);
-        let checksum = *out.lock().expect("poisoned");
+        let checksum = out.get();
         AppRun { report, checksum }
     }
 }

@@ -11,7 +11,8 @@
 //! so every protocol and node count must agree with the sequential solver
 //! exactly (and the simulator's schedules are deterministic anyway).
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use svm_core::api::SharedArr;
 use svm_core::{run, BarrierId, LockId, SvmConfig};
@@ -188,8 +189,8 @@ impl Benchmark for Tsp {
         let n = me.n;
         let node_ns = me.node_ns();
         let dist = me.distances();
-        let out = Arc::new(Mutex::new(0u64));
-        let out_w = Arc::clone(&out);
+        let out = Rc::new(Cell::new(0u64));
+        let out_w = Rc::clone(&out);
 
         let setup = move |s: &mut svm_core::Setup| {
             let stack = s.alloc_array_pages::<u64>(3 * STACK_CAP, "tsp-stack");
@@ -297,12 +298,12 @@ impl Benchmark for Tsp {
             }
             ctx.barrier(BarrierId(0));
             if ctx.node() == 0 {
-                *out_w.lock().expect("poisoned") = l.bound.get(ctx, 0);
+                out_w.set(l.bound.get(ctx, 0));
             }
         };
 
         let report = run(cfg, setup, body);
-        let checksum = *out.lock().expect("poisoned");
+        let checksum = out.get();
         AppRun { report, checksum }
     }
 }

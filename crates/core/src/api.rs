@@ -12,14 +12,18 @@
 //! trip, mirroring how real SVM systems touch mapped pages at memory speed.
 //! Misses and permission upgrades issue a `Fault` request, which runs the
 //! full protocol with its modeled costs. The kernel revokes and downgrades
-//! cache entries when the protocol invalidates pages or closes intervals;
-//! the strict kernel/process alternation (see `svm-sim`) makes the shared
-//! cache sound.
+//! cache entries when the protocol invalidates pages or closes intervals.
+//! Body and kernel are coroutines on one thread (see `svm-sim`), so the
+//! cache is plain `Cell`s behind an `Rc`; the only `unsafe` left on the path
+//! is dereferencing [`Mapping::ptr`].
+
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use svm_machine::{AppRequest, AppResponse};
 use svm_mem::{GAddr, Geometry};
 use svm_sim::process::ProcessPort;
-use svm_sim::{HandoffCell, SimDuration, SimTime};
+use svm_sim::{SimDuration, SimTime};
 
 use crate::msg::{SvmReq, SvmResp};
 use crate::trace::NodeRecorder;
@@ -44,27 +48,40 @@ pub struct Mapping {
     pub writable: bool,
 }
 
-/// The per-node mapping cache, shared between the application body (fast
-/// path) and the protocol agent (installs, downgrades, revocations).
+/// The per-node mapping cache: one slot per page of the shared address
+/// space. A handle — clones share the slots — held by the application body
+/// (fast path) and the protocol agent (installs, downgrades, revocations).
+/// `!Send`, like the [`Mapping`]s in it: a simulation lives on one thread.
+#[derive(Clone)]
 pub struct NodeCache {
-    /// One slot per page of the shared address space.
-    pub slots: Vec<Option<Mapping>>,
+    slots: Rc<[Cell<Option<Mapping>>]>,
 }
-
-// SAFETY: `Mapping` holds a raw pointer into a `PageBuf` whose storage is
-// stable and whose bytes sit in `UnsafeCell`s. The cache itself is only
-// accessed under the `HandoffCell` contract (strict kernel/process
-// alternation, which is program order on the kernel's one thread). It is
-// `Send` only because an `AppBody` is `+ Send` and captures one: a cache may
-// move to another thread with its whole simulation, never apart from it.
-unsafe impl Send for NodeCache {}
 
 impl NodeCache {
     /// An empty cache for an address space of `num_pages` pages.
     pub fn new(num_pages: usize) -> Self {
         NodeCache {
-            slots: vec![None; num_pages],
+            slots: (0..num_pages).map(|_| Cell::new(None)).collect(),
         }
+    }
+
+    /// The mapping for `page`, if one is installed.
+    pub fn get(&self, page: u32) -> Option<Mapping> {
+        self.slots[page as usize].get()
+    }
+
+    /// Install (`Some`) or revoke (`None`) the mapping for `page`.
+    pub fn set(&self, page: u32, mapping: Option<Mapping>) {
+        self.slots[page as usize].set(mapping);
+    }
+
+    /// Make the mapping for `page`, if any, read-only.
+    pub fn downgrade(&self, page: u32) {
+        let slot = &self.slots[page as usize];
+        slot.set(slot.get().map(|m| Mapping {
+            writable: false,
+            ..m
+        }));
     }
 }
 
@@ -75,8 +92,8 @@ pub type AppPort = ProcessPort<AppRequest<SvmReq>, AppResponse<SvmResp>>;
 /// programs against.
 pub struct SvmCtx<'a> {
     port: &'a AppPort,
-    cache: HandoffCell<NodeCache>,
-    recorder: Option<HandoffCell<NodeRecorder>>,
+    cache: NodeCache,
+    recorder: Option<Rc<RefCell<NodeRecorder>>>,
     geometry: Geometry,
     node: usize,
     nodes: usize,
@@ -85,12 +102,11 @@ pub struct SvmCtx<'a> {
 impl<'a> SvmCtx<'a> {
     /// Assemble a context (called by the runner's per-node glue).
     /// `recorder` is the node's trace recorder when the run records an
-    /// access trace (shared with the agent under the same `HandoffCell`
-    /// contract as the mapping cache).
+    /// access trace (shared with the agent, like the mapping cache).
     pub fn new(
         port: &'a AppPort,
-        cache: HandoffCell<NodeCache>,
-        recorder: Option<HandoffCell<NodeRecorder>>,
+        cache: NodeCache,
+        recorder: Option<Rc<RefCell<NodeRecorder>>>,
         geometry: Geometry,
         node: usize,
         nodes: usize,
@@ -108,11 +124,7 @@ impl<'a> SvmCtx<'a> {
     /// Run `f` against this node's recorder, if the run is recording.
     fn record(&self, f: impl FnOnce(&mut NodeRecorder)) {
         if let Some(rec) = &self.recorder {
-            // SAFETY: the application body runs only between a resume and
-            // its next request, on the kernel's thread while the kernel is
-            // suspended, so this is the only live reference (HandoffCell
-            // contract, as for the cache).
-            f(unsafe { rec.get_mut() });
+            f(&mut rec.borrow_mut());
         }
     }
 
@@ -207,16 +219,9 @@ impl<'a> SvmCtx<'a> {
     /// Resolve a page mapping with the required rights, faulting as needed.
     fn mapping(&self, page: u32, write: bool) -> *mut u8 {
         for attempt in 0..8 {
-            {
-                // SAFETY: the application body runs only between a resume
-                // and its next request, on the kernel's thread while the
-                // kernel is suspended, so we hold the only live reference
-                // into the cache (HandoffCell contract).
-                let cache = unsafe { self.cache.get_mut() };
-                if let Some(m) = &cache.slots[page as usize] {
-                    if !write || m.writable {
-                        return m.ptr;
-                    }
+            if let Some(m) = self.cache.get(page) {
+                if !write || m.writable {
+                    return m.ptr;
                 }
             }
             // Miss or insufficient rights: run the fault protocol. The
@@ -241,7 +246,8 @@ impl<'a> SvmCtx<'a> {
         self.access_bytes(addr, out.len(), false, |page, ptr, off, done, len| {
             // SAFETY: `ptr` maps a live page copy; `off + len` is within the
             // page (access_bytes splits at page boundaries); the kernel is
-            // parked, so no concurrent access exists.
+            // suspended until this body's next request, so nothing else
+            // touches the page meanwhile.
             unsafe {
                 std::ptr::copy_nonoverlapping(
                     ptr.add(off),
@@ -256,7 +262,7 @@ impl<'a> SvmCtx<'a> {
     /// Write `src` starting at `addr`.
     pub fn write_bytes(&self, addr: GAddr, src: &[u8]) {
         self.access_bytes(addr, src.len(), true, |page, ptr, off, done, len| {
-            // SAFETY: as in `read_bytes`, within-page and exclusive.
+            // SAFETY: as in `read_bytes`, within-page and the kernel suspended.
             unsafe {
                 std::ptr::copy_nonoverlapping(src[done..done + len].as_ptr(), ptr.add(off), len);
             }
@@ -298,7 +304,7 @@ impl<'a> SvmCtx<'a> {
         let page = self.geometry.page_of(addr).0;
         let ptr = self.mapping(page, false);
         let mut raw = [0u8; 8];
-        // SAFETY: within-page (asserted), mapped, exclusive (kernel parked).
+        // SAFETY: within-page (asserted), mapped, the kernel suspended.
         unsafe {
             std::ptr::copy_nonoverlapping(ptr.add(off), raw.as_mut_ptr(), std::mem::size_of::<T>());
         }
@@ -313,7 +319,7 @@ impl<'a> SvmCtx<'a> {
         let page = self.geometry.page_of(addr).0;
         let ptr = self.mapping(page, true);
         let raw = v.to_raw();
-        // SAFETY: within-page (asserted), mapped writable, exclusive.
+        // SAFETY: within-page (asserted), mapped writable, the kernel suspended.
         unsafe {
             std::ptr::copy_nonoverlapping(raw.as_ptr(), ptr.add(off), std::mem::size_of::<T>());
         }
@@ -436,5 +442,36 @@ impl<T: Scalar> SharedArr<T> {
             std::slice::from_raw_parts(src.as_ptr() as *const u8, std::mem::size_of_val(src))
         };
         ctx.write_bytes(self.addr(start), bytes);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use svm_sim::{spawn_process, Yielded};
+
+    #[test]
+    fn a_suspended_body_sees_the_kernels_cache_edits_after_resume() {
+        let cache = NodeCache::new(2);
+        let mut page = [0u8; 8];
+        let mapping = Mapping {
+            ptr: page.as_mut_ptr(),
+            writable: true,
+        };
+        cache.set(1, Some(mapping));
+        let seen = cache.clone();
+        let mut p = spawn_process("reader", move |port: &ProcessPort<Option<bool>, ()>| {
+            for _ in 0..3 {
+                port.request(seen.get(1).map(|m| m.writable));
+            }
+        });
+        assert!(matches!(p.next_yield(), Yielded::Request(Some(true))));
+        cache.downgrade(1);
+        cache.downgrade(0); // an empty slot stays empty
+        assert!(cache.get(0).is_none());
+        assert!(matches!(p.resume(()), Yielded::Request(Some(false))));
+        cache.set(1, None);
+        assert!(matches!(p.resume(()), Yielded::Request(None)));
+        assert!(matches!(p.resume(()), Yielded::Finished(Ok(()))));
     }
 }

@@ -412,7 +412,7 @@ impl SvmAgent {
             let skip_apply = self.bug_skip_diff_apply();
             let st = &mut self.nodes_st[idx].pages[page.0 as usize];
             if !skip_apply {
-                // SAFETY: kernel phase; app threads parked.
+                // SAFETY: kernel phase: every body is suspended.
                 pkt.diff.apply(unsafe { st.copy().bytes_mut() });
             }
             st.applied.raise(pkt.writer, pkt.interval);

@@ -118,7 +118,8 @@ impl SvmAgent {
                 for pkt in &missing {
                     cost[vidx] += ctx.cost().diff_apply(pkt.diff.payload_bytes());
                     let st = &mut self.nodes_st[vidx].pages[p as usize];
-                    // SAFETY: kernel phase (barrier; all apps parked).
+                    // SAFETY: kernel phase: every body is suspended (here, at
+                    // the barrier).
                     pkt.diff.apply(unsafe { st.copy().bytes_mut() });
                     st.applied.raise(pkt.writer, pkt.interval);
                     self.counters[vidx].diffs_applied += 1;

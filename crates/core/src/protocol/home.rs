@@ -180,9 +180,9 @@ impl SvmAgent {
         {
             let st = &mut self.nodes_st[idx].pages[page.0 as usize];
             if !skip_apply {
-                // SAFETY: kernel phase; app threads parked. The home's copy
-                // is the master; applying in place is the protocol (Section
-                // 2.3).
+                // SAFETY: kernel phase: every body is suspended. The home's
+                // copy is the master; applying in place is the protocol
+                // (Section 2.3).
                 diff.apply(unsafe { st.copy().bytes_mut() });
             }
             st.applied.raise(writer, interval);

@@ -105,7 +105,7 @@ impl SvmAgent {
                 // computation time is charged when the task executes.
                 let diff = {
                     let st = &self.nodes_st[idx].pages[p.0 as usize];
-                    // SAFETY: kernel phase; application threads are parked.
+                    // SAFETY: kernel phase: every body is suspended.
                     let cur = unsafe { st.copy().bytes() };
                     Diff::create(&twin, cur)
                 };
@@ -125,7 +125,7 @@ impl SvmAgent {
             }
             let diff = {
                 let st = &self.nodes_st[idx].pages[p.0 as usize];
-                // SAFETY: kernel phase; application threads are parked.
+                // SAFETY: kernel phase: every body is suspended.
                 let cur = unsafe { st.copy().bytes() };
                 Rc::new(Diff::create(&twin, cur))
             };

@@ -29,11 +29,13 @@ pub mod reliable;
 pub mod state;
 pub mod sync;
 
+use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
 use svm_machine::{Agent, Ctx, NodeId, ProcAddr, ProcKind};
 use svm_mem::{Geometry, PageBuf, PageNum};
-use svm_sim::{HandoffCell, SimDuration, SimTime};
+use svm_sim::{SimDuration, SimTime};
 
 use crate::api::{BarrierId, Mapping, NodeCache};
 use crate::config::{HomePolicy, ProtocolKind, SeededBug, SvmConfig};
@@ -320,7 +322,7 @@ pub struct SvmAgent {
     /// Per-node `(barrier seq, time, cumulative breakdown)` marks.
     pub barrier_marks: Vec<Vec<(u64, SimTime, svm_machine::Breakdown)>>,
     /// Per-node application mapping caches.
-    pub caches: Vec<HandoffCell<NodeCache>>,
+    pub caches: Vec<NodeCache>,
     /// The initialized data image (for lazy first-touch materialization).
     pub golden: Vec<u8>,
     /// Reliable-delivery state (inactive on a fault-free run).
@@ -331,7 +333,7 @@ pub struct SvmAgent {
     pub errors: Vec<ProtocolError>,
     /// Per-node trace recorders (`Some` iff `cfg.trace.record`), shared
     /// with the application contexts.
-    pub recorders: Option<Vec<HandoffCell<NodeRecorder>>>,
+    pub recorders: Option<Vec<Rc<RefCell<NodeRecorder>>>>,
     /// Lock acquisition numbering for the recorded trace.
     pub lock_seqs: LockSeqs,
     /// Seeded-bug occurrence counters.
@@ -368,10 +370,8 @@ impl Hash for SvmAgent {
         } = self;
         (nodes_st, dir, lock_mgr, barrier, net, recovery).hash(h);
         (errors, lock_seqs, mutation).hash(h);
-        for cell in recorders.iter().flatten() {
-            // SAFETY: quiescent point — every application body is suspended
-            // in a request, so the recorder handle is exclusive.
-            unsafe { cell.get_mut() }.hash(h);
+        for rec in recorders.iter().flatten() {
+            rec.borrow().hash(h);
         }
     }
 }
@@ -385,7 +385,7 @@ impl SvmAgent {
         num_pages: u32,
         mut golden: Vec<u8>,
         explicit_homes: Vec<Option<NodeId>>,
-        caches: Vec<HandoffCell<NodeCache>>,
+        caches: Vec<NodeCache>,
     ) -> Self {
         let nodes = cfg.nodes;
         let ps = geometry.page_size();
@@ -425,7 +425,7 @@ impl SvmAgent {
         }
         let recorders = cfg.trace.record.then(|| {
             (0..nodes)
-                .map(|_| HandoffCell::new(NodeRecorder::new()))
+                .map(|_| Rc::new(RefCell::new(NodeRecorder::new())))
                 .collect()
         });
         SvmAgent {
@@ -515,36 +515,23 @@ impl SvmAgent {
         let ptr = self.nodes_st[node.index()].pages[page.0 as usize]
             .copy()
             .as_ptr();
-        // SAFETY: handlers run in kernel phases; every application body is
-        // suspended in a request (or not started, or finished) on this same
-        // thread, so the HandoffCell contract holds.
-        let cache = unsafe { self.caches[node.index()].get_mut() };
-        cache.slots[page.0 as usize] = Some(Mapping { ptr, writable });
+        self.caches[node.index()].set(page.0, Some(Mapping { ptr, writable }));
     }
 
     /// Remove `node`'s mapping for `page` (invalidation).
     pub fn drop_mapping(&mut self, node: NodeId, page: PageNum) {
-        // SAFETY: kernel phase (see install_mapping).
-        let cache = unsafe { self.caches[node.index()].get_mut() };
-        cache.slots[page.0 as usize] = None;
+        self.caches[node.index()].set(page.0, None);
     }
 
     /// Make `node`'s mapping for `page` read-only (interval end).
     pub fn downgrade_mapping(&mut self, node: NodeId, page: PageNum) {
-        // SAFETY: kernel phase (see install_mapping).
-        let cache = unsafe { self.caches[node.index()].get_mut() };
-        if let Some(m) = &mut cache.slots[page.0 as usize] {
-            m.writable = false;
-        }
+        self.caches[node.index()].downgrade(page.0);
     }
 
     /// Run `f` against `node`'s trace recorder, if the run is recording.
     pub fn with_recorder(&mut self, node: NodeId, f: impl FnOnce(&mut NodeRecorder)) {
         if let Some(recs) = &self.recorders {
-            // SAFETY: handlers run in kernel phases; every application
-            // body is suspended, so the HandoffCell contract holds (see
-            // install_mapping).
-            f(unsafe { recs[node.index()].get_mut() });
+            f(&mut recs[node.index()].borrow_mut());
         }
     }
 
@@ -811,7 +798,7 @@ mod tests {
             .map(|i| i as u8)
             .collect();
         let caches = (0..nodes)
-            .map(|_| HandoffCell::new(NodeCache::new(num_pages as usize)))
+            .map(|_| NodeCache::new(num_pages as usize))
             .collect();
         SvmAgent::new(cfg, geometry, num_pages, golden, Vec::new(), caches)
     }
@@ -866,9 +853,7 @@ mod tests {
         let geometry = Geometry::new(cfg.page_size());
         let ps = geometry.page_size();
         let golden = vec![0xAB; 2 * ps];
-        let caches = (0..2)
-            .map(|_| HandoffCell::new(NodeCache::new(2)))
-            .collect();
+        let caches = (0..2).map(|_| NodeCache::new(2)).collect();
         let agent = SvmAgent::new(
             cfg,
             geometry,

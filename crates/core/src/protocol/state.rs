@@ -137,9 +137,8 @@ impl Hash for PageState {
             local_waiter,
         } = self;
         // SAFETY: digests run at explore quiescent points (or after
-        // shutdown): every application thread is parked in its rendezvous
-        // (or gone), so the kernel thread has exclusive access to the page
-        // bytes.
+        // shutdown) — kernel phase: every body is suspended (or gone) — and
+        // the slice is hashed and dropped here.
         let bytes = buf.as_ref().map(|b| unsafe { b.bytes() });
         (access, bytes, twin, seen, applied).hash(h);
         (home_stale, waiting_fetches, local_waiter).hash(h);

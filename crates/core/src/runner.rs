@@ -1,11 +1,10 @@
 //! Wiring: allocate and initialize shared data, spawn the machine, run a
 //! program under a protocol, and collect the report.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use svm_machine::{Breakdown, ExploreStep, NodeId, RunOutcome, World};
 use svm_mem::{GAddr, Geometry, GlobalHeap};
-use svm_sim::HandoffCell;
 
 use crate::api::{AppPort, NodeCache, Scalar, SharedArr, SvmCtx};
 use crate::config::{ProtocolName, SvmConfig};
@@ -180,6 +179,23 @@ impl RunReport {
     }
 }
 
+// The one-thread contract, held by rustc (DESIGN §17): were a simulation or a
+// handle into one `Send`, both impls would apply and `_` could not be
+// inferred. What a run leaves behind is plain data and crosses threads (the
+// parallel driver collects reports from its workers).
+const _: fn() = || {
+    trait AmbiguousIfSend<A> {
+        fn check() {}
+    }
+    impl<T: ?Sized> AmbiguousIfSend<()> for T {}
+    impl<T: ?Sized + Send> AmbiguousIfSend<u8> for T {}
+    <NodeCache as AmbiguousIfSend<_>>::check();
+    <SvmCtx<'static> as AmbiguousIfSend<_>>::check();
+    <World<SvmAgent> as AmbiguousIfSend<_>>::check();
+    fn send<T: Send>() {}
+    send::<RunReport>();
+};
+
 /// The run-independent facts of a wired [`World`] that the report needs once
 /// the run is over.
 struct Wiring {
@@ -195,9 +211,9 @@ struct Wiring {
 /// shipped construction path.
 fn build_world<L, S, B>(config: &SvmConfig, setup: S, body: B) -> (World<SvmAgent>, Wiring)
 where
-    L: Clone + Send + 'static,
+    L: Clone + 'static,
     S: FnOnce(&mut Setup) -> L,
-    B: Fn(&SvmCtx<'_>, &L) + Send + Sync + 'static,
+    B: Fn(&SvmCtx<'_>, &L) + 'static,
 {
     let geometry = Geometry::new(config.page_size());
     let nodes = config.nodes;
@@ -216,8 +232,8 @@ where
     let explicit_homes: Vec<Option<NodeId>> =
         (0..num_pages).map(|p| homes.get(&p).copied()).collect();
 
-    let caches: Vec<HandoffCell<NodeCache>> = (0..nodes)
-        .map(|_| HandoffCell::new(NodeCache::new(num_pages as usize)))
+    let caches: Vec<NodeCache> = (0..nodes)
+        .map(|_| NodeCache::new(num_pages as usize))
         .collect();
 
     // The checker needs the post-initialization image; keep a copy when
@@ -234,15 +250,15 @@ where
     );
     let recorders = agent.recorders.clone();
 
-    let body = Arc::new(body);
+    let body = Rc::new(body);
     let bodies: Vec<svm_machine::machine::AppBody<SvmAgent>> = (0..nodes)
         .map(|i| {
-            let body = Arc::clone(&body);
+            let body = Rc::clone(&body);
             let layout = layout.clone();
-            let cell = caches[i].clone();
+            let cache = caches[i].clone();
             let recorder = recorders.as_ref().map(|r| r[i].clone());
             let b: svm_machine::machine::AppBody<SvmAgent> = Box::new(move |port: &AppPort| {
-                let ctx = SvmCtx::new(port, cell, recorder, geometry, i, nodes);
+                let ctx = SvmCtx::new(port, cache, recorder, geometry, i, nodes);
                 body(&ctx, &layout);
             });
             b
@@ -267,15 +283,7 @@ impl Wiring {
             page_size: self.geometry.page_size(),
             num_pages: self.num_pages,
             initial: self.initial.expect("initial image kept when recording"),
-            events: recs
-                .iter()
-                .map(|cell| {
-                    // SAFETY: the run is over (the machine has shut down, or
-                    // the explorer stopped it with every application thread
-                    // gone); no other reference exists.
-                    unsafe { cell.get_mut() }.finish()
-                })
-                .collect(),
+            events: recs.iter().map(|rec| rec.borrow_mut().finish()).collect(),
         });
         RunReport {
             protocol: config.protocol,
@@ -308,9 +316,9 @@ impl Wiring {
 /// (with diagnostics from the machine layer).
 pub fn run<L, S, B>(config: &SvmConfig, setup: S, body: B) -> RunReport
 where
-    L: Clone + Send + 'static,
+    L: Clone + 'static,
     S: FnOnce(&mut Setup) -> L,
-    B: Fn(&SvmCtx<'_>, &L) + Send + Sync + 'static,
+    B: Fn(&SvmCtx<'_>, &L) + 'static,
 {
     let (mut world, wiring) = build_world(config, setup, body);
     world.machine.set_faults(config.fault.net_faults());
@@ -354,9 +362,9 @@ where
 /// (crashes are [`ExploreStep::Crash`] actions).
 pub fn run_explored<L, S, B, C>(config: &SvmConfig, setup: S, body: B, controller: C) -> RunReport
 where
-    L: Clone + Send + 'static,
+    L: Clone + 'static,
     S: FnOnce(&mut Setup) -> L,
-    B: Fn(&SvmCtx<'_>, &L) + Send + Sync + 'static,
+    B: Fn(&SvmCtx<'_>, &L) + 'static,
     C: FnMut(&mut World<SvmAgent>) -> ExploreStep,
 {
     let mut cfg = config.clone();

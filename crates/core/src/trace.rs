@@ -136,7 +136,7 @@ impl Hasher for Fnv64 {
 
 /// One recorded event in a node's stream.
 ///
-/// Data events carry no virtual-time stamp: the application thread touches
+/// Data events carry no virtual-time stamp: the application body touches
 /// mapped pages at memory speed, outside the simulation kernel, exactly
 /// like a real SVM system — an access is located in virtual time by the
 /// synchronization events around it. Sync events are stamped kernel-side.
@@ -338,12 +338,10 @@ impl AccessTrace {
 
 /// The per-node streaming recorder ([`TraceEvent`] producer).
 ///
-/// Shared between the application thread (data accesses) and the protocol
-/// agent (sync events) under the same `HandoffCell` contract as the
-/// mapping cache: the app thread runs only while the kernel is parked and
-/// vice versa, so access is exclusive and — because the kernel only runs
-/// handlers *after* the app thread parks at its next request — stream
-/// order equals virtual-time order.
+/// Shared (`Rc<RefCell<_>>`) between the application body (data accesses)
+/// and the protocol agent (sync events). Handlers run in a kernel phase:
+/// every body is suspended — this node's at the request that follows its
+/// accesses — so stream order equals virtual-time order.
 ///
 /// Its `Hash` is the application-observation part of the explorer's state:
 /// two states with equal recorders have shown their applications identical

@@ -1,12 +1,13 @@
 //! The DFS engine: exhaustive exploration over scheduler choices.
 //!
-//! Applications run on real OS threads, so a quiescent machine state
-//! cannot be checkpointed — the engine instead keeps a persistent stack of
-//! choice frames across *runs* and restarts the program from scratch once
-//! per backtrack, replaying the recorded prefix (cheap: no digesting, no
-//! invariant checks) and then resuming fresh exploration at the frontier.
-//! Within a single run the DFS descends freely, so the number of full
-//! replays equals the number of backtracks, not the number of states.
+//! An application is a coroutine suspended mid-body, and a stack cannot be
+//! cloned, so a quiescent machine state cannot be checkpointed — the engine
+//! instead keeps a persistent stack of choice frames across *runs* and
+//! restarts the program from scratch once per backtrack, replaying the
+//! recorded prefix (cheap: no digesting, no invariant checks) and then
+//! resuming fresh exploration at the frontier. Within a single run the DFS
+//! descends freely, so the number of full replays equals the number of
+//! backtracks, not the number of states.
 //!
 //! Soundness of the two reductions (argued in DESIGN.md §16):
 //!

@@ -53,9 +53,9 @@ pub trait Agent: Sized + 'static {
     /// duplicate deliveries and a reliability layer can retransmit.
     type Msg: Message + Clone;
     /// Custom application-request payload (faults, locks, barriers…).
-    type Req: Send + 'static;
+    type Req: 'static;
     /// Custom application-response payload.
-    type Resp: Send + 'static;
+    type Resp: 'static;
 
     /// A message has reached the head of `at`'s service queue. `from == at`
     /// marks a timer: a message `at` sent itself through [`Ctx::set_timer`].
@@ -96,9 +96,8 @@ pub struct World<A: Agent> {
 }
 
 /// Application body: the program a node runs.
-pub type AppBody<A> = Box<
-    dyn FnOnce(&ProcessPort<AppRequest<<A as Agent>::Req>, AppResponse<<A as Agent>::Resp>>) + Send,
->;
+pub type AppBody<A> =
+    Box<dyn FnOnce(&ProcessPort<AppRequest<<A as Agent>::Req>, AppResponse<<A as Agent>::Resp>>)>;
 
 enum AppState<R> {
     /// Transient: mid-resume, a new state will be set before the event ends.

@@ -14,8 +14,8 @@ pub enum TrafficClass {
 /// Implemented by the protocol's message type so the machine can price and
 /// classify it.
 ///
-/// Messages live entirely on the kernel thread (events are not `Send`), so
-/// no `Send` bound: protocols may share payloads via `Rc`.
+/// A simulation lives on one thread (a `World` is `!Send`), so no `Send`
+/// bound: protocols may share payloads via `Rc`.
 pub trait Message: 'static {
     /// Payload bytes on the wire (drives transfer time and traffic totals).
     fn wire_bytes(&self) -> usize;

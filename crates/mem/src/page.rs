@@ -34,7 +34,7 @@ impl Access {
 /// mutability.
 ///
 /// The SVM fast path hands raw pointers into these buffers to the
-/// application thread (the mapping cache), which reads and writes through
+/// application body (the mapping cache), which reads and writes through
 /// them while the simulation kernel owns the surrounding structures by
 /// `&mut`. Two properties make that sound:
 ///
@@ -44,21 +44,13 @@ impl Access {
 /// * **interior mutability** — the bytes live in [`UnsafeCell`]s, so writes
 ///   through the application's raw pointers never conflict with the
 ///   kernel's `&mut`/`&` borrows of the *container* under the aliasing
-///   model. Actual data races are excluded by the strict kernel/process
-///   alternation (see `svm-sim`), which is why the byte accessors are
-///   `unsafe` with that contract.
+///   model. The accesses themselves are ordered by program order: kernel
+///   and bodies are coroutines on one thread (see `svm-sim`; the cells also
+///   make `PageBuf` `!Sync`), and the byte accessors are `unsafe` so that no
+///   reference outlives the phase it was made in.
 pub struct PageBuf {
     data: Box<[UnsafeCell<u8>]>,
 }
-
-// SAFETY: a `PageBuf` is plain bytes; the `UnsafeCell` wrapper only disables
-// the compiler's noalias assumptions. All cross-thread access is ordered by
-// the rendezvous channels (see the type-level docs), so transferring or
-// sharing the buffer between the kernel thread and app threads is sound.
-unsafe impl Send for PageBuf {}
-// SAFETY: see `Send`; shared references to `PageBuf` expose bytes only via
-// `unsafe` methods whose contract demands external mutual exclusion.
-unsafe impl Sync for PageBuf {}
 
 /// Re-type a byte block as `UnsafeCell<u8>` cells without copying.
 ///
@@ -114,13 +106,14 @@ impl PageBuf {
     ///
     /// # Safety
     ///
-    /// No thread may write to this buffer (through [`PageBuf::as_ptr`] or
+    /// Nothing may write to this buffer (through [`PageBuf::as_ptr`] or
     /// [`PageBuf::bytes_mut`]) while the returned slice is alive. In the
-    /// simulator this holds during any kernel phase: all application
-    /// threads are parked.
+    /// simulator that is a slice made and dropped within one kernel phase
+    /// (every body is suspended) by a handler that does not write the page
+    /// meanwhile.
     pub unsafe fn bytes(&self) -> &[u8] {
-        // SAFETY: caller guarantees no concurrent writers; UnsafeCell<u8>
-        // has the same layout as u8.
+        // SAFETY: caller guarantees no write while the slice lives;
+        // UnsafeCell<u8> has the same layout as u8.
         unsafe { std::slice::from_raw_parts(self.as_ptr(), self.data.len()) }
     }
 
@@ -168,8 +161,8 @@ impl PageBuf {
 
 impl Clone for PageBuf {
     fn clone(&self) -> Self {
-        // SAFETY: cloning happens in kernel phases (protocol copies pages);
-        // no app thread writes concurrently by the alternation contract.
+        // SAFETY: the protocol copies pages in a kernel phase: every body is
+        // suspended, and the slice is gone before this returns.
         PageBuf::from_slice(unsafe { self.bytes() })
     }
 }

@@ -32,7 +32,8 @@
 
 pub mod sampler;
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use svm_core::api::SharedArr;
 use svm_core::trace::{fnv1a64, FNV_BASIS};
@@ -536,8 +537,8 @@ fn run_spec(spec: &ServeSpec, cfg: &SvmConfig) -> ServeRun {
 
     let spec = spec.clone();
     let setup_spec = spec.clone();
-    let sink: Arc<Mutex<Vec<Option<ClientStats>>>> = Arc::new(Mutex::new(vec![None; spec.nodes]));
-    let body_sink = Arc::clone(&sink);
+    let sink: Rc<RefCell<Vec<Option<ClientStats>>>> = Rc::new(RefCell::new(vec![None; spec.nodes]));
+    let body_sink = Rc::clone(&sink);
 
     let report = run(
         cfg,
@@ -577,20 +578,13 @@ fn run_spec(spec: &ServeSpec, cfg: &SvmConfig) -> ServeRun {
                 NodeRole::Client => {
                     let stats = client_body(ctx, &spec, lay);
                     let node = stats.node;
-                    let mut sink = body_sink.lock().expect("stats sink poisoned");
-                    sink[node] = Some(stats);
+                    body_sink.borrow_mut()[node] = Some(stats);
                 }
             }
         },
     );
 
-    let clients: Vec<ClientStats> = sink
-        .lock()
-        .expect("stats sink poisoned")
-        .iter()
-        .flatten()
-        .cloned()
-        .collect();
+    let clients: Vec<ClientStats> = sink.take().into_iter().flatten().collect();
     ServeRun { report, clients }
 }
 

@@ -16,9 +16,11 @@
 //! `request`, `next_yield` and `resume` put a value in a one-request,
 //! one-response cell and [`switch`] stacks — a few dozen instructions, no
 //! system call, no thread to wake. What one side wrote before a switch the
-//! other reads after it in program order (see [`crate::HandoffCell`]), and
-//! none of it can change a virtual-time result: which stack runs a body is
-//! invisible to the kernel, which observes only the sequence of yields.
+//! other reads after it in program order, so the two share state through
+//! plain `Rc<Cell<_>>`/`Rc<RefCell<_>>`: no bound here asks for `Send`, and
+//! [`SimProcess`] is `!Send`. None of it can change a virtual-time result:
+//! which stack runs a body is invisible to the kernel, which observes only
+//! the sequence of yields.
 //!
 //! A stack is a mapping of its own, not from the global allocator: a guard
 //! page (running off the end is a bare `SIGSEGV`), then [`STACK_BYTES`] with
@@ -218,9 +220,9 @@ pub struct SimProcess<Req, Resp> {
 /// are caught and reported as [`Yielded::Finished(Err(..))`].
 pub fn spawn_process<Req, Resp, F>(name: &str, body: F) -> SimProcess<Req, Resp>
 where
-    Req: Send + 'static,
-    Resp: Send + 'static,
-    F: FnOnce(&ProcessPort<Req, Resp>) + Send + 'static,
+    Req: 'static,
+    Resp: 'static,
+    F: FnOnce(&ProcessPort<Req, Resp>) + 'static,
 {
     let align = align_of::<Start<Req, Resp, F>>().max(16);
     let size = size_of::<Start<Req, Resp, F>>().next_multiple_of(align);
@@ -263,6 +265,18 @@ where
         name: name.to_string(),
     }
 }
+
+// The one-thread contract, held by rustc (DESIGN §17): were either endpoint
+// `Send`, both impls would apply and `_` could not be inferred.
+const _: fn() = || {
+    trait AmbiguousIfSend<A> {
+        fn check() {}
+    }
+    impl<T: ?Sized> AmbiguousIfSend<()> for T {}
+    impl<T: ?Sized + Send> AmbiguousIfSend<u8> for T {}
+    <SimProcess<(), ()> as AmbiguousIfSend<_>>::check();
+    <ProcessPort<(), ()> as AmbiguousIfSend<_>>::check();
+};
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -361,7 +375,8 @@ impl<Req, Resp> Drop for SimProcess<Req, Resp> {
 mod tests {
     use super::*;
     use crate::SplitMix64;
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use std::thread::ThreadId;
 
     #[test]
@@ -496,33 +511,30 @@ mod tests {
 
     #[test]
     fn body_runs_only_from_the_first_next_yield() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let ran = Arc::new(AtomicBool::new(false));
+        let ran = Rc::new(Cell::new(false));
         let flag = ran.clone();
-        let mut p = spawn_process("lazy", move |_port: &ProcessPort<(), ()>| {
-            flag.store(true, Ordering::SeqCst);
-        });
+        let mut p = spawn_process("lazy", move |_port: &ProcessPort<(), ()>| flag.set(true));
         // Not "not yet": nothing can run the body before next_yield().
-        assert!(!ran.load(Ordering::SeqCst));
+        assert!(!ran.get());
         assert!(matches!(p.next_yield(), Yielded::Finished(Ok(()))));
-        assert!(ran.load(Ordering::SeqCst));
+        assert!(ran.get());
     }
 
     #[test]
     fn drop_before_first_yield_never_runs_the_body() {
-        let held = Arc::new(());
+        let held = Rc::new(());
         let captured = held.clone();
         let p = spawn_process("early-drop", move |_port: &ProcessPort<u8, u8>| {
             let _captured = captured;
             unreachable!("dropped before next_yield()");
         });
         drop(p); // must not hang, and drops what the body captured
-        assert_eq!(Arc::strong_count(&held), 1);
+        assert_eq!(Rc::strong_count(&held), 1);
     }
 
     #[test]
     fn kernel_panic_with_a_process_parked_frees_the_body() {
-        let held = Arc::new(());
+        let held = Rc::new(());
         let captured = held.clone();
         // The kernel unwinds through `p`'s Drop, which unwinds the body: a
         // second panic on this thread, caught on the process stack.
@@ -537,7 +549,7 @@ mod tests {
         }));
         let payload = caught.expect_err("the kernel closure panics");
         assert_eq!(panic_message(&*payload), "kernel-side failure");
-        assert_eq!(Arc::strong_count(&held), 1);
+        assert_eq!(Rc::strong_count(&held), 1);
     }
 
     #[test]

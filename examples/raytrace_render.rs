@@ -42,6 +42,7 @@ fn main() {
         ));
     }
     let path = "target/sphereflake.ppm";
+    std::fs::create_dir_all("target").expect("create target/");
     std::fs::write(path, ppm).expect("write image");
     println!("wrote {path}");
 }

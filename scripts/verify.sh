@@ -4,8 +4,8 @@
 # instead of passing on a warm cache.
 #
 # Usage: verify.sh [--fast]
-#   --fast skips the example compile, the standalone benchmark crate
-#   build and lint, the chaos matrix, and the regeneration of six
+#   --fast skips the example runs, the standalone benchmark crate
+#   build and lint, the chaos matrix, and the regeneration of nine
 #   results/*_s025.txt tables, but always keeps the workspace
 #   clippy, the crash-recovery smoke, and the consistency-check subset
 #   — the cheap gates that catch whole bug classes.
@@ -31,6 +31,14 @@ clippy_gate() {
   fi
 }
 
+# A simulation lives on one thread and the types say so (DESIGN §17): whoever
+# needs one of these must first explain which second thread exists.
+echo "== no unsafe impl Send/Sync under crates/"
+if grep -rnE 'unsafe impl.* (Send|Sync) for' crates --include='*.rs'; then
+  echo "crates/ has an unsafe impl Send/Sync again (above): name the second thread, or use Rc/Cell" >&2
+  exit 1
+fi
+
 echo "== formatting (cargo fmt --check)"
 cargo fmt --check
 
@@ -47,8 +55,11 @@ echo "== workspace tests (offline)"
 cargo test -q --workspace
 
 if [[ "$FAST" -eq 0 ]]; then
-  echo "== examples compile (offline)"
-  cargo build --examples
+  # ~1 s together; nothing else executes them.
+  echo "== examples run, release (offline)"
+  for ex in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$ex" .rs)" >/dev/null
+  done
 
   # benchmark/ is its own workspace, invisible to the root build: a
   # deleted or renamed crates/ API must fail here, not in the pipeline.
@@ -85,11 +96,12 @@ if [[ "$FAST" -eq 0 ]]; then
   echo "== fault-injection smoke matrix (mixed 0 / 0.1% / 1% + dup/delay/stall-dominated)"
   $BENCH chaos --scale 0.03 --nodes 4 --drop 0,0.001,0.01
 
-  # "Every other results/*.txt unmoved" as a gate: the six tables that take
+  # "Every other results/*.txt unmoved" as a gate: the nine tables that take
   # under 20 s each, regenerated with the flags EXPERIMENTS.md records and
   # compared byte for byte (`name:extra args`; all at --scale 0.25).
-  echo "== results/*_s025.txt regenerate byte for byte (table1 sor48 fig4 table4 table5 fig3)"
-  for spec in table1: "sor48:--nodes 8,64" "fig4:--nodes 8,64" "table4:--nodes 8,64" "table5:--nodes 8,64" "fig3:--nodes 8,64"; do
+  echo "== results/*_s025.txt regenerate byte for byte (table1 sor48 fig4 table4 table5 fig3 table6 aurc sensitivity)"
+  for spec in table1: "sor48:--nodes 8,64" "fig4:--nodes 8,64" "table4:--nodes 8,64" "table5:--nodes 8,64" "fig3:--nodes 8,64" \
+    "table6:--nodes 8,32" "aurc:--nodes 8,32 --apps sor,water" "sensitivity:--nodes 32 --apps sor,water-n"; do
     name=${spec%%:*}
     # shellcheck disable=SC2086  # the extra args are words
     $BENCH "$name" --scale 0.25 ${spec#*:} | diff -u "results/${name}_s025.txt" -
