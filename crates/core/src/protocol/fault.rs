@@ -8,6 +8,7 @@
 //! lives in `home.rs`.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use svm_machine::{Category, NodeId};
 use svm_mem::{Access, PageBuf, PageNum};
@@ -423,6 +424,17 @@ impl SvmAgent {
     }
 }
 
+/// Whether `a`'s interval happened before `b`'s, for two distinct
+/// intervals: one component of `b`'s timestamp ([`VectorTime::covers`]);
+/// the full comparison stays as the specification it is asserted against.
+///
+/// [`VectorTime::covers`]: crate::vt::VectorTime::covers
+fn precedes(a: &DiffPacket, b: &DiffPacket) -> bool {
+    let before = b.vt.covers(a.writer, a.interval);
+    debug_assert_eq!(before, a.vt.causal_cmp(&b.vt) == Some(Ordering::Less));
+    before
+}
+
 /// Topologically sort diffs by their intervals' happens-before order.
 /// Concurrent diffs tie-break by `(writer, interval)` for determinism:
 /// the result is exactly the order produced by repeatedly extracting the
@@ -443,106 +455,87 @@ impl SvmAgent {
 /// 3. Therefore the minimal set is exactly the heads not preceded by any
 ///    other head, and the reference's pick is the smallest-keyed one.
 ///
-/// Emitting a packet only changes one chain's head, so the "how many
-/// other heads precede me" counts are maintained incrementally: O(k·w)
-/// vector-time comparisons total instead of the reference's O(k³). At 64
-/// nodes the homeless protocols sort per-page chains a thousand packets
-/// deep on every fault; the reference implementation was >99% of host
-/// CPU time for Water/LRC at that scale.
-pub fn causal_sort(packets: &mut Vec<DiffPacket>) {
+/// One sort by `(writer, interval)` lays the chains out as consecutive
+/// runs of `packets`, in writer order, so the smallest-keyed ready head
+/// is the first ready run. Emitting a packet only changes one chain's
+/// head, so the "how many other heads precede me" counts are maintained
+/// incrementally: O(k·w) one-component tests in total (`precedes`)
+/// instead of the reference's O(k³) vector comparisons. At 64 nodes the
+/// homeless protocols sort per-page chains hundreds of packets deep on
+/// every fault.
+pub fn causal_sort(packets: &mut [DiffPacket]) {
     if packets.len() <= 1 {
         return;
     }
-    fn precedes(a: &DiffPacket, b: &DiffPacket) -> bool {
-        a.vt.causal_cmp(&b.vt) == Some(Ordering::Less)
-    }
-    // Group into per-writer chains, causally ordered; `reverse` so that
-    // `last()` is the head and `pop()` emits it.
-    let taken = std::mem::take(packets);
-    packets.reserve(taken.len());
-    let mut chains: Vec<Vec<DiffPacket>> = Vec::new();
-    for p in taken {
-        match chains.iter_mut().find(|c| c[0].writer == p.writer) {
-            Some(c) => c.push(p),
-            None => chains.push(vec![p]),
+    packets.sort_unstable_by_key(|p| (p.writer.0, p.interval));
+    debug_assert!(
+        packets
+            .windows(2)
+            .all(|w| w[0].writer != w[1].writer || precedes(&w[0], &w[1])),
+        "a writer's vector times must grow with its intervals"
+    );
+    // Each writer's unemitted packets, as a range of `packets`; exhausted
+    // runs are removed immediately, so a run's `start` is its head.
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for (i, p) in packets.iter().enumerate() {
+        match runs.last_mut() {
+            Some(run) if packets[run.start].writer == p.writer => run.end = i + 1,
+            _ => runs.push(i..i + 1),
         }
     }
-    for c in &mut chains {
-        c.sort_by_key(|p| p.interval);
-        debug_assert!(
-            c.windows(2).all(|w| precedes(&w[0], &w[1])),
-            "a writer's vector times must grow with its intervals"
-        );
-        c.reverse();
-    }
-    // Exhausted chains are removed immediately, so a live chain is never
-    // empty and its head is its last element.
-    fn head(c: &[DiffPacket]) -> &DiffPacket {
-        &c[c.len() - 1]
-    }
-    // blockers[i]: number of other chains whose head precedes chain i's
-    // head. A chain is ready to emit when its count is zero.
-    let mut blockers: Vec<usize> = (0..chains.len())
-        .map(|i| {
-            (0..chains.len())
-                .filter(|&j| j != i && precedes(head(&chains[j]), head(&chains[i])))
-                .count()
-        })
-        .collect();
-    while !chains.is_empty() {
-        let mut best: Option<usize> = None;
-        for i in 0..chains.len() {
-            if blockers[i] != 0 {
-                continue;
-            }
-            let key = |p: &DiffPacket| (p.writer.0, p.interval);
-            best = Some(match best {
-                None => i,
-                Some(b) => {
-                    if key(head(&chains[i])) < key(head(&chains[b])) {
-                        i
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
+    // How many other runs' heads precede run `i`'s head; a run is ready to
+    // emit when its count is zero.
+    let count_blockers = |runs: &[Range<usize>], i: usize| {
+        let head = &packets[runs[i].start];
+        let others = runs.iter().enumerate().filter(|&(j, _)| j != i);
+        others
+            .filter(|(_, r)| precedes(&packets[r.start], head))
+            .count()
+    };
+    let mut blockers: Vec<usize> = (0..runs.len()).map(|i| count_blockers(&runs, i)).collect();
+    // rank[i]: where `packets[i]` goes.
+    let mut rank = vec![0usize; packets.len()];
+    for out in 0..packets.len() {
         #[expect(
             clippy::expect_used,
             reason = "INVARIANT: vector-time ordering is a strict partial order, so a \
                       non-empty set always has a minimal element."
         )]
-        let pick = best.expect("happens-before is acyclic");
-        #[expect(
-            clippy::expect_used,
-            reason = "INVARIANT: `pick` was chosen among live chains, which are never \
-                      empty."
-        )]
-        let emitted = chains[pick].pop().expect("live chain has a head");
+        let pick = blockers
+            .iter()
+            .position(|&b| b == 0)
+            .expect("happens-before is acyclic");
+        let emitted = &packets[runs[pick].start];
+        rank[runs[pick].start] = out;
+        runs[pick].start += 1;
         // The emitted head stops blocking; its successor keeps any block
         // it implies (same chain, so successor < h ⟹ emitted < h — the
         // counts only ever decrease here).
-        for j in 0..chains.len() {
-            if j == pick || !precedes(&emitted, head(&chains[j])) {
+        let succ = (!runs[pick].is_empty()).then(|| &packets[runs[pick].start]);
+        for (j, run) in runs.iter().enumerate() {
+            if j == pick {
                 continue;
             }
-            let still = chains[pick]
-                .last()
-                .is_some_and(|succ| precedes(succ, head(&chains[j])));
-            if !still {
+            let head = &packets[run.start];
+            if precedes(emitted, head) && !succ.is_some_and(|s| precedes(s, head)) {
                 blockers[j] -= 1;
             }
         }
-        if chains[pick].is_empty() {
-            chains.swap_remove(pick);
-            blockers.swap_remove(pick);
+        if runs[pick].is_empty() {
+            runs.remove(pick);
+            blockers.remove(pick);
         } else {
-            // Recount the advanced chain's own blockers at its new head.
-            blockers[pick] = (0..chains.len())
-                .filter(|&j| j != pick && precedes(head(&chains[j]), head(&chains[pick])))
-                .count();
+            // Recount the advanced run's own blockers at its new head.
+            blockers[pick] = count_blockers(&runs, pick);
         }
-        packets.push(emitted);
+    }
+    // Move every packet to its rank, in place: each swap settles one.
+    for i in 0..rank.len() {
+        while rank[i] != i {
+            let to = rank[i];
+            packets.swap(i, to);
+            rank.swap(i, to);
+        }
     }
 }
 
@@ -629,47 +622,102 @@ mod tests {
         }
     }
 
-    /// Randomized equivalence: simulate writers advancing interleaved
-    /// vector times (each interval bumps the writer's own component and
-    /// may observe others — exactly the shape the protocol produces),
-    /// then check the fast sort against the reference on shuffled input.
+    /// A history of the shape the protocol produces: each step ends one
+    /// writer's interval (bumping its own component), sometimes after an
+    /// acquire (merging one other writer's clock, a cross-chain
+    /// happens-before edge); every `barrier_every` steps all clocks first
+    /// merge to their componentwise maximum. Returned shuffled, so arrival
+    /// order carries no information.
+    fn simulated_history(
+        rng: &mut svm_sim::SplitMix64,
+        writers: usize,
+        steps: usize,
+        barrier_every: Option<usize>,
+    ) -> Vec<DiffPacket> {
+        let mut clocks: Vec<Vec<u32>> = vec![vec![0; writers]; writers];
+        let mut packets: Vec<DiffPacket> = Vec::new();
+        for step in 1..=steps {
+            if barrier_every.is_some_and(|every| step.is_multiple_of(every)) {
+                let max: Vec<u32> = (0..writers)
+                    .map(|c| clocks.iter().map(|clock| clock[c]).max().unwrap_or(0))
+                    .collect();
+                clocks.fill(max);
+            }
+            let w = (rng.next_u64() % writers as u64) as usize;
+            if rng.next_u64().is_multiple_of(2) {
+                let o = (rng.next_u64() % writers as u64) as usize;
+                let other = clocks[o].clone();
+                for (c, &v) in clocks[w].iter_mut().zip(other.iter()) {
+                    *c = (*c).max(v);
+                }
+            }
+            clocks[w][w] += 1;
+            packets.push(pkt(w as u16, clocks[w][w], &clocks[w]));
+        }
+        for i in (1..packets.len()).rev() {
+            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+            packets.swap(i, j);
+        }
+        packets
+    }
+
+    /// The one-component test is the full vector comparison, on every
+    /// ordered pair; and the fast sort is the reference's order.
+    fn assert_matches_specification(packets: Vec<DiffPacket>, case: usize) {
+        for (i, a) in packets.iter().enumerate() {
+            for (j, b) in packets.iter().enumerate() {
+                assert_eq!(
+                    i != j && b.vt.covers(a.writer, a.interval),
+                    a.vt.causal_cmp(&b.vt) == Some(Ordering::Less),
+                    "case {case}: ({:?}, {}) before ({:?}, {})?",
+                    a.writer,
+                    a.interval,
+                    b.writer,
+                    b.interval
+                );
+            }
+        }
+        let mut want = packets.clone();
+        reference_causal_sort(&mut want);
+        let mut got = packets;
+        causal_sort(&mut got);
+        let key = |v: &[DiffPacket]| -> Vec<(u16, u32)> {
+            v.iter().map(|p| (p.writer.0, p.interval)).collect()
+        };
+        assert_eq!(key(&got), key(&want), "case {case} diverged");
+    }
+
+    /// Randomized equivalence on lock-style histories, from a handful of
+    /// packets up to what `splash64` sorts on one fault (64 writers, 400+
+    /// packets; one such case — the reference is O(k³)).
     #[test]
     fn causal_sort_matches_reference_on_simulated_histories() {
         let mut rng = svm_sim::SplitMix64::new(0xCA05_A150);
         for case in 0..200 {
-            let writers = 1 + (rng.next_u64() % 6) as usize;
-            let mut clocks: Vec<Vec<u32>> = vec![vec![0; writers]; writers];
-            let mut intervals = vec![0u32; writers];
-            let mut packets: Vec<DiffPacket> = Vec::new();
-            let steps = 1 + (rng.next_u64() % 24) as usize;
-            for _ in 0..steps {
-                let w = (rng.next_u64() % writers as u64) as usize;
-                // Sometimes observe another writer's clock first (an
-                // acquire), creating cross-chain happens-before edges.
-                if rng.next_u64().is_multiple_of(2) {
-                    let o = (rng.next_u64() % writers as u64) as usize;
-                    let other = clocks[o].clone();
-                    for (c, &v) in clocks[w].iter_mut().zip(other.iter()) {
-                        *c = (*c).max(v);
-                    }
-                }
-                clocks[w][w] += 1;
-                intervals[w] += 1;
-                packets.push(pkt(w as u16, intervals[w], &clocks[w].clone()));
-            }
-            // Shuffle so arrival order carries no information.
-            for i in (1..packets.len()).rev() {
-                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                packets.swap(i, j);
-            }
-            let mut want = packets.clone();
-            reference_causal_sort(&mut want);
-            let mut got = packets;
-            causal_sort(&mut got);
-            let key = |v: &[DiffPacket]| -> Vec<(u16, u32)> {
-                v.iter().map(|p| (p.writer.0, p.interval)).collect()
+            let (writers, steps) = if case == 199 {
+                (64, 400 + (rng.next_u64() % 32) as usize)
+            } else {
+                (
+                    1 + (rng.next_u64() % 64) as usize,
+                    1 + (rng.next_u64() % 48) as usize,
+                )
             };
-            assert_eq!(key(&got), key(&want), "case {case} diverged");
+            let packets = simulated_history(&mut rng, writers, steps, None);
+            assert_matches_specification(packets, case);
+        }
+    }
+
+    /// The same over barrier-style merges: every few steps all clocks
+    /// jump to the componentwise maximum (a release), then advance.
+    #[test]
+    fn causal_sort_matches_reference_across_barrier_merges() {
+        let mut rng = svm_sim::SplitMix64::new(0xBA55_1E55);
+        for case in 0..100 {
+            let writers = 2 + (rng.next_u64() % 63) as usize;
+            let steps = 1 + (rng.next_u64() % 96) as usize;
+            let every = 1 + (rng.next_u64() % 16) as usize;
+            let packets = simulated_history(&mut rng, writers, steps, Some(every));
+            assert_matches_specification(packets, case);
         }
     }
 }

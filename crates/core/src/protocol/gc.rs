@@ -12,6 +12,7 @@
 //! (messages are accounted in aggregate). This keeps the cost and traffic
 //! faithful without simulating each round trip.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use svm_machine::{NodeId, TrafficClass};
@@ -43,33 +44,26 @@ impl SvmAgent {
         for &p in &live_pages {
             // The "last writer": the writer of the causally latest stored
             // interval (ties by lowest id) validates the page.
-            let mut candidates: Vec<(NodeId, u32, std::rc::Rc<crate::vt::VectorTime>)> = Vec::new();
-            for (i, n) in self.nodes_st.iter().enumerate() {
-                if let Some(ds) = n.diff_store.get(&p) {
-                    if let Some(last) = ds.last() {
-                        candidates.push((NodeId(i as u16), last.interval, last.vt.clone()));
-                    }
-                }
-            }
+            let candidates = self.nodes_st.iter().enumerate().filter_map(|(i, n)| {
+                let last = n.diff_store.get(&p)?.last()?;
+                Some((NodeId(i as u16), last.interval, &last.vt))
+            });
             #[expect(
                 clippy::expect_used,
                 reason = "INVARIANT: the page survived GC as live, so at least one writer \
                           interval is recorded."
             )]
             let validator = candidates
-                .iter()
                 .reduce(|a, b| {
-                    match b.2.causal_cmp(&a.2) {
-                        Some(std::cmp::Ordering::Greater) => b,
-                        Some(std::cmp::Ordering::Less) => a,
-                        // Concurrent or equal: lowest node id wins.
-                        _ => {
-                            if b.0 < a.0 {
-                                b
-                            } else {
-                                a
-                            }
-                        }
+                    // `b` wins only from strictly after `a` — one component
+                    // of its timestamp; concurrent goes to the lowest node
+                    // id, which is `a` (candidates ascend).
+                    let later = b.2.covers(a.0, a.1);
+                    debug_assert_eq!(later, a.2.causal_cmp(b.2) == Some(Ordering::Less));
+                    if later {
+                        b
+                    } else {
+                        a
                     }
                 })
                 .expect("live page has a writer")

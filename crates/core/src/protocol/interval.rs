@@ -47,7 +47,7 @@ impl SvmAgent {
         }
         if !self.bug_drop_write_notices() {
             self.counters[idx].mem.notices(rec.bytes() as i64);
-            self.nodes_st[idx].log.insert((n.0, interval), rec);
+            self.nodes_st[idx].log.insert(&rec);
         }
         if self.recording() {
             let vt = self.nodes_st[idx].vt.clone();
@@ -256,10 +256,8 @@ impl SvmAgent {
             if rec.writer == n {
                 continue;
             }
-            let key = (rec.writer.0, rec.interval);
-            if !self.nodes_st[idx].log.contains_key(&key) {
+            if self.nodes_st[idx].log.insert(rec) {
                 self.counters[idx].mem.notices(rec.bytes() as i64);
-                self.nodes_st[idx].log.insert(key, rec.clone());
             }
             let is_home_based = !homeless;
             for &p in &rec.pages {
@@ -295,15 +293,5 @@ impl SvmAgent {
             let cost = ctx.cost().invalidate(invalidated);
             ctx.work(cost, Category::Protocol);
         }
-    }
-
-    /// Select records from `n`'s log that `peer_vt` has not seen.
-    pub(crate) fn records_for(&self, n: NodeId, peer_vt: &VectorTime) -> Vec<Rc<IntervalRec>> {
-        self.nodes_st[n.index()]
-            .log
-            .values()
-            .filter(|r| r.interval > peer_vt.get(r.writer))
-            .cloned()
-            .collect()
     }
 }

@@ -46,7 +46,7 @@ use crate::vt::VectorTime;
 
 use recovery::RecoveryState;
 use reliable::ReliableNet;
-use state::{DirEntry, ProtoNode};
+use state::{DirEntry, NoticeLog, ProtoNode};
 
 /// Handler context alias.
 pub type MCtx<'a> = Ctx<'a, SvmAgent>;
@@ -227,12 +227,12 @@ pub struct BarrierState {
     pub gc_wanted: bool,
     /// Per-node GC work computed at release time.
     pub gc_cost: Vec<SimDuration>,
-    /// Records gathered this round, keyed by `(writer, interval)`.
+    /// Records gathered this round.
     ///
     /// Kept apart from the manager node's own forwarding log: mixing them
     /// would let the manager's lock grants hand out records it has not
     /// causally seen, without their happens-before predecessors.
-    pub archive: std::collections::BTreeMap<(u16, u32), std::rc::Rc<crate::msg::IntervalRec>>,
+    pub(crate) archive: NoticeLog,
     /// Archive bytes charged to each node's memory accounting this round.
     /// Arrivals charge whichever node holds the manager seat at the time;
     /// release refunds exactly what each node was charged, so the books
@@ -267,7 +267,7 @@ impl BarrierState {
             count: 0,
             gc_wanted: false,
             gc_cost: vec![SimDuration::ZERO; nodes],
-            archive: std::collections::BTreeMap::new(),
+            archive: NoticeLog::new(nodes),
             archive_bytes: vec![0; nodes],
         }
     }

@@ -44,7 +44,6 @@
 //! died, ends in a structured error — graceful degradation means honest
 //! termination, never fabricated data.
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -59,7 +58,7 @@ use crate::msg::{IntervalRec, SvmMsg};
 use crate::vt::VectorTime;
 
 use super::reliable::{Timer, Wire};
-use super::state::{FaultStage, TokenState, WriterMap};
+use super::state::{FaultStage, NoticeLog, TokenState, WriterMap};
 use super::{MCtx, ProtocolError, SvmAgent};
 
 /// What recovery did during a run (reported on `RunReport`).
@@ -743,9 +742,7 @@ impl SvmAgent {
         // forward them.
         if let Some((_, records)) = &lost_grant {
             for r in records {
-                let key = (r.writer.0, r.interval);
-                if let Entry::Vacant(e) = self.nodes_st[m.index()].log.entry(key) {
-                    e.insert(r.clone());
+                if self.nodes_st[m.index()].log.insert(r) {
                     self.counters[m.index()].mem.notices(r.bytes() as i64);
                 }
             }
@@ -848,10 +845,8 @@ impl SvmAgent {
                     return;
                 }
                 for r in self.records_union_for(&floor) {
-                    let key = (r.writer.0, r.interval);
-                    if let Entry::Vacant(e) = self.nodes_st[m.index()].log.entry(key) {
+                    if self.nodes_st[m.index()].log.insert(&r) {
                         self.counters[m.index()].mem.notices(r.bytes() as i64);
-                        e.insert(r);
                     }
                 }
                 self.nodes_st[m.index()].lock(l).token = TokenState::HeldFree;
@@ -923,11 +918,10 @@ impl SvmAgent {
             }
             let wid = NodeId(w as u16);
             for j in base.get(wid) + 1..=token_vt.get(wid) {
-                let key = (wid.0, j);
-                let held = self.barrier.archive.contains_key(&key)
+                let held = self.barrier.archive.contains(wid, j)
                     || (0..self.cfg.nodes)
                         .filter(|&p| self.recovery.alive[p])
-                        .any(|p| self.nodes_st[p].log.contains_key(&key));
+                        .any(|p| self.nodes_st[p].log.contains(wid, j));
                 if !held {
                     return Some((wid, j));
                 }
@@ -942,23 +936,15 @@ impl SvmAgent {
     /// the dead holder would have selected is safe — record processing is
     /// idempotent per `(writer, interval)`.
     fn records_union_for(&self, peer_vt: &VectorTime) -> Vec<Rc<IntervalRec>> {
-        let mut out: BTreeMap<(u16, u32), Rc<IntervalRec>> = BTreeMap::new();
-        for p in 0..self.cfg.nodes {
-            if !self.recovery.alive[p] {
-                continue;
-            }
-            for (&(w, i), rec) in &self.nodes_st[p].log {
-                if i > peer_vt.get(NodeId(w)) {
-                    out.entry((w, i)).or_insert_with(|| rec.clone());
-                }
+        let live = (0..self.cfg.nodes).filter(|&p| self.recovery.alive[p]);
+        let logs = live.map(|p| &self.nodes_st[p].log);
+        let mut out = NoticeLog::new(self.cfg.nodes);
+        for log in logs.chain([&self.barrier.archive]) {
+            for rec in log.newer_than(peer_vt) {
+                out.insert(&rec);
             }
         }
-        for (&(w, i), rec) in &self.barrier.archive {
-            if i > peer_vt.get(NodeId(w)) {
-                out.entry((w, i)).or_insert_with(|| rec.clone());
-            }
-        }
-        out.into_values().collect()
+        out.iter().cloned().collect()
     }
 }
 

@@ -158,6 +158,109 @@ pub struct StoredDiff {
     pub diff: Rc<Diff>,
 }
 
+/// Write-notice records, per writer in interval order: the forwarding log
+/// of a node (truncated at barriers) and the barrier manager's archive. A
+/// writer's intervals arrive mostly in order, so insertion appends and
+/// "what does this peer lack" is a suffix per writer, found by position.
+#[derive(Debug)]
+pub(crate) struct NoticeLog(Vec<Vec<Rc<IntervalRec>>>);
+
+impl NoticeLog {
+    /// An empty log for a machine of `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        NoticeLog(vec![Vec::new(); nodes])
+    }
+
+    /// Add `rec` unless its `(writer, interval)` is already held; whether
+    /// it was added.
+    pub(crate) fn insert(&mut self, rec: &Rc<IntervalRec>) -> bool {
+        let chain = &mut self.0[rec.writer.index()];
+        let at = Self::held_through(chain, rec.interval);
+        let held = at > 0 && chain[at - 1].interval == rec.interval;
+        if !held {
+            chain.insert(at, Rc::clone(rec));
+        }
+        !held
+    }
+
+    /// How many of `chain`'s records have an interval `<= interval`.
+    fn held_through(chain: &[Rc<IntervalRec>], interval: u32) -> usize {
+        match chain.last() {
+            Some(last) if last.interval > interval => {
+                chain.partition_point(|r| r.interval <= interval)
+            }
+            _ => chain.len(),
+        }
+    }
+
+    /// Whether `writer`'s interval `interval` is held.
+    pub(crate) fn contains(&self, writer: NodeId, interval: u32) -> bool {
+        self.0[writer.index()]
+            .binary_search_by_key(&interval, |r| r.interval)
+            .is_ok()
+    }
+
+    /// `writer`'s records past `interval`, ascending.
+    pub(crate) fn since(&self, writer: NodeId, interval: u32) -> &[Rc<IntervalRec>] {
+        let chain = &self.0[writer.index()];
+        &chain[Self::held_through(chain, interval)..]
+    }
+
+    /// Every record `peer_vt` has not seen, in `(writer, interval)` order.
+    /// Whether the *holder's* vector covers a record says nothing: lock and
+    /// barrier repair insert records the holder never causally saw.
+    pub(crate) fn newer_than(&self, peer_vt: &VectorTime) -> Vec<Rc<IntervalRec>> {
+        let mut out = Vec::new();
+        for (w, seen) in peer_vt.iter() {
+            out.extend_from_slice(self.since(w, seen));
+        }
+        debug_assert!(
+            out.iter().map(Rc::as_ptr).eq(self
+                .iter()
+                .filter(|r| r.interval > peer_vt.get(r.writer))
+                .map(Rc::as_ptr)),
+            "positional selection must equal the full filter, in order"
+        );
+        out
+    }
+
+    /// Drop every record `vt` covers; the bytes freed.
+    pub(crate) fn truncate(&mut self, vt: &VectorTime) -> i64 {
+        let mut freed = 0;
+        for (w, seen) in vt.iter() {
+            let chain = &mut self.0[w.index()];
+            let covered = Self::held_through(chain, seen);
+            freed += chain
+                .drain(..covered)
+                .map(|r| r.bytes() as i64)
+                .sum::<i64>();
+        }
+        freed
+    }
+
+    /// Drop everything.
+    pub(crate) fn clear(&mut self) {
+        self.0.iter_mut().for_each(Vec::clear);
+    }
+
+    /// All records, in `(writer, interval)` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Rc<IntervalRec>> {
+        self.0.iter().flatten()
+    }
+}
+
+/// Exactly what the `BTreeMap<(u16, u32), Rc<IntervalRec>>` this replaced
+/// fed the hasher — length, then key and record in key order — so no
+/// explorer digest moved with the representation.
+impl Hash for NoticeLog {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_usize(self.0.iter().map(Vec::len).sum());
+        for rec in self.iter() {
+            ((rec.writer.0, rec.interval), rec).hash(h);
+        }
+    }
+}
+
 /// Where a node stands with a lock's token.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum TokenState {
@@ -228,9 +331,8 @@ pub struct ProtoNode {
     pub dirty: Vec<PageNum>,
     /// Per-page state, dense over the address space.
     pub pages: Vec<PageState>,
-    /// Write-notice log for forwarding, keyed by `(writer, interval)`;
-    /// truncated at barriers.
-    pub log: BTreeMap<(u16, u32), Rc<IntervalRec>>,
+    /// Write-notice log for forwarding; truncated at barriers.
+    pub(crate) log: NoticeLog,
     /// Homeless diff store: page -> diffs by ascending interval.
     pub diff_store: BTreeMap<u32, Vec<StoredDiff>>,
     /// Lock state by lock id.
@@ -256,7 +358,7 @@ impl ProtoNode {
             vt: VectorTime::zero(nodes),
             dirty: Vec::new(),
             pages: (0..num_pages).map(|_| PageState::cold()).collect(),
-            log: BTreeMap::new(),
+            log: NoticeLog::new(nodes),
             diff_store: BTreeMap::new(),
             locks: BTreeMap::new(),
             fault: None,
@@ -307,6 +409,84 @@ mod tests {
         let mut m2 = WriterMap::default();
         m2.merge_max(&v);
         assert_eq!(m2.get(NodeId(3)), 5);
+    }
+
+    fn rec(writer: u16, interval: u32) -> Rc<IntervalRec> {
+        Rc::new(IntervalRec {
+            writer: NodeId(writer),
+            interval,
+            vt: VectorTime::zero(0),
+            pages: vec![PageNum(interval)],
+        })
+    }
+
+    fn vt(v: &[u32]) -> VectorTime {
+        let mut t = VectorTime::zero(v.len());
+        for (i, &x) in v.iter().enumerate() {
+            t.set(NodeId(i as u16), x);
+        }
+        t
+    }
+
+    fn keys<'a>(recs: impl IntoIterator<Item = &'a Rc<IntervalRec>>) -> Vec<(u16, u32)> {
+        recs.into_iter().map(|r| (r.writer.0, r.interval)).collect()
+    }
+
+    #[test]
+    fn notice_log_answers_by_position() {
+        let mut log = NoticeLog::new(3);
+        // Out of order and with a gap, as repair can insert them.
+        for (w, i) in [(2, 1), (0, 2), (0, 5), (0, 3), (2, 2)] {
+            assert!(log.insert(&rec(w, i)));
+        }
+        assert!(!log.insert(&rec(0, 3)), "insert-if-absent");
+        assert_eq!(keys(log.iter()), [(0, 2), (0, 3), (0, 5), (2, 1), (2, 2)]);
+        assert!(log.contains(NodeId(0), 5) && !log.contains(NodeId(0), 4));
+        assert!(!log.contains(NodeId(1), 1));
+        assert_eq!(keys(log.since(NodeId(0), 2)), [(0, 3), (0, 5)]);
+        assert_eq!(keys(log.since(NodeId(0), 4)), [(0, 5)]);
+        assert!(log.since(NodeId(0), 5).is_empty() && log.since(NodeId(1), 0).is_empty());
+        assert_eq!(
+            keys(&log.newer_than(&vt(&[3, 9, 0]))),
+            [(0, 5), (2, 1), (2, 2)]
+        );
+        let freed = log.truncate(&vt(&[4, 0, 1]));
+        assert_eq!(freed, 3 * rec(0, 1).bytes() as i64);
+        assert_eq!(keys(log.iter()), [(0, 5), (2, 2)]);
+        log.clear();
+        assert_eq!(log.iter().count(), 0);
+    }
+
+    /// Lock and barrier repair fold survivors' records into the manager's
+    /// log: a record its *own* vector does not cover. A grant must still
+    /// forward it — the holder's vector is no filter on what it holds.
+    #[test]
+    fn notice_log_forwards_records_above_its_owners_vector() {
+        let mut node = ProtoNode::new(3, 1);
+        node.vt = vt(&[1, 0, 0]);
+        node.log.insert(&rec(0, 1));
+        node.log.insert(&rec(2, 4)); // repaired in; node.vt[2] == 0
+        let peer = vt(&[1, 0, 0]);
+        assert!(!node.vt.covers(NodeId(2), 4) && node.vt == peer);
+        assert_eq!(keys(&node.log.newer_than(&peer)), [(2, 4)]);
+    }
+
+    /// The digest is the one the `BTreeMap<(u16, u32), Rc<IntervalRec>>`
+    /// this type replaced produced, whatever the insertion order.
+    #[test]
+    fn notice_log_hashes_as_the_map_it_replaced() {
+        let recs = [rec(1, 2), rec(0, 7), rec(1, 1)];
+        let mut log = NoticeLog::new(2);
+        let mut map = BTreeMap::new();
+        for r in &recs {
+            log.insert(r);
+            map.insert((r.writer.0, r.interval), r.clone());
+        }
+        assert_eq!(crate::trace::Fnv64::of(&log), crate::trace::Fnv64::of(&map));
+        assert_ne!(
+            crate::trace::Fnv64::of(&log),
+            crate::trace::Fnv64::of(NoticeLog::new(2))
+        );
     }
 
     #[test]

@@ -173,13 +173,17 @@ impl SvmAgent {
         debug_assert_ne!(h, requester, "self-grant is the HeldFree local path");
         self.end_interval(ctx, h);
         self.nodes_st[h.index()].lock(l.0).token = TokenState::Absent;
-        let mut records = self.records_for(h, req_vt);
+        let mut records = self.nodes_st[h.index()].log.newer_than(req_vt);
         if self.bug_drop_lock_grant_records() {
             records.clear();
         }
         if self.cfg.trace.debug_log {
             let ks: Vec<_> = records.iter().map(|r| (r.writer.0, r.interval)).collect();
-            let lg: Vec<_> = self.nodes_st[h.index()].log.keys().cloned().collect();
+            let lg: Vec<_> = self.nodes_st[h.index()]
+                .log
+                .iter()
+                .map(|r| (r.writer.0, r.interval))
+                .collect();
             eprintln!("T grant {h:?} -> {requester:?} lock {} req_vt={req_vt:?} my_vt={:?} records={ks:?} log={lg:?}", l.0, self.nodes_st[h.index()].vt);
         }
         let grant = SvmMsg::LockGrant {
@@ -264,11 +268,7 @@ impl SvmAgent {
         // Send the manager our own intervals since the last barrier (it
         // learns third-party intervals from their writers directly).
         let baseline = self.nodes_st[idx].last_barrier_vt.get(n);
-        let records: Vec<Rc<IntervalRec>> = self.nodes_st[idx]
-            .log
-            .range((n.0, baseline + 1)..=(n.0, u32::MAX))
-            .map(|(_, r)| r.clone())
-            .collect();
+        let records = self.nodes_st[idx].log.since(n, baseline).to_vec();
         let msg = SvmMsg::BarrierArrive {
             barrier: b,
             node: n,
@@ -315,11 +315,9 @@ impl SvmAgent {
         // The manager archives every record for redistribution — in its own
         // structure, never in node 0's forwarding log (causal closure).
         for rec in &records {
-            let key = (rec.writer.0, rec.interval);
-            if !self.barrier.archive.contains_key(&key) {
+            if self.barrier.archive.insert(rec) {
                 self.counters[mgr].mem.notices(rec.bytes() as i64);
                 self.barrier.archive_bytes[mgr] += rec.bytes() as i64;
-                self.barrier.archive.insert(key, rec.clone());
             }
         }
         assert!(
@@ -371,7 +369,7 @@ impl SvmAgent {
                 let records: Vec<_> = self
                     .barrier
                     .archive
-                    .values()
+                    .iter()
                     .filter(|rec| rec.writer != r && rec.interval > node_vt.get(rec.writer))
                     .cloned()
                     .collect();
@@ -417,14 +415,7 @@ impl SvmAgent {
         self.process_records(ctx, r, &records);
         // Truncate the forwarding log: every node now knows everything up
         // to the merged vector time, so no future acquirer needs it.
-        let mut freed = 0i64;
-        self.nodes_st[idx].log.retain(|&(w, i), rec| {
-            let keep = i > vt.get(NodeId(w));
-            if !keep {
-                freed += rec.bytes() as i64;
-            }
-            keep
-        });
+        let freed = self.nodes_st[idx].log.truncate(&vt);
         self.counters[idx].mem.notices(-freed);
         self.nodes_st[idx].last_barrier_vt = vt;
         if gc {

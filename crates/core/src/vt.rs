@@ -55,6 +55,18 @@ impl VectorTime {
         }
     }
 
+    /// Whether this timestamp knows `writer`'s interval `interval`. For the
+    /// timestamp of a *different* interval this is happens-before in one
+    /// load: interval `(w, i)` ends with `vt[w] = i`, and a vector only
+    /// changes by bumping its own component or by [`Self::merge`], so
+    /// learning `(w, i)` drags in everything `(w, i)` knew —
+    /// `b.covers(w, i)` iff `(w, i)`'s timestamp is `Less` than `b` under
+    /// [`Self::causal_cmp`], the specification this shortcut is asserted
+    /// against.
+    pub fn covers(&self, writer: NodeId, interval: u32) -> bool {
+        self.get(writer) >= interval
+    }
+
     /// `self >= other` componentwise: everything `other` knows, `self`
     /// knows.
     pub fn dominates(&self, other: &VectorTime) -> bool {
@@ -131,6 +143,17 @@ mod tests {
         assert_eq!(b.causal_cmp(&a), Some(Ordering::Greater));
         assert_eq!(a.causal_cmp(&a), Some(Ordering::Equal));
         assert_eq!(b.causal_cmp(&c), None, "concurrent");
+    }
+
+    #[test]
+    fn covers_is_precedence_in_one_component() {
+        // (w0, i1) ends at [1,0,0]; w1 learns it and ends (w1, i1) at
+        // [1,1,0]; w2 saw neither and ends (w2, i1) at [0,0,1].
+        let (a, b, c) = (vt(&[1, 0, 0]), vt(&[1, 1, 0]), vt(&[0, 0, 1]));
+        assert!(b.covers(NodeId(0), 1) && a.causal_cmp(&b) == Some(Ordering::Less));
+        assert!(!a.covers(NodeId(1), 1), "not the other way round");
+        assert!(!c.covers(NodeId(0), 1) && !a.covers(NodeId(2), 1));
+        assert_eq!(a.causal_cmp(&c), None, "concurrent: neither covers");
     }
 
     #[test]
