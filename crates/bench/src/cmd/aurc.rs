@@ -7,12 +7,17 @@
 //! for less traffic. "The major tradeoff between AURC and LRC is between
 //! bandwidth and protocol overhead."
 
-use svm_bench::{cli::Args, mb, Options, Table};
-use svm_core::{ProtocolName, SvmConfig};
+use svm_bench::{cli::Args, mb, run_cells, Options, Table};
+use svm_core::{ProtocolName, RunReport, SvmConfig};
 use svm_machine::{Category, TrafficClass};
 
 pub fn run(args: Args) {
     let opts = Options::parse(args, "aurc", "[--nodes a,b] [--apps x,y]");
+    let suite = opts.suite();
+    let cells = opts.cells(&suite, |n| {
+        [ProtocolName::Hlrc, ProtocolName::Aurc].map(|p| SvmConfig::new(p, n))
+    });
+    let runs = run_cells(&cells);
     println!("\nAURC vs HLRC (scale {})\n", opts.scale);
     let mut t = Table::new(&[
         "Application",
@@ -24,29 +29,22 @@ pub fn run(args: Args) {
         "Update MB HLRC",
         "Update MB AURC",
     ]);
-    for bench in opts.suite() {
-        for &nodes in &opts.nodes {
-            let get = |p: ProtocolName| {
-                eprintln!("running {} under {p} x{nodes}...", bench.name());
-                bench.run(&SvmConfig::new(p, nodes)).report
-            };
-            let h = get(ProtocolName::Hlrc);
-            let a = get(ProtocolName::Aurc);
-            let proto_pct = |r: &svm_core::RunReport| {
-                let b = r.avg_breakdown();
-                b[Category::Protocol].as_secs_f64() / b.total().as_secs_f64() * 100.0
-            };
-            t.row(vec![
-                bench.name().into(),
-                nodes.to_string(),
-                format!("{:.3}", h.secs()),
-                format!("{:.3}", a.secs()),
-                format!("{:.1}", proto_pct(&h)),
-                format!("{:.1}", proto_pct(&a)),
-                mb(h.outcome.traffic.total(TrafficClass::Data).bytes),
-                mb(a.outcome.traffic.total(TrafficClass::Data).bytes),
-            ]);
-        }
+    let proto_pct = |r: &RunReport| {
+        let b = r.avg_breakdown();
+        b[Category::Protocol].as_secs_f64() / b.total().as_secs_f64() * 100.0
+    };
+    for (cell, pair) in cells.iter().step_by(2).zip(runs.chunks(2)) {
+        let (h, a) = (&pair[0].report, &pair[1].report);
+        t.row(vec![
+            cell.bench.name().into(),
+            cell.cfg.nodes.to_string(),
+            format!("{:.3}", h.secs()),
+            format!("{:.3}", a.secs()),
+            format!("{:.1}", proto_pct(h)),
+            format!("{:.1}", proto_pct(a)),
+            mb(h.outcome.traffic.total(TrafficClass::Data).bytes),
+            mb(a.outcome.traffic.total(TrafficClass::Data).bytes),
+        ]);
     }
     t.print();
 }

@@ -15,7 +15,7 @@
 //! requested rate.
 
 use svm_apps::verified_suite;
-use svm_bench::{cli, parallel, Table};
+use svm_bench::{cli, run_cells, Cell, Table};
 use svm_core::{FaultProfile, ProtocolName, SvmConfig};
 
 struct Opts {
@@ -104,38 +104,33 @@ pub fn run(args: cli::Args) {
         "stalls",
         "time(s)",
     ]);
-    // Canonical cell order (app x protocol x column); the parallel driver
-    // returns results in this same order, so the table is byte-identical
-    // to the old serial loop.
+    // Cells nest app x protocol x column.
     let suite = verified_suite(opts.scale);
     let columns = fault_columns(&opts);
-    let mut jobs: Vec<(usize, ProtocolName, usize)> = Vec::new();
-    for bi in 0..suite.len() {
-        for protocol in ProtocolName::ALL {
-            for ci in 0..columns.len() {
-                jobs.push((bi, protocol, ci));
-            }
+    let mut cfgs = Vec::new();
+    for protocol in ProtocolName::ALL {
+        for (_, fault) in &columns {
+            let fault = fault.clone();
+            cfgs.push(SvmConfig {
+                fault,
+                ..SvmConfig::new(protocol, opts.nodes)
+            });
         }
     }
-    let runs = parallel::run_ordered(jobs.len(), parallel::workers(jobs.len()), |i| {
-        let (bi, protocol, ci) = jobs[i];
-        let mut cfg = SvmConfig::new(protocol, opts.nodes);
-        cfg.fault = columns[ci].1.clone();
-        suite[bi].run(&cfg)
-    });
+    let cells = Cell::product(&suite, &cfgs);
+    let runs = run_cells(&cells);
 
     let mut failures = 0usize;
-    for ((bi, protocol, ci), run) in jobs.iter().zip(&runs) {
-        let bench = &suite[*bi];
-        let ok = run.checksum == bench.expected_checksum() && run.report.errors.is_empty();
+    for (i, (cell, run)) in cells.iter().zip(&runs).enumerate() {
+        let ok = run.checksum == cell.bench.expected_checksum() && run.report.errors.is_empty();
         if !ok {
             failures += 1;
         }
         let nf = &run.report.outcome.net_faults;
         t.row(vec![
-            bench.name().to_string(),
-            protocol.label().to_string(),
-            columns[*ci].0.clone(),
+            cell.bench.name().to_string(),
+            cell.cfg.protocol.label().to_string(),
+            columns[i % columns.len()].0.clone(),
             if ok { "yes".into() } else { "FAIL".into() },
             run.report.counters.total(|c| c.retransmissions).to_string(),
             run.report

@@ -10,9 +10,11 @@
 //! 2. **Faulted runs** — SOR under every protocol on a chaos network
 //!    (seeded drop/duplicate/delay): the reliable-delivery layer must make
 //!    the consistency guarantee hold verbatim under faults.
-//! 3. **Mutation self-tests** — seeded protocol bugs (skipped diff
-//!    application, dropped write notices, an ungated home reply, stripped
-//!    lock-grant records) that the checker must catch with a
+//! 3. **Mutation self-tests** — six seeded protocol bugs in eight
+//!    (bug, protocol) pairs (a skipped diff application and dropped write
+//!    notices, each under HLRC and LRC; an ungated home reply; stripped
+//!    lock-grant records; a skipped home rebuild after a crash; a dead
+//!    node's leaked lock grant) that the checker must catch with a
 //!    counterexample, proving the oracle has teeth.
 //!
 //! Usage: `check [--scale X] [--nodes N] [--seed S] [--fast]`
@@ -22,7 +24,7 @@
 use svm_apps::{
     lu::Lu, raytrace::Raytrace, sor::Sor, water_ns::WaterNsq, water_sp::WaterSp, Benchmark,
 };
-use svm_bench::{cli, parallel, Table};
+use svm_bench::{cli, run_cells, Cell, Table};
 use svm_checker::selftest::run_selftests;
 use svm_checker::{check_trace, CheckReport};
 use svm_core::{FaultProfile, ProtocolName, SvmConfig, TraceConfig};
@@ -45,19 +47,6 @@ fn suite(scale: f64, fast: bool) -> Vec<Box<dyn Benchmark>> {
     s
 }
 
-/// Record one run and check the trace; returns the report and trace size.
-fn record_check(bench: &dyn Benchmark, cfg: &SvmConfig) -> (CheckReport, usize) {
-    let mut cfg = cfg.clone();
-    cfg.trace = TraceConfig::recording();
-    let run = bench.run(&cfg);
-    let trace = run
-        .report
-        .trace
-        .as_ref()
-        .expect("recording was enabled for this run");
-    (check_trace(trace), trace.approx_bytes())
-}
-
 pub fn run(args: cli::Args) {
     let opts = cli::parse(
         args,
@@ -71,6 +60,32 @@ pub fn run(args: cli::Args) {
             })
         },
     );
+    // One recorded cell list: every (app x protocol) of the matrix, then
+    // SOR under every protocol on the chaos network.
+    let suite = suite(opts.scale, opts.fast);
+    let sor: [Box<dyn Benchmark>; 1] = [Box::new(Sor::scaled(opts.scale))];
+    let matrix = ProtocolName::ALL.map(|p| SvmConfig {
+        trace: TraceConfig::recording(),
+        ..SvmConfig::new(p, opts.nodes)
+    });
+    let faulted = matrix.clone().map(|cfg| SvmConfig {
+        nodes: 4,
+        fault: FaultProfile::chaos(opts.seed, 0.002),
+        ..cfg
+    });
+    let mut cells = Cell::product(&suite, &matrix);
+    let matrix_len = cells.len();
+    cells.extend(Cell::product(&sor, &faulted));
+    let runs = run_cells(&cells);
+    // Each run's checker verdict and trace size.
+    let checks: Vec<(CheckReport, usize)> = runs
+        .iter()
+        .map(|run| {
+            let trace = run.report.trace.as_ref().expect("recording was enabled");
+            (check_trace(trace), trace.approx_bytes())
+        })
+        .collect();
+
     let mut failures = 0usize;
 
     println!(
@@ -94,30 +109,17 @@ pub fn run(args: cli::Args) {
         "trace",
         "verdict",
     ]);
-    // Record-and-check every (app x protocol) cell on the parallel driver;
-    // results come back in the canonical order, so output is unchanged.
-    let suite = suite(opts.scale, opts.fast);
-    let mut jobs: Vec<(usize, ProtocolName)> = Vec::new();
-    for bi in 0..suite.len() {
-        for protocol in ProtocolName::ALL {
-            jobs.push((bi, protocol));
-        }
-    }
-    let checks = parallel::run_ordered(jobs.len(), parallel::workers(jobs.len()), |i| {
-        let (bi, protocol) = jobs[i];
-        record_check(suite[bi].as_ref(), &SvmConfig::new(protocol, opts.nodes))
-    });
-    for (&(bi, protocol), (r, bytes)) in jobs.iter().zip(&checks) {
-        let bench = &suite[bi];
+    for (cell, (r, bytes)) in cells.iter().zip(&checks).take(matrix_len) {
+        let (name, protocol) = (cell.bench.name(), cell.cfg.protocol);
         let pass = r.coherent();
         if !pass {
             failures += 1;
             for v in &r.violations {
-                println!("  {} / {}: {v}", bench.name(), protocol.label());
+                println!("  {name} / {}: {v}", protocol.label());
             }
         }
         t.row(vec![
-            bench.name().to_string(),
+            name.to_string(),
             protocol.label().to_string(),
             r.episodes.to_string(),
             r.reads.to_string(),
@@ -134,16 +136,8 @@ pub fn run(args: cli::Args) {
     // 2. Faulted runs: SOR under chaos faults, every protocol.
     println!("\nFaulted runs (SOR, chaos profile, drop rate 0.002, 4 nodes):\n");
     let mut t = Table::new(&["Protocol", "retx", "racy", "ww", "viol", "verdict"]);
-    let sor = Sor::scaled(opts.scale);
-    let faulted = parallel::run_ordered(ProtocolName::ALL.len(), parallel::workers(4), |i| {
-        let mut cfg = SvmConfig::new(ProtocolName::ALL[i], 4);
-        cfg.fault = FaultProfile::chaos(opts.seed, 0.002);
-        cfg.trace = TraceConfig::recording();
-        let run = sor.run(&cfg);
-        let r = check_trace(run.report.trace.as_ref().expect("recording enabled"));
-        (run, r)
-    });
-    for (protocol, (run, r)) in ProtocolName::ALL.into_iter().zip(&faulted) {
+    for (cell, (run, (r, _))) in cells.iter().zip(runs.iter().zip(&checks)).skip(matrix_len) {
+        let protocol = cell.cfg.protocol;
         let pass = r.coherent() && run.report.errors.is_empty();
         if !pass {
             failures += 1;

@@ -11,19 +11,50 @@
 //! * cells whose schedule never fires (crash instant beyond the run) must
 //!   still reproduce the sequential reference checksum — an unfired plan
 //!   plus an armed detector must not perturb results;
+//! * no cell may end on the progress watchdog: that is a hang caught, not
+//!   a structured halt (the outcome column and the per-kind counts under
+//!   the table name what halted each cell);
 //! * the first cell that actually fired a crash is run twice and must be
-//!   bit-identical (total time, deaths, recovery counters, errors).
+//!   bit-identical (total time, deaths, recovery counters, errors, traffic).
 //!
 //! Usage: `crash [--scale X] [--nodes N] [--crashes K] [--window-us W]
 //! [--seeds a,b] [--fail-fast]` (defaults: scale 0.03, 4 nodes, 1 crash,
 //! 60 ms window, seeds 1,2, graceful). Crash times land in
 //! `[W/4, W)`; node 0 is always spared by the seeded schedule.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use svm_apps::verified_suite;
-use svm_bench::{cli, parallel, Table};
-use svm_core::{ProtocolName, RecoveryMode, RecoveryProfile, SvmConfig};
-use svm_machine::NodeFaultConfig;
+use svm_bench::{cli, run_cells, Cell, Job, Table};
+use svm_core::{ProtocolError, ProtocolName, RecoveryMode, RecoveryProfile, SvmConfig};
+use svm_machine::{NodeFaultConfig, RunError};
 use svm_sim::SimDuration;
+
+const WATCHDOG: &str = "watchdog";
+
+/// What halted a run, each kind once: a protocol error's variant name, or,
+/// for a machine error that mirrors no protocol error (a protocol error
+/// fails the machine with its rendered text, which is how `svm_explore`
+/// reconciles the two lists too), the machine's own verdict — the progress
+/// watchdog or a post-crash deadlock.
+fn halt_kinds(protocol: &[ProtocolError], machine: &[RunError]) -> BTreeSet<String> {
+    let mirrored: Vec<String> = protocol.iter().map(ToString::to_string).collect();
+    let mut kinds: BTreeSet<String> = protocol
+        .iter()
+        .map(|e| {
+            format!("{e:?}")
+                .split(' ')
+                .next()
+                .unwrap_or_default()
+                .to_string()
+        })
+        .collect();
+    for e in machine.iter().filter(|e| !mirrored.contains(&e.what)) {
+        let watchdog = e.what.starts_with("progress watchdog");
+        kinds.insert(if watchdog { WATCHDOG } else { "deadlock" }.to_string());
+    }
+    kinds
+}
 
 struct Opts {
     scale: f64,
@@ -76,31 +107,27 @@ pub fn run(args: cli::Args) {
         mode_label
     );
 
+    // Cells nest app x protocol x seed.
     let suite = verified_suite(opts.scale);
     let window = SimDuration::from_micros(opts.window_us);
-    let mut jobs: Vec<(usize, ProtocolName, u64)> = Vec::new();
-    for bi in 0..suite.len() {
-        for protocol in PROTOCOLS {
-            for &seed in &opts.seeds {
-                jobs.push((bi, protocol, seed));
-            }
+    let mut cfgs = Vec::new();
+    for protocol in PROTOCOLS {
+        for &seed in &opts.seeds {
+            cfgs.push(SvmConfig {
+                recovery: RecoveryProfile {
+                    enabled: true,
+                    heartbeat_us: 2_000,
+                    miss_threshold: 3,
+                    mode: opts.mode,
+                },
+                node_fault: NodeFaultConfig::seeded(seed, opts.nodes, opts.crashes, window),
+                ..SvmConfig::new(protocol, opts.nodes)
+            });
         }
     }
-    let run_cell = |bi: usize, protocol: ProtocolName, seed: u64| {
-        let mut cfg = SvmConfig::new(protocol, opts.nodes);
-        cfg.recovery = RecoveryProfile {
-            enabled: true,
-            heartbeat_us: 2_000,
-            miss_threshold: 3,
-            mode: opts.mode,
-        };
-        cfg.node_fault = NodeFaultConfig::seeded(seed, opts.nodes, opts.crashes, window);
-        suite[bi].run(&cfg)
-    };
-    let runs = parallel::run_ordered(jobs.len(), parallel::workers(jobs.len()), |i| {
-        let (bi, protocol, seed) = jobs[i];
-        run_cell(bi, protocol, seed)
-    });
+    let cells = Cell::product(&suite, &cfgs);
+    let runs = run_cells(&cells);
+    let seed = |i: usize| opts.seeds[i % opts.seeds.len()];
 
     let mut t = Table::new(&[
         "Application",
@@ -117,18 +144,18 @@ pub fn run(args: cli::Args) {
     ]);
     let mut failures = 0usize;
     let mut first_fired: Option<usize> = None;
-    for (i, ((bi, protocol, seed), run)) in jobs.iter().zip(&runs).enumerate() {
-        let bench = &suite[*bi];
+    let mut halts: BTreeMap<String, usize> = BTreeMap::new();
+    for (i, (cell, run)) in cells.iter().zip(&runs).enumerate() {
         let r = &run.report;
         // A crash instant inside the run disturbs it (the victim's
         // remaining work is forfeit); one beyond the natural end is a
         // dangling schedule and must be invisible in the results.
-        let schedule = NodeFaultConfig::seeded(*seed, opts.nodes, opts.crashes, window);
-        let disturbed = schedule.crashes.iter().any(|c| c.at < r.outcome.total_time);
+        let crashes = &cell.cfg.node_fault.crashes;
+        let disturbed = crashes.iter().any(|c| c.at < r.outcome.total_time);
         if disturbed && first_fired.is_none() {
             first_fired = Some(i);
         }
-        let checksum = if run.checksum == bench.expected_checksum() {
+        let checksum = if run.checksum == cell.bench.expected_checksum() {
             "ok"
         } else if disturbed {
             "lost"
@@ -136,16 +163,19 @@ pub fn run(args: cli::Args) {
             failures += 1;
             "FAIL"
         };
-        let nerrs = r.errors.len() + r.outcome.errors.len();
-        let outcome = if nerrs == 0 {
+        let kinds = halt_kinds(&r.errors, &r.outcome.errors);
+        for kind in &kinds {
+            *halts.entry(kind.clone()).or_default() += 1;
+        }
+        let outcome = if kinds.is_empty() {
             "clean".to_string()
         } else {
-            format!("error:{nerrs}")
+            kinds.into_iter().collect::<Vec<_>>().join("+")
         };
         t.row(vec![
-            bench.name().to_string(),
-            protocol.label().to_string(),
-            seed.to_string(),
+            cell.bench.name().to_string(),
+            cell.cfg.protocol.label().to_string(),
+            seed(i).to_string(),
             outcome,
             r.outcome.node_faults.crashes.to_string(),
             r.deaths.len().to_string(),
@@ -157,24 +187,33 @@ pub fn run(args: cli::Args) {
         ]);
     }
     t.print();
+    if !halts.is_empty() {
+        println!();
+    }
+    for (kind, n) in &halts {
+        println!("halted {kind}: {n} cell(s)");
+    }
+    // A stalled recovery is a hang the watchdog caught, not a structured
+    // halt.
+    failures += halts.get(WATCHDOG).copied().unwrap_or(0);
 
     // Bit-reproducibility: replay the first cell whose crash actually
     // fired and demand an identical trajectory.
     if let Some(i) = first_fired {
-        let (bi, protocol, seed) = jobs[i];
-        let again = run_cell(bi, protocol, seed);
+        let again = cells[i].run();
         let (a, b) = (&runs[i].report, &again.report);
         let identical = a.outcome.total_time == b.outcome.total_time
             && a.deaths == b.deaths
             && a.recovery == b.recovery
-            && a.errors.len() == b.errors.len()
+            && a.errors == b.errors
             && a.outcome.errors == b.outcome.errors
+            && a.outcome.traffic.grand_total() == b.outcome.traffic.grand_total()
             && runs[i].checksum == again.checksum;
         println!(
             "\nreplay {} / {} / seed {}: {}",
-            suite[bi].name(),
-            protocol.label(),
-            seed,
+            cells[i].bench.name(),
+            cells[i].cfg.protocol.label(),
+            seed(i),
             if identical {
                 "bit-identical"
             } else {
@@ -194,4 +233,46 @@ pub fn run(args: cli::Args) {
         std::process::exit(1);
     }
     println!("every cell completed or halted with a structured error; replay was bit-identical");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use svm_machine::NodeId;
+    use svm_sim::SimTime;
+
+    /// [`halt_kinds`] of these protocol errors and machine-error texts.
+    fn kinds(protocol: &[ProtocolError], machine: &[&str]) -> Vec<String> {
+        let machine: Vec<RunError> = machine
+            .iter()
+            .map(|what| RunError {
+                node: NodeId(1),
+                at: SimTime::ZERO,
+                what: what.to_string(),
+            })
+            .collect();
+        halt_kinds(protocol, &machine).into_iter().collect()
+    }
+
+    #[test]
+    fn a_halt_is_classified_by_kind_and_its_mirror_counts_once() {
+        let lost = ProtocolError::LostInterval {
+            lock: 3,
+            writer: NodeId(2),
+            interval: 7,
+        };
+        let failed = ProtocolError::NodeFailed {
+            node: NodeId(2),
+            at_us: 9,
+        };
+        let (l, f) = (lost.to_string(), failed.to_string());
+        let watchdog = "progress watchdog: no application progress for 5 us";
+        assert!(kinds(&[], &[]).is_empty());
+        assert_eq!(
+            kinds(&[lost.clone(), lost, failed], &[&l, &l, &f, watchdog]),
+            ["LostInterval", "NodeFailed", WATCHDOG]
+        );
+        let deadlock = "deadlock after node crash: event queue empty";
+        assert_eq!(kinds(&[], &[deadlock]), ["deadlock"]);
+    }
 }

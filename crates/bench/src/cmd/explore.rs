@@ -17,11 +17,12 @@
 //!   minute. The full run adds the 3-node OLRC/OHLRC crash cells and the
 //!   deeper non-crash matrix (minutes, not hours).
 
-use svm_bench::cli;
+use svm_bench::{cli, run_cells, Job};
 use svm_core::ProtocolName;
-use svm_explore::{base_config, ExploreOptions, Explorer, Program};
+use svm_explore::{base_config, ExploreReport, Explorer, Program};
 use svm_testkit::bench::Stopwatch;
 
+#[derive(Debug)]
 struct Cell {
     protocol: ProtocolName,
     nodes: usize,
@@ -37,6 +38,19 @@ fn cell(p: ProtocolName, nodes: usize, rounds: u32, recovery: bool, max_crashes:
         rounds,
         recovery,
         max_crashes,
+    }
+}
+
+impl Job for Cell {
+    /// The exploration and its wall time in ms.
+    type Out = (ExploreReport, f64);
+    fn run(&self) -> Self::Out {
+        let cfg = base_config(self.protocol, self.nodes, self.recovery, 256);
+        let rounds = self.rounds;
+        let mut ex = Explorer::new(cfg, Program::LockCounter { rounds });
+        ex.opts.max_crashes = self.max_crashes;
+        let sw = Stopwatch::start();
+        (ex.run(), sw.elapsed_ms())
     }
 }
 
@@ -87,15 +101,7 @@ pub fn run(args: cli::Args) {
         "wall_ms",
         "verdict"
     );
-    for c in &cells {
-        let cfg = base_config(c.protocol, c.nodes, c.recovery, 256);
-        let mut ex = Explorer::new(cfg, Program::LockCounter { rounds: c.rounds });
-        ex.opts = ExploreOptions {
-            max_crashes: c.max_crashes,
-            ..ExploreOptions::default()
-        };
-        let sw = Stopwatch::start();
-        let report = ex.run();
+    for (c, (report, wall_ms)) in cells.iter().zip(run_cells(&cells)) {
         let clean = report.clean();
         total_states += report.states as u64;
         println!(
@@ -107,7 +113,7 @@ pub fn run(args: cli::Args) {
             c.max_crashes,
             report.states,
             report.transitions,
-            sw.elapsed_ms(),
+            wall_ms,
             if clean { "clean" } else { "VIOLATION" }
         );
         if !clean {

@@ -2,12 +2,14 @@
 //! transfer, garbage collection, lock, barrier, protocol overhead — per
 //! application, protocol, and machine size (printed as percentage stacks).
 
-use svm_bench::{cli::Args, run_sweep, Options, Table};
+use svm_bench::{cli::Args, run_cells, Options, Table};
 use svm_machine::Category;
 
 pub fn run(args: Args) {
     let opts = Options::parse(args, "fig3", "[--nodes a,b] [--protocols A,B] [--apps x,y]");
-    let records = run_sweep(&opts);
+    let suite = opts.suite();
+    let cells = opts.grid(&suite);
+    let runs = run_cells(&cells);
 
     println!(
         "\nFigure 3: average per-node execution time breakdowns (scale {})\n",
@@ -25,15 +27,15 @@ pub fn run(args: Args) {
         "Proto%",
         "GC%",
     ]);
-    for r in &records {
-        let b = r.run.report.avg_breakdown();
+    for (cell, run) in cells.iter().zip(&runs) {
+        let b = run.report.avg_breakdown();
         let total = b.total().as_secs_f64();
         let pct = |c: Category| format!("{:.1}", b[c].as_secs_f64() / total * 100.0);
         t.row(vec![
-            r.app.into(),
-            r.protocol.label().into(),
-            r.nodes.to_string(),
-            format!("{:.3}", r.run.report.secs()),
+            cell.bench.name().into(),
+            cell.cfg.protocol.label().into(),
+            cell.cfg.nodes.to_string(),
+            format!("{:.3}", run.report.secs()),
             pct(Category::Compute),
             pct(Category::DataTransfer),
             pct(Category::Lock),

@@ -2,33 +2,23 @@
 //! between two consecutive barriers (the paper uses barriers 9 and 10),
 //! LRC versus HLRC — the lock-imbalance / hot-spot picture.
 
-use svm_apps::water_ns::WaterNsq;
-use svm_apps::Benchmark;
-use svm_bench::{cli::Args, parallel, Options, Table};
+use svm_apps::{water_ns::WaterNsq, Benchmark};
+use svm_bench::{cli::Args, run_cells, Options, Table};
 use svm_core::{ProtocolName, SvmConfig};
 use svm_machine::Category;
 
 pub fn run(args: Args) {
     let opts = Options::parse(args, "fig4", "[--nodes a,b]");
     // Enough steps for the paper's barrier-9..10 window (3 barriers/step).
-    let mut w = WaterNsq::scaled(opts.scale);
-    w.steps = 4;
-
-    // Compute every (nodes x protocol) cell on the parallel driver, then
-    // print in the canonical order — identical output to the serial loop.
-    let mut jobs: Vec<(usize, ProtocolName)> = Vec::new();
-    for &nodes in &opts.nodes {
-        for protocol in [ProtocolName::Lrc, ProtocolName::Hlrc] {
-            jobs.push((nodes, protocol));
-        }
-    }
-    let runs = parallel::run_ordered(jobs.len(), parallel::workers(jobs.len()), |i| {
-        let (nodes, protocol) = jobs[i];
-        eprintln!("running Water-Nsquared under {protocol} x{nodes}...");
-        w.run(&SvmConfig::new(protocol, nodes))
+    let suite: [Box<dyn Benchmark>; 1] = [Box::new(WaterNsq {
+        steps: 4,
+        ..WaterNsq::scaled(opts.scale)
+    })];
+    let cells = opts.cells(&suite, |n| {
+        [ProtocolName::Lrc, ProtocolName::Hlrc].map(|p| SvmConfig::new(p, n))
     });
-
-    for (&(nodes, protocol), run) in jobs.iter().zip(&runs) {
+    for (cell, run) in cells.iter().zip(run_cells(&cells)) {
+        let (protocol, nodes) = (cell.cfg.protocol, cell.cfg.nodes);
         let marks = &run.report.counters.barrier_marks;
         let lo = 9.min(marks[0].len() - 2);
         let hi = lo + 1;

@@ -4,12 +4,25 @@
 //! ablation reruns the sweep under a modern-network cost model and compares
 //! the HLRC-over-LRC advantage.
 
-use svm_bench::{cli::Args, Options, Table};
+use svm_bench::{cli::Args, run_cells, Options, Table};
 use svm_core::{ProtocolName, SvmConfig};
 use svm_machine::CostModel;
 
 pub fn run(args: Args) {
     let opts = Options::parse(args, "sensitivity", "[--nodes a,b] [--apps x,y]");
+    let suite = opts.suite();
+    // Per (app, nodes): LRC then HLRC on the Paragon, then on the fast net.
+    let cells = opts.cells(&suite, |n| {
+        [CostModel::paragon(), CostModel::fast_network()]
+            .into_iter()
+            .flat_map(move |cost| {
+                [ProtocolName::Lrc, ProtocolName::Hlrc].map(|p| SvmConfig {
+                    cost: cost.clone(),
+                    ..SvmConfig::new(p, n)
+                })
+            })
+    });
+    let runs = run_cells(&cells);
     println!(
         "\nSection 4.8 sensitivity: HLRC advantage over LRC, Paragon vs fast network (scale {})\n",
         opts.scale
@@ -24,23 +37,15 @@ pub fn run(args: Args) {
         "HLRC s",
         "gap %",
     ]);
-    for bench in opts.suite() {
-        for &nodes in &opts.nodes {
-            let mut row = vec![bench.name().to_string(), nodes.to_string()];
-            for cost in [CostModel::paragon(), CostModel::fast_network()] {
-                let mut lrc_cfg = SvmConfig::new(ProtocolName::Lrc, nodes);
-                lrc_cfg.cost = cost.clone();
-                let mut hlrc_cfg = SvmConfig::new(ProtocolName::Hlrc, nodes);
-                hlrc_cfg.cost = cost.clone();
-                eprintln!("running {} x{nodes}...", bench.name());
-                let lrc = bench.run(&lrc_cfg).report.secs();
-                let hlrc = bench.run(&hlrc_cfg).report.secs();
-                row.push(format!("{lrc:.3}"));
-                row.push(format!("{hlrc:.3}"));
-                row.push(format!("{:.1}", (lrc / hlrc - 1.0) * 100.0));
-            }
-            t.row(row);
+    for (cell, quad) in cells.iter().step_by(4).zip(runs.chunks(4)) {
+        let mut row = vec![cell.bench.name().to_string(), cell.cfg.nodes.to_string()];
+        for pair in quad.chunks(2) {
+            let (lrc, hlrc) = (pair[0].report.secs(), pair[1].report.secs());
+            row.push(format!("{lrc:.3}"));
+            row.push(format!("{hlrc:.3}"));
+            row.push(format!("{:.1}", (lrc / hlrc - 1.0) * 100.0));
         }
+        t.row(row);
     }
     t.print();
     println!("\nExpected shape: the gap column shrinks under the fast network.");

@@ -9,16 +9,18 @@
 //!
 //! Everything reported is **virtual-time** data: stdout and the JSON file
 //! are bit-identical across reruns with the same arguments. The command
-//! enforces that itself — the first cell is executed twice and the run
-//! aborts on any checksum difference — and exits nonzero if any cell
+//! enforces that itself — the first cell is executed again after the
+//! matrix and the run aborts on any checksum difference — and exits nonzero if any cell
 //! observed a consistency violation (value or FIFO errors), so the matrix
 //! doubles as an end-to-end protocol check under served traffic.
 //!
 //! Usage: `serve [--fast] [--out PATH]`
 
+use std::fmt;
+
 use svm_bench::hist::Histogram;
 use svm_bench::json::{self, Json};
-use svm_bench::{cli, parallel, Table};
+use svm_bench::{cli, run_cells, Job, Table};
 use svm_core::ProtocolName;
 use svm_serve::{KeyDist, LoadMode, ServeRun, ServeSpec, ServiceKind};
 
@@ -81,76 +83,55 @@ fn cells(fast: bool) -> Vec<Cell> {
     out
 }
 
-/// Everything reported about one executed cell (virtual-time only).
-struct Row {
-    service: &'static str,
-    dist: String,
-    load: String,
-    protocol: &'static str,
-    ops: u64,
-    throughput: f64,
-    hist: Histogram,
-    misses: u64,
-    value_errors: u64,
-    fifo_errors: u64,
-    span_ns: u64,
-    total_time_ns: u64,
-    messages: u64,
-    bytes: u64,
-    checksum: u64,
+impl Job for Cell {
+    /// The run and its latency histogram (virtual-time only).
+    type Out = (ServeRun, Histogram);
+    fn run(&self) -> Self::Out {
+        let run = self.spec.run_protocol(self.protocol);
+        let mut hist = Histogram::new();
+        hist.record_all(&run.latencies_ns());
+        (run, hist)
+    }
 }
 
-fn execute(cell: &Cell) -> (Row, ServeRun) {
-    let run = cell.spec.run_protocol(cell.protocol);
-    let mut hist = Histogram::new();
-    hist.record_all(&run.latencies_ns());
-    let traffic = run.report.outcome.traffic.grand_total();
-    let row = Row {
-        service: cell.spec.service.label(),
-        dist: cell.spec.dist.label(),
-        load: cell.spec.load.label(),
-        protocol: cell.protocol.label(),
-        ops: run.ops(),
-        throughput: run.throughput_per_sec(),
-        hist,
-        misses: run.misses(),
-        value_errors: run.value_errors(),
-        fifo_errors: run.fifo_errors(),
-        span_ns: run.span().as_nanos(),
-        total_time_ns: run.report.outcome.total_time.as_nanos(),
-        messages: traffic.messages,
-        bytes: traffic.bytes,
-        checksum: run.checksum(),
-    };
-    (row, run)
+impl fmt::Debug for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = &self.spec;
+        let (service, dist, load) = (s.service.label(), s.dist.label(), s.load.label());
+        write!(f, "{service} {dist} {load} under {}", self.protocol)
+    }
 }
 
 fn us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1e3)
 }
 
-fn row_json(r: &Row) -> Json {
+fn row_json(cell: &Cell, run: &ServeRun, hist: &Histogram) -> Json {
+    let traffic = run.report.outcome.traffic.grand_total();
     Json::obj([
-        ("service", Json::str(r.service)),
-        ("dist", Json::str(r.dist.clone())),
-        ("load", Json::str(r.load.clone())),
-        ("protocol", Json::str(r.protocol)),
-        ("ops", Json::int(r.ops)),
-        ("throughput_per_sec", Json::Num(r.throughput)),
-        ("p50_ns", Json::int(r.hist.p50())),
-        ("p95_ns", Json::int(r.hist.p95())),
-        ("p99_ns", Json::int(r.hist.p99())),
-        ("p999_ns", Json::int(r.hist.p999())),
-        ("max_ns", Json::int(r.hist.max())),
-        ("mean_ns", Json::Num(r.hist.mean())),
-        ("misses", Json::int(r.misses)),
-        ("value_errors", Json::int(r.value_errors)),
-        ("fifo_errors", Json::int(r.fifo_errors)),
-        ("span_ns", Json::int(r.span_ns)),
-        ("total_time_ns", Json::int(r.total_time_ns)),
-        ("messages", Json::int(r.messages)),
-        ("bytes", Json::int(r.bytes)),
-        ("checksum", Json::str(format!("{:016x}", r.checksum))),
+        ("service", Json::str(cell.spec.service.label())),
+        ("dist", Json::str(cell.spec.dist.label())),
+        ("load", Json::str(cell.spec.load.label())),
+        ("protocol", Json::str(cell.protocol.label())),
+        ("ops", Json::int(run.ops())),
+        ("throughput_per_sec", Json::Num(run.throughput_per_sec())),
+        ("p50_ns", Json::int(hist.p50())),
+        ("p95_ns", Json::int(hist.p95())),
+        ("p99_ns", Json::int(hist.p99())),
+        ("p999_ns", Json::int(hist.p999())),
+        ("max_ns", Json::int(hist.max())),
+        ("mean_ns", Json::Num(hist.mean())),
+        ("misses", Json::int(run.misses())),
+        ("value_errors", Json::int(run.value_errors())),
+        ("fifo_errors", Json::int(run.fifo_errors())),
+        ("span_ns", Json::int(run.span().as_nanos())),
+        (
+            "total_time_ns",
+            Json::int(run.report.outcome.total_time.as_nanos()),
+        ),
+        ("messages", Json::int(traffic.messages)),
+        ("bytes", Json::int(traffic.bytes)),
+        ("checksum", Json::str(format!("{:016x}", run.checksum()))),
     ])
 }
 
@@ -159,59 +140,45 @@ pub fn run(args: cli::Args) {
         Ok((a.value::<String>("--out")?, a.flag("--fast")))
     });
     let matrix = cells(fast);
-    let threads = parallel::workers(matrix.len());
     eprintln!(
-        "serve matrix: {} cells ({}), {threads} threads",
+        "serve matrix: {} cells ({})",
         matrix.len(),
         if fast { "fast" } else { "full" }
     );
 
-    // Determinism gate: the first cell, executed twice, must be
-    // bit-identical (checksum covers every latency sample and digest).
-    {
-        let (a, ra) = execute(&matrix[0]);
-        let (b, rb) = execute(&matrix[0]);
-        if a.checksum != b.checksum || ra.report.outcome.total_time != rb.report.outcome.total_time
-        {
-            eprintln!(
-                "FAIL: same-seed rerun diverged ({:016x} vs {:016x})",
-                a.checksum, b.checksum
-            );
-            std::process::exit(1);
-        }
-    }
+    let runs = run_cells(&matrix);
 
-    let rows: Vec<Row> = parallel::run_ordered(matrix.len(), threads, |i| {
-        let cell = &matrix[i];
+    // Determinism gate: the first cell, executed again, must be
+    // bit-identical (checksum covers every latency sample and digest).
+    let (a, b) = (&runs[0].0, matrix[0].run().0);
+    if a.checksum() != b.checksum() || a.report.outcome.total_time != b.report.outcome.total_time {
         eprintln!(
-            "serving {} {} {} under {} ...",
-            cell.spec.service.label(),
-            cell.spec.dist.label(),
-            cell.spec.load.label(),
-            cell.protocol.label()
+            "FAIL: same-seed rerun diverged ({:016x} vs {:016x})",
+            a.checksum(),
+            b.checksum()
         );
-        execute(cell).0
-    });
+        std::process::exit(1);
+    }
 
     let mut table = Table::new(&[
         "service", "dist", "load", "protocol", "ops", "kreq/s", "p50us", "p95us", "p99us",
         "p999us", "miss",
     ]);
     let mut bad = 0u64;
-    for r in &rows {
-        bad += r.value_errors + r.fifo_errors;
+    for (cell, (run, hist)) in matrix.iter().zip(&runs) {
+        bad += run.value_errors() + run.fifo_errors();
         table.row(vec![
-            r.service.to_string(),
-            r.dist.clone(),
-            r.load.clone(),
-            r.protocol.to_string(),
-            r.ops.to_string(),
-            format!("{:.1}", r.throughput / 1e3),
-            us(r.hist.p50()),
-            us(r.hist.p95()),
-            us(r.hist.p99()),
-            us(r.hist.p999()),
-            r.misses.to_string(),
+            cell.spec.service.label().to_string(),
+            cell.spec.dist.label(),
+            cell.spec.load.label(),
+            cell.protocol.label().to_string(),
+            run.ops().to_string(),
+            format!("{:.1}", run.throughput_per_sec() / 1e3),
+            us(hist.p50()),
+            us(hist.p95()),
+            us(hist.p99()),
+            us(hist.p999()),
+            run.misses().to_string(),
         ]);
     }
     println!("Served-traffic matrix: latency/throughput per protocol (virtual time)");
@@ -224,7 +191,16 @@ pub fn run(args: cli::Args) {
         ("fast", Json::Bool(fast)),
         ("nodes", Json::int(8)),
         ("servers", Json::int(2)),
-        ("cells", Json::Arr(rows.iter().map(row_json).collect())),
+        (
+            "cells",
+            Json::Arr(
+                matrix
+                    .iter()
+                    .zip(&runs)
+                    .map(|(c, (run, hist))| row_json(c, run, hist))
+                    .collect(),
+            ),
+        ),
     ]);
     let text = doc.pretty();
     json::parse(&text).expect("serve emitted malformed JSON");

@@ -1,6 +1,6 @@
 //! Table 2: speedups for all four protocols at each machine size.
 
-use svm_bench::{apps_in, cli::Args, index, run_sweep, Options, Table};
+use svm_bench::{cli::Args, run_cells, Options, Table};
 
 pub fn run(args: Args) {
     let opts = Options::parse(
@@ -8,8 +8,8 @@ pub fn run(args: Args) {
         "table2",
         "[--nodes a,b] [--protocols A,B] [--apps x,y]",
     );
-    let records = run_sweep(&opts);
-    let idx = index(&records);
+    let suite = opts.suite();
+    let runs = run_cells(&opts.grid(&suite));
 
     println!(
         "\nTable 2: speedups on the simulated Paragon (scale {})\n",
@@ -22,13 +22,11 @@ pub fn run(args: Args) {
         }
     }
     let mut t = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
-    for app in apps_in(&records) {
-        let mut row = vec![app.to_string()];
-        for &n in &opts.nodes {
-            for p in &opts.protocols {
-                let r = idx[&(app, n, p.label())];
-                row.push(format!("{:.2}", r.run.report.speedup_vs(r.seq_secs)));
-            }
+    let per_app = opts.nodes.len() * opts.protocols.len();
+    for (bench, runs) in suite.iter().zip(runs.chunks(per_app)) {
+        let mut row = vec![bench.name().to_string()];
+        for r in runs {
+            row.push(format!("{:.2}", r.report.speedup_vs(bench.seq_secs())));
         }
         t.row(row);
     }

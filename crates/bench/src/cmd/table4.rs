@@ -2,8 +2,9 @@
 //! and applied, lock acquires, barriers — for LRC versus HLRC at the
 //! smallest and largest machine sizes (the "home effect" table).
 
-use svm_bench::{apps_in, cli::Args, index, run_sweep, Options, Table};
-use svm_core::ProtocolName;
+use svm_apps::AppRun;
+use svm_bench::{cli::Args, run_cells, Options, Table};
+use svm_core::{NodeCounters, ProtocolName, SvmConfig};
 
 pub fn run(args: Args) {
     let mut opts = Options::parse(
@@ -11,12 +12,14 @@ pub fn run(args: Args) {
         "table4",
         "[--nodes a,b,c: the first and last are run] [--apps x,y]",
     );
-    opts.protocols = vec![ProtocolName::Lrc, ProtocolName::Hlrc];
     if opts.nodes.len() > 2 {
-        opts.nodes = vec![*opts.nodes.first().unwrap(), *opts.nodes.last().unwrap()];
+        opts.nodes = vec![opts.nodes[0], opts.nodes[opts.nodes.len() - 1]];
     }
-    let records = run_sweep(&opts);
-    let idx = index(&records);
+    let suite = opts.suite();
+    let cells = opts.cells(&suite, |n| {
+        [ProtocolName::Lrc, ProtocolName::Hlrc].map(|p| SvmConfig::new(p, n))
+    });
+    let runs = run_cells(&cells);
 
     println!(
         "\nTable 4: average per-node operation counts (scale {})\n",
@@ -34,27 +37,21 @@ pub fn run(args: Args) {
         "LockAcq",
         "Barriers",
     ]);
-    let cell =
-        |app: &str, nodes: usize, p: ProtocolName, f: &dyn Fn(&svm_core::NodeCounters) -> u64| {
-            idx.get(&(app, nodes, p.label()))
-                .map(|r| format!("{:.0}", r.run.report.counters.avg(f)))
-                .unwrap_or_default()
-        };
-    for app in apps_in(&records) {
-        for &n in &opts.nodes {
-            t.row(vec![
-                app.into(),
-                n.to_string(),
-                cell(app, n, ProtocolName::Lrc, &|c| c.read_misses),
-                cell(app, n, ProtocolName::Hlrc, &|c| c.read_misses),
-                cell(app, n, ProtocolName::Lrc, &|c| c.diffs_created),
-                cell(app, n, ProtocolName::Hlrc, &|c| c.diffs_created),
-                cell(app, n, ProtocolName::Lrc, &|c| c.diffs_applied),
-                cell(app, n, ProtocolName::Hlrc, &|c| c.diffs_applied),
-                cell(app, n, ProtocolName::Hlrc, &|c| c.lock_acquires),
-                cell(app, n, ProtocolName::Hlrc, &|c| c.barriers),
-            ]);
-        }
+    let avg = |r: &AppRun, f: fn(&NodeCounters) -> u64| format!("{:.0}", r.report.counters.avg(f));
+    for (cell, pair) in cells.iter().step_by(2).zip(runs.chunks(2)) {
+        let (lrc, hlrc) = (&pair[0], &pair[1]);
+        t.row(vec![
+            cell.bench.name().into(),
+            cell.cfg.nodes.to_string(),
+            avg(lrc, |c| c.read_misses),
+            avg(hlrc, |c| c.read_misses),
+            avg(lrc, |c| c.diffs_created),
+            avg(hlrc, |c| c.diffs_created),
+            avg(lrc, |c| c.diffs_applied),
+            avg(hlrc, |c| c.diffs_applied),
+            avg(hlrc, |c| c.lock_acquires),
+            avg(hlrc, |c| c.barriers),
+        ]);
     }
     t.print();
     println!(

@@ -1,15 +1,18 @@
 //! Table 5: communication traffic — message counts, update-related data,
 //! and protocol data — LRC versus HLRC.
 
-use svm_bench::{apps_in, cli::Args, index, mb, run_sweep, Options, Table};
-use svm_core::ProtocolName;
+use svm_apps::AppRun;
+use svm_bench::{cli::Args, mb, run_cells, Options, Table};
+use svm_core::{ProtocolName, SvmConfig};
 use svm_machine::TrafficClass;
 
 pub fn run(args: Args) {
-    let mut opts = Options::parse(args, "table5", "[--nodes a,b] [--apps x,y]");
-    opts.protocols = vec![ProtocolName::Lrc, ProtocolName::Hlrc];
-    let records = run_sweep(&opts);
-    let idx = index(&records);
+    let opts = Options::parse(args, "table5", "[--nodes a,b] [--apps x,y]");
+    let suite = opts.suite();
+    let cells = opts.cells(&suite, |n| {
+        [ProtocolName::Lrc, ProtocolName::Hlrc].map(|p| SvmConfig::new(p, n))
+    });
+    let runs = run_cells(&cells);
 
     println!("\nTable 5: communication traffic (scale {})\n", opts.scale);
     let mut t = Table::new(&[
@@ -22,24 +25,22 @@ pub fn run(args: Args) {
         "Proto MB LRC",
         "Proto MB HLRC",
     ]);
-    for app in apps_in(&records) {
-        for &n in &opts.nodes {
-            let get = |p: ProtocolName| idx[&(app, n, p.label())];
-            let (lrc, hlrc) = (get(ProtocolName::Lrc), get(ProtocolName::Hlrc));
-            let tr = |r: &svm_bench::Record, class| r.run.report.outcome.traffic.total(class);
-            t.row(vec![
-                app.into(),
-                n.to_string(),
-                (tr(lrc, TrafficClass::Data).messages + tr(lrc, TrafficClass::Protocol).messages)
-                    .to_string(),
-                (tr(hlrc, TrafficClass::Data).messages + tr(hlrc, TrafficClass::Protocol).messages)
-                    .to_string(),
-                mb(tr(lrc, TrafficClass::Data).bytes),
-                mb(tr(hlrc, TrafficClass::Data).bytes),
-                mb(tr(lrc, TrafficClass::Protocol).bytes),
-                mb(tr(hlrc, TrafficClass::Protocol).bytes),
-            ]);
-        }
+    let classes = |r: &AppRun| {
+        [TrafficClass::Data, TrafficClass::Protocol].map(|c| r.report.outcome.traffic.total(c))
+    };
+    for (cell, pair) in cells.iter().step_by(2).zip(runs.chunks(2)) {
+        let ([lrc_data, lrc_proto], [hlrc_data, hlrc_proto]) =
+            (classes(&pair[0]), classes(&pair[1]));
+        t.row(vec![
+            cell.bench.name().into(),
+            cell.cfg.nodes.to_string(),
+            (lrc_data.messages + lrc_proto.messages).to_string(),
+            (hlrc_data.messages + hlrc_proto.messages).to_string(),
+            mb(lrc_data.bytes),
+            mb(hlrc_data.bytes),
+            mb(lrc_proto.bytes),
+            mb(hlrc_proto.bytes),
+        ]);
     }
     t.print();
     println!(

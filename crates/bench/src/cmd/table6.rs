@@ -5,11 +5,22 @@
 //! effectively disabled here (as in the paper's measurement, which reports
 //! memory "if a garbage collection is triggered only at a barrier").
 
-use svm_bench::{cli::Args, mb, Options, Table};
+use svm_bench::{cli::Args, mb, run_cells, Options, Table};
 use svm_core::{ProtocolName, SvmConfig};
 
 pub fn run(args: Args) {
     let opts = Options::parse(args, "table6", "[--nodes a,b] [--apps x,y]");
+    let suite = opts.suite();
+    let cells = opts.cells(&suite, |n| {
+        [
+            SvmConfig {
+                gc_threshold_bytes: u64::MAX,
+                ..SvmConfig::new(ProtocolName::Lrc, n)
+            },
+            SvmConfig::new(ProtocolName::Hlrc, n),
+        ]
+    });
+    let runs = run_cells(&cells);
     println!(
         "\nTable 6: memory requirements, worst node (scale {})\n",
         opts.scale
@@ -23,27 +34,19 @@ pub fn run(args: Args) {
         "LRC/app",
         "HLRC/app",
     ]);
-    for bench in opts.suite() {
-        for &n in &opts.nodes {
-            let mut lrc_cfg = SvmConfig::new(ProtocolName::Lrc, n);
-            lrc_cfg.gc_threshold_bytes = u64::MAX;
-            let hlrc_cfg = SvmConfig::new(ProtocolName::Hlrc, n);
-            eprintln!("running {} x{n}...", bench.name());
-            let lrc = bench.run(&lrc_cfg);
-            let hlrc = bench.run(&hlrc_cfg);
-            let app_b = lrc.report.app_bytes;
-            let lrc_m = lrc.report.counters.max_protocol_memory();
-            let hlrc_m = hlrc.report.counters.max_protocol_memory();
-            t.row(vec![
-                bench.name().into(),
-                n.to_string(),
-                mb(app_b),
-                mb(lrc_m),
-                mb(hlrc_m),
-                format!("{:.2}", lrc_m as f64 / app_b as f64),
-                format!("{:.3}", hlrc_m as f64 / app_b as f64),
-            ]);
-        }
+    for (cell, pair) in cells.iter().step_by(2).zip(runs.chunks(2)) {
+        let app_b = pair[0].report.app_bytes;
+        let lrc_m = pair[0].report.counters.max_protocol_memory();
+        let hlrc_m = pair[1].report.counters.max_protocol_memory();
+        t.row(vec![
+            cell.bench.name().into(),
+            cell.cfg.nodes.to_string(),
+            mb(app_b),
+            mb(lrc_m),
+            mb(hlrc_m),
+            format!("{:.2}", lrc_m as f64 / app_b as f64),
+            format!("{:.3}", hlrc_m as f64 / app_b as f64),
+        ]);
     }
     t.print();
     println!(

@@ -1,19 +1,24 @@
 //! The evaluation harness: everything needed to regenerate the paper's
 //! tables and figures.
 //!
-//! Each `svm-bench table*`/`fig*` command (`src/cmd/`, compiled into the
-//! one binary) runs the needed sweep and prints the rows the paper
-//! reports. Sweeps share [`run_sweep`] and the [`Options`] command line
-//! (`--scale`, `--nodes`, `--protocols`, `--paper`, `--apps`). Absolute numbers depend on the calibration (DESIGN.md §5);
-//! the *shapes* — who wins, by what factor, where crossovers fall — are
-//! the reproduction targets (EXPERIMENTS.md).
+//! Every `svm-bench` command (`src/cmd/`, compiled into the one binary)
+//! builds a list of cells — a workload and the configuration it runs
+//! under ([`Cell`]) — hands it to the one runner, [`run_cells`], and
+//! prints the results, which come back in cell order. The paper's grid is
+//! [`Options::grid`] over the [`Options`] command line (`--scale`,
+//! `--nodes`, `--protocols`, `--paper`, `--apps`); a command that sets a
+//! knob beside the grid lists its variants side by side
+//! ([`Options::cells`]) and reads them back with `chunks`. Absolute
+//! numbers depend on the calibration (DESIGN.md §5); the *shapes* — who
+//! wins, by what factor, where crossovers fall — are the reproduction
+//! targets (EXPERIMENTS.md).
 
 pub mod cli;
 pub mod hist;
 pub mod json;
 pub mod parallel;
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 use svm_apps::{paper_suite, AppRun, Benchmark};
 use svm_core::{ProtocolName, SvmConfig};
@@ -90,64 +95,88 @@ impl Options {
             })
             .collect()
     }
+
+    /// The paper grid over `suite`: every workload, then every node count,
+    /// then every protocol, in that nesting.
+    pub fn grid<'a>(&self, suite: &'a [Box<dyn Benchmark>]) -> Vec<Cell<'a>> {
+        self.cells(suite, |nodes| {
+            self.protocols
+                .iter()
+                .map(move |&p| SvmConfig::new(p, nodes))
+        })
+    }
+
+    /// For every workload of `suite`, then every node count, the
+    /// configurations `variants(nodes)` lists, side by side.
+    pub fn cells<'a, I: IntoIterator<Item = SvmConfig>>(
+        &self,
+        suite: &'a [Box<dyn Benchmark>],
+        variants: impl Fn(usize) -> I,
+    ) -> Vec<Cell<'a>> {
+        let cfgs: Vec<SvmConfig> = self.nodes.iter().flat_map(|&n| variants(n)).collect();
+        Cell::product(suite, &cfgs)
+    }
 }
 
-/// One sweep cell.
-pub struct Record {
-    /// Workload name.
-    pub app: &'static str,
-    /// Calibrated sequential time for speedups.
-    pub seq_secs: f64,
-    /// Protocol.
-    pub protocol: ProtocolName,
-    /// Node count.
-    pub nodes: usize,
-    /// The run.
-    pub run: AppRun,
+/// One unit of an experiment that any worker thread can execute: a seeded
+/// virtual-time run, whose result no thread interleaving can change.
+/// `Debug` names it on the runner's progress line.
+pub trait Job: Sync + fmt::Debug {
+    /// What one execution reports.
+    type Out: Send;
+    /// Execute it.
+    fn run(&self) -> Self::Out;
 }
 
-/// Run every (app x protocol x node-count) combination on the parallel
-/// experiment driver.
-///
-/// Worker count comes from [`parallel::workers`] (the machine's
-/// parallelism). Each cell is an independent seeded
-/// virtual-time simulation, so the records are bit-identical to the serial
-/// sweep and come back in the canonical serial order regardless of which
-/// worker ran what (DESIGN.md §13).
-pub fn run_sweep(opts: &Options) -> Vec<Record> {
-    let cells = opts.suite().len() * opts.nodes.len() * opts.protocols.len();
-    run_sweep_with(opts, parallel::workers(cells))
+/// A workload and the configuration it runs under.
+pub struct Cell<'a> {
+    /// The workload.
+    pub bench: &'a dyn Benchmark,
+    /// Its configuration.
+    pub cfg: SvmConfig,
 }
 
-/// Run the sweep on an explicit number of worker threads.
-pub fn run_sweep_with(opts: &Options, threads: usize) -> Vec<Record> {
-    let suite = opts.suite();
-    // Canonical cell order: suite x nodes x protocols, exactly the loop
-    // nesting the serial driver always used. Job index == output index.
-    let mut jobs: Vec<(usize, usize, ProtocolName)> = Vec::new();
-    for bi in 0..suite.len() {
-        for &nodes in &opts.nodes {
-            for &protocol in &opts.protocols {
-                jobs.push((bi, nodes, protocol));
+impl<'a> Cell<'a> {
+    /// Every workload of `suite` under each of `cfgs` in turn.
+    pub fn product(suite: &'a [Box<dyn Benchmark>], cfgs: &[SvmConfig]) -> Vec<Self> {
+        let mut cells = Vec::new();
+        for bench in suite {
+            for cfg in cfgs {
+                let (bench, cfg) = (bench.as_ref(), cfg.clone());
+                cells.push(Cell { bench, cfg });
             }
         }
+        cells
     }
-    parallel::run_ordered(jobs.len(), threads, |i| {
-        let (bi, nodes, protocol) = jobs[i];
-        let bench = &suite[bi];
-        eprintln!(
-            "running {} under {protocol} on {nodes} nodes (scale {})...",
-            bench.name(),
-            opts.scale
-        );
-        let run = bench.run(&SvmConfig::new(protocol, nodes));
-        Record {
-            app: bench.name(),
-            seq_secs: bench.seq_secs(),
-            protocol,
-            nodes,
-            run,
-        }
+}
+
+impl Job for Cell<'_> {
+    type Out = AppRun;
+    fn run(&self) -> AppRun {
+        self.bench.run(&self.cfg)
+    }
+}
+
+impl fmt::Debug for Cell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (name, cfg) = (self.bench.name(), &self.cfg);
+        write!(f, "{name} under {} on {} nodes", cfg.protocol, cfg.nodes)
+    }
+}
+
+/// Run every cell, one worker per core, and return the results in cell
+/// order (DESIGN.md §13).
+pub fn run_cells<J: Job>(cells: &[J]) -> Vec<J::Out> {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    run_cells_on(cells, cores)
+}
+
+/// [`run_cells`] on `threads` workers; `threads <= 1` runs the cells
+/// inline on the calling thread.
+pub fn run_cells_on<J: Job>(cells: &[J], threads: usize) -> Vec<J::Out> {
+    parallel::run_ordered(cells, threads, |cell| {
+        eprintln!("running {cell:?}...");
+        cell.run()
     })
 }
 
@@ -155,47 +184,29 @@ pub fn run_sweep_with(opts: &Options, threads: usize) -> Vec<Record> {
 pub const FINGERPRINT_FIELDS: [&str; 5] =
     ["total_time_ns", "events", "messages", "bytes", "checksum"];
 
-/// Per record, in sweep order: the cell name (`app/PROTOCOL/nodes`) and
-/// everything about the cell that must be bit-identical across drivers
-/// (serial vs parallel) and across time
-/// (`results/engine_fingerprints.txt`), one value per
-/// [`FINGERPRINT_FIELDS`] entry.
-pub fn fingerprint(records: &[Record]) -> Vec<(String, [u64; 5])> {
-    records
+/// Per cell, in order: its name (`app/PROTOCOL/nodes`) and everything
+/// about its run that must be bit-identical across drivers (serial vs
+/// parallel) and across time (`results/engine_fingerprints.txt`), one
+/// value per [`FINGERPRINT_FIELDS`] entry.
+pub fn fingerprint(cells: &[Cell], runs: &[AppRun]) -> Vec<(String, [u64; 5])> {
+    cells
         .iter()
-        .map(|r| {
-            let outcome = &r.run.report.outcome;
+        .zip(runs)
+        .map(|(cell, run)| {
+            let outcome = &run.report.outcome;
             let traffic = outcome.traffic.grand_total();
+            let name = cell.bench.name();
             (
-                format!("{}/{}/{}", r.app, r.protocol.label(), r.nodes),
+                format!("{name}/{}/{}", cell.cfg.protocol.label(), cell.cfg.nodes),
                 [
                     outcome.total_time.as_nanos(),
                     outcome.events_executed,
                     traffic.messages,
                     traffic.bytes,
-                    r.run.checksum,
+                    run.checksum,
                 ],
             )
         })
-        .collect()
-}
-
-/// The distinct workload names in `records`, in sweep order.
-pub fn apps_in(records: &[Record]) -> Vec<&'static str> {
-    let mut seen = Vec::new();
-    for r in records {
-        if !seen.contains(&r.app) {
-            seen.push(r.app);
-        }
-    }
-    seen
-}
-
-/// Index records by `(app, nodes, protocol)`.
-pub fn index(records: &[Record]) -> BTreeMap<(&str, usize, &str), &Record> {
-    records
-        .iter()
-        .map(|r| ((r.app, r.nodes, r.protocol.label()), r))
         .collect()
 }
 
@@ -263,4 +274,55 @@ pub fn secs(s: f64) -> String {
 /// Format a byte count as MB with two decimals.
 pub fn mb(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1 << 20) as f64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ProtocolName::{Hlrc, Lrc};
+
+    /// The `chunks(k)` readers rely on this nesting.
+    #[test]
+    fn grid_nests_suite_then_nodes_then_protocols() {
+        let opts = Options {
+            nodes: vec![2, 4],
+            protocols: vec![Lrc, Hlrc],
+            apps: vec!["sor".into(), "lu".into()],
+            ..Options::default()
+        };
+        let suite = opts.suite();
+        let got: Vec<_> = opts
+            .grid(&suite)
+            .iter()
+            .map(|c| (c.bench.name(), c.cfg.nodes, c.cfg.protocol))
+            .collect();
+        let mut want = Vec::new();
+        for app in ["LU", "SOR"] {
+            for nodes in [2, 4] {
+                want.extend([(app, nodes, Lrc), (app, nodes, Hlrc)]);
+            }
+        }
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn parallel_equals_serial_for_sim_runs() {
+        let suite: [Box<dyn Benchmark>; 1] = [Box::new(svm_apps::sor::Sor {
+            rows: 24,
+            cols: 48,
+            iters: 2,
+            ..svm_apps::sor::Sor::scaled(0.05)
+        })];
+        let opts = Options {
+            nodes: vec![2, 4],
+            protocols: vec![Lrc, Hlrc],
+            ..Options::default()
+        };
+        let cells = opts.grid(&suite);
+        assert_eq!(
+            fingerprint(&cells, &run_cells_on(&cells, 1)),
+            fingerprint(&cells, &run_cells_on(&cells, 3)),
+            "virtual time must not depend on threading"
+        );
+    }
 }

@@ -1,19 +1,19 @@
-//! The parallel experiment driver.
+//! The parallel experiment driver behind [`crate::run_cells`].
 //!
-//! Every cell of a sweep (one app x protocol x node-count run) is an
-//! independent, seeded, virtual-time simulation: nothing it computes
+//! Every cell of an experiment (one workload under one configuration) is
+//! an independent, seeded, virtual-time simulation: nothing it computes
 //! depends on wall-clock interleaving, so the cells can execute on any
 //! number of worker threads and still produce bit-identical results. The
-//! driver exploits that: jobs are numbered in the canonical (serial) order,
-//! workers pull the next unclaimed index from an atomic counter, and
-//! results are collected *by index*, so the output vector is byte-for-byte
-//! the one the serial loop would have produced — only the wall-clock order
-//! of execution changes (DESIGN.md §13).
+//! driver exploits that: workers pull the next unclaimed job index from an
+//! atomic counter, and results are collected *by index*, so the output
+//! vector is byte-for-byte the one the serial loop would have produced —
+//! only the wall-clock order of execution changes (DESIGN.md §13).
 //!
-//! Worker count: the machine's available parallelism, clamped to the job
-//! count. `threads <= 1` runs the jobs inline on the calling thread with no
-//! pool at all; the engine pin test (`tests/engine_fingerprints.rs`) runs
-//! its sweep both ways against one recorded file.
+//! Worker count: what the caller asks for ([`crate::run_cells`]: one per
+//! core), clamped to the job count. `threads <= 1` runs the jobs inline on
+//! the calling thread with no pool at all; the engine pin test
+//! (`tests/engine_fingerprints.rs`) runs its sweep both ways against one
+//! recorded file.
 //!
 //! Memory behavior: the engine's scratch arenas (`svm_mem::pool` byte
 //! vectors, the machine's service-segment vectors, the scheduler's event
@@ -30,17 +30,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker threads to use for `jobs` independent runs: available
-/// parallelism, clamped to the job count (and to at least 1).
-pub fn workers(jobs: usize) -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .clamp(1, jobs.max(1))
-}
-
-/// Run `f(0..n)` across `threads` scoped workers and return the results in
-/// index order — deterministically, regardless of which worker ran which
-/// job or in what wall-clock order they finished.
+/// Apply `f` to every job across `threads` scoped workers and return the
+/// results in job order — deterministically, regardless of which worker
+/// ran which job or in what wall-clock order they finished.
 ///
 /// With `threads <= 1` the jobs run inline on the calling thread (no pool,
 /// no synchronization): this is the serial baseline path.
@@ -48,16 +40,15 @@ pub fn workers(jobs: usize) -> usize {
 /// # Panics
 ///
 /// Propagates the first worker panic (the scope joins all workers first).
-pub fn run_ordered<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+pub fn run_ordered<J, T, F>(jobs: &[J], threads: usize, f: F) -> Vec<T>
 where
+    J: Sync,
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(&J) -> T + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    if threads <= 1 {
-        return (0..n).map(f).collect();
+    let n = jobs.len();
+    if threads <= 1 || n <= 1 {
+        return jobs.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let done = Mutex::new(Vec::with_capacity(n));
@@ -69,7 +60,7 @@ where
                 if i >= n {
                     break;
                 }
-                let out = f(i);
+                let out = f(&jobs[i]);
                 done.lock()
                     .expect("worker panicked holding results lock")
                     .push((i, out));
@@ -90,50 +81,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_come_back_in_index_order() {
+    fn results_come_back_in_job_order() {
+        let jobs: Vec<usize> = (0..23).collect();
         for threads in [1, 2, 4, 7] {
-            let out = run_ordered(23, threads, |i| i * i);
+            let out = run_ordered(&jobs, threads, |i| i * i);
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn more_threads_than_jobs_is_fine() {
-        assert_eq!(run_ordered(2, 16, |i| i), vec![0, 1]);
-        assert_eq!(run_ordered(0, 4, |i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn parallel_equals_serial_for_sim_runs() {
-        use svm_core::{ProtocolName, SvmConfig};
-        let bench = svm_apps::sor::Sor {
-            rows: 24,
-            cols: 48,
-            iters: 2,
-            ..svm_apps::sor::Sor::scaled(0.05)
-        };
-        let cfgs: Vec<SvmConfig> = [ProtocolName::Lrc, ProtocolName::Hlrc]
-            .iter()
-            .flat_map(|&p| [2usize, 4].map(|n| SvmConfig::new(p, n)))
-            .collect();
-        let serial = run_ordered(cfgs.len(), 1, |i| {
-            use svm_apps::Benchmark;
-            bench.run(&cfgs[i]).report.outcome.total_time
-        });
-        let parallel = run_ordered(cfgs.len(), 4, |i| {
-            use svm_apps::Benchmark;
-            bench.run(&cfgs[i]).report.outcome.total_time
-        });
-        assert_eq!(
-            serial, parallel,
-            "virtual time must not depend on threading"
-        );
-    }
-
-    #[test]
-    fn workers_respects_job_clamp() {
-        assert_eq!(workers(0), 1);
-        assert!(workers(1) == 1);
-        assert!(workers(1000) >= 1);
+        assert_eq!(run_ordered(&[0, 1], 16, |&i| i), vec![0, 1]);
+        assert_eq!(run_ordered(&[], 4, |&i: &usize| i), Vec::<usize>::new());
     }
 }

@@ -200,6 +200,29 @@ fn effective_errors(run: &RunReport, crashed: bool) -> Vec<String> {
     out
 }
 
+/// The one post-run oracle: the violations a finished run demonstrates —
+/// its [`effective_errors`], and when there are none and the run reached a
+/// terminal state, the trace checker's verdict (one line per violation, or
+/// the report's summary when only races make it fail).
+fn run_violations(run: RunReport, crashed: bool, terminal: bool) -> Vec<String> {
+    let errs = effective_errors(&run, crashed);
+    if !errs.is_empty() || !terminal {
+        return errs;
+    }
+    let trace = run.trace.expect("explore mode always records");
+    let rep = svm_checker::check_trace(&trace);
+    if rep.ok() {
+        Vec::new()
+    } else if rep.violations.is_empty() {
+        vec![format!("trace: {rep}")]
+    } else {
+        rep.violations
+            .iter()
+            .map(|v| format!("trace: {v:?}"))
+            .collect()
+    }
+}
+
 impl Engine {
     fn new(opts: ExploreOptions, all_dependent: bool) -> Self {
         Engine {
@@ -430,26 +453,13 @@ impl Explorer {
             }
             if eng.counterexample.is_none() {
                 let crashed = eng.path.iter().any(|a| matches!(a, Action::Crash(_)));
-                let errs = effective_errors(&run, crashed);
-                if !errs.is_empty() {
+                let what = run_violations(run, crashed, eng.terminal);
+                if what.is_empty() {
+                    eng.terminals += u64::from(eng.terminal);
+                } else {
                     eng.counterexample = Some(Counterexample {
                         schedule: eng.path.clone(),
-                        what: errs,
-                    });
-                }
-            }
-            if eng.counterexample.is_none() && eng.terminal {
-                eng.terminals += 1;
-                let trace = run.trace.expect("explore mode always records");
-                let rep = svm_checker::check_trace(&trace);
-                if !rep.ok() {
-                    eng.counterexample = Some(Counterexample {
-                        schedule: eng.path.clone(),
-                        what: rep
-                            .violations
-                            .iter()
-                            .map(|v| format!("trace: {v:?}"))
-                            .collect(),
+                        what,
                     });
                 }
             }
@@ -548,22 +558,9 @@ pub fn replay_schedule(cfg: &SvmConfig, program: Program, schedule: &[Action]) -
             }
         }
     });
-    if !st.diverged {
-        if st.violations.is_empty() {
-            let crashed = schedule.iter().any(|a| matches!(a, Action::Crash(_)));
-            st.violations = effective_errors(&run, crashed);
-        }
-        if st.violations.is_empty() && st.terminal {
-            let trace = run.trace.expect("explore mode always records");
-            let rep = svm_checker::check_trace(&trace);
-            if !rep.ok() {
-                st.violations = rep
-                    .violations
-                    .iter()
-                    .map(|v| format!("trace: {v:?}"))
-                    .collect();
-            }
-        }
+    if !st.diverged && st.violations.is_empty() {
+        let crashed = schedule.iter().any(|a| matches!(a, Action::Crash(_)));
+        st.violations = run_violations(run, crashed, st.terminal);
     }
     ReplayReport {
         applied: st.idx,

@@ -6,7 +6,8 @@
 # Usage: verify.sh [--fast]
 #   --fast skips the example runs, the standalone benchmark crate
 #   build and lint, the chaos matrix, and the regeneration of nine
-#   results/*_s025.txt tables, but always keeps the workspace
+#   results/*_s025.txt tables, the serve matrix and the two node-count
+#   probes, but always keeps the workspace
 #   clippy, the crash-recovery smoke, and the consistency-check subset
 #   — the cheap gates that catch whole bug classes.
 set -euo pipefail
@@ -105,6 +106,15 @@ if [[ "$FAST" -eq 0 ]]; then
     name=${spec%%:*}
     # shellcheck disable=SC2086  # the extra args are words
     $BENCH "$name" --scale 0.25 ${spec#*:} | diff -u "results/${name}_s025.txt" -
+  done
+
+  # The last results files once compared by hand (~4 s together): the full
+  # serve matrix, table and JSON, and the two node-count probes.
+  echo "== results/serve_matrix.{txt,json} and results/probe_*.txt regenerate byte for byte"
+  $BENCH serve --out target/serve_matrix.json | diff -u results/serve_matrix.txt -
+  diff -u results/serve_matrix.json target/serve_matrix.json
+  for nodes in 128,256 512,1024; do
+    $BENCH table2 --scale 0.25 --nodes "$nodes" --apps sor,lu | diff -u "results/probe_${nodes/,/_}.txt" -
   done
 fi
 
