@@ -119,15 +119,6 @@ fn water_spatial_overlapped_migration_regression() {
 }
 
 #[test]
-fn fft_matches_sequential_everywhere() {
-    let f = svm_apps::fft::Fft {
-        n: 64,
-        verify: true,
-    };
-    check_all(&f, &[1, 2, 8]);
-}
-
-#[test]
 fn tsp_finds_the_optimum_everywhere() {
     let t = svm_apps::tsp::Tsp {
         n: 10,

@@ -1,5 +1,6 @@
-//! Crash-chaos matrix: every workload under the home-based protocols with
-//! seeded node-crash schedules and graceful recovery armed.
+//! Crash-chaos matrix: the five paper workloads and TSP under the
+//! home-based protocols with seeded node-crash schedules and graceful
+//! recovery armed.
 //!
 //! The contract under test is the failure model's bottom line: **no crash
 //! schedule may hang or panic** — every cell either completes (possibly
@@ -24,6 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use svm_apps::tsp::Tsp;
 use svm_apps::verified_suite;
 use svm_bench::{cli, run_cells, Cell, Job, Table};
 use svm_core::{ProtocolError, ProtocolName, RecoveryMode, RecoveryProfile, SvmConfig};
@@ -107,8 +109,13 @@ pub fn run(args: cli::Args) {
         mode_label
     );
 
-    // Cells nest app x protocol x seed.
-    let suite = verified_suite(opts.scale);
+    // Cells nest app x protocol x seed. TSP follows the five: its migratory,
+    // lock-protected bound reaches `LostInterval` where they rarely do.
+    let mut suite = verified_suite(opts.scale);
+    suite.push(Box::new(Tsp {
+        verify: true,
+        ..Tsp::scaled(opts.scale)
+    }));
     let window = SimDuration::from_micros(opts.window_us);
     let mut cfgs = Vec::new();
     for protocol in PROTOCOLS {

@@ -40,25 +40,31 @@ if grep -rnE 'unsafe impl.* (Send|Sync) for' crates --include='*.rs'; then
   exit 1
 fi
 
+# The root is a virtual manifest, so the tier-1 commands below build and
+# test every crate; a root package would shrink them back to itself.
+echo "== no root package, src/, tests/ or examples/"
+if grep -q '^\[package\]' Cargo.toml || [[ -e src || -e tests || -e examples ]]; then
+  echo "the root has a [package] or src/, tests/, examples/ again: give the code a crate under crates/" >&2
+  exit 1
+fi
+
 echo "== formatting (cargo fmt --check)"
 cargo fmt --check
 
+# Builds target/release/svm-bench for the gates below.
 echo "== tier-1: release build (offline)"
 cargo build --release
-
-echo "== tier-1: tests (offline)"
-cargo test -q
 
 # Includes the engine pin (crates/bench/tests/engine_fingerprints.rs):
 # serial and 4-thread sweeps, 64-node cells included, against
 # results/engine_fingerprints.txt, plus the serial allocation budget.
-echo "== workspace tests (offline)"
-cargo test -q --workspace
+echo "== tier-1: tests (offline)"
+cargo test -q
 
 if [[ "$FAST" -eq 0 ]]; then
   # ~1 s together; nothing else executes them.
   echo "== examples run, release (offline)"
-  for ex in examples/*.rs; do
+  for ex in crates/*/examples/*.rs; do
     cargo run -q --release --example "$(basename "$ex" .rs)" >/dev/null
   done
 
@@ -79,10 +85,8 @@ echo "== clippy, warnings denied (offline)"
 clippy_gate --workspace --all-targets -- -D warnings
 
 # The gates below are commands of the one svm-bench executable
-# (crates/bench/src/cmd/), built once; a second link target must not return.
-echo "== svm-bench: release build (offline)"
+# (crates/bench/src/cmd/), built by tier-1; a second link target must not return.
 [[ ! -e crates/bench/src/bin && ! -e crates/bench/benches ]] || { echo "crates/bench has src/bin or benches again: add a command under src/cmd" >&2; exit 1; }
-cargo build --release -p svm-bench
 BENCH=target/release/svm-bench
 
 # Every cell's `states` and `transitions` are pinned, not only "clean": they
