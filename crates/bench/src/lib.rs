@@ -4,14 +4,13 @@
 //! Every `svm-bench` command (`src/cmd/`, compiled into the one binary)
 //! builds a list of cells — a workload and the configuration it runs
 //! under ([`Cell`]) — hands it to the one runner, [`run_cells`], and
-//! prints the results, which come back in cell order. The paper's grid is
-//! [`Options::grid`] over the [`Options`] command line (`--scale`,
-//! `--nodes`, `--protocols`, `--paper`, `--apps`); a command that sets a
-//! knob beside the grid lists its variants side by side
-//! ([`Options::cells`]) and reads them back with `chunks`. Absolute
-//! numbers depend on the calibration (DESIGN.md §5); the *shapes* — who
-//! wins, by what factor, where crossovers fall — are the reproduction
-//! targets (EXPERIMENTS.md).
+//! prints the results, which come back in cell order. The paper's tables
+//! and figures (`src/cmd/paper.rs`) sweep the [`Options`] command line
+//! (`--scale`, `--nodes`, `--protocols`, `--paper`, `--apps`); one function
+//! there builds each table's cells and groups the results back into its
+//! rows. Absolute numbers depend on the calibration (DESIGN.md §5); the
+//! *shapes* — who wins, by what factor, where crossovers fall — are the
+//! reproduction targets (EXPERIMENTS.md).
 
 pub mod cli;
 pub mod hist;
@@ -53,7 +52,8 @@ impl Options {
     /// `--apps x,y` those that `axes`, the rest of its usage line, names. A
     /// command declares the axes its experiment has by spelling them there;
     /// one it does not name is unknown to it ([`cli::parse`]: a usage error
-    /// exits 2). `--paper` is `--scale 1` and wins over `--scale`.
+    /// exits 2), and without a nodes axis the sweep runs on one node.
+    /// `--paper` is `--scale 1` and wins over `--scale`.
     pub fn parse(args: cli::Args, command: &str, axes: &str) -> Self {
         let usage = format!("{command} [--scale X | --paper] {axes}");
         cli::parse(args, &usage, |a| {
@@ -61,9 +61,11 @@ impl Options {
             if let Some(scale) = a.value_if("--scale", cli::scale_ok)? {
                 o.scale = scale;
             }
-            if axes.contains("--nodes") {
-                o.nodes = a.list_if("--nodes", cli::nodes_ok(1))?.unwrap_or(o.nodes);
-            }
+            o.nodes = if axes.contains("--nodes") {
+                a.list_if("--nodes", cli::nodes_ok(1))?.unwrap_or(o.nodes)
+            } else {
+                vec![1]
+            };
             if axes.contains("--protocols") {
                 o.protocols = a.list("--protocols")?.unwrap_or(o.protocols);
             }
@@ -99,21 +101,11 @@ impl Options {
     /// The paper grid over `suite`: every workload, then every node count,
     /// then every protocol, in that nesting.
     pub fn grid<'a>(&self, suite: &'a [Box<dyn Benchmark>]) -> Vec<Cell<'a>> {
-        self.cells(suite, |nodes| {
-            self.protocols
-                .iter()
-                .map(move |&p| SvmConfig::new(p, nodes))
-        })
-    }
-
-    /// For every workload of `suite`, then every node count, the
-    /// configurations `variants(nodes)` lists, side by side.
-    pub fn cells<'a, I: IntoIterator<Item = SvmConfig>>(
-        &self,
-        suite: &'a [Box<dyn Benchmark>],
-        variants: impl Fn(usize) -> I,
-    ) -> Vec<Cell<'a>> {
-        let cfgs: Vec<SvmConfig> = self.nodes.iter().flat_map(|&n| variants(n)).collect();
+        let cfgs: Vec<SvmConfig> = self
+            .nodes
+            .iter()
+            .flat_map(|&n| self.protocols.iter().map(move |&p| SvmConfig::new(p, n)))
+            .collect();
         Cell::product(suite, &cfgs)
     }
 }
@@ -260,28 +252,13 @@ impl Table {
     }
 }
 
-/// Format seconds with sensible precision.
-pub fn secs(s: f64) -> String {
-    if s >= 100.0 {
-        format!("{s:.0}")
-    } else if s >= 1.0 {
-        format!("{s:.2}")
-    } else {
-        format!("{s:.4}")
-    }
-}
-
-/// Format a byte count as MB with two decimals.
-pub fn mb(bytes: u64) -> String {
-    format!("{:.2}", bytes as f64 / (1 << 20) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ProtocolName::{Hlrc, Lrc};
 
-    /// The `chunks(k)` readers rely on this nesting.
+    /// Table 2, the last reader that splits a grid's results with
+    /// `chunks(k)`, relies on this nesting.
     #[test]
     fn grid_nests_suite_then_nodes_then_protocols() {
         let opts = Options {

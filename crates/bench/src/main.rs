@@ -1,7 +1,8 @@
 //! `svm-bench <command> [options]`: every table, figure and robustness
 //! gate of the evaluation behind one executable.
 //!
-//! A command is a module under `src/cmd/` with a `run(Args)`; it asks
+//! A command is a module under `src/cmd/` with a `run(Args)`, or one of the
+//! paper's tables and figures, a function of `src/cmd/paper.rs`; it asks
 //! [`svm_bench::cli`] for exactly the options it honours, so a word it does
 //! not know is a usage error (exit status 2), and so is a missing or
 //! unknown command, which lists every command on stderr. Run as
@@ -10,37 +11,35 @@
 use svm_bench::cli::Args;
 
 mod cmd {
-    pub mod aurc;
     pub mod chaos;
     pub mod check;
     pub mod crash;
     pub mod explore;
     pub mod fig12_trace;
-    pub mod fig3;
-    pub mod fig4;
-    pub mod sensitivity;
+    pub mod paper;
     pub mod serve;
-    pub mod sor48;
-    pub mod table1;
-    pub mod table2;
-    pub mod table3;
-    pub mod table4;
-    pub mod table5;
-    pub mod table6;
 }
 
-/// The dispatch table: each command under the name of its module (one left
-/// out is dead code, which `clippy -D warnings` in `verify.sh` refuses).
+/// The dispatch table: each command under the name of its module, or of its
+/// function in `paper` (one left out is dead code, which `clippy -D warnings`
+/// in `verify.sh` refuses).
 macro_rules! commands {
-    ($($name:ident)*) => {
-        &[$((stringify!($name), cmd::$name::run)),*]
+    ($($module:ident $(::$view:ident)?)*) => {
+        &[$(commands!(@one $module $(::$view)?)),*]
+    };
+    (@one paper::$view:ident) => {
+        (stringify!($view), cmd::paper::$view)
+    };
+    (@one $module:ident) => {
+        (stringify!($module), cmd::$module::run)
     };
 }
 
 type Command = (&'static str, fn(Args));
 
 const COMMANDS: &[Command] = commands! {
-    table1 table2 table3 table4 table5 table6 fig12_trace fig3 fig4 sor48 aurc sensitivity
+    paper::table1 paper::table2 paper::table3 paper::table4 paper::table5 paper::table6
+    fig12_trace paper::fig3 paper::fig4 paper::sor48 paper::aurc paper::sensitivity
     chaos crash check explore serve
 };
 

@@ -71,6 +71,29 @@ fn an_out_of_range_value_is_a_usage_error() {
     assert_usage_error(&["table4", "--apps", "nosuch"], "--apps nosuch");
 }
 
+/// `results/views_s002.txt` is the stdout of the ten simulating paper views
+/// at `--scale 0.02`, each after its `$ svm-bench ...` line: rerun, every
+/// line prints its table again, byte for byte. Re-record on purpose with
+/// each line's command, output appended after the line.
+#[test]
+fn the_paper_views_print_the_pinned_tables() {
+    let pinned = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/views_s002.txt");
+    let pinned = std::fs::read_to_string(pinned).expect("results/views_s002.txt");
+    let mut got = String::new();
+    let commands: Vec<&str> = pinned
+        .lines()
+        .filter_map(|l| l.strip_prefix("$ svm-bench "))
+        .collect();
+    assert_eq!(commands.len(), 10, "one line per simulating view");
+    for command in commands {
+        let out = svm_bench(&command.split(' ').collect::<Vec<_>>());
+        assert!(out.status.success(), "{command}");
+        got.push_str(&format!("$ svm-bench {command}\n"));
+        got.push_str(&String::from_utf8_lossy(&out.stdout));
+    }
+    assert_eq!(got, pinned);
+}
+
 /// The trace is written to stderr; `results/fig12_trace.txt` is that stream,
 /// byte for byte (`target/release/svm-bench fig12_trace 2> results/fig12_trace.txt`).
 #[test]
