@@ -94,6 +94,18 @@ fn the_paper_views_print_the_pinned_tables() {
     assert_eq!(got, pinned);
 }
 
+/// `results/check.txt` is `svm-bench check`'s stdout: every matrix cell's
+/// checker counts and every seeded bug's counterexample, byte for byte
+/// (`target/release/svm-bench check > results/check.txt`).
+#[test]
+fn check_prints_the_pinned_verdicts() {
+    let out = svm_bench(&["check"]);
+    assert!(out.status.success());
+    let pinned = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/check.txt");
+    let pinned = std::fs::read_to_string(pinned).expect("results/check.txt");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), pinned);
+}
+
 /// The trace is written to stderr; `results/fig12_trace.txt` is that stream,
 /// byte for byte (`target/release/svm-bench fig12_trace 2> results/fig12_trace.txt`).
 #[test]

@@ -235,15 +235,13 @@ impl std::fmt::Display for CheckReport {
 
 /// Check one recorded execution against the LRC memory model.
 ///
-/// The replay runs twice. Race detection is symmetric, but the replay
+/// The replay runs once. Race detection is symmetric, but the replay
 /// linearization is not: a read racing with a write that happens to be
 /// *later* in the linearization is only discovered when that write is
-/// processed — too late to excuse the read from the value check in the
-/// same pass. Pass one therefore collects the full set of racy read
-/// identities (replay is deterministic, so read ordinals are stable);
-/// pass two re-checks values with that set excluded up front.
+/// processed, after the read's value was checked. So a read-value
+/// violation is a deferred verdict: it is held with the read's identity
+/// and dropped at the end if the read turned out racy, before violations
+/// are counted and capped.
 pub fn check_trace(trace: &AccessTrace) -> CheckReport {
-    let (_, racy) = replay::Replay::new(trace, std::collections::HashSet::new()).run();
-    let (report, _) = replay::Replay::new(trace, racy).run();
-    report
+    replay::Replay::new(trace).run()
 }

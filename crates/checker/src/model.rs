@@ -6,12 +6,17 @@
 //! HB-maximal write among those processed, so for a race-free read the
 //! expected bytes under the read range are exactly the legal value.
 //!
-//! Races are found with the interned episode clocks: a prior access to an
-//! overlapping range by another node races with the current one iff its
-//! episode does not happen-before the current one (the current access can
-//! never happen-before an already-processed one, by linearization).
+//! Races are found with the interned episode clocks: a prior access by node
+//! `m` to an overlapping range races with the current one iff its episode
+//! does not happen-before the current one (the current access can never
+//! happen-before an already-processed one, by linearization): iff its own
+//! component exceeds the current clock's entry `m`. Kept per (page, node),
+//! accesses never decrease in that component, so the racing ones are a
+//! suffix found by binary search, at a cost independent of page history.
+//! A read-value verdict is deferred: dropped at the end if a
+//! later-linearized write made its read racy.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use svm_core::trace::{fnv1a64, FNV_BASIS};
 use svm_core::AccessTrace;
@@ -19,15 +24,17 @@ use svm_core::AccessTrace;
 use crate::replay::EpCtx;
 use crate::{CheckReport, Race, RaceKind, Violation, MAX_RACES, MAX_VIOLATIONS};
 
-/// A read's stable identity across replay passes: `(node, per-node read
-/// ordinal)`. Replay is deterministic, so the ordinal matches between
-/// passes.
-pub(crate) type ReadId = (u16, u64);
+/// A read's identity: `(node, per-node read ordinal)`.
+type ReadId = (u16, u64);
 
-/// One recorded access range: who, in which episode, which bytes.
+/// One recorded access range of the node whose list holds it.
+#[derive(Copy, Clone)]
 struct Run {
-    node: u16,
+    /// Replay ordinal: merging node lists by it restores replay order.
+    seq: u64,
     ep: u32,
+    /// `vcs[ep][node]`: non-decreasing along a node's list.
+    own: u32,
     lo: u32,
     hi: u32,
     /// Read ordinal (reads only; unused for writes).
@@ -42,50 +49,62 @@ impl Run {
 
 struct PageState {
     expected: Vec<u8>,
-    writes: Vec<Run>,
-    reads: Vec<Run>,
+    /// Per node, in replay order.
+    writes: Vec<Vec<Run>>,
+    reads: Vec<Vec<Run>>,
 }
 
 pub(crate) struct Memory<'t> {
     page_size: usize,
+    num_pages: u32,
     initial: &'t [u8],
-    pages: HashMap<u32, PageState>,
+    /// Indexed by page; `None` until first touched.
+    pages: Vec<Option<PageState>>,
     report: CheckReport,
     /// Dedup key for detailed races: (page, kind, node a, node b).
     race_seen: HashSet<(u32, u8, u16, u16)>,
     /// Next read ordinal per node.
     read_seq: Vec<u64>,
-    /// Racy reads discovered *this* pass — including retroactively, when a
-    /// later-linearized write races an already-processed read.
+    /// Last replay ordinal handed out.
+    seq: u64,
+    /// Racy reads — including retroactively, when a later-linearized write
+    /// races an already-processed read.
     racy: HashSet<ReadId>,
-    /// Racy reads known from the previous pass (empty on pass one); these
-    /// are excluded from the value check up front.
-    known_racy: HashSet<ReadId>,
+    /// Every violation in replay order; a read-value one names its read.
+    pending: Vec<(Option<ReadId>, Violation)>,
 }
 
 impl<'t> Memory<'t> {
-    pub fn new(trace: &'t AccessTrace, known_racy: HashSet<ReadId>) -> Self {
+    pub fn new(trace: &'t AccessTrace) -> Self {
         Memory {
             page_size: trace.page_size,
+            num_pages: trace.num_pages,
             initial: &trace.initial,
-            pages: HashMap::new(),
+            pages: Vec::new(),
             report: CheckReport::default(),
             race_seen: HashSet::new(),
             read_seq: vec![0; trace.nodes],
+            seq: 0,
             racy: HashSet::new(),
-            known_racy,
+            pending: Vec::new(),
         }
     }
 
-    pub fn into_report(self) -> (CheckReport, HashSet<ReadId>) {
-        (self.report, self.racy)
+    /// The report, counting and capping violations after dropping those of
+    /// reads that ended up racy.
+    pub fn into_report(mut self) -> CheckReport {
+        let racy = &self.racy;
+        let mut kept = (self.pending.into_iter())
+            .filter(|(id, _)| !id.is_some_and(|id| racy.contains(&id)))
+            .map(|(_, v)| v);
+        self.report.violations = kept.by_ref().take(MAX_VIOLATIONS).collect();
+        self.report.violations_total = (self.report.violations.len() + kept.count()) as u64;
+        self.report.racy_reads = racy.len() as u64;
+        self.report
     }
 
     pub fn violation(&mut self, v: Violation) {
-        self.report.violations_total += 1;
-        if self.report.violations.len() < MAX_VIOLATIONS {
-            self.report.violations.push(v);
-        }
+        self.pending.push((None, v));
     }
 
     fn race(&mut self, ctx: &EpCtx, kind: RaceKind, page: u32, a: (u16, u32), b: (u16, u32)) {
@@ -104,16 +123,52 @@ impl<'t> Memory<'t> {
         }
     }
 
+    /// A run of `off..off + len` on `page`, stamped with the next replay
+    /// ordinal — or `None`, reported as malformed, if the range lies
+    /// outside the address space.
+    fn run(
+        &mut self,
+        ctx: &EpCtx,
+        node: u16,
+        ep: u32,
+        page: u32,
+        off: u32,
+        len: usize,
+    ) -> Option<Run> {
+        let in_image = (page as usize + 1).checked_mul(self.page_size);
+        let in_image = page < self.num_pages && in_image.is_some_and(|e| e <= self.initial.len());
+        let hi = u32::try_from(len).ok().and_then(|l| off.checked_add(l));
+        let Some(hi) = hi.filter(|&hi| in_image && hi as usize <= self.page_size) else {
+            let (end, pages, size) = (off as u64 + len as u64, self.num_pages, self.page_size);
+            self.violation(Violation::MalformedTrace {
+                reason: format!(
+                    "node {node} accessed page {page} [{off}..{end}) outside {pages} pages \
+                     of {size} bytes"
+                ),
+            });
+            return None;
+        };
+        self.seq += 1;
+        Some(Run {
+            seq: self.seq,
+            ep,
+            own: ctx.vcs[ep as usize][node as usize],
+            lo: off,
+            hi,
+            id: 0,
+        })
+    }
+
     fn page(&mut self, page: u32) -> &mut PageState {
-        let ps = self.page_size;
+        let (p, ps, nodes) = (page as usize, self.page_size, self.read_seq.len());
+        if self.pages.len() <= p {
+            self.pages.resize_with(p + 1, || None);
+        }
         let initial = self.initial;
-        self.pages.entry(page).or_insert_with(|| {
-            let base = page as usize * ps;
-            PageState {
-                expected: initial[base..base + ps].to_vec(),
-                writes: Vec::new(),
-                reads: Vec::new(),
-            }
+        self.pages[p].get_or_insert_with(|| PageState {
+            expected: initial[p * ps..(p + 1) * ps].to_vec(),
+            writes: (0..nodes).map(|_| Vec::new()).collect(),
+            reads: (0..nodes).map(|_| Vec::new()).collect(),
         })
     }
 
@@ -133,25 +188,17 @@ impl<'t> Memory<'t> {
         len: u32,
         digest: u64,
     ) {
+        let Some(mut run) = self.run(ctx, node, ep, page, off, len as usize) else {
+            return;
+        };
         self.report.reads += 1;
         let id = self.read_seq[node as usize];
         self.read_seq[node as usize] += 1;
-        let (lo, hi) = (off, off + len);
-        let known_racy = self.known_racy.contains(&(node, id));
+        run.id = id;
+        let (lo, hi) = (run.lo, run.hi);
         let st = self.page(page);
-        let mut racing: Vec<(u16, u32)> = Vec::new();
-        let mut last_visible: Option<(u16, u32)> = None;
-        for w in &st.writes {
-            if !w.overlaps(lo, hi) {
-                continue;
-            }
-            if w.node != node && !ctx.hb(w.ep, w.node, ep) {
-                racing.push((w.node, w.ep));
-            } else {
-                last_visible = Some((w.node, w.ep));
-            }
-        }
-        let verdict = if racing.is_empty() && !known_racy {
+        let racing = racing(ctx, &st.writes, ep, lo, hi);
+        let verdict = if racing.is_empty() {
             let want = fnv1a64(FNV_BASIS, &st.expected[lo as usize..hi as usize]);
             (want != digest).then(|| Violation::ReadValue {
                 node,
@@ -161,64 +208,75 @@ impl<'t> Memory<'t> {
                 at: ctx.time(ep),
                 got: digest,
                 want,
-                last_write: last_visible.map(|(w, wep)| (w, ctx.time(wep))),
+                // Every overlapping write is visible: the last one replayed.
+                last_write: (all(&st.writes).filter(|(_, w)| w.overlaps(lo, hi)))
+                    .max_by_key(|(_, w)| w.seq)
+                    .map(|(m, w)| (m, ctx.time(w.ep))),
             })
         } else {
             None
         };
-        st.reads.push(Run {
-            node,
-            ep,
-            lo,
-            hi,
-            id,
-        });
-        if !racing.is_empty() || known_racy {
-            self.report.racy_reads += 1;
+        st.reads[node as usize].push(run);
+        if !racing.is_empty() {
             self.racy.insert((node, id));
         }
-        for other in racing {
-            self.race(ctx, RaceKind::ReadWrite, page, other, (node, ep));
+        for &(m, w) in &racing {
+            self.race(ctx, RaceKind::ReadWrite, page, (m, w.ep), (node, ep));
         }
         if let Some(v) = verdict {
-            self.violation(v);
+            self.pending.push((Some((node, id)), v));
         }
     }
 
     /// Replay one write run: race it against prior conflicting accesses,
     /// then overlay it on the expected image.
     pub fn write(&mut self, ctx: &EpCtx, node: u16, ep: u32, page: u32, off: u32, bytes: &[u8]) {
+        let Some(run) = self.run(ctx, node, ep, page, off, bytes.len()) else {
+            return;
+        };
         self.report.writes += 1;
-        let (lo, hi) = (off, off + bytes.len() as u32);
+        let (lo, hi) = (run.lo, run.hi);
         let st = self.page(page);
-        let mut ww: Vec<(u16, u32)> = Vec::new();
-        let mut wr: Vec<(u16, u32)> = Vec::new();
-        let mut newly_racy: Vec<ReadId> = Vec::new();
-        for w in &st.writes {
-            if w.overlaps(lo, hi) && w.node != node && !ctx.hb(w.ep, w.node, ep) {
-                ww.push((w.node, w.ep));
-            }
-        }
-        for r in &st.reads {
-            if r.overlaps(lo, hi) && r.node != node && !ctx.hb(r.ep, r.node, ep) {
-                wr.push((r.node, r.ep));
-                newly_racy.push((r.node, r.id));
-            }
-        }
+        let ww = racing(ctx, &st.writes, ep, lo, hi);
+        let wr = racing(ctx, &st.reads, ep, lo, hi);
         st.expected[lo as usize..hi as usize].copy_from_slice(bytes);
-        st.writes.push(Run {
-            node,
-            ep,
-            lo,
-            hi,
-            id: 0,
-        });
-        self.racy.extend(newly_racy);
-        for other in ww {
-            self.race(ctx, RaceKind::WriteWrite, page, other, (node, ep));
+        st.writes[node as usize].push(run);
+        self.racy.extend(wr.iter().map(|&(m, r)| (m, r.id)));
+        for (m, w) in ww {
+            self.race(ctx, RaceKind::WriteWrite, page, (m, w.ep), (node, ep));
         }
-        for other in wr {
-            self.race(ctx, RaceKind::ReadWrite, page, other, (node, ep));
+        for (m, r) in wr {
+            self.race(ctx, RaceKind::ReadWrite, page, (m, r.ep), (node, ep));
         }
     }
+}
+
+/// Every run in `lists` (indexed by node), with its node.
+fn all(lists: &[Vec<Run>]) -> impl Iterator<Item = (u16, &Run)> {
+    (lists.iter().enumerate()).flat_map(|(m, l)| l.iter().map(move |r| (m as u16, r)))
+}
+
+/// The runs in `lists` (indexed by node) overlapping `lo..hi` that race
+/// with an access in episode `ep`, with their node, in replay order. A run
+/// by `m` is unordered with `ep` iff `own > vc[m]`: a suffix of `m`'s list,
+/// and an empty one for the accessing node itself.
+fn racing(ctx: &EpCtx, lists: &[Vec<Run>], ep: u32, lo: u32, hi: u32) -> Vec<(u16, Run)> {
+    let vc = &ctx.vcs[ep as usize];
+    let mut out = Vec::new();
+    for (m, list) in lists.iter().enumerate() {
+        let start = list.partition_point(|r| r.own <= vc[m]);
+        let suffix = list[start..].iter().filter(|r| r.overlaps(lo, hi));
+        out.extend(suffix.map(|&r| (m as u16, r)));
+    }
+    #[cfg(debug_assertions)]
+    {
+        // Lists are sorted by `own`, and agree with the full scan by the
+        // epoch test that this search replaces.
+        debug_assert!(lists.iter().all(|l| l.is_sorted_by_key(|r| r.own)));
+        let full = all(lists).filter(|&(m, r)| r.overlaps(lo, hi) && !ctx.hb(r.ep, m, ep));
+        let same = full.map(|(_, r)| r.seq).eq(out.iter().map(|(_, r)| r.seq));
+        debug_assert!(same, "the suffix search and the full scan disagree");
+    }
+    out.sort_unstable_by_key(|(_, r)| r.seq);
+    out
 }

@@ -16,13 +16,13 @@
 //! clock. Two accesses are then HB-ordered iff the later episode's clock
 //! covers the earlier episode's own component — the classic epoch test.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use svm_core::{AccessTrace, TraceEvent, VectorTime};
 use svm_machine::NodeId;
 use svm_sim::SimTime;
 
-use crate::model::{Memory, ReadId};
+use crate::model::Memory;
 use crate::{CheckReport, Violation};
 
 /// Interned episode clocks and start times, shared with the memory model.
@@ -36,7 +36,8 @@ pub(crate) struct EpCtx {
 impl EpCtx {
     /// Does the access in episode `a_ep` (on `a_node`) happen-before one
     /// in episode `b_ep`? (True also for `a_ep == b_ep` and same-node
-    /// program order.)
+    /// program order.) Debug builds check the model's search against it.
+    #[cfg(debug_assertions)]
     pub fn hb(&self, a_ep: u32, a_node: u16, b_ep: u32) -> bool {
         self.vcs[b_ep as usize][a_node as usize] >= self.vcs[a_ep as usize][a_node as usize]
     }
@@ -78,7 +79,7 @@ pub(crate) struct Replay<'t> {
 }
 
 impl<'t> Replay<'t> {
-    pub fn new(trace: &'t AccessTrace, known_racy: HashSet<ReadId>) -> Self {
+    pub fn new(trace: &'t AccessTrace) -> Self {
         let nodes = trace.nodes;
         let mut ctx = EpCtx {
             vcs: Vec::new(),
@@ -98,7 +99,7 @@ impl<'t> Replay<'t> {
             node_vc.push(vc);
         }
         Replay {
-            mem: Memory::new(trace, known_racy),
+            mem: Memory::new(trace),
             cur_ep,
             node_vc,
             last_vt: vec![None; nodes],
@@ -112,7 +113,7 @@ impl<'t> Replay<'t> {
         }
     }
 
-    pub fn run(mut self) -> (CheckReport, HashSet<ReadId>) {
+    pub fn run(mut self) -> CheckReport {
         let nodes = self.trace.nodes;
         let mut pos = vec![0usize; nodes];
         if self.trace.events.len() != nodes {
@@ -162,11 +163,11 @@ impl<'t> Replay<'t> {
         self.finish()
     }
 
-    fn finish(self) -> (CheckReport, HashSet<ReadId>) {
-        let (mut report, racy) = self.mem.into_report();
+    fn finish(self) -> CheckReport {
+        let mut report = self.mem.into_report();
         report.nodes = self.trace.nodes;
         report.episodes = self.ctx.vcs.len();
-        (report, racy)
+        report
     }
 
     /// Is this event's HB gate open?

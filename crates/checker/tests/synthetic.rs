@@ -277,3 +277,95 @@ fn regressing_vector_time_is_flagged() {
         "{r}"
     );
 }
+
+#[test]
+fn a_read_found_racy_after_its_value_check_is_not_a_violation() {
+    // Node 0 reads before node 1's concurrent write, and the replay
+    // linearizes the read first: at its value check the expected image is
+    // still zeros, but it observed the new bytes. The later write makes the
+    // read racy, so its deferred verdict must be dropped.
+    let v = [5u8; 4];
+    let t = trace(2, vec![vec![read(0, 0, &v)], vec![write(0, 0, &v)]]);
+    let r = check_trace(&t);
+    assert_eq!(r.racy_reads, 1, "{r}");
+    assert_eq!(r.race_pairs, 1, "{r}");
+    assert_eq!(r.violations_total, 0, "{r}");
+    assert!(r.violations.is_empty(), "{r}");
+}
+
+#[test]
+fn a_stale_read_names_the_last_replayed_writer() {
+    // Nodes 0, 2 and 1 write the word in that order under one lock, then
+    // node 3 acquires it and reads zeros: race-free and stale. The last
+    // visible write is node 1's: not the first node's, nor the last's.
+    let critical = |seq, us, body| vec![acquire(4, 4, seq, us), body, release(4, 4, seq, us + 5)];
+    let t = trace(
+        4,
+        vec![
+            critical(1, 10, write(0, 0, &[1u8; 4])),
+            critical(3, 30, write(0, 0, &[3u8; 4])),
+            critical(2, 20, write(0, 0, &[2u8; 4])),
+            critical(4, 40, read(0, 0, &[0u8; 4])),
+        ],
+    );
+    let r = check_trace(&t);
+    assert_eq!((r.race_pairs, r.ww_races), (0, 0), "{r}");
+    assert_eq!(r.violations_total, 1, "{r}");
+    match &r.violations[0] {
+        Violation::ReadValue {
+            node, last_write, ..
+        } => {
+            assert_eq!(*node, 3);
+            assert_eq!(*last_write, Some((1, at(30))), "the last writer");
+        }
+        v => panic!("unexpected violation {v}"),
+    }
+}
+
+/// `event` on node 1 is reported as one malformed access naming the node
+/// and `page`, not a panic; node 0's access beside it is still checked.
+fn assert_malformed_access(event: TraceEvent, page: u32) {
+    let t = trace(2, vec![vec![read(0, 0, &[0u8; 4])], vec![event]]);
+    let r = check_trace(&t);
+    assert_eq!(r.violations_total, 1, "{r}");
+    assert_eq!(r.reads, 1, "{r}");
+    match &r.violations[0] {
+        Violation::MalformedTrace { reason } => assert!(
+            reason.contains("node 1") && reason.contains(&format!("page {page}")),
+            "{reason}"
+        ),
+        v => panic!("unexpected violation {v}"),
+    }
+}
+
+#[test]
+fn an_access_past_the_last_page_is_malformed() {
+    assert_malformed_access(read(2, 0, &[0u8; 4]), 2);
+    assert_malformed_access(write(u32::MAX, 0, &[1u8; 4]), u32::MAX);
+    // A page below `num_pages` that the initial image stops short of.
+    let mut t = trace(1, vec![vec![read(1, 0, &[0u8; 4])]]);
+    t.initial.truncate(PAGE);
+    let r = check_trace(&t);
+    assert!(
+        matches!(&r.violations[..], [Violation::MalformedTrace { .. }]),
+        "{r}"
+    );
+}
+
+#[test]
+fn an_access_past_the_page_end_is_malformed() {
+    assert_malformed_access(write(1, PAGE as u32 - 2, &[1u8; 4]), 1);
+    assert_malformed_access(read(0, PAGE as u32, &[0u8; 1]), 0);
+}
+
+#[test]
+fn an_access_whose_end_overflows_u32_is_malformed() {
+    let wrapping = TraceEvent::Read {
+        page: 0,
+        off: u32::MAX - 1,
+        len: 4,
+        digest: digest(&[0u8; 4]),
+    };
+    assert_malformed_access(wrapping, 0);
+    assert_malformed_access(write(1, u32::MAX, &[1u8; 2]), 1);
+}
