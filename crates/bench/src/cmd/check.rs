@@ -10,12 +10,9 @@
 //! 2. **Faulted runs** — SOR under every protocol on a chaos network
 //!    (seeded drop/duplicate/delay): the reliable-delivery layer must make
 //!    the consistency guarantee hold verbatim under faults.
-//! 3. **Mutation self-tests** — six seeded protocol bugs in eight
-//!    (bug, protocol) pairs (a skipped diff application and dropped write
-//!    notices, each under HLRC and LRC; an ungated home reply; stripped
-//!    lock-grant records; a skipped home rebuild after a crash; a dead
-//!    node's leaked lock grant) that the checker must catch with a
-//!    counterexample, proving the oracle has teeth.
+//! 3. **Mutation self-tests** — every catalogued seeded protocol bug
+//!    (`SeededBug::ALL`), in eight (bug, protocol) pairs, that the checker
+//!    must catch with a counterexample, proving the oracle has teeth.
 //!
 //! Usage: `check [--scale X] [--nodes N] [--seed S] [--fast]`
 //! (defaults: scale 0.02, 8 nodes, seed 1; `--fast` runs a reduced matrix
@@ -167,7 +164,7 @@ pub fn run(args: cli::Args) {
             failures += 1;
         }
         t.row(vec![
-            o.name.to_string(),
+            o.name.clone(),
             o.protocol.label().to_string(),
             o.mutated_hits.to_string(),
             if o.clean.ok() {

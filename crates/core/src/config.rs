@@ -192,15 +192,10 @@ impl FaultProfile {
         }
     }
 
-    /// Whether random network faults can fire, by the machine's definition.
-    pub fn network_active(&self) -> bool {
-        self.net_faults().is_active()
-    }
-
-    /// Whether the reliable-delivery sublayer must be on (random faults or
-    /// a targeted deterministic drop).
+    /// Whether the reliable-delivery sublayer must be on (random faults, by
+    /// the machine's definition, or a targeted deterministic drop).
     pub fn is_active(&self) -> bool {
-        self.network_active() || self.drop_first_kind.is_some()
+        self.net_faults().is_active() || self.drop_first_kind.is_some()
     }
 }
 
@@ -272,8 +267,9 @@ impl RecoveryProfile {
 /// corrupted runs. Each variant disables one load-bearing protocol step at
 /// a precise point; the mutation harness asserts the checker reports a
 /// read-legality violation for each. `None` (the default) is an exact
-/// no-op: the comparison sites compile to a branch on a `None` that is
-/// never taken.
+/// no-op: every site is one `SvmAgent::seeded_bug` call that returns `false`.
+/// The catalogue is [`SeededBug::ALL`] and the one `match` in `entry`; the
+/// text form (`Display`, `FromStr`) is `stem` or `stem:nth`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SeededBug {
     /// Skip the `nth` diff application (0-based, counted across home
@@ -313,6 +309,92 @@ pub enum SeededBug {
     /// holder merges the token's vector time yet never invalidates the
     /// pages those intervals dirtied.
     LeakDeadLockGrant,
+}
+
+/// The protocol step a [`SeededBug`] disables: each occurrence asks
+/// `SvmAgent::seeded_bug` once.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum BugSite {
+    /// A diff application (home flush or homeless fetch validation).
+    DiffApply,
+    /// Logging a closed interval's write notices.
+    IntervalClose,
+    /// A home's version gate on a page request.
+    HomeReply,
+    /// Selecting a remote lock grant's records.
+    LockGrant,
+    /// Electing a failover home.
+    HomeRebuild,
+    /// Selecting a regenerated (post-crash) lock grant's records.
+    DeadLockGrant,
+}
+
+impl SeededBug {
+    /// Every seeded bug, each counted one at its first occurrence.
+    pub const ALL: [SeededBug; 6] = [
+        SeededBug::SkipDiffApply { nth: 0 },
+        SeededBug::DropWriteNotices { nth: 0 },
+        SeededBug::UngatedHomeReply,
+        SeededBug::DropLockGrantRecords { nth: 0 },
+        SeededBug::SkipHomeRebuild,
+        SeededBug::LeakDeadLockGrant,
+    ];
+
+    /// Site, name stem, and — for a bug that fires at one occurrence of its
+    /// site, not all — that occurrence's index, by reference for parsing.
+    fn entry(&mut self) -> (BugSite, &'static str, Option<&mut u32>) {
+        match self {
+            SeededBug::SkipDiffApply { nth } => (BugSite::DiffApply, "skip-diff-apply", Some(nth)),
+            SeededBug::DropWriteNotices { nth } => {
+                (BugSite::IntervalClose, "drop-write-notices", Some(nth))
+            }
+            SeededBug::UngatedHomeReply => (BugSite::HomeReply, "ungated-home-reply", None),
+            SeededBug::DropLockGrantRecords { nth } => {
+                (BugSite::LockGrant, "drop-lock-grant-records", Some(nth))
+            }
+            SeededBug::SkipHomeRebuild => (BugSite::HomeRebuild, "skip-home-rebuild", None),
+            SeededBug::LeakDeadLockGrant => (BugSite::DeadLockGrant, "leak-dead-lock-grant", None),
+        }
+    }
+
+    /// The protocol step the bug disables.
+    pub(crate) fn site(mut self) -> BugSite {
+        self.entry().0
+    }
+
+    /// The bug's name without its occurrence index (`"skip-diff-apply"`).
+    pub fn stem(mut self) -> &'static str {
+        self.entry().1
+    }
+
+    /// The occurrence of its site the bug fires at, 0-based (`None`: all).
+    pub fn nth(mut self) -> Option<u32> {
+        self.entry().2.copied()
+    }
+}
+
+impl std::fmt::Display for SeededBug {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.stem())?;
+        self.nth().map_or(Ok(()), |nth| write!(f, ":{nth}"))
+    }
+}
+
+impl std::str::FromStr for SeededBug {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let unknown = || format!("unknown mutation {s:?}");
+        let (stem, i) = s.split_once(':').map_or((s, None), |(s, i)| (s, Some(i)));
+        let found = SeededBug::ALL.into_iter().find(|b| b.stem() == stem);
+        let mut bug = found.ok_or_else(unknown)?;
+        match (bug.entry().2, i) {
+            (Some(nth), Some(i)) => *nth = i.parse().map_err(|_| format!("bad index {i:?}"))?,
+            (None, None) => {}
+            _ => return Err(unknown()),
+        }
+        Ok(bug)
+    }
 }
 
 /// Everything a protocol run needs to know.

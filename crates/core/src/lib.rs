@@ -51,5 +51,5 @@ pub use protocol::recovery::RecoveryStats;
 pub use protocol::reliable::{RetransmitEvent, Wire};
 pub use protocol::{ProtocolError, SvmAgent};
 pub use runner::{run, run_explored, RunReport, Setup};
-pub use trace::{AccessTrace, TraceConfig, TraceEvent};
+pub use trace::{AccessTrace, Recording, TraceConfig, TraceEvent};
 pub use vt::VectorTime;

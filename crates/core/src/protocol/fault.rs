@@ -9,14 +9,19 @@
 
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::rc::Rc;
 
 use svm_machine::{Category, NodeId};
 use svm_mem::{Access, PageBuf, PageNum};
 
+use crate::config::BugSite;
 use crate::msg::{DiffPacket, SvmMsg};
 
-use super::state::{FaultProgress, FaultStage};
-use super::{MCtx, SvmAgent};
+use super::state::{FaultProgress, FaultStage, PageState};
+use super::{MCtx, ProtocolError, SvmAgent};
+
+/// A page copy on the wire: its bytes and the versions they reflect.
+type PagePayload = (Rc<Vec<u8>>, Vec<(NodeId, u32)>);
 
 impl SvmAgent {
     /// Application access fault on `page`.
@@ -211,7 +216,7 @@ impl SvmAgent {
             // Section 3.4, "queues the request until the diff is ready").
             self.nodes_st[idx]
                 .parked_diff_requests
-                .push((page, requester, w, from_excl, to_incl));
+                .push((page, requester, from_excl, to_incl));
             return;
         }
         self.reply_diffs(ctx, w, page, requester, from_excl, to_incl);
@@ -263,22 +268,15 @@ impl SvmAgent {
         w: NodeId,
         page: PageNum,
     ) {
-        let idx = w.index();
-        let mut ready = Vec::new();
-        let parked = std::mem::take(&mut self.nodes_st[idx].parked_diff_requests);
-        for (p, requester, writer, from_excl, to_incl) in parked {
-            let still_pending = p == page
-                && (from_excl + 1..=to_incl)
-                    .any(|i| self.nodes_st[idx].pending_diffs.contains(&(p.0, i)));
-            if p == page && !still_pending {
-                ready.push((p, requester, writer, from_excl, to_incl));
-            } else {
-                self.nodes_st[idx]
-                    .parked_diff_requests
-                    .push((p, requester, writer, from_excl, to_incl));
-            }
-        }
-        for (p, requester, _w, from_excl, to_incl) in ready {
+        let st = &mut self.nodes_st[w.index()];
+        let (ready, parked): (Vec<_>, Vec<_>) = std::mem::take(&mut st.parked_diff_requests)
+            .into_iter()
+            .partition(|&(p, _, from_excl, to_incl)| {
+                p == page
+                    && !(from_excl + 1..=to_incl).any(|i| st.pending_diffs.contains(&(p.0, i)))
+            });
+        st.parked_diff_requests = parked;
+        for (p, requester, from_excl, to_incl) in ready {
             self.reply_diffs(ctx, w, p, requester, from_excl, to_incl);
         }
     }
@@ -293,18 +291,9 @@ impl SvmAgent {
     ) {
         let overhead = ctx.cost().handler_overhead;
         ctx.work(overhead, Category::Protocol);
-        let st = &mut self.nodes_st[v.index()].pages[page.0 as usize];
-        // Reachable in principle (a stale retransmission racing GC), so this
-        // is a structured halt rather than an invariant panic.
-        let Some(buf) = st.buf.as_mut() else {
-            self.protocol_error(
-                ctx,
-                crate::protocol::ProtocolError::StalePageRequest { node: v, page },
-            );
+        let Some((data, applied)) = self.page_snapshot(ctx, v, page) else {
             return;
         };
-        let data = std::rc::Rc::new(buf.to_pooled_vec());
-        let applied = st.applied.to_vec();
         self.send_or_local(
             ctx,
             svm_machine::ProcAddr::cpu(requester),
@@ -316,30 +305,59 @@ impl SvmAgent {
         );
     }
 
+    /// `v`'s copy of `page` and the versions it reflects, as a reply payload;
+    /// no copy (a stale retransmission racing GC) is a structured halt.
+    pub(crate) fn page_snapshot(
+        &mut self,
+        ctx: &mut MCtx<'_>,
+        v: NodeId,
+        page: PageNum,
+    ) -> Option<PagePayload> {
+        let st = &mut self.nodes_st[v.index()].pages[page.0 as usize];
+        let Some(buf) = st.buf.as_mut() else {
+            self.protocol_error(ctx, ProtocolError::StalePageRequest { node: v, page });
+            return None;
+        };
+        Some((Rc::new(buf.to_pooled_vec()), st.applied.to_vec()))
+    }
+
+    /// Install a fetched copy of `page` at `r`, its versions as applied and
+    /// seen; the payload is pooled unless a retransmit copy still holds it.
+    pub(crate) fn install_fetched_page(
+        &mut self,
+        r: NodeId,
+        page: PageNum,
+        data: Rc<Vec<u8>>,
+        applied: &[(NodeId, u32)],
+    ) -> &mut PageState {
+        self.counters[r.index()].full_page_fetches += 1;
+        let st = &mut self.nodes_st[r.index()].pages[page.0 as usize];
+        match &mut st.buf {
+            Some(buf) => buf.copy_from(&data),
+            none => *none = Some(PageBuf::from_slice(&data)),
+        }
+        st.applied.merge_max(applied);
+        st.seen.merge_max(applied);
+        if let Ok(v) = Rc::try_unwrap(data) {
+            svm_mem::pool::put_bytes(v);
+        }
+        st
+    }
+
     /// The base copy arrived; continue with diff collection.
     pub(crate) fn on_page_reply(
         &mut self,
         ctx: &mut MCtx<'_>,
         r: NodeId,
         page: PageNum,
-        data: std::rc::Rc<Vec<u8>>,
+        data: Rc<Vec<u8>>,
         applied: Vec<(NodeId, u32)>,
     ) {
         let overhead = ctx.cost().handler_overhead;
         ctx.work(overhead, Category::Protocol);
-        let idx = r.index();
-        self.counters[idx].full_page_fetches += 1;
-        {
-            let st = &mut self.nodes_st[idx].pages[page.0 as usize];
-            debug_assert!(st.buf.is_none());
-            st.buf = Some(PageBuf::from_slice(&data));
-            st.applied.merge_max(&applied);
-            st.seen.merge_max(&applied);
-        }
-        // Last reference (no retransmit copy in flight): pool the buffer.
-        if let Ok(v) = std::rc::Rc::try_unwrap(data) {
-            svm_mem::pool::put_bytes(v);
-        }
+        // A cold copy, left `Invalid` until `validate_lrc_page` applies diffs.
+        debug_assert!(self.nodes_st[r.index()].page(page).buf.is_none());
+        self.install_fetched_page(r, page, data, &applied);
         debug_assert!(matches!(
             self.outstanding_fault(r).stage,
             FaultStage::AwaitPage
@@ -410,7 +428,7 @@ impl SvmAgent {
         for pkt in &stash {
             let apply = ctx.cost().diff_apply(pkt.diff.payload_bytes());
             ctx.work(apply, Category::Protocol);
-            let skip_apply = self.bug_skip_diff_apply();
+            let skip_apply = self.seeded_bug(BugSite::DiffApply);
             let st = &mut self.nodes_st[idx].pages[page.0 as usize];
             if !skip_apply {
                 // SAFETY: kernel phase: every body is suspended.

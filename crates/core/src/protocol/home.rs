@@ -8,8 +8,9 @@
 //! home's co-processor.
 
 use svm_machine::{Category, NodeId, ProcAddr};
-use svm_mem::{Access, Diff, PageBuf, PageNum};
+use svm_mem::{Access, Diff, PageNum};
 
+use crate::config::BugSite;
 use crate::msg::SvmMsg;
 
 use super::state::FaultStage;
@@ -81,7 +82,7 @@ impl SvmAgent {
         let ready = self.nodes_st[h.index()].pages[page.0 as usize]
             .applied
             .covers(&need)
-            || self.bug_ungated_home_reply();
+            || self.seeded_bug(BugSite::HomeReply);
         if ready {
             self.reply_home_page(ctx, h, page, requester);
         } else {
@@ -140,9 +141,9 @@ impl SvmAgent {
     }
 
     fn reply_home_page(&mut self, ctx: &mut MCtx<'_>, h: NodeId, page: PageNum, to: NodeId) {
-        let st = &mut self.nodes_st[h.index()].pages[page.0 as usize];
-        let data = std::rc::Rc::new(st.copy_mut().to_pooled_vec());
-        let applied = st.applied.to_vec();
+        let Some((data, applied)) = self.page_snapshot(ctx, h, page) else {
+            return;
+        };
         self.send_or_local(
             ctx,
             ProcAddr::cpu(to),
@@ -176,7 +177,7 @@ impl SvmAgent {
             ctx.work(apply, Category::Protocol);
         }
         let idx = h.index();
-        let skip_apply = self.bug_skip_diff_apply();
+        let skip_apply = self.seeded_bug(BugSite::DiffApply);
         {
             let st = &mut self.nodes_st[idx].pages[page.0 as usize];
             if !skip_apply {
@@ -250,22 +251,7 @@ impl SvmAgent {
     ) {
         let overhead = ctx.cost().handler_overhead;
         ctx.work(overhead, Category::Protocol);
-        let idx = r.index();
-        self.counters[idx].full_page_fetches += 1;
-        {
-            let st = &mut self.nodes_st[idx].pages[page.0 as usize];
-            match &mut st.buf {
-                Some(buf) => buf.copy_from(&data),
-                none => *none = Some(PageBuf::from_slice(&data)),
-            }
-            st.applied.merge_max(&applied);
-            st.seen.merge_max(&applied);
-            st.access = Access::ReadOnly;
-        }
-        // Last reference (no retransmit copy in flight): pool the buffer.
-        if let Ok(v) = std::rc::Rc::try_unwrap(data) {
-            svm_mem::pool::put_bytes(v);
-        }
+        self.install_fetched_page(r, page, data, &applied).access = Access::ReadOnly;
         debug_assert!(matches!(
             self.outstanding_fault(r).stage,
             FaultStage::AwaitHome

@@ -12,6 +12,7 @@ use std::rc::Rc;
 use svm_machine::{Category, NodeId, ProcKind};
 use svm_mem::{Access, Diff, PageNum};
 
+use crate::config::BugSite;
 use crate::msg::{IntervalRec, SvmMsg};
 use crate::vt::VectorTime;
 
@@ -45,15 +46,12 @@ impl SvmAgent {
                 self.nodes_st[idx].vt, rec.pages
             );
         }
-        if !self.bug_drop_write_notices() {
+        if !self.seeded_bug(BugSite::IntervalClose) {
             self.counters[idx].mem.notices(rec.bytes() as i64);
             self.nodes_st[idx].log.insert(&rec);
         }
-        if self.recording() {
-            let vt = self.nodes_st[idx].vt.clone();
-            let at = ctx.now();
-            let pages: Vec<u32> = dirty.iter().map(|p| p.0).collect();
-            self.with_recorder(n, |r| r.interval_end(interval, vt, at, pages));
+        if let Some(rec) = &mut self.recording {
+            rec.interval_end(n, interval, &self.nodes_st[idx].vt, ctx.now(), &dirty);
         }
 
         let overlapped = self.overlapped();

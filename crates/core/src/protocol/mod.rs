@@ -29,19 +29,17 @@ pub mod reliable;
 pub mod state;
 pub mod sync;
 
-use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
-use std::rc::Rc;
 
 use svm_machine::{Agent, Ctx, NodeId, ProcAddr, ProcKind};
 use svm_mem::{Geometry, PageBuf, PageNum};
 use svm_sim::{SimDuration, SimTime};
 
 use crate::api::{BarrierId, Mapping, NodeCache};
-use crate::config::{HomePolicy, ProtocolKind, SeededBug, SvmConfig};
+use crate::config::{BugSite, HomePolicy, ProtocolKind, SvmConfig};
 use crate::metrics::NodeCounters;
 use crate::msg::{SvmMsg, SvmReq};
-use crate::trace::NodeRecorder;
+use crate::trace::Recording;
 use crate::vt::VectorTime;
 
 use recovery::RecoveryState;
@@ -77,7 +75,7 @@ pub enum ProtocolError {
         /// The page of the stray reply.
         page: PageNum,
     },
-    /// A base-copy request reached a validator that no longer holds the
+    /// A page request reached a validator or home that no longer holds the
     /// page (e.g. a stale retransmission racing garbage collection).
     StalePageRequest {
         /// The validator the request was addressed to.
@@ -273,19 +271,7 @@ impl BarrierState {
     }
 }
 
-/// Recording-layer bookkeeping: global per-lock acquisition sequence
-/// numbers. Acquisition `s` of a lock happens-after release `s-1`
-/// (the token chain is a total order per lock), which is exactly the
-/// release→acquire edge the checker rebuilds.
-#[derive(Default, Hash)]
-pub struct LockSeqs {
-    /// Next acquisition number per lock (first acquisition is 1).
-    pub next: std::collections::BTreeMap<u32, u64>,
-    /// The acquisition number each node's currently-held lock entered with.
-    pub held: std::collections::BTreeMap<(u16, u32), u64>,
-}
-
-/// Occurrence counters driving the `nth`-occurrence [`SeededBug`]
+/// Occurrence counters driving the `nth`-occurrence [`crate::SeededBug`]
 /// mutations, plus how often the seeded bug actually fired (self-tests
 /// assert `hits > 0` so a mutation that never triggers fails loudly
 /// instead of vacuously passing).
@@ -299,6 +285,18 @@ pub struct MutationState {
     pub lock_grants: u32,
     /// Times the configured bug fired.
     pub hits: u32,
+}
+
+impl MutationState {
+    /// The occurrence counter of a site whose bugs count occurrences.
+    fn occurrences(&mut self, site: BugSite) -> Option<&mut u32> {
+        match site {
+            BugSite::DiffApply => Some(&mut self.diff_applies),
+            BugSite::IntervalClose => Some(&mut self.interval_closes),
+            BugSite::LockGrant => Some(&mut self.lock_grants),
+            BugSite::HomeReply | BugSite::HomeRebuild | BugSite::DeadLockGrant => None,
+        }
+    }
 }
 
 /// The protocol implementation behind all four configurations.
@@ -331,11 +329,8 @@ pub struct SvmAgent {
     pub recovery: RecoveryState,
     /// Structured protocol errors detected this run.
     pub errors: Vec<ProtocolError>,
-    /// Per-node trace recorders (`Some` iff `cfg.trace.record`), shared
-    /// with the application contexts.
-    pub recorders: Option<Vec<Rc<RefCell<NodeRecorder>>>>,
-    /// Lock acquisition numbering for the recorded trace.
-    pub lock_seqs: LockSeqs,
+    /// Trace recorders and lock numbering (`Some` iff `cfg.trace.record`).
+    pub recording: Option<Recording>,
     /// Seeded-bug occurrence counters.
     pub mutation: MutationState,
 }
@@ -364,13 +359,16 @@ impl Hash for SvmAgent {
             net,
             recovery,
             errors,
-            recorders,
-            lock_seqs,
+            recording,
             mutation,
         } = self;
         (nodes_st, dir, lock_mgr, barrier, net, recovery).hash(h);
-        (errors, lock_seqs, mutation).hash(h);
-        for rec in recorders.iter().flatten() {
+        // The lock numbering, then each recorder: a run that does not record
+        // hashes as an empty numbering and no recorder.
+        let none = Recording::new(0);
+        let r = recording.as_ref().unwrap_or(&none);
+        (errors, &r.next, &r.held, mutation).hash(h);
+        for rec in &r.recorders {
             rec.borrow().hash(h);
         }
     }
@@ -423,11 +421,7 @@ impl SvmAgent {
                 validator: owner,
             });
         }
-        let recorders = cfg.trace.record.then(|| {
-            (0..nodes)
-                .map(|_| Rc::new(RefCell::new(NodeRecorder::new())))
-                .collect()
-        });
+        let recording = cfg.trace.record.then(|| Recording::new(nodes));
         SvmAgent {
             counters: vec![NodeCounters::default(); nodes],
             barrier_marks: vec![Vec::new(); nodes],
@@ -436,8 +430,7 @@ impl SvmAgent {
             net: ReliableNet::new(&cfg.fault, cfg.recovery.enabled),
             recovery: RecoveryState::new(nodes),
             errors: Vec::new(),
-            recorders,
-            lock_seqs: LockSeqs::default(),
+            recording,
             mutation: MutationState::default(),
             nodes_st,
             dir,
@@ -528,117 +521,18 @@ impl SvmAgent {
         self.caches[node.index()].downgrade(page.0);
     }
 
-    /// Run `f` against `node`'s trace recorder, if the run is recording.
-    pub fn with_recorder(&mut self, node: NodeId, f: impl FnOnce(&mut NodeRecorder)) {
-        if let Some(recs) = &self.recorders {
-            f(&mut recs[node.index()].borrow_mut());
-        }
-    }
-
-    /// Whether the run records an access trace.
-    pub fn recording(&self) -> bool {
-        self.recorders.is_some()
-    }
-
-    /// Assign the next acquisition number of `lock` to `node` (recording
-    /// runs only; the first acquisition is numbered 1).
-    pub fn lock_seq_acquire(&mut self, node: NodeId, lock: u32) -> u64 {
-        let seq = self.lock_seqs.next.entry(lock).or_insert(0);
-        *seq += 1;
-        self.lock_seqs.held.insert((node.0, lock), *seq);
-        *seq
-    }
-
-    /// The acquisition number `node`'s held `lock` entered with.
-    pub fn lock_seq_release(&mut self, node: NodeId, lock: u32) -> u64 {
-        #[expect(
-            clippy::expect_used,
-            reason = "INVARIANT: grants record the acquisition before the app resumes, and \
-                      only the holder issues the release."
-        )]
-        self.lock_seqs
-            .held
-            .remove(&(node.0, lock))
-            .expect("release of a lock with no recorded acquisition")
-    }
-
-    /// Whether the seeded bug says to skip this diff application (counts
-    /// one application per call while the mutation is armed).
-    pub fn bug_skip_diff_apply(&mut self) -> bool {
-        let Some(SeededBug::SkipDiffApply { nth }) = self.cfg.mutation else {
+    /// Whether the configured seeded bug fires at this occurrence of `site`:
+    /// the one reader of `cfg.mutation`.
+    pub(crate) fn seeded_bug(&mut self, site: BugSite) -> bool {
+        let Some(bug) = self.cfg.mutation.filter(|b| b.site() == site) else {
             return false;
         };
-        let n = self.mutation.diff_applies;
-        self.mutation.diff_applies += 1;
-        if n == nth {
-            self.mutation.hits += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the seeded bug says to drop this closed interval's write
-    /// notices.
-    pub fn bug_drop_write_notices(&mut self) -> bool {
-        let Some(SeededBug::DropWriteNotices { nth }) = self.cfg.mutation else {
-            return false;
+        let fires = match (bug.nth(), self.mutation.occurrences(site)) {
+            (Some(nth), Some(seen)) => std::mem::replace(seen, *seen + 1) == nth,
+            _ => true,
         };
-        let n = self.mutation.interval_closes;
-        self.mutation.interval_closes += 1;
-        if n == nth {
-            self.mutation.hits += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the seeded bug says to ignore the home version gate.
-    pub fn bug_ungated_home_reply(&mut self) -> bool {
-        if matches!(self.cfg.mutation, Some(SeededBug::UngatedHomeReply)) {
-            self.mutation.hits += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the seeded bug says to strip this lock grant's records.
-    pub fn bug_drop_lock_grant_records(&mut self) -> bool {
-        let Some(SeededBug::DropLockGrantRecords { nth }) = self.cfg.mutation else {
-            return false;
-        };
-        let n = self.mutation.lock_grants;
-        self.mutation.lock_grants += 1;
-        if n == nth {
-            self.mutation.hits += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the seeded bug says to elect a failover home without
-    /// checking (or completing) version coverage.
-    pub fn bug_skip_home_rebuild(&mut self) -> bool {
-        if matches!(self.cfg.mutation, Some(SeededBug::SkipHomeRebuild)) {
-            self.mutation.hits += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the seeded bug says to strip the write notices from a
-    /// regenerated (post-crash) lock grant.
-    pub fn bug_leak_dead_lock_grant(&mut self) -> bool {
-        if matches!(self.cfg.mutation, Some(SeededBug::LeakDeadLockGrant)) {
-            self.mutation.hits += 1;
-            true
-        } else {
-            false
-        }
+        self.mutation.hits += u32::from(fires);
+        fires
     }
 
     /// Message dispatch shared by `on_message` and local shortcuts.
@@ -787,20 +681,82 @@ impl Agent for SvmAgent {
 mod tests {
     use super::*;
     use crate::api::NodeCache;
-    use crate::config::ProtocolName;
+    use crate::config::{ProtocolName, SeededBug};
     use crate::trace::Fnv64;
 
-    fn first_touch_agent(nodes: usize, num_pages: u32) -> SvmAgent {
-        let mut cfg = SvmConfig::new(ProtocolName::Hlrc, nodes);
-        cfg.home_policy = HomePolicy::FirstTouch;
+    fn agent(cfg: SvmConfig, num_pages: u32) -> SvmAgent {
         let geometry = Geometry::new(cfg.page_size());
         let golden: Vec<u8> = (0..num_pages as usize * geometry.page_size())
             .map(|i| i as u8)
             .collect();
-        let caches = (0..nodes)
+        let caches = (0..cfg.nodes)
             .map(|_| NodeCache::new(num_pages as usize))
             .collect();
         SvmAgent::new(cfg, geometry, num_pages, golden, Vec::new(), caches)
+    }
+
+    fn first_touch_agent(nodes: usize, num_pages: u32) -> SvmAgent {
+        let mut cfg = SvmConfig::new(ProtocolName::Hlrc, nodes);
+        cfg.home_policy = HomePolicy::FirstTouch;
+        agent(cfg, num_pages)
+    }
+
+    /// The digest is the one the agent's former `lock_seqs` and `recorders`
+    /// fields fed: errors, the lock numbering, the mutation counters, then
+    /// each recorder — and, without recording, an empty numbering.
+    #[test]
+    fn agent_hashes_as_the_fields_recording_replaced() {
+        use std::collections::BTreeMap;
+        for record in [false, true] {
+            let mut cfg = SvmConfig::new(ProtocolName::Hlrc, 2);
+            cfg.trace.record = record;
+            let mut a = agent(cfg, 2);
+            let (vt, at) = (VectorTime::zero(2), SimTime::ZERO);
+            // `LockSeqs { next, held }` hashed as this pair does.
+            let (mut next, mut held) = (BTreeMap::new(), BTreeMap::new());
+            if let Some(rec) = &mut a.recording {
+                rec.acquire(NodeId(1), 7, &vt, at);
+                rec.barrier_enter(NodeId(0), 0, &vt, at);
+                next.insert(7u32, 1u64);
+                held.insert((1u16, 7u32), 1u64);
+            }
+            a.errors.push(ProtocolError::MappingFailed {
+                node: NodeId(0),
+                page: PageNum(1),
+            });
+            a.mutation.hits = 3;
+            let mut want = Fnv64::default();
+            (&a.nodes_st, &a.dir, &a.lock_mgr).hash(&mut want);
+            (&a.barrier, &a.net, &a.recovery).hash(&mut want);
+            (&a.errors, (&next, &held), &a.mutation).hash(&mut want);
+            for rec in a.recording.iter().flat_map(|r| &r.recorders) {
+                rec.borrow().hash(&mut want);
+            }
+            assert_eq!(Fnv64::of(&a), want.finish(), "record = {record}");
+        }
+    }
+
+    /// Each catalogued bug fires only at its own site, at its `nth`
+    /// occurrence if it counts them (and counts only while armed), else at
+    /// every occurrence.
+    #[test]
+    fn seeded_bugs_fire_at_their_site_and_occurrence() {
+        for bug in SeededBug::ALL {
+            // Counted bugs at their second occurrence.
+            let bug: SeededBug = bug.to_string().replace(":0", ":1").parse().unwrap();
+            let mut cfg = SvmConfig::new(ProtocolName::Hlrc, 2);
+            cfg.mutation = Some(bug);
+            let mut a = agent(cfg, 1);
+            let site = bug.site();
+            let counted = a.mutation.occurrences(site).is_some();
+            assert_eq!(bug.nth().is_some(), counted, "{bug}");
+            for other in SeededBug::ALL.map(SeededBug::site) {
+                assert!(other == site || !a.seeded_bug(other), "{bug} at {other:?}");
+            }
+            let fired: Vec<bool> = (0..3).map(|_| a.seeded_bug(site)).collect();
+            assert_eq!(fired, [!counted, true, !counted], "{bug}");
+            assert_eq!(a.mutation.hits, if counted { 1 } else { 3 }, "{bug}");
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ use svm_mem::{Access, Diff, PageNum};
 use svm_sim::{SimDuration, SimTime};
 
 use crate::api::LockId;
-use crate::config::RecoveryMode;
+use crate::config::{BugSite, RecoveryMode};
 use crate::msg::{IntervalRec, SvmMsg};
 use crate::vt::VectorTime;
 
@@ -195,9 +195,7 @@ impl SvmAgent {
             .map(|p| NodeId(p as u16))
             .collect();
         for p in stale {
-            if self.recovery.alive[p.index()] {
-                self.declare_dead(ctx, p);
-            }
+            self.declare_dead(ctx, p);
         }
         for p in 0..self.cfg.nodes {
             if p == n.index() || !self.recovery.alive[p] {
@@ -274,8 +272,8 @@ impl SvmAgent {
         // the node from the barriers it will never reach. (A synthetic
         // lock release may follow during repair; the replayer treats
         // releases as always ready, so the order is immaterial.)
-        if self.recording() {
-            self.with_recorder(dead, |r| r.crash(now));
+        if let Some(rec) = &mut self.recording {
+            rec.crash(dead, now);
         }
         self.harvest_channels(ctx, dead);
         self.scan_unrecoverable(ctx, dead);
@@ -492,7 +490,7 @@ impl SvmAgent {
                 }
             }
             let needv = need.to_vec();
-            let bug = self.bug_skip_home_rebuild();
+            let bug = self.seeded_bug(BugSite::HomeRebuild);
             let mut elected = None;
             for c in 0..self.cfg.nodes {
                 if !self.recovery.alive[c] || self.nodes_st[c].pages[pg as usize].buf.is_none() {
@@ -795,13 +793,8 @@ impl SvmAgent {
 
         // The token died with the dead node: regenerate it.
         self.recovery.stats.revoked_grants += 1;
-        if self.recording() && self.lock_seqs.held.contains_key(&(dead.0, l)) {
-            // Synthetic release so the successor's acquisition has its
-            // happens-after edge in the recorded trace.
-            let seq = self.lock_seq_release(dead, l);
-            let vt = self.nodes_st[dead.index()].vt.clone();
-            let at = ctx.now();
-            self.with_recorder(dead, |r| r.release(l, seq, vt, at));
+        if let Some(rec) = &mut self.recording {
+            rec.release_dead(dead, l, &self.nodes_st[dead.index()].vt, ctx.now());
         }
         #[expect(
             clippy::expect_used,
@@ -872,7 +865,7 @@ impl SvmAgent {
                 }
                 *self.repaired_tail(l) = first;
                 let mut records = self.records_union_for(&first_vt);
-                if self.bug_leak_dead_lock_grant() {
+                if self.seeded_bug(BugSite::DeadLockGrant) {
                     records.clear();
                 }
                 let grant = SvmMsg::LockGrant {

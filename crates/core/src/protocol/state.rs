@@ -344,8 +344,8 @@ pub struct ProtoNode {
     pub last_barrier_vt: VectorTime,
     /// Homeless: diff requests that arrived before the diffs existed
     /// (overlapped runs), re-checked when diff tasks complete:
-    /// `(page, requester, writer, from_excl, to_incl)`.
-    pub parked_diff_requests: Vec<(PageNum, NodeId, NodeId, u32, u32)>,
+    /// `(page, requester, from_excl, to_incl)`; this node is the writer.
+    pub parked_diff_requests: Vec<(PageNum, NodeId, u32, u32)>,
     /// Overlapped: `(page, interval)` diffs posted to the co-processor but
     /// not yet computed (guards the diff store against early requests).
     pub pending_diffs: BTreeSet<(u32, u32)>,

@@ -15,6 +15,7 @@ use svm_machine::{Category, NodeId, ProcAddr};
 use svm_sim::SimDuration;
 
 use crate::api::{BarrierId, LockId};
+use crate::config::BugSite;
 use crate::msg::{IntervalRec, SvmMsg};
 use crate::vt::VectorTime;
 
@@ -56,11 +57,8 @@ impl SvmAgent {
                 // "All lock acquire requests are sent to the manager unless
                 // the node itself holds the lock" — local re-acquire, free.
                 self.nodes_st[idx].lock(l.0).token = TokenState::InCs;
-                if self.recording() {
-                    let seq = self.lock_seq_acquire(n, l.0);
-                    let vt = self.nodes_st[idx].vt.clone();
-                    let at = ctx.now();
-                    self.with_recorder(n, |r| r.acquire(l.0, seq, vt, at));
+                if let Some(rec) = &mut self.recording {
+                    rec.acquire(n, l.0, &self.nodes_st[idx].vt, ctx.now());
                 }
                 ctx.ack_app(n);
             }
@@ -174,7 +172,7 @@ impl SvmAgent {
         self.end_interval(ctx, h);
         self.nodes_st[h.index()].lock(l.0).token = TokenState::Absent;
         let mut records = self.nodes_st[h.index()].log.newer_than(req_vt);
-        if self.bug_drop_lock_grant_records() {
+        if self.seeded_bug(BugSite::LockGrant) {
             records.clear();
         }
         if self.cfg.trace.debug_log {
@@ -214,22 +212,16 @@ impl SvmAgent {
         // Forwards that raced ahead of the grant now wait for our release.
         let early = std::mem::take(&mut st.early_forwards);
         st.waiters.extend(early);
-        if self.recording() {
-            let seq = self.lock_seq_acquire(r, l.0);
-            let vt = self.nodes_st[r.index()].vt.clone();
-            let at = ctx.now();
-            self.with_recorder(r, |rec| rec.acquire(l.0, seq, vt, at));
+        if let Some(rec) = &mut self.recording {
+            rec.acquire(r, l.0, &self.nodes_st[r.index()].vt, ctx.now());
         }
         ctx.ack_app(r);
     }
 
     /// Application `UNLOCK` request.
     pub(crate) fn on_unlock(&mut self, ctx: &mut MCtx<'_>, n: NodeId, l: LockId) {
-        if self.recording() {
-            let seq = self.lock_seq_release(n, l.0);
-            let vt = self.nodes_st[n.index()].vt.clone();
-            let at = ctx.now();
-            self.with_recorder(n, |r| r.release(l.0, seq, vt, at));
+        if let Some(rec) = &mut self.recording {
+            rec.release(n, l.0, &self.nodes_st[n.index()].vt, ctx.now());
         }
         let next = {
             let st = self.nodes_st[n.index()].lock(l.0);
@@ -259,10 +251,8 @@ impl SvmAgent {
         let idx = n.index();
         self.counters[idx].barriers += 1;
         self.end_interval(ctx, n);
-        if self.recording() {
-            let vt = self.nodes_st[idx].vt.clone();
-            let at = ctx.now();
-            self.with_recorder(n, |r| r.barrier_enter(b.0, vt, at));
+        if let Some(rec) = &mut self.recording {
+            rec.barrier_enter(n, b.0, &self.nodes_st[idx].vt, ctx.now());
         }
         ctx.block_app(n, Category::Barrier);
         // Send the manager our own intervals since the last barrier (it
@@ -426,10 +416,8 @@ impl SvmAgent {
         let seq = self.barrier.seq;
         let mark = ctx.breakdown(r);
         self.barrier_marks[idx].push((seq, ctx.now(), mark));
-        if self.recording() {
-            let vtc = self.nodes_st[idx].vt.clone();
-            let at = ctx.now();
-            self.with_recorder(r, |rec| rec.barrier_leave(b.0, vtc, at));
+        if let Some(rec) = &mut self.recording {
+            rec.barrier_leave(r, b.0, &self.nodes_st[idx].vt, ctx.now());
         }
         ctx.ack_app(r);
     }

@@ -248,15 +248,13 @@ where
         explicit_homes,
         caches.clone(),
     );
-    let recorders = agent.recorders.clone();
-
     let body = Rc::new(body);
     let bodies: Vec<svm_machine::machine::AppBody<SvmAgent>> = (0..nodes)
         .map(|i| {
             let body = Rc::clone(&body);
             let layout = layout.clone();
             let cache = caches[i].clone();
-            let recorder = recorders.as_ref().map(|r| r[i].clone());
+            let recorder = agent.recording.as_ref().map(|r| r.recorder(i));
             let b: svm_machine::machine::AppBody<SvmAgent> = Box::new(move |port: &AppPort| {
                 let ctx = SvmCtx::new(port, cache, recorder, geometry, i, nodes);
                 body(&ctx, &layout);
@@ -278,12 +276,12 @@ impl Wiring {
     /// Assemble the report of a finished run: the shared tail of [`run`]
     /// and [`run_explored`].
     fn report(self, config: &SvmConfig, outcome: RunOutcome, mut agent: SvmAgent) -> RunReport {
-        let trace = agent.recorders.take().map(|recs| AccessTrace {
+        let trace = agent.recording.take().map(|rec| AccessTrace {
             nodes: config.nodes,
             page_size: self.geometry.page_size(),
             num_pages: self.num_pages,
             initial: self.initial.expect("initial image kept when recording"),
-            events: recs.iter().map(|rec| rec.borrow_mut().finish()).collect(),
+            events: rec.finish(),
         });
         RunReport {
             protocol: config.protocol,

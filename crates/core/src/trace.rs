@@ -33,10 +33,24 @@
 //! * **Reads** record a range plus an FNV-1a digest of the bytes seen;
 //!   contiguous same-page reads extend the previous event by streaming
 //!   into its digest instead of appending a new one.
+//!
+//! The protocol handlers reach the recorders only through [`Recording`], so
+//! this module keeps `protocol/`'s panic policy (DESIGN §12).
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
+use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
+use svm_machine::NodeId;
+use svm_mem::PageNum;
 use svm_sim::SimTime;
 
 use crate::vt::VectorTime;
@@ -356,11 +370,6 @@ pub struct NodeRecorder {
 }
 
 impl NodeRecorder {
-    /// A fresh recorder.
-    pub fn new() -> Self {
-        NodeRecorder::default()
-    }
-
     /// Record a read of `data` at `page:off`, merging with a directly
     /// preceding contiguous read of the same page.
     pub fn read(&mut self, page: u32, off: u32, data: &[u8]) {
@@ -403,18 +412,17 @@ impl NodeRecorder {
         // Absorb every run overlapping or adjacent to [off, end).
         let mut lo = off;
         let mut hi = end;
-        let mut absorbed: Vec<(u32, Vec<u8>)> = Vec::new();
         let keys: Vec<u32> = runs
             .range(..=end)
             .rev()
             .take_while(|(&o, v)| o + v.len() as u32 >= off)
             .map(|(&o, _)| o)
             .collect();
-        for k in keys {
-            let v = runs.remove(&k).expect("key just seen");
-            lo = lo.min(k);
+        let absorbed: Vec<(u32, Vec<u8>)> =
+            keys.iter().filter_map(|k| runs.remove_entry(k)).collect();
+        for (k, v) in &absorbed {
+            lo = lo.min(*k);
             hi = hi.max(k + v.len() as u32);
-            absorbed.push((k, v));
         }
         let mut merged = vec![0u8; (hi - lo) as usize];
         for (o, v) in absorbed {
@@ -446,24 +454,105 @@ impl NodeRecorder {
         }
     }
 
-    /// Record a lock acquisition.
-    pub fn acquire(&mut self, lock: u32, seq: u64, vt: VectorTime, at: SimTime) {
+    /// Append a synchronization event, the visibility boundary: every
+    /// pending write set flushes first.
+    fn sync(&mut self, event: TraceEvent) {
         self.flush_all();
-        self.events.push(TraceEvent::Acquire { lock, seq, vt, at });
+        self.events.push(event);
     }
 
-    /// Record a lock release.
-    pub fn release(&mut self, lock: u32, seq: u64, vt: VectorTime, at: SimTime) {
+    /// Finish recording: flush pending writes and surrender the stream.
+    pub fn finish(&mut self) -> Vec<TraceEvent> {
         self.flush_all();
-        self.events.push(TraceEvent::Release { lock, seq, vt, at });
+        std::mem::take(&mut self.events)
+    }
+}
+
+/// The agent's side of a recording run (`Some` iff `cfg.trace.record`): the
+/// per-node recorders it shares with the application contexts, and the lock
+/// numbering — acquisition `s` of a lock happens-after release `s-1` (the
+/// token chain is a total order per lock), exactly the release→acquire edge
+/// the checker rebuilds. Each method appends one synchronization event to
+/// `n`'s stream, cloning the vector time it stamps.
+pub struct Recording {
+    pub(crate) recorders: Vec<Rc<RefCell<NodeRecorder>>>,
+    /// Next acquisition number per lock (first acquisition is 1).
+    pub(crate) next: BTreeMap<u32, u64>,
+    /// The acquisition number each node's currently-held lock entered with.
+    pub(crate) held: BTreeMap<(u16, u32), u64>,
+}
+
+impl Recording {
+    /// Fresh recorders for a machine of `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        Recording {
+            recorders: (0..nodes).map(|_| Rc::default()).collect(),
+            next: BTreeMap::new(),
+            held: BTreeMap::new(),
+        }
     }
 
-    /// Record a barrier arrival (assigns this node's next round).
-    pub fn barrier_enter(&mut self, barrier: u32, vt: VectorTime, at: SimTime) {
-        self.flush_all();
-        let round = self.rounds;
-        self.rounds += 1;
-        self.events.push(TraceEvent::BarrierEnter {
+    /// `node`'s recorder, for its application context.
+    pub(crate) fn recorder(&self, node: usize) -> Rc<RefCell<NodeRecorder>> {
+        Rc::clone(&self.recorders[node])
+    }
+
+    /// Every node's finished stream.
+    pub(crate) fn finish(self) -> Vec<Vec<TraceEvent>> {
+        let streams = self.recorders.iter();
+        streams.map(|r| r.borrow_mut().finish()).collect()
+    }
+
+    fn on(&self, n: NodeId) -> RefMut<'_, NodeRecorder> {
+        self.recorders[n.index()].borrow_mut()
+    }
+
+    /// `n` entered `lock`'s critical section, taking the lock's next
+    /// acquisition number.
+    pub(crate) fn acquire(&mut self, n: NodeId, lock: u32, vt: &VectorTime, at: SimTime) {
+        let seq = self.next.entry(lock).or_insert(0);
+        *seq += 1;
+        let (seq, vt) = (*seq, vt.clone());
+        self.held.insert((n.0, lock), seq);
+        self.on(n).sync(TraceEvent::Acquire { lock, seq, vt, at });
+    }
+
+    /// `n` left `lock`'s critical section.
+    pub(crate) fn release(&mut self, n: NodeId, lock: u32, vt: &VectorTime, at: SimTime) {
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: grants record the acquisition before the app resumes, and \
+                      only the holder issues the release."
+        )]
+        let seq = self
+            .held
+            .remove(&(n.0, lock))
+            .expect("release of a lock with no recorded acquisition");
+        let vt = vt.clone();
+        self.on(n).sync(TraceEvent::Release { lock, seq, vt, at });
+    }
+
+    /// Lock repair's synthetic release for a `dead` node that died inside
+    /// `lock`'s critical section, so the successor's acquisition has its
+    /// happens-after edge; nothing if it did not hold the lock.
+    pub(crate) fn release_dead(&mut self, dead: NodeId, lock: u32, vt: &VectorTime, at: SimTime) {
+        if self.held.contains_key(&(dead.0, lock)) {
+            self.release(dead, lock, vt, at);
+        }
+    }
+
+    /// The `(node, lock)` pairs inside a critical section, by node.
+    pub fn critical_sections(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+        self.held.keys().map(|&(n, l)| (NodeId(n), l))
+    }
+
+    /// `n` arrived at `barrier`, in its next barrier round.
+    pub(crate) fn barrier_enter(&mut self, n: NodeId, barrier: u32, vt: &VectorTime, at: SimTime) {
+        let mut r = self.on(n);
+        let round = r.rounds;
+        r.rounds += 1;
+        let vt = vt.clone();
+        r.sync(TraceEvent::BarrierEnter {
             barrier,
             round,
             vt,
@@ -471,22 +560,30 @@ impl NodeRecorder {
         });
     }
 
-    /// Record a barrier departure (pairs with the latest arrival).
-    pub fn barrier_leave(&mut self, barrier: u32, vt: VectorTime, at: SimTime) {
-        self.flush_all();
-        debug_assert!(self.rounds > 0, "barrier departure without arrival");
-        self.events.push(TraceEvent::BarrierLeave {
+    /// `n` departed `barrier`, in the round it last arrived in.
+    pub(crate) fn barrier_leave(&mut self, n: NodeId, barrier: u32, vt: &VectorTime, at: SimTime) {
+        let mut r = self.on(n);
+        debug_assert!(r.rounds > 0, "barrier departure without arrival");
+        let (round, vt) = (r.rounds - 1, vt.clone());
+        r.sync(TraceEvent::BarrierLeave {
             barrier,
-            round: self.rounds - 1,
+            round,
             vt,
             at,
         });
     }
 
-    /// Record an interval close.
-    pub fn interval_end(&mut self, interval: u32, vt: VectorTime, at: SimTime, pages: Vec<u32>) {
-        self.flush_all();
-        self.events.push(TraceEvent::IntervalEnd {
+    /// `n` closed `interval`, which dirtied `pages`.
+    pub(crate) fn interval_end(
+        &mut self,
+        n: NodeId,
+        interval: u32,
+        vt: &VectorTime,
+        at: SimTime,
+        pages: &[PageNum],
+    ) {
+        let (vt, pages) = (vt.clone(), pages.iter().map(|p| p.0).collect());
+        self.on(n).sync(TraceEvent::IntervalEnd {
             interval,
             vt,
             at,
@@ -494,16 +591,9 @@ impl NodeRecorder {
         });
     }
 
-    /// Record the node's death (declared by the failure detector).
-    pub fn crash(&mut self, at: SimTime) {
-        self.flush_all();
-        self.events.push(TraceEvent::Crash { at });
-    }
-
-    /// Finish recording: flush pending writes and surrender the stream.
-    pub fn finish(&mut self) -> Vec<TraceEvent> {
-        self.flush_all();
-        std::mem::take(&mut self.events)
+    /// The failure detector declared `n` dead.
+    pub(crate) fn crash(&mut self, n: NodeId, at: SimTime) {
+        self.on(n).sync(TraceEvent::Crash { at });
     }
 }
 
@@ -548,7 +638,7 @@ mod tests {
 
     #[test]
     fn contiguous_reads_merge() {
-        let mut r = NodeRecorder::new();
+        let mut r = NodeRecorder::default();
         r.read(3, 0, &[1, 2]);
         r.read(3, 2, &[3, 4]);
         r.read(3, 8, &[9]); // gap: new event
@@ -570,7 +660,7 @@ mod tests {
 
     #[test]
     fn pending_writes_coalesce_and_overwrite() {
-        let mut r = NodeRecorder::new();
+        let mut r = NodeRecorder::default();
         r.write(1, 0, &[1, 1, 1, 1]);
         r.write(1, 2, &[9, 9]); // overlap: overwrites tail
         r.write(1, 4, &[5, 5]); // adjacent: coalesces
@@ -589,7 +679,7 @@ mod tests {
 
     #[test]
     fn overlapping_read_flushes_the_write_set_first() {
-        let mut r = NodeRecorder::new();
+        let mut r = NodeRecorder::default();
         r.write(2, 4, &[8, 8]);
         r.read(2, 5, &[8]); // overlaps the pending run
         let evs = r.finish();
@@ -606,7 +696,7 @@ mod tests {
 
     #[test]
     fn non_overlapping_read_leaves_writes_pending() {
-        let mut r = NodeRecorder::new();
+        let mut r = NodeRecorder::default();
         r.write(2, 0, &[1]);
         r.read(2, 100, &[0]);
         let evs = r.finish();
@@ -617,13 +707,13 @@ mod tests {
 
     #[test]
     fn sync_events_flush_and_count_rounds() {
-        let mut r = NodeRecorder::new();
-        let vt = VectorTime::zero(2);
-        r.write(0, 0, &[1]);
-        r.barrier_enter(0, vt.clone(), SimTime::ZERO);
-        r.barrier_leave(0, vt.clone(), SimTime::ZERO);
-        r.barrier_enter(1, vt.clone(), SimTime::ZERO);
-        let evs = r.finish();
+        let mut rec = Recording::new(1);
+        let (n, vt) = (NodeId(0), VectorTime::zero(1));
+        rec.recorder(0).borrow_mut().write(0, 0, &[1]);
+        rec.barrier_enter(n, 0, &vt, SimTime::ZERO);
+        rec.barrier_leave(n, 0, &vt, SimTime::ZERO);
+        rec.barrier_enter(n, 1, &vt, SimTime::ZERO);
+        let evs = rec.finish().remove(0);
         assert!(matches!(evs[0], TraceEvent::Write { .. }));
         assert!(matches!(evs[1], TraceEvent::BarrierEnter { round: 0, .. }));
         assert!(matches!(evs[2], TraceEvent::BarrierLeave { round: 0, .. }));

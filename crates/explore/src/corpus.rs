@@ -36,54 +36,13 @@ pub struct Case {
     pub schedule: Vec<Action>,
 }
 
-fn protocol_to_text(p: ProtocolName) -> &'static str {
-    p.label()
-}
-
-fn protocol_parse(s: &str) -> Result<ProtocolName, String> {
-    [
-        ProtocolName::Lrc,
-        ProtocolName::Olrc,
-        ProtocolName::Hlrc,
-        ProtocolName::Ohlrc,
-        ProtocolName::Aurc,
-    ]
-    .into_iter()
-    .find(|p| p.label() == s)
-    .ok_or_else(|| format!("unknown protocol {s:?}"))
-}
-
+/// The seeded bug's catalogue name (`SeededBug`'s `Display`), or `none`.
 fn mutation_to_text(m: Option<SeededBug>) -> String {
-    match m {
-        None => "none".into(),
-        Some(SeededBug::SkipDiffApply { nth }) => format!("skip-diff-apply:{nth}"),
-        Some(SeededBug::DropWriteNotices { nth }) => format!("drop-write-notices:{nth}"),
-        Some(SeededBug::UngatedHomeReply) => "ungated-home-reply".into(),
-        Some(SeededBug::DropLockGrantRecords { nth }) => {
-            format!("drop-lock-grant-records:{nth}")
-        }
-        Some(SeededBug::SkipHomeRebuild) => "skip-home-rebuild".into(),
-        Some(SeededBug::LeakDeadLockGrant) => "leak-dead-lock-grant".into(),
-    }
+    m.map_or_else(|| "none".into(), |b| b.to_string())
 }
 
 fn mutation_parse(s: &str) -> Result<Option<SeededBug>, String> {
-    let nth = |s: &str| {
-        s.parse::<u32>()
-            .map_err(|_| format!("bad mutation index {s:?}"))
-    };
-    Ok(match s.split_once(':') {
-        _ if s == "none" => None,
-        _ if s == "ungated-home-reply" => Some(SeededBug::UngatedHomeReply),
-        _ if s == "skip-home-rebuild" => Some(SeededBug::SkipHomeRebuild),
-        _ if s == "leak-dead-lock-grant" => Some(SeededBug::LeakDeadLockGrant),
-        Some(("skip-diff-apply", n)) => Some(SeededBug::SkipDiffApply { nth: nth(n)? }),
-        Some(("drop-write-notices", n)) => Some(SeededBug::DropWriteNotices { nth: nth(n)? }),
-        Some(("drop-lock-grant-records", n)) => {
-            Some(SeededBug::DropLockGrantRecords { nth: nth(n)? })
-        }
-        _ => return Err(format!("unknown mutation {s:?}")),
-    })
+    (s != "none").then(|| s.parse()).transpose()
 }
 
 impl Case {
@@ -103,7 +62,7 @@ impl Case {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str("# svm-explore counterexample case (see DESIGN.md §16)\n");
-        out.push_str(&format!("protocol = {}\n", protocol_to_text(self.protocol)));
+        out.push_str(&format!("protocol = {}\n", self.protocol));
         out.push_str(&format!("nodes = {}\n", self.nodes));
         out.push_str(&format!("page_size = {}\n", self.page_size));
         out.push_str(&format!(
@@ -154,7 +113,7 @@ impl Case {
             .strip_prefix("0x")
             .ok_or_else(|| format!("final_digest {digest_text:?} must be hex"))?;
         Ok(Case {
-            protocol: protocol_parse(get("protocol")?)?,
+            protocol: get("protocol")?.parse()?,
             nodes: get("nodes")?.parse().map_err(|_| "bad nodes".to_string())?,
             page_size: get("page_size")?
                 .parse()
@@ -203,17 +162,17 @@ mod tests {
 
     #[test]
     fn every_seeded_bug_has_a_stable_coding() {
-        let all = [
-            Some(SeededBug::SkipDiffApply { nth: 3 }),
-            Some(SeededBug::DropWriteNotices { nth: 0 }),
-            Some(SeededBug::UngatedHomeReply),
-            Some(SeededBug::DropLockGrantRecords { nth: 7 }),
-            Some(SeededBug::SkipHomeRebuild),
-            Some(SeededBug::LeakDeadLockGrant),
-            None,
-        ];
-        for m in all {
+        for m in SeededBug::ALL.map(Some).into_iter().chain([None]) {
             assert_eq!(mutation_parse(&mutation_to_text(m)).unwrap(), m);
         }
+        // A bug that counts occurrences takes an index, and only such a bug.
+        for bug in SeededBug::ALL {
+            let (stem, counted) = (bug.stem(), bug.nth().is_some());
+            assert_eq!(mutation_parse(stem).is_ok(), !counted, "{stem}");
+            let later = mutation_parse(&format!("{stem}:7"));
+            let nth = later.is_ok_and(|m| m.and_then(SeededBug::nth) == Some(7));
+            assert_eq!(nth, counted, "{stem}");
+        }
+        assert!(mutation_parse("skip-diff-apply:x").is_err());
     }
 }

@@ -18,7 +18,7 @@ use std::hash::{Hash, Hasher};
 
 use svm_core::protocol::state::TokenState;
 use svm_core::trace::Fnv64;
-use svm_core::SvmAgent;
+use svm_core::{Recording, SvmAgent};
 use svm_machine::{AppPhase, ExploreStep, NodeId, ProcAddr, World};
 
 use crate::schedule::Action;
@@ -161,15 +161,16 @@ pub(crate) fn invariant_violations(world: &World<SvmAgent>) -> Vec<String> {
             out.push(format!("lock {l}: token held by {} nodes ({h:?})", h.len()));
         }
     }
-    let in_cs = agent
-        .lock_seqs
-        .held
+    let mut in_cs = BTreeMap::<u32, Vec<u16>>::new();
+    for (n, l) in agent
+        .recording
         .iter()
-        .filter(|(&(n, _), _)| !crashed(world, NodeId(n)))
-        .fold(BTreeMap::<u32, Vec<u16>>::new(), |mut m, (&(n, l), _)| {
-            m.entry(l).or_default().push(n);
-            m
-        });
+        .flat_map(Recording::critical_sections)
+    {
+        if !crashed(world, n) {
+            in_cs.entry(l).or_default().push(n.0);
+        }
+    }
     for (&l, held) in &in_cs {
         if held.len() > 1 {
             out.push(format!(

@@ -89,27 +89,13 @@ fn committed_cases_are_clean_without_their_mutation() {
 #[test]
 #[ignore]
 fn regen() {
-    let seeds: [(&str, ProtocolName, usize, u32, bool, usize, SeededBug); 2] = [
-        (
-            "explore_skip_diff_apply_hlrc.txt",
-            ProtocolName::Hlrc,
-            2,
-            1,
-            false,
-            0,
-            SeededBug::SkipDiffApply { nth: 0 },
-        ),
-        (
-            "explore_leak_dead_lock_grant_lrc.txt",
-            ProtocolName::Lrc,
-            3,
-            1,
-            true,
-            1,
-            SeededBug::LeakDeadLockGrant,
-        ),
+    let [skip_diff, .., leak_grant] = SeededBug::ALL;
+    // (protocol, nodes, rounds, recovery, max_crashes, mutation)
+    let seeds = [
+        (ProtocolName::Hlrc, 2, 1, false, 0, skip_diff),
+        (ProtocolName::Lrc, 3, 1, true, 1, leak_grant),
     ];
-    for (file, protocol, nodes, rounds, recovery, max_crashes, mutation) in seeds {
+    for (protocol, nodes, rounds, recovery, max_crashes, mutation) in seeds {
         let mut cfg = base_config(protocol, nodes, recovery, 256);
         cfg.mutation = Some(mutation);
         let program = Program::LockCounter { rounds };
@@ -135,7 +121,9 @@ fn regen() {
         assert!(!rep.diverged && !rep.violations.is_empty());
         case.violation = rep.violations[0].clone();
         case.final_digest = rep.final_digest;
-        let path = corpus_dir().join(file);
+        let (stem, label) = (mutation.stem(), protocol.label());
+        let file = format!("explore_{stem}_{label}.txt").replace('-', "_");
+        let path = corpus_dir().join(file.to_lowercase());
         std::fs::write(&path, case.to_text()).expect("writable corpus file");
         eprintln!("wrote {}", path.display());
     }

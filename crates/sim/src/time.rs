@@ -70,12 +70,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds, rounding to the nearest nanosecond.
-    pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0 && s.is_finite(), "negative or non-finite duration");
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -203,7 +197,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(50).as_nanos(), 50_000);
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(3).as_nanos(), 3_000_000_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
     }
 
     #[test]

@@ -48,6 +48,16 @@ if grep -q '^\[package\]' Cargo.toml || [[ -e src || -e tests || -e examples ]];
   exit 1
 fi
 
+# Test instrumentation has one seam each in protocol/ (DESIGN §11, §14): seeded
+# bugs are `SvmAgent::seeded_bug(site)`, the only reader of the configured
+# mutation, and trace recording goes through `Recording`'s methods.
+echo "== one seeded-bug reader and no hand-rolled recording in protocol/"
+if [[ "$(grep -rn 'self\.cfg\.mutation' crates/core/src/protocol --include='*.rs' | wc -l)" -ne 1 ]] ||
+  grep -rnE '\b(bug_|with_recorder|lock_seq_)' crates/core/src/protocol --include='*.rs'; then
+  echo "protocol/ reads cfg.mutation outside seeded_bug, or has a bug_*/with_recorder/lock_seq_* again: add a SeededBug catalogue entry or a Recording method" >&2
+  exit 1
+fi
+
 echo "== formatting (cargo fmt --check)"
 cargo fmt --check
 
