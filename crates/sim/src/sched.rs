@@ -6,14 +6,25 @@
 //! Events can be cancelled by [`EventId`], which names the event's slot:
 //! cancelling drops the closure in place, and the pop skips the emptied slot.
 //!
-//! Storage is allocation-free: every closure is written in place into the
-//! inline buffer of a slab of reusable slots, and the priority queue is an
-//! index heap of `(time, seq, slot)` keys over that slab. A closure bigger
-//! than `INLINE_BYTES` (or more aligned than `INLINE_ALIGN`) does not
-//! compile: box its captures and move the box in. The engine's
-//! virtual-time results are pinned against `results/engine_fingerprints.txt`
-//! (recorded on the box-per-event engine this one replaced) by
-//! `crates/bench/tests/engine_fingerprints.rs`.
+//! Storage is allocation-free and copy-free: [`Scheduler::at`] writes the
+//! closure straight into the inline buffer of a free slot in a slab, beside
+//! one type-erased entry point that either runs or drops it, and the
+//! priority queue is an index heap of `(time, seq, slot)` keys over that
+//! slab. A closure bigger than `INLINE_BYTES` (or more aligned than
+//! `INLINE_ALIGN`) does not compile: box its captures and move the box in.
+//!
+//! An event runs from its slot. [`Scheduler::step`] empties the slot and
+//! returns it to the free list, then calls the entry point on a pointer into
+//! the buffer, and the entry point's first act is to move the closure onto
+//! its own stack. From then on the slot owns nothing: the event may schedule
+//! into the very slot it vacated (the free list hands it out first), grow
+//! the slab, or panic, and no closure is read or dropped twice.
+//!
+//! Events pop in `(at, seq)` order, a total order because `seq` is unique,
+//! so neither the heap's shape nor where a closure lives can change which
+//! event runs next. The engine's virtual-time results are pinned against
+//! `results/engine_fingerprints.txt` (recorded on the box-per-event engine
+//! this one replaced) by `crates/bench/tests/engine_fingerprints.rs`.
 
 use std::mem::MaybeUninit;
 
@@ -58,35 +69,37 @@ impl EventId {
     }
 }
 
-/// Inline closure capacity per slot. Sized for the protocol's send/timer
-/// closures (message + addressing captures).
-const INLINE_BYTES: usize = 192;
+/// Inline closure capacity per slot: the smallest multiple of
+/// [`INLINE_ALIGN`] that holds the machine's largest event, a timer or a
+/// local post, whose closure captures a `ProcAddr` (or two) + the node's
+/// epoch + the 72-byte `Wire` message: 88 bytes.
+const INLINE_BYTES: usize = 96;
 /// Maximum supported alignment for inline closures.
 const INLINE_ALIGN: usize = 16;
 
 /// The inline closure buffer. `#[repr(align(16))]` so any closure whose
 /// alignment is <= [`INLINE_ALIGN`] can be written at offset 0.
 #[repr(align(16))]
-#[derive(Copy, Clone)]
 struct InlineBuf([MaybeUninit<u8>; INLINE_BYTES]);
 
-impl InlineBuf {
-    fn ptr(&mut self) -> *mut u8 {
-        self.0.as_mut_ptr() as *mut u8
-    }
-}
+/// The one entry point of a slot's closure: it moves the closure out of the
+/// buffer, then runs it (`Some`) or drops it (`None`: cancel, teardown).
+/// Calling it transfers ownership, so a caller first clears the `entry`.
+type Entry<W> = unsafe fn(*mut u8, Option<(&mut Scheduler<W>, &mut W)>);
 
-/// Type-erased storage for one event closure: its bytes live in `buf`;
-/// `call` reads it out (taking ownership) and runs it, `drop_fn` drops it in
-/// place without running (a cancelled event, scheduler teardown).
-struct Stored<W> {
+struct Slot<W> {
+    /// Sequence number of the last event to occupy the slot; an [`EventId`]
+    /// is pending iff its slot still has its `seq` and an entry.
+    seq: u64,
+    /// The entry of the closure in `buf`; `None` once it was taken (fired)
+    /// or the closure dropped (cancelled), and while the slot is free.
+    entry: Option<Entry<W>>,
     buf: InlineBuf,
-    call: unsafe fn(*mut u8, &mut Scheduler<W>, &mut W),
-    drop_fn: unsafe fn(*mut u8),
 }
 
-impl<W> Stored<W> {
-    fn new<F: FnOnce(&mut Scheduler<W>, &mut W) + 'static>(f: F) -> Stored<W> {
+impl<W> Slot<W> {
+    /// Write `f` into this free slot as event `seq`.
+    fn fill<F: FnOnce(&mut Scheduler<W>, &mut W) + 'static>(&mut self, seq: u64, f: F) {
         const {
             assert!(
                 std::mem::size_of::<F>() <= INLINE_BYTES
@@ -94,58 +107,41 @@ impl<W> Stored<W> {
                 "event closure does not fit a scheduler slot: box its captures"
             )
         }
-        unsafe fn call_impl<W, F: FnOnce(&mut Scheduler<W>, &mut W)>(
+        unsafe fn entry<W, F: FnOnce(&mut Scheduler<W>, &mut W)>(
             p: *mut u8,
-            s: &mut Scheduler<W>,
-            w: &mut W,
+            run: Option<(&mut Scheduler<W>, &mut W)>,
         ) {
-            // SAFETY: `p` points at a valid `F` written by `Stored::new`;
-            // `read` takes ownership and the caller never touches the bytes
-            // again (invoke consumes the `Stored`).
+            // SAFETY: `p` points at the `F` that `fill` wrote, and the caller
+            // cleared the slot's `entry` first, so this is its only read.
             let f = unsafe { (p as *mut F).read() };
-            f(s, w)
+            if let Some((s, w)) = run {
+                f(s, w)
+            }
         }
-        unsafe fn drop_impl<F>(p: *mut u8) {
-            // SAFETY: `p` points at a valid `F` that will not be read again.
-            unsafe { std::ptr::drop_in_place(p as *mut F) }
-        }
-        let mut buf = InlineBuf([MaybeUninit::uninit(); INLINE_BYTES]);
-        // SAFETY: size and alignment were checked (at compile time) above;
-        // the buffer is exclusively ours and uninitialized.
-        unsafe { (buf.ptr() as *mut F).write(f) };
-        Stored {
-            buf,
-            call: call_impl::<W, F>,
-            drop_fn: drop_impl::<F>,
-        }
+        debug_assert!(self.entry.is_none(), "free slot occupied");
+        // SAFETY: size and alignment were checked at compile time; a slot
+        // without an entry holds no live value, so nothing is overwritten.
+        unsafe { self.buf.0.as_mut_ptr().cast::<F>().write(f) };
+        self.seq = seq;
+        self.entry = Some(entry::<W, F>);
     }
 
-    /// Run the stored closure. Consumes the storage (the closure is moved
-    /// out of the buffer; moving the buffer itself is fine because Rust
-    /// values relocate by plain memcpy).
-    fn invoke(self, sched: &mut Scheduler<W>, world: &mut W) {
-        let mut this = std::mem::ManuallyDrop::new(self);
-        // SAFETY: `buf` holds the closure written at schedule time; `call`
-        // reads it out exactly once. `self` is consumed and never dropped,
-        // so no second read or drop can happen.
-        unsafe { (this.call)(this.buf.ptr(), sched, world) }
+    /// Drop the pending closure unrun; `false` if there is none.
+    fn clear(&mut self) -> bool {
+        let Some(entry) = self.entry.take() else {
+            return false;
+        };
+        // SAFETY: `entry` belongs to the closure in `buf`, and it was taken
+        // out of the slot above, so the closure is dropped exactly once.
+        unsafe { entry(self.buf.0.as_mut_ptr().cast(), None) };
+        true
     }
 }
 
-impl<W> Drop for Stored<W> {
+impl<W> Drop for Slot<W> {
     fn drop(&mut self) {
-        // SAFETY: `buf` holds a valid closure that was never invoked
-        // (`invoke` forgets `self`), and a value is dropped once.
-        unsafe { (self.drop_fn)(self.buf.ptr()) }
+        self.clear();
     }
-}
-
-struct Slot<W> {
-    /// Sequence number of the last event to occupy the slot; an [`EventId`]
-    /// is pending iff its slot still has its `seq` and a closure.
-    seq: u64,
-    /// `None` once the closure was taken (fired) or dropped (cancelled).
-    stored: Option<Stored<W>>,
 }
 
 /// Index-heap key: total order is `(at, seq)`; `slot` locates the closure.
@@ -240,20 +236,19 @@ impl<W> Scheduler<W> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let stored = Some(Stored::new(f));
         let slot = match self.free.pop() {
-            Some(s) => {
-                let sl = &mut self.slots[s as usize];
-                debug_assert!(sl.stored.is_none(), "free slot occupied");
-                sl.seq = seq;
-                sl.stored = stored;
-                s
-            }
+            Some(s) => s,
             None => {
-                self.slots.push(Slot { seq, stored });
+                let buf = InlineBuf([MaybeUninit::uninit(); INLINE_BYTES]);
+                self.slots.push(Slot {
+                    seq,
+                    entry: None,
+                    buf,
+                });
                 (self.slots.len() - 1) as u32
             }
         };
+        self.slots[slot as usize].fill(seq, f);
         self.heap_push(HeapKey { at, seq, slot });
         EventId { seq, slot }
     }
@@ -273,7 +268,7 @@ impl<W> Scheduler<W> {
     /// The closure is dropped now; the slot is freed when its heap key pops.
     pub fn cancel(&mut self, id: EventId) -> bool {
         match self.slots.get_mut(id.slot as usize) {
-            Some(slot) if slot.seq == id.seq => slot.stored.take().is_some(),
+            Some(slot) if slot.seq == id.seq => slot.clear(),
             _ => false,
         }
     }
@@ -283,15 +278,20 @@ impl<W> Scheduler<W> {
         while let Some(key) = self.heap_pop() {
             let slot = &mut self.slots[key.slot as usize];
             debug_assert_eq!(slot.seq, key.seq, "slot/heap desync");
-            let stored = slot.stored.take();
+            let entry = slot.entry.take();
+            let buf = slot.buf.0.as_mut_ptr().cast();
             self.free.push(key.slot);
-            let Some(stored) = stored else {
+            let Some(entry) = entry else {
                 continue; // cancelled
             };
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
             self.executed += 1;
-            stored.invoke(self, world);
+            // SAFETY: `buf` holds `entry`'s closure, which the slot (emptied
+            // above) no longer owns, so this is its one read. The entry reads
+            // it before running it, so the event may refill this slot or grow
+            // the slab (moving `buf`) without touching a live value.
+            unsafe { entry(buf, Some((self, world))) };
             return true;
         }
         false
@@ -303,28 +303,27 @@ impl<W> Scheduler<W> {
     }
 
     // --- index heap (min-heap on `(at, seq)`) -------------------------------
+    // Both sifts move a hole: keys shift a level each, the placed key is written once.
 
     fn heap_push(&mut self, key: HeapKey) {
+        let mut i = self.heap.len();
         self.heap.push(key);
-        let mut i = self.heap.len() - 1;
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.heap[i].order() < self.heap[parent].order() {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
+            if self.heap[parent].order() <= key.order() {
                 break;
             }
+            self.heap[i] = self.heap[parent];
+            i = parent;
         }
+        self.heap[i] = key;
     }
 
     fn heap_pop(&mut self) -> Option<HeapKey> {
-        let len = self.heap.len();
-        if len == 0 {
-            return None;
-        }
-        self.heap.swap(0, len - 1);
-        let key = self.heap.pop();
+        let last = self.heap.pop()?;
+        let Some(&top) = self.heap.first() else {
+            return Some(last);
+        };
         let len = self.heap.len();
         let mut i = 0;
         loop {
@@ -338,14 +337,14 @@ impl<W> Scheduler<W> {
             } else {
                 l
             };
-            if self.heap[child].order() < self.heap[i].order() {
-                self.heap.swap(i, child);
-                i = child;
-            } else {
+            if last.order() <= self.heap[child].order() {
                 break;
             }
+            self.heap[i] = self.heap[child];
+            i = child;
         }
-        key
+        self.heap[i] = last;
+        Some(top)
     }
 }
 
@@ -501,5 +500,39 @@ mod tests {
         assert_eq!(w, 1);
         drop(s); // t3 (queued) disposed at teardown
         assert_eq!(Rc::strong_count(&token), 1, "all captures released");
+    }
+
+    /// An event that panics has already left its slot: the unwind drops
+    /// its captures once, the slot is handed out again, and the queue
+    /// carries on in order.
+    #[test]
+    fn a_panicking_event_drops_its_captures_once_and_frees_its_slot() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::rc::Rc;
+        let token = Rc::new(());
+        let mut s: Scheduler<Vec<u32>> = Scheduler::new();
+        let mut w = Vec::new();
+        let t = token.clone();
+        s.after(SimDuration::from_nanos(1), move |_, _: &mut Vec<u32>| {
+            let _k = &t;
+            panic!("event failed");
+        });
+        s.after(SimDuration::from_nanos(2), |_, w: &mut Vec<u32>| w.push(2));
+        s.after(SimDuration::from_nanos(3), |_, w: &mut Vec<u32>| w.push(3));
+        assert!(catch_unwind(AssertUnwindSafe(|| s.step(&mut w))).is_err());
+        assert_eq!(Rc::strong_count(&token), 1, "the unwind dropped t once");
+        let id = s.after(SimDuration::from_nanos(1), |_, w: &mut Vec<u32>| w.push(4));
+        assert_eq!(id.slot, 0, "the panicked event's slot is reused first");
+        s.run(&mut w);
+        assert_eq!(w, vec![2, 4, 3]);
+        assert_eq!((s.slots.len(), s.free.len()), (3, 3));
+        drop(s);
+        assert_eq!(Rc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn a_slot_fits_in_128_bytes() {
+        let size = std::mem::size_of::<Slot<u32>>();
+        assert!(size <= 128, "a scheduler slot grew to {size} bytes");
     }
 }
