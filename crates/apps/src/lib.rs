@@ -18,7 +18,7 @@
 //!
 //! Plus one extension workload beyond the paper's suite, [`tsp`]
 //! (branch-and-bound from the TreadMarks suite: lock-centric work stack and
-//! a migratory global bound), which `svm-bench crash` runs after the five.
+//! a migratory global bound), which `svm-bench robust` runs after the five.
 //!
 //! Every workload computes real values; parallel results are checked
 //! against in-process sequential references. Compute time is charged per

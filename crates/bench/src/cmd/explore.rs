@@ -7,7 +7,7 @@
 //! scheduler interleaving of a lock-counter program, with canonical-state
 //! deduplication and sleep-set reduction; crash cells additionally insert
 //! one node crash plus its detection at every reachable point. The matrix
-//! is the model-checking analogue of the chaos matrix: small enough to
+//! is the model-checking analogue of the robustness matrix: small enough to
 //! exhaust, wide enough to cover all four protocols with recovery on and
 //! off.
 //!

@@ -11,12 +11,10 @@
 use svm_bench::cli::Args;
 
 mod cmd {
-    pub mod chaos;
-    pub mod check;
-    pub mod crash;
     pub mod explore;
     pub mod fig12_trace;
     pub mod paper;
+    pub mod robust;
     pub mod serve;
 }
 
@@ -40,7 +38,7 @@ type Command = (&'static str, fn(Args));
 const COMMANDS: &[Command] = commands! {
     paper::table1 paper::table2 paper::table3 paper::table4 paper::table5 paper::table6
     fig12_trace paper::fig3 paper::fig4 paper::sor48 paper::aurc paper::sensitivity
-    chaos crash check explore serve
+    robust explore serve
 };
 
 fn main() {

@@ -5,11 +5,10 @@
 #
 # Usage: verify.sh [--fast]
 #   --fast skips the example runs, the standalone benchmark crate
-#   build and lint, the chaos matrix, and the regeneration of nine
-#   results/*_s025.txt tables, the serve matrix and the two node-count
-#   probes, but always keeps the workspace
-#   clippy, the crash-recovery smoke, and the consistency-check subset
-#   — the cheap gates that catch whole bug classes.
+#   build and lint, and the regeneration of nine results/*_s025.txt
+#   tables, the serve matrix and the two node-count probes, but always
+#   keeps the workspace clippy, the exploration gate and the robustness
+#   matrix — the cheap gates that catch whole bug classes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -108,9 +107,6 @@ $BENCH explore --fast | tee target/explore_fast.txt
 sed -E -e 's/^(.{59}).{10}/\1/' -e 's/, [0-9.]+ ms total$//' target/explore_fast.txt | diff -u results/explore_fast.txt -
 
 if [[ "$FAST" -eq 0 ]]; then
-  echo "== fault-injection smoke matrix (mixed 0 / 0.1% / 1% + dup/delay/stall-dominated)"
-  $BENCH chaos --scale 0.03 --nodes 4 --drop 0,0.001,0.01
-
   # "Every other results/*.txt unmoved" as a gate: the nine tables that take
   # under 20 s each, regenerated with the flags EXPERIMENTS.md records and
   # compared byte for byte (`name:extra args`; all at --scale 0.25).
@@ -132,11 +128,10 @@ if [[ "$FAST" -eq 0 ]]; then
   done
 fi
 
-echo "== crash-recovery smoke matrix (seeded node crashes, graceful recovery)"
-$BENCH crash --scale 0.03 --nodes 4 --seeds 1,2
-
-echo "== consistency check matrix (record -> svm-checker, fast subset)"
-$BENCH check --fast
+# Every cell recorded and judged by every oracle: checksum, halt kind,
+# svm-checker coherence, one replay, then the seeded-bug battery.
+echo "== robustness matrix (network faults and seeded node crashes, every cell checked)"
+$BENCH robust
 
 echo "== serve smoke (DSM-backed services under load; same-seed rerun must be bit-identical)"
 $BENCH serve --fast --out target/serve_fast.json
