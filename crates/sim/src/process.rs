@@ -25,14 +25,16 @@
 //! A stack is a mapping of its own, not from the global allocator: a guard
 //! page (running off the end is a bare `SIGSEGV`), then [`STACK_BYTES`] with
 //! the [`Start`] record at the top and the first `switch`'s frame below it
-//! (DESIGN §17). [`entry`] runs exactly once per stack: it drops the body and
-//! any panic payload, posts the final yield, switches out and is never
-//! resumed. A `SimProcess` dropped before that sets `kernel_gone` and
-//! switches in: a parked `request` raises the quiet [`KernelShutdown`] panic
-//! for `entry` to catch, a body never started is dropped uncalled.
+//! (DESIGN §17). Mappings come from a per-thread LIFO pool of at most
+//! `POOL_CAP` (module `stacks`), so a spawn after a drop costs no system
+//! call. [`entry`] runs exactly once per spawn: it drops the body and any
+//! panic payload, posts the final yield, switches out and is never resumed.
+//! A `SimProcess` dropped before that sets `kernel_gone` and switches in: a
+//! parked `request` raises the quiet [`KernelShutdown`] panic for `entry` to
+//! catch, a body never started is dropped uncalled. Then the stack goes back
+//! to the pool, or is unmapped if the pool is full or already destroyed.
 
 use std::arch::naked_asm;
-use std::ffi::{c_int, c_void};
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 
@@ -62,17 +64,106 @@ pub enum Yielded<Req> {
 const STACK_BYTES: usize = 2 << 20;
 /// The inaccessible page below a stack (x86-64 pages are 4 KiB).
 const GUARD_BYTES: usize = 4096;
-/// `MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK`, Linux values.
-const MAP_FLAGS: c_int = 0x2 | 0x20 | 0x4000 | 0x2_0000;
-const PROT_NONE: c_int = 0;
-const PROT_READ_WRITE: c_int = 1 | 2;
 
-// std already links libc, so no new dependency. `mmap`'s arguments are
-// (addr, length, prot, flags, fd, offset).
-extern "C" {
-    fn mmap(_: *mut c_void, _: usize, _: c_int, _: c_int, _: c_int, _: i64) -> *mut c_void;
-    fn mprotect(addr: *mut c_void, length: usize, prot: c_int) -> c_int;
-    fn munmap(addr: *mut c_void, length: usize) -> c_int;
+/// Where process stacks come from and go back to: a per-thread LIFO pool of
+/// whole mappings. The only code in the workspace that maps memory.
+mod stacks {
+    use super::{GUARD_BYTES, STACK_BYTES};
+    use std::cell::RefCell;
+    use std::ffi::{c_int, c_void};
+    use std::ptr;
+
+    /// One mapping: the guard page, then the stack.
+    pub(super) const MAP_BYTES: usize = GUARD_BYTES + STACK_BYTES;
+    /// Most mappings a thread keeps: the widest cell any workload runs
+    /// (64 nodes). The cap bounds the resident memory of idle stacks to the
+    /// pages 64 bodies touched, so nothing is `madvise`d away.
+    pub(super) const POOL_CAP: usize = 64;
+    /// `MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK`, Linux values.
+    const MAP_FLAGS: c_int = 0x2 | 0x20 | 0x4000 | 0x2_0000;
+    const PROT_NONE: c_int = 0;
+    const PROT_READ_WRITE: c_int = 1 | 2;
+
+    // std already links libc, so no new dependency. `mmap`'s arguments are
+    // (addr, length, prot, flags, fd, offset).
+    extern "C" {
+        fn mmap(_: *mut c_void, _: usize, _: c_int, _: c_int, _: c_int, _: i64) -> *mut c_void;
+        fn mprotect(addr: *mut c_void, length: usize, prot: c_int) -> c_int;
+        fn munmap(addr: *mut c_void, length: usize) -> c_int;
+    }
+
+    /// Bases of mappings no frame is live on; unmapped at thread exit.
+    struct Pool(Vec<*mut u8>);
+
+    impl Drop for Pool {
+        fn drop(&mut self) {
+            for &base in &self.0 {
+                // SAFETY: every pooled base came from `take` and was given
+                // back with nothing live on it; the pool is its only owner.
+                unsafe { munmap(base.cast(), MAP_BYTES) };
+            }
+        }
+    }
+
+    thread_local! {
+        static POOL: RefCell<Pool> = const { RefCell::new(Pool(Vec::new())) };
+    }
+
+    /// A mapping for a new process: the one given back last on this
+    /// thread, or a fresh one.
+    pub(super) fn take() -> *mut u8 {
+        let pooled = POOL.try_with(|pool| pool.borrow_mut().0.pop());
+        pooled.ok().flatten().unwrap_or_else(map)
+    }
+
+    /// A fresh mapping with its guard page protected.
+    fn map() -> *mut u8 {
+        // SAFETY: a fresh anonymous mapping, placed by the OS, aliases
+        // nothing; its first page, the guard, is not in use yet.
+        unsafe {
+            let map = mmap(
+                ptr::null_mut(),
+                MAP_BYTES,
+                PROT_READ_WRITE,
+                MAP_FLAGS,
+                -1,
+                0,
+            );
+            assert!(map as isize != -1, "cannot map a process stack");
+            let guarded = mprotect(map, GUARD_BYTES, PROT_NONE);
+            assert!(guarded == 0, "cannot protect a process stack's guard page");
+            map.cast()
+        }
+    }
+
+    /// Keep `base` for the next [`take`] on this thread, or unmap it if the
+    /// pool is full or this thread's pool is already destroyed.
+    ///
+    /// # Safety
+    ///
+    /// `base` came from [`take`], no frame on it is live, and nothing
+    /// touches it again.
+    pub(super) unsafe fn give(base: *mut u8) {
+        let kept = POOL.try_with(|pool| {
+            let stacks = &mut pool.borrow_mut().0;
+            let room = stacks.len() < POOL_CAP;
+            if room {
+                stacks.push(base);
+            }
+            room
+        });
+        if !kept.unwrap_or(false) {
+            // SAFETY: the caller's contract; a failed `munmap` would only leak it.
+            unsafe { munmap(base.cast(), MAP_BYTES) };
+        }
+    }
+
+    /// This thread's pooled bases, oldest first; `None` once its pool is
+    /// destroyed.
+    #[cfg(test)]
+    pub(super) fn pooled() -> Option<Vec<*mut u8>> {
+        POOL.try_with(|pool| pool.borrow().0.clone()).ok()
+    }
 }
 
 /// Push the running side's callee-saved registers, store its stack pointer
@@ -202,7 +293,8 @@ where
 /// The kernel-side endpoint of a simulated process. `!Send`: a body that
 /// has started must be resumed on the thread that started it.
 pub struct SimProcess<Req, Resp> {
-    /// The mapping: guard page, then the stack, with `*chan` at its top.
+    /// The mapping from the pool: guard page, then the stack, with `*chan`
+    /// at its top.
     base: *mut u8,
     chan: *mut Chan<Req, Resp>,
     /// True while the process is blocked in `request()` awaiting a resume.
@@ -230,18 +322,13 @@ where
     // the page-aligned end of the mapping.
     let fits = size <= STACK_BYTES / 2 && align <= GUARD_BYTES;
     assert!(fits, "body captures {size} bytes, aligned to {align}");
-    let len = GUARD_BYTES + STACK_BYTES;
-    // SAFETY: a fresh anonymous mapping, placed by the OS, aliases nothing.
-    let map = unsafe { mmap(ptr::null_mut(), len, PROT_READ_WRITE, MAP_FLAGS, -1, 0) };
-    assert!(map as isize != -1, "cannot map a process stack");
-    // SAFETY: the first page of the mapping just made, which nothing uses yet.
-    let guarded = unsafe { mprotect(map, GUARD_BYTES, PROT_NONE) };
-    assert!(guarded == 0, "cannot protect a process stack's guard page");
-    // SAFETY: `size` below the mapping's end is aligned for the record and
-    // 16-byte aligned for the frame under it (asserted above); both lie in
-    // the writable part, far above the guard page.
+    let base = stacks::take();
+    // SAFETY: the mapping is ours alone, fresh or given back with no frame
+    // live on it. `size` below its end is aligned for the record and 16-byte
+    // aligned for the frame under it (asserted above); both lie in the
+    // writable part, far above the guard page.
     let chan = unsafe {
-        let start: *mut Start<Req, Resp, F> = map.byte_add(len - size).cast();
+        let start: *mut Start<Req, Resp, F> = base.add(stacks::MAP_BYTES - size).cast();
         let entry = entry::<Req, Resp, F> as *const () as usize;
         let ret = trampoline as *const () as usize;
         // What the first `switch` pops: r15 r14 r13 r12 rbx rbp, return address.
@@ -258,7 +345,7 @@ where
         &raw mut (*start).chan
     };
     SimProcess {
-        base: map.cast(),
+        base,
         chan,
         awaiting_resume: false,
         finished: false,
@@ -362,11 +449,11 @@ impl<Req, Resp> Drop for SimProcess<Req, Resp> {
             self.next_yield();
         }
         // SAFETY: `entry` has switched out for good, so no frame on the stack
-        // is live and this is the last use of the cell; `base` is the mapping
-        // `spawn_process` made (a failed `munmap` would only leak it).
+        // is live and this is the last use of the cell and of `base`, the
+        // mapping `spawn_process` took.
         unsafe {
             ptr::drop_in_place(self.chan);
-            munmap(self.base.cast(), GUARD_BYTES + STACK_BYTES);
+            stacks::give(self.base);
         }
     }
 }
@@ -592,6 +679,213 @@ mod tests {
             assert_eq!(last[i], i + 3 * TRIPS);
             assert!(matches!(p.resume(0), Yielded::Finished(Ok(()))));
         }
+        // 64 of the 1,024 stacks stay for the next spawns, the rest are gone.
+        assert_eq!(pooled().len(), stacks::POOL_CAP);
+    }
+
+    /// This thread's pooled stacks, oldest first.
+    fn pooled() -> Vec<*mut u8> {
+        stacks::pooled().expect("this thread's pool is alive")
+    }
+
+    /// A process parked on its first request, which was the address of one
+    /// of its body's locals.
+    fn parked_at_local() -> (SimProcess<usize, ()>, usize) {
+        let mut p = spawn_process("where", |port: &ProcessPort<usize, ()>| {
+            let local = 0u8;
+            port.request(&raw const local as usize);
+        });
+        let Yielded::Request(local) = p.next_yield() else {
+            panic!("no first request");
+        };
+        (p, local)
+    }
+
+    #[test]
+    fn a_spawn_after_a_drop_runs_in_the_dropped_mapping() {
+        let (first, first_local) = parked_at_local();
+        let stack = first.base as usize + GUARD_BYTES..first.base as usize + stacks::MAP_BYTES;
+        assert!(stack.contains(&first_local));
+        drop(first);
+        let (second, second_local) = parked_at_local();
+        assert!(
+            stack.contains(&second_local),
+            "{second_local:#x} not in {stack:#x?}"
+        );
+        // Same body, same stack top: the very same frame.
+        assert_eq!(second_local, first_local);
+        drop(second);
+    }
+
+    /// Runs alone in a child process (see
+    /// `running_off_a_reused_stack_hits_the_guard_page`): a body on a
+    /// pooled stack recurses past its end, into a live stack mapped right
+    /// below it, so only the guard page between them can stop it.
+    #[test]
+    #[ignore = "child process of running_off_a_reused_stack_hits_the_guard_page"]
+    fn child_overflows_a_reused_stack() {
+        let mut parked: Vec<_> = (0..8).map(|_| parked_at_local().0).collect();
+        let bases: Vec<usize> = parked.iter().map(|p| p.base as usize).collect();
+        let upper = (0..bases.len())
+            .find(|&i| bases.contains(&(bases[i] - stacks::MAP_BYTES)))
+            .expect("the OS maps stacks top-down, each right below the last");
+        let base = parked[upper].base;
+        drop(parked.swap_remove(upper));
+        let mut deep = spawn_process("deep", |port: &ProcessPort<usize, ()>| {
+            let anchor = 0u8;
+            port.request(recurse_to(&raw const anchor as usize, stacks::MAP_BYTES));
+        });
+        assert_eq!(deep.base, base, "the body did not reuse the dropped stack");
+        let _ = deep.next_yield();
+        // Reached only if the guard page is missing. The stack below is
+        // clobbered: exit before anything resumes it.
+        std::process::exit(0);
+    }
+
+    #[test]
+    fn running_off_a_reused_stack_hits_the_guard_page() {
+        use std::os::unix::process::ExitStatusExt;
+        const SIGSEGV: i32 = 11;
+        let exe = std::env::current_exe().expect("path of this test binary");
+        let child = std::process::Command::new(exe)
+            .args(["--ignored", "--exact"])
+            .arg("process::tests::child_overflows_a_reused_stack")
+            .output()
+            .expect("run the child test");
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        // Not an exit (no fault) and not SIGABRT (a failed assertion, or
+        // std's overflow handler claiming the page as its own).
+        assert_eq!(
+            child.status.signal(),
+            Some(SIGSEGV),
+            "{:?}\n{stderr}",
+            child.status
+        );
+    }
+
+    #[test]
+    fn a_process_dropped_after_its_threads_pool_unmaps_its_stack() {
+        use std::cell::RefCell;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        /// Whether the pool was gone when the parked body unwound.
+        static POOL_GONE: AtomicBool = AtomicBool::new(false);
+        struct Witness;
+        impl Drop for Witness {
+            fn drop(&mut self) {
+                POOL_GONE.store(stacks::pooled().is_none(), Ordering::Relaxed);
+            }
+        }
+        thread_local! {
+            static PARKED: RefCell<Option<SimProcess<u8, u8>>> = const { RefCell::new(None) };
+        }
+        std::thread::spawn(|| {
+            // Thread-locals are destroyed in reverse order of first use:
+            // touching the slot before the first spawn makes the pool go first.
+            PARKED.with(|_| {});
+            let mut p = spawn_process("parked", |port: &ProcessPort<u8, u8>| {
+                let _witness = Witness;
+                port.request(0);
+            });
+            assert!(matches!(p.next_yield(), Yielded::Request(0)));
+            PARKED.with(|slot| *slot.borrow_mut() = Some(p));
+        })
+        .join()
+        .expect("the thread exits cleanly");
+        assert!(POOL_GONE.load(Ordering::Relaxed));
+    }
+
+    /// One step of [`the_pool_matches_a_model`].
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// Spawn a process and run it to its first request.
+        Spawn,
+        /// Resume the `n`th live process (modulo the live count) so that it
+        /// returns, or panics, then drop it.
+        Finish(usize),
+        Panic(usize),
+        /// Drop the `n`th live process while it is parked.
+        DropParked(usize),
+    }
+
+    #[test]
+    fn the_pool_matches_a_model() {
+        svm_testkit::check(
+            "the_pool_matches_a_model",
+            |src| {
+                // Spawns outnumber the rest, so long cases end with more
+                // than `POOL_CAP` live processes for the teardown.
+                src.vec(1..400, |s| {
+                    let n = s.usize_in(0..1 << 16);
+                    match s.below(10) {
+                        0..=5 => Op::Spawn,
+                        6 | 7 => Op::Finish(n),
+                        8 => Op::Panic(n),
+                        _ => Op::DropParked(n),
+                    }
+                })
+            },
+            |ops| {
+                let held = Rc::new(());
+                // The model: the pool as a LIFO of bases, starting from what
+                // earlier cases on this thread left in it.
+                let mut model = pooled();
+                let give_back = |model: &mut Vec<*mut u8>, p: SimProcess<usize, bool>| {
+                    if model.len() < stacks::POOL_CAP {
+                        model.push(p.base);
+                    }
+                    drop(p);
+                };
+                let mut live: Vec<(SimProcess<usize, bool>, usize)> = Vec::new();
+                for (id, &op) in ops.iter().enumerate() {
+                    match op {
+                        Op::Spawn => {
+                            let captured = held.clone();
+                            let mut p =
+                                spawn_process("model", move |port: &ProcessPort<usize, bool>| {
+                                    let _captured = captured;
+                                    assert!(port.request(id), "process {id} panics");
+                                });
+                            match model.pop() {
+                                Some(base) => {
+                                    assert_eq!(p.base, base, "not the last one given back")
+                                }
+                                None => assert!(live.iter().all(|(q, _)| q.base != p.base)),
+                            }
+                            assert!(matches!(p.next_yield(), Yielded::Request(r) if r == id));
+                            live.push((p, id));
+                        }
+                        Op::Finish(n) | Op::Panic(n) | Op::DropParked(n) => {
+                            if live.is_empty() {
+                                continue;
+                            }
+                            let (mut p, pid) = live.swap_remove(n % live.len());
+                            match op {
+                                Op::Finish(_) => {
+                                    assert!(matches!(p.resume(true), Yielded::Finished(Ok(()))));
+                                }
+                                Op::Panic(_) => assert!(matches!(
+                                    p.resume(false),
+                                    Yielded::Finished(Err(msg)) if msg == format!("process {pid} panics")
+                                )),
+                                _ => {}
+                            }
+                            give_back(&mut model, p);
+                        }
+                    }
+                    assert_eq!(pooled(), model);
+                    for (p, _) in &live {
+                        assert!(!model.contains(&p.base), "a live stack is pooled");
+                    }
+                }
+                // Past the cap, a dropped process's stack is unmapped.
+                while let Some((p, _)) = live.pop() {
+                    give_back(&mut model, p);
+                    assert_eq!(pooled(), model);
+                }
+                // Every body, finished or unwound, dropped what it captured.
+                assert_eq!(Rc::strong_count(&held), 1);
+            },
+        );
     }
 
     /// Recurse until the stack is `bytes` below `base`; returns the depth in bytes.

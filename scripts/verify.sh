@@ -57,6 +57,17 @@ if [[ "$(grep -rn 'self\.cfg\.mutation' crates/core/src/protocol --include='*.rs
   exit 1
 fi
 
+# Process stacks come from one per-thread pool (DESIGN §17), and nothing else
+# maps memory: a call outside `mod stacks` in process.rs brings back a system
+# call per spawn, or a mapping the pool does not know about.
+echo "== mmap/mprotect/munmap only in the stack pool"
+if grep -rnE '\b(mmap|mprotect|munmap)\(' crates --include='*.rs' | grep -v '^crates/sim/src/process.rs:' ||
+  awk '/^mod stacks \{/ { pool = 1 } !pool && /(^|[^A-Za-z_])(mmap|mprotect|munmap)\(/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+    pool && /^\}/ { pool = 0 } END { exit !hit }' crates/sim/src/process.rs; then
+  echo "mmap/mprotect/munmap called outside the stack pool (above): take and give stacks through process.rs's mod stacks" >&2
+  exit 1
+fi
+
 echo "== formatting (cargo fmt --check)"
 cargo fmt --check
 
