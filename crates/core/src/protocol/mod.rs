@@ -151,6 +151,20 @@ impl ProtocolError {
             ProtocolError::LostInterval { writer, .. } => *writer,
         }
     }
+
+    /// Recovery's contract (DESIGN §14): after a crash a run finishes, or
+    /// halts with one of these, each naming something only the dead node
+    /// held. Any other error, or a halt the machine calls itself
+    /// (`svm_machine::Halt`), breaks it.
+    pub fn is_declared_degradation(&self) -> bool {
+        matches!(
+            self,
+            ProtocolError::UnrecoverablePage { .. }
+                | ProtocolError::UnrecoverableDiffs { .. }
+                | ProtocolError::LostInterval { .. }
+                | ProtocolError::PeerUnreachable { .. }
+        )
+    }
 }
 
 impl std::fmt::Display for ProtocolError {

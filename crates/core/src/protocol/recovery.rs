@@ -863,7 +863,13 @@ impl SvmAgent {
                     );
                     return;
                 }
-                *self.repaired_tail(l) = first;
+                // Re-point the tail only where it names the dead node or
+                // an orphan re-driven below, as `reattach` does: requests
+                // queued behind `first` may already have moved it on.
+                let tail = self.repaired_tail(l);
+                if *tail == dead || orphans.iter().any(|(w, _)| *w == *tail) {
+                    *tail = first;
+                }
                 let mut records = self.records_union_for(&first_vt);
                 if self.seeded_bug(BugSite::DeadLockGrant) {
                     records.clear();

@@ -242,19 +242,12 @@ fn homeless_graceful_terminates_cleanly_or_structured() {
             vec![NodeId(VICTIM as u16)],
             "{protocol}: the victim must be declared dead"
         );
-        if !report.errors.is_empty() {
-            // Degraded, not broken: every error is a recovery-shaped one.
-            for e in &report.errors {
-                assert!(
-                    matches!(
-                        e,
-                        ProtocolError::UnrecoverablePage { .. }
-                            | ProtocolError::UnrecoverableDiffs { .. }
-                            | ProtocolError::PeerUnreachable { .. }
-                    ),
-                    "{protocol}: unexpected error shape {e:?}"
-                );
-            }
+        // Degraded, not broken: every error is a declared degradation.
+        for e in &report.errors {
+            assert!(
+                e.is_declared_degradation(),
+                "{protocol}: unexpected error shape {e:?}"
+            );
         }
     }
 }

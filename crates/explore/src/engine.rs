@@ -29,8 +29,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use svm_core::{ProtocolError, RunReport, SvmAgent, SvmConfig};
-use svm_machine::{AppPhase, ExploreStep, World};
+use svm_core::{RunReport, SvmAgent, SvmConfig};
+use svm_machine::{AppPhase, ExploreStep, Halt, World};
 
 use crate::program::{run_program, Program};
 use crate::schedule::Action;
@@ -158,46 +158,23 @@ fn action_dest(a: Action) -> Option<u16> {
     }
 }
 
-/// The errors a halted run demonstrates, with *honest degradation*
-/// filtered out: when the explored path crash-stopped a node, graceful
-/// recovery is documented to end the run with a structured error for
-/// dependencies only the dead node could satisfy (its sole page copy, its
-/// homeless diff store, its reachability). Those are correct declared
-/// outcomes, not violations — the safety properties (no lost
+/// The errors a halted run demonstrates, each halt once: every halt the
+/// machine called itself, and every protocol error except, when the
+/// explored path crash-stopped a node, a declared degradation
+/// ([`svm_core::ProtocolError::is_declared_degradation`]) — a correct
+/// outcome, not a violation. The safety properties (no lost
 /// release-protected write, coherence) are still enforced by the per-state
 /// invariants and the trace checker on the paths that *do* survive.
 fn effective_errors(run: &RunReport, crashed: bool) -> Vec<String> {
-    let benign = |e: &ProtocolError| {
-        crashed
-            && matches!(
-                e,
-                ProtocolError::UnrecoverablePage { .. }
-                    | ProtocolError::UnrecoverableDiffs { .. }
-                    | ProtocolError::LostInterval { .. }
-                    | ProtocolError::PeerUnreachable { .. }
-            )
-    };
-    // A protocol error's machine-level mirror carries the identical
-    // rendered message (`SvmAgent::protocol_error` fails the machine with
-    // `err.to_string()`), which is how the two lists are reconciled.
-    let benign_texts: Vec<String> = run
+    let machine = run.outcome.errors.iter().filter(|e| e.cause != Halt::Agent);
+    let protocol = run
         .errors
         .iter()
-        .filter(|e| benign(e))
-        .map(|e| e.to_string())
-        .collect();
-    let mut out = Vec::new();
-    for e in &run.outcome.errors {
-        if !benign_texts.contains(&e.what) {
-            out.push(format!("machine error: {e}"));
-        }
-    }
-    for e in &run.errors {
-        if !benign(e) {
-            out.push(format!("protocol error: {e:?}"));
-        }
-    }
-    out
+        .filter(|e| !(crashed && e.is_declared_degradation()));
+    machine
+        .map(|e| format!("machine error: {e}"))
+        .chain(protocol.map(|e| format!("protocol error: {e:?}")))
+        .collect()
 }
 
 /// The one post-run oracle: the violations a finished run demonstrates —

@@ -41,8 +41,8 @@ pub mod types;
 pub use accounting::{Breakdown, Category};
 pub use cost::CostModel;
 pub use machine::{
-    Agent, AppPhase, AppRequest, AppResponse, Ctx, ExploreStep, HeldDelivery, Machine, RunError,
-    RunOutcome, World,
+    Agent, AppPhase, AppRequest, AppResponse, Ctx, ExploreStep, Halt, HeldDelivery, Machine,
+    RunError, RunOutcome, World,
 };
 pub use netfault::{FaultPlan, NetFaultConfig, NetFaultStats};
 pub use nodefault::{CrashSpec, NodeFaultConfig, NodeFaultPlan, NodeFaultStats};

@@ -308,6 +308,19 @@ pub struct RunError {
     pub at: SimTime,
     /// Human-readable description.
     pub what: String,
+    /// Who halted the run.
+    pub cause: Halt,
+}
+
+/// Who halted a run: the agent, or one of the machine's crash-plan nets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Halt {
+    /// The agent, through [`Ctx::fail`].
+    Agent,
+    /// No application made progress for a full watchdog window.
+    Watchdog,
+    /// The event queue drained after a crash with applications still live.
+    Deadlock,
 }
 
 impl std::fmt::Display for RunError {
@@ -595,6 +608,7 @@ impl<A: Agent> World<A> {
                         "deadlock after node crash: event queue empty with live applications ({})",
                         stuck.join("; ")
                     ),
+                    cause: Halt::Deadlock,
                 });
             } else {
                 assert!(
@@ -856,6 +870,7 @@ impl<A: Agent> World<A> {
                         .collect::<Vec<_>>()
                         .join(", ")
                 ),
+                cause: Halt::Watchdog,
             });
             self.machine.halted = true;
             return;
@@ -1308,6 +1323,7 @@ impl<'a, A: Agent> Ctx<'a, A> {
             node,
             at: self.now(),
             what: what.into(),
+            cause: Halt::Agent,
         });
         self.machine.halted = true;
     }

@@ -4,7 +4,8 @@
 //! the failing node and the virtual time, never a panic and never a hang.
 
 use svm_machine::{
-    Agent, AppRequest, AppResponse, CostModel, Ctx, Message, NodeId, ProcAddr, TrafficClass, World,
+    Agent, AppRequest, AppResponse, CostModel, Ctx, Halt, Message, NodeId, ProcAddr, TrafficClass,
+    World,
 };
 use svm_sim::process::ProcessPort;
 use svm_sim::SimDuration;
@@ -123,6 +124,7 @@ fn fail_is_a_structured_error_with_node_and_time() {
     assert_eq!(outcome.errors.len(), 1, "exactly one structured error");
     let err = &outcome.errors[0];
     assert_eq!(err.node, NodeId(0));
+    assert_eq!(err.cause, Halt::Agent);
     assert!(err.what.contains("synthetic failure"));
     let at_us = err.at.as_nanos() / 1_000;
     assert!(

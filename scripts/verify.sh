@@ -5,10 +5,11 @@
 #
 # Usage: verify.sh [--fast]
 #   --fast skips the example runs, the standalone benchmark crate
-#   build and lint, and the regeneration of nine results/*_s025.txt
-#   tables, the serve matrix and the two node-count probes, but always
-#   keeps the workspace clippy, the exploration gate and the robustness
-#   matrix — the cheap gates that catch whole bug classes.
+#   build and lint, the regeneration of nine results/*_s025.txt tables,
+#   the serve matrix and the two node-count probes, and the robustness
+#   matrix's seed sweeps, but always keeps the workspace clippy, the
+#   exploration gate and the default robustness matrix — the cheap gates
+#   that catch whole bug classes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +66,17 @@ if grep -rnE '\b(mmap|mprotect|munmap)\(' crates --include='*.rs' | grep -v '^cr
   awk '/^mod stacks \{/ { pool = 1 } !pool && /(^|[^A-Za-z_])(mmap|mprotect|munmap)\(/ { print FILENAME ":" FNR ": " $0; hit = 1 }
     pool && /^\}/ { pool = 0 } END { exit !hit }' crates/sim/src/process.rs; then
   echo "mmap/mprotect/munmap called outside the stack pool (above): take and give stacks through process.rs's mod stacks" >&2
+  exit 1
+fi
+
+# Recovery's contract is stated once (DESIGN §14): the declared halts are
+# `ProtocolError::is_declared_degradation`, and who halted a run is
+# `RunError::cause`. Matching the machine's halt text, or a second list of
+# the declared kinds, is a second contract that drifts from the first.
+echo "== one recovery contract: no halt text outside svm-machine, one list of declared kinds"
+if grep -rnE '"(progress watchdog|deadlock after)' crates | grep -v '^crates/machine/src/' ||
+  grep -rnF 'UnrecoverableDiffs { .. }' crates | grep -v '^crates/core/src/protocol/mod.rs:'; then
+  echo "a halt is read by its text, or the declared kinds are listed again (above): ask RunError::cause or ProtocolError::is_declared_degradation" >&2
   exit 1
 fi
 
@@ -143,6 +155,22 @@ fi
 # svm-checker coherence, one replay, then the seeded-bug battery.
 echo "== robustness matrix (network faults and seeded node crashes, every cell checked)"
 $BENCH robust
+
+if [[ "$FAST" -eq 0 ]]; then
+  # The crash regimes at every seed 1..16, on 4 and on 8 nodes (~5 s and
+  # ~6 s on 2 vCPUs): the default's two schedules are a sample, this is
+  # the sweep the recovery contract is held to. Summary lines only, unless
+  # a cell fails.
+  echo "== robustness matrix, crash seeds 1..16 on 4 and 8 nodes"
+  for nodes in 4 8; do
+    if ! $BENCH robust --nodes "$nodes" --seeds "$(seq -s, 1 16)" >"target/robust_n$nodes.txt" 2>&1; then
+      cat "target/robust_n$nodes.txt"
+      exit 1
+    fi
+    echo "-- $nodes nodes"
+    grep -E '^(halted|coherent)' "target/robust_n$nodes.txt"
+  done
+fi
 
 echo "== serve smoke (DSM-backed services under load; same-seed rerun must be bit-identical)"
 $BENCH serve --fast --out target/serve_fast.json
