@@ -124,7 +124,7 @@ impl WaterSp {
         for _ in 0..self.steps {
             let mut force = vec![0.0f64; 3 * n];
             for c in 0..lists.len() {
-                for &m in &sorted(&lists[c]) {
+                for &m in &lists[c] {
                     let f = molecule_force(m as usize, c, &pos, &lists);
                     force[3 * m as usize..3 * m as usize + 3].copy_from_slice(&f);
                 }
@@ -171,15 +171,10 @@ fn cell_coords(c: usize) -> (usize, usize, usize) {
     (c / (GRID * GRID), (c / GRID) % GRID, c % GRID)
 }
 
-/// Ascending copy of a membership list (canonical order for arithmetic).
-fn sorted(l: &[u32]) -> Vec<u32> {
-    let mut v = l.to_vec();
-    v.sort_unstable();
-    v
-}
-
 /// Force on molecule `m` in cell `c` from all neighbour-cell molecules,
-/// accumulated in canonical (cell, sorted-member) order. `pos` is indexed
+/// accumulated in canonical (cell, sorted-member) order. Every list is
+/// already ascending: the sequential reference appends molecules in index
+/// order and the parallel body sorts each list it reads. `pos` is indexed
 /// `3*m..3*m+3`.
 fn molecule_force(m: usize, c: usize, pos: &[f64], lists: &[Vec<u32>]) -> [f64; 3] {
     let (cx, cy, cz) = cell_coords(c);
@@ -188,7 +183,9 @@ fn molecule_force(m: usize, c: usize, pos: &[f64], lists: &[Vec<u32>]) -> [f64; 
         for dy in [GRID - 1, 0, 1] {
             for dz in [GRID - 1, 0, 1] {
                 let nc = (((cx + dx) % GRID) * GRID + ((cy + dy) % GRID)) * GRID + (cz + dz) % GRID;
-                for &j in &sorted(&lists[nc]) {
+                let list = &lists[nc];
+                debug_assert!(list.is_sorted(), "cell {nc}'s list is not ascending");
+                for &j in list {
                     let j = j as usize;
                     if j == m {
                         continue;
@@ -366,7 +363,7 @@ impl Benchmark for WaterSp {
                 let mut updates: Vec<Update> = Vec::new();
                 let mut processed = 0u64;
                 for &c in &mine {
-                    for &m in &local_lists[c].clone() {
+                    for &m in &local_lists[c] {
                         let f = molecule_force(m as usize, c, &local_pos, &local_lists);
                         let mi = m as usize;
                         let mut v = [0.0f64; 3];

@@ -22,8 +22,9 @@ pub struct IntervalRec {
     pub writer: NodeId,
     /// The writer's interval index.
     pub interval: u32,
-    /// The writer's vector time at the interval's end.
-    pub vt: VectorTime,
+    /// The writer's vector time at the interval's end, shared with the
+    /// interval's stored diffs.
+    pub vt: Rc<VectorTime>,
     /// Pages dirtied during the interval.
     pub pages: Vec<PageNum>,
 }
@@ -237,8 +238,9 @@ pub enum SvmMsg {
     DiffTask {
         /// The interval that closed.
         interval: u32,
-        /// The interval's vector time (homeless runs need it for the store).
-        vt: VectorTime,
+        /// The interval's vector time (homeless runs need it for the store),
+        /// shared with the interval's write-notice record.
+        vt: Rc<VectorTime>,
         /// `(page, frozen diff)` work items.
         items: Vec<(PageNum, Diff)>,
     },
@@ -334,7 +336,7 @@ mod tests {
         Rc::new(IntervalRec {
             writer: NodeId(0),
             interval: 1,
-            vt: VectorTime::zero(nodes),
+            vt: Rc::new(VectorTime::zero(nodes)),
             pages: (0..pages as u32).map(PageNum).collect(),
         })
     }

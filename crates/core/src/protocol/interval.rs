@@ -29,16 +29,18 @@ impl SvmAgent {
         let interval = self.nodes_st[idx].vt.bump(n);
         self.counters[idx].intervals += 1;
         let dirty = std::mem::take(&mut self.nodes_st[idx].dirty);
-        let rec_vt = if self.homeless() {
+        // One clock for the interval: the record, every diff it stores, the
+        // co-processor's task and the packets built from the store alias it.
+        let vt = Rc::new(if self.homeless() {
             self.nodes_st[idx].vt.clone()
         } else {
             VectorTime::zero(0) // home-based write notices carry no vector
-        };
+        });
         let rec = Rc::new(IntervalRec {
             writer: n,
             interval,
-            vt: rec_vt.clone(),
-            pages: dirty.clone(),
+            vt: Rc::clone(&vt),
+            pages: dirty,
         });
         if self.cfg.trace.debug_log {
             eprintln!(
@@ -50,8 +52,8 @@ impl SvmAgent {
             self.counters[idx].mem.notices(rec.bytes() as i64);
             self.nodes_st[idx].log.insert(&rec);
         }
-        if let Some(rec) = &mut self.recording {
-            rec.interval_end(n, interval, &self.nodes_st[idx].vt, ctx.now(), &dirty);
+        if let Some(recording) = &mut self.recording {
+            recording.interval_end(n, interval, &self.nodes_st[idx].vt, ctx.now(), &rec.pages);
         }
 
         let overlapped = self.overlapped();
@@ -59,11 +61,8 @@ impl SvmAgent {
         let auto_update = self.cfg.protocol.auto_update();
         let ps = self.page_size();
         let mut task_items: Vec<(PageNum, Diff)> = Vec::new();
-        // One shared clock for every diff this interval stores: the store
-        // and the packets built from it alias it instead of cloning.
-        let stored_vt = Rc::new(rec_vt.clone());
 
-        for p in dirty {
+        for &p in &rec.pages {
             // Write-protect the page so the next write re-twins, and
             // downgrade the application's cached mapping to match.
             let protect = ctx.cost().page_protect;
@@ -128,7 +127,7 @@ impl SvmAgent {
                 Rc::new(Diff::create(&twin, cur))
             };
             svm_mem::pool::put_bytes(twin);
-            self.finish_diff(ctx, n, p, interval, &stored_vt, diff);
+            self.finish_diff(ctx, n, p, interval, &vt, diff);
         }
 
         if !task_items.is_empty() {
@@ -140,7 +139,7 @@ impl SvmAgent {
                 ProcKind::CoProc,
                 crate::protocol::reliable::Wire::Plain(SvmMsg::DiffTask {
                     interval,
-                    vt: rec_vt,
+                    vt,
                     items: task_items,
                 }),
             );
@@ -223,12 +222,11 @@ impl SvmAgent {
         ctx: &mut MCtx<'_>,
         n: NodeId,
         interval: u32,
-        vt: VectorTime,
+        vt: Rc<VectorTime>,
         items: Vec<(PageNum, Diff)>,
     ) {
         let idx = n.index();
         let ps = self.page_size();
-        let vt = Rc::new(vt);
         for (p, diff) in items {
             let create = ctx.cost().diff_create(ps);
             ctx.work(create, Category::Protocol);

@@ -415,7 +415,7 @@ mod tests {
         Rc::new(IntervalRec {
             writer: NodeId(writer),
             interval,
-            vt: VectorTime::zero(0),
+            vt: Rc::new(VectorTime::zero(0)),
             pages: vec![PageNum(interval)],
         })
     }

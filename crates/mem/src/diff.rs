@@ -8,10 +8,25 @@
 //! them (paper Section 2.3).
 //!
 //! Storage is flattened: one contiguous payload buffer plus a small index of
-//! `(offset, len)` run descriptors, instead of one `Vec<u8>` per run. Real
-//! diffs average ~20 runs, so the flat form turns ~21 allocations per diff
-//! into at most two — and zero once the buffers cycle through the
-//! thread-local [`pool`](crate::pool) via [`Diff::recycle`].
+//! `(offset, len)` run descriptors, instead of one `Vec<u8>` per run, so a
+//! diff costs at most two allocations whatever its run count — and zero once
+//! the buffers cycle through the thread-local [`pool`](crate::pool) via
+//! [`Diff::recycle`].
+//!
+//! Diff shapes split by application class. Shares of the diffs created in
+//! each workload of `benchmark/` (8 KB pages, seed 1), by run count, with
+//! the mean runs and payload bytes per diff in brackets:
+//!
+//! | workload   | 0 runs | 1–2 runs             | 3–16 runs         | 17–128 runs       | > 128 runs                |
+//! |------------|-------:|----------------------|-------------------|-------------------|---------------------------|
+//! | `serve8`   | 0 %    | 99.5 % (1.3; 8 B)    | 0.5 % (3.5; 27 B) | 0 %               | 0 %                       |
+//! | `kernels8` | 2.6 %  | 48.2 % (1.3; 1156 B) | 17.8 % (5.5; 464) | 1.6 % (69; 1005)  | 29.9 % (472; 3754 B)      |
+//! | `robust8`  | 6.1 %  | 66.4 % (1.2; 67 B)   | 18.2 % (5.4; 315) | 4.1 % (52; 485)   | 5.2 % (337; 2693 B)       |
+//! | `splash64` | 5.1 %  | 25.2 % (1.3; 76 B)   | 20.3 % (3.5; 39)  | 49.3 % (31; 248)  | 0 %                       |
+//!
+//! The > 128-run diffs are red-black SOR's pages: an 8-byte run every 16
+//! bytes. [`Diff::create`] has to serve every column, so its host cost
+//! follows the changed words, not the page size.
 
 use crate::pool;
 
@@ -73,8 +88,132 @@ fn put_runs(mut v: Vec<RunRef>) {
     });
 }
 
+/// Bytes in one block step: eight u64s.
+const BLOCK_BYTES: usize = 64;
+/// Words in one block step.
+const BLOCK_WORDS: usize = BLOCK_BYTES / DIFF_WORD;
+/// Unchanged words a search for a change passes before block steps.
+const BLOCK_AFTER_GAP: usize = 4;
+/// Changed words a run reaches before it grows by block steps.
+const BLOCK_AFTER_RUN: usize = 16;
+
+/// The XOR of the u64 at byte `b` of `twin` and of `current`. Little-endian
+/// loads put the word at `b` in the low half on every host.
+#[inline(always)]
+fn xor_u64(twin: &[u8], current: &[u8], b: usize) -> u64 {
+    let t = u64::from_le_bytes(twin[b..b + 8].try_into().expect("8-byte chunk"));
+    let c = u64::from_le_bytes(current[b..b + 8].try_into().expect("8-byte chunk"));
+    t ^ c
+}
+
+/// Is every word of a 64-byte block changed (`CHANGED`) or unchanged (not
+/// `CHANGED`) from `t` (twin) to `c` (current)? Branch-free folds over
+/// fixed-size arrays, so LLVM vectorises both.
+#[inline(always)]
+fn block_is<const CHANGED: bool>(t: &[u8], c: &[u8]) -> bool {
+    let t: &[u8; BLOCK_BYTES] = t.try_into().expect("64-byte block");
+    let c: &[u8; BLOCK_BYTES] = c.try_into().expect("64-byte block");
+    if CHANGED {
+        (0..BLOCK_WORDS).fold(true, |all, i| all & (xor_word(t, c, i) != 0))
+    } else {
+        (0..BLOCK_BYTES)
+            .step_by(8)
+            .fold(0, |acc, i| acc | xor_u64(t, c, i))
+            == 0
+    }
+}
+
+/// The XOR of word `w` of `twin` and of `current`.
+#[inline(always)]
+fn xor_word(twin: &[u8], current: &[u8], w: usize) -> u32 {
+    let b = w * DIFF_WORD;
+    let t = u32::from_le_bytes(twin[b..b + 4].try_into().expect("4-byte word"));
+    let c = u32::from_le_bytes(current[b..b + 4].try_into().expect("4-byte word"));
+    t ^ c
+}
+
+/// The first word at or after `w` whose changed-ness differs from
+/// `CHANGED`, or the page's word count if none does: with `CHANGED` false
+/// the next changed word, with `CHANGED` true the end of the run at `w`.
+#[inline(always)]
+fn scan<const CHANGED: bool>(twin: &[u8], current: &[u8], mut w: usize) -> usize {
+    let words = twin.len() / DIFF_WORD;
+    // Does a word whose XOR is `x` end the search?
+    let stops = |x: u64| (x != 0) != CHANGED;
+    // The stop among words `w` and `w + 1`, if there is one.
+    let pair = |w: usize| {
+        let x = xor_u64(twin, current, w * DIFF_WORD);
+        if stops(x & 0xFFFF_FFFF) {
+            Some(w)
+        } else if stops(x >> 32) {
+            Some(w + 1)
+        } else {
+            None
+        }
+    };
+    let threshold = if CHANGED {
+        BLOCK_AFTER_RUN
+    } else {
+        BLOCK_AFTER_GAP
+    };
+    let block_from = w + threshold;
+    while w + 1 < words && w < block_from {
+        if let Some(stop) = pair(w) {
+            return stop;
+        }
+        w += 2;
+    }
+    let b = w * DIFF_WORD;
+    let blocks = twin[b..]
+        .chunks_exact(BLOCK_BYTES)
+        .zip(current[b..].chunks_exact(BLOCK_BYTES));
+    let whole = blocks
+        .take_while(|(t, c)| block_is::<CHANGED>(t, c))
+        .count();
+    w += whole * BLOCK_WORDS;
+    // The stop is in the block that failed, or in the page's tail.
+    while w + 1 < words {
+        if let Some(stop) = pair(w) {
+            return stop;
+        }
+        w += 2;
+    }
+    if w + 1 == words && !stops(u64::from(xor_word(twin, current, w))) {
+        w += 1;
+    }
+    w
+}
+
 impl Diff {
     /// Compute the diff of `current` against `twin` at word granularity.
+    ///
+    /// Host cost follows the changed words, not the page size. The scan
+    /// alternates two searches: for the next changed word, and for the end
+    /// of the run that word starts. Each search reads two words per step
+    /// (one u64 XOR classifies both) until it has passed [`BLOCK_AFTER_GAP`]
+    /// unchanged or [`BLOCK_AFTER_RUN`] changed words, then a 64-byte block
+    /// per step while the block is all unchanged (the OR of eight XORs is
+    /// zero) or all changed (every word's XOR is nonzero), then pair steps
+    /// again through the block that broke the pattern, which holds the
+    /// search's end, or through the page's tail. Cost model, per page:
+    ///
+    /// - one pair step per two words of a gap shorter than 4 words or a run
+    ///   shorter than 16, so red-black SOR's 2-changed-2-unchanged pages
+    ///   never take a block step (a failed block check costs more than the
+    ///   pair steps it would replace);
+    /// - in longer gaps and runs, 2–8 pair steps to reach the threshold,
+    ///   one block step per 16 words, and at most 8 pair steps through the
+    ///   last block;
+    /// - plus the copy of the changed bytes into the payload.
+    ///
+    /// Measured unit costs per page shape are in EXPERIMENTS.md, "Diffs cost
+    /// what changed". The virtual-time charge is separate and unchanged:
+    /// the cost model's per-byte scan of the whole page
+    /// (`CostModel::diff_create`, paper Table 3).
+    ///
+    /// The runs are exactly those of a word-at-a-time scan at every page
+    /// length, including lengths that are not a multiple of 64 bytes
+    /// (`tests/diff_equivalence.rs`).
     ///
     /// # Panics
     ///
@@ -84,68 +223,19 @@ impl Diff {
         assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
         assert_eq!(twin.len() % DIFF_WORD, 0, "page size must be word-multiple");
         let words = twin.len() / DIFF_WORD;
-        // Hot path: this runs once per twin at every release/flush. Scan
-        // two words per step via u64 loads (XOR + halves test classifies
-        // both words at once) and reuse pooled buffers — real diffs are
-        // a handful of runs. The runs produced are exactly those of the
-        // word-at-a-time scan (pinned by chunk_equivalence tests).
+        // Hot path: this runs once per twin at every release/flush, and
+        // reuses pooled buffers.
         let mut runs = take_runs();
         runs.reserve(8);
         let mut data = pool::take_bytes();
-
-        // Do 32-bit words `w` and `w+1` differ? Little-endian load order
-        // puts word `w` in the low half regardless of host endianness.
-        #[inline]
-        fn chunk(twin: &[u8], current: &[u8], w: usize) -> (bool, bool) {
-            let b = w * DIFF_WORD;
-            let t = u64::from_le_bytes(twin[b..b + 8].try_into().expect("8-byte chunk"));
-            let c = u64::from_le_bytes(current[b..b + 8].try_into().expect("8-byte chunk"));
-            let x = t ^ c;
-            (x & 0xFFFF_FFFF != 0, x >> 32 != 0)
-        }
-        #[inline]
-        fn word_differs(twin: &[u8], current: &[u8], w: usize) -> bool {
-            let b = w * DIFF_WORD;
-            twin[b..b + DIFF_WORD] != current[b..b + DIFF_WORD]
-        }
-
         let mut w = 0;
         loop {
-            // Skip equal words, two at a time, until `w` differs.
-            while w + 1 < words {
-                let (lo, hi) = chunk(twin, current, w);
-                if lo {
-                    break;
-                }
-                if hi {
-                    w += 1;
-                    break;
-                }
-                w += 2;
-            }
-            if w + 1 == words && !word_differs(twin, current, w) {
-                w += 1;
-            }
-            if w >= words {
+            w = scan::<false>(twin, current, w);
+            if w == words {
                 break;
             }
-            // `w` differs: extend the run through consecutive differing
-            // words, again two at a time.
             let start = w;
-            while w + 1 < words {
-                let (lo, hi) = chunk(twin, current, w);
-                if !lo {
-                    break;
-                }
-                if !hi {
-                    w += 1;
-                    break;
-                }
-                w += 2;
-            }
-            if w + 1 == words && word_differs(twin, current, w) {
-                w += 1;
-            }
+            w = scan::<true>(twin, current, w);
             let bytes = &current[start * DIFF_WORD..w * DIFF_WORD];
             runs.push(RunRef {
                 offset: (start * DIFF_WORD) as u32,

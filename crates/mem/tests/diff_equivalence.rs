@@ -1,7 +1,9 @@
-//! The u64-chunk rewrite of `Diff::create` must be *byte-identical* to the
+//! The block-stepping `Diff::create` must be *byte-identical* to the
 //! original word-at-a-time scan — same run boundaries, same payload — for
-//! every page length and change pattern, including every alignment of runs
-//! against the two-word chunks and odd-word page tails (`len % 8 == 4`).
+//! every page length and change pattern: runs against the two-word pair
+//! steps and odd-word page tails (`len % 8 == 4`), runs and gaps on either
+//! side of the block-step thresholds, edges around every 64-byte block
+//! boundary, and page tails past the last whole block.
 //!
 //! The reference below *is* the original algorithm, kept verbatim as the
 //! oracle.
@@ -179,4 +181,123 @@ fn apply_and_merge_roundtrip_at_odd_tail() {
     let mut via_merge = base.clone();
     merged.apply(&mut via_merge);
     assert_eq!(via_merge, p2);
+}
+
+/// Words in one 64-byte block.
+const BLOCK: usize = 16;
+
+/// A non-uniform page of `words` words.
+fn patterned(words: usize) -> Vec<u8> {
+    (0..words * DIFF_WORD)
+        .map(|i| (i * 31 % 251) as u8)
+        .collect()
+}
+
+/// `twin` with words `ws` changed, each in one byte lane (`w % 4`), so
+/// every lane of the u64 and block comparisons is exercised.
+fn changed(twin: &[u8], ws: impl IntoIterator<Item = usize>) -> Vec<u8> {
+    let mut cur = twin.to_vec();
+    for w in ws {
+        cur[w * DIFF_WORD + w % DIFF_WORD] ^= 0x5A;
+    }
+    cur
+}
+
+/// One run whose first and last word each fall at every offset from −2 to
+/// +2 words around every 64-byte boundary of a 256-word page.
+#[test]
+fn runs_starting_and_ending_around_block_boundaries() {
+    let words = 256;
+    let twin = patterned(words);
+    let edges: Vec<usize> = (0..=words / BLOCK)
+        .flat_map(|b| (0..5).map(move |d| (b * BLOCK + d).checked_sub(2)))
+        .flatten()
+        .filter(|&w| w < words)
+        .collect();
+    for &start in &edges {
+        for &last in edges.iter().filter(|&&last| last >= start) {
+            assert_identical(&twin, &changed(&twin, start..=last));
+        }
+    }
+}
+
+/// Fully changed blocks with one unchanged word at each position, and the
+/// converse: an unchanged page with one changed word at each position.
+#[test]
+fn one_odd_word_in_uniform_blocks() {
+    let words = 256;
+    let twin = patterned(words);
+    for odd in 0..words {
+        assert_identical(&twin, &changed(&twin, (0..words).filter(|&w| w != odd)));
+        assert_identical(&twin, &changed(&twin, [odd]));
+    }
+}
+
+/// The many-run shapes at 8 KB: red-black doubles (an 8-byte run every 16
+/// bytes, both phases) and alternating words (both phases).
+#[test]
+fn red_black_and_alternating_pages() {
+    let words = 2048;
+    let twin = patterned(words);
+    for phase in 0..4 {
+        let red_black = changed(&twin, (0..words).filter(|w| (w + phase) % 4 < 2));
+        assert_identical(&twin, &red_black);
+        assert_eq!(
+            Diff::create(&twin, &red_black).run_count(),
+            512 + usize::from(phase == 1)
+        );
+    }
+    for phase in 0..2 {
+        assert_identical(&twin, &changed(&twin, (phase..words).step_by(2)));
+    }
+}
+
+/// Pages of 1–4 whole blocks plus a tail of 1–15 words: full change, a
+/// change only in the tail, a run crossing into the tail, and a full change
+/// with one unchanged tail word.
+#[test]
+fn page_tails_past_the_last_whole_block() {
+    for blocks in 1..=4 {
+        for tail in 1..BLOCK {
+            let words = blocks * BLOCK + tail;
+            let whole = blocks * BLOCK;
+            let twin = patterned(words);
+            assert_identical(&twin, &changed(&twin, 0..words));
+            assert_identical(&twin, &changed(&twin, whole..words));
+            assert_identical(&twin, &changed(&twin, whole - 3..words - 1));
+            assert_identical(&twin, &changed(&twin, whole - 2..whole + 1));
+            for odd in whole..words {
+                assert_identical(&twin, &changed(&twin, (0..words).filter(|&w| w != odd)));
+            }
+        }
+    }
+}
+
+/// Randomized 8 KB pages built from alternating gaps and runs of 1–80
+/// words, so gaps and runs fall on both sides of both block-step thresholds
+/// and block steps both succeed and fail.
+#[test]
+fn random_runs_and_gaps_at_8k_match_reference() {
+    check(
+        "random_runs_and_gaps_at_8k_match_reference",
+        |src: &mut Source| {
+            let starts_changed = src.bool();
+            let spans = src.vec(1..60, |s| s.usize_in(1..81));
+            (starts_changed, spans)
+        },
+        |(starts_changed, spans)| {
+            let words = 2048;
+            let twin = patterned(words);
+            let mut ws = Vec::new();
+            let mut w = 0;
+            for (i, &len) in spans.iter().enumerate() {
+                let end = (w + len).min(words);
+                if (i % 2 == 0) == *starts_changed {
+                    ws.extend(w..end);
+                }
+                w = end;
+            }
+            assert_identical(&twin, &changed(&twin, ws));
+        },
+    );
 }
