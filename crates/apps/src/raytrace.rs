@@ -74,7 +74,7 @@ impl Raytrace {
                 depth: 4,
                 verify: false,
             };
-            let scene = probe.scene();
+            let scene = probe.render_scene();
             let mut units = 0u64;
             let mut img = vec![0u32; probe.dim * probe.dim];
             probe.render_range(
@@ -89,7 +89,8 @@ impl Raytrace {
     }
 
     /// Generate the sphereflake: one parent sphere with 9 children per
-    /// level, scaled by 1/3.
+    /// level, scaled by 1/3, in preorder (a sphere, then its children's
+    /// subtrees in turn).
     pub fn scene(&self) -> Vec<f64> {
         let mut spheres = Vec::new();
         flake(
@@ -107,6 +108,13 @@ impl Raytrace {
         flat
     }
 
+    fn render_scene(&self) -> Scene {
+        Scene {
+            spheres: self.scene(),
+            depth: self.depth,
+        }
+    }
+
     fn tiles(&self) -> usize {
         (self.dim / TILE) * (self.dim / TILE)
     }
@@ -115,33 +123,34 @@ impl Raytrace {
     /// intersection tests.
     fn render_range(
         &self,
-        scene: &[f64],
+        scene: &Scene,
         tiles: std::ops::Range<usize>,
         img: &mut [u32],
         units: &mut u64,
     ) {
         for t in tiles {
             for k in 0..TILE * TILE {
-                let (px, py) = self.pixel_of(t, k);
+                let (px, py) = pixel_of(self.dim, t, k);
                 img[py * self.dim + px] = render_pixel(scene, px, py, self.dim, units);
             }
         }
     }
 
-    fn pixel_of(&self, tile: usize, k: usize) -> (usize, usize) {
-        let per_row = self.dim / TILE;
-        let (tx, ty) = (tile % per_row, tile / per_row);
-        (tx * TILE + k % TILE, ty * TILE + k / TILE)
-    }
-
     /// Sequential reference image.
     pub fn sequential(&self) -> Vec<u32> {
-        let scene = self.scene();
+        let scene = self.render_scene();
         let mut img = vec![0u32; self.dim * self.dim];
         let mut units = 0;
         self.render_range(&scene, 0..self.tiles(), &mut img, &mut units);
         img
     }
+}
+
+/// Pixel `k` of tile `tile` in a `dim`x`dim` image.
+fn pixel_of(dim: usize, tile: usize, k: usize) -> (usize, usize) {
+    let per_row = dim / TILE;
+    let (tx, ty) = (tile % per_row, tile / per_row);
+    (tx * TILE + k % TILE, ty * TILE + k / TILE)
 }
 
 /// Emit a sphere and its ring of children.
@@ -220,41 +229,83 @@ fn dot(a: [f64; 3], b: [f64; 3]) -> f64 {
     a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 }
 
-/// Nearest intersection of a ray with the scene; counts tests.
+/// The sphereflake as the renderer reads it.
+struct Scene {
+    /// Sphere records, `SPHERE_F` floats each, in [`Raytrace::scene`]'s
+    /// preorder.
+    spheres: Vec<f64>,
+    /// Levels of spheres below the root.
+    depth: usize,
+}
+
+impl Scene {
+    /// Test the subtree rooted at sphere `s`, which has `levels` levels
+    /// below it, against the ray, in index order; returns the index after
+    /// the subtree.
+    ///
+    /// A child's centre is `4r/3` from its parent's and its radius `r/3`,
+    /// so a subtree with `L` levels lies within `(2 - 3^-L)·r` of its
+    /// root's centre. When the ray's line misses the ball of radius `2r`
+    /// about that centre, no sphere of the subtree can be hit and the
+    /// whole subtree is skipped. The margin, `3^-L·r`, is at least 1.2 %
+    /// of `r` for `L <= 4`, far above rounding; a sphere that is tested
+    /// is tested exactly as the all-spheres loop tests it.
+    fn visit(
+        &self,
+        s: usize,
+        levels: usize,
+        orig: [f64; 3],
+        dir: [f64; 3],
+        best: &mut Option<(f64, usize)>,
+    ) -> usize {
+        let o = &self.spheres[s * SPHERE_F..(s + 1) * SPHERE_F];
+        let oc = [orig[0] - o[0], orig[1] - o[1], orig[2] - o[2]];
+        let b = dot(oc, dir);
+        let oc2 = dot(oc, oc);
+        if levels > 0 && b * b - (oc2 - 4.0 * o[3] * o[3]) <= 0.0 {
+            return s + (9usize.pow(levels as u32 + 1) - 1) / 8;
+        }
+        let c = oc2 - o[3] * o[3];
+        let disc = b * b - c;
+        if disc > 0.0 {
+            let t = -b - disc.sqrt();
+            if t > 1e-6 && best.is_none_or(|(bt, _)| t < bt) {
+                *best = Some((t, s));
+            }
+        }
+        let mut next = s + 1;
+        if levels > 0 {
+            for _ in 0..9 {
+                next = self.visit(next, levels - 1, orig, dir, best);
+            }
+        }
+        next
+    }
+}
+
+/// Nearest intersection of a ray with the scene. Counts a test against
+/// every sphere, as the algorithm without a hierarchy does: the charged
+/// work does not depend on how many spheres [`Scene::visit`] skips.
 fn intersect(
-    scene: &[f64],
+    scene: &Scene,
     orig: [f64; 3],
     dir: [f64; 3],
     units: &mut u64,
 ) -> Option<(f64, usize)> {
-    let mut best: Option<(f64, usize)> = None;
-    let n = scene.len() / SPHERE_F;
-    *units += n as u64;
-    for s in 0..n {
-        let o = &scene[s * SPHERE_F..(s + 1) * SPHERE_F];
-        let oc = [orig[0] - o[0], orig[1] - o[1], orig[2] - o[2]];
-        let b = dot(oc, dir);
-        let c = dot(oc, oc) - o[3] * o[3];
-        let disc = b * b - c;
-        if disc <= 0.0 {
-            continue;
-        }
-        let t = -b - disc.sqrt();
-        if t > 1e-6 && best.is_none_or(|(bt, _)| t < bt) {
-            best = Some((t, s));
-        }
-    }
+    *units += (scene.spheres.len() / SPHERE_F) as u64;
+    let mut best = None;
+    scene.visit(0, scene.depth, orig, dir, &mut best);
     best
 }
 
 /// Shade a ray (diffuse + shadow + one reflection bounce).
-fn shade(scene: &[f64], orig: [f64; 3], dir: [f64; 3], depth: usize, units: &mut u64) -> [f64; 3] {
+fn shade(scene: &Scene, orig: [f64; 3], dir: [f64; 3], depth: usize, units: &mut u64) -> [f64; 3] {
     let Some((t, s)) = intersect(scene, orig, dir, units) else {
         // Sky gradient.
         let k = 0.5 * (dir[1] + 1.0);
         return [0.1 + 0.2 * k, 0.15 + 0.25 * k, 0.3 + 0.4 * k];
     };
-    let o = &scene[s * SPHERE_F..(s + 1) * SPHERE_F];
+    let o = &scene.spheres[s * SPHERE_F..(s + 1) * SPHERE_F];
     let hit = [
         orig[0] + t * dir[0],
         orig[1] + t * dir[1],
@@ -291,7 +342,7 @@ fn shade(scene: &[f64], orig: [f64; 3], dir: [f64; 3], depth: usize, units: &mut
 }
 
 /// Trace one pixel to a packed RGB value.
-fn render_pixel(scene: &[f64], px: usize, py: usize, dim: usize, units: &mut u64) -> u32 {
+fn render_pixel(scene: &Scene, px: usize, py: usize, dim: usize, units: &mut u64) -> u32 {
     let x = (px as f64 + 0.5) / dim as f64 * 2.0 - 1.0;
     let y = 1.0 - (py as f64 + 0.5) / dim as f64 * 2.0;
     let orig = [0.0, 0.8, -4.0];
@@ -343,7 +394,7 @@ impl Benchmark for Raytrace {
 
     fn run(&self, cfg: &SvmConfig) -> AppRun {
         let me = self.clone();
-        let dim = me.dim;
+        let (dim, depth) = (me.dim, me.depth);
         let tiles = me.tiles();
         let unit_ns = Self::unit_ns();
         let verify = me.verify;
@@ -400,8 +451,9 @@ impl Benchmark for Raytrace {
             let me_id = ctx.node();
             // Fault in the read-only scene once (the paper's cold scene
             // distribution), then intersect against the private copy.
-            let mut scene = vec![0.0f64; scene_len];
-            l.scene.read_into(ctx, 0, &mut scene);
+            let mut spheres = vec![0.0f64; scene_len];
+            l.scene.read_into(ctx, 0, &mut spheres);
+            let scene = Scene { spheres, depth };
 
             let qlock = |q: usize| LockId(2_000_000 + q as u32);
             let pop = |ctx: &svm_core::SvmCtx<'_>, q: usize| -> Option<u32> {
@@ -419,11 +471,6 @@ impl Benchmark for Raytrace {
             };
 
             let mut img_tile = [0u32; TILE * TILE];
-            let this = Raytrace {
-                dim,
-                depth: 0,
-                verify: false,
-            }; // depth unused in render path
             'work: loop {
                 // Own queue first, then steal round-robin.
                 let mut task = None;
@@ -438,13 +485,13 @@ impl Benchmark for Raytrace {
                 let t = t as usize;
                 let mut units = 0u64;
                 for (k, out) in img_tile.iter_mut().enumerate() {
-                    let (px, py) = this.pixel_of(t, k);
+                    let (px, py) = pixel_of(dim, t, k);
                     *out = render_pixel(&scene, px, py, dim, &mut units);
                 }
                 ctx.compute_ns((units as f64 * unit_ns) as u64);
                 // Write the tile's pixels (row fragments: false sharing).
                 for row in 0..TILE {
-                    let (px, py) = this.pixel_of(t, row * TILE);
+                    let (px, py) = pixel_of(dim, t, row * TILE);
                     l.image
                         .write_from(ctx, py * dim + px, &img_tile[row * TILE..(row + 1) * TILE]);
                 }
@@ -466,6 +513,7 @@ impl Benchmark for Raytrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use svm_testkit::check;
 
     #[test]
     fn sphereflake_counts() {
@@ -511,7 +559,7 @@ mod tests {
         let mut seen = vec![false; 64 * 64];
         for t in 0..r.tiles() {
             for k in 0..TILE * TILE {
-                let (x, y) = r.pixel_of(t, k);
+                let (x, y) = pixel_of(r.dim, t, k);
                 assert!(!seen[y * 64 + x]);
                 seen[y * 64 + x] = true;
             }
@@ -522,7 +570,10 @@ mod tests {
     #[test]
     fn ray_sphere_intersection_basics() {
         // Unit sphere at origin, ray from -z.
-        let scene = [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0];
+        let scene = Scene {
+            spheres: vec![0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+            depth: 0,
+        };
         let mut units = 0;
         let hit = intersect(&scene, [0.0, 0.0, -5.0], [0.0, 0.0, 1.0], &mut units);
         assert!(hit.is_some());
@@ -533,5 +584,174 @@ mod tests {
         // Miss.
         let miss = intersect(&scene, [0.0, 3.0, -5.0], [0.0, 0.0, 1.0], &mut units);
         assert!(miss.is_none());
+    }
+
+    /// `intersect` as it was before the subtree skip: every sphere tested,
+    /// in index order. Kept as the oracle.
+    fn intersect_all(
+        scene: &[f64],
+        orig: [f64; 3],
+        dir: [f64; 3],
+        units: &mut u64,
+    ) -> Option<(f64, usize)> {
+        let mut best: Option<(f64, usize)> = None;
+        let n = scene.len() / SPHERE_F;
+        *units += n as u64;
+        for s in 0..n {
+            let o = &scene[s * SPHERE_F..(s + 1) * SPHERE_F];
+            let oc = [orig[0] - o[0], orig[1] - o[1], orig[2] - o[2]];
+            let b = dot(oc, dir);
+            let c = dot(oc, oc) - o[3] * o[3];
+            let disc = b * b - c;
+            if disc <= 0.0 {
+                continue;
+            }
+            let t = -b - disc.sqrt();
+            if t > 1e-6 && best.is_none_or(|(bt, _)| t < bt) {
+                best = Some((t, s));
+            }
+        }
+        best
+    }
+
+    /// Every sphere's index and the number of levels below it, in preorder.
+    fn levels(depth: usize, out: &mut Vec<(usize, usize)>) {
+        out.push((out.len(), depth));
+        if depth > 0 {
+            for _ in 0..9 {
+                levels(depth - 1, out);
+            }
+        }
+    }
+
+    #[derive(Debug)]
+    enum Ray {
+        /// From anywhere near the flake, in any direction.
+        Random,
+        /// From inside the `2r` ball of a sphere with levels below it.
+        InsideBall,
+        /// Tangent to the `2r` ball of a sphere with levels below it.
+        TangentToBall,
+        /// A shadow ray: from just off a sphere's surface.
+        Shadow,
+        /// Through the centre of the sphere farthest out in a subtree,
+        /// square to its offset from the subtree's root: the line passes
+        /// as far from that root as any hit in the subtree can be.
+        Grazing,
+    }
+
+    #[test]
+    fn skipping_subtrees_finds_what_testing_every_sphere_finds() {
+        let scenes: Vec<Scene> = (0..=4)
+            .map(|depth| {
+                Raytrace {
+                    dim: 32,
+                    depth,
+                    verify: false,
+                }
+                .render_scene()
+            })
+            .collect();
+        check(
+            "raytrace::culled_intersect",
+            |src| {
+                let depth = src.usize_in(0..5);
+                // A level first, then spheres on it, so that the few
+                // spheres with many levels below them are drawn often
+                // (leaves only in a flake of depth 0).
+                let level = src.usize_in(depth.min(1)..depth + 1);
+                (depth, level, src.below(u64::MAX))
+            },
+            |&(depth, level, seed)| {
+                let scene = &scenes[depth];
+                let sph = |s: usize| &scene.spheres[s * SPHERE_F..(s + 1) * SPHERE_F];
+                let centre = |s: usize| [sph(s)[0], sph(s)[1], sph(s)[2]];
+                let mut g = svm_sim::SplitMix64::new(seed);
+                let unit = |g: &mut svm_sim::SplitMix64| loop {
+                    let v = [
+                        2.0 * g.next_f64() - 1.0,
+                        2.0 * g.next_f64() - 1.0,
+                        2.0 * g.next_f64() - 1.0,
+                    ];
+                    if (0.01..=1.0).contains(&dot(v, v)) {
+                        break norm(v);
+                    }
+                };
+                let add = |a: [f64; 3], k: f64, d: [f64; 3]| {
+                    [a[0] + k * d[0], a[1] + k * d[1], a[2] + k * d[2]]
+                };
+                let mut all = Vec::new();
+                levels(depth, &mut all);
+                let on_level: Vec<usize> = all
+                    .iter()
+                    .filter(|&&(_, l)| l == level)
+                    .map(|&(s, _)| s)
+                    .collect();
+                let pick = |x: u64| on_level[(x % on_level.len() as u64) as usize];
+                let kinds = [
+                    Ray::Random,
+                    Ray::InsideBall,
+                    Ray::TangentToBall,
+                    Ray::Shadow,
+                    Ray::Grazing,
+                ];
+                for kind in kinds {
+                    let (orig, dir) = match kind {
+                        Ray::Random => (add([0.0; 3], 4.0, unit(&mut g)), unit(&mut g)),
+                        Ray::InsideBall => {
+                            let s = pick(g.next_u64());
+                            let k = 2.0 * sph(s)[3] * g.next_f64();
+                            (add(centre(s), k, unit(&mut g)), unit(&mut g))
+                        }
+                        Ray::TangentToBall => {
+                            let s = pick(g.next_u64());
+                            let d = unit(&mut g);
+                            let (u, v) = basis(d);
+                            let a = std::f64::consts::TAU * g.next_f64();
+                            let p = add(add([0.0; 3], a.cos(), u), a.sin(), v);
+                            let touch = add(centre(s), 2.0 * sph(s)[3], p);
+                            (add(touch, -4.0 * g.next_f64(), d), d)
+                        }
+                        Ray::Shadow => {
+                            let s = (g.next_u64() % all.len() as u64) as usize;
+                            let n = unit(&mut g);
+                            let hit = add(centre(s), sph(s)[3], n);
+                            (add(hit, 1e-4, n), unit(&mut g))
+                        }
+                        Ray::Grazing => {
+                            let root = pick(g.next_u64());
+                            let len = (9usize.pow(all[root].1 as u32 + 1) - 1) / 8;
+                            let reach = |s: usize| {
+                                let d = add(centre(s), -1.0, centre(root));
+                                dot(d, d).sqrt() + sph(s)[3]
+                            };
+                            let far = (root..root + len)
+                                .max_by(|&a, &b| reach(a).total_cmp(&reach(b)))
+                                .unwrap();
+                            let out = add(centre(far), -1.0, centre(root));
+                            let d = if dot(out, out) > 0.0 {
+                                norm(out)
+                            } else {
+                                unit(&mut g)
+                            };
+                            let (u, v) = basis(d);
+                            let a = std::f64::consts::TAU * g.next_f64();
+                            let dir = add(add([0.0; 3], a.cos(), u), a.sin(), v);
+                            (add(centre(far), -4.0, dir), dir)
+                        }
+                    };
+                    let (mut got_units, mut want_units) = (0, 0);
+                    let got = intersect(scene, orig, dir, &mut got_units);
+                    let want = intersect_all(&scene.spheres, orig, dir, &mut want_units);
+                    let bits = |h: Option<(f64, usize)>| h.map(|(t, s)| (t.to_bits(), s));
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "{kind:?}: orig {orig:?}, dir {dir:?}"
+                    );
+                    assert_eq!(got_units, want_units);
+                }
+            },
+        );
     }
 }

@@ -55,7 +55,9 @@ impl fmt::Display for PageNum {
 /// false-sharing experiments.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Geometry {
-    page_size: usize,
+    /// log2 of the page size: every access splits its address with a shift
+    /// and a mask, not two divisions.
+    page_shift: u32,
 }
 
 impl Geometry {
@@ -69,12 +71,15 @@ impl Geometry {
             page_size.is_power_of_two() && page_size >= 64,
             "page size must be a power of two >= 64, got {page_size}"
         );
-        Geometry { page_size }
+        Geometry {
+            page_shift: page_size.trailing_zeros(),
+        }
     }
 
     /// The page size in bytes.
+    #[inline]
     pub fn page_size(self) -> usize {
-        self.page_size
+        1 << self.page_shift
     }
 
     /// The page containing `addr`.
@@ -83,8 +88,9 @@ impl Geometry {
     ///
     /// Panics if the page number would not fit in a `u32` (the shared
     /// address space is bounded by `page_size << 32`, ample for any run).
+    #[inline]
     pub fn page_of(self, addr: GAddr) -> PageNum {
-        let page = addr.0 / self.page_size as u64;
+        let page = addr.0 >> self.page_shift;
         assert!(
             page <= u32::MAX as u64,
             "address {addr:?} beyond the shared address space"
@@ -93,13 +99,14 @@ impl Geometry {
     }
 
     /// Offset of `addr` within its page.
+    #[inline]
     pub fn offset_in_page(self, addr: GAddr) -> usize {
-        (addr.0 % self.page_size as u64) as usize
+        (addr.0 & ((1 << self.page_shift) - 1)) as usize
     }
 
     /// First address of a page.
     pub fn page_base(self, page: PageNum) -> GAddr {
-        GAddr(page.0 as u64 * self.page_size as u64)
+        GAddr((page.0 as u64) << self.page_shift)
     }
 
     /// The (half-open) range of page numbers spanned by `[addr, addr+len)`.
@@ -117,7 +124,7 @@ impl Geometry {
 
     /// Round `bytes` up to whole pages.
     pub fn pages_for(self, bytes: u64) -> u32 {
-        (bytes.div_ceil(self.page_size as u64)) as u32
+        (bytes.div_ceil(self.page_size() as u64)) as u32
     }
 }
 
@@ -133,6 +140,31 @@ mod tests {
         assert_eq!(g.page_of(GAddr(4096)), PageNum(1));
         assert_eq!(g.offset_in_page(GAddr(4097)), 1);
         assert_eq!(g.page_base(PageNum(3)), GAddr(3 * 4096));
+    }
+
+    #[test]
+    fn shift_and_mask_agree_with_division_at_page_boundaries() {
+        for shift in 6..=16 {
+            let ps = 1u64 << shift;
+            let g = Geometry::new(ps as usize);
+            assert_eq!(g.page_size() as u64, ps);
+            for page in [0, 1, 2, 3, 1000, u32::MAX as u64 - 1, u32::MAX as u64] {
+                let base = page * ps;
+                assert_eq!(g.page_base(PageNum(page as u32)), GAddr(base));
+                for addr in [base.saturating_sub(1), base, base + 1, base + ps - 1] {
+                    let a = GAddr(addr);
+                    assert_eq!(g.page_of(a), PageNum((addr / ps) as u32), "{a:?} at {ps} B");
+                    assert_eq!(g.offset_in_page(a) as u64, addr % ps, "{a:?} at {ps} B");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the shared address space")]
+    fn page_of_rejects_pages_past_u32() {
+        let g = Geometry::new(64);
+        let _ = g.page_of(GAddr((u32::MAX as u64 + 1) << 6));
     }
 
     #[test]
