@@ -14,8 +14,8 @@
 //! * the sequential reference checksum, or `lost` where a crash fired
 //!   inside the run (the victim's remaining work is forfeit);
 //! * the halt, named by kind: where a crash fired, only declared
-//!   degradations may end the run, never the watchdog or a post-crash
-//!   deadlock (DESIGN §14); a run no crash disturbed must not halt;
+//!   degradations may end the run, never the watchdog (DESIGN §14); a run
+//!   no crash disturbed must not halt;
 //! * `svm_checker::check_trace` must find the trace coherent (SOR's benign
 //!   halo races are allowed; a crashed node's stream ends at its crash);
 //! * the first cell whose crash fired runs again, bit-identically.
@@ -46,8 +46,8 @@ const CRASHES: usize = 1;
 const WINDOW: SimDuration = SimDuration::from_millis(60);
 
 /// What halted a run, each kind once: a protocol error's variant name, or
-/// the machine's own verdict (the progress watchdog or a post-crash
-/// deadlock). A machine error the agent raised mirrors a protocol error.
+/// the machine's own verdict, the progress watchdog. A machine error the
+/// agent raised mirrors a protocol error.
 fn halt_kinds(protocol: &[ProtocolError], machine: &[RunError]) -> BTreeSet<String> {
     let mut kinds: BTreeSet<String> = protocol
         .iter()
@@ -62,7 +62,6 @@ fn halt_kinds(protocol: &[ProtocolError], machine: &[RunError]) -> BTreeSet<Stri
     kinds.extend(machine.iter().filter_map(|e| match e.cause {
         Halt::Agent => None,
         Halt::Watchdog => Some(WATCHDOG.to_string()),
-        Halt::Deadlock => Some("deadlock".to_string()),
     }));
     kinds
 }
@@ -412,7 +411,6 @@ mod tests {
             kinds(&[lost.clone(), lost, failed], &[a, a, a, w]),
             ["LostInterval", "NodeFailed", WATCHDOG]
         );
-        assert_eq!(kinds(&[], &[Halt::Deadlock]), ["deadlock"]);
     }
 
     /// At the defaults the cell list is the union of the three matrices it

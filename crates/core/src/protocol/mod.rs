@@ -658,10 +658,6 @@ impl Agent for SvmAgent {
         }
     }
 
-    fn on_restart(&mut self, ctx: &mut MCtx<'_>, node: NodeId) {
-        self.on_node_restart(ctx, node);
-    }
-
     fn on_explore_crash(&mut self, ctx: &mut MCtx<'_>, _at: NodeId, dead: NodeId) {
         // Explore mode has no heartbeat lapse: the controller issues the
         // detection verdict as its own explored action — only after the

@@ -207,22 +207,6 @@ impl SvmAgent {
         self.arm_heartbeat(ctx);
     }
 
-    /// A restarted node rejoins as a warm standby: its heartbeat timer died
-    /// with the crash epoch, and its last-heard clocks are stale enough to
-    /// declare the whole world dead on the first tick. Refresh both. A node
-    /// already declared dead by the survivors stays fenced — the membership
-    /// decision is final for the run.
-    pub(crate) fn on_node_restart(&mut self, ctx: &mut MCtx<'_>, node: NodeId) {
-        if !self.recovery_active() || !self.recovery.alive[node.index()] {
-            return;
-        }
-        let now = ctx.now();
-        for p in 0..self.cfg.nodes {
-            self.recovery.last_heard[node.index()][p] = now;
-        }
-        self.arm_heartbeat(ctx);
-    }
-
     /// Retry exhaustion from the reliable layer: with recovery armed it is
     /// a failure-detector input; without, a structured error.
     pub(crate) fn peer_down(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, peer: NodeId) {
@@ -251,13 +235,6 @@ impl SvmAgent {
         let now = ctx.now();
         self.recovery.deaths.push((dead, now));
         self.recovery.stats.deaths += 1;
-        if self.cfg.trace.debug_log {
-            eprintln!(
-                "T {:>12.3}us  node {} declared DEAD",
-                now.as_nanos() as f64 / 1e3,
-                dead.0
-            );
-        }
         if self.cfg.recovery.mode == RecoveryMode::FailFast {
             self.protocol_error(
                 ctx,

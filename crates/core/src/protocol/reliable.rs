@@ -378,8 +378,8 @@ impl SvmAgent {
                 }
             }
             Wire::Timer(Timer::HeartbeatTick) => self.on_heartbeat_tick(ctx, at),
-            // Epoch-fenced by the machine: a sleeper that crashed and
-            // restarted never sees a stale wakeup.
+            // Void once the sleeper's node has crashed: the machine drops
+            // a timer aimed at a crashed node.
             Wire::Timer(Timer::Wake) => ctx.ack_app(at.node),
             Wire::Timer(Timer::Retransmit { to, arming }) => self.on_net_timer(ctx, at, to, arming),
         }

@@ -75,10 +75,6 @@ pub trait Agent: Sized + 'static {
     /// bit-identical.
     fn on_init(&mut self, _ctx: &mut Ctx<'_, Self>, _node: NodeId) {}
 
-    /// Called when a crashed node restarts (its transport is live again; the
-    /// application is not resurrected). Default: nothing.
-    fn on_restart(&mut self, _ctx: &mut Ctx<'_, Self>, _node: NodeId) {}
-
     /// Explore mode only ([`World::run_explore`]): the driver crash-stopped
     /// `dead` and chose `at` as the detecting node. A protocol whose normal
     /// failure detector is timer-driven runs its detection verdict here,
@@ -247,11 +243,10 @@ struct NodeState<A: Agent> {
     coproc: ProcUnit<A::Msg>,
     app: AppState<A::Req>,
     process: Option<AppProcess<A>>,
-    /// Liveness epoch: bumped on crash and on restart. Node-local events
-    /// capture the epoch when scheduled and are void if it moved on, which
-    /// is how a crash discards pending timers, service completions, and
-    /// app resumptions without hunting down their event ids.
-    epoch: u64,
+    /// Set once, by the crash-stop; a crash is final. Node-local events
+    /// check it when they fire and are void once it is set, which is how a
+    /// crash discards pending timers, service completions, and app
+    /// resumptions without hunting down their event ids.
     crashed: bool,
 }
 
@@ -312,15 +307,13 @@ pub struct RunError {
     pub cause: Halt,
 }
 
-/// Who halted a run: the agent, or one of the machine's crash-plan nets.
+/// Who halted a run: the agent, or the machine's crash-plan watchdog.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Halt {
     /// The agent, through [`Ctx::fail`].
     Agent,
     /// No application made progress for a full watchdog window.
     Watchdog,
-    /// The event queue drained after a crash with applications still live.
-    Deadlock,
 }
 
 impl std::fmt::Display for RunError {
@@ -379,7 +372,6 @@ impl<A: Agent> Machine<A> {
                 coproc: ProcUnit::new(),
                 app: AppState::Ready,
                 process: Some(spawn_process(&format!("app-n{i}"), move |port| body(port))),
-                epoch: 0,
                 crashed: false,
             })
             .collect();
@@ -467,9 +459,9 @@ impl<A: Agent> Machine<A> {
         self.live_apps().next().is_none()
     }
 
-    /// Tally and report a stale node-local event (epoch moved on).
-    fn stale(&mut self, node: NodeId, epoch: u64) -> bool {
-        if self.nodes[node.index()].epoch == epoch {
+    /// Tally and report a stale node-local event (its node has crashed).
+    fn stale(&mut self, node: NodeId) -> bool {
+        if !self.nodes[node.index()].crashed {
             return false;
         }
         if let Some(p) = &mut self.node_fault {
@@ -560,35 +552,30 @@ impl<A: Agent> World<A> {
     ///
     /// Panics if an application panics, or if the event queue drains while
     /// some application is still blocked (protocol deadlock) — both with
-    /// diagnostics.
+    /// diagnostics. Under a crash plan a stranded survivor ends in a
+    /// [`Halt::Watchdog`] error instead.
     pub fn run(mut self) -> (RunOutcome, A) {
         let mut sched: Scheduler<World<A>> = Scheduler::new();
         // Schedule the crash plan (and its watchdog) before anything else so
         // a crash at time t outruns same-instant deliveries. With no plan
         // this block schedules nothing and consumes no sequence numbers.
         if let Some(plan) = &self.machine.node_fault {
-            let cfg = plan.config().clone();
-            for c in &cfg.crashes {
+            for c in &plan.config().crashes {
                 let node = NodeId(c.node as u16);
                 sched.at(c.at, move |s, w: &mut World<A>| w.crash_node(s, node));
-                if let Some(window) = c.restart_after {
-                    sched.at(c.at + window, move |s, w: &mut World<A>| {
-                        w.restart_node(s, node)
-                    });
-                }
             }
-            let limit = cfg.effective_stall_limit();
-            sched.after(limit, move |s, w: &mut World<A>| w.watchdog_tick(s, limit));
+            let limit = NodeFaultConfig::DEFAULT_STALL_LIMIT;
+            sched.after(limit, |s, w: &mut World<A>| w.watchdog_tick(s));
         }
         self.boot(&mut sched);
         // A drained queue ends the run: quiescence is terminal.
         self.drive(&mut sched, |_| ExploreStep::Stop);
 
         if self.machine.errors.is_empty() {
-            let live: Vec<usize> = self.machine.live_apps().collect();
-            let stuck: Vec<String> = live
-                .iter()
-                .map(|&i| match &self.machine.nodes[i].app {
+            let stuck: Vec<String> = self
+                .machine
+                .live_apps()
+                .map(|i| match &self.machine.nodes[i].app {
                     AppState::Blocked(c) => format!("node {i}: blocked on {c}"),
                     AppState::Computing { .. } => format!("node {i}: computing"),
                     AppState::ComputePaused { .. } => format!("node {i}: compute-paused"),
@@ -597,26 +584,11 @@ impl<A: Agent> World<A> {
                     AppState::Finished | AppState::Crashed => unreachable!("not live"),
                 })
                 .collect();
-            if let (Some(&first), Some(_)) = (live.first(), self.machine.node_fault.as_ref()) {
-                // Under a crash plan a post-crash deadlock is an expected
-                // failure mode (e.g. recovery disabled): report it as a
-                // structured error, never a panic.
-                self.machine.errors.push(RunError {
-                    node: NodeId(first as u16),
-                    at: self.machine.effective_end,
-                    what: format!(
-                        "deadlock after node crash: event queue empty with live applications ({})",
-                        stuck.join("; ")
-                    ),
-                    cause: Halt::Deadlock,
-                });
-            } else {
-                assert!(
-                    stuck.is_empty(),
-                    "simulation deadlock: event queue empty with live applications:\n  {}",
-                    stuck.join("\n  ")
-                );
-            }
+            assert!(
+                stuck.is_empty(),
+                "simulation deadlock: event queue empty with live applications:\n  {}",
+                stuck.join("\n  ")
+            );
         }
 
         self.finish_outcome(&sched)
@@ -768,10 +740,11 @@ impl<A: Agent> World<A> {
         (outcome, self.agent)
     }
 
-    /// Execute a scheduled crash-stop of `node`: tear down the application
-    /// process, void pending node-local events via an epoch bump, and
-    /// discard queued processor work. Deliveries already in flight toward
-    /// the node are dropped at its doorstep (see [`World::deliver`]).
+    /// Execute a scheduled crash-stop of `node`, for good: tear down the
+    /// application process, mark the node crashed (which voids its pending
+    /// node-local events, see [`Machine::stale`]), and discard queued
+    /// processor work. Deliveries already in flight toward the node are
+    /// dropped at its doorstep (see [`World::deliver`]).
     fn crash_node(&mut self, sched: &mut Scheduler<World<A>>, node: NodeId) {
         let i = node.index();
         let now = sched.now();
@@ -788,7 +761,6 @@ impl<A: Agent> World<A> {
         }
         let n = &mut self.machine.nodes[i];
         n.crashed = true;
-        n.epoch += 1;
         let discarded = n.cpu.queue.len()
             + n.coproc.queue.len()
             + usize::from(n.cpu.service.is_some())
@@ -798,7 +770,7 @@ impl<A: Agent> World<A> {
         n.coproc.queue.clear();
         n.coproc.service = None;
         // Dropping the SimProcess unwinds a parked app body, here and now,
-        // and unmaps its stack (see svm-sim::process).
+        // and gives its stack back to the pool (see svm-sim::process).
         n.process = None;
         if !matches!(n.app, AppState::Finished) {
             n.app = AppState::Crashed;
@@ -821,34 +793,13 @@ impl<A: Agent> World<A> {
         }
     }
 
-    /// Restart a crashed node as a warm standby: transport and protocol
-    /// handlers come back (a fresh epoch), the application does not.
-    fn restart_node(&mut self, sched: &mut Scheduler<World<A>>, node: NodeId) {
-        let i = node.index();
-        if !self.machine.nodes[i].crashed || self.machine.halted {
-            return;
-        }
-        if !self.machine.all_apps_ended() {
-            self.machine.note_activity(sched.now());
-        }
-        self.machine.nodes[i].crashed = false;
-        self.machine.nodes[i].epoch += 1;
-        self.machine
-            .node_fault
-            .as_mut()
-            // INVARIANT: restart events are only scheduled when a plan is installed.
-            .expect("restart without a plan")
-            .stats_mut()
-            .restarts += 1;
-        self.serve(sched, ProcAddr::cpu(node), |agent, ctx| {
-            agent.on_restart(ctx, node)
-        });
-    }
-
-    /// Periodic liveness check under a crash plan: if no application has
-    /// made progress for a full window while some still wait, halt with a
-    /// structured error — the "never a hang" guarantee.
-    fn watchdog_tick(&mut self, sched: &mut Scheduler<World<A>>, limit: SimDuration) {
+    /// Periodic liveness check, the one safety net under a crash plan: if no
+    /// application has made progress for a full window while some still
+    /// wait, halt with a structured error — the "never a hang" guarantee.
+    /// It re-arms while any application is live, so the queue cannot drain
+    /// under a plan, and a window after its own last check, so it halts one
+    /// to two windows after the last progress.
+    fn watchdog_tick(&mut self, sched: &mut Scheduler<World<A>>) {
         if self.machine.halted {
             return;
         }
@@ -856,6 +807,7 @@ impl<A: Agent> World<A> {
         if waiting.is_empty() {
             return; // all done: stop rearming so the queue can drain
         }
+        let limit = NodeFaultConfig::DEFAULT_STALL_LIMIT;
         if sched.now().since(self.machine.last_progress) >= limit {
             self.machine.note_activity(sched.now());
             self.machine.errors.push(RunError {
@@ -875,7 +827,7 @@ impl<A: Agent> World<A> {
             self.machine.halted = true;
             return;
         }
-        sched.after(limit, move |s, w: &mut World<A>| w.watchdog_tick(s, limit));
+        sched.after(limit, |s, w: &mut World<A>| w.watchdog_tick(s));
     }
 
     /// Resume a blocked application with `resp` and handle its next yield.
@@ -941,9 +893,8 @@ impl<A: Agent> World<A> {
     fn start_compute(&mut self, sched: &mut Scheduler<World<A>>, node: NodeId, d: SimDuration) {
         let i = node.index();
         let now = sched.now();
-        let epoch = self.machine.nodes[i].epoch;
         let done_ev = sched.after(d, move |s, w: &mut World<A>| {
-            if w.machine.stale(node, epoch) {
+            if w.machine.stale(node) {
                 return;
             }
             w.compute_done(s, node)
@@ -1105,9 +1056,8 @@ impl<A: Agent> World<A> {
         at: ProcAddr,
         d: SimDuration,
     ) {
-        let epoch = self.machine.nodes[at.node.index()].epoch;
         sched.after(d, move |s, w: &mut World<A>| {
-            if w.machine.stale(at.node, epoch) {
+            if w.machine.stale(at.node) {
                 return;
             }
             w.segment_done(s, at)
@@ -1275,7 +1225,7 @@ impl<'a, A: Agent> Ctx<'a, A> {
     /// Arm a timer: `delay` after the cursor, `msg` joins `here()`'s service
     /// queue as a message from itself ([`Agent::on_message`], `from == at`).
     /// It is not network traffic (uncounted, unseen by a fault plan) and is
-    /// void once the node's epoch moves. Returns the event for
+    /// void once the node has crashed. Returns the event for
     /// [`Ctx::cancel_timer`].
     pub fn set_timer(&mut self, delay: SimDuration, msg: A::Msg) -> EventId {
         let at = self.at;
@@ -1288,9 +1238,8 @@ impl<'a, A: Agent> Ctx<'a, A> {
             return EventId::synthetic(key);
         }
         let when = self.now() + delay;
-        let epoch = self.machine.nodes[at.node.index()].epoch;
         self.sched.at(when, move |s, w: &mut World<A>| {
-            if w.machine.stale(at.node, epoch) {
+            if w.machine.stale(at.node) {
                 return;
             }
             w.deliver(s, at, at, msg)
@@ -1329,7 +1278,8 @@ impl<'a, A: Agent> Ctx<'a, A> {
     }
 
     /// Post `msg` to the other processor of this node through shared memory
-    /// (the Paragon post page): cheap, no network traffic counted.
+    /// (the Paragon post page): cheap, no network traffic counted, and void
+    /// if the node crashes before it lands.
     pub fn post_local(&mut self, to_kind: ProcKind, msg: A::Msg) {
         let from = self.at;
         let to = ProcAddr {
@@ -1338,11 +1288,8 @@ impl<'a, A: Agent> Ctx<'a, A> {
         };
         assert_ne!(from.kind, to.kind, "posting to self");
         let at = self.now() + self.machine.cost.coproc_post;
-        // Intra-node posts die with the node: a post from a pre-crash epoch
-        // must not surface after a restart.
-        let epoch = self.machine.nodes[from.node.index()].epoch;
         self.sched.at(at, move |s, w: &mut World<A>| {
-            if w.machine.stale(to.node, epoch) {
+            if w.machine.stale(to.node) {
                 return;
             }
             w.deliver(s, to, from, msg)
@@ -1363,17 +1310,10 @@ impl<'a, A: Agent> Ctx<'a, A> {
 
     fn complete_app_with(&mut self, node: NodeId, resp: AppResponse<A::Resp>) {
         let at = self.now();
-        let epoch = self.machine.nodes[node.index()].epoch;
         self.sched.at(at, move |s, w: &mut World<A>| {
-            if w.machine.stale(node, epoch) {
-                return;
-            }
-            if matches!(w.machine.nodes[node.index()].app, AppState::Crashed) {
-                // A live handler completed a request for an app that crashed
-                // in the same epoch window: nothing to resume.
-                if let Some(p) = &mut w.machine.node_fault {
-                    p.stats_mut().discarded_events += 1;
-                }
+            // A completion for an app that crashed, whether before or after
+            // the handler that completed it: nothing to resume.
+            if w.machine.stale(node) {
                 return;
             }
             w.resume_app(s, node, resp)

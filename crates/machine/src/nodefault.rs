@@ -1,14 +1,11 @@
 //! Deterministic node crash–stop injection.
 //!
 //! Where [`crate::netfault`] kills *messages*, this module kills *nodes*: a
-//! [`NodeFaultConfig`] names crash instants in virtual time (optionally with
-//! a restart window), and the machine executes them as crash-stop failures —
-//! the application process is torn down, queued work and armed timers are
-//! discarded, and in-flight deliveries to the node vanish at its doorstep.
-//! A restarted node rejoins as a warm standby: its transport and protocol
-//! handlers come back (through [`crate::machine::Agent::on_restart`]) but
-//! the application's program counter is lost with the crash, so the workload
-//! itself completes on the survivors.
+//! [`NodeFaultConfig`] names crash instants in virtual time, and the machine
+//! executes them as crash-stop failures — the application process is torn
+//! down, queued work and armed timers are discarded, and in-flight
+//! deliveries to the node vanish at its doorstep. A crash is final: the node
+//! never comes back, so the workload itself completes on the survivors.
 //!
 //! Crash schedules can be written out explicitly or drawn from a seeded
 //! [`SplitMix64`] stream; either way the schedule is a pure function of the
@@ -18,16 +15,13 @@
 
 use svm_sim::{SimDuration, SimTime, SplitMix64};
 
-/// One scheduled crash: node `node` stops at `at`, and optionally comes back
-/// `restart_after` later.
+/// One scheduled crash: node `node` stops at `at`, for good.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CrashSpec {
     /// Node index to crash.
     pub node: usize,
     /// Virtual time of the crash.
     pub at: SimTime,
-    /// When set, the node restarts this long after the crash.
-    pub restart_after: Option<SimDuration>,
 }
 
 /// Crash schedule for one run. Default is no crashes, which
@@ -37,17 +31,15 @@ pub struct CrashSpec {
 pub struct NodeFaultConfig {
     /// The crashes to execute, in any order (the scheduler sorts by time).
     pub crashes: Vec<CrashSpec>,
-    /// Liveness watchdog: when set, the run halts with a structured
-    /// [`crate::RunError`] if no application makes progress for this long —
-    /// the guarantee that a bungled recovery degrades to a clean error
-    /// instead of spinning on heartbeats forever. `None` uses
-    /// [`NodeFaultConfig::DEFAULT_STALL_LIMIT`] whenever the plan is active.
-    pub stall_limit: Option<SimDuration>,
 }
 
 impl NodeFaultConfig {
-    /// Default progress watchdog window (virtual time): far beyond any
-    /// single compute phase of the scaled workloads, negligible overhead.
+    /// Progress watchdog window (virtual time) of every active plan: the
+    /// run halts with a structured [`crate::RunError`] once no application
+    /// has made progress for at least this long (checked once per window),
+    /// so a bungled recovery degrades to a clean error instead of spinning
+    /// on heartbeats forever. Far beyond any single compute phase of the
+    /// scaled workloads, negligible overhead.
     pub const DEFAULT_STALL_LIMIT: SimDuration = SimDuration::from_micros(5_000_000);
 
     /// Whether any crash can ever fire under this configuration.
@@ -55,15 +47,13 @@ impl NodeFaultConfig {
         !self.crashes.is_empty()
     }
 
-    /// A single crash of `node` at `at_us` microseconds, no restart.
+    /// A single crash of `node` at `at_us` microseconds.
     pub fn crash_at(node: usize, at_us: u64) -> Self {
         NodeFaultConfig {
             crashes: vec![CrashSpec {
                 node,
                 at: SimTime::ZERO + SimDuration::from_micros(at_us),
-                restart_after: None,
             }],
-            stall_limit: None,
         }
     }
 
@@ -89,21 +79,9 @@ impl NodeFaultConfig {
                 }
             };
             let at = SimTime::ZERO + SimDuration::from_nanos(lo + rng.below(span));
-            crashes.push(CrashSpec {
-                node: victim,
-                at,
-                restart_after: None,
-            });
+            crashes.push(CrashSpec { node: victim, at });
         }
-        NodeFaultConfig {
-            crashes,
-            stall_limit: None,
-        }
-    }
-
-    /// The effective watchdog window for an active plan.
-    pub fn effective_stall_limit(&self) -> SimDuration {
-        self.stall_limit.unwrap_or(Self::DEFAULT_STALL_LIMIT)
+        NodeFaultConfig { crashes }
     }
 }
 
@@ -112,12 +90,11 @@ impl NodeFaultConfig {
 pub struct NodeFaultStats {
     /// Crash-stops executed.
     pub crashes: u64,
-    /// Restarts executed.
-    pub restarts: u64,
     /// Queued-but-unserviced work items discarded at crash instants.
     pub discarded_work: u64,
-    /// Timers and other node-local events voided by an epoch bump (tallied
-    /// when a stale event fires and is discarded).
+    /// Timers, service completions, local posts and app completions aimed
+    /// at a node after it crashed (tallied when such an event fires and is
+    /// discarded).
     pub discarded_events: u64,
     /// Message deliveries dropped at a crashed node's doorstep.
     pub dropped_deliveries: u64,

@@ -2,12 +2,14 @@
 //!
 //! These pin down the semantics the protocols rely on: message latencies,
 //! interrupt-versus-polled receive costs, compute preemption, processor
-//! serialization (hot spots), co-processor overlap, timers, and the
-//! accounting invariant that per-node categories sum exactly to elapsed time.
+//! serialization (hot spots), co-processor overlap, timers, crash-stop (a
+//! crashed node's timers die with it, and a survivor it strands ends on the
+//! progress watchdog), and the accounting invariant that per-node
+//! categories sum exactly to elapsed time.
 
 use svm_machine::{
-    Agent, AppRequest, AppResponse, Category, CostModel, CrashSpec, Ctx, ExploreStep, Message,
-    NodeFaultConfig, NodeId, ProcAddr, TrafficClass, World,
+    Agent, AppRequest, AppResponse, Category, CostModel, CrashSpec, Ctx, ExploreStep, Halt,
+    Message, NodeFaultConfig, NodeId, ProcAddr, TrafficClass, World,
 };
 use svm_sim::process::ProcessPort;
 use svm_sim::{SimDuration, SimTime};
@@ -377,7 +379,7 @@ fn app_panic_propagates() {
 
 /// A timer reaches `on_message` with `from == at`, `delay` after the cursor
 /// it was armed at (plus the interrupt a message that preempts compute pays),
-/// is no traffic, is stopped by `cancel_timer`, and dies with its epoch.
+/// is no traffic, is stopped by `cancel_timer`, and dies with its node.
 #[test]
 fn timer_is_a_message_from_the_processor_to_itself() {
     let cost = CostModel::paragon();
@@ -390,10 +392,7 @@ fn timer_is_a_message_from_the_processor_to_itself() {
             ..ToyAgent::default()
         };
         let mut world = World::new(cost.clone(), agent, vec![body(), body()]);
-        world.machine.set_node_faults(NodeFaultConfig {
-            crashes,
-            stall_limit: None,
-        });
+        world.machine.set_node_faults(NodeFaultConfig { crashes });
         world.run()
     };
     let due = SimTime::ZERO + SimDuration::from_micros(7 + 50) + cost.receive_interrupt;
@@ -407,12 +406,53 @@ fn timer_is_a_message_from_the_processor_to_itself() {
     );
     assert_eq!(outcome.traffic.total(TrafficClass::Protocol).messages, 0);
 
-    // Node 1 is down at 20 us and back up, in a fresh epoch, before the
-    // deadline passes: live again, and still never sees the expiry.
+    // Node 1 is down at 20 us, before the deadline passes: its armed timer
+    // dies with it, and so does its pending compute completion.
     let crash = CrashSpec {
         node: 1,
         at: SimTime::ZERO + SimDuration::from_micros(20),
-        restart_after: Some(SimDuration::from_micros(10)),
     };
-    assert_eq!(run(vec![crash]).1.ticks, vec![tick(0)]);
+    let (outcome, agent) = run(vec![crash]);
+    assert_eq!(agent.ticks, vec![tick(0)]);
+    assert_eq!(outcome.node_faults.discarded_events, 2);
+}
+
+/// A survivor stranded by a crash ends on the watchdog, the one safety net
+/// under a crash plan: node 1 crashes at 50 us and node 0 then fetches from
+/// it, so the request is dropped at the dead node's doorstep and node 0
+/// waits for a reply that never comes. The run halts with exactly one
+/// structured error naming node 0, never a panic, and no sooner than a
+/// full watchdog window after the last progress.
+#[test]
+fn a_survivor_stranded_by_a_crash_halts_on_the_watchdog() {
+    let bodies: Vec<svm_machine::machine::AppBody<ToyAgent>> = vec![
+        Box::new(|port: &Port| {
+            compute(port, 100);
+            fetch(port, 1, 10, false);
+        }),
+        Box::new(|port: &Port| compute(port, 1_000_000)),
+    ];
+    let mut world = World::new(CostModel::paragon(), ToyAgent::default(), bodies);
+    world
+        .machine
+        .set_node_faults(NodeFaultConfig::crash_at(1, 50));
+    let (outcome, agent) = world.run();
+
+    assert_eq!(agent.served, 0, "the dead node served nothing");
+    assert_eq!(outcome.node_faults.crashes, 1);
+    assert_eq!(outcome.node_faults.dropped_deliveries, 1, "the fetch");
+    assert_eq!(outcome.errors.len(), 1, "exactly one structured error");
+    let err = &outcome.errors[0];
+    assert_eq!(err.cause, Halt::Watchdog);
+    assert_eq!(err.node, NodeId(0));
+    // Node 0's last yield, the fetch, is its last progress; the watchdog
+    // checks once per window, so it halts within two windows of it.
+    let last_progress = SimTime::ZERO + SimDuration::from_micros(100);
+    let window = NodeFaultConfig::DEFAULT_STALL_LIMIT;
+    assert!(
+        err.at >= last_progress + window && err.at <= last_progress + window + window,
+        "halted at {}, not between one and two windows after {last_progress}",
+        err.at
+    );
+    assert_eq!(outcome.total_time, err.at, "the run ends at the halt");
 }

@@ -69,10 +69,11 @@ impl EventId {
     }
 }
 
-/// Inline closure capacity per slot: the smallest multiple of
-/// [`INLINE_ALIGN`] that holds the machine's largest event, a timer or a
-/// local post, whose closure captures a `ProcAddr` (or two) + the node's
-/// epoch + the 72-byte `Wire` message: 88 bytes.
+/// Inline closure capacity per slot: a multiple of [`INLINE_ALIGN`] that
+/// holds the machine's largest event, a timer or a local post, whose
+/// closure captures a `ProcAddr` (or two) + the 72-byte `Wire` message: 80
+/// bytes. 96 is the size the slab's host costs were measured at; shrinking
+/// it is a host-time change of its own.
 const INLINE_BYTES: usize = 96;
 /// Maximum supported alignment for inline closures.
 const INLINE_ALIGN: usize = 16;

@@ -74,7 +74,7 @@ fi
 # `RunError::cause`. Matching the machine's halt text, or a second list of
 # the declared kinds, is a second contract that drifts from the first.
 echo "== one recovery contract: no halt text outside svm-machine, one list of declared kinds"
-if grep -rnE '"(progress watchdog|deadlock after)' crates | grep -v '^crates/machine/src/' ||
+if grep -rnE '"progress watchdog' crates | grep -v '^crates/machine/src/' ||
   grep -rnF 'UnrecoverableDiffs { .. }' crates | grep -v '^crates/core/src/protocol/mod.rs:'; then
   echo "a halt is read by its text, or the declared kinds are listed again (above): ask RunError::cause or ProtocolError::is_declared_degradation" >&2
   exit 1
