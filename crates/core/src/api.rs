@@ -12,7 +12,11 @@
 //! trip, mirroring how real SVM systems touch mapped pages at memory speed.
 //! Misses and permission upgrades issue a `Fault` request, which runs the
 //! full protocol with its modeled costs. The kernel revokes and downgrades
-//! cache entries when the protocol invalidates pages or closes intervals.
+//! cache entries when the protocol invalidates pages or closes intervals,
+//! and re-points an entry when the node's copy moves: copies of one page
+//! version share a block until one is written, and a write first moves the
+//! writer's copy to a block of its own (`svm_mem::PageBuf`), so a writable
+//! entry always points at a block no other node holds.
 //! Body and kernel are coroutines on one thread (see `svm-sim`), so the
 //! cache is plain `Cell`s behind an `Rc`; the only `unsafe` left on the path
 //! is dereferencing [`Mapping::ptr`].
@@ -42,7 +46,8 @@ pub struct BarrierId(pub u32);
 /// whether it may be written.
 #[derive(Copy, Clone, Debug)]
 pub struct Mapping {
-    /// Pointer into the node's `PageBuf` for the page.
+    /// Pointer into the block of the node's `PageBuf` for the page (shared
+    /// with other nodes' copies unless `writable`).
     pub ptr: *mut u8,
     /// Whether writes are currently permitted.
     pub writable: bool,

@@ -3,7 +3,7 @@
 use std::rc::Rc;
 
 use svm_machine::{Message, NodeId, TrafficClass};
-use svm_mem::{Diff, PageNum};
+use svm_mem::{Diff, PageBuf, PageNum};
 use svm_sim::SimTime;
 
 use crate::api::{BarrierId, LockId};
@@ -179,9 +179,11 @@ pub enum SvmMsg {
     PageReply {
         /// The page.
         page: PageNum,
-        /// Page contents (`Rc` so fault-plan duplicates and retransmit
-        /// copies share one 8 KiB buffer instead of deep-cloning it).
-        data: Rc<Vec<u8>>,
+        /// Page contents: a handle on the sender's block, or on a copy of it
+        /// if the sender may still write the page. Fault-plan duplicates,
+        /// retransmit copies and the installed copy share the block until a
+        /// holder writes it ([`PageBuf`]).
+        data: PageBuf,
         /// Per-writer intervals already included in `data`.
         applied: Vec<(NodeId, u32)>,
     },
@@ -211,8 +213,8 @@ pub enum SvmMsg {
     HomeReply {
         /// The page.
         page: PageNum,
-        /// Page contents (`Rc`-shared; see [`SvmMsg::PageReply`]).
-        data: Rc<Vec<u8>>,
+        /// Page contents (shared; see [`SvmMsg::PageReply`]).
+        data: PageBuf,
         /// Per-writer intervals included (becomes the fetcher's `applied`).
         applied: Vec<(NodeId, u32)>,
     },
@@ -385,7 +387,7 @@ mod tests {
     fn page_reply_priced_by_page_size() {
         let reply = SvmMsg::HomeReply {
             page: PageNum(0),
-            data: Rc::new(vec![0; 8192]),
+            data: PageBuf::from_slice(&[0; 8192]),
             applied: vec![],
         };
         assert_eq!(reply.wire_bytes(), 16 + 8192);

@@ -9,7 +9,6 @@
 
 use std::cmp::Ordering;
 use std::ops::Range;
-use std::rc::Rc;
 
 use svm_machine::{Category, NodeId};
 use svm_mem::{Access, PageBuf, PageNum};
@@ -21,7 +20,7 @@ use super::state::{FaultProgress, FaultStage, PageState};
 use super::{MCtx, ProtocolError, SvmAgent};
 
 /// A page copy on the wire: its bytes and the versions they reflect.
-type PagePayload = (Rc<Vec<u8>>, Vec<(NodeId, u32)>);
+type PagePayload = (PageBuf, Vec<(NodeId, u32)>);
 
 impl SvmAgent {
     /// Application access fault on `page`.
@@ -74,7 +73,11 @@ impl SvmAgent {
         self.counters[idx].write_faults += 1;
         let ps = self.page_size();
         let is_home = !self.homeless() && self.dir[page.0 as usize].home == Some(n);
-        if !is_home {
+        let copy = self.private_copy(n, page);
+        // Under AURC the hardware snoops writes; the simulator still keeps a
+        // twin internally to reconstruct the propagated bytes, but charges
+        // no time or protocol memory for it.
+        if let Some(twin) = (!is_home).then(|| copy.to_pooled_vec()) {
             let auto_update = self.cfg.protocol.auto_update();
             if !auto_update {
                 let twin_cost = ctx.cost().twin_copy(ps);
@@ -82,10 +85,7 @@ impl SvmAgent {
             }
             let st = &mut self.nodes_st[idx].pages[page.0 as usize];
             debug_assert!(st.twin.is_none(), "double twin");
-            // Under AURC the hardware snoops writes; the simulator still
-            // keeps a twin internally to reconstruct the propagated bytes,
-            // but charges no time or protocol memory for it.
-            st.twin = Some(st.copy_mut().to_pooled_vec());
+            st.twin = Some(twin);
             if !auto_update {
                 self.counters[idx].mem.twins(ps as i64);
             }
@@ -306,41 +306,44 @@ impl SvmAgent {
     }
 
     /// `v`'s copy of `page` and the versions it reflects, as a reply payload;
-    /// no copy (a stale retransmission racing GC) is a structured halt.
+    /// no copy (a stale retransmission racing GC) is a structured halt. The
+    /// payload shares `v`'s block unless `v` may still write the page
+    /// through its mapping, in which case it is a copy.
     pub(crate) fn page_snapshot(
         &mut self,
         ctx: &mut MCtx<'_>,
         v: NodeId,
         page: PageNum,
     ) -> Option<PagePayload> {
-        let st = &mut self.nodes_st[v.index()].pages[page.0 as usize];
-        let Some(buf) = st.buf.as_mut() else {
+        let st = &self.nodes_st[v.index()].pages[page.0 as usize];
+        let Some(buf) = &st.buf else {
             self.protocol_error(ctx, ProtocolError::StalePageRequest { node: v, page });
             return None;
         };
-        Some((Rc::new(buf.to_pooled_vec()), st.applied.to_vec()))
+        let data = if st.access == Access::ReadWrite {
+            buf.deep_copy()
+        } else {
+            buf.share()
+        };
+        Some((data, st.applied.to_vec()))
     }
 
     /// Install a fetched copy of `page` at `r`, its versions as applied and
-    /// seen; the payload is pooled unless a retransmit copy still holds it.
+    /// seen. The payload becomes `r`'s copy as it is (no bytes move); `r`
+    /// holds no mapping of the copy it replaces, which is invalid.
     pub(crate) fn install_fetched_page(
         &mut self,
         r: NodeId,
         page: PageNum,
-        data: Rc<Vec<u8>>,
+        data: PageBuf,
         applied: &[(NodeId, u32)],
     ) -> &mut PageState {
+        debug_assert!(self.caches[r.index()].get(page.0).is_none());
         self.counters[r.index()].full_page_fetches += 1;
         let st = &mut self.nodes_st[r.index()].pages[page.0 as usize];
-        match &mut st.buf {
-            Some(buf) => buf.copy_from(&data),
-            none => *none = Some(PageBuf::from_slice(&data)),
-        }
+        st.buf = Some(data);
         st.applied.merge_max(applied);
         st.seen.merge_max(applied);
-        if let Ok(v) = Rc::try_unwrap(data) {
-            svm_mem::pool::put_bytes(v);
-        }
         st
     }
 
@@ -350,7 +353,7 @@ impl SvmAgent {
         ctx: &mut MCtx<'_>,
         r: NodeId,
         page: PageNum,
-        data: Rc<Vec<u8>>,
+        data: PageBuf,
         applied: Vec<(NodeId, u32)>,
     ) {
         let overhead = ctx.cost().handler_overhead;
@@ -428,12 +431,12 @@ impl SvmAgent {
         for pkt in &stash {
             let apply = ctx.cost().diff_apply(pkt.diff.payload_bytes());
             ctx.work(apply, Category::Protocol);
-            let skip_apply = self.seeded_bug(BugSite::DiffApply);
-            let st = &mut self.nodes_st[idx].pages[page.0 as usize];
-            if !skip_apply {
+            if !self.seeded_bug(BugSite::DiffApply) {
                 // SAFETY: kernel phase: every body is suspended.
-                pkt.diff.apply(unsafe { st.copy().bytes_mut() });
+                pkt.diff
+                    .apply(unsafe { self.private_copy(r, page).bytes_mut() });
             }
+            let st = &mut self.nodes_st[idx].pages[page.0 as usize];
             st.applied.raise(pkt.writer, pkt.interval);
             self.counters[idx].diffs_applied += 1;
         }

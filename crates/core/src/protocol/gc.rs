@@ -16,7 +16,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use svm_machine::{NodeId, TrafficClass};
-use svm_mem::Access;
+use svm_mem::{Access, PageNum};
 use svm_sim::SimDuration;
 
 use crate::msg::DiffPacket;
@@ -111,10 +111,11 @@ impl SvmAgent {
                 causal_sort(&mut missing);
                 for pkt in &missing {
                     cost[vidx] += ctx.cost().diff_apply(pkt.diff.payload_bytes());
-                    let st = &mut self.nodes_st[vidx].pages[p as usize];
                     // SAFETY: kernel phase: every body is suspended (here, at
                     // the barrier).
-                    pkt.diff.apply(unsafe { st.copy().bytes_mut() });
+                    pkt.diff
+                        .apply(unsafe { self.private_copy(validator, PageNum(p)).bytes_mut() });
+                    let st = &mut self.nodes_st[vidx].pages[p as usize];
                     st.applied.raise(pkt.writer, pkt.interval);
                     self.counters[vidx].diffs_applied += 1;
                 }
@@ -155,7 +156,7 @@ impl SvmAgent {
                     st.access = Access::Invalid;
                     st.seen.clear();
                     st.applied.clear();
-                    self.drop_mapping(NodeId(i as u16), svm_mem::PageNum(p));
+                    self.drop_mapping(NodeId(i as u16), PageNum(p));
                 }
             }
         }

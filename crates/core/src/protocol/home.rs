@@ -177,17 +177,15 @@ impl SvmAgent {
             ctx.work(apply, Category::Protocol);
         }
         let idx = h.index();
-        let skip_apply = self.seeded_bug(BugSite::DiffApply);
-        {
-            let st = &mut self.nodes_st[idx].pages[page.0 as usize];
-            if !skip_apply {
-                // SAFETY: kernel phase: every body is suspended. The home's
-                // copy is the master; applying in place is the protocol
-                // (Section 2.3).
-                diff.apply(unsafe { st.copy().bytes_mut() });
-            }
-            st.applied.raise(writer, interval);
+        if !self.seeded_bug(BugSite::DiffApply) {
+            // SAFETY: kernel phase: every body is suspended. The home's copy
+            // is the master; applying in place is the protocol (Section
+            // 2.3), so fetchers that share its block keep the old version.
+            diff.apply(unsafe { self.private_copy(h, page).bytes_mut() });
         }
+        self.nodes_st[idx].pages[page.0 as usize]
+            .applied
+            .raise(writer, interval);
         // The diff dies here (homes apply and discard, Section 2.3); hand
         // its buffers back to the pools.
         diff.recycle();
@@ -246,7 +244,7 @@ impl SvmAgent {
         ctx: &mut MCtx<'_>,
         r: NodeId,
         page: PageNum,
-        data: std::rc::Rc<Vec<u8>>,
+        data: svm_mem::PageBuf,
         applied: Vec<(NodeId, u32)>,
     ) {
         let overhead = ctx.cost().handler_overhead;

@@ -519,10 +519,33 @@ impl SvmAgent {
 
     /// Install a mapping into `node`'s application cache.
     pub fn install_mapping(&mut self, node: NodeId, page: PageNum, writable: bool) {
-        let ptr = self.nodes_st[node.index()].pages[page.0 as usize]
-            .copy()
-            .as_ptr();
+        let copy = self.nodes_st[node.index()].pages[page.0 as usize].copy();
+        debug_assert!(
+            !(writable && copy.is_shared()),
+            "writable mapping on a shared block"
+        );
+        let ptr = copy.as_ptr();
         self.caches[node.index()].set(page.0, Some(Mapping { ptr, writable }));
+    }
+
+    /// `node`'s copy of `page`, on a block of its own: the one way to write
+    /// a copy in place. If the copy was shared its bytes move, and `node`'s
+    /// mapping of the page, if any, follows them with its rights unchanged
+    /// (no fault, no event: the application sees its own copy as before).
+    pub(crate) fn private_copy(&mut self, node: NodeId, page: PageNum) -> &mut PageBuf {
+        #[expect(clippy::expect_used, reason = "INVARIANT: as for `PageState::copy`.")]
+        let copy = self.nodes_st[node.index()].pages[page.0 as usize]
+            .buf
+            .as_mut()
+            .expect("page has a copy");
+        if copy.make_private() {
+            let cache = &self.caches[node.index()];
+            if let Some(m) = cache.get(page.0) {
+                let ptr = copy.as_ptr();
+                cache.set(page.0, Some(Mapping { ptr, ..m }));
+            }
+        }
+        copy
     }
 
     /// Remove `node`'s mapping for `page` (invalidation).

@@ -62,8 +62,8 @@ impl WriterMap {
     }
 }
 
-/// One node's view of one shared page.
-#[derive(Debug)]
+/// One node's view of one shared page. Every field is state.
+#[derive(Debug, Hash)]
 pub struct PageState {
     /// Current access rights (drives faulting).
     pub access: Access,
@@ -113,35 +113,6 @@ impl PageState {
     )]
     pub fn copy(&self) -> &PageBuf {
         self.buf.as_ref().expect("page has a copy")
-    }
-
-    /// [`Self::copy`], exclusively (for the `&mut` snapshot helpers).
-    #[expect(clippy::expect_used, reason = "INVARIANT: as for `copy`.")]
-    pub fn copy_mut(&mut self) -> &mut PageBuf {
-        self.buf.as_mut().expect("page has a copy")
-    }
-}
-
-/// Every field is state; the impl is written out only because the page bytes
-/// are read through [`PageBuf::bytes`] (`PageBuf` itself implements no `Hash`).
-impl Hash for PageState {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        let PageState {
-            access,
-            buf,
-            twin,
-            seen,
-            applied,
-            home_stale,
-            waiting_fetches,
-            local_waiter,
-        } = self;
-        // SAFETY: digests run at explore quiescent points (or after
-        // shutdown) — kernel phase: every body is suspended (or gone) — and
-        // the slice is hashed and dropped here.
-        let bytes = buf.as_ref().map(|b| unsafe { b.bytes() });
-        (access, bytes, twin, seen, applied).hash(h);
-        (home_stale, waiting_fetches, local_waiter).hash(h);
     }
 }
 

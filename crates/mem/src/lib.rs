@@ -4,7 +4,8 @@
 //!
 //! * a page-granular global address space and a bump allocator over it
 //!   ([`GlobalHeap`]),
-//! * stable per-node page buffers ([`PageBuf`]) with twin support,
+//! * per-node page copies ([`PageBuf`]), shared between nodes until
+//!   written, with twin support,
 //! * word-granularity run-length diffs ([`Diff`]) — the LRC update-detection
 //!   mechanism of the paper (Section 2.1): compare a dirty page against its
 //!   twin and encode the changed words.

@@ -1,7 +1,7 @@
 //! Thread-local bounded buffer pools for the hot simulation engine.
 //!
-//! Diff creation, twin capture, and page-reply marshalling all need
-//! short-lived byte buffers on the sweep hot path. Allocating each one
+//! Diff creation and twin capture need short-lived byte buffers on the
+//! sweep hot path (page copies have their own spare list, in `page.rs`). Allocating each one
 //! fresh made the engine allocation-bound (~4M run/twin vectors over the
 //! 60-cell Table-2 sweep); instead, finished buffers are returned here and handed
 //! back out cleared. Pools are per-thread (simulation runs are
@@ -18,8 +18,8 @@
 use std::cell::RefCell;
 
 /// Most vectors retained per thread. Bounds idle pool memory.
-const MAX_POOLED_VECS: usize = 64;
-/// Largest capacity worth retaining (twins and page payloads are 8 KiB;
+pub(crate) const MAX_POOLED_VECS: usize = 64;
+/// Largest capacity worth retaining (twins are 8 KiB;
 /// anything bigger is an outlier we'd rather give back to the allocator).
 const MAX_POOLED_CAP: usize = 64 * 1024;
 

@@ -72,9 +72,8 @@ impl EventId {
 /// Inline closure capacity per slot: a multiple of [`INLINE_ALIGN`] that
 /// holds the machine's largest event, a timer or a local post, whose
 /// closure captures a `ProcAddr` (or two) + the 72-byte `Wire` message: 80
-/// bytes. 96 is the size the slab's host costs were measured at; shrinking
-/// it is a host-time change of its own.
-const INLINE_BYTES: usize = 96;
+/// bytes, which makes a slot 96 bytes.
+const INLINE_BYTES: usize = 80;
 /// Maximum supported alignment for inline closures.
 const INLINE_ALIGN: usize = 16;
 
@@ -534,6 +533,9 @@ mod tests {
     #[test]
     fn a_slot_fits_in_128_bytes() {
         let size = std::mem::size_of::<Slot<u32>>();
-        assert!(size <= 128, "a scheduler slot grew to {size} bytes");
+        assert_eq!(
+            size, 96,
+            "a scheduler slot is {size} bytes, not the pinned 96"
+        );
     }
 }

@@ -185,7 +185,7 @@ fn pattern<const N: usize>(label: u64) -> [u8; N] {
 }
 
 /// Schedule `event` with `N` payload bytes captured beside its label, the
-/// event and a drop counter: `N + 24` bytes, so `N = 72` fills a slot's 96.
+/// event and a drop counter: `N + 24` bytes, so `N = 56` fills a slot's 80.
 fn schedule_n<const N: usize>(
     s: &mut Scheduler<World>,
     w: &mut World,
@@ -215,7 +215,7 @@ fn schedule(s: &mut Scheduler<World>, w: &mut World, absolute: bool, event: &Rc<
         0 => schedule_n::<8>(s, w, absolute, event),
         1 => schedule_n::<24>(s, w, absolute, event),
         2 => schedule_n::<48>(s, w, absolute, event),
-        _ => schedule_n::<72>(s, w, absolute, event),
+        _ => schedule_n::<56>(s, w, absolute, event),
     };
     w.ids.push(id);
 }

@@ -80,6 +80,21 @@ if grep -rnE '"progress watchdog' crates | grep -v '^crates/machine/src/' ||
   exit 1
 fi
 
+# Page copies are shared until written (DESIGN §17): the one way to write a
+# copy in place is `SvmAgent::private_copy`, which moves a shared copy to a
+# block of its own and re-points the node's mapping. A `make_private(` or
+# `bytes_mut(` elsewhere in svm-core writes a block other nodes may hold, or
+# leaves a mapping on the old block.
+echo "== page copies are written only through SvmAgent::private_copy"
+if awk '/fn private_copy\(/ { inside = 1 }
+    inside && /^    \}$/ { inside = 0 }
+    /(^|[^A-Za-z_])make_private\(/ && !inside { print FILENAME ":" FNR ": " $0; hit = 1 }
+    /(^|[^A-Za-z_])bytes_mut\(/ && !/private_copy\(.*\)\.bytes_mut\(\)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+    END { exit !hit }' $(find crates/core/src -name '*.rs' | sort); then
+  echo "a page copy is made private or written outside SvmAgent::private_copy (above): write through private_copy(node, page)" >&2
+  exit 1
+fi
+
 echo "== formatting (cargo fmt --check)"
 cargo fmt --check
 
