@@ -2,8 +2,8 @@
 //!
 //! The paper (Section 2.2) notes HLRC's home effect depends on homes being
 //! "chosen intelligently". This example runs SOR under HLRC with the
-//! application's owner placement versus blind round-robin homes, and with
-//! first-touch, printing time and diff counts.
+//! application's owner placement versus blind round-robin homes, printing
+//! time and diff counts.
 //!
 //! Run with `cargo run --release --example home_placement`.
 
@@ -21,7 +21,6 @@ fn main() {
     for (name, policy) in [
         ("owner placement", HomePolicy::Explicit),
         ("round-robin", HomePolicy::RoundRobin),
-        ("first-touch", HomePolicy::FirstTouch),
     ] {
         let mut cfg = SvmConfig::new(ProtocolName::Hlrc, 16);
         cfg.home_policy = policy;

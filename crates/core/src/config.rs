@@ -109,13 +109,10 @@ pub enum HomePolicy {
     /// placement); unassigned pages fall back to round-robin. This is the
     /// "homes chosen intelligently" case of paper Section 2.2.
     Explicit,
-    /// The first node to fault on a page after the spawn becomes its home;
-    /// until then the initializing node (node 0) serves it.
-    FirstTouch,
 }
 
 impl HomePolicy {
-    /// The fallback home for `page` before/without explicit assignment.
+    /// The fallback home for `page` without an explicit assignment.
     pub fn default_home(&self, page: PageNum, nodes: usize) -> NodeId {
         NodeId((page.0 as usize % nodes) as u16)
     }
@@ -139,14 +136,6 @@ pub struct FaultProfile {
     pub delay_rate: f64,
     /// Probability a message triggers a transient destination-node stall.
     pub stall_rate: f64,
-    /// Maximum retransmission timeouts per channel before the peer is
-    /// declared unreachable (reset whenever an ack makes progress). `None`
-    /// retransmits forever — the pre-crash-tolerance behavior, which hangs
-    /// on a genuinely dead peer. With a bound, exhaustion surfaces as a
-    /// structured peer-down signal: consumed by the failure detector when
-    /// [`RecoveryProfile::enabled`], reported as
-    /// [`crate::ProtocolError::PeerUnreachable`] otherwise.
-    pub max_retries: Option<u32>,
     /// Deterministically drop the first wire message whose
     /// [`crate::msg::SvmMsg::kind_name`] equals this string (targeted
     /// loss-of-each-message-type regression tests).
@@ -161,7 +150,6 @@ impl Default for FaultProfile {
             dup_rate: 0.0,
             delay_rate: 0.0,
             stall_rate: 0.0,
-            max_retries: None,
             drop_first_kind: None,
         }
     }

@@ -98,9 +98,6 @@ pub struct NodeCounters {
     pub acks_sent: u64,
     /// Duplicate deliveries suppressed on this node.
     pub dup_suppressed: u64,
-    /// Channels on this node that exhausted `max_retries` and declared
-    /// their peer unreachable.
-    pub retry_exhaustions: u64,
     /// Heartbeat probes this node sent (failure detector).
     pub heartbeats_sent: u64,
     /// Memory accounting.

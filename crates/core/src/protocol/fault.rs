@@ -72,7 +72,7 @@ impl SvmAgent {
         let idx = n.index();
         self.counters[idx].write_faults += 1;
         let ps = self.page_size();
-        let is_home = !self.homeless() && self.dir[page.0 as usize].home == Some(n);
+        let is_home = !self.homeless() && self.dir[page.0 as usize].home == n;
         let copy = self.private_copy(n, page);
         // Under AURC the hardware snoops writes; the simulator still keeps a
         // twin internally to reconstruct the propagated bytes, but charges

@@ -19,7 +19,7 @@ use super::{MCtx, SvmAgent};
 impl SvmAgent {
     /// Begin a home fetch for `n`'s fault on `page`.
     pub(crate) fn start_home_fetch(&mut self, ctx: &mut MCtx<'_>, n: NodeId, page: PageNum) {
-        let home = self.resolve_home(page, n);
+        let home = self.dir[page.0 as usize].home;
         let idx = n.index();
         if home == n {
             let st = &mut self.nodes_st[idx].pages[page.0 as usize];
@@ -75,8 +75,7 @@ impl SvmAgent {
         let overhead = ctx.cost().handler_overhead;
         ctx.work(overhead, Category::Protocol);
         debug_assert_eq!(
-            self.dir[page.0 as usize].home,
-            Some(h),
+            self.dir[page.0 as usize].home, h,
             "request reached non-home"
         );
         let ready = self.nodes_st[h.index()].pages[page.0 as usize]
@@ -165,11 +164,7 @@ impl SvmAgent {
         interval: u32,
         diff: Diff,
     ) {
-        debug_assert_eq!(
-            self.dir[page.0 as usize].home,
-            Some(h),
-            "flush reached non-home"
-        );
+        debug_assert_eq!(self.dir[page.0 as usize].home, h, "flush reached non-home");
         // Software diff application cost — except under AURC, whose updates
         // land in memory by hardware DMA (software pays nothing).
         if !self.cfg.protocol.auto_update() {

@@ -74,7 +74,7 @@ impl SvmAgent {
             st.applied.raise(n, interval);
             st.seen.raise(n, interval);
 
-            let is_home = !homeless && self.dir[p.0 as usize].home == Some(n);
+            let is_home = !homeless && self.dir[p.0 as usize].home == n;
             if is_home {
                 // The home's copy is the master: its writes are already "in
                 // place"; no twin was taken, no diff is needed (paper
@@ -172,14 +172,7 @@ impl SvmAgent {
                     diff,
                 });
         } else {
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: the write fault that dirtied this page resolved its home \
-                          first."
-            )]
-            let home = self.dir[page.0 as usize]
-                .home
-                .expect("home resolved for dirty page");
+            let home = self.dir[page.0 as usize].home;
             debug_assert_ne!(home, n, "home pages produce no diffs");
             // HLRC flushes to the home's compute processor; OHLRC to its
             // co-processor (which also applies it there); AURC's hardware
@@ -273,7 +266,7 @@ impl SvmAgent {
                     continue; // already reflected in our copy
                 }
                 debug_assert!(st.twin.is_none(), "live twin at record processing");
-                if is_home_based && home == Some(n) {
+                if is_home_based && home == n {
                     // The home never discards its copy; it just waits for
                     // the in-flight diff (paper Section 2.4.2).
                     st.home_stale = true;

@@ -83,11 +83,11 @@ pub enum ProtocolError {
         /// The requested page.
         page: PageNum,
     },
-    /// A reliable channel exhausted its retry budget (or a send targeted a
-    /// node already declared dead) with recovery disabled — the peer is
-    /// unreachable and the protocol cannot make progress without it.
+    /// A send targeted a node already declared dead that recovery did not
+    /// re-route — the peer is unreachable and the protocol cannot make
+    /// progress without it.
     PeerUnreachable {
-        /// The node whose channel gave up.
+        /// The node whose send was fenced.
         node: NodeId,
         /// The unreachable peer.
         peer: NodeId,
@@ -335,8 +335,6 @@ pub struct SvmAgent {
     pub barrier_marks: Vec<Vec<(u64, SimTime, svm_machine::Breakdown)>>,
     /// Per-node application mapping caches.
     pub caches: Vec<NodeCache>,
-    /// The initialized data image (for lazy first-touch materialization).
-    pub golden: Vec<u8>,
     /// Reliable-delivery state (inactive on a fault-free run).
     pub net: ReliableNet,
     /// Failure-detector and crash-recovery state.
@@ -352,7 +350,7 @@ pub struct SvmAgent {
 /// The explorer's definition of protocol state (DESIGN §16): the fields
 /// hashed here, through the `Hash` impls of their types, are what a quiescent
 /// state *is*. Not state: the run's constants (`cfg`, `geometry`,
-/// `num_pages`, `golden`), the accounting (`counters`, `barrier_marks`), and
+/// `num_pages`), the accounting (`counters`, `barrier_marks`), and
 /// `caches`, which the handlers that set `pages[..].access` fill and revoke.
 /// Every hand-written `Hash` in this crate destructures without `..`, so a
 /// new field does not compile until someone says whether it is state.
@@ -369,7 +367,6 @@ impl Hash for SvmAgent {
             counters: _,
             barrier_marks: _,
             caches: _,
-            golden: _,
             net,
             recovery,
             errors,
@@ -391,17 +388,17 @@ impl Hash for SvmAgent {
 impl SvmAgent {
     /// Build the agent: resolve the directory and place the initial page
     /// copies (each page's directory node starts with the initialized data).
+    /// `golden` is the post-initialization image of all `num_pages` pages.
     pub fn new(
         cfg: SvmConfig,
         geometry: Geometry,
         num_pages: u32,
-        mut golden: Vec<u8>,
+        golden: &[u8],
         explicit_homes: Vec<Option<NodeId>>,
         caches: Vec<NodeCache>,
     ) -> Self {
         let nodes = cfg.nodes;
         let ps = geometry.page_size();
-        golden.resize(num_pages as usize * ps, 0);
         let mut nodes_st: Vec<ProtoNode> = (0..nodes)
             .map(|_| ProtoNode::new(nodes, num_pages))
             .collect();
@@ -410,29 +407,22 @@ impl SvmAgent {
             let page = PageNum(p);
             let fallback = cfg.home_policy.default_home(page, nodes);
             let home = match cfg.home_policy {
-                HomePolicy::RoundRobin => Some(fallback),
-                HomePolicy::Explicit => Some(
-                    explicit_homes
-                        .get(p as usize)
-                        .copied()
-                        .flatten()
-                        .unwrap_or(fallback),
-                ),
-                HomePolicy::FirstTouch => None,
+                HomePolicy::RoundRobin => fallback,
+                HomePolicy::Explicit => explicit_homes
+                    .get(p as usize)
+                    .copied()
+                    .flatten()
+                    .unwrap_or(fallback),
             };
             // The directory node holds the initialized copy at spawn (the
-            // post-initialization distribution); under first-touch it stays
-            // in the golden image until someone faults (`resolve_home`).
-            let owner = home.unwrap_or(NodeId(0));
-            if let Some(h) = home {
-                let st = &mut nodes_st[h.index()].pages[p as usize];
-                let base = p as usize * ps;
-                st.buf = Some(PageBuf::from_slice(&golden[base..base + ps]));
-                st.access = svm_mem::Access::ReadOnly;
-            }
+            // post-initialization distribution).
+            let st = &mut nodes_st[home.index()].pages[p as usize];
+            let base = p as usize * ps;
+            st.buf = Some(PageBuf::from_slice(&golden[base..base + ps]));
+            st.access = svm_mem::Access::ReadOnly;
             dir.push(DirEntry {
                 home,
-                validator: owner,
+                validator: home,
             });
         }
         let recording = cfg.trace.record.then(|| Recording::new(nodes));
@@ -452,7 +442,6 @@ impl SvmAgent {
             cfg,
             geometry,
             num_pages,
-            golden,
         }
     }
 
@@ -485,25 +474,6 @@ impl SvmAgent {
     /// The page size.
     pub fn page_size(&self) -> usize {
         self.geometry.page_size()
-    }
-
-    /// Resolve `page`'s home, assigning it to `toucher` under first-touch.
-    pub fn resolve_home(&mut self, page: PageNum, toucher: NodeId) -> NodeId {
-        let e = &mut self.dir[page.0 as usize];
-        if let Some(h) = e.home {
-            return h;
-        }
-        // First touch: the page materializes at the toucher with the
-        // initialized data (physical placement by the first access).
-        e.home = Some(toucher);
-        e.validator = toucher;
-        let ps = self.geometry.page_size();
-        let base = page.0 as usize * ps;
-        let st = &mut self.nodes_st[toucher.index()].pages[page.0 as usize];
-        debug_assert!(st.buf.is_none());
-        st.buf = Some(PageBuf::from_slice(&self.golden[base..base + ps]));
-        st.access = svm_mem::Access::ReadOnly;
-        toucher
     }
 
     /// Send `msg` to a processor, or dispatch inline when it targets the
@@ -725,13 +695,7 @@ mod tests {
         let caches = (0..cfg.nodes)
             .map(|_| NodeCache::new(num_pages as usize))
             .collect();
-        SvmAgent::new(cfg, geometry, num_pages, golden, Vec::new(), caches)
-    }
-
-    fn first_touch_agent(nodes: usize, num_pages: u32) -> SvmAgent {
-        let mut cfg = SvmConfig::new(ProtocolName::Hlrc, nodes);
-        cfg.home_policy = HomePolicy::FirstTouch;
-        agent(cfg, num_pages)
+        SvmAgent::new(cfg, geometry, num_pages, &golden, Vec::new(), caches)
     }
 
     /// The digest is the one the agent's former `lock_seqs` and `recorders`
@@ -793,40 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn first_touch_pages_stay_unmaterialized_until_resolved() {
-        let mut agent = first_touch_agent(4, 8);
-        // At spawn no page is homed and no node holds a copy: the data
-        // lives only in the golden image.
-        for p in 0..8 {
-            assert_eq!(agent.dir[p].home, None);
-            for n in 0..4 {
-                let st = &agent.nodes_st[n].pages[p];
-                assert!(st.buf.is_none(), "page {p} materialized early on node {n}");
-                assert_eq!(st.access, svm_mem::Access::Invalid);
-            }
-        }
-
-        // The first access homes the page at the toucher and materializes
-        // exactly one copy, with the initialized contents.
-        let home = agent.resolve_home(PageNum(3), NodeId(2));
-        assert_eq!(home, NodeId(2));
-        assert_eq!(agent.dir[3].home, Some(NodeId(2)));
-        let ps = agent.page_size();
-        let st = &agent.nodes_st[2].pages[3];
-        assert_eq!(st.access, svm_mem::Access::ReadOnly);
-        // SAFETY: no application bodies exist in this test; the kernel
-        // phase contract trivially holds.
-        let bytes = unsafe { st.buf.as_ref().unwrap().bytes() };
-        assert_eq!(bytes, &agent.golden[3 * ps..4 * ps]);
-        for n in [0usize, 1, 3] {
-            assert!(agent.nodes_st[n].pages[3].buf.is_none());
-        }
-        // Other pages remain untouched, and resolution is sticky.
-        assert!(agent.nodes_st[2].pages[4].buf.is_none());
-        assert_eq!(agent.resolve_home(PageNum(3), NodeId(0)), NodeId(2));
-    }
-
-    #[test]
     fn barrier_hash_erases_cost_and_accounting_only() {
         let (a, mut b) = (BarrierState::new(2), BarrierState::new(2));
         b.gc_cost[0] = SimDuration::from_micros(5);
@@ -836,24 +766,32 @@ mod tests {
         assert_ne!(Fnv64::of(&a), Fnv64::of(&b));
     }
 
+    /// Under either policy every page is homed at spawn and only its home
+    /// holds a copy, with the initialized bytes.
     #[test]
     fn explicit_homes_materialize_at_spawn() {
-        let cfg = SvmConfig::new(ProtocolName::Hlrc, 2);
-        let geometry = Geometry::new(cfg.page_size());
-        let ps = geometry.page_size();
-        let golden = vec![0xAB; 2 * ps];
-        let caches = (0..2).map(|_| NodeCache::new(2)).collect();
-        let agent = SvmAgent::new(
-            cfg,
-            geometry,
-            2,
-            golden,
-            vec![Some(NodeId(1)), Some(NodeId(0))],
-            caches,
-        );
-        assert_eq!(agent.dir[0].home, Some(NodeId(1)));
-        assert!(agent.nodes_st[1].pages[0].buf.is_some());
-        assert!(agent.nodes_st[0].pages[0].buf.is_none());
-        assert!(agent.nodes_st[0].pages[1].buf.is_some());
+        let hints = vec![Some(NodeId(1)), Some(NodeId(0))];
+        for (policy, homes) in [
+            (HomePolicy::Explicit, [1, 0]),
+            (HomePolicy::RoundRobin, [0, 1]),
+        ] {
+            let mut cfg = SvmConfig::new(ProtocolName::Hlrc, 2);
+            cfg.home_policy = policy.clone();
+            let geometry = Geometry::new(cfg.page_size());
+            let golden = vec![0xAB; 2 * geometry.page_size()];
+            let caches = (0..2).map(|_| NodeCache::new(2)).collect();
+            let agent = SvmAgent::new(cfg, geometry, 2, &golden, hints.clone(), caches);
+            for (p, home) in homes.into_iter().enumerate() {
+                assert_eq!(agent.dir[p].home, NodeId(home), "{policy:?} page {p}");
+                let st = &agent.nodes_st[home as usize].pages[p];
+                assert_eq!(st.access, svm_mem::Access::ReadOnly, "{policy:?} page {p}");
+                // SAFETY: no application bodies exist in this test; the
+                // kernel phase contract trivially holds.
+                let bytes = unsafe { st.buf.as_ref().unwrap().bytes() };
+                assert!(bytes.iter().all(|&b| b == 0xAB), "{policy:?} page {p}");
+                let other = &agent.nodes_st[1 - home as usize].pages[p];
+                assert!(other.buf.is_none(), "{policy:?} page {p}");
+            }
+        }
     }
 }

@@ -8,10 +8,9 @@
 //!    [`crate::RecoveryProfile::heartbeat_us`] of virtual time
 //!    ([`super::reliable::Wire::Heartbeat`]); any message from a live peer
 //!    refreshes its last-heard clock. A peer silent for
-//!    `miss_threshold × heartbeat_us` is declared dead — as is one whose
-//!    reliable channel exhausts `max_retries` timeouts without ack
-//!    progress. Detection is a pure function of virtual time, so the same
-//!    seed detects the same death at the same instant, every run.
+//!    `miss_threshold × heartbeat_us` is declared dead; that window is the
+//!    one detector input. Detection is a pure function of virtual time, so
+//!    the same seed detects the same death at the same instant, every run.
 //! 2. **Declaration** ([`SvmAgent::declare_dead`]). In fail-fast mode the
 //!    run halts with a structured [`ProtocolError::NodeFailed`]. In
 //!    graceful mode the detector performs the *state* surgery — channel
@@ -64,8 +63,6 @@ use super::{MCtx, ProtocolError, SvmAgent};
 /// What recovery did during a run (reported on `RunReport`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Peers declared dead.
-    pub deaths: u64,
     /// Pages re-homed by failover elections.
     pub rehomed_pages: u64,
     /// In-flight diff flushes harvested from unacked channels at
@@ -207,22 +204,6 @@ impl SvmAgent {
         self.arm_heartbeat(ctx);
     }
 
-    /// Retry exhaustion from the reliable layer: with recovery armed it is
-    /// a failure-detector input; without, a structured error.
-    pub(crate) fn peer_down(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, peer: NodeId) {
-        if self.recovery_active() {
-            self.declare_dead(ctx, peer);
-        } else {
-            self.protocol_error(
-                ctx,
-                ProtocolError::PeerUnreachable {
-                    node: at.node,
-                    peer,
-                },
-            );
-        }
-    }
-
     /// The failure detector's verdict: `dead` is gone. Idempotent. In
     /// graceful mode this performs the pure *state* surgery (harvest,
     /// refetch list, unrecoverability scan, home failover) and broadcasts
@@ -234,7 +215,6 @@ impl SvmAgent {
         self.recovery.alive[dead.index()] = false;
         let now = ctx.now();
         self.recovery.deaths.push((dead, now));
-        self.recovery.stats.deaths += 1;
         if self.cfg.recovery.mode == RecoveryMode::FailFast {
             self.protocol_error(
                 ctx,
@@ -402,7 +382,7 @@ impl SvmAgent {
             }
             if let Some(f) = &self.nodes_st[p].fault {
                 if matches!(f.stage, FaultStage::AwaitHome)
-                    && self.dir[f.page.0 as usize].home == Some(dead)
+                    && self.dir[f.page.0 as usize].home == dead
                 {
                     self.recovery.refetch.push((NodeId(p as u16), f.page));
                 }
@@ -457,7 +437,7 @@ impl SvmAgent {
         let ps = self.page_size() as i64;
         let auto = self.cfg.protocol.auto_update();
         for pg in 0..self.num_pages {
-            if self.dir[pg as usize].home != Some(dead) {
+            if self.dir[pg as usize].home != dead {
                 continue;
             }
             let mut need = WriterMap::default();
@@ -499,7 +479,7 @@ impl SvmAgent {
                 );
                 return;
             };
-            self.dir[pg as usize].home = Some(c);
+            self.dir[pg as usize].home = c;
             self.dir[pg as usize].validator = c;
             self.recovery.stats.rehomed_pages += 1;
             // The new home's copy becomes the master: in-place writes, no
@@ -543,7 +523,7 @@ impl SvmAgent {
         //    diffs, in writer order, skipping what the copy already has.
         let (mine, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.recovery.pending_flushes)
             .into_iter()
-            .partition(|&(page, ..)| self.dir[page.0 as usize].home == Some(n));
+            .partition(|&(page, ..)| self.dir[page.0 as usize].home == n);
         self.recovery.pending_flushes = rest;
         for (page, writer, interval, diff) in mine {
             let applied = self.nodes_st[n.index()].pages[page.0 as usize]
@@ -625,7 +605,7 @@ impl SvmAgent {
         }
         let mut err = None;
         'pages: for pg in 0..self.num_pages {
-            if self.dir[pg as usize].home != Some(h) {
+            if self.dir[pg as usize].home != h {
                 continue;
             }
             let page = PageNum(pg);

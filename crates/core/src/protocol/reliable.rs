@@ -20,13 +20,12 @@
 //! recovered by the sender's retransmission, which the receiver answers
 //! with a fresh cumulative ack.
 //!
-//! Two crash-recovery hooks live here as well. [`Wire::Heartbeat`] is the
-//! failure detector's probe: unsequenced and unacknowledged like an ack,
-//! its only job is to refresh the receiver's last-heard clock for the
-//! sender. And retransmission is no longer unconditionally infinite: with
-//! [`FaultProfile::max_retries`] set, a channel that times out that many
-//! times without ack progress stops retransmitting and surfaces a
-//! structured peer-down signal instead of spinning forever at a dead peer.
+//! One crash-recovery hook lives here as well: [`Wire::Heartbeat`] is the
+//! failure detector's probe, unsequenced and unacknowledged like an ack,
+//! whose only job is to refresh the receiver's last-heard clock for the
+//! sender. Retransmission itself is unbounded: a channel to a crashed peer
+//! retries until the failure detector declares the peer dead or, with
+//! recovery off, until the machine's progress watchdog halts the run.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -145,9 +144,6 @@ pub(crate) struct SendChannel {
     /// cancellation) and the arming its expiry will carry.
     armed: Option<(EventId, Arming)>,
     backoff: u32,
-    /// Retransmit timeouts fired since the last ack progress; compared
-    /// against [`ReliableNet::max_retries`].
-    attempts: u32,
 }
 
 /// Whether a timer is armed is state; which event and which arming is not.
@@ -158,9 +154,8 @@ impl Hash for SendChannel {
             unacked,
             armed,
             backoff,
-            attempts,
         } = self;
-        (sent, unacked, armed.is_some(), backoff, attempts).hash(h);
+        (sent, unacked, armed.is_some(), backoff).hash(h);
     }
 }
 
@@ -202,9 +197,6 @@ pub struct ReliableNet {
     /// recovery enabled — recovery's in-flight harvest needs the sequenced
     /// envelopes and unacked buffers).
     pub enabled: bool,
-    /// Timeouts-without-progress per channel before the peer is declared
-    /// unreachable; `None` retransmits forever.
-    max_retries: Option<u32>,
     /// One-shot deterministic drop of the first message of a given kind.
     drop_first: Option<&'static str>,
     /// Send channels by `(from, to)`.
@@ -222,7 +214,6 @@ impl ReliableNet {
     pub fn new(profile: &FaultProfile, force_enabled: bool) -> Self {
         ReliableNet {
             enabled: profile.is_active() || force_enabled,
-            max_retries: profile.max_retries,
             drop_first: profile.drop_first_kind,
             send: BTreeMap::new(),
             recv: BTreeMap::new(),
@@ -240,13 +231,12 @@ impl ReliableNet {
 }
 
 /// `next_arming` counts how many timers were ever armed — history, not state.
-/// `max_retries` and `drop_first` belong to the fault profile (which explore
-/// mode refuses), `trace` is a log.
+/// `drop_first` belongs to the fault profile (which explore mode refuses),
+/// `trace` is a log.
 impl Hash for ReliableNet {
     fn hash<H: Hasher>(&self, h: &mut H) {
         let ReliableNet {
             enabled,
-            max_retries: _,
             drop_first: _,
             send,
             recv,
@@ -367,7 +357,6 @@ impl SvmAgent {
                 let progress = ch.unacked.len() < before;
                 if progress {
                     ch.backoff = 0;
-                    ch.attempts = 0;
                 }
                 let empty = ch.unacked.is_empty();
                 if empty || progress {
@@ -399,18 +388,6 @@ impl SvmAgent {
         }
         let node = at.node;
         let overhead = ctx.cost().handler_overhead;
-        // Retry exhaustion: `max_retries` timeouts without ack progress and
-        // the peer is treated as unreachable. The unacked buffer is left in
-        // place — it is exactly the in-flight state the recovery harvest
-        // reads — and the channel stays disarmed.
-        if let Some(max) = self.net.max_retries {
-            if ch.attempts >= max {
-                self.counters[node.index()].retry_exhaustions += 1;
-                self.peer_down(ctx, at, to.node);
-                return;
-            }
-        }
-        ch.attempts += 1;
         let attempt = ch.backoff + 1;
         self.counters[node.index()].retransmit_timeouts += 1;
         for (&seq, msg) in &ch.unacked {

@@ -353,8 +353,8 @@ impl ProtoNode {
 /// Global page directory entry.
 #[derive(Clone, Debug, Hash)]
 pub struct DirEntry {
-    /// The page's home (resolved lazily under first-touch).
-    pub home: Option<NodeId>,
+    /// The page's home (placed at spawn; moved only by crash recovery).
+    pub home: NodeId,
     /// Cold-fetch target for the homeless protocols (initial owner, updated
     /// by garbage collection).
     pub validator: NodeId,

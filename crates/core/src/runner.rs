@@ -94,9 +94,9 @@ impl Setup {
         }
     }
 
-    /// Hint: the pages of `arr[range]` belong to `node` (used as home under
-    /// [`crate::HomePolicy::Explicit`], and as the initial copy owner in all
-    /// protocols).
+    /// Hint: the pages of `arr[range]` belong to `node` (under
+    /// [`crate::HomePolicy::Explicit`] it is their home and, in every
+    /// protocol, their initial copy owner; round-robin ignores it).
     pub fn assign_home<T: Scalar>(
         &mut self,
         arr: &SharedArr<T>,
@@ -236,18 +236,16 @@ where
         .map(|_| NodeCache::new(num_pages as usize))
         .collect();
 
-    // The checker needs the post-initialization image; keep a copy when
-    // recording (the agent consumes `golden` for first-touch/home placement).
-    let initial = config.trace.record.then(|| golden.clone());
-
     let agent = SvmAgent::new(
         config.clone(),
         geometry,
         num_pages,
-        golden,
+        &golden,
         explicit_homes,
         caches.clone(),
     );
+    // The checker needs the post-initialization image when recording.
+    let initial = config.trace.record.then_some(golden);
     let body = Rc::new(body);
     let bodies: Vec<svm_machine::machine::AppBody<SvmAgent>> = (0..nodes)
         .map(|i| {

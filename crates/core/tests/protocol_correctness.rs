@@ -323,30 +323,6 @@ fn hlrc_never_garbage_collects_and_uses_little_memory() {
 }
 
 #[test]
-fn first_touch_policy_works() {
-    for protocol in [ProtocolName::Hlrc, ProtocolName::Ohlrc] {
-        let mut cfg = SvmConfig::new(protocol, 4);
-        cfg.home_policy = HomePolicy::FirstTouch;
-        run(
-            &cfg,
-            |s| s.alloc_array_pages::<u64>(4096, "ft"),
-            |ctx, a| {
-                let me = ctx.node();
-                let chunk = 4096 / ctx.nodes();
-                for i in me * chunk..(me + 1) * chunk {
-                    a.set(ctx, i, i as u64 + 7);
-                }
-                ctx.barrier(BarrierId(0));
-                for i in 0..4096 {
-                    assert_eq!(a.get(ctx, i), i as u64 + 7);
-                }
-                ctx.barrier(BarrierId(1));
-            },
-        );
-    }
-}
-
-#[test]
 fn single_node_runs_are_cheap_and_correct() {
     for cfg in configs(1) {
         let report = run(

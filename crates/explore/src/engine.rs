@@ -42,6 +42,12 @@ use crate::state::{
 /// back to a single full (empty-sleep) exploration of that state.
 const SLEEP_VARIANTS_CAP: usize = 4;
 
+/// Distinct-state budget: exceeding it is an [`ExploreReport::error`].
+const MAX_STATES: usize = 2_000_000;
+
+/// Schedule-depth budget, same contract.
+const MAX_DEPTH: usize = 4_096;
+
 /// Exploration knobs.
 #[derive(Clone, Debug)]
 pub struct ExploreOptions {
@@ -51,12 +57,6 @@ pub struct ExploreOptions {
     /// Crash actions the engine may inject along one path (only offered
     /// under recovery configurations, and only while ≥ 2 nodes live).
     pub max_crashes: usize,
-    /// Distinct-state budget: exceeding it is an [`ExploreReport::error`].
-    pub max_states: usize,
-    /// Schedule-depth budget, same contract.
-    pub max_depth: usize,
-    /// Shrink a found counterexample by greedy action deletion.
-    pub minimize: bool,
 }
 
 impl Default for ExploreOptions {
@@ -64,9 +64,6 @@ impl Default for ExploreOptions {
         ExploreOptions {
             sleep_sets: true,
             max_crashes: 0,
-            max_states: 2_000_000,
-            max_depth: 4_096,
-            minimize: true,
         }
     }
 }
@@ -326,8 +323,8 @@ impl Engine {
             }
             return ExploreStep::Stop;
         }
-        if self.path.len() >= self.opts.max_depth {
-            self.error = Some(format!("depth budget {} exhausted", self.opts.max_depth));
+        if self.path.len() >= MAX_DEPTH {
+            self.error = Some(format!("depth budget {MAX_DEPTH} exhausted"));
             return ExploreStep::Stop;
         }
 
@@ -353,8 +350,8 @@ impl Engine {
             }
             e.push(sleep.clone());
         }
-        if self.visited.len() > self.opts.max_states {
-            self.error = Some(format!("state budget {} exhausted", self.opts.max_states));
+        if self.visited.len() > MAX_STATES {
+            self.error = Some(format!("state budget {MAX_STATES} exhausted"));
             return ExploreStep::Stop;
         }
 
@@ -448,10 +445,9 @@ impl Explorer {
             }
         }
         let mut counterexample = eng.counterexample.take();
-        if self.opts.minimize {
-            if let Some(c) = &mut counterexample {
-                c.schedule = minimize(&self.config, self.program, &c.schedule);
-            }
+        // A found counterexample is always shrunk by greedy action deletion.
+        if let Some(c) = &mut counterexample {
+            c.schedule = minimize(&self.config, self.program, &c.schedule);
         }
         ExploreReport {
             states: eng.visited.len(),
