@@ -194,8 +194,13 @@ impl SvmAgent {
         }
     }
 
-    /// A writer services a diff request (possibly parking it while an
-    /// overlapped diff computation is still pending).
+    /// A writer services a diff request. An overlapped interval's diffs
+    /// are never still being computed here: `end_interval` posts the
+    /// `DiffTask` to this co-processor before the grant or arrival that
+    /// carries the write notice leaves, the post lands `coproc_post` later,
+    /// a request needs two network transits, and the co-processor serves
+    /// one FIFO queue, so the task runs first (paper Section 3.4's "queues
+    /// the request until the diff is ready").
     pub(crate) fn on_diff_request(
         &mut self,
         ctx: &mut MCtx<'_>,
@@ -208,30 +213,14 @@ impl SvmAgent {
         let overhead = ctx.cost().handler_overhead;
         ctx.work(overhead, Category::Protocol);
         let idx = w.index();
-        let pending = (from_excl + 1..=to_incl)
-            .any(|i| self.nodes_st[idx].pending_diffs.contains(&(page.0, i)));
-        if pending {
-            // The co-processor has not finished these diffs yet: park the
-            // request; it is re-served when the diff task completes (paper
-            // Section 3.4, "queues the request until the diff is ready").
+        debug_assert!(
             self.nodes_st[idx]
-                .parked_diff_requests
-                .push((page, requester, from_excl, to_incl));
-            return;
-        }
-        self.reply_diffs(ctx, w, page, requester, from_excl, to_incl);
-    }
-
-    fn reply_diffs(
-        &mut self,
-        ctx: &mut MCtx<'_>,
-        w: NodeId,
-        page: PageNum,
-        requester: NodeId,
-        from_excl: u32,
-        to_incl: u32,
-    ) {
-        let idx = w.index();
+                .diff_store
+                .get(&page.0)
+                .and_then(|v| v.last())
+                .is_some_and(|d| d.interval >= to_incl),
+            "diff request for {page:?} through interval {to_incl} reached writer {w:?} before its diff"
+        );
         let diffs: Vec<DiffPacket> = self.nodes_st[idx]
             .diff_store
             .get(&page.0)
@@ -259,26 +248,6 @@ impl SvmAgent {
             svm_machine::ProcAddr::cpu(requester),
             SvmMsg::DiffReply { page, diffs },
         );
-    }
-
-    /// Re-serve requests parked behind overlapped diff computation.
-    pub(crate) fn serve_parked_diff_requests(
-        &mut self,
-        ctx: &mut MCtx<'_>,
-        w: NodeId,
-        page: PageNum,
-    ) {
-        let st = &mut self.nodes_st[w.index()];
-        let (ready, parked): (Vec<_>, Vec<_>) = std::mem::take(&mut st.parked_diff_requests)
-            .into_iter()
-            .partition(|&(p, _, from_excl, to_incl)| {
-                p == page
-                    && !(from_excl + 1..=to_incl).any(|i| st.pending_diffs.contains(&(p.0, i)))
-            });
-        st.parked_diff_requests = parked;
-        for (p, requester, from_excl, to_incl) in ready {
-            self.reply_diffs(ctx, w, p, requester, from_excl, to_incl);
-        }
     }
 
     /// A full-page base copy request (cold/post-GC).

@@ -107,7 +107,6 @@ impl SvmAgent {
                     Diff::create(&twin, cur)
                 };
                 svm_mem::pool::put_bytes(twin);
-                self.nodes_st[idx].pending_diffs.insert((p.0, interval));
                 task_items.push((p, diff));
                 continue;
             }
@@ -218,14 +217,11 @@ impl SvmAgent {
         vt: Rc<VectorTime>,
         items: Vec<(PageNum, Diff)>,
     ) {
-        let idx = n.index();
         let ps = self.page_size();
         for (p, diff) in items {
             let create = ctx.cost().diff_create(ps);
             ctx.work(create, Category::Protocol);
-            self.nodes_st[idx].pending_diffs.remove(&(p.0, interval));
             self.finish_diff(ctx, n, p, interval, &vt, Rc::new(diff));
-            self.serve_parked_diff_requests(ctx, n, p);
         }
     }
 

@@ -65,19 +65,11 @@ use super::{MCtx, ProtocolError, SvmAgent};
 pub struct RecoveryStats {
     /// Pages re-homed by failover elections.
     pub rehomed_pages: u64,
-    /// In-flight diff flushes harvested from unacked channels at
-    /// declaration time.
-    pub harvested_diffs: u64,
     /// Lock tokens regenerated after dying with their holder (or with a
     /// grant in flight to a dead acquirer).
     pub revoked_grants: u64,
     /// Orphaned page fetches re-driven at their new homes.
     pub refetches: u64,
-    /// Deliveries dropped because the sender was already declared dead.
-    pub fenced_messages: u64,
-    /// Sends suppressed because the destination was declared dead (each
-    /// one raises a structured `PeerUnreachable` error).
-    pub fenced_sends: u64,
 }
 
 /// Failure-detector and recovery state, shared across the simulated nodes
@@ -273,7 +265,6 @@ impl SvmAgent {
                         interval,
                         diff,
                     } => {
-                        self.recovery.stats.harvested_diffs += 1;
                         self.recovery
                             .pending_flushes
                             .push((page, writer, interval, diff));
@@ -913,7 +904,7 @@ mod tests {
     fn recovery_hash_erases_clocks_and_stats_only() {
         let (a, mut b) = (RecoveryState::new(2), RecoveryState::new(2));
         b.last_heard[0][1] = SimTime::from_nanos(7);
-        b.stats.fenced_messages = 3;
+        b.stats.rehomed_pages = 3;
         assert_eq!(Fnv64::of(&a), Fnv64::of(&b));
         b.alive[1] = false;
         assert_ne!(Fnv64::of(&a), Fnv64::of(&b));

@@ -266,7 +266,6 @@ impl SvmAgent {
             // A protocol dependency on a declared-dead node that recovery
             // did not re-route (e.g. a homeless fetch needing the dead
             // writer's stored diffs): structured halt, never a black hole.
-            self.recovery.stats.fenced_sends += 1;
             let node = ctx.here().node;
             self.protocol_error(
                 ctx,
@@ -317,7 +316,6 @@ impl SvmAgent {
         // peer refreshes the failure detector's last-heard clock.
         if from.node != at.node {
             if !self.recovery.alive[from.node.index()] {
-                self.recovery.stats.fenced_messages += 1;
                 return;
             }
             if self.recovery_active() {
@@ -383,9 +381,13 @@ impl SvmAgent {
         if !ch.expire(arming) {
             return; // stale: disarmed or re-armed after this expiry was queued
         }
-        if ch.unacked.is_empty() {
-            return; // nothing outstanding; next send rearms
-        }
+        // Armed only while something is unacked: `net_send` arms after
+        // inserting, an ack re-arms only if some remain, and the ack that
+        // empties the buffer (or `harvest_channels`) disarms the channel.
+        debug_assert!(
+            !ch.unacked.is_empty(),
+            "retransmit timer on an empty channel"
+        );
         let node = at.node;
         let overhead = ctx.cost().handler_overhead;
         let attempt = ch.backoff + 1;

@@ -1,6 +1,6 @@
 //! Per-node and per-page protocol state.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
@@ -313,13 +313,6 @@ pub struct ProtoNode {
     /// The merged vector time of the last barrier (log-truncation point and
     /// "what the manager knows" baseline).
     pub last_barrier_vt: VectorTime,
-    /// Homeless: diff requests that arrived before the diffs existed
-    /// (overlapped runs), re-checked when diff tasks complete:
-    /// `(page, requester, from_excl, to_incl)`; this node is the writer.
-    pub parked_diff_requests: Vec<(PageNum, NodeId, u32, u32)>,
-    /// Overlapped: `(page, interval)` diffs posted to the co-processor but
-    /// not yet computed (guards the diff store against early requests).
-    pub pending_diffs: BTreeSet<(u32, u32)>,
 }
 
 impl ProtoNode {
@@ -334,8 +327,6 @@ impl ProtoNode {
             locks: BTreeMap::new(),
             fault: None,
             last_barrier_vt: VectorTime::zero(nodes),
-            parked_diff_requests: Vec::new(),
-            pending_diffs: BTreeSet::new(),
         }
     }
 

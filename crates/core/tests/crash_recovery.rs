@@ -345,3 +345,66 @@ fn disabled_plan_and_recovery_are_a_true_noop() {
         assert!(gated.deaths.is_empty());
     }
 }
+
+/// A fetch parked at a home behind a diff that died with its writer ends in
+/// `UnrecoverableDiffs` when the death is declared (the home's re-check of
+/// its parked fetches), never on the watchdog. OHLRC: node 0 writes a page
+/// homed at node 2 under a lock that node 1 is queued for; node 0's unlock
+/// is served at ~1638 us, where the grant leaves and the diff task is
+/// posted, and its co-processor takes the task ~15 us later. A crash in
+/// between leaves no flush to harvest, and node 1's `HomeRequest`, which
+/// needs node 0's interval, waits at the home until the detector fires.
+#[test]
+fn a_fetch_parked_behind_a_dead_writers_diff_is_unrecoverable() {
+    let mut cfg = SvmConfig::new(ProtocolName::Ohlrc, 3);
+    cfg.recovery = fast_recovery(RecoveryMode::Graceful);
+    cfg.node_fault = NodeFaultConfig::crash_at(0, 1_645);
+    let report = run(
+        &cfg,
+        |s| {
+            let x = s.alloc_array_pages::<u64>(1, "x");
+            s.assign_home(&x, 0..1, 2);
+            x
+        },
+        |ctx, x| {
+            match ctx.node() {
+                0 => {
+                    ctx.lock(LockId(0));
+                    x.set(ctx, 0, 1);
+                    ctx.compute_us(1_000);
+                    ctx.unlock(LockId(0));
+                    ctx.compute_us(1_000_000);
+                }
+                1 => {
+                    ctx.compute_us(100);
+                    ctx.lock(LockId(0));
+                    x.get(ctx, 0);
+                    ctx.unlock(LockId(0));
+                }
+                _ => {}
+            }
+            ctx.barrier(BarrierId(0));
+        },
+    );
+    assert!(
+        matches!(
+            report.errors.as_slice(),
+            [ProtocolError::UnrecoverableDiffs {
+                node: NodeId(1),
+                writer: NodeId(0),
+                ..
+            }]
+        ),
+        "expected node 1's parked fetch to fail on writer 0, got {:?}",
+        report.errors
+    );
+    assert!(
+        matches!(report.outcome.errors.as_slice(), [e] if e.cause == Halt::Agent),
+        "the run must end on the protocol error, not the watchdog: {:?}",
+        report.outcome.errors
+    );
+    assert_eq!(
+        report.deaths.iter().map(|d| d.0).collect::<Vec<_>>(),
+        vec![NodeId(0)]
+    );
+}

@@ -264,34 +264,64 @@ fn runs_are_deterministic() {
     }
 }
 
+/// Strided writes alone make every GC candidate writer of a page
+/// concurrent, so the lowest id validates it. The lock-chained input adds a
+/// page that the nodes write in id order under a lock before each barrier:
+/// the highest id is causally latest and must be the one elected.
 #[test]
 fn garbage_collection_triggers_and_preserves_data() {
-    let mut cfg = SvmConfig::new(ProtocolName::Lrc, 4);
-    cfg.gc_threshold_bytes = 20_000; // tiny: force GC at barriers
-    let n = 8192usize;
-    let report = run(
-        &cfg,
-        |s| s.alloc_array_pages::<u64>(n, "gc-data"),
-        move |ctx, a| {
-            let me = ctx.node();
-            let p = ctx.nodes();
-            for round in 0..6u64 {
-                // Strided writes => many diffs on many pages.
-                for i in (me..n).step_by(p) {
-                    a.set(ctx, i, round * 1_000_000 + i as u64);
+    for chained in [false, true] {
+        let mut cfg = SvmConfig::new(ProtocolName::Lrc, 4);
+        cfg.gc_threshold_bytes = 20_000; // tiny: force GC at barriers
+        let n = 8192usize;
+        let report = run(
+            &cfg,
+            |s| {
+                let a = s.alloc_array_pages::<u64>(n, "gc-data");
+                let turn = s.alloc_array_pages::<u64>(1, "gc-turn");
+                (a, turn)
+            },
+            move |ctx, (a, turn)| {
+                let me = ctx.node();
+                let p = ctx.nodes();
+                for round in 0..6u64 {
+                    // Strided writes => many diffs on many pages.
+                    for i in (me..n).step_by(p) {
+                        a.set(ctx, i, round * 1_000_000 + i as u64);
+                    }
+                    if chained {
+                        // Node k bumps the turn counter once it reads its own
+                        // number, so it writes after node k - 1.
+                        let mine = round * p as u64 + me as u64;
+                        loop {
+                            ctx.lock(LockId(0));
+                            let done = turn.get(ctx, 0) == mine;
+                            if done {
+                                turn.set(ctx, 0, mine + 1);
+                            }
+                            ctx.unlock(LockId(0));
+                            if done {
+                                break;
+                            }
+                            ctx.compute_us(50);
+                        }
+                    }
+                    ctx.barrier(BarrierId(round as u32));
+                    for i in 0..n {
+                        assert_eq!(a.get(ctx, i), round * 1_000_000 + i as u64);
+                    }
+                    if chained {
+                        assert_eq!(turn.get(ctx, 0), (round + 1) * p as u64);
+                    }
+                    ctx.barrier(BarrierId(100 + round as u32));
                 }
-                ctx.barrier(BarrierId(round as u32));
-                for i in 0..n {
-                    assert_eq!(a.get(ctx, i), round * 1_000_000 + i as u64);
-                }
-                ctx.barrier(BarrierId(100 + round as u32));
-            }
-        },
-    );
-    assert!(
-        report.counters.total(|c| c.gc_runs) > 0,
-        "tiny threshold must trigger garbage collection"
-    );
+            },
+        );
+        assert!(
+            report.counters.total(|c| c.gc_runs) > 0,
+            "tiny threshold must trigger garbage collection (chained: {chained})"
+        );
+    }
 }
 
 #[test]

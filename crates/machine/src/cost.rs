@@ -22,7 +22,9 @@ pub struct CostModel {
     /// Dispatch cost per message on the polling co-processor.
     pub coproc_dispatch: SimDuration,
     /// Posting a request from the compute processor to its co-processor
-    /// (the post-page ring buffer of paper Section 3.3).
+    /// (the post-page ring buffer of paper Section 3.3). At most two
+    /// message latencies, so a posted diff task reaches the co-processor's
+    /// FIFO queue ahead of any request for its diffs.
     pub coproc_post: SimDuration,
     /// Page-fault trap + handler entry (Mach exception path).
     pub page_fault: SimDuration,
@@ -192,5 +194,12 @@ mod tests {
         assert!(f.msg_latency < p.msg_latency);
         assert!(f.receive_interrupt < p.receive_interrupt);
         assert_eq!(f.page_size, p.page_size);
+    }
+
+    #[test]
+    fn a_posted_diff_task_beats_any_request_for_its_diffs() {
+        for c in [CostModel::paragon(), CostModel::fast_network()] {
+            assert!(c.coproc_post <= c.msg_latency * 2, "{c:?}");
+        }
     }
 }
