@@ -9,7 +9,7 @@
 
 use svm_apps::sor::Sor;
 use svm_apps::Benchmark;
-use svm_core::{HomePolicy, ProtocolName, SvmConfig};
+use svm_core::{ProtocolName, SvmConfig};
 
 fn main() {
     let sor = Sor::scaled(0.25);
@@ -18,12 +18,9 @@ fn main() {
         "{:<24} {:>10} {:>12} {:>12}",
         "home policy", "time (ms)", "diffs", "page misses"
     );
-    for (name, policy) in [
-        ("owner placement", HomePolicy::Explicit),
-        ("round-robin", HomePolicy::RoundRobin),
-    ] {
+    for (name, round_robin_homes) in [("owner placement", false), ("round-robin", true)] {
         let mut cfg = SvmConfig::new(ProtocolName::Hlrc, 16);
-        cfg.home_policy = policy;
+        cfg.round_robin_homes = round_robin_homes;
         let run = sor.run(&cfg);
         println!(
             "{:<24} {:>10.1} {:>12} {:>12}",

@@ -8,10 +8,10 @@ use svm_apps::water_ns::WaterNsq;
 use svm_apps::Benchmark;
 use svm_checker::check_trace;
 use svm_core::{
-    FaultProfile, ProtocolError, ProtocolName, RecoveryMode, RecoveryProfile, SvmConfig,
-    TraceConfig,
+    run, BarrierId, FaultProfile, LockId, ProtocolError, ProtocolName, RecoveryMode,
+    RecoveryProfile, Setup, SvmConfig, TraceConfig,
 };
-use svm_machine::{Halt, NodeFaultConfig};
+use svm_machine::{Halt, NodeFaultConfig, NodeId};
 use svm_sim::SimDuration;
 
 /// Water-Nsquared at scale 0.03 under `protocol` on `nodes` nodes, with
@@ -70,4 +70,54 @@ fn a_regrant_keeps_the_queued_chains_tail() {
 #[ignore = "ROADMAP item 1: a live node is declared dead under a crash plus 1% loss; illegal read, then the watchdog"]
 fn crash_with_loss_keeps_the_live_nodes_coherent() {
     holds_the_contract(ProtocolName::Hlrc, 4, 7, FaultProfile::chaos(7, 0.01));
+}
+
+/// A crash stops a node's sends. OHLRC on 3 nodes: node 0 writes a page
+/// homed at node 2 under a lock node 1 waits for, and node 0's co-processor
+/// spends 234.8 us from ~1,652 us creating the diff before its `DiffFlush`
+/// departs. A crash at 1,645 us ends the run on `UnrecoverableDiffs`; one at
+/// 1,700 us, inside that service, should too. But `crash_node` does not
+/// cancel the deliveries `Ctx::send` scheduled when the handler ran, so the
+/// flush lands and node 1 reads the write.
+#[test]
+#[ignore = "ROADMAP item 1: a node that crashes mid-service still sends that service's messages"]
+fn a_crash_inside_a_diff_service_loses_the_flush() {
+    let cfg = SvmConfig {
+        recovery: RecoveryProfile {
+            heartbeat_us: 2_000,
+            miss_threshold: 3,
+            ..RecoveryProfile::active(RecoveryMode::Graceful)
+        },
+        node_fault: NodeFaultConfig::crash_at(0, 1_700),
+        ..SvmConfig::new(ProtocolName::Ohlrc, 3)
+    };
+    let setup = |s: &mut Setup| {
+        let x = s.alloc_array_pages::<u64>(1, "x");
+        s.assign_home(&x, 0..1, 2);
+        x
+    };
+    let report = run(&cfg, setup, |ctx, x| {
+        if ctx.node() == 0 {
+            ctx.lock(LockId(0));
+            x.set(ctx, 0, 1);
+            ctx.compute_us(1_000);
+            ctx.unlock(LockId(0));
+            ctx.compute_us(1_000_000);
+        } else if ctx.node() == 1 {
+            ctx.compute_us(100);
+            ctx.lock(LockId(0));
+            x.get(ctx, 0);
+            ctx.unlock(LockId(0));
+        }
+        ctx.barrier(BarrierId(0));
+    });
+    let errors = &report.errors;
+    let lost = matches!(
+        errors[..],
+        [ProtocolError::UnrecoverableDiffs {
+            writer: NodeId(0),
+            ..
+        }]
+    );
+    assert!(lost, "want writer 0's diffs lost, got {errors:?}");
 }

@@ -3,7 +3,7 @@
 //! would.
 
 use svm_apps::{paper_suite, Benchmark};
-use svm_core::{run, BarrierId, HomePolicy, LockId, ProtocolName, SvmConfig};
+use svm_core::{run, BarrierId, LockId, ProtocolName, SvmConfig};
 use svm_machine::{Category, TrafficClass};
 
 #[test]
@@ -112,10 +112,9 @@ fn home_placement_ablation_shows_the_home_effect() {
         verify: false,
     });
     let bench = &bench;
-    let mut owner = SvmConfig::new(ProtocolName::Hlrc, 8);
-    owner.home_policy = HomePolicy::Explicit;
-    let mut rr = SvmConfig::new(ProtocolName::Hlrc, 8);
-    rr.home_policy = HomePolicy::RoundRobin;
+    let owner = SvmConfig::new(ProtocolName::Hlrc, 8);
+    let mut rr = owner.clone();
+    rr.round_robin_homes = true;
     let owner_run = bench.run(&owner).report;
     let rr_run = bench.run(&rr).report;
     assert_eq!(owner_run.counters.total(|c| c.diffs_created), 0);

@@ -11,7 +11,6 @@ pub fn run(args: Args) {
     for protocol in ProtocolName::ALL {
         eprintln!("\n==== {protocol}: write(x) on n0; acquire+read(x) on n1; home = n2 ====");
         let mut cfg = SvmConfig::new(protocol, 3);
-        cfg.home_policy = svm_core::HomePolicy::Explicit;
         cfg.trace.debug_log = true;
         svm_core::run(
             &cfg,

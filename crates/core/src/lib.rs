@@ -42,8 +42,7 @@ pub mod vt;
 
 pub use api::{BarrierId, LockId, SvmCtx};
 pub use config::{
-    FaultProfile, HomePolicy, ProtocolKind, ProtocolName, RecoveryMode, RecoveryProfile, SeededBug,
-    SvmConfig,
+    FaultProfile, ProtocolKind, ProtocolName, RecoveryMode, RecoveryProfile, SeededBug, SvmConfig,
 };
 pub use metrics::{MemoryStats, NodeCounters, ProtocolReport};
 pub use msg::{SvmReq, SvmResp};

@@ -72,7 +72,7 @@ impl SvmAgent {
         let idx = n.index();
         self.counters[idx].write_faults += 1;
         let ps = self.page_size();
-        let is_home = !self.homeless() && self.dir[page.0 as usize].home == n;
+        let is_home = !self.homeless() && self.dir[page.0 as usize] == n;
         let copy = self.private_copy(n, page);
         // Under AURC the hardware snoops writes; the simulator still keeps a
         // twin internally to reconstruct the propagated bytes, but charges
@@ -129,7 +129,7 @@ impl SvmAgent {
         let idx = n.index();
         if self.nodes_st[idx].pages[page.0 as usize].buf.is_none() {
             // Cold (or post-GC) miss: fetch a base copy first.
-            let validator = self.dir[page.0 as usize].validator;
+            let validator = self.dir[page.0 as usize];
             debug_assert_ne!(validator, n, "validator faulting on its own page");
             self.outstanding_fault(n).stage = FaultStage::AwaitPage;
             let to = self.data_proc(validator);

@@ -127,7 +127,7 @@ impl SvmAgent {
                     st.access = Access::ReadOnly;
                 }
             }
-            self.dir[p as usize].validator = validator;
+            self.dir[p as usize] = validator;
 
             // Everyone else: copies stale against the *global* store state
             // are dropped (their repair diffs are about to be freed). Local

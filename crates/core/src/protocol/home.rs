@@ -19,7 +19,7 @@ use super::{MCtx, SvmAgent};
 impl SvmAgent {
     /// Begin a home fetch for `n`'s fault on `page`.
     pub(crate) fn start_home_fetch(&mut self, ctx: &mut MCtx<'_>, n: NodeId, page: PageNum) {
-        let home = self.dir[page.0 as usize].home;
+        let home = self.dir[page.0 as usize];
         let idx = n.index();
         if home == n {
             let st = &mut self.nodes_st[idx].pages[page.0 as usize];
@@ -44,8 +44,7 @@ impl SvmAgent {
                 self.outstanding_fault(n).stage = FaultStage::AwaitHomeDiffs;
                 return;
             }
-            // First-touch just materialized the page here (or it was
-            // already valid): finish immediately.
+            // The home's copy is already valid: finish immediately.
             debug_assert!(st.access.readable());
             self.finish_fault(ctx, n);
             return;
@@ -74,10 +73,7 @@ impl SvmAgent {
     ) {
         let overhead = ctx.cost().handler_overhead;
         ctx.work(overhead, Category::Protocol);
-        debug_assert_eq!(
-            self.dir[page.0 as usize].home, h,
-            "request reached non-home"
-        );
+        debug_assert_eq!(self.dir[page.0 as usize], h, "request reached non-home");
         let ready = self.nodes_st[h.index()].pages[page.0 as usize]
             .applied
             .covers(&need)
@@ -164,7 +160,7 @@ impl SvmAgent {
         interval: u32,
         diff: Diff,
     ) {
-        debug_assert_eq!(self.dir[page.0 as usize].home, h, "flush reached non-home");
+        debug_assert_eq!(self.dir[page.0 as usize], h, "flush reached non-home");
         // Software diff application cost — except under AURC, whose updates
         // land in memory by hardware DMA (software pays nothing).
         if !self.cfg.protocol.auto_update() {

@@ -74,7 +74,7 @@ impl SvmAgent {
             st.applied.raise(n, interval);
             st.seen.raise(n, interval);
 
-            let is_home = !homeless && self.dir[p.0 as usize].home == n;
+            let is_home = !homeless && self.dir[p.0 as usize] == n;
             if is_home {
                 // The home's copy is the master: its writes are already "in
                 // place"; no twin was taken, no diff is needed (paper
@@ -171,7 +171,7 @@ impl SvmAgent {
                     diff,
                 });
         } else {
-            let home = self.dir[page.0 as usize].home;
+            let home = self.dir[page.0 as usize];
             debug_assert_ne!(home, n, "home pages produce no diffs");
             // HLRC flushes to the home's compute processor; OHLRC to its
             // co-processor (which also applies it there); AURC's hardware
@@ -244,9 +244,8 @@ impl SvmAgent {
             if self.nodes_st[idx].log.insert(rec) {
                 self.counters[idx].mem.notices(rec.bytes() as i64);
             }
-            let is_home_based = !homeless;
             for &p in &rec.pages {
-                let home = self.dir[p.0 as usize].home;
+                let is_home = !homeless && self.dir[p.0 as usize] == n;
                 let st = &mut self.nodes_st[idx].pages[p.0 as usize];
                 if debug_log {
                     eprintln!(
@@ -262,7 +261,7 @@ impl SvmAgent {
                     continue; // already reflected in our copy
                 }
                 debug_assert!(st.twin.is_none(), "live twin at record processing");
-                if is_home_based && home == n {
+                if is_home {
                     // The home never discards its copy; it just waits for
                     // the in-flight diff (paper Section 2.4.2).
                     st.home_stale = true;

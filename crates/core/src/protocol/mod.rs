@@ -36,7 +36,7 @@ use svm_mem::{Geometry, PageBuf, PageNum};
 use svm_sim::{SimDuration, SimTime};
 
 use crate::api::{BarrierId, Mapping, NodeCache};
-use crate::config::{BugSite, HomePolicy, ProtocolKind, SvmConfig};
+use crate::config::{BugSite, ProtocolKind, SvmConfig};
 use crate::metrics::NodeCounters;
 use crate::msg::{SvmMsg, SvmReq};
 use crate::trace::Recording;
@@ -44,7 +44,7 @@ use crate::vt::VectorTime;
 
 use recovery::RecoveryState;
 use reliable::ReliableNet;
-use state::{DirEntry, NoticeLog, ProtoNode};
+use state::{NoticeLog, ProtoNode};
 
 /// Handler context alias.
 pub type MCtx<'a> = Ctx<'a, SvmAgent>;
@@ -323,8 +323,10 @@ pub struct SvmAgent {
     pub num_pages: u32,
     /// Per-node protocol state.
     pub nodes_st: Vec<ProtoNode>,
-    /// Global page directory (homes / validators).
-    pub dir: Vec<DirEntry>,
+    /// Global page directory, one seat per page: its home under the
+    /// home-based protocols, its validator (the cold-fetch target, moved by
+    /// GC) under the homeless ones. Crash recovery re-elects either.
+    pub dir: Vec<NodeId>,
     /// Lock manager state by lock id (lives at `lock % P`).
     pub lock_mgr: std::collections::BTreeMap<u32, state::LockManagerState>,
     /// Barrier manager state (node 0).
@@ -386,44 +388,27 @@ impl Hash for SvmAgent {
 }
 
 impl SvmAgent {
-    /// Build the agent: resolve the directory and place the initial page
-    /// copies (each page's directory node starts with the initialized data).
-    /// `golden` is the post-initialization image of all `num_pages` pages.
+    /// Build the agent with `homes[p]` as page `p`'s directory seat, which
+    /// holds the initialized copy at spawn (the post-initialization
+    /// distribution). `golden` is the post-initialization image of every
+    /// page.
     pub fn new(
         cfg: SvmConfig,
         geometry: Geometry,
-        num_pages: u32,
         golden: &[u8],
-        explicit_homes: Vec<Option<NodeId>>,
+        homes: Vec<NodeId>,
         caches: Vec<NodeCache>,
     ) -> Self {
         let nodes = cfg.nodes;
-        let ps = geometry.page_size();
+        let num_pages = homes.len() as u32;
         let mut nodes_st: Vec<ProtoNode> = (0..nodes)
             .map(|_| ProtoNode::new(nodes, num_pages))
             .collect();
-        let mut dir = Vec::with_capacity(num_pages as usize);
-        for p in 0..num_pages {
-            let page = PageNum(p);
-            let fallback = cfg.home_policy.default_home(page, nodes);
-            let home = match cfg.home_policy {
-                HomePolicy::RoundRobin => fallback,
-                HomePolicy::Explicit => explicit_homes
-                    .get(p as usize)
-                    .copied()
-                    .flatten()
-                    .unwrap_or(fallback),
-            };
-            // The directory node holds the initialized copy at spawn (the
-            // post-initialization distribution).
-            let st = &mut nodes_st[home.index()].pages[p as usize];
-            let base = p as usize * ps;
-            st.buf = Some(PageBuf::from_slice(&golden[base..base + ps]));
+        let ps = geometry.page_size();
+        for (p, home) in homes.iter().enumerate() {
+            let st = &mut nodes_st[home.index()].pages[p];
+            st.buf = Some(PageBuf::from_slice(&golden[p * ps..(p + 1) * ps]));
             st.access = svm_mem::Access::ReadOnly;
-            dir.push(DirEntry {
-                home,
-                validator: home,
-            });
         }
         let recording = cfg.trace.record.then(|| Recording::new(nodes));
         SvmAgent {
@@ -437,7 +422,7 @@ impl SvmAgent {
             recording,
             mutation: MutationState::default(),
             nodes_st,
-            dir,
+            dir: homes,
             caches,
             cfg,
             geometry,
@@ -695,7 +680,10 @@ mod tests {
         let caches = (0..cfg.nodes)
             .map(|_| NodeCache::new(num_pages as usize))
             .collect();
-        SvmAgent::new(cfg, geometry, num_pages, &golden, Vec::new(), caches)
+        let homes = (0..num_pages as usize)
+            .map(|p| NodeId((p % cfg.nodes) as u16))
+            .collect();
+        SvmAgent::new(cfg, geometry, &golden, homes, caches)
     }
 
     /// The digest is the one the agent's former `lock_seqs` and `recorders`
@@ -766,32 +754,26 @@ mod tests {
         assert_ne!(Fnv64::of(&a), Fnv64::of(&b));
     }
 
-    /// Under either policy every page is homed at spawn and only its home
-    /// holds a copy, with the initialized bytes.
+    /// Every page is homed at spawn and only its home holds a copy, with
+    /// the initialized bytes.
     #[test]
     fn explicit_homes_materialize_at_spawn() {
-        let hints = vec![Some(NodeId(1)), Some(NodeId(0))];
-        for (policy, homes) in [
-            (HomePolicy::Explicit, [1, 0]),
-            (HomePolicy::RoundRobin, [0, 1]),
-        ] {
-            let mut cfg = SvmConfig::new(ProtocolName::Hlrc, 2);
-            cfg.home_policy = policy.clone();
-            let geometry = Geometry::new(cfg.page_size());
-            let golden = vec![0xAB; 2 * geometry.page_size()];
-            let caches = (0..2).map(|_| NodeCache::new(2)).collect();
-            let agent = SvmAgent::new(cfg, geometry, 2, &golden, hints.clone(), caches);
-            for (p, home) in homes.into_iter().enumerate() {
-                assert_eq!(agent.dir[p].home, NodeId(home), "{policy:?} page {p}");
-                let st = &agent.nodes_st[home as usize].pages[p];
-                assert_eq!(st.access, svm_mem::Access::ReadOnly, "{policy:?} page {p}");
-                // SAFETY: no application bodies exist in this test; the
-                // kernel phase contract trivially holds.
-                let bytes = unsafe { st.buf.as_ref().unwrap().bytes() };
-                assert!(bytes.iter().all(|&b| b == 0xAB), "{policy:?} page {p}");
-                let other = &agent.nodes_st[1 - home as usize].pages[p];
-                assert!(other.buf.is_none(), "{policy:?} page {p}");
-            }
+        let cfg = SvmConfig::new(ProtocolName::Hlrc, 2);
+        let geometry = Geometry::new(cfg.page_size());
+        let golden = vec![0xAB; 2 * geometry.page_size()];
+        let caches = (0..2).map(|_| NodeCache::new(2)).collect();
+        let homes = vec![NodeId(1), NodeId(0)];
+        let agent = SvmAgent::new(cfg, geometry, &golden, homes.clone(), caches);
+        assert_eq!(agent.dir, homes);
+        for (p, home) in homes.into_iter().enumerate() {
+            let st = &agent.nodes_st[home.index()].pages[p];
+            assert_eq!(st.access, svm_mem::Access::ReadOnly, "page {p}");
+            // SAFETY: no application bodies exist in this test; the
+            // kernel phase contract trivially holds.
+            let bytes = unsafe { st.buf.as_ref().unwrap().bytes() };
+            assert!(bytes.iter().all(|&b| b == 0xAB), "page {p}");
+            let other = &agent.nodes_st[1 - home.index()].pages[p];
+            assert!(other.buf.is_none(), "page {p}");
         }
     }
 }

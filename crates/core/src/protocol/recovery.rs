@@ -320,7 +320,7 @@ impl SvmAgent {
             };
             let (page, stage) = (f.page, &f.stage);
             let err = match stage {
-                FaultStage::AwaitPage if self.dir[page.0 as usize].validator == dead => {
+                FaultStage::AwaitPage if self.dir[page.0 as usize] == dead => {
                     // The base-copy request died with the validator. If any
                     // survivor still holds a copy, the fetch is re-driven
                     // against the re-elected validator (diff gaps resolve
@@ -367,18 +367,6 @@ impl SvmAgent {
     /// only truly lost requests are re-driven — a fetch to a live home must
     /// not be duplicated).
     fn failover_homes(&mut self, ctx: &mut MCtx<'_>, dead: NodeId) {
-        for p in 0..self.cfg.nodes {
-            if !self.recovery.alive[p] {
-                continue;
-            }
-            if let Some(f) = &self.nodes_st[p].fault {
-                if matches!(f.stage, FaultStage::AwaitHome)
-                    && self.dir[f.page.0 as usize].home == dead
-                {
-                    self.recovery.refetch.push((NodeId(p as u16), f.page));
-                }
-            }
-        }
         // Homeless protocols have no home to fail over, but the validator
         // seat (the guaranteed-copy node GC preserves) may have died:
         // re-elect the survivor whose copy has applied most of the dead
@@ -386,8 +374,16 @@ impl SvmAgent {
         // base copy to start from. No surviving copy at all means the page
         // data is gone for every node that would ever fault on it.
         if self.homeless() {
+            // A homeless fault leaves `AwaitHome` in the handler that set it.
+            debug_assert!(
+                self.nodes_st
+                    .iter()
+                    .filter_map(|st| st.fault.as_ref())
+                    .all(|f| !matches!(f.stage, FaultStage::AwaitHome)),
+                "homeless fault still awaiting a home"
+            );
             for pg in 0..self.num_pages {
-                if self.dir[pg as usize].validator != dead {
+                if self.dir[pg as usize] != dead {
                     continue;
                 }
                 let mut best: Option<(u32, NodeId)> = None;
@@ -403,7 +399,7 @@ impl SvmAgent {
                 }
                 match best {
                     Some((_, c)) => {
-                        self.dir[pg as usize].validator = c;
+                        self.dir[pg as usize] = c;
                         self.recovery.stats.rehomed_pages += 1;
                     }
                     None => {
@@ -420,6 +416,16 @@ impl SvmAgent {
             }
             return;
         }
+        for p in 0..self.cfg.nodes {
+            if !self.recovery.alive[p] {
+                continue;
+            }
+            if let Some(f) = &self.nodes_st[p].fault {
+                if matches!(f.stage, FaultStage::AwaitHome) && self.dir[f.page.0 as usize] == dead {
+                    self.recovery.refetch.push((NodeId(p as u16), f.page));
+                }
+            }
+        }
         // Harvested in-flight flushes by page, for the coverage simulation.
         let mut harvest: BTreeMap<u32, Vec<(NodeId, u32)>> = BTreeMap::new();
         for &(page, w, i, _) in &self.recovery.pending_flushes {
@@ -428,7 +434,7 @@ impl SvmAgent {
         let ps = self.page_size() as i64;
         let auto = self.cfg.protocol.auto_update();
         for pg in 0..self.num_pages {
-            if self.dir[pg as usize].home != dead {
+            if self.dir[pg as usize] != dead {
                 continue;
             }
             let mut need = WriterMap::default();
@@ -470,8 +476,7 @@ impl SvmAgent {
                 );
                 return;
             };
-            self.dir[pg as usize].home = c;
-            self.dir[pg as usize].validator = c;
+            self.dir[pg as usize] = c;
             self.recovery.stats.rehomed_pages += 1;
             // The new home's copy becomes the master: in-place writes, no
             // twin (matching a home page's steady state).
@@ -514,7 +519,7 @@ impl SvmAgent {
         //    diffs, in writer order, skipping what the copy already has.
         let (mine, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.recovery.pending_flushes)
             .into_iter()
-            .partition(|&(page, ..)| self.dir[page.0 as usize].home == n);
+            .partition(|&(page, ..)| self.dir[page.0 as usize] == n);
         self.recovery.pending_flushes = rest;
         for (page, writer, interval, diff) in mine {
             let applied = self.nodes_st[n.index()].pages[page.0 as usize]
@@ -596,7 +601,7 @@ impl SvmAgent {
         }
         let mut err = None;
         'pages: for pg in 0..self.num_pages {
-            if self.dir[pg as usize].home != h {
+            if self.dir[pg as usize] != h {
                 continue;
             }
             let page = PageNum(pg);

@@ -106,10 +106,10 @@ impl PageState {
         clippy::expect_used,
         reason = "INVARIANT: every caller is past the point that installed the copy. A fault \
                   fetches or validates the copy before diff collection, the write upgrade \
-                  (which is what makes a page dirty) and the mapping; a home's master copy \
-                  materializes at first touch and is never dropped (homes are exempt from \
-                  GC); GC's validator is elected among the page's writers, which keep their \
-                  copies until that pass frees them."
+                  (which is what makes a page dirty) and the mapping; a home holds its master \
+                  copy from spawn and never drops it (homes are exempt from GC); GC's \
+                  validator is elected among the page's writers, which keep their copies until \
+                  that pass frees them."
     )]
     pub fn copy(&self) -> &PageBuf {
         self.buf.as_ref().expect("page has a copy")
@@ -339,16 +339,6 @@ impl ProtoNode {
     pub fn lock(&mut self, lock: u32) -> &mut LockNodeState {
         self.locks.entry(lock).or_default()
     }
-}
-
-/// Global page directory entry.
-#[derive(Clone, Debug, Hash)]
-pub struct DirEntry {
-    /// The page's home (placed at spawn; moved only by crash recovery).
-    pub home: NodeId,
-    /// Cold-fetch target for the homeless protocols (initial owner, updated
-    /// by garbage collection).
-    pub validator: NodeId,
 }
 
 #[cfg(test)]

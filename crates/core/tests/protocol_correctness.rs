@@ -5,7 +5,7 @@
 //! consistency at synchronization points requires — the ground truth the
 //! Splash-2 reproductions rely on.
 
-use svm_core::{run, BarrierId, HomePolicy, LockId, ProtocolName, SvmConfig};
+use svm_core::{run, BarrierId, LockId, ProtocolName, SvmConfig};
 use svm_machine::Category;
 
 fn configs(nodes: usize) -> Vec<SvmConfig> {
@@ -157,11 +157,6 @@ fn home_effect_single_writer_produces_no_hlrc_diffs() {
     // Chunks are page multiples (1024 u64 = one 8 KB page per chunk).
     let n = 4096usize;
     let nodes = 4;
-    let mk = |protocol| {
-        let mut cfg = SvmConfig::new(protocol, nodes);
-        cfg.home_policy = HomePolicy::Explicit;
-        cfg
-    };
     let body = move |ctx: &svm_core::SvmCtx<'_>, a: &svm_core::api::SharedArr<u64>| {
         let me = ctx.node();
         let chunk = n / ctx.nodes();
@@ -187,14 +182,14 @@ fn home_effect_single_writer_produces_no_hlrc_diffs() {
         a
     };
 
-    let hlrc = run(&mk(ProtocolName::Hlrc), setup, body);
+    let hlrc = run(&SvmConfig::new(ProtocolName::Hlrc, nodes), setup, body);
     assert_eq!(
         hlrc.counters.total(|c| c.diffs_created),
         0,
         "home effect: single-writer pages homed at writers need no diffs"
     );
 
-    let lrc = run(&mk(ProtocolName::Lrc), setup, body);
+    let lrc = run(&SvmConfig::new(ProtocolName::Lrc, nodes), setup, body);
     assert!(
         lrc.counters.total(|c| c.diffs_created) > 0,
         "homeless LRC must create diffs for shared pages"

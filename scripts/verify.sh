@@ -7,9 +7,10 @@
 #   --fast skips the example runs, the standalone benchmark crate
 #   build and lint, the regeneration of nine results/*_s025.txt tables,
 #   the serve matrix, the two node-count probes and the paper-scale
-#   64-node Table 2, and the robustness matrix's seed sweeps, but always
-#   keeps the workspace clippy, the exploration gate and the default
-#   robustness matrix — the cheap gates that catch whole bug classes.
+#   64-node Table 2, and the robustness matrix's pinned seed sweeps, but
+#   always keeps the workspace clippy, the exploration gate and the pinned
+#   default robustness matrix — the cheap gates that catch whole bug
+#   classes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -185,23 +186,30 @@ if [[ "$FAST" -eq 0 ]]; then
 fi
 
 # Every cell recorded and judged by every oracle: checksum, halt kind,
-# svm-checker coherence, one replay, then the seeded-bug battery.
-echo "== robustness matrix (network faults and seeded node crashes, every cell checked)"
-$BENCH robust
+# svm-checker coherence, one replay, then the seeded-bug battery. The whole
+# stdout is deterministic (its `time(s)` column is simulated seconds), so it
+# is pinned byte for byte; re-record with `$BENCH robust > results/robust.txt`.
+echo "== robustness matrix (network faults and seeded node crashes, every cell checked; pinned by results/robust.txt)"
+$BENCH robust | tee target/robust.txt
+diff -u results/robust.txt target/robust.txt
 
 if [[ "$FAST" -eq 0 ]]; then
   # The crash regimes at every seed 1..16, on 4 and on 8 nodes (~5 s and
   # ~6 s on 2 vCPUs): the default's two schedules are a sample, this is
-  # the sweep the recovery contract is held to. Summary lines only, unless
-  # a cell fails.
-  echo "== robustness matrix, crash seeds 1..16 on 4 and 8 nodes"
+  # the sweep the recovery contract is held to. Its stdout is pinned like
+  # the default's; re-record with the command below, redirected to
+  # results/robust_seeds16_n4.txt (n8 for 8 nodes). Summary lines only,
+  # unless a cell fails.
+  echo "== robustness matrix, crash seeds 1..16 on 4 and 8 nodes (pinned by results/robust_seeds16_n{4,8}.txt)"
   for nodes in 4 8; do
-    if ! $BENCH robust --nodes "$nodes" --seeds "$(seq -s, 1 16)" >"target/robust_n$nodes.txt" 2>&1; then
-      cat "target/robust_n$nodes.txt"
+    out="target/robust_n$nodes.txt"
+    if ! $BENCH robust --nodes "$nodes" --seeds "$(seq -s, 1 16)" >"$out" 2>"target/robust_n$nodes.err"; then
+      cat "$out" "target/robust_n$nodes.err"
       exit 1
     fi
+    diff -u "results/robust_seeds16_n$nodes.txt" "$out"
     echo "-- $nodes nodes"
-    grep -E '^(halted|coherent)' "target/robust_n$nodes.txt"
+    grep -E '^(halted|coherent)' "$out"
   done
 fi
 
