@@ -34,7 +34,7 @@ const REGENERATE: &str =
 /// last recorded; debug and release builds differ by single digits. The
 /// measuring test prints the current count, which is how this is re-recorded
 /// after an intended change (EXPERIMENTS.md).
-const SERIAL_ALLOC_BUDGET: u64 = 574_317;
+const SERIAL_ALLOC_BUDGET: u64 = 557_883;
 /// Headroom over the budget: the harness's own allocations and the other
 /// tests of this binary land in the same process-wide counter.
 const ALLOC_BUDGET_SLACK: f64 = 1.10;

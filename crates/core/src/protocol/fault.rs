@@ -231,7 +231,7 @@ impl SvmAgent {
                         writer: w,
                         interval: d.interval,
                         vt: d.vt.clone(),
-                        diff: d.diff.clone(),
+                        diff: d.diff().clone(),
                     })
                     .collect()
             })

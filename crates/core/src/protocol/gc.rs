@@ -87,9 +87,9 @@ impl SvmAgent {
                             writer: w,
                             interval: d.interval,
                             vt: d.vt.clone(),
-                            diff: d.diff.clone(),
+                            diff: d.diff().clone(),
                         });
-                        remote_bytes += d.diff.wire_bytes();
+                        remote_bytes += d.diff().wire_bytes();
                         any = true;
                     }
                     if any {
@@ -161,18 +161,13 @@ impl SvmAgent {
             }
         }
 
-        // Free every diff store, returning sole-owned diff buffers to the
-        // thread-local pools (packets still referenced elsewhere just drop).
+        // Free every diff store. Stored diffs hold exact-size buffers, not
+        // pool stock, so they drop rather than recycle.
         for (i, node_cost) in cost.iter_mut().enumerate() {
-            let mut freed_diffs = 0u64;
-            for (_, ds) in std::mem::take(&mut self.nodes_st[i].diff_store) {
-                freed_diffs += ds.len() as u64;
-                for sd in ds {
-                    if let Ok(d) = std::rc::Rc::try_unwrap(sd.diff) {
-                        d.recycle();
-                    }
-                }
-            }
+            let freed_diffs: u64 = std::mem::take(&mut self.nodes_st[i].diff_store)
+                .values()
+                .map(|ds| ds.len() as u64)
+                .sum();
             *node_cost += FREE_PER_DIFF * freed_diffs;
             let cur = self.counters[i].mem.diff_bytes;
             self.counters[i].mem.diffs(-(cur as i64));

@@ -123,7 +123,7 @@ impl SvmAgent {
                 let st = &self.nodes_st[idx].pages[p.0 as usize];
                 // SAFETY: kernel phase: every body is suspended.
                 let cur = unsafe { st.copy().bytes() };
-                Rc::new(Diff::create(&twin, cur))
+                Diff::create(&twin, cur)
             };
             svm_mem::pool::put_bytes(twin);
             self.finish_diff(ctx, n, p, interval, &vt, diff);
@@ -153,7 +153,7 @@ impl SvmAgent {
         page: PageNum,
         interval: u32,
         vt: &Rc<VectorTime>,
-        diff: Rc<Diff>,
+        diff: Diff,
     ) {
         let idx = n.index();
         self.counters[idx].diffs_created += 1;
@@ -165,11 +165,7 @@ impl SvmAgent {
                 .diff_store
                 .entry(page.0)
                 .or_default()
-                .push(StoredDiff {
-                    interval,
-                    vt: Rc::clone(vt),
-                    diff,
-                });
+                .push(StoredDiff::new(interval, Rc::clone(vt), diff));
         } else {
             let home = self.dir[page.0 as usize];
             debug_assert_ne!(home, n, "home pages produce no diffs");
@@ -198,10 +194,7 @@ impl SvmAgent {
                 page,
                 writer: n,
                 interval,
-                diff: match Rc::try_unwrap(diff) {
-                    Ok(d) => d,
-                    Err(rc) => (*rc).clone(),
-                },
+                diff,
             };
             self.send_or_local(ctx, to, msg);
         }
@@ -221,7 +214,7 @@ impl SvmAgent {
         for (p, diff) in items {
             let create = ctx.cost().diff_create(ps);
             ctx.work(create, Category::Protocol);
-            self.finish_diff(ctx, n, p, interval, &vt, Rc::new(diff));
+            self.finish_diff(ctx, n, p, interval, &vt, diff);
         }
     }
 

@@ -125,8 +125,27 @@ pub struct StoredDiff {
     /// page dirtied by the same interval stores the same clock, and the
     /// packets built from the store alias it rather than cloning.
     pub vt: Rc<VectorTime>,
-    /// The updates.
-    pub diff: Rc<Diff>,
+    /// The updates, in exact-size buffers: private, so only
+    /// [`StoredDiff::new`] builds one.
+    diff: Rc<Diff>,
+}
+
+impl StoredDiff {
+    /// Keep `diff`, produced by `interval` at vector time `vt`. The store
+    /// holds it until garbage collection, so it moves out of the pooled
+    /// scratch buffers it was built in ([`Diff::into_exact`]).
+    pub fn new(interval: u32, vt: Rc<VectorTime>, diff: Diff) -> Self {
+        StoredDiff {
+            interval,
+            vt,
+            diff: Rc::new(diff.into_exact()),
+        }
+    }
+
+    /// The updates (shared with the packets that serve them).
+    pub fn diff(&self) -> &Rc<Diff> {
+        &self.diff
+    }
 }
 
 /// Write-notice records, per writer in interval order: the forwarding log

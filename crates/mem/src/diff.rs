@@ -8,10 +8,16 @@
 //! them (paper Section 2.3).
 //!
 //! Storage is flattened: one contiguous payload buffer plus a small index of
-//! `(offset, len)` run descriptors, instead of one `Vec<u8>` per run, so a
-//! diff costs at most two allocations whatever its run count — and zero once
-//! the buffers cycle through the thread-local [`pool`](crate::pool) via
-//! [`Diff::recycle`].
+//! 4-byte run headers (first word and length in words, `u16` each), instead
+//! of one `Vec<u8>` per run, so a diff costs at most two allocations whatever
+//! its run count. A diff that dies within its interval's handling (a flush
+//! the home applies) builds into and returns to the thread-local
+//! [`pool`](crate::pool)'s scratch buffers ([`Diff::create`],
+//! [`Diff::recycle`]): zero allocations once they cycle. A diff that is kept
+//! (a homeless writer's store, until garbage collection) is first copied
+//! into exact-size buffers by [`Diff::into_exact`], because a pooled
+//! scratch buffer is sized for the largest diff it ever held: an 8 KiB twin
+//! buffer under an 8-byte payload.
 //!
 //! Diff shapes split by application class. Shares of the diffs created in
 //! each workload of `benchmark/` (8 KB pages, seed 1), by run count, with
@@ -28,6 +34,8 @@
 //! bytes. [`Diff::create`] has to serve every column, so its host cost
 //! follows the changed words, not the page size.
 
+use std::hash::{Hash, Hasher};
+
 use crate::pool;
 
 /// Diff granularity in bytes: one 32-bit word, as in TreadMarks.
@@ -38,12 +46,47 @@ const RUN_HEADER_BYTES: usize = 8;
 /// Wire/heap overhead charged per diff (page id, writer, interval, count).
 const DIFF_HEADER_BYTES: usize = 16;
 
-/// One run's descriptor: byte offset within the page and payload length.
-/// The payload itself lives in the diff's shared data buffer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// One run's descriptor: its first word within the page and its length,
+/// both in [`DIFF_WORD`]s, so a page may hold up to `u16::MAX` words. The
+/// payload itself lives in the diff's shared data buffer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct RunRef {
-    offset: u32,
-    len: u32,
+    word: u16,
+    words: u16,
+}
+
+impl RunRef {
+    /// The run of `len` bytes at byte `offset`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either is not a multiple of [`DIFF_WORD`] or does not fit
+    /// a `u16` count of words.
+    fn new(offset: usize, len: usize) -> RunRef {
+        let words = |bytes: usize| {
+            assert!(
+                bytes.is_multiple_of(DIFF_WORD),
+                "diff run not word-aligned: offset {offset}, {len} bytes"
+            );
+            u16::try_from(bytes / DIFF_WORD).unwrap_or_else(|_| {
+                panic!("diff run past u16::MAX words: offset {offset}, {len} bytes")
+            })
+        };
+        RunRef {
+            word: words(offset),
+            words: words(len),
+        }
+    }
+
+    /// Byte offset within the page.
+    fn offset(self) -> usize {
+        usize::from(self.word) * DIFF_WORD
+    }
+
+    /// Payload length in bytes.
+    fn len(self) -> usize {
+        usize::from(self.words) * DIFF_WORD
+    }
 }
 
 /// A borrowed view of one maximal run of modified bytes.
@@ -56,11 +99,27 @@ pub struct RunView<'a> {
 }
 
 /// A set of page updates: the difference between a twin and a dirty copy.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Diff {
     runs: Vec<RunRef>,
     /// Concatenated run payloads, in run order.
     data: Vec<u8>,
+}
+
+/// Feeds the hasher exactly what `#[derive(Hash)]` did when a run was
+/// `(offset: u32, len: u32)` in bytes: the run count, each run's byte
+/// offset and byte length, then the payload with its length. Explorer
+/// state digests hash diffs (DESIGN §16), so the recorded `final_digest`
+/// lines depend on this byte stream, not on the run header's layout.
+impl Hash for Diff {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.runs.len());
+        for r in &self.runs {
+            (r.offset() as u32).hash(state);
+            (r.len() as u32).hash(state);
+        }
+        self.data.hash(state);
+    }
 }
 
 thread_local! {
@@ -217,12 +276,17 @@ impl Diff {
     ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length or the length is not a multiple
-    /// of [`DIFF_WORD`].
+    /// Panics if the slices differ in length, the length is not a multiple
+    /// of [`DIFF_WORD`], or the page has more than `u16::MAX` words.
     pub fn create(twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
         assert_eq!(twin.len() % DIFF_WORD, 0, "page size must be word-multiple");
         let words = twin.len() / DIFF_WORD;
+        assert!(
+            words <= usize::from(u16::MAX),
+            "page of {words} words exceeds the diff limit of {} words",
+            u16::MAX
+        );
         // Hot path: this runs once per twin at every release/flush, and
         // reuses pooled buffers.
         let mut runs = take_runs();
@@ -236,21 +300,25 @@ impl Diff {
             }
             let start = w;
             w = scan::<true>(twin, current, w);
-            let bytes = &current[start * DIFF_WORD..w * DIFF_WORD];
             runs.push(RunRef {
-                offset: (start * DIFF_WORD) as u32,
-                len: bytes.len() as u32,
+                word: start as u16,
+                words: (w - start) as u16,
             });
-            data.extend_from_slice(bytes);
+            data.extend_from_slice(&current[start * DIFF_WORD..w * DIFF_WORD]);
         }
         Diff { runs, data }
     }
 
     /// Build a diff from explicit `(offset, bytes)` runs.
     ///
-    /// For tests and wire decoding; no validation beyond flattening, so
-    /// malformed runs (overlapping, out of bounds) surface later through
-    /// [`Diff::apply`]'s named bounds check.
+    /// For tests and wire decoding. Only the run header's limits are
+    /// checked, so other malformed runs (overlapping, out of bounds)
+    /// surface later through [`Diff::apply`]'s named bounds check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run's offset or length is not a multiple of
+    /// [`DIFF_WORD`], or is more than `u16::MAX` words.
     pub fn from_runs<I, B>(runs: I) -> Diff
     where
         I: IntoIterator<Item = (u32, B)>,
@@ -259,10 +327,7 @@ impl Diff {
         let mut d = Diff::default();
         for (offset, bytes) in runs {
             let bytes = bytes.as_ref();
-            d.runs.push(RunRef {
-                offset,
-                len: bytes.len() as u32,
-            });
+            d.runs.push(RunRef::new(offset as usize, bytes.len()));
             d.data.extend_from_slice(bytes);
         }
         d
@@ -321,11 +386,14 @@ impl Diff {
     }
 
     /// Bytes this diff occupies in memory while stored (paper Table 6).
+    ///
+    /// A model charge, not the host's: 24 B per run (the 8-byte wire header
+    /// plus 16 B of allocator and run-vector overhead in a one-`Vec`-per-run
+    /// layout) on top of the wire form. It drives the GC threshold, hence
+    /// virtual time, so it stays pinned to that layout; the host holds
+    /// 4 B per run and the payload, in exact-size buffers once stored
+    /// ([`Diff::into_exact`]).
     pub fn heap_bytes(&self) -> usize {
-        // Stored form ~ wire form plus allocator/run-vector overhead. The
-        // charge is part of the model (it drives the GC threshold, hence
-        // virtual time), so it is pinned to the historical per-run layout
-        // even though the flat storage is cheaper in host memory.
         DIFF_HEADER_BYTES + self.runs.len() * (RUN_HEADER_BYTES + 16) + self.payload_bytes()
     }
 
@@ -365,8 +433,8 @@ impl Diff {
         for d in [self, later] {
             d.apply(&mut cur);
             for run in &d.runs {
-                let first = run.offset as usize / DIFF_WORD;
-                for t in &mut touched[first..first + run.len as usize / DIFF_WORD] {
+                let first = usize::from(run.word);
+                for t in &mut touched[first..first + usize::from(run.words)] {
                     *t = true;
                 }
             }
@@ -385,22 +453,37 @@ impl Diff {
             while w < words && touched[w] {
                 w += 1;
             }
-            let bytes = &cur[start * DIFF_WORD..w * DIFF_WORD];
-            out.runs.push(RunRef {
-                offset: (start * DIFF_WORD) as u32,
-                len: bytes.len() as u32,
-            });
-            out.data.extend_from_slice(bytes);
+            // Checked: two representable runs can meet in a longer one.
+            out.runs
+                .push(RunRef::new(start * DIFF_WORD, (w - start) * DIFF_WORD));
+            out.data
+                .extend_from_slice(&cur[start * DIFF_WORD..w * DIFF_WORD]);
         }
         pool::put_bytes(cur);
         out
     }
 
+    /// The same diff in buffers of exactly its size, with this diff's
+    /// buffers returned to the thread-local pools.
+    ///
+    /// For a diff that outlives its interval (a homeless writer's store):
+    /// [`Diff::create`]'s buffers come from the pools and keep the capacity
+    /// of the largest diff or twin they ever held.
+    pub fn into_exact(self) -> Diff {
+        let exact = Diff {
+            runs: self.runs.to_vec(),
+            data: self.data.to_vec(),
+        };
+        self.recycle();
+        exact
+    }
+
     /// Return this diff's buffers to the thread-local pools.
     ///
-    /// Call where a diff's lifetime provably ends (the home after applying
-    /// a flush, garbage collection); plain `drop` remains correct anywhere
-    /// else.
+    /// Call where a transient diff's lifetime provably ends (the home after
+    /// applying a flush); plain `drop` remains correct anywhere else, and
+    /// is right for a diff from [`Diff::into_exact`], whose small buffers
+    /// would only crowd out the scratch buffers the pools are for.
     pub fn recycle(self) {
         put_runs(self.runs);
         pool::put_bytes(self.data);
@@ -419,11 +502,11 @@ impl<'a> Iterator for Runs<'a> {
 
     fn next(&mut self) -> Option<RunView<'a>> {
         let r = self.diff.runs.get(self.next)?;
-        let bytes = &self.diff.data[self.cursor..self.cursor + r.len as usize];
+        let bytes = &self.diff.data[self.cursor..self.cursor + r.len()];
         self.next += 1;
-        self.cursor += r.len as usize;
+        self.cursor += r.len();
         Some(RunView {
-            offset: r.offset,
+            offset: r.offset() as u32,
             bytes,
         })
     }
@@ -591,5 +674,105 @@ mod tests {
     #[should_panic(expected = "diff run out of bounds in merge")]
     fn merge_rejects_oversized_run_in_later_diff() {
         let _ = Diff::default().merge(&oversized(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "page of 65536 words exceeds the diff limit of 65535 words")]
+    fn create_rejects_a_page_past_u16_words() {
+        let page = vec![0u8; (usize::from(u16::MAX) + 1) * DIFF_WORD];
+        let _ = Diff::create(&page, &page);
+    }
+
+    #[test]
+    fn create_takes_a_page_of_u16_max_words() {
+        let twin = vec![0u8; usize::from(u16::MAX) * DIFF_WORD];
+        let cur = vec![1u8; twin.len()];
+        let d = Diff::create(&twin, &cur);
+        let run = d.runs().next().expect("one run");
+        assert_eq!(
+            (d.run_count(), run.offset, run.bytes.len()),
+            (1, 0, cur.len())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "diff run not word-aligned: offset 6, 4 bytes")]
+    fn from_runs_rejects_an_unaligned_offset() {
+        let _ = Diff::from_runs([(6u32, [1u8; 4])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diff run not word-aligned: offset 8, 3 bytes")]
+    fn from_runs_rejects_an_unaligned_length() {
+        let _ = Diff::from_runs([(8u32, [1u8; 3])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diff run past u16::MAX words: offset 262144, 4 bytes")]
+    fn from_runs_rejects_an_offset_past_u16_words() {
+        let _ = Diff::from_runs([((u32::from(u16::MAX) + 1) * 4, [1u8; 4])]);
+    }
+
+    #[test]
+    fn a_stored_diff_holds_exactly_its_bytes() {
+        // An 8 KiB scratch buffer in the pool, as a recycled twin leaves.
+        pool::put_bytes(Vec::with_capacity(8192));
+        let twin = vec![0u8; 8192];
+        let d = Diff::create(&twin, &page(&[(100, 1)], 8192));
+        assert!(
+            d.data.capacity() >= 8192,
+            "create builds in the pooled buffer"
+        );
+        let stored = d.into_exact();
+        assert_eq!(stored, Diff::from_runs([(100u32, [1u8, 0, 0, 0])]));
+        assert_eq!((stored.data.len(), stored.data.capacity()), (4, 4));
+        assert_eq!((stored.runs.len(), stored.runs.capacity()), (1, 1));
+        assert_eq!(size_of::<RunRef>(), 4);
+    }
+
+    /// A hasher that records every write it is fed, call by call.
+    #[derive(Default)]
+    struct Recorder(Vec<Vec<u8>>);
+
+    impl Hasher for Recorder {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.push(bytes.to_vec());
+        }
+    }
+
+    fn hasher_input(v: &impl Hash) -> Vec<Vec<u8>> {
+        let mut r = Recorder::default();
+        v.hash(&mut r);
+        r.0
+    }
+
+    #[test]
+    fn hash_input_matches_the_byte_offset_layout() {
+        /// `Diff` as it was when `#[derive(Hash)]` defined its digest.
+        #[derive(Hash)]
+        struct ByteRuns {
+            runs: Vec<(u32, u32)>,
+            data: Vec<u8>,
+        }
+        let mutated_page = |src: &mut svm_testkit::Source| {
+            let twin = src.bytes(256);
+            let mut cur = twin.clone();
+            for _ in 0..src.usize_in(0..40) {
+                let i = src.usize_in(0..256);
+                cur[i] = cur[i].wrapping_add(1);
+            }
+            (twin, cur)
+        };
+        svm_testkit::check("diff_hash_input", mutated_page, |(twin, cur)| {
+            let d = Diff::create(twin, cur);
+            let old = ByteRuns {
+                runs: d.runs().map(|r| (r.offset, r.bytes.len() as u32)).collect(),
+                data: d.data.clone(),
+            };
+            assert_eq!(hasher_input(&d), hasher_input(&old));
+        });
     }
 }

@@ -7,7 +7,12 @@
 //! back out cleared. Pools are per-thread (simulation runs are
 //! single-threaded; parallel sweeps get one pool per worker, which is the
 //! per-worker arena reuse of `svm_bench::parallel`) and bounded in both
-//! count and retained capacity so peak memory stays flat.
+//! count and retained capacity, which bounds the memory the pools hold idle.
+//! It does not bound a buffer that leaves them for good: a pooled buffer
+//! keeps the capacity of the largest use it ever had, so anything kept past
+//! its use is copied out at its own size. A diff stored for homeless garbage
+//! collection would otherwise hold an 8 KiB ex-twin buffer whatever its
+//! payload (`Diff::into_exact`).
 //!
 //! Pooling never changes observable values: buffers are handed out with
 //! `len == 0` (or fully overwritten by `take_bytes_copy`), so virtual-time
