@@ -49,7 +49,7 @@ fn sor_hlrc_speedup_matches_recorded_table2() {
     let run = sor.run(&cfg);
 
     assert!(
-        run.report.errors.is_empty() && run.report.retransmit_trace.is_empty(),
+        run.report.errors.is_empty() && run.report.counters.total(|c| c.retransmissions) == 0,
         "zero-fault run must have no protocol errors or retransmissions"
     );
     assert_eq!(run.report.outcome.net_faults, Default::default());
@@ -76,7 +76,7 @@ fn sor_hlrc_speedup_matches_recorded_table2_at_64_nodes() {
     let cfg = SvmConfig::new(ProtocolName::Hlrc, 64);
     let run = sor.run(&cfg);
     assert!(
-        run.report.errors.is_empty() && run.report.retransmit_trace.is_empty(),
+        run.report.errors.is_empty() && run.report.counters.total(|c| c.retransmissions) == 0,
         "zero-fault run must have no protocol errors or retransmissions"
     );
     let got = format!("{:.2}", run.report.speedup_vs(sor.seq_secs()));

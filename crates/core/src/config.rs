@@ -1,6 +1,6 @@
 //! Protocol and run configuration.
 
-use svm_machine::{CostModel, NetFaultConfig, NodeId};
+use svm_machine::{CostModel, NodeId};
 
 /// Update-location strategy: the paper's central axis.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -106,74 +106,16 @@ pub(crate) fn round_robin(page: usize, nodes: usize) -> NodeId {
     NodeId((page % nodes) as u16)
 }
 
-/// Network fault injection + reliable delivery for one run.
+/// Network fault injection for one run: the machine's one fault
+/// configuration ([`svm_machine::NetFaultConfig`]) under the name the
+/// protocol stack uses. Any active profile also turns the reliable-delivery
+/// sublayer on.
 ///
 /// The default is fully inactive: no fault plan is installed in the
 /// machine, the reliable-delivery sublayer stays disabled, and the run is
 /// bit-identical — output *and* virtual-time metrics — to one under a build
 /// that never had either layer.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultProfile {
-    /// Seed for the fault-decision stream.
-    pub seed: u64,
-    /// Probability a cross-node message is dropped.
-    pub drop_rate: f64,
-    /// Probability a delivered message arrives twice.
-    pub dup_rate: f64,
-    /// Probability a delivery gets extra jitter (causes reordering).
-    pub delay_rate: f64,
-    /// Probability a message triggers a transient destination-node stall.
-    pub stall_rate: f64,
-    /// Deterministically drop the first wire message whose
-    /// [`crate::msg::SvmMsg::kind_name`] equals this string (targeted
-    /// loss-of-each-message-type regression tests).
-    pub drop_first_kind: Option<&'static str>,
-}
-
-impl Default for FaultProfile {
-    fn default() -> Self {
-        FaultProfile {
-            seed: 0,
-            drop_rate: 0.0,
-            dup_rate: 0.0,
-            delay_rate: 0.0,
-            stall_rate: 0.0,
-            drop_first_kind: None,
-        }
-    }
-}
-
-impl FaultProfile {
-    /// A chaos profile: drop + duplicate at `rate`, jitter at `4 × rate`.
-    pub fn chaos(seed: u64, rate: f64) -> Self {
-        FaultProfile {
-            seed,
-            drop_rate: rate,
-            dup_rate: rate,
-            delay_rate: (4.0 * rate).min(1.0),
-            ..FaultProfile::default()
-        }
-    }
-
-    /// The machine's fault plan for this profile (the one place the two
-    /// configurations' fields are paired), with the machine's default bounds.
-    pub fn net_faults(&self) -> NetFaultConfig {
-        NetFaultConfig {
-            seed: self.seed,
-            drop_rate: self.drop_rate,
-            dup_rate: self.dup_rate,
-            delay_rate: self.delay_rate,
-            stall_rate: self.stall_rate,
-            ..NetFaultConfig::default()
-        }
-    }
-
-    /// Whether the reliable-delivery sublayer must be on (random faults, by
-    /// the machine's definition, or a targeted deterministic drop).
-    pub fn is_active(&self) -> bool {
-        self.net_faults().is_active() || self.drop_first_kind.is_some()
-    }
-}
+pub use svm_machine::NetFaultConfig as FaultProfile;
 
 /// What the protocol does once the failure detector declares a peer dead.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

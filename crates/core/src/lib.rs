@@ -47,7 +47,7 @@ pub use config::{
 pub use metrics::{MemoryStats, NodeCounters, ProtocolReport};
 pub use msg::{SvmReq, SvmResp};
 pub use protocol::recovery::RecoveryStats;
-pub use protocol::reliable::{RetransmitEvent, Wire};
+pub use protocol::reliable::Wire;
 pub use protocol::{ProtocolError, SvmAgent};
 pub use runner::{run, run_explored, RunReport, Setup};
 pub use trace::{AccessTrace, Recording, TraceConfig, TraceEvent};

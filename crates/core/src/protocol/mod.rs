@@ -416,7 +416,7 @@ impl SvmAgent {
             barrier_marks: vec![Vec::new(); nodes],
             barrier: BarrierState::new(nodes),
             lock_mgr: std::collections::BTreeMap::new(),
-            net: ReliableNet::new(&cfg.fault, cfg.recovery.enabled),
+            net: ReliableNet::new(cfg.fault.is_active() || cfg.recovery.enabled),
             recovery: RecoveryState::new(nodes),
             errors: Vec::new(),
             recording,

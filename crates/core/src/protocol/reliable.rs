@@ -11,10 +11,14 @@
 //! sequence independently — matching the independent service queues they
 //! feed.
 //!
-//! When the run's [`crate::FaultProfile`] is inactive the layer is off:
-//! messages travel as [`Wire::Plain`] with the same wire size and traffic
-//! class as the bare message and no extra events, keeping zero-fault runs
-//! bit-identical to a build without the layer.
+//! The layer makes no fault decision: every loss, duplicate, delay and
+//! stall, the targeted drop of one message kind included, is the machine's
+//! fault plan (`svm_machine::netfault`). The layer only sequences, acks and
+//! retransmits. When the run's [`crate::FaultProfile`] is inactive (and
+//! crash recovery is off) the layer is off too: messages travel as
+//! [`Wire::Plain`] with the same wire size and traffic class as the bare
+//! message and no extra events, keeping zero-fault runs bit-identical to a
+//! build without the layer.
 //!
 //! Acks are not themselves sequenced or retransmitted — a lost ack is
 //! recovered by the sender's retransmission, which the receiver answers
@@ -33,7 +37,6 @@ use std::hash::{Hash, Hasher};
 use svm_machine::{Category, Message, ProcAddr, TrafficClass};
 use svm_sim::{EventId, SimDuration};
 
-use crate::config::FaultProfile;
 use crate::msg::SvmMsg;
 use crate::protocol::{MCtx, ProtocolError, SvmAgent};
 
@@ -118,21 +121,15 @@ impl Message for Wire {
             Wire::Ack { .. } | Wire::Heartbeat | Wire::Timer(_) => TrafficClass::Protocol,
         }
     }
-}
 
-/// One retransmission, for the bit-reproducible chaos trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RetransmitEvent {
-    /// Virtual time of the retransmission, nanoseconds.
-    pub at_ns: u64,
-    /// Sending processor.
-    pub from: ProcAddr,
-    /// Destination processor.
-    pub to: ProcAddr,
-    /// The resent sequence number.
-    pub seq: u32,
-    /// Backoff exponent in force when the timeout fired (1 = first retry).
-    pub attempt: u32,
+    /// The protocol message's kind, which the fault plan's targeted drop
+    /// matches; acks, heartbeats and timers have none.
+    fn kind(&self) -> Option<&'static str> {
+        match self {
+            Wire::Plain(m) | Wire::Data { msg: m, .. } => Some(m.kind_name()),
+            Wire::Ack { .. } | Wire::Heartbeat | Wire::Timer(_) => None,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -197,28 +194,21 @@ pub struct ReliableNet {
     /// recovery enabled — recovery's in-flight harvest needs the sequenced
     /// envelopes and unacked buffers).
     pub enabled: bool,
-    /// One-shot deterministic drop of the first message of a given kind.
-    drop_first: Option<&'static str>,
     /// Send channels by `(from, to)`.
     pub(crate) send: BTreeMap<(ProcAddr, ProcAddr), SendChannel>,
     pub(crate) recv: BTreeMap<(ProcAddr, ProcAddr), RecvChannel>,
     /// The next retransmit-timer arming, over all channels.
     next_arming: Arming,
-    /// Every retransmission, in event order.
-    pub trace: Vec<RetransmitEvent>,
 }
 
 impl ReliableNet {
-    /// Build from the run's fault profile. `force_enabled` turns the layer
-    /// on even without fault sources (crash recovery requires it).
-    pub fn new(profile: &FaultProfile, force_enabled: bool) -> Self {
+    /// A layer with no channels yet, on or off.
+    pub fn new(enabled: bool) -> Self {
         ReliableNet {
-            enabled: profile.is_active() || force_enabled,
-            drop_first: profile.drop_first_kind,
+            enabled,
             send: BTreeMap::new(),
             recv: BTreeMap::new(),
             next_arming: Arming(0),
-            trace: Vec::new(),
         }
     }
 
@@ -231,17 +221,13 @@ impl ReliableNet {
 }
 
 /// `next_arming` counts how many timers were ever armed — history, not state.
-/// `drop_first` belongs to the fault profile (which explore mode refuses),
-/// `trace` is a log.
 impl Hash for ReliableNet {
     fn hash<H: Hasher>(&self, h: &mut H) {
         let ReliableNet {
             enabled,
-            drop_first: _,
             send,
             recv,
             next_arming: _,
-            trace: _,
         } = self;
         (enabled, recv, send).hash(h);
     }
@@ -280,26 +266,16 @@ impl SvmAgent {
             ctx.send(to, Wire::Plain(msg));
             return;
         }
-        let from = ctx.here();
-        let suppressed = match self.net.drop_first {
-            Some(kind) if msg.kind_name() == kind => {
-                self.net.drop_first = None;
-                true
-            }
-            _ => false,
-        };
-        let ch = self.net.send.entry((from, to)).or_default();
+        let ch = self.net.send.entry((ctx.here(), to)).or_default();
         ch.sent += 1;
         let seq = ch.sent;
-        if !suppressed {
-            ctx.send(
-                to,
-                Wire::Data {
-                    seq,
-                    msg: msg.clone(),
-                },
-            );
-        }
+        ctx.send(
+            to,
+            Wire::Data {
+                seq,
+                msg: msg.clone(),
+            },
+        );
         ch.unacked.insert(seq, msg);
         if ch.armed.is_none() {
             ch.arm(ctx, to, &mut self.net.next_arming);
@@ -390,17 +366,9 @@ impl SvmAgent {
         );
         let node = at.node;
         let overhead = ctx.cost().handler_overhead;
-        let attempt = ch.backoff + 1;
         self.counters[node.index()].retransmit_timeouts += 1;
         for (&seq, msg) in &ch.unacked {
             ctx.work(overhead, Category::Retransmit);
-            self.net.trace.push(RetransmitEvent {
-                at_ns: ctx.now().as_nanos(),
-                from: at,
-                to,
-                seq,
-                attempt,
-            });
             self.counters[node.index()].retransmissions += 1;
             ctx.send(
                 to,
@@ -451,7 +419,7 @@ mod tests {
     fn net_hash_is_channels_and_unacked_never_arm_order() {
         let [x, y] = [0, 1].map(|n| ProcAddr::cpu(svm_machine::NodeId(n)));
         let opened = || {
-            let mut net = ReliableNet::new(&FaultProfile::default(), true);
+            let mut net = ReliableNet::new(true);
             net.send.entry((x, y)).or_default();
             net
         };

@@ -10,7 +10,6 @@ use crate::api::{AppPort, NodeCache, Scalar, SharedArr, SvmCtx};
 use crate::config::{round_robin, ProtocolName, SvmConfig};
 use crate::metrics::ProtocolReport;
 use crate::protocol::recovery::RecoveryStats;
-use crate::protocol::reliable::RetransmitEvent;
 use crate::protocol::{ProtocolError, SvmAgent};
 use crate::trace::AccessTrace;
 
@@ -145,9 +144,6 @@ pub struct RunReport {
     pub num_pages: u32,
     /// Structured protocol errors (empty on a clean run).
     pub errors: Vec<ProtocolError>,
-    /// Every retransmission the reliable-delivery layer performed, in
-    /// event order — bit-identical across runs with the same fault seed.
-    pub retransmit_trace: Vec<RetransmitEvent>,
     /// The recorded access trace (`Some` iff `config.trace.record`), ready
     /// for `svm-checker`.
     pub trace: Option<AccessTrace>,
@@ -293,7 +289,6 @@ impl Wiring {
             app_bytes: self.app_bytes,
             num_pages: self.num_pages,
             errors: agent.errors,
-            retransmit_trace: agent.net.trace,
             trace,
             mutation_hits: agent.mutation.hits,
             recovery: agent.recovery.stats,
@@ -318,7 +313,7 @@ where
     B: Fn(&SvmCtx<'_>, &L) + 'static,
 {
     let (mut world, wiring) = build_world(config, setup, body);
-    world.machine.set_faults(config.fault.net_faults());
+    world.machine.set_faults(config.fault.clone());
     world.machine.set_node_faults(config.node_fault.clone());
     let (outcome, agent) = world.run();
 

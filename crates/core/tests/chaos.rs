@@ -8,8 +8,8 @@
 //! * a property test — random fault plans crossed with random race-free
 //!   lock/barrier programs, all four protocols, results must equal the
 //!   sequential reduction (shrinking via `svm-testkit`);
-//! * a determinism test — the same fault seed replays the identical
-//!   retransmission trace and virtual-time outcome bit-for-bit;
+//! * a determinism test — the same fault seed replays the identical fault
+//!   schedule, retransmission counts and virtual-time outcome bit-for-bit;
 //! * targeted regressions — drop the first message of each protocol
 //!   message kind, per protocol, and require the reliable-delivery layer
 //!   to recover it (at least one retransmission, correct final state).
@@ -146,8 +146,8 @@ fn contention_schedules() -> Vec<Vec<Step>> {
     (0..3).map(node).collect()
 }
 
-/// The same fault seed replays the identical outcome — retransmission
-/// trace, virtual time, and counters — bit-for-bit.
+/// The same fault seed replays the identical outcome — fault schedule,
+/// per-node time breakdowns, virtual time, and counters — bit-for-bit.
 #[test]
 fn same_fault_seed_replays_identically() {
     let fault = FaultProfile::chaos(0xC0FFEE, 0.02);
@@ -155,8 +155,12 @@ fn same_fault_seed_replays_identically() {
         let a = run_one(protocol, contention_schedules(), fault.clone());
         let b = run_one(protocol, contention_schedules(), fault.clone());
         assert_eq!(
-            a.retransmit_trace, b.retransmit_trace,
-            "retransmit trace differs across identical runs of {protocol}"
+            a.outcome.net_faults, b.outcome.net_faults,
+            "fault schedule differs across identical runs of {protocol}"
+        );
+        assert_eq!(
+            a.outcome.breakdowns, b.outcome.breakdowns,
+            "time breakdowns differ across identical runs of {protocol}"
         );
         assert_eq!(a.outcome.total_time, b.outcome.total_time);
         assert_eq!(
@@ -186,7 +190,7 @@ fn chaos_runs_actually_retransmit() {
             contention_schedules(),
             FaultProfile::chaos(seed, 0.02),
         );
-        total += r.retransmit_trace.len();
+        total += r.counters.total(|c| c.retransmissions);
     }
     assert!(
         total > 0,
@@ -195,7 +199,8 @@ fn chaos_runs_actually_retransmit() {
 }
 
 /// Drop the first message of `kind` and require the run to still be
-/// correct, with the loss visibly recovered by retransmission.
+/// correct, with the loss made by the machine's fault plan and visibly
+/// recovered by retransmission.
 fn drop_kind(protocol: ProtocolName, kind: &'static str) {
     let fault = FaultProfile {
         drop_first_kind: Some(kind),
@@ -207,9 +212,9 @@ fn drop_kind(protocol: ProtocolName, kind: &'static str) {
         "{protocol}: dropping first {kind:?} caused no retransmission \
          (message kind never sent?)"
     );
-    assert!(
-        !report.retransmit_trace.is_empty(),
-        "{protocol}: empty retransmit trace after dropping {kind:?}"
+    assert_eq!(
+        report.outcome.net_faults.dropped, 1,
+        "{protocol}: the fault plan must drop exactly the first {kind:?}"
     );
 }
 
@@ -326,9 +331,8 @@ fn zero_rate_fault_profile_is_a_true_noop() {
             zeroed.outcome.traffic.grand_total(),
             "{protocol}: zero-rate fault profile changed traffic"
         );
-        assert!(base.retransmit_trace.is_empty());
-        assert!(zeroed.retransmit_trace.is_empty());
         assert_eq!(base.counters.total(|c| c.retransmissions), 0);
+        assert_eq!(zeroed.counters.total(|c| c.retransmissions), 0);
         assert_eq!(zeroed.counters.total(|c| c.acks_sent), 0);
     }
 }

@@ -761,10 +761,6 @@ impl<A: Agent> World<A> {
         }
         let n = &mut self.machine.nodes[i];
         n.crashed = true;
-        let discarded = n.cpu.queue.len()
-            + n.coproc.queue.len()
-            + usize::from(n.cpu.service.is_some())
-            + usize::from(n.coproc.service.is_some());
         n.cpu.queue.clear();
         n.cpu.service = None;
         n.coproc.queue.clear();
@@ -785,9 +781,7 @@ impl<A: Agent> World<A> {
         // installed — except in explore mode, where crashes are explicit
         // driver actions and there is no plan to account them to.
         if let Some(plan) = self.machine.node_fault.as_mut() {
-            let stats = plan.stats_mut();
-            stats.crashes += 1;
-            stats.discarded_work += discarded as u64;
+            plan.stats_mut().crashes += 1;
         } else {
             debug_assert!(self.machine.explore.is_some(), "crash without a plan");
         }
@@ -1204,7 +1198,7 @@ impl<'a, A: Agent> Ctx<'a, A> {
                     .at(at, move |s, w: &mut World<A>| w.deliver(s, to, from, msg));
             }
             Some(plan) => {
-                let arrivals = plan.route(to.node, at);
+                let arrivals = plan.route(to.node, at, msg.kind());
                 // Schedule in arrival-slot order (original first, duplicate
                 // second) so event sequence numbers — and thus tie-breaking
                 // — are unchanged. Only a duplicated message clones; the

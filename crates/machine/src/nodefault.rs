@@ -90,8 +90,6 @@ impl NodeFaultConfig {
 pub struct NodeFaultStats {
     /// Crash-stops executed.
     pub crashes: u64,
-    /// Queued-but-unserviced work items discarded at crash instants.
-    pub discarded_work: u64,
     /// Timers, service completions, local posts and app completions aimed
     /// at a node after it crashed (tallied when such an event fires and is
     /// discarded).

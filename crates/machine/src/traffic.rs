@@ -21,6 +21,12 @@ pub trait Message: 'static {
     fn wire_bytes(&self) -> usize;
     /// Data vs protocol classification.
     fn class(&self) -> TrafficClass;
+    /// The label a fault plan's targeted drop matches
+    /// ([`crate::NetFaultConfig::drop_first_kind`]). Default: none, so the
+    /// message is never targeted.
+    fn kind(&self) -> Option<&'static str> {
+        None
+    }
 }
 
 /// Counters for one traffic class.

@@ -96,6 +96,16 @@ if awk '/fn private_copy\(/ { inside = 1 }
   exit 1
 fi
 
+# Network faults are decided in one place, svm-machine's fault plan (DESIGN
+# §10): the reliable-delivery layer under the protocols only sequences, acks
+# and retransmits. A drop or duplicate decided in protocol/ is a second fault
+# source the plan's seed and stats do not see.
+echo "== no network-fault decision in protocol/"
+if grep -rnE '\b(drop_first|drop_rate|dup_rate|FaultPlan)' crates/core/src/protocol --include='*.rs'; then
+  echo "protocol/ decides a network fault (above): make it a field of svm-machine's NetFaultConfig and decide it in FaultPlan::route" >&2
+  exit 1
+fi
+
 # A `#[expect(...)]` is a lint the code admits to breaking. The count may fall
 # but never rise: a new one means an invariant is asserted where the types
 # could carry it (ROADMAP item 11).
