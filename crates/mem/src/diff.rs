@@ -1,22 +1,26 @@
-//! Word-granularity run-length diffs.
+//! Word-granularity diffs, stored as word masks.
 //!
-//! A diff records the words of a dirty page that differ from its twin, as
-//! maximal runs of changed 4-byte words (TreadMarks used the same
-//! granularity). Diffs are the unit of update propagation in every protocol
-//! here: homeless LRC stores and serves them until garbage collection,
-//! home-based LRC ships them to the page's home, which applies and discards
-//! them (paper Section 2.3).
+//! A diff records the words of a dirty page that differ from its twin
+//! (TreadMarks used the same 4-byte granularity). Diffs are the unit of
+//! update propagation in every protocol here: homeless LRC stores and
+//! serves them until garbage collection, home-based LRC ships them to the
+//! page's home, which applies and discards them (paper Section 2.3).
 //!
-//! Storage is flattened: one contiguous payload buffer plus a small index of
-//! 4-byte run headers (first word and length in words, `u16` each), instead
-//! of one `Vec<u8>` per run, so a diff costs at most two allocations whatever
-//! its run count. A diff that dies within its interval's handling (a flush
-//! the home applies) builds into and returns to the thread-local
-//! [`pool`](crate::pool)'s scratch buffers ([`Diff::create`],
-//! [`Diff::recycle`]): zero allocations once they cycle. A diff that is kept
-//! (a homeless writer's store, until garbage collection) is first copied
-//! into exact-size buffers by [`Diff::into_exact`], because a pooled
-//! scratch buffer is sized for the largest diff it ever held: an 8 KiB twin
+//! The page is cut into chunks of 32 words (128 bytes), and the chunks into
+//! groups of 32. A diff holds, for each group up to the last one with a
+//! changed word, a `u32` summary word (bit `i` set: chunk `i` of the group
+//! has a changed word) followed by one `u32` mask per such chunk (bit `i`
+//! set: word `i` of the chunk changed), all in one vector, and the changed
+//! words' bytes in page order in a second: two allocations whatever the
+//! shape. The runs that the protocols and the traffic model count
+//! ([`Diff::runs`], [`Diff::run_count`]) are the maximal stretches of set
+//! bits, read off the masks. A diff that dies within its interval's
+//! handling (a flush the home applies) builds into and returns to the
+//! thread-local [`pool`](crate::pool)'s scratch vectors ([`Diff::create`],
+//! [`Diff::recycle`]): zero allocations once they cycle. A diff that is
+//! kept (a homeless writer's store, until garbage collection) is first
+//! copied into exact-size vectors by [`Diff::into_exact`], because a pooled
+//! scratch vector is sized for the largest use it ever had: an 8 KiB twin
 //! buffer under an 8-byte payload.
 //!
 //! Diff shapes split by application class. Shares of the diffs created in
@@ -31,10 +35,25 @@
 //! | `splash64` | 5.1 %  | 25.2 % (1.3; 76 B)   | 20.3 % (3.5; 39)  | 49.3 % (31; 248)  | 0 %                       |
 //!
 //! The > 128-run diffs are red-black SOR's pages: an 8-byte run every 16
-//! bytes. [`Diff::create`] has to serve every column, so its host cost
-//! follows the changed words, not the page size.
+//! bytes, so every chunk of the page is touched, 8 runs to a mask: 264
+//! bytes of masks (64 masks, 2 summary words) where 4-byte run headers
+//! took 2,048. Host header bytes per diff created, mean over the same
+//! runs, as 4-byte run headers and as masks and summary words:
+//!
+//! | workload   | run headers | masks  |
+//! |------------|------------:|-------:|
+//! | `serve8`   | 5.1 B       | 8.6 B  |
+//! | `kernels8` | 577 B       | 102 B  |
+//! | `robust8`  | 86 B        | 23 B   |
+//! | `splash64` | 67 B        | 16 B   |
+//!
+//! A one-run diff holds 8 bytes (a summary word and a mask) where it held
+//! one 4-byte header, so `serve8`'s diffs grow; a diff with more runs than
+//! touched chunks shrinks. [`Diff::create`] has to serve every column, so
+//! its host cost follows the changed chunks, not the runs.
 
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 use crate::pool;
 
@@ -46,48 +65,12 @@ const RUN_HEADER_BYTES: usize = 8;
 /// Wire/heap overhead charged per diff (page id, writer, interval, count).
 const DIFF_HEADER_BYTES: usize = 16;
 
-/// One run's descriptor: its first word within the page and its length,
-/// both in [`DIFF_WORD`]s, so a page may hold up to `u16::MAX` words. The
-/// payload itself lives in the diff's shared data buffer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct RunRef {
-    word: u16,
-    words: u16,
-}
-
-impl RunRef {
-    /// The run of `len` bytes at byte `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either is not a multiple of [`DIFF_WORD`] or does not fit
-    /// a `u16` count of words.
-    fn new(offset: usize, len: usize) -> RunRef {
-        let words = |bytes: usize| {
-            assert!(
-                bytes.is_multiple_of(DIFF_WORD),
-                "diff run not word-aligned: offset {offset}, {len} bytes"
-            );
-            u16::try_from(bytes / DIFF_WORD).unwrap_or_else(|_| {
-                panic!("diff run past u16::MAX words: offset {offset}, {len} bytes")
-            })
-        };
-        RunRef {
-            word: words(offset),
-            words: words(len),
-        }
-    }
-
-    /// Byte offset within the page.
-    fn offset(self) -> usize {
-        usize::from(self.word) * DIFF_WORD
-    }
-
-    /// Payload length in bytes.
-    fn len(self) -> usize {
-        usize::from(self.words) * DIFF_WORD
-    }
-}
+/// Words in one chunk: one bit each in a `u32` mask.
+const CHUNK_WORDS: usize = 32;
+/// Bytes in one chunk.
+const CHUNK_BYTES: usize = CHUNK_WORDS * DIFF_WORD;
+/// Most words a diffed page may have.
+const MAX_WORDS: usize = u16::MAX as usize;
 
 /// A borrowed view of one maximal run of modified bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -99,10 +82,16 @@ pub struct RunView<'a> {
 }
 
 /// A set of page updates: the difference between a twin and a dirty copy.
+///
+/// Every constructor builds the one form its set of changed words has (no
+/// zero mask, no summary word past the last touched chunk's), so the
+/// derived equality compares changes.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Diff {
-    runs: Vec<RunRef>,
-    /// Concatenated run payloads, in run order.
+    /// Per group of 32 chunks up to the last touched one, in page order:
+    /// its summary word, then the masks of its touched chunks.
+    masks: Vec<u32>,
+    /// The changed words' bytes, in page order.
     data: Vec<u8>,
 }
 
@@ -110,76 +99,24 @@ pub struct Diff {
 /// `(offset: u32, len: u32)` in bytes: the run count, each run's byte
 /// offset and byte length, then the payload with its length. Explorer
 /// state digests hash diffs (DESIGN §16), so the recorded `final_digest`
-/// lines depend on this byte stream, not on the run header's layout.
+/// lines depend on this byte stream, not on the storage layout.
 impl Hash for Diff {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.runs.len());
-        for r in &self.runs {
-            (r.offset() as u32).hash(state);
-            (r.len() as u32).hash(state);
-        }
+        state.write_usize(self.run_count());
+        self.for_each_run(|run| {
+            (run.start as u32).hash(state);
+            (run.len() as u32).hash(state);
+        });
         self.data.hash(state);
     }
 }
 
-thread_local! {
-    /// Pool of run-descriptor vectors, mirroring [`pool`]'s byte pool.
-    static RUN_POOL: std::cell::RefCell<Vec<Vec<RunRef>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-const MAX_POOLED_RUN_VECS: usize = 64;
-
-fn take_runs() -> Vec<RunRef> {
-    RUN_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
-}
-
-fn put_runs(mut v: Vec<RunRef>) {
-    if v.capacity() == 0 {
-        return;
-    }
-    v.clear();
-    RUN_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.len() < MAX_POOLED_RUN_VECS {
-            p.push(v);
-        }
-    });
-}
-
-/// Bytes in one block step: eight u64s.
-const BLOCK_BYTES: usize = 64;
-/// Words in one block step.
-const BLOCK_WORDS: usize = BLOCK_BYTES / DIFF_WORD;
-/// Unchanged words a search for a change passes before block steps.
-const BLOCK_AFTER_GAP: usize = 4;
-/// Changed words a run reaches before it grows by block steps.
-const BLOCK_AFTER_RUN: usize = 16;
-
-/// The XOR of the u64 at byte `b` of `twin` and of `current`. Little-endian
-/// loads put the word at `b` in the low half on every host.
+/// The XOR of the u64 at byte `b` of `twin` and of `current`.
 #[inline(always)]
 fn xor_u64(twin: &[u8], current: &[u8], b: usize) -> u64 {
     let t = u64::from_le_bytes(twin[b..b + 8].try_into().expect("8-byte chunk"));
     let c = u64::from_le_bytes(current[b..b + 8].try_into().expect("8-byte chunk"));
     t ^ c
-}
-
-/// Is every word of a 64-byte block changed (`CHANGED`) or unchanged (not
-/// `CHANGED`) from `t` (twin) to `c` (current)? Branch-free folds over
-/// fixed-size arrays, so LLVM vectorises both.
-#[inline(always)]
-fn block_is<const CHANGED: bool>(t: &[u8], c: &[u8]) -> bool {
-    let t: &[u8; BLOCK_BYTES] = t.try_into().expect("64-byte block");
-    let c: &[u8; BLOCK_BYTES] = c.try_into().expect("64-byte block");
-    if CHANGED {
-        (0..BLOCK_WORDS).fold(true, |all, i| all & (xor_word(t, c, i) != 0))
-    } else {
-        (0..BLOCK_BYTES)
-            .step_by(8)
-            .fold(0, |acc, i| acc | xor_u64(t, c, i))
-            == 0
-    }
 }
 
 /// The XOR of word `w` of `twin` and of `current`.
@@ -191,87 +128,197 @@ fn xor_word(twin: &[u8], current: &[u8], w: usize) -> u32 {
     t ^ c
 }
 
-/// The first word at or after `w` whose changed-ness differs from
-/// `CHANGED`, or the page's word count if none does: with `CHANGED` false
-/// the next changed word, with `CHANGED` true the end of the run at `w`.
+/// Is the chunk unchanged from `t` (twin) to `c` (current)? The OR of its
+/// sixteen u64 XORs is zero: a branch-free fold LLVM vectorises.
 #[inline(always)]
-fn scan<const CHANGED: bool>(twin: &[u8], current: &[u8], mut w: usize) -> usize {
-    let words = twin.len() / DIFF_WORD;
-    // Does a word whose XOR is `x` end the search?
-    let stops = |x: u64| (x != 0) != CHANGED;
-    // The stop among words `w` and `w + 1`, if there is one.
-    let pair = |w: usize| {
-        let x = xor_u64(twin, current, w * DIFF_WORD);
-        if stops(x & 0xFFFF_FFFF) {
-            Some(w)
-        } else if stops(x >> 32) {
-            Some(w + 1)
-        } else {
-            None
-        }
+fn unchanged(t: &[u8; CHUNK_BYTES], c: &[u8; CHUNK_BYTES]) -> bool {
+    (0..CHUNK_BYTES / 8).fold(0, |acc, i| acc | xor_u64(t, c, 8 * i)) == 0
+}
+
+/// Is every word of the chunk changed from `t` (twin) to `c` (current)? A
+/// branch-free fold LLVM vectorises, cheaper than the chunk's mask.
+#[inline(always)]
+fn all_changed(t: &[u8; CHUNK_BYTES], c: &[u8; CHUNK_BYTES]) -> bool {
+    (0..CHUNK_WORDS).fold(true, |all, w| all & (xor_word(t, c, w) != 0))
+}
+
+/// The mask of the changed words among the first `words` words of `t` and
+/// `c`, branch-free.
+#[inline(always)]
+fn word_mask(t: &[u8], c: &[u8], words: usize) -> u32 {
+    (0..words).fold(0, |m, w| m | u32::from(xor_word(t, c, w) != 0) << w)
+}
+
+/// [`word_mask`] of a whole chunk. Out of line, LLVM vectorises it;
+/// inlined into [`Diff::create`]'s loop, it made 32 scalar compares.
+#[inline(never)]
+fn chunk_mask(t: &[u8; CHUNK_BYTES], c: &[u8; CHUNK_BYTES]) -> u32 {
+    word_mask(t, c, CHUNK_WORDS)
+}
+
+/// `mask` without its bits below bit `end` (at most 32).
+fn clear_below(mask: u32, end: usize) -> u32 {
+    (u64::from(mask) & u64::MAX << end) as u32
+}
+
+/// The one run `mask` holds as (first word, words), if it holds one of
+/// more than two words: such a run is copied at once, anything else word
+/// by word, which is cheaper than a call to `memcpy` per short run.
+#[inline(always)]
+fn long_run(mask: u32) -> Option<(usize, usize)> {
+    let first = mask.trailing_zeros();
+    let run = mask >> first;
+    let words = run.trailing_ones();
+    (words > 2 && run & run.wrapping_add(1) == 0).then_some((first as usize, words as usize))
+}
+
+/// Copy `from` to `to`, of equal length: a run of one to four words (most
+/// runs of a many-run diff) as a fixed-size move, not a call to `memcpy`.
+#[inline(always)]
+fn copy_run(to: &mut [u8], from: &[u8]) {
+    match from.len() {
+        4 => to[..4].copy_from_slice(&from[..4]),
+        8 => to[..8].copy_from_slice(&from[..8]),
+        12 => to[..12].copy_from_slice(&from[..12]),
+        16 => to[..16].copy_from_slice(&from[..16]),
+        _ => to.copy_from_slice(from),
+    }
+}
+
+/// Copy the front of `data` to `run` of `dst`; the rest of `data`.
+#[inline(always)]
+fn put<'a>(dst: &mut [u8], run: Range<usize>, data: &'a [u8]) -> &'a [u8] {
+    let (bytes, rest) = data.split_at(run.len());
+    let len = dst.len();
+    let Some(to) = dst.get_mut(run.clone()) else {
+        out_of_bounds(
+            "",
+            RunView {
+                offset: run.start as u32,
+                bytes,
+            },
+            len,
+        );
     };
-    let threshold = if CHANGED {
-        BLOCK_AFTER_RUN
-    } else {
-        BLOCK_AFTER_GAP
-    };
-    let block_from = w + threshold;
-    while w + 1 < words && w < block_from {
-        if let Some(stop) = pair(w) {
-            return stop;
+    copy_run(to, bytes);
+    rest
+}
+
+/// Append the words of `chunk` that `mask` selects to `data`.
+#[inline(always)]
+fn copy_words(data: &mut Vec<u8>, chunk: &[u8], mut mask: u32) {
+    // Room for the whole chunk first: an empty vector grows by chunks, not
+    // by doubling from one word.
+    data.reserve(CHUNK_BYTES);
+    if let Some((first, words)) = long_run(mask) {
+        data.extend_from_slice(&chunk[first * DIFF_WORD..(first + words) * DIFF_WORD]);
+        return;
+    }
+    while mask != 0 {
+        let b = mask.trailing_zeros() as usize * DIFF_WORD;
+        data.extend_from_slice(&chunk[b..b + DIFF_WORD]);
+        mask &= mask - 1;
+    }
+}
+
+/// Panics naming `run`, which falls outside a page of `len` bytes.
+#[cold]
+#[inline(never)]
+fn out_of_bounds(within: &str, run: RunView<'_>, len: usize) -> ! {
+    panic!(
+        "diff run out of bounds{within}: offset {} + {} bytes > page size {len}",
+        run.offset,
+        run.bytes.len()
+    )
+}
+
+/// A diff's masks, built chunk by chunk in page order.
+struct MaskBuilder {
+    masks: Vec<u32>,
+    /// Summary words in `masks` so far: the chunks they cover.
+    groups: usize,
+    /// Index in `masks` of the last summary word.
+    summary: usize,
+}
+
+impl MaskBuilder {
+    fn new(masks: Vec<u32>) -> MaskBuilder {
+        MaskBuilder {
+            masks,
+            groups: 0,
+            summary: 0,
         }
-        w += 2;
     }
-    let b = w * DIFF_WORD;
-    let blocks = twin[b..]
-        .chunks_exact(BLOCK_BYTES)
-        .zip(current[b..].chunks_exact(BLOCK_BYTES));
-    let whole = blocks
-        .take_while(|(t, c)| block_is::<CHANGED>(t, c))
-        .count();
-    w += whole * BLOCK_WORDS;
-    // The stop is in the block that failed, or in the page's tail.
-    while w + 1 < words {
-        if let Some(stop) = pair(w) {
-            return stop;
+
+    /// Mark chunk `c`, in the last group or past it, touched.
+    fn touch(&mut self, c: usize) {
+        while self.groups <= c / 32 {
+            self.summary = self.masks.len();
+            self.masks.push(0);
+            self.groups += 1;
         }
-        w += 2;
+        self.masks[self.summary] |= 1 << (c % 32);
     }
-    if w + 1 == words && !stops(u64::from(xor_word(twin, current, w))) {
-        w += 1;
+
+    /// Record chunk `c`, past every chunk recorded so far, with the
+    /// nonzero word mask `mask`.
+    fn push(&mut self, c: usize, mask: u32) {
+        self.touch(c);
+        self.masks.push(mask);
     }
-    w
+
+    /// Record word `w`, in the last chunk recorded or past it, changed.
+    fn mark(&mut self, w: usize) {
+        let c = w / CHUNK_WORDS;
+        if self.groups <= c / 32 || self.masks[self.summary] >> (c % 32) & 1 == 0 {
+            self.push(c, 0);
+        }
+        *self.masks.last_mut().expect("chunk's mask") |= 1 << (w % CHUNK_WORDS);
+    }
+
+    /// Record every chunk of `chunks`, past every chunk recorded so far,
+    /// as all changed.
+    fn push_full(&mut self, chunks: Range<usize>) {
+        let mut c = chunks.start;
+        while c < chunks.end {
+            // The chunks from `c` to the end of its group or of `chunks`.
+            let n = chunks.end.min((c / 32 + 1) * 32) - c;
+            self.touch(c);
+            self.masks[self.summary] |= (((1u64 << n) - 1) << (c % 32)) as u32;
+            self.masks.resize(self.masks.len() + n, u32::MAX);
+            c += n;
+        }
+    }
+
+    /// The diff of these masks and payload `data`.
+    fn finish(self, data: Vec<u8>) -> Diff {
+        Diff {
+            masks: self.masks,
+            data,
+        }
+    }
 }
 
 impl Diff {
     /// Compute the diff of `current` against `twin` at word granularity.
     ///
-    /// Host cost follows the changed words, not the page size. The scan
-    /// alternates two searches: for the next changed word, and for the end
-    /// of the run that word starts. Each search reads two words per step
-    /// (one u64 XOR classifies both) until it has passed [`BLOCK_AFTER_GAP`]
-    /// unchanged or [`BLOCK_AFTER_RUN`] changed words, then a 64-byte block
-    /// per step while the block is all unchanged (the OR of eight XORs is
-    /// zero) or all changed (every word's XOR is nonzero), then pair steps
-    /// again through the block that broke the pattern, which holds the
-    /// search's end, or through the page's tail. Cost model, per page:
+    /// Host cost follows the changed chunks, not the runs. Per 128-byte
+    /// chunk: the OR of its sixteen u64 XORs skips it if unchanged; else a
+    /// branch-free fold of its 32 word XORs makes its mask. An all-changed
+    /// chunk starts a stretch that the cheaper all-changed test extends
+    /// and one copy takes; a mixed chunk's changed words are copied one by
+    /// one, or at once if they are one run of more than two. Red-black
+    /// SOR's 8 runs per chunk cost one mask and 16 word copies, not 8 run
+    /// searches. A page tail shorter than a chunk takes the same fold at
+    /// its own length.
     ///
-    /// - one pair step per two words of a gap shorter than 4 words or a run
-    ///   shorter than 16, so red-black SOR's 2-changed-2-unchanged pages
-    ///   never take a block step (a failed block check costs more than the
-    ///   pair steps it would replace);
-    /// - in longer gaps and runs, 2–8 pair steps to reach the threshold,
-    ///   one block step per 16 words, and at most 8 pair steps through the
-    ///   last block;
-    /// - plus the copy of the changed bytes into the payload.
-    ///
-    /// Measured unit costs per page shape are in EXPERIMENTS.md, "Diffs cost
-    /// what changed". The virtual-time charge is separate and unchanged:
-    /// the cost model's per-byte scan of the whole page
+    /// Measured unit costs per page shape are in EXPERIMENTS.md, "Diffs as
+    /// word masks". The virtual-time charge is separate and unchanged: the
+    /// cost model's per-byte scan of the whole page
     /// (`CostModel::diff_create`, paper Table 3).
     ///
     /// The runs are exactly those of a word-at-a-time scan at every page
-    /// length, including lengths that are not a multiple of 64 bytes
+    /// length, including lengths that are not a multiple of 128 bytes
     /// (`tests/diff_equivalence.rs`).
     ///
     /// # Panics
@@ -283,54 +330,128 @@ impl Diff {
         assert_eq!(twin.len() % DIFF_WORD, 0, "page size must be word-multiple");
         let words = twin.len() / DIFF_WORD;
         assert!(
-            words <= usize::from(u16::MAX),
-            "page of {words} words exceeds the diff limit of {} words",
-            u16::MAX
+            words <= MAX_WORDS,
+            "page of {words} words exceeds the diff limit of {MAX_WORDS} words"
         );
         // Hot path: this runs once per twin at every release/flush, and
-        // reuses pooled buffers.
-        let mut runs = take_runs();
-        runs.reserve(8);
+        // reuses pooled vectors.
+        let mut masks = pool::take_words();
+        // Room for every chunk's mask and summary word: at most one
+        // allocation, where growing by pushes took one per doubling.
+        masks.reserve(words.div_ceil(CHUNK_WORDS) + words.div_ceil(CHUNK_WORDS * 32));
+        let mut masks = MaskBuilder::new(masks);
         let mut data = pool::take_bytes();
-        let mut w = 0;
-        loop {
-            w = scan::<false>(twin, current, w);
-            if w == words {
-                break;
+        let whole = words / CHUNK_WORDS;
+        // The first chunk of the all-changed stretch the scan is in.
+        let mut full = None;
+        let chunks = twin
+            .chunks_exact(CHUNK_BYTES)
+            .zip(current.chunks_exact(CHUNK_BYTES));
+        for (c, (t, k)) in chunks.enumerate() {
+            let t: &[u8; CHUNK_BYTES] = t.try_into().expect("one chunk");
+            let k: &[u8; CHUNK_BYTES] = k.try_into().expect("one chunk");
+            if let Some(first) = full {
+                // The cheaper test while a stretch goes on; one copy for
+                // the stretch.
+                if all_changed(t, k) {
+                    continue;
+                }
+                masks.push_full(first..c);
+                // Room for the rest of the page too: a stretch that ends
+                // one word short of a full page still allocates once.
+                data.reserve(current.len() - first * CHUNK_BYTES);
+                data.extend_from_slice(&current[first * CHUNK_BYTES..c * CHUNK_BYTES]);
+                full = None;
             }
-            let start = w;
-            w = scan::<true>(twin, current, w);
-            runs.push(RunRef {
-                word: start as u16,
-                words: (w - start) as u16,
-            });
-            data.extend_from_slice(&current[start * DIFF_WORD..w * DIFF_WORD]);
+            if unchanged(t, k) {
+                continue;
+            }
+            let mask = chunk_mask(t, k);
+            if mask == u32::MAX {
+                full = Some(c);
+            } else {
+                masks.push(c, mask);
+                copy_words(&mut data, k, mask);
+            }
         }
-        Diff { runs, data }
+        if let Some(first) = full {
+            masks.push_full(first..whole);
+            data.extend_from_slice(&current[first * CHUNK_BYTES..whole * CHUNK_BYTES]);
+        }
+        let b = whole * CHUNK_BYTES;
+        let mask = word_mask(&twin[b..], &current[b..], words % CHUNK_WORDS);
+        if mask != 0 {
+            masks.push(whole, mask);
+            copy_words(&mut data, &current[b..], mask);
+        }
+        masks.finish(data)
     }
 
     /// Build a diff from explicit `(offset, bytes)` runs.
     ///
-    /// For tests and wire decoding. Only the run header's limits are
-    /// checked, so other malformed runs (overlapping, out of bounds)
-    /// surface later through [`Diff::apply`]'s named bounds check.
+    /// For tests and wire decoding. The runs must be what [`Diff::runs`]
+    /// hands out: in page order, nonempty, and maximal, so no two overlap
+    /// or touch. A run past a page's end still surfaces later, through
+    /// [`Diff::apply`]'s named bounds check.
     ///
     /// # Panics
     ///
-    /// Panics if a run's offset or length is not a multiple of
-    /// [`DIFF_WORD`], or is more than `u16::MAX` words.
+    /// Panics, naming the fault, if a run's offset or length is not a
+    /// multiple of [`DIFF_WORD`], it is empty, it ends past `u16::MAX`
+    /// words, or it starts before the run before it ends or where it ends.
     pub fn from_runs<I, B>(runs: I) -> Diff
     where
         I: IntoIterator<Item = (u32, B)>,
         B: AsRef<[u8]>,
     {
-        let mut d = Diff::default();
+        let mut masks = MaskBuilder::new(Vec::new());
+        let mut data = Vec::new();
+        // The byte offset where the previous run ends.
+        let mut end = None;
         for (offset, bytes) in runs {
-            let bytes = bytes.as_ref();
-            d.runs.push(RunRef::new(offset as usize, bytes.len()));
-            d.data.extend_from_slice(bytes);
+            let (offset, len) = (offset as usize, bytes.as_ref().len());
+            assert!(
+                offset.is_multiple_of(DIFF_WORD) && len.is_multiple_of(DIFF_WORD),
+                "diff run not word-aligned: offset {offset}, {len} bytes"
+            );
+            assert!(len > 0, "diff run is empty: offset {offset}");
+            assert!(
+                (offset + len) / DIFF_WORD <= MAX_WORDS,
+                "diff run past u16::MAX words: offset {offset}, {len} bytes"
+            );
+            if let Some(end) = end {
+                assert!(
+                    offset >= end,
+                    "diff runs overlap or are out of order: run at offset {offset} \
+                     starts before the previous run ends at {end}"
+                );
+                assert!(
+                    offset > end,
+                    "diff runs touch at offset {offset}: they are one maximal run"
+                );
+            }
+            end = Some(offset + len);
+            for w in offset / DIFF_WORD..(offset + len) / DIFF_WORD {
+                masks.mark(w);
+            }
+            data.extend_from_slice(bytes.as_ref());
         }
-        d
+        masks.finish(data)
+    }
+
+    /// The touched chunks, in page order, as (chunk index, word mask).
+    fn chunks(&self) -> Chunks<'_> {
+        Chunks {
+            masks: self.masks.iter(),
+            next_group: 0,
+            bits: 0,
+        }
+    }
+
+    /// The first run that ends past `len` bytes, if one does.
+    fn run_past(&self, len: usize) -> Option<RunView<'_>> {
+        self.runs()
+            .find(|r| r.offset as usize + r.bytes.len() > len)
     }
 
     /// Apply the diff onto `dst` (a page copy).
@@ -340,35 +461,75 @@ impl Diff {
     /// Panics with a named "diff run out of bounds" message if any run
     /// falls outside `dst`.
     pub fn apply(&self, dst: &mut [u8]) {
-        for run in self.runs() {
-            let off = run.offset as usize;
-            let end = off.checked_add(run.bytes.len());
-            assert!(
-                end.is_some_and(|e| e <= dst.len()),
-                "diff run out of bounds: offset {off} + {} bytes > page size {}",
-                run.bytes.len(),
-                dst.len()
-            );
-            dst[off..off + run.bytes.len()].copy_from_slice(run.bytes);
+        let mut data = self.data.as_slice();
+        self.for_each_run(|run| data = put(dst, run, data));
+    }
+
+    /// Call `f` with the bytes of the page each maximal run covers, in
+    /// page order: what [`Diff::runs`] hands out, without the payload.
+    /// The loops walk the summary words and masks themselves: through
+    /// `chunks()` and an iterator of each mask's runs, applying a diff of
+    /// 31 short runs took 30 % longer.
+    #[inline(always)]
+    fn for_each_run(&self, mut f: impl FnMut(Range<usize>)) {
+        // The run being gathered, which may go on into the next chunk.
+        let (mut start, mut end) = (0, 0);
+        let mut words = self.masks.iter();
+        let mut group = 0;
+        while let Some(&summary) = words.next() {
+            let mut chunks = summary;
+            while chunks != 0 {
+                let chunk = (group + chunks.trailing_zeros() as usize) * CHUNK_BYTES;
+                chunks &= chunks - 1;
+                let mut mask = *words.next().expect("a mask per summary bit");
+                while mask != 0 {
+                    let first = mask.trailing_zeros() as usize;
+                    let n = (mask >> first).trailing_ones() as usize;
+                    mask = clear_below(mask, first + n);
+                    let at = chunk + first * DIFF_WORD;
+                    if at != end {
+                        if end > start {
+                            f(start..end);
+                        }
+                        start = at;
+                    }
+                    end = at + n * DIFF_WORD;
+                }
+            }
+            group += 32;
+        }
+        if end > start {
+            f(start..end);
         }
     }
 
     /// Whether the diff records no changes.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.masks.is_empty()
     }
 
-    /// Number of runs.
+    /// Number of runs: the set bits of each mask whose lower neighbour,
+    /// across a chunk edge too, is clear.
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        // The chunk after the last one, and its last word's bit.
+        let (mut next, mut last) = (0, 0);
+        let mut runs = 0;
+        for (c, mask) in self.chunks() {
+            let carry = u32::from(c == next) & last;
+            runs += (mask & !(mask << 1 | carry)).count_ones() as usize;
+            (next, last) = (c + 1, mask >> 31);
+        }
+        runs
     }
 
     /// The runs, for inspection, in page order.
     pub fn runs(&self) -> Runs<'_> {
         Runs {
-            diff: self,
-            next: 0,
-            cursor: 0,
+            chunks: self.chunks().peekable(),
+            chunk: 0,
+            mask: 0,
+            data: &self.data,
+            left: self.run_count(),
         }
     }
 
@@ -382,7 +543,7 @@ impl Diff {
     /// This is what the traffic tables (paper Table 5) charge per diff
     /// message in addition to the message envelope.
     pub fn wire_bytes(&self) -> usize {
-        DIFF_HEADER_BYTES + self.runs.len() * RUN_HEADER_BYTES + self.payload_bytes()
+        DIFF_HEADER_BYTES + self.run_count() * RUN_HEADER_BYTES + self.payload_bytes()
     }
 
     /// Bytes this diff occupies in memory while stored (paper Table 6).
@@ -390,11 +551,12 @@ impl Diff {
     /// A model charge, not the host's: 24 B per run (the 8-byte wire header
     /// plus 16 B of allocator and run-vector overhead in a one-`Vec`-per-run
     /// layout) on top of the wire form. It drives the GC threshold, hence
-    /// virtual time, so it stays pinned to that layout; the host holds
-    /// 4 B per run and the payload, in exact-size buffers once stored
+    /// virtual time, so it stays pinned to that layout; the host holds 4 B
+    /// per touched 128-byte chunk plus 4 B per 32 chunks of summary, and
+    /// the payload, in exact-size vectors once stored
     /// ([`Diff::into_exact`]).
     pub fn heap_bytes(&self) -> usize {
-        DIFF_HEADER_BYTES + self.runs.len() * (RUN_HEADER_BYTES + 16) + self.payload_bytes()
+        DIFF_HEADER_BYTES + self.run_count() * (RUN_HEADER_BYTES + 16) + self.payload_bytes()
     }
 
     /// Merge `later` into `self`: the result applied once equals applying
@@ -409,111 +571,132 @@ impl Diff {
     /// Panics with a named "diff run out of bounds in merge" message if
     /// either diff has a run that does not fit inside `page_size`.
     pub fn merge(&self, later: &Diff, page_size: usize) -> Diff {
-        // Both diffs' runs must fit the scratch page; validate up front so
-        // a corrupt run fails with a named panic instead of a raw slice
-        // error deep in `apply`.
         for d in [self, later] {
-            for run in d.runs() {
-                let end = (run.offset as usize).checked_add(run.bytes.len());
-                assert!(
-                    end.is_some_and(|e| e <= page_size),
-                    "diff run out of bounds in merge: offset {} + {} bytes > page size {page_size}",
-                    run.offset,
-                    run.bytes.len()
-                );
+            if let Some(run) = d.run_past(page_size) {
+                out_of_bounds(" in merge", run, page_size);
             }
         }
-        // Materialize both diffs on a scratch page and rebuild runs from the
-        // union of touched words. Diffs are short-lived; not a hot path, but
-        // the scratch page still comes from the pool.
-        let words = page_size / DIFF_WORD;
-        let mut touched = vec![false; words];
+        // Materialize both diffs on a scratch page, then take the union of
+        // their masks from it. Not a hot path, but the scratch page still
+        // comes from the pool.
         let mut cur = pool::take_bytes();
         cur.resize(page_size, 0);
-        for d in [self, later] {
-            d.apply(&mut cur);
-            for run in &d.runs {
-                let first = usize::from(run.word);
-                for t in &mut touched[first..first + usize::from(run.words)] {
-                    *t = true;
-                }
-            }
+        self.apply(&mut cur);
+        later.apply(&mut cur);
+        let mut union = vec![0; page_size.div_ceil(CHUNK_BYTES)];
+        for (c, mask) in self.chunks().chain(later.chunks()) {
+            union[c] |= mask;
         }
-        let mut out = Diff {
-            runs: take_runs(),
-            data: pool::take_bytes(),
-        };
-        let mut w = 0;
-        while w < words {
-            if !touched[w] {
-                w += 1;
-                continue;
-            }
-            let start = w;
-            while w < words && touched[w] {
-                w += 1;
-            }
-            // Checked: two representable runs can meet in a longer one.
-            out.runs
-                .push(RunRef::new(start * DIFF_WORD, (w - start) * DIFF_WORD));
-            out.data
-                .extend_from_slice(&cur[start * DIFF_WORD..w * DIFF_WORD]);
+        let mut masks = MaskBuilder::new(pool::take_words());
+        let mut data = pool::take_bytes();
+        for (c, &mask) in union.iter().enumerate().filter(|(_, &m)| m != 0) {
+            masks.push(c, mask);
+            copy_words(&mut data, &cur[c * CHUNK_BYTES..], mask);
         }
         pool::put_bytes(cur);
-        out
+        masks.finish(data)
     }
 
-    /// The same diff in buffers of exactly its size, with this diff's
-    /// buffers returned to the thread-local pools.
+    /// The same diff in vectors of exactly its size, with this diff's
+    /// vectors returned to the thread-local pools.
     ///
     /// For a diff that outlives its interval (a homeless writer's store):
-    /// [`Diff::create`]'s buffers come from the pools and keep the capacity
+    /// [`Diff::create`]'s vectors come from the pools and keep the capacity
     /// of the largest diff or twin they ever held.
     pub fn into_exact(self) -> Diff {
         let exact = Diff {
-            runs: self.runs.to_vec(),
+            masks: self.masks.to_vec(),
             data: self.data.to_vec(),
         };
         self.recycle();
         exact
     }
 
-    /// Return this diff's buffers to the thread-local pools.
+    /// Return this diff's vectors to the thread-local pools.
     ///
     /// Call where a transient diff's lifetime provably ends (the home after
     /// applying a flush); plain `drop` remains correct anywhere else, and
-    /// is right for a diff from [`Diff::into_exact`], whose small buffers
-    /// would only crowd out the scratch buffers the pools are for.
+    /// is right for a diff from [`Diff::into_exact`], whose small vectors
+    /// would only crowd out the scratch vectors the pools are for.
     pub fn recycle(self) {
-        put_runs(self.runs);
+        pool::put_words(self.masks);
         pool::put_bytes(self.data);
+    }
+}
+
+/// A diff's touched chunks in page order, as (chunk index, word mask).
+struct Chunks<'a> {
+    /// Summary words and masks not yet read.
+    masks: std::slice::Iter<'a, u32>,
+    /// The first chunk of the next group.
+    next_group: usize,
+    /// Chunks of the current group not yet handed out.
+    bits: u32,
+}
+
+impl Iterator for Chunks<'_> {
+    type Item = (usize, u32);
+
+    fn next(&mut self) -> Option<(usize, u32)> {
+        while self.bits == 0 {
+            self.bits = *self.masks.next()?;
+            self.next_group += 32;
+        }
+        let c = self.next_group - 32 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((c, *self.masks.next().expect("a mask per summary bit")))
     }
 }
 
 /// Iterator over a diff's runs as [`RunView`]s.
 pub struct Runs<'a> {
-    diff: &'a Diff,
-    next: usize,
-    cursor: usize,
+    chunks: std::iter::Peekable<Chunks<'a>>,
+    /// The chunk whose unvisited words are `mask`.
+    chunk: usize,
+    mask: u32,
+    /// Payload not yet handed out.
+    data: &'a [u8],
+    left: usize,
 }
 
 impl<'a> Iterator for Runs<'a> {
     type Item = RunView<'a>;
 
     fn next(&mut self) -> Option<RunView<'a>> {
-        let r = self.diff.runs.get(self.next)?;
-        let bytes = &self.diff.data[self.cursor..self.cursor + r.len()];
-        self.next += 1;
-        self.cursor += r.len();
+        if self.mask == 0 {
+            (self.chunk, self.mask) = self.chunks.next()?;
+        }
+        let first = self.mask.trailing_zeros() as usize;
+        let mut len = (self.mask >> first).trailing_ones() as usize;
+        self.mask = clear_below(self.mask, first + len);
+        let start = self.chunk * CHUNK_WORDS + first;
+        // A run that reaches the chunk's last word goes on into the next
+        // chunk if that one is touched from its first word.
+        if first + len == CHUNK_WORDS {
+            while let Some(&(c, mask)) = self.chunks.peek() {
+                if c != self.chunk + 1 || mask & 1 == 0 {
+                    break;
+                }
+                self.chunks.next();
+                let ones = mask.trailing_ones() as usize;
+                len += ones;
+                (self.chunk, self.mask) = (c, clear_below(mask, ones));
+                if ones < CHUNK_WORDS {
+                    break;
+                }
+            }
+        }
+        let (bytes, rest) = self.data.split_at(len * DIFF_WORD);
+        self.data = rest;
+        self.left -= 1;
         Some(RunView {
-            offset: r.offset() as u32,
+            offset: (start * DIFF_WORD) as u32,
             bytes,
         })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.diff.runs.len() - self.next;
-        (n, Some(n))
+        (self.left, Some(self.left))
     }
 }
 
@@ -714,6 +897,46 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "diff run past u16::MAX words: offset 262136, 8 bytes")]
+    fn from_runs_rejects_a_run_ending_past_u16_words() {
+        let _ = Diff::from_runs([((u32::from(u16::MAX) - 1) * 4, [1u8; 8])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diff run is empty: offset 8")]
+    fn from_runs_rejects_an_empty_run() {
+        let _ = Diff::from_runs([(8u32, [0u8; 0])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diff runs overlap or are out of order: run at offset 12 \
+                               starts before the previous run ends at 16")]
+    fn from_runs_rejects_overlapping_runs() {
+        let _ = Diff::from_runs([(8u32, [1u8; 8]), (12, [2u8; 8])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diff runs overlap or are out of order: run at offset 0 \
+                               starts before the previous run ends at 12")]
+    fn from_runs_rejects_runs_out_of_order() {
+        let _ = Diff::from_runs([(8u32, [1u8; 4]), (0, [2u8; 4])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diff runs touch at offset 12: they are one maximal run")]
+    fn from_runs_rejects_touching_runs() {
+        let _ = Diff::from_runs([(8u32, [1u8; 4]), (12, [2u8; 4])]);
+    }
+
+    #[test]
+    fn from_runs_joins_a_run_across_chunks() {
+        let d = Diff::from_runs([(120u32, &[1u8; 16][..]), (256, &[2u8; 4])]);
+        let runs: Vec<(u32, usize)> = d.runs().map(|r| (r.offset, r.bytes.len())).collect();
+        assert_eq!(runs, [(120, 16), (256, 4)]);
+        assert_eq!(d.run_count(), 2);
+    }
+
+    #[test]
     fn a_stored_diff_holds_exactly_its_bytes() {
         // An 8 KiB scratch buffer in the pool, as a recycled twin leaves.
         pool::put_bytes(Vec::with_capacity(8192));
@@ -726,8 +949,27 @@ mod tests {
         let stored = d.into_exact();
         assert_eq!(stored, Diff::from_runs([(100u32, [1u8, 0, 0, 0])]));
         assert_eq!((stored.data.len(), stored.data.capacity()), (4, 4));
-        assert_eq!((stored.runs.len(), stored.runs.capacity()), (1, 1));
-        assert_eq!(size_of::<RunRef>(), 4);
+        // One chunk mask and one summary word.
+        assert_eq!((stored.masks.len(), stored.masks.capacity()), (2, 2));
+    }
+
+    #[test]
+    fn a_stored_red_black_diff_holds_its_masks_in_264_bytes() {
+        let twin = vec![0u8; 8192];
+        let mut cur = twin.clone();
+        for w in (0..2048).filter(|w| w % 4 < 2) {
+            cur[w * DIFF_WORD] = 1;
+        }
+        let d = Diff::create(&twin, &cur);
+        assert_eq!(d.run_count(), 512);
+        let stored = d.into_exact();
+        assert_eq!(stored.masks.len(), stored.masks.capacity());
+        assert!(
+            stored.masks.len() * size_of::<u32>() <= 8 + 4 * 64,
+            "{} mask bytes",
+            stored.masks.len() * size_of::<u32>()
+        );
+        assert_eq!(stored.payload_bytes(), 4096);
     }
 
     /// A hasher that records every write it is fed, call by call.

@@ -1,9 +1,10 @@
-//! The block-stepping `Diff::create` must be *byte-identical* to the
-//! original word-at-a-time scan — same run boundaries, same payload — for
-//! every page length and change pattern: runs against the two-word pair
-//! steps and odd-word page tails (`len % 8 == 4`), runs and gaps on either
-//! side of the block-step thresholds, edges around every 64-byte block
-//! boundary, and page tails past the last whole block.
+//! `Diff::create` keeps one word mask per changed 128-byte chunk, and
+//! `runs()`, `run_count()`, `payload_bytes()` and `apply` read the masks.
+//! Each must agree with the original word-at-a-time scan — same run
+//! boundaries, same payload — for every page length and change pattern:
+//! runs that straddle chunk edges, all-changed and all-unchanged chunks
+//! side by side, page tails shorter than a chunk (64-byte pages, odd word
+//! counts), the largest page (65,535 words) and random pages of 2–16 KiB.
 //!
 //! The reference below *is* the original algorithm, kept verbatim as the
 //! oracle.
@@ -41,11 +42,11 @@ fn reference_runs(twin: &[u8], current: &[u8]) -> Vec<(u32, Vec<u8>)> {
     runs
 }
 
+/// `Diff::create`'s runs, run count, payload size and `apply` against the
+/// oracle.
 fn assert_identical(twin: &[u8], current: &[u8]) {
-    let got: Vec<(u32, Vec<u8>)> = Diff::create(twin, current)
-        .runs()
-        .map(|r| (r.offset, r.bytes.to_vec()))
-        .collect();
+    let d = Diff::create(twin, current);
+    let got: Vec<(u32, Vec<u8>)> = d.runs().map(|r| (r.offset, r.bytes.to_vec())).collect();
     let want = reference_runs(twin, current);
     assert_eq!(
         got,
@@ -53,6 +54,12 @@ fn assert_identical(twin: &[u8], current: &[u8]) {
         "chunked scan diverged from word scan (len {})",
         twin.len()
     );
+    assert_eq!(d.run_count(), want.len(), "run count (len {})", twin.len());
+    let payload: usize = want.iter().map(|(_, bytes)| bytes.len()).sum();
+    assert_eq!(d.payload_bytes(), payload, "payload (len {})", twin.len());
+    let mut applied = twin.to_vec();
+    d.apply(&mut applied);
+    assert!(applied == current, "apply diverged (len {})", twin.len());
 }
 
 /// Every page length 0..=32 words — both chunk parities and the odd tail
@@ -294,6 +301,124 @@ fn random_runs_and_gaps_at_8k_match_reference() {
                 let end = (w + len).min(words);
                 if (i % 2 == 0) == *starts_changed {
                     ws.extend(w..end);
+                }
+                w = end;
+            }
+            assert_identical(&twin, &changed(&twin, ws));
+        },
+    );
+}
+
+/// Words in one 128-byte chunk: one mask.
+const CHUNK: usize = 32;
+
+/// Runs of 1–3 chunks' length, give or take a word, starting at every
+/// word of a chunk, so each straddles one to four chunk edges.
+#[test]
+fn runs_straddling_chunk_edges() {
+    let words = 6 * CHUNK;
+    let twin = patterned(words);
+    for start in CHUNK..2 * CHUNK {
+        for len in (1..=3).flat_map(|n| [n * CHUNK - 1, n * CHUNK, n * CHUNK + 1]) {
+            assert_identical(&twin, &changed(&twin, start..start + len));
+        }
+    }
+}
+
+/// Four chunks side by side, each of five kinds: unchanged, all changed,
+/// red-black, its first word only, or all but its first word (a run that
+/// ends at the chunk's edge and may go on into the next). Every sequence
+/// of kinds, on whole chunks and with a 5-word tail.
+#[test]
+fn chunks_of_every_kind_side_by_side() {
+    let kind = |k: usize, c: usize| -> Vec<usize> {
+        let base = c * CHUNK;
+        match k {
+            0 => vec![],
+            1 => (base..base + CHUNK).collect(),
+            2 => (base..base + CHUNK).filter(|w| w % 4 < 2).collect(),
+            3 => vec![base],
+            _ => (base + 1..base + CHUNK).collect(),
+        }
+    };
+    for tail in [0, 5] {
+        let words = 4 * CHUNK + tail;
+        let twin = patterned(words);
+        for kinds in 0..5usize.pow(4) {
+            let ws = (0..4).flat_map(|c| kind(kinds / 5usize.pow(c as u32) % 5, c));
+            let ws: Vec<usize> = ws.chain(4 * CHUNK..words).collect();
+            assert_identical(&twin, &changed(&twin, ws));
+        }
+    }
+}
+
+/// Every one of the 65,536 change patterns of a 64-byte page: half a
+/// chunk, all of it tail.
+#[test]
+fn every_change_pattern_of_a_64_byte_page() {
+    let twin = patterned(16);
+    for pattern in 0..1u32 << 16 {
+        let ws = (0..16).filter(|w| pattern >> w & 1 == 1);
+        assert_identical(&twin, &changed(&twin, ws));
+    }
+}
+
+/// Pages of 0–3 whole chunks plus a tail of 1–31 words: full change, a
+/// change only in the tail, a run crossing into the tail, and a full
+/// change with one unchanged tail word.
+#[test]
+fn page_tails_past_the_last_whole_chunk() {
+    for chunks in 0..=3 {
+        for tail in 1..CHUNK {
+            let words = chunks * CHUNK + tail;
+            let whole = chunks * CHUNK;
+            let twin = patterned(words);
+            assert_identical(&twin, &changed(&twin, 0..words));
+            assert_identical(&twin, &changed(&twin, whole..words));
+            assert_identical(&twin, &changed(&twin, whole.saturating_sub(3)..words - 1));
+            for odd in whole..words {
+                assert_identical(&twin, &changed(&twin, (0..words).filter(|&w| w != odd)));
+            }
+        }
+    }
+}
+
+/// The largest page a diff takes, 65,535 words: 2,047 whole chunks and a
+/// 31-word tail.
+#[test]
+fn largest_page_of_65535_words() {
+    let words = usize::from(u16::MAX);
+    let twin = patterned(words);
+    assert_identical(&twin, &changed(&twin, 0..words));
+    assert_identical(&twin, &changed(&twin, (0..words).filter(|w| w % 4 < 2)));
+    assert_identical(&twin, &changed(&twin, (0..words).step_by(997)));
+    assert_identical(
+        &twin,
+        &changed(&twin, (0..words).filter(|&w| w != words - 1)),
+    );
+    assert_identical(&twin, &changed(&twin, [0, words - 1]));
+}
+
+/// Randomized 2, 4, 8 and 16 KiB pages of alternating gaps and runs, the
+/// runs whole or red-black.
+#[test]
+fn random_pages_of_2k_to_16k_match_reference() {
+    check(
+        "random_pages_of_2k_to_16k_match_reference",
+        |src: &mut Source| {
+            let kib = [2, 4, 8, 16][src.usize_in(0..4)];
+            let spans = src.vec(1..80, |s| (s.usize_in(1..200), s.bool()));
+            (kib, spans)
+        },
+        |(kib, spans)| {
+            let words = kib * 1024 / DIFF_WORD;
+            let twin = patterned(words);
+            let mut ws = Vec::new();
+            let mut w = 0;
+            for (i, &(len, red_black)) in spans.iter().enumerate() {
+                let end = (w + len).min(words);
+                if i % 2 == 1 {
+                    ws.extend((w..end).filter(|w| !red_black || w % 4 < 2));
                 }
                 w = end;
             }

@@ -4,9 +4,9 @@
 # instead of passing on a warm cache.
 #
 # Usage: verify.sh [--fast]
-#   --fast skips the example runs, the standalone benchmark crate
-#   build and lint, the regeneration of nine results/*_s025.txt tables,
-#   the serve matrix, the two node-count probes and the paper-scale
+#   --fast skips the release svm-mem tests, the example runs, the
+#   standalone benchmark crate build and lint, the regeneration of nine
+#   results/*_s025.txt tables, the serve matrix, the two node-count probes and the paper-scale
 #   64-node Table 2, and the robustness matrix's pinned seed sweeps, but
 #   always keeps the workspace clippy, the exploration gate and the pinned
 #   default robustness matrix — the cheap gates that catch whole bug
@@ -131,6 +131,13 @@ echo "== tier-1: tests (offline)"
 cargo test -q
 
 if [[ "$FAST" -eq 0 ]]; then
+  # Tier-1 tests run at opt-level 1; the diff kernels LLVM vectorises
+  # only in release are covered there only through the byte-for-byte
+  # pins. Their equivalence tests against the word-at-a-time oracle, in
+  # release (~1 s warm).
+  echo "== svm-mem tests, release (offline)"
+  cargo test -q --release -p svm-mem
+
   # ~1 s together; nothing else executes them.
   echo "== examples run, release (offline)"
   for ex in crates/*/examples/*.rs; do
