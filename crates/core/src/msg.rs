@@ -43,6 +43,31 @@ pub fn records_bytes(records: &[Rc<IntervalRec>]) -> usize {
     records.iter().map(|r| r.bytes()).sum()
 }
 
+/// Wire/heap overhead charged per diff (page id, writer, interval, count).
+const DIFF_HEADER_BYTES: usize = 16;
+/// Wire/heap overhead charged per run (offset + length headers).
+const RUN_HEADER_BYTES: usize = 8;
+
+/// Bytes a diff occupies on the wire (payload + encoding headers).
+///
+/// This is what the traffic tables (paper Table 5) charge per diff message
+/// in addition to the message envelope.
+pub fn diff_wire_bytes(diff: &Diff) -> usize {
+    DIFF_HEADER_BYTES + diff.run_count() * RUN_HEADER_BYTES + diff.payload_bytes()
+}
+
+/// Bytes a diff occupies in memory while stored (paper Table 6).
+///
+/// A model charge, not the host's: 24 B per run (the 8-byte wire header
+/// plus 16 B of allocator and run-vector overhead in a one-`Vec`-per-run
+/// layout) on top of the wire form. It drives the GC threshold, hence
+/// virtual time, so it stays pinned to that layout; the host holds 4 B per
+/// touched 128-byte chunk plus 4 B per 32 chunks of summary, and the
+/// payload, in exact-size vectors once stored (`Diff::into_exact`).
+pub fn diff_heap_bytes(diff: &Diff) -> usize {
+    DIFF_HEADER_BYTES + diff.run_count() * (RUN_HEADER_BYTES + 16) + diff.payload_bytes()
+}
+
 /// What the application can ask the protocol for.
 #[derive(Debug)]
 pub enum SvmReq {
@@ -296,14 +321,14 @@ impl Message for SvmMsg {
             SvmMsg::DiffReply { diffs, .. } => {
                 16 + diffs
                     .iter()
-                    .map(|p| 8 + p.vt.bytes() + p.diff.wire_bytes())
+                    .map(|p| 8 + p.vt.bytes() + diff_wire_bytes(&p.diff))
                     .sum::<usize>()
             }
             SvmMsg::PageRequest { .. } => 16,
             SvmMsg::PageReply { data, applied, .. } | SvmMsg::HomeReply { data, applied, .. } => {
                 16 + data.len() + 8 * applied.len()
             }
-            SvmMsg::DiffFlush { diff, .. } => 16 + diff.wire_bytes(),
+            SvmMsg::DiffFlush { diff, .. } => 16 + diff_wire_bytes(diff),
             SvmMsg::HomeRequest { need, .. } => 16 + 8 * need.len(),
             SvmMsg::NodeDown { .. } => 12,
             SvmMsg::DiffTask { .. } => 0, // intra-node only
@@ -381,6 +406,25 @@ mod tests {
             requester: NodeId(1),
         };
         assert_eq!(req.class(), TrafficClass::Protocol);
+    }
+
+    #[test]
+    fn diff_charges_grow_per_run_and_per_byte() {
+        let charges = |d: &Diff| (diff_wire_bytes(d), diff_heap_bytes(d));
+        assert_eq!(charges(&Diff::default()), (16, 16));
+        let twin = vec![0u8; 8192];
+        let mut cur = twin.clone();
+        cur[64..72].fill(1);
+        assert_eq!(
+            charges(&Diff::create(&twin, &cur)),
+            (32, 48),
+            "one 8-byte run"
+        );
+        // Red-black SOR: an 8-byte run every 16 bytes, 512 runs, 4,096 B.
+        for w in (0..2048).filter(|w| w % 4 < 2) {
+            cur[w * 4] = 1;
+        }
+        assert_eq!(charges(&Diff::create(&twin, &cur)), (8208, 16400));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use svm_machine::{NodeId, TrafficClass};
 use svm_mem::{Access, PageNum};
 use svm_sim::SimDuration;
 
-use crate::msg::DiffPacket;
+use crate::msg::{diff_wire_bytes, DiffPacket};
 
 use super::fault::causal_sort;
 use super::{MCtx, SvmAgent};
@@ -89,7 +89,7 @@ impl SvmAgent {
                             vt: d.vt.clone(),
                             diff: d.diff().clone(),
                         });
-                        remote_bytes += d.diff().wire_bytes();
+                        remote_bytes += diff_wire_bytes(d.diff());
                         any = true;
                     }
                     if any {

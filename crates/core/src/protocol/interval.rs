@@ -13,7 +13,7 @@ use svm_machine::{Category, NodeId, ProcKind};
 use svm_mem::{Access, Diff, PageNum};
 
 use crate::config::BugSite;
-use crate::msg::{IntervalRec, SvmMsg};
+use crate::msg::{diff_heap_bytes, IntervalRec, SvmMsg};
 use crate::vt::VectorTime;
 
 use super::state::StoredDiff;
@@ -159,7 +159,7 @@ impl SvmAgent {
         self.counters[idx].diffs_created += 1;
         self.counters[idx].diff_bytes_created += diff.payload_bytes() as u64;
         if self.homeless() {
-            let bytes = (diff.heap_bytes() + vt.bytes()) as i64;
+            let bytes = (diff_heap_bytes(&diff) + vt.bytes()) as i64;
             self.counters[idx].mem.diffs(bytes);
             self.nodes_st[idx]
                 .diff_store

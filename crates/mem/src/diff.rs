@@ -12,9 +12,11 @@
 //! has a changed word) followed by one `u32` mask per such chunk (bit `i`
 //! set: word `i` of the chunk changed), all in one vector, and the changed
 //! words' bytes in page order in a second: two allocations whatever the
-//! shape. The runs that the protocols and the traffic model count
-//! ([`Diff::runs`], [`Diff::run_count`]) are the maximal stretches of set
-//! bits, read off the masks. A diff that dies within its interval's
+//! shape. The runs ([`Diff::run_count`], and [`Diff::runs`] for
+//! inspection) are the maximal stretches of set bits, read off the masks
+//! by the one walk of the summary words that every reader is built on.
+//! What the model charges for a diff on the wire and in memory is
+//! `svm-core`'s (`svm_core::msg`). A diff that dies within its interval's
 //! handling (a flush the home applies) builds into and returns to the
 //! thread-local [`pool`](crate::pool)'s scratch vectors ([`Diff::create`],
 //! [`Diff::recycle`]): zero allocations once they cycle. A diff that is
@@ -59,11 +61,6 @@ use crate::pool;
 
 /// Diff granularity in bytes: one 32-bit word, as in TreadMarks.
 pub const DIFF_WORD: usize = 4;
-
-/// Wire/heap overhead charged per run (offset + length headers).
-const RUN_HEADER_BYTES: usize = 8;
-/// Wire/heap overhead charged per diff (page id, writer, interval, count).
-const DIFF_HEADER_BYTES: usize = 16;
 
 /// Words in one chunk: one bit each in a `u32` mask.
 const CHUNK_WORDS: usize = 32;
@@ -189,16 +186,8 @@ fn copy_run(to: &mut [u8], from: &[u8]) {
 #[inline(always)]
 fn put<'a>(dst: &mut [u8], run: Range<usize>, data: &'a [u8]) -> &'a [u8] {
     let (bytes, rest) = data.split_at(run.len());
-    let len = dst.len();
     let Some(to) = dst.get_mut(run.clone()) else {
-        out_of_bounds(
-            "",
-            RunView {
-                offset: run.start as u32,
-                bytes,
-            },
-            len,
-        );
+        out_of_bounds("", run, dst.len());
     };
     copy_run(to, bytes);
     rest
@@ -224,11 +213,11 @@ fn copy_words(data: &mut Vec<u8>, chunk: &[u8], mut mask: u32) {
 /// Panics naming `run`, which falls outside a page of `len` bytes.
 #[cold]
 #[inline(never)]
-fn out_of_bounds(within: &str, run: RunView<'_>, len: usize) -> ! {
+fn out_of_bounds(within: &str, run: Range<usize>, len: usize) -> ! {
     panic!(
         "diff run out of bounds{within}: offset {} + {} bytes > page size {len}",
-        run.offset,
-        run.bytes.len()
+        run.start,
+        run.len()
     )
 }
 
@@ -265,15 +254,6 @@ impl MaskBuilder {
     fn push(&mut self, c: usize, mask: u32) {
         self.touch(c);
         self.masks.push(mask);
-    }
-
-    /// Record word `w`, in the last chunk recorded or past it, changed.
-    fn mark(&mut self, w: usize) {
-        let c = w / CHUNK_WORDS;
-        if self.groups <= c / 32 || self.masks[self.summary] >> (c % 32) & 1 == 0 {
-            self.push(c, 0);
-        }
-        *self.masks.last_mut().expect("chunk's mask") |= 1 << (w % CHUNK_WORDS);
     }
 
     /// Record every chunk of `chunks`, past every chunk recorded so far,
@@ -387,73 +367,6 @@ impl Diff {
         masks.finish(data)
     }
 
-    /// Build a diff from explicit `(offset, bytes)` runs.
-    ///
-    /// For tests and wire decoding. The runs must be what [`Diff::runs`]
-    /// hands out: in page order, nonempty, and maximal, so no two overlap
-    /// or touch. A run past a page's end still surfaces later, through
-    /// [`Diff::apply`]'s named bounds check.
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the fault, if a run's offset or length is not a
-    /// multiple of [`DIFF_WORD`], it is empty, it ends past `u16::MAX`
-    /// words, or it starts before the run before it ends or where it ends.
-    pub fn from_runs<I, B>(runs: I) -> Diff
-    where
-        I: IntoIterator<Item = (u32, B)>,
-        B: AsRef<[u8]>,
-    {
-        let mut masks = MaskBuilder::new(Vec::new());
-        let mut data = Vec::new();
-        // The byte offset where the previous run ends.
-        let mut end = None;
-        for (offset, bytes) in runs {
-            let (offset, len) = (offset as usize, bytes.as_ref().len());
-            assert!(
-                offset.is_multiple_of(DIFF_WORD) && len.is_multiple_of(DIFF_WORD),
-                "diff run not word-aligned: offset {offset}, {len} bytes"
-            );
-            assert!(len > 0, "diff run is empty: offset {offset}");
-            assert!(
-                (offset + len) / DIFF_WORD <= MAX_WORDS,
-                "diff run past u16::MAX words: offset {offset}, {len} bytes"
-            );
-            if let Some(end) = end {
-                assert!(
-                    offset >= end,
-                    "diff runs overlap or are out of order: run at offset {offset} \
-                     starts before the previous run ends at {end}"
-                );
-                assert!(
-                    offset > end,
-                    "diff runs touch at offset {offset}: they are one maximal run"
-                );
-            }
-            end = Some(offset + len);
-            for w in offset / DIFF_WORD..(offset + len) / DIFF_WORD {
-                masks.mark(w);
-            }
-            data.extend_from_slice(bytes.as_ref());
-        }
-        masks.finish(data)
-    }
-
-    /// The touched chunks, in page order, as (chunk index, word mask).
-    fn chunks(&self) -> Chunks<'_> {
-        Chunks {
-            masks: self.masks.iter(),
-            next_group: 0,
-            bits: 0,
-        }
-    }
-
-    /// The first run that ends past `len` bytes, if one does.
-    fn run_past(&self, len: usize) -> Option<RunView<'_>> {
-        self.runs()
-            .find(|r| r.offset as usize + r.bytes.len() > len)
-    }
-
     /// Apply the diff onto `dst` (a page copy).
     ///
     /// # Panics
@@ -465,39 +378,45 @@ impl Diff {
         self.for_each_run(|run| data = put(dst, run, data));
     }
 
-    /// Call `f` with the bytes of the page each maximal run covers, in
-    /// page order: what [`Diff::runs`] hands out, without the payload.
-    /// The loops walk the summary words and masks themselves: through
-    /// `chunks()` and an iterator of each mask's runs, applying a diff of
-    /// 31 short runs took 30 % longer.
+    /// Call `f` with each touched chunk, in page order, as (chunk index,
+    /// word mask): the one reader of the summary words and masks, which
+    /// every other reader is built on.
     #[inline(always)]
-    fn for_each_run(&self, mut f: impl FnMut(Range<usize>)) {
-        // The run being gathered, which may go on into the next chunk.
-        let (mut start, mut end) = (0, 0);
+    fn for_each_chunk(&self, mut f: impl FnMut(usize, u32)) {
         let mut words = self.masks.iter();
         let mut group = 0;
         while let Some(&summary) = words.next() {
             let mut chunks = summary;
             while chunks != 0 {
-                let chunk = (group + chunks.trailing_zeros() as usize) * CHUNK_BYTES;
+                let c = group + chunks.trailing_zeros() as usize;
                 chunks &= chunks - 1;
-                let mut mask = *words.next().expect("a mask per summary bit");
-                while mask != 0 {
-                    let first = mask.trailing_zeros() as usize;
-                    let n = (mask >> first).trailing_ones() as usize;
-                    mask = clear_below(mask, first + n);
-                    let at = chunk + first * DIFF_WORD;
-                    if at != end {
-                        if end > start {
-                            f(start..end);
-                        }
-                        start = at;
-                    }
-                    end = at + n * DIFF_WORD;
-                }
+                f(c, *words.next().expect("a mask per summary bit"));
             }
             group += 32;
         }
+    }
+
+    /// Call `f` with the bytes of the page each maximal run covers, in
+    /// page order: what [`Diff::runs`] hands out, without the payload.
+    #[inline(always)]
+    fn for_each_run(&self, mut f: impl FnMut(Range<usize>)) {
+        // The run being gathered, which may go on into the next chunk.
+        let (mut start, mut end) = (0, 0);
+        self.for_each_chunk(|c, mut mask| {
+            while mask != 0 {
+                let first = mask.trailing_zeros() as usize;
+                let n = (mask >> first).trailing_ones() as usize;
+                mask = clear_below(mask, first + n);
+                let at = c * CHUNK_BYTES + first * DIFF_WORD;
+                if at != end {
+                    if end > start {
+                        f(start..end);
+                    }
+                    start = at;
+                }
+                end = at + n * DIFF_WORD;
+            }
+        });
         if end > start {
             f(start..end);
         }
@@ -514,49 +433,32 @@ impl Diff {
         // The chunk after the last one, and its last word's bit.
         let (mut next, mut last) = (0, 0);
         let mut runs = 0;
-        for (c, mask) in self.chunks() {
+        self.for_each_chunk(|c, mask| {
             let carry = u32::from(c == next) & last;
             runs += (mask & !(mask << 1 | carry)).count_ones() as usize;
             (next, last) = (c + 1, mask >> 31);
-        }
+        });
         runs
     }
 
     /// The runs, for inspection, in page order.
-    pub fn runs(&self) -> Runs<'_> {
-        Runs {
-            chunks: self.chunks().peekable(),
-            chunk: 0,
-            mask: 0,
-            data: &self.data,
-            left: self.run_count(),
-        }
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = RunView<'_>> {
+        let mut runs = Vec::new();
+        let mut data = self.data.as_slice();
+        self.for_each_run(|run| {
+            let (bytes, rest) = data.split_at(run.len());
+            data = rest;
+            runs.push(RunView {
+                offset: run.start as u32,
+                bytes,
+            });
+        });
+        runs.into_iter()
     }
 
     /// Total bytes of changed data.
     pub fn payload_bytes(&self) -> usize {
         self.data.len()
-    }
-
-    /// Bytes this diff occupies on the wire (payload + encoding headers).
-    ///
-    /// This is what the traffic tables (paper Table 5) charge per diff
-    /// message in addition to the message envelope.
-    pub fn wire_bytes(&self) -> usize {
-        DIFF_HEADER_BYTES + self.run_count() * RUN_HEADER_BYTES + self.payload_bytes()
-    }
-
-    /// Bytes this diff occupies in memory while stored (paper Table 6).
-    ///
-    /// A model charge, not the host's: 24 B per run (the 8-byte wire header
-    /// plus 16 B of allocator and run-vector overhead in a one-`Vec`-per-run
-    /// layout) on top of the wire form. It drives the GC threshold, hence
-    /// virtual time, so it stays pinned to that layout; the host holds 4 B
-    /// per touched 128-byte chunk plus 4 B per 32 chunks of summary, and
-    /// the payload, in exact-size vectors once stored
-    /// ([`Diff::into_exact`]).
-    pub fn heap_bytes(&self) -> usize {
-        DIFF_HEADER_BYTES + self.run_count() * (RUN_HEADER_BYTES + 16) + self.payload_bytes()
     }
 
     /// Merge `later` into `self`: the result applied once equals applying
@@ -572,8 +474,11 @@ impl Diff {
     /// either diff has a run that does not fit inside `page_size`.
     pub fn merge(&self, later: &Diff, page_size: usize) -> Diff {
         for d in [self, later] {
-            if let Some(run) = d.run_past(page_size) {
-                out_of_bounds(" in merge", run, page_size);
+            // The runs come in page order: if one ends past the page, the last does.
+            let mut last = 0..0;
+            d.for_each_run(|run| last = run);
+            if last.end > page_size {
+                out_of_bounds(" in merge", last, page_size);
             }
         }
         // Materialize both diffs on a scratch page, then take the union of
@@ -584,8 +489,8 @@ impl Diff {
         self.apply(&mut cur);
         later.apply(&mut cur);
         let mut union = vec![0; page_size.div_ceil(CHUNK_BYTES)];
-        for (c, mask) in self.chunks().chain(later.chunks()) {
-            union[c] |= mask;
+        for d in [self, later] {
+            d.for_each_chunk(|c, mask| union[c] |= mask);
         }
         let mut masks = MaskBuilder::new(pool::take_words());
         let mut data = pool::take_bytes();
@@ -623,84 +528,6 @@ impl Diff {
         pool::put_bytes(self.data);
     }
 }
-
-/// A diff's touched chunks in page order, as (chunk index, word mask).
-struct Chunks<'a> {
-    /// Summary words and masks not yet read.
-    masks: std::slice::Iter<'a, u32>,
-    /// The first chunk of the next group.
-    next_group: usize,
-    /// Chunks of the current group not yet handed out.
-    bits: u32,
-}
-
-impl Iterator for Chunks<'_> {
-    type Item = (usize, u32);
-
-    fn next(&mut self) -> Option<(usize, u32)> {
-        while self.bits == 0 {
-            self.bits = *self.masks.next()?;
-            self.next_group += 32;
-        }
-        let c = self.next_group - 32 + self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        Some((c, *self.masks.next().expect("a mask per summary bit")))
-    }
-}
-
-/// Iterator over a diff's runs as [`RunView`]s.
-pub struct Runs<'a> {
-    chunks: std::iter::Peekable<Chunks<'a>>,
-    /// The chunk whose unvisited words are `mask`.
-    chunk: usize,
-    mask: u32,
-    /// Payload not yet handed out.
-    data: &'a [u8],
-    left: usize,
-}
-
-impl<'a> Iterator for Runs<'a> {
-    type Item = RunView<'a>;
-
-    fn next(&mut self) -> Option<RunView<'a>> {
-        if self.mask == 0 {
-            (self.chunk, self.mask) = self.chunks.next()?;
-        }
-        let first = self.mask.trailing_zeros() as usize;
-        let mut len = (self.mask >> first).trailing_ones() as usize;
-        self.mask = clear_below(self.mask, first + len);
-        let start = self.chunk * CHUNK_WORDS + first;
-        // A run that reaches the chunk's last word goes on into the next
-        // chunk if that one is touched from its first word.
-        if first + len == CHUNK_WORDS {
-            while let Some(&(c, mask)) = self.chunks.peek() {
-                if c != self.chunk + 1 || mask & 1 == 0 {
-                    break;
-                }
-                self.chunks.next();
-                let ones = mask.trailing_ones() as usize;
-                len += ones;
-                (self.chunk, self.mask) = (c, clear_below(mask, ones));
-                if ones < CHUNK_WORDS {
-                    break;
-                }
-            }
-        }
-        let (bytes, rest) = self.data.split_at(len * DIFF_WORD);
-        self.data = rest;
-        self.left -= 1;
-        Some(RunView {
-            offset: (start * DIFF_WORD) as u32,
-            bytes,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
-impl ExactSizeIterator for Runs<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -765,20 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn from_runs_matches_create() {
-        let twin = vec![0u8; 64];
-        let cur = page(&[(0, 1), (32, 2)], 64);
-        let created = Diff::create(&twin, &cur);
-        let rebuilt = Diff::from_runs(
-            created
-                .runs()
-                .map(|r| (r.offset, r.bytes.to_vec()))
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(created, rebuilt);
-    }
-
-    #[test]
     fn runs_iterator_is_exact_size() {
         let twin = vec![0u8; 64];
         let d = Diff::create(&twin, &page(&[(0, 1), (32, 2)], 64));
@@ -796,16 +609,6 @@ mod tests {
         let empty = Diff::create(&twin, &twin);
         assert!(empty.is_empty());
         assert_eq!(empty.payload_bytes(), 0);
-    }
-
-    #[test]
-    fn wire_and_heap_sizes_grow_with_runs() {
-        let twin = vec![0u8; 64];
-        let one = Diff::create(&twin, &page(&[(0, 1)], 64));
-        let two = Diff::create(&twin, &page(&[(0, 1), (32, 2)], 64));
-        assert!(two.wire_bytes() > one.wire_bytes());
-        assert!(two.heap_bytes() > one.heap_bytes());
-        assert!(one.heap_bytes() >= one.wire_bytes());
     }
 
     #[test]
@@ -835,10 +638,10 @@ mod tests {
         let _ = Diff::create(&[0u8; 8], &[0u8; 12]);
     }
 
-    /// An oversized run (e.g. from a corrupt wire decode) must fail the
+    /// A diff of a 68-byte page, applied to a 64-byte one, must fail the
     /// named bounds check, not a raw slice panic inside the copy.
     fn oversized() -> Diff {
-        Diff::from_runs([(60u32, vec![1u8, 2, 3, 4, 5, 6, 7, 8])])
+        Diff::create(&[0u8; 68], &page(&[(60, 1), (64, 2)], 68))
     }
 
     #[test]
@@ -879,64 +682,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "diff run not word-aligned: offset 6, 4 bytes")]
-    fn from_runs_rejects_an_unaligned_offset() {
-        let _ = Diff::from_runs([(6u32, [1u8; 4])]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diff run not word-aligned: offset 8, 3 bytes")]
-    fn from_runs_rejects_an_unaligned_length() {
-        let _ = Diff::from_runs([(8u32, [1u8; 3])]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diff run past u16::MAX words: offset 262144, 4 bytes")]
-    fn from_runs_rejects_an_offset_past_u16_words() {
-        let _ = Diff::from_runs([((u32::from(u16::MAX) + 1) * 4, [1u8; 4])]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diff run past u16::MAX words: offset 262136, 8 bytes")]
-    fn from_runs_rejects_a_run_ending_past_u16_words() {
-        let _ = Diff::from_runs([((u32::from(u16::MAX) - 1) * 4, [1u8; 8])]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diff run is empty: offset 8")]
-    fn from_runs_rejects_an_empty_run() {
-        let _ = Diff::from_runs([(8u32, [0u8; 0])]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diff runs overlap or are out of order: run at offset 12 \
-                               starts before the previous run ends at 16")]
-    fn from_runs_rejects_overlapping_runs() {
-        let _ = Diff::from_runs([(8u32, [1u8; 8]), (12, [2u8; 8])]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diff runs overlap or are out of order: run at offset 0 \
-                               starts before the previous run ends at 12")]
-    fn from_runs_rejects_runs_out_of_order() {
-        let _ = Diff::from_runs([(8u32, [1u8; 4]), (0, [2u8; 4])]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diff runs touch at offset 12: they are one maximal run")]
-    fn from_runs_rejects_touching_runs() {
-        let _ = Diff::from_runs([(8u32, [1u8; 4]), (12, [2u8; 4])]);
-    }
-
-    #[test]
-    fn from_runs_joins_a_run_across_chunks() {
-        let d = Diff::from_runs([(120u32, &[1u8; 16][..]), (256, &[2u8; 4])]);
-        let runs: Vec<(u32, usize)> = d.runs().map(|r| (r.offset, r.bytes.len())).collect();
-        assert_eq!(runs, [(120, 16), (256, 4)]);
-        assert_eq!(d.run_count(), 2);
-    }
-
-    #[test]
     fn a_stored_diff_holds_exactly_its_bytes() {
         // An 8 KiB scratch buffer in the pool, as a recycled twin leaves.
         pool::put_bytes(Vec::with_capacity(8192));
@@ -947,7 +692,8 @@ mod tests {
             "create builds in the pooled buffer"
         );
         let stored = d.into_exact();
-        assert_eq!(stored, Diff::from_runs([(100u32, [1u8, 0, 0, 0])]));
+        let runs: Vec<(u32, &[u8])> = stored.runs().map(|r| (r.offset, r.bytes)).collect();
+        assert_eq!(runs, [(100, &[1u8, 0, 0, 0][..])]);
         assert_eq!((stored.data.len(), stored.data.capacity()), (4, 4));
         // One chunk mask and one summary word.
         assert_eq!((stored.masks.len(), stored.masks.capacity()), (2, 2));

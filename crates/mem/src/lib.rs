@@ -6,12 +6,13 @@
 //!   ([`GlobalHeap`]),
 //! * per-node page copies ([`PageBuf`]), shared between nodes until
 //!   written, with twin support,
-//! * word-granularity run-length diffs ([`Diff`]) — the LRC update-detection
-//!   mechanism of the paper (Section 2.1): compare a dirty page against its
-//!   twin and encode the changed words.
+//! * word-granularity diffs held as word masks ([`Diff`]) — the LRC
+//!   update-detection mechanism of the paper (Section 2.1): compare a dirty
+//!   page against its twin and record the changed words.
 //!
 //! Everything here is protocol-agnostic and synchronous; the simulation cost
-//! model for these operations lives in `svm-machine`.
+//! model for these operations lives in `svm-machine`, and what a diff is
+//! charged on the wire and in memory in `svm-core`'s `msg` module.
 
 pub mod addr;
 pub mod diff;

@@ -48,7 +48,7 @@ fn self_diff_is_empty() {
     check("self_diff_is_empty", page, |p| {
         let d = Diff::create(p, p);
         assert!(d.is_empty());
-        assert_eq!(d.wire_bytes(), 16); // header only
+        assert_eq!(d.run_count(), 0);
         let mut q = p.clone();
         d.apply(&mut q);
         assert_eq!(&q, p);

@@ -106,6 +106,16 @@ if grep -rnE '\b(drop_first|drop_rate|dup_rate|FaultPlan)' crates/core/src/proto
   exit 1
 fi
 
+# svm-mem holds diffs as the host stores them; what the model charges for a
+# diff on the wire and in memory (paper Tables 5 and 6, the GC trigger) is
+# declared once, in svm-core's msg.rs. A charge in svm-mem is a second
+# declaration that drifts from the first.
+echo "== no model diff charges in svm-mem"
+if grep -rnE 'wire_bytes|heap_bytes|HEADER_BYTES' crates/mem/src --include='*.rs'; then
+  echo "crates/mem/src names a model charge again (above): the model's diff charges are svm-core's (crates/core/src/msg.rs, diff_wire_bytes/diff_heap_bytes)" >&2
+  exit 1
+fi
+
 # A `#[expect(...)]` is a lint the code admits to breaking. The count may fall
 # but never rise: a new one means an invariant is asserted where the types
 # could carry it (ROADMAP item 11).
