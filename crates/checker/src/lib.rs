@@ -25,9 +25,10 @@
 //!    (read–write and write–write). For race-free reads the checker
 //!    maintains the expected memory image — the golden initial bytes
 //!    overlaid with visible writes in linearization order — and compares
-//!    the recorded read digest against it; a mismatch is a read-legality
-//!    violation with a counterexample naming node, page, and virtual
-//!    time.
+//!    the recorded read digest with `svm_core::trace::read_digest` of the
+//!    expected bytes under the read (the recorder's own function, never a
+//!    second digest); a mismatch is a read-legality violation with a
+//!    counterexample naming node, page, and virtual time.
 //!
 //! ## What it can and cannot prove
 //!

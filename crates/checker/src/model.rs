@@ -18,7 +18,7 @@
 
 use std::collections::HashSet;
 
-use svm_core::trace::{fnv1a64, FNV_BASIS};
+use svm_core::trace::read_digest;
 use svm_core::AccessTrace;
 
 use crate::replay::EpCtx;
@@ -199,7 +199,7 @@ impl<'t> Memory<'t> {
         let st = self.page(page);
         let racing = racing(ctx, &st.writes, ep, lo, hi);
         let verdict = if racing.is_empty() {
-            let want = fnv1a64(FNV_BASIS, &st.expected[lo as usize..hi as usize]);
+            let want = read_digest(&st.expected[lo as usize..hi as usize]);
             (want != digest).then(|| Violation::ReadValue {
                 node,
                 page,

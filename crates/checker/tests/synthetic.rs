@@ -4,7 +4,7 @@
 //! exercised in isolation from the protocols.
 
 use svm_checker::{check_trace, AccessTrace, RaceKind, TraceEvent, Violation};
-use svm_core::trace::{fnv1a64, FNV_BASIS};
+use svm_core::trace::read_digest;
 use svm_core::VectorTime;
 use svm_sim::SimTime;
 
@@ -20,16 +20,12 @@ fn trace(nodes: usize, events: Vec<Vec<TraceEvent>>) -> AccessTrace {
     }
 }
 
-fn digest(bytes: &[u8]) -> u64 {
-    fnv1a64(FNV_BASIS, bytes)
-}
-
 fn read(page: u32, off: u32, bytes: &[u8]) -> TraceEvent {
     TraceEvent::Read {
         page,
         off,
         len: bytes.len() as u32,
-        digest: digest(bytes),
+        digest: read_digest(bytes),
     }
 }
 
@@ -364,7 +360,7 @@ fn an_access_whose_end_overflows_u32_is_malformed() {
         page: 0,
         off: u32::MAX - 1,
         len: 4,
-        digest: digest(&[0u8; 4]),
+        digest: read_digest(&[0u8; 4]),
     };
     assert_malformed_access(wrapping, 0);
     assert_malformed_access(write(1, u32::MAX, &[1u8; 2]), 1);

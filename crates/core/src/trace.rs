@@ -30,9 +30,11 @@
 //!   overlaps it (so same-node read-after-write expectations stay exact)
 //!   and at every synchronization event (the release-consistency
 //!   visibility boundary).
-//! * **Reads** record a range plus an FNV-1a digest of the bytes seen;
-//!   contiguous same-page reads extend the previous event by streaming
-//!   into its digest instead of appending a new one.
+//! * **Reads** record a range plus a [`read_digest`] of the bytes seen.
+//!   Contiguous same-page reads extend the previous event: its bytes stay
+//!   in one reused buffer while later reads can still merge, and are
+//!   digested once, a word at a time, when the event is *sealed* — before
+//!   any other event is appended, and at [`NodeRecorder::finish`].
 //!
 //! The protocol handlers reach the recorders only through [`Recording`], so
 //! this module keeps `protocol/`'s panic policy (DESIGN §12).
@@ -82,9 +84,10 @@ pub use svm_sim::FNV_BASIS;
 /// calls.
 ///
 /// Not [`svm_sim::fnv1a64`]: the multiplier here is 2^44 + 0x1b3, the FNV
-/// prime is 2^40 + 0x1b3. Every digest this crate committed was taken with
-/// it (`results/serve_matrix.json`'s checksums, `results/explore_*.txt`'s
-/// `got`/`want`/`final_digest`), so it stays until a PR re-records those.
+/// prime is 2^40 + 0x1b3. `results/serve_matrix.json`'s checksums and the
+/// `final_digest` of `results/explore_*.txt` were taken with it (through
+/// [`Fnv64`]), so it stays until a change re-records those. Recorded reads
+/// are not digested with it: see [`read_digest`].
 #[inline]
 pub fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -92,6 +95,39 @@ pub fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// The digest of one recorded read's bytes, in address order: what
+/// [`TraceEvent::Read`] carries and what `svm-checker` recomputes over the
+/// legal bytes, so both sides call this one function.
+///
+/// Eight bytes a step: each little-endian word is xored into the state,
+/// which is multiplied by an odd constant and xor-shifted; the tail is
+/// zero-padded, the length is folded into the seed, and a final avalanche
+/// mixes the result. Every step is a bijection of the state, so two
+/// equal-length inputs that differ in one word (and so in one byte) never
+/// collide. Not streaming: a merged read is digested once, whole.
+#[inline]
+pub fn read_digest(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, w: u64| {
+        let h = (h ^ w).wrapping_mul(K);
+        h ^ (h >> 32)
+    };
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut h = 0x243f_6a88_85a3_08d3 ^ bytes.len() as u64;
+    for w in words {
+        h = step(h, u64::from_le_bytes(*w));
+    }
+    if !tail.is_empty() {
+        let mut pad = [0u8; 8];
+        pad[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(pad));
+    }
+    // MurmurHash3's fmix64.
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// [`fnv1a64`] as a [`Hasher`]: what turns the protocol types' `Hash` impls
@@ -156,8 +192,8 @@ impl Hasher for Fnv64 {
 /// synchronization events around it. Sync events are stamped kernel-side.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
-    /// A (possibly merged) contiguous read: the FNV-1a digest of the bytes
-    /// the application observed.
+    /// A (possibly merged) contiguous read: the [`read_digest`] of the
+    /// bytes the application observed.
     Read {
         /// Page number.
         page: u32,
@@ -165,7 +201,8 @@ pub enum TraceEvent {
         off: u32,
         /// Byte length (merged reads extend this).
         len: u32,
-        /// FNV-1a 64 digest of the observed bytes, in address order.
+        /// [`read_digest`] of the observed bytes, in address order, taken
+        /// once over the whole merged range.
         digest: u64,
     },
     /// The flushed pending write set of one page: disjoint, offset-sorted
@@ -359,10 +396,16 @@ impl AccessTrace {
 ///
 /// Its `Hash` is the application-observation part of the explorer's state:
 /// two states with equal recorders have shown their applications identical
-/// data and synchronization histories.
+/// data and synchronization histories. It covers the bytes of the unsealed
+/// read, whose event still holds a zero digest.
 #[derive(Debug, Default, Hash)]
 pub struct NodeRecorder {
+    /// The stream so far. A [`TraceEvent::Read`] at its end is unsealed:
+    /// its digest is 0 and its bytes are `read_bytes`.
     events: Vec<TraceEvent>,
+    /// The bytes of the unsealed read; empty otherwise. A read never spans
+    /// a page, so this reused buffer holds at most one page.
+    read_bytes: Vec<u8>,
     /// Pending (unflushed) write runs per page: `off -> bytes`, disjoint.
     pending: BTreeMap<u32, BTreeMap<u32, Vec<u8>>>,
     /// Barriers entered so far (assigns rounds).
@@ -387,21 +430,36 @@ impl NodeRecorder {
             page: p,
             off: o,
             len,
-            digest,
+            ..
         }) = self.events.last_mut()
         {
             if *p == page && *o + *len == off {
                 *len += data.len() as u32;
-                *digest = fnv1a64(*digest, data);
+                self.read_bytes.extend_from_slice(data);
                 return;
             }
         }
-        self.events.push(TraceEvent::Read {
+        self.push(TraceEvent::Read {
             page,
             off,
             len: data.len() as u32,
-            digest: fnv1a64(FNV_BASIS, data),
+            digest: 0,
         });
+        self.read_bytes.extend_from_slice(data);
+    }
+
+    /// Seal the unsealed read, if the stream ends in one: digest its bytes.
+    fn seal(&mut self) {
+        if let Some(TraceEvent::Read { digest, .. }) = self.events.last_mut() {
+            *digest = read_digest(&self.read_bytes);
+            self.read_bytes.clear();
+        }
+    }
+
+    /// Append `event`, sealing an unsealed read before it.
+    fn push(&mut self, event: TraceEvent) {
+        self.seal();
+        self.events.push(event);
     }
 
     /// Record a write of `data` at `page:off` into the pending write set
@@ -435,7 +493,7 @@ impl NodeRecorder {
     fn flush_page(&mut self, page: u32) {
         if let Some(runs) = self.pending.remove(&page) {
             if !runs.is_empty() {
-                self.events.push(TraceEvent::Write {
+                self.push(TraceEvent::Write {
                     page,
                     runs: runs
                         .into_iter()
@@ -458,12 +516,14 @@ impl NodeRecorder {
     /// pending write set flushes first.
     fn sync(&mut self, event: TraceEvent) {
         self.flush_all();
-        self.events.push(event);
+        self.push(event);
     }
 
-    /// Finish recording: flush pending writes and surrender the stream.
+    /// Finish recording: flush pending writes, seal the last read and
+    /// surrender the stream.
     pub fn finish(&mut self) -> Vec<TraceEvent> {
         self.flush_all();
+        self.seal();
         std::mem::take(&mut self.events)
     }
 }
@@ -599,6 +659,8 @@ impl Recording {
 
 #[cfg(test)]
 mod tests {
+    use svm_testkit::check;
+
     use super::*;
 
     #[test]
@@ -655,7 +717,130 @@ mod tests {
             panic!("expected read");
         };
         assert_eq!((*page, *off, *len), (3, 0, 4));
-        assert_eq!(*digest, fnv1a64(FNV_BASIS, &[1, 2, 3, 4]));
+        assert_eq!(*digest, read_digest(&[1, 2, 3, 4]));
+    }
+
+    /// The zero-padded tail cannot alias a longer input: the length is in
+    /// the seed.
+    #[test]
+    fn read_digest_folds_in_the_length() {
+        assert_ne!(read_digest(&[]), read_digest(&[0]));
+        assert_ne!(read_digest(&[1, 2, 3]), read_digest(&[1, 2, 3, 0]));
+        assert_ne!(read_digest(&[0; 8]), read_digest(&[0; 9]));
+    }
+
+    /// Every single-byte change moves the digest: at every position of a
+    /// 256-byte range and of ranges with 1–7 tail bytes past it.
+    #[test]
+    fn any_single_byte_change_changes_the_read_digest() {
+        check(
+            "any_single_byte_change_changes_the_read_digest",
+            |src| {
+                let len = 256 + src.usize_in(0..8);
+                let bytes = src.bytes(len);
+                let delta = 1 + src.below(255) as u8;
+                (bytes, delta)
+            },
+            |(bytes, delta)| {
+                let want = read_digest(bytes);
+                let mut changed = bytes.clone();
+                for i in 0..changed.len() {
+                    changed[i] ^= delta;
+                    assert_ne!(read_digest(&changed), want, "byte {i} ^ {delta:#x}");
+                    changed[i] ^= delta;
+                }
+            },
+        );
+    }
+
+    /// Any split of a same-page range into adjacent reads records the one
+    /// event a single whole read records, digested over all its bytes.
+    #[test]
+    fn split_reads_record_one_whole_read() {
+        check(
+            "split_reads_record_one_whole_read",
+            |src| {
+                let (page, off) = (src.u32_in(0..4), src.u32_in(0..512));
+                let bytes = src.vec(1..512, |s| s.byte());
+                let cuts = src.vec(0..8, |s| s.usize_in(0..bytes.len()));
+                (page, off, bytes, cuts)
+            },
+            |(page, off, bytes, cuts)| {
+                let mut cuts = cuts.clone();
+                cuts.extend([0, bytes.len()]);
+                cuts.sort_unstable();
+                let mut split = NodeRecorder::default();
+                for w in cuts.windows(2) {
+                    split.read(*page, off + w[0] as u32, &bytes[w[0]..w[1]]);
+                }
+                let mut whole = NodeRecorder::default();
+                whole.read(*page, *off, bytes);
+                let evs = split.finish();
+                assert_eq!(evs, whole.finish());
+                let want = TraceEvent::Read {
+                    page: *page,
+                    off: *off,
+                    len: bytes.len() as u32,
+                    digest: read_digest(bytes),
+                };
+                assert_eq!(evs, [want]);
+            },
+        );
+    }
+
+    /// A read that overlaps a pending write flushes it, and the read before
+    /// is sealed first, with its own bytes: read, write, read.
+    #[test]
+    fn a_read_overlapping_a_pending_write_seals_the_read_before_it() {
+        check(
+            "a_read_overlapping_a_pending_write_seals_the_read_before_it",
+            |src| {
+                let first = src.vec(1..32, |s| s.byte());
+                let second = src.vec(1..32, |s| s.byte());
+                let at = src.usize_in(0..second.len()) as u32;
+                let written = src.vec(1..8, |s| s.byte());
+                (src.u32_in(0..64), first, second, at, written)
+            },
+            |(off, first, second, at, written)| {
+                let mid = off + first.len() as u32;
+                let mut r = NodeRecorder::default();
+                r.write(1, mid + at, written);
+                r.read(1, *off, first);
+                r.read(1, mid, second);
+                let evs = r.finish();
+                let read = |off, bytes: &[u8]| TraceEvent::Read {
+                    page: 1,
+                    off,
+                    len: bytes.len() as u32,
+                    digest: read_digest(bytes),
+                };
+                let write = TraceEvent::Write {
+                    page: 1,
+                    runs: vec![(mid + at, written.clone().into_boxed_slice())],
+                };
+                assert_eq!(evs, [read(*off, first), write, read(mid, second)]);
+            },
+        );
+    }
+
+    /// The explorer's state tells apart applications that saw different
+    /// bytes before their read is sealed, and equates equal observations
+    /// however they were split.
+    #[test]
+    fn recorder_hash_covers_the_unsealed_read() {
+        let [mut a, mut b, mut c]: [NodeRecorder; 3] = Default::default();
+        a.read(0, 8, &[1, 2, 3]);
+        b.read(0, 8, &[1, 2, 4]);
+        c.read(0, 8, &[1]);
+        c.read(0, 9, &[2, 3]);
+        assert_eq!(a.events, b.events, "equal events, digests still unset");
+        assert_ne!(Fnv64::of(&a), Fnv64::of(&b));
+        assert_eq!(Fnv64::of(&a), Fnv64::of(&c));
+        for r in [&mut a, &mut b, &mut c] {
+            r.sync(TraceEvent::Crash { at: SimTime::ZERO });
+        }
+        assert_ne!(Fnv64::of(&a), Fnv64::of(&b));
+        assert_eq!(Fnv64::of(&a), Fnv64::of(&c));
     }
 
     #[test]

@@ -116,6 +116,15 @@ if grep -rnE 'wire_bytes|heap_bytes|HEADER_BYTES' crates/mem/src --include='*.rs
   exit 1
 fi
 
+# The checker compares a recorded read's digest with its own digest of the
+# legal bytes; both must be svm_core::trace::read_digest. A checker that
+# digests with fnv1a64 calls every read illegal once the two drift apart.
+echo "== the checker digests reads with the recorder's read_digest"
+if grep -rn 'fnv1a64' crates/checker/src --include='*.rs'; then
+  echo "crates/checker/src names fnv1a64 (above): digest reads with svm_core::trace::read_digest, the recorder's function" >&2
+  exit 1
+fi
+
 # A `#[expect(...)]` is a lint the code admits to breaking. The count may fall
 # but never rise: a new one means an invariant is asserted where the types
 # could carry it (ROADMAP item 11).
