@@ -115,8 +115,11 @@ pub enum SvmResp {
 }
 
 /// Protocol messages. `Clone` so the reliable-delivery layer can keep
-/// unacked copies for retransmission (diffs, records, and reply payloads
-/// are `Rc`-shared, so clones are cheap).
+/// unacked copies for retransmission: flushed diffs, interval records and
+/// vector times are `Rc`-shared and page payloads share their block
+/// ([`PageBuf`]), so a clone copies no diff or page bytes. Whoever holds a
+/// flushed diff last hands its buffers back to the pools
+/// ([`SvmMsg::release`]).
 #[derive(Clone, Debug, Hash)]
 pub enum SvmMsg {
     // ---- synchronization (always serviced by the compute processor) ----
@@ -222,8 +225,8 @@ pub enum SvmMsg {
         writer: NodeId,
         /// The writer's interval.
         interval: u32,
-        /// The updates.
-        diff: Diff,
+        /// The updates, shared with the sender's unacked copy.
+        diff: Rc<Diff>,
     },
     /// Version-checked page fetch, to the home.
     HomeRequest {
@@ -288,7 +291,24 @@ pub struct DiffPacket {
     pub diff: Rc<Diff>,
 }
 
+/// Drop a handle on a flushed diff; if it was the last, hand the diff's
+/// buffers back to the pools.
+pub(crate) fn recycle_if_last(diff: Rc<Diff>) {
+    if let Some(diff) = Rc::into_inner(diff) {
+        diff.recycle();
+    }
+}
+
 impl SvmMsg {
+    /// Drop the message; if it is a flush holding the last handle on its
+    /// diff, hand the diff's buffers back to the pools. For the reliable
+    /// layer's unacked copy, which outlives the home's apply.
+    pub(crate) fn release(self) {
+        if let SvmMsg::DiffFlush { diff, .. } = self {
+            recycle_if_last(diff);
+        }
+    }
+
     /// Short message-kind label (trace output, Figures 1–2 timelines).
     pub fn kind_name(&self) -> &'static str {
         match self {
@@ -398,7 +418,7 @@ mod tests {
             page: PageNum(0),
             writer: NodeId(0),
             interval: 1,
-            diff: Diff::default(),
+            diff: Rc::default(),
         };
         assert_eq!(flush.class(), TrafficClass::Data);
         let req = SvmMsg::PageRequest {

@@ -7,11 +7,13 @@
 //! (the version check of Section 2.4.2). In OHLRC all of this runs on the
 //! home's co-processor.
 
+use std::rc::Rc;
+
 use svm_machine::{Category, NodeId, ProcAddr};
 use svm_mem::{Access, Diff, PageNum};
 
 use crate::config::BugSite;
-use crate::msg::SvmMsg;
+use crate::msg::{recycle_if_last, SvmMsg};
 
 use super::state::FaultStage;
 use super::{MCtx, SvmAgent};
@@ -158,7 +160,7 @@ impl SvmAgent {
         page: PageNum,
         writer: NodeId,
         interval: u32,
-        diff: Diff,
+        diff: Rc<Diff>,
     ) {
         debug_assert_eq!(self.dir[page.0 as usize], h, "flush reached non-home");
         // Software diff application cost — except under AURC, whose updates
@@ -178,8 +180,9 @@ impl SvmAgent {
             .applied
             .raise(writer, interval);
         // The diff dies here (homes apply and discard, Section 2.3); hand
-        // its buffers back to the pools.
-        diff.recycle();
+        // its buffers back to the pools unless the sender's unacked copy
+        // still shares them (the ack that clears it recycles them then).
+        recycle_if_last(diff);
         self.counters[idx].diffs_applied += 1;
         self.after_home_progress(ctx, h, page);
     }

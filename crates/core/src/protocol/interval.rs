@@ -194,7 +194,7 @@ impl SvmAgent {
                 page,
                 writer: n,
                 interval,
-                diff,
+                diff: Rc::new(diff),
             };
             self.send_or_local(ctx, to, msg);
         }

@@ -670,7 +670,7 @@ mod tests {
     use super::*;
     use crate::api::NodeCache;
     use crate::config::{ProtocolName, SeededBug};
-    use crate::trace::Fnv64;
+    use crate::trace::StateHasher;
 
     fn agent(cfg: SvmConfig, num_pages: u32) -> SvmAgent {
         let geometry = Geometry::new(cfg.page_size());
@@ -710,14 +710,14 @@ mod tests {
                 page: PageNum(1),
             });
             a.mutation.hits = 3;
-            let mut want = Fnv64::default();
+            let mut want = StateHasher::default();
             (&a.nodes_st, &a.dir, &a.lock_mgr).hash(&mut want);
             (&a.barrier, &a.net, &a.recovery).hash(&mut want);
             (&a.errors, (&next, &held), &a.mutation).hash(&mut want);
             for rec in a.recording.iter().flat_map(|r| &r.recorders) {
                 rec.borrow().hash(&mut want);
             }
-            assert_eq!(Fnv64::of(&a), want.finish(), "record = {record}");
+            assert_eq!(StateHasher::of(&a), want.finish(), "record = {record}");
         }
     }
 
@@ -749,9 +749,9 @@ mod tests {
         let (a, mut b) = (BarrierState::new(2), BarrierState::new(2));
         b.gc_cost[0] = SimDuration::from_micros(5);
         b.archive_bytes[1] = 64;
-        assert_eq!(Fnv64::of(&a), Fnv64::of(&b));
+        assert_eq!(StateHasher::of(&a), StateHasher::of(&b));
         b.gc_wanted = true;
-        assert_ne!(Fnv64::of(&a), Fnv64::of(&b));
+        assert_ne!(StateHasher::of(&a), StateHasher::of(&b));
     }
 
     /// Every page is homed at spawn and only its home holds a copy, with

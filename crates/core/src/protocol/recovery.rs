@@ -84,7 +84,7 @@ pub struct RecoveryState {
     pub deaths: Vec<(NodeId, SimTime)>,
     /// Harvested in-flight diff flushes `(page, writer, interval, diff)`,
     /// sorted; applied by each page's new home in its `NodeDown` handler.
-    pub(crate) pending_flushes: Vec<(PageNum, NodeId, u32, Diff)>,
+    pub(crate) pending_flushes: Vec<(PageNum, NodeId, u32, Rc<Diff>)>,
     /// Harvested barrier arrivals addressed to a dead manager; counted by
     /// the adopting manager.
     pub(crate) pending_arrivals: Vec<SvmMsg>,
@@ -903,15 +903,15 @@ impl SvmAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Fnv64;
+    use crate::trace::StateHasher;
 
     #[test]
     fn recovery_hash_erases_clocks_and_stats_only() {
         let (a, mut b) = (RecoveryState::new(2), RecoveryState::new(2));
         b.last_heard[0][1] = SimTime::from_nanos(7);
         b.stats.rehomed_pages = 3;
-        assert_eq!(Fnv64::of(&a), Fnv64::of(&b));
+        assert_eq!(StateHasher::of(&a), StateHasher::of(&b));
         b.alive[1] = false;
-        assert_ne!(Fnv64::of(&a), Fnv64::of(&b));
+        assert_ne!(StateHasher::of(&a), StateHasher::of(&b));
     }
 }

@@ -24,6 +24,15 @@
 //! recovered by the sender's retransmission, which the receiver answers
 //! with a fresh cumulative ack.
 //!
+//! The steady path allocates nothing. An arrival that is next in sequence
+//! with nothing parked is acked and dispatched straight away
+//! ([`RecvChannel::accept`]); only out-of-order and duplicate arrivals
+//! reach the reorder buffer. A sender's unacknowledged messages are a FIFO
+//! of `(seq, msg)` pushed in sequence order, and a cumulative ack pops
+//! its prefix from the front; the FIFO hashes as the ordered map it
+//! replaced (the length, then each pair in order), so explorer digests
+//! did not move.
+//!
 //! One crash-recovery hook lives here as well: [`Wire::Heartbeat`] is the
 //! failure detector's probe, unsequenced and unacknowledged like an ack,
 //! whose only job is to refresh the receiver's last-heard clock for the
@@ -31,12 +40,13 @@
 //! retries until the failure detector declares the peer dead or, with
 //! recovery off, until the machine's progress watchdog halts the run.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use svm_machine::{Category, Message, ProcAddr, TrafficClass};
 use svm_sim::{EventId, SimDuration};
 
+use crate::metrics::NodeCounters;
 use crate::msg::SvmMsg;
 use crate::protocol::{MCtx, ProtocolError, SvmAgent};
 
@@ -136,7 +146,9 @@ impl Message for Wire {
 pub(crate) struct SendChannel {
     /// Messages sent so far: the last sequence number assigned (1-based).
     sent: u32,
-    pub(crate) unacked: BTreeMap<u32, SvmMsg>,
+    /// `(seq, message)` sent but not yet acknowledged, oldest first:
+    /// sequence numbers are pushed ascending and an ack pops a prefix.
+    pub(crate) unacked: VecDeque<(u32, SvmMsg)>,
     /// The armed retransmit timer, if any: its scheduler event (for
     /// cancellation) and the arming its expiry will carry.
     armed: Option<(EventId, Arming)>,
@@ -185,7 +197,57 @@ impl SendChannel {
 pub(crate) struct RecvChannel {
     /// Highest sequence number delivered in order: the cumulative ack.
     pub(crate) delivered: u32,
+    /// Arrivals parked past a gap, by sequence number.
     pub(crate) buffered: BTreeMap<u32, SvmMsg>,
+}
+
+/// The messages one arrival lets through, in delivery order: the arrival
+/// itself if it was next in sequence, then the parked successors it
+/// released. Empty for a duplicate or an arrival past a gap.
+#[derive(Default)]
+pub(crate) struct Released {
+    next: Option<SvmMsg>,
+    parked: Vec<SvmMsg>,
+}
+
+impl IntoIterator for Released {
+    type Item = SvmMsg;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<SvmMsg>, std::vec::IntoIter<SvmMsg>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.next.into_iter().chain(self.parked)
+    }
+}
+
+impl RecvChannel {
+    /// Sequence an arriving `Data { seq, msg }`: suppress a duplicate, park
+    /// an arrival past a gap, and release what is now in order. Every
+    /// arrival is acked: the caller sends `Ack { cum: delivered }`, counted
+    /// here, before it dispatches the released messages. The common
+    /// arrival, next in sequence with nothing parked, touches neither the
+    /// reorder buffer nor the heap.
+    pub(crate) fn accept(
+        &mut self,
+        seq: u32,
+        msg: SvmMsg,
+        counters: &mut NodeCounters,
+    ) -> Released {
+        counters.acks_sent += 1;
+        let mut out = Released::default();
+        if seq == self.delivered + 1 {
+            self.delivered = seq;
+            out.next = Some(msg);
+            while let Some(m) = self.buffered.remove(&(self.delivered + 1)) {
+                out.parked.push(m);
+                self.delivered += 1;
+            }
+        } else if seq <= self.delivered || self.buffered.contains_key(&seq) {
+            counters.dup_suppressed += 1;
+        } else {
+            self.buffered.insert(seq, msg);
+        }
+        out
+    }
 }
 
 /// Reliable-delivery state for one run.
@@ -276,7 +338,7 @@ impl SvmAgent {
                 msg: msg.clone(),
             },
         );
-        ch.unacked.insert(seq, msg);
+        ch.unacked.push_back((seq, msg));
         if ch.armed.is_none() {
             ch.arm(ctx, to, &mut self.net.next_arming);
         }
@@ -302,23 +364,10 @@ impl SvmAgent {
             Wire::Heartbeat => {} // freshness recorded above; no payload
             Wire::Plain(msg) => self.dispatch(ctx, at, from, msg),
             Wire::Data { seq, msg } => {
-                let node = at.node;
                 let rc = self.net.recv.entry((from, at)).or_default();
-                let dup = seq <= rc.delivered || rc.buffered.contains_key(&seq);
-                let mut ready = Vec::new();
-                if dup {
-                    self.counters[node.index()].dup_suppressed += 1;
-                } else {
-                    rc.buffered.insert(seq, msg);
-                    while let Some(m) = rc.buffered.remove(&(rc.delivered + 1)) {
-                        ready.push(m);
-                        rc.delivered += 1;
-                    }
-                }
-                let cum = self.net.recv[&(from, at)].delivered;
-                self.counters[node.index()].acks_sent += 1;
-                ctx.send(from, Wire::Ack { cum });
-                for m in ready {
+                let released = rc.accept(seq, msg, &mut self.counters[at.node.index()]);
+                ctx.send(from, Wire::Ack { cum: rc.delivered });
+                for m in released {
                     self.dispatch(ctx, at, from, m);
                 }
             }
@@ -327,7 +376,9 @@ impl SvmAgent {
                     return;
                 };
                 let before = ch.unacked.len();
-                ch.unacked = ch.unacked.split_off(&(cum + 1));
+                while let Some((_, msg)) = ch.unacked.pop_front_if(|(seq, _)| *seq <= cum) {
+                    msg.release();
+                }
                 let progress = ch.unacked.len() < before;
                 if progress {
                     ch.backoff = 0;
@@ -367,13 +418,13 @@ impl SvmAgent {
         let node = at.node;
         let overhead = ctx.cost().handler_overhead;
         self.counters[node.index()].retransmit_timeouts += 1;
-        for (&seq, msg) in &ch.unacked {
+        for (seq, msg) in &ch.unacked {
             ctx.work(overhead, Category::Retransmit);
             self.counters[node.index()].retransmissions += 1;
             ctx.send(
                 to,
                 Wire::Data {
-                    seq,
+                    seq: *seq,
                     msg: msg.clone(),
                 },
             );
@@ -385,9 +436,20 @@ impl SvmAgent {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use crate::trace::Fnv64;
+    use crate::trace::StateHasher;
+    use svm_machine::NodeId;
     use svm_mem::PageNum;
+    use svm_testkit::check;
+
+    /// A message that names its sequence number.
+    fn tagged(seq: u32) -> SvmMsg {
+        SvmMsg::NodeDown {
+            dead: NodeId(seq as u16),
+        }
+    }
 
     #[test]
     fn plain_envelope_is_transparent() {
@@ -425,14 +487,88 @@ mod tests {
         };
         let (a, mut b) = (opened(), opened());
         b.next_arming.take();
-        assert_eq!(Fnv64::of(&a), Fnv64::of(&b), "arm order is history");
+        assert_eq!(
+            StateHasher::of(&a),
+            StateHasher::of(&b),
+            "arm order is history"
+        );
         let msg = SvmMsg::NodeDown { dead: y.node };
-        b.send.entry((x, y)).or_default().unacked.insert(1, msg);
-        assert_ne!(Fnv64::of(&a), Fnv64::of(&b), "one unacked entry is state");
+        b.send
+            .entry((x, y))
+            .or_default()
+            .unacked
+            .push_back((1, msg));
+        assert_ne!(
+            StateHasher::of(&a),
+            StateHasher::of(&b),
+            "one unacked entry is state"
+        );
 
-        let expiry = |to, arming| Fnv64::of(Timer::Retransmit { to, arming });
+        let expiry = |to, arming| StateHasher::of(Timer::Retransmit { to, arming });
         assert_eq!(expiry(y, Arming(0)), expiry(y, Arming(9)));
         assert_ne!(expiry(y, Arming(0)), expiry(x, Arming(0)));
+    }
+
+    /// The digest is the one the `BTreeMap<u32, SvmMsg>` this FIFO replaced
+    /// produced: the length, then each `(seq, msg)` in ascending order.
+    #[test]
+    fn send_channel_hashes_as_the_map_it_replaced() {
+        let mut ch = SendChannel::default();
+        let mut map = BTreeMap::new();
+        for seq in 1..=3 {
+            ch.sent = seq;
+            ch.unacked.push_back((seq, tagged(seq)));
+            map.insert(seq, tagged(seq));
+        }
+        let was = |map: &BTreeMap<u32, SvmMsg>| StateHasher::of((3u32, map, false, 0u32));
+        assert_eq!(StateHasher::of(&ch), was(&map));
+        ch.unacked.pop_front(); // an ack of seq 1
+        map.remove(&1);
+        assert_eq!(StateHasher::of(&ch), was(&map));
+    }
+
+    /// Any arrival order of a channel's sequence numbers, with duplicates
+    /// and gaps, is released as a reorder buffer releases it: after each
+    /// arrival, every message up to the longest fully arrived prefix, each
+    /// once and in order; the ack names that prefix, every arrival is
+    /// acked, and an arrival seen before is a suppressed duplicate.
+    #[test]
+    fn receive_channel_releases_as_a_reorder_buffer() {
+        let arrivals = |src: &mut svm_testkit::Source| {
+            let n = src.u32_in(1..12);
+            src.vec(0..40, |src| src.u32_in(1..n + 1))
+        };
+        check(
+            "receive_channel_releases_as_a_reorder_buffer",
+            arrivals,
+            |arrivals| {
+                let mut rc = RecvChannel::default();
+                let mut counters = NodeCounters::default();
+                let (mut seen, mut prefix, mut dups) = (BTreeSet::new(), 0, 0);
+                for &seq in arrivals {
+                    let got: Vec<u32> = rc
+                        .accept(seq, tagged(seq), &mut counters)
+                        .into_iter()
+                        .map(|m| {
+                            let SvmMsg::NodeDown { dead } = m else {
+                                panic!("released {m:?}");
+                            };
+                            u32::from(dead.0)
+                        })
+                        .collect();
+                    dups += u64::from(!seen.insert(seq));
+                    let before = prefix;
+                    while seen.contains(&(prefix + 1)) {
+                        prefix += 1;
+                    }
+                    let want: Vec<u32> = (before + 1..=prefix).collect();
+                    assert_eq!(got, want, "released by seq {seq}");
+                    assert_eq!(rc.delivered, prefix, "the cumulative ack after seq {seq}");
+                }
+                assert_eq!(counters.acks_sent, arrivals.len() as u64);
+                assert_eq!(counters.dup_suppressed, dups);
+            },
+        );
     }
 
     /// Successor of the timer-token wrap regression: an expiry is stale by

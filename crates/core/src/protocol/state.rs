@@ -453,10 +453,13 @@ mod tests {
             log.insert(r);
             map.insert((r.writer.0, r.interval), r.clone());
         }
-        assert_eq!(crate::trace::Fnv64::of(&log), crate::trace::Fnv64::of(&map));
+        assert_eq!(
+            crate::trace::StateHasher::of(&log),
+            crate::trace::StateHasher::of(&map)
+        );
         assert_ne!(
-            crate::trace::Fnv64::of(&log),
-            crate::trace::Fnv64::of(NoticeLog::new(2))
+            crate::trace::StateHasher::of(&log),
+            crate::trace::StateHasher::of(NoticeLog::new(2))
         );
     }
 
@@ -467,7 +470,7 @@ mod tests {
             p.buf = Some(PageBuf::from_slice(&[0, byte]));
             p.twin = Some(vec![0, twin]);
             p.home_stale = home_stale;
-            crate::trace::Fnv64::of(p)
+            crate::trace::StateHasher::of(p)
         };
         assert_eq!(page(1, 2, false), page(1, 2, false));
         assert_ne!(page(1, 2, false), page(9, 2, false), "a page byte");

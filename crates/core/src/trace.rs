@@ -84,10 +84,10 @@ pub use svm_sim::FNV_BASIS;
 /// calls.
 ///
 /// Not [`svm_sim::fnv1a64`]: the multiplier here is 2^44 + 0x1b3, the FNV
-/// prime is 2^40 + 0x1b3. `results/serve_matrix.json`'s checksums and the
-/// `final_digest` of `results/explore_*.txt` were taken with it (through
-/// [`Fnv64`]), so it stays until a change re-records those. Recorded reads
-/// are not digested with it: see [`read_digest`].
+/// prime is 2^40 + 0x1b3. `results/serve_matrix.json`'s checksums were
+/// taken with it, so it stays until a change re-records those. Nothing
+/// else uses it: recorded reads are digested with [`read_digest`] and
+/// explorer states with [`StateHasher`], both a word at a time.
 #[inline]
 pub fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -97,90 +97,149 @@ pub fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The digest of one recorded read's bytes, in address order: what
-/// [`TraceEvent::Read`] carries and what `svm-checker` recomputes over the
-/// legal bytes, so both sides call this one function.
-///
-/// Eight bytes a step: each little-endian word is xored into the state,
-/// which is multiplied by an odd constant and xor-shifted; the tail is
-/// zero-padded, the length is folded into the seed, and a final avalanche
-/// mixes the result. Every step is a bijection of the state, so two
-/// equal-length inputs that differ in one word (and so in one byte) never
-/// collide. Not streaming: a merged read is digested once, whole.
-#[inline]
-pub fn read_digest(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let step = |h: u64, w: u64| {
-        let h = (h ^ w).wrapping_mul(K);
-        h ^ (h >> 32)
-    };
-    let (words, tail) = bytes.as_chunks::<8>();
-    let mut h = 0x243f_6a88_85a3_08d3 ^ bytes.len() as u64;
-    for w in words {
-        h = step(h, u64::from_le_bytes(*w));
-    }
-    if !tail.is_empty() {
-        let mut pad = [0u8; 8];
-        pad[..tail.len()].copy_from_slice(tail);
-        h = step(h, u64::from_le_bytes(pad));
-    }
-    // MurmurHash3's fmix64.
+/// The initial state of the word-at-a-time digests.
+const SEED: u64 = 0x243f_6a88_85a3_08d3;
+
+/// One step of the word-at-a-time digests: xor a little-endian word into
+/// the state, multiply by an odd constant, xor-shift. A bijection of the
+/// state for each word.
+#[inline(always)]
+fn word_step(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    h ^ (h >> 32)
+}
+
+/// MurmurHash3's `fmix64`: the final avalanche of the word-at-a-time
+/// digests.
+#[inline(always)]
+fn fmix64(mut h: u64) -> u64 {
     h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
     h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     h ^ (h >> 33)
 }
 
-/// [`fnv1a64`] as a [`Hasher`]: what turns the protocol types' `Hash` impls
-/// into the explorer's canonical state digest (DESIGN §16). Integers are fed
-/// as fixed-width little-endian bytes and `usize` as a `u64`, so a digest
+/// The digest of one recorded read's bytes, in address order: what
+/// [`TraceEvent::Read`] carries and what `svm-checker` recomputes over the
+/// legal bytes, so both sides call this one function.
+///
+/// Eight bytes a step ([`word_step`]); the tail is zero-padded, the length
+/// is folded into the seed, and [`fmix64`] mixes the result. Every step is
+/// a bijection of the state, so two equal-length inputs that differ in one
+/// word (and so in one byte) never collide. Not streaming: a merged read
+/// is digested once, whole.
+#[inline]
+pub fn read_digest(bytes: &[u8]) -> u64 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut h = SEED ^ bytes.len() as u64;
+    for w in words {
+        h = word_step(h, u64::from_le_bytes(*w));
+    }
+    if !tail.is_empty() {
+        let mut pad = [0u8; 8];
+        pad[..tail.len()].copy_from_slice(tail);
+        h = word_step(h, u64::from_le_bytes(pad));
+    }
+    fmix64(h)
+}
+
+/// The explorer's state digest as a [`Hasher`] (DESIGN §16): what turns the
+/// protocol types' `Hash` impls into one canonical `u64`. It hashes the
+/// byte stream it is fed eight bytes a step ([`word_step`]), buffering a
+/// partial word across calls, and folds the stream length in before
+/// [`fmix64`] at [`Hasher::finish`]; so its value depends only on the
+/// bytes, never on how they were split into calls. Integers are fed as
+/// fixed-width little-endian bytes and `usize` as a `u64`, so a digest
 /// committed under `results/` does not depend on the host's pointer width.
 /// (Std hands a *slice* of integers to `write` as native-endian bytes: the
 /// pins assume a little-endian host.)
-pub struct Fnv64(u64);
+#[derive(Clone, Copy)]
+pub struct StateHasher {
+    /// The state after every whole word so far.
+    h: u64,
+    /// The bytes past the last whole word, little-endian, zero above.
+    tail: u64,
+    /// Bytes hashed so far.
+    len: u64,
+}
 
-impl Default for Fnv64 {
+impl Default for StateHasher {
     fn default() -> Self {
-        Fnv64(FNV_BASIS)
+        StateHasher {
+            h: SEED,
+            tail: 0,
+            len: 0,
+        }
     }
 }
 
-impl Fnv64 {
+impl StateHasher {
     /// The digest of one value.
     pub fn of(value: impl Hash) -> u64 {
-        let mut h = Fnv64::default();
+        let mut h = StateHasher::default();
         value.hash(&mut h);
         h.finish()
     }
+
+    /// Append the low `n` bytes of `v` (`1 <= n <= 8`; the bytes above
+    /// them are zero) to the stream.
+    #[inline(always)]
+    fn push(&mut self, v: u64, n: u32) {
+        let fill = (self.len % 8) as u32;
+        self.len += u64::from(n);
+        self.tail |= v << (8 * fill);
+        if fill + n >= 8 {
+            self.h = word_step(self.h, self.tail);
+            // The bytes of `v` that did not fit; none when `fill == 0`.
+            self.tail = v.checked_shr(8 * (8 - fill)).unwrap_or(0);
+        }
+    }
 }
 
-impl Hasher for Fnv64 {
+impl Hasher for StateHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.0
+        let mut h = self.h;
+        if !self.len.is_multiple_of(8) {
+            h = word_step(h, self.tail);
+        }
+        fmix64(h ^ self.len)
     }
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        self.0 = fnv1a64(self.0, bytes);
+        let (words, tail) = bytes.as_chunks::<8>();
+        for w in words {
+            self.push(u64::from_le_bytes(*w), 8);
+        }
+        if !tail.is_empty() {
+            let mut pad = [0u8; 8];
+            pad[..tail.len()].copy_from_slice(tail);
+            self.push(u64::from_le_bytes(pad), tail.len() as u32);
+        }
+    }
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.push(u64::from(v), 1);
     }
     #[inline]
     fn write_u16(&mut self, v: u16) {
-        self.write(&v.to_le_bytes());
+        self.push(u64::from(v), 2);
     }
     #[inline]
     fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
+        self.push(u64::from(v), 4);
     }
     #[inline]
     fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+        self.push(v, 8);
     }
     #[inline]
     fn write_u128(&mut self, v: u128) {
-        self.write(&v.to_le_bytes());
+        self.push(v as u64, 8);
+        self.push((v >> 64) as u64, 8);
     }
     #[inline]
     fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
+        self.push(v as u64, 8);
     }
 }
 
@@ -467,6 +526,20 @@ impl NodeRecorder {
     pub fn write(&mut self, page: u32, off: u32, data: &[u8]) {
         let runs = self.pending.entry(page).or_default();
         let end = off + data.len() as u32;
+        // The last run starting at or before `end`: if it also starts at or
+        // before `off` and reaches it, it is the only run the write absorbs
+        // (stored runs are disjoint and never adjacent, so every earlier one
+        // ends before it starts). Grow it and overwrite it in place.
+        if let Some((&o, v)) = runs.range_mut(..=end).next_back() {
+            if o <= off && o + v.len() as u32 >= off {
+                let at = (off - o) as usize;
+                if v.len() < at + data.len() {
+                    v.resize(at + data.len(), 0);
+                }
+                v[at..at + data.len()].copy_from_slice(data);
+                return;
+            }
+        }
         // Absorb every run overlapping or adjacent to [off, end).
         let mut lo = off;
         let mut hi = end;
@@ -681,7 +754,7 @@ mod tests {
     #[test]
     fn event_hash_erases_time_not_content() {
         let acquire = |vt: &VectorTime, at| {
-            Fnv64::of(TraceEvent::Acquire {
+            StateHasher::of(TraceEvent::Acquire {
                 lock: 0,
                 seq: 1,
                 vt: vt.clone(),
@@ -834,13 +907,139 @@ mod tests {
         c.read(0, 8, &[1]);
         c.read(0, 9, &[2, 3]);
         assert_eq!(a.events, b.events, "equal events, digests still unset");
-        assert_ne!(Fnv64::of(&a), Fnv64::of(&b));
-        assert_eq!(Fnv64::of(&a), Fnv64::of(&c));
+        assert_ne!(StateHasher::of(&a), StateHasher::of(&b));
+        assert_eq!(StateHasher::of(&a), StateHasher::of(&c));
         for r in [&mut a, &mut b, &mut c] {
             r.sync(TraceEvent::Crash { at: SimTime::ZERO });
         }
-        assert_ne!(Fnv64::of(&a), Fnv64::of(&b));
-        assert_eq!(Fnv64::of(&a), Fnv64::of(&c));
+        assert_ne!(StateHasher::of(&a), StateHasher::of(&b));
+        assert_eq!(StateHasher::of(&a), StateHasher::of(&c));
+    }
+
+    /// The state hasher's value is a function of the byte stream alone:
+    /// any split of one stream into `write` and `write_uN` calls hashes
+    /// equal, and a stream one zero byte longer does not.
+    #[test]
+    fn state_hasher_streams() {
+        let case = |src: &mut svm_testkit::Source| {
+            let len = src.usize_in(0..40);
+            let bytes = src.bytes(len);
+            let mut cuts = Vec::new();
+            let mut at = 0;
+            while at < bytes.len() {
+                let n = *src.pick(&[1, 2, 3, 4, 5, 8, 11, 16]);
+                cuts.push(n.min(bytes.len() - at));
+                at += n;
+            }
+            (bytes, cuts)
+        };
+        check("state_hasher_streams", case, |(bytes, cuts)| {
+            let mut whole = StateHasher::default();
+            whole.write(bytes);
+            let mut split = StateHasher::default();
+            let mut rest = &bytes[..];
+            for &n in cuts {
+                let (b, tail) = rest.split_at(n);
+                rest = tail;
+                match n {
+                    1 => split.write_u8(b[0]),
+                    2 => split.write_u16(u16::from_le_bytes(b.try_into().unwrap())),
+                    4 => split.write_u32(u32::from_le_bytes(b.try_into().unwrap())),
+                    8 => split.write_u64(u64::from_le_bytes(b.try_into().unwrap())),
+                    16 => split.write_u128(u128::from_le_bytes(b.try_into().unwrap())),
+                    _ => split.write(b),
+                }
+            }
+            assert_eq!(split.finish(), whole.finish());
+            let mut longer = whole;
+            longer.write_u8(0);
+            assert_ne!(longer.finish(), whole.finish());
+        });
+        assert_eq!(
+            StateHasher::of(7usize),
+            StateHasher::of(7u64),
+            "usize is a u64"
+        );
+    }
+
+    /// Writes of any overlap, adjacency and width, with reads between them,
+    /// flush as exactly the maximal runs of bytes written since the page's
+    /// last flush, holding the last value written to each byte: checked
+    /// against a shadow page and a written-byte mask per page.
+    #[test]
+    fn pending_writes_flush_as_the_written_bytes() {
+        const PAGE: usize = 64;
+        #[derive(Debug)]
+        enum Op {
+            Write(u32, u32, Vec<u8>),
+            Read(u32, u32, u32),
+        }
+        let ops = |src: &mut svm_testkit::Source| {
+            src.vec(0..40, |src| {
+                let page = src.u32_in(0..2);
+                let off = src.u32_in(0..PAGE as u32 - 1);
+                let len = src.u32_in(1..(PAGE as u32 - off).min(13));
+                if src.below(4) == 0 {
+                    Op::Read(page, off, len)
+                } else {
+                    Op::Write(page, off, src.bytes(len as usize))
+                }
+            })
+        };
+        check("pending_writes_flush_as_the_written_bytes", ops, |ops| {
+            let mut rec = NodeRecorder::default();
+            let mut shadow = [[0u8; PAGE]; 2];
+            let mut written = [[false; PAGE]; 2];
+            let mut want = Vec::new();
+            let mut flush = |page: usize, written: &mut [bool; PAGE], shadow: &[u8; PAGE]| {
+                let mut runs = Vec::new();
+                let mut b = 0;
+                while b < PAGE {
+                    if !written[b] {
+                        b += 1;
+                        continue;
+                    }
+                    let start = b;
+                    while b < PAGE && written[b] {
+                        b += 1;
+                    }
+                    runs.push((start as u32, shadow[start..b].into()));
+                }
+                if !runs.is_empty() {
+                    want.push(TraceEvent::Write {
+                        page: page as u32,
+                        runs,
+                    });
+                }
+                *written = [false; PAGE];
+            };
+            for op in ops {
+                match *op {
+                    Op::Write(page, off, ref data) => {
+                        rec.write(page, off, data);
+                        let (p, o) = (page as usize, off as usize);
+                        shadow[p][o..o + data.len()].copy_from_slice(data);
+                        written[p][o..o + data.len()].fill(true);
+                    }
+                    Op::Read(page, off, len) => {
+                        let (p, o) = (page as usize, off as usize);
+                        rec.read(page, off, &shadow[p][o..o + len as usize]);
+                        if written[p][o..o + len as usize].contains(&true) {
+                            flush(p, &mut written[p], &shadow[p]);
+                        }
+                    }
+                }
+            }
+            for p in 0..2 {
+                flush(p, &mut written[p], &shadow[p]);
+            }
+            let got: Vec<TraceEvent> = rec
+                .finish()
+                .into_iter()
+                .filter(|e| matches!(e, TraceEvent::Write { .. }))
+                .collect();
+            assert_eq!(got, want);
+        });
     }
 
     #[test]

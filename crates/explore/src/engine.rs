@@ -7,7 +7,10 @@
 //! recorded prefix (cheap: no digesting, no invariant checks) and then
 //! resuming fresh exploration at the frontier. Within a single run the DFS
 //! descends freely, so the number of full replays equals the number of
-//! backtracks, not the number of states.
+//! backtracks, not the number of states. A replayed delivery releases the
+//! hold-pool index recorded when the engine first took it (checked against
+//! its channel and `channel_seq`), so a replay does not re-enumerate the
+//! enabled actions at every step.
 //!
 //! Soundness of the two reductions (argued in DESIGN.md §16):
 //!
@@ -117,19 +120,23 @@ pub struct Explorer {
 }
 
 struct Frame {
-    /// The open (enabled, not asleep) actions, in exploration order.
-    keys: Vec<Key>,
+    /// The open (enabled, not asleep) actions, in exploration order, each
+    /// with the machine step that takes it at this frame's state.
+    keys: Vec<(Key, ExploreStep)>,
     chosen: usize,
     sleep: BTreeSet<Key>,
     explored: BTreeSet<Key>,
 }
 
+/// The DFS controller: the choice-frame stack and the path it spells, each
+/// decision with the hold-pool entry it resolved to ([`Taken`]), so a
+/// replay of the path releases recorded indices instead of re-enumerating.
 struct Engine {
     opts: ExploreOptions,
     /// Everything is dependent (seeded mutation: global trigger counter).
     all_dependent: bool,
     stack: Vec<Frame>,
-    path: Vec<Action>,
+    path: Vec<Taken>,
     /// Sleep set the *next* frontier state inherits from its parent.
     next_sleep: BTreeSet<Key>,
     /// Canonical digest → sleep sets it was explored under.
@@ -144,6 +151,44 @@ struct Engine {
     terminal: bool,
     counterexample: Option<Counterexample>,
     error: Option<String>,
+}
+
+/// A decision on the current path, with the hold-pool entry a delivery
+/// resolved to when the engine first took it. A replay of the same prefix
+/// reaches the same state, so that entry is released again without
+/// re-enumerating the hold pool.
+#[derive(Copy, Clone)]
+struct Taken {
+    action: Action,
+    /// `(hold-pool index, channel_seq)` of a delivery; `None` for crashes
+    /// and detections, which replay through [`apply_action`].
+    held: Option<(usize, u64)>,
+}
+
+impl Taken {
+    fn new(((action, seq), step): (Key, ExploreStep)) -> Self {
+        let held = match step {
+            ExploreStep::Deliver(index) => Some((index, seq)),
+            _ => None,
+        };
+        Taken { action, held }
+    }
+
+    /// The step that takes this decision again on a replay: the recorded
+    /// hold-pool entry if it still holds the same channel's message at the
+    /// same position, else whatever [`apply_action`] resolves (`None` = the
+    /// replay diverged).
+    fn replay(self, world: &World<SvmAgent>) -> Option<ExploreStep> {
+        if let (Action::Deliver { from, to }, Some((index, seq))) = (self.action, self.held) {
+            let same = world.machine.held_deliveries().get(index);
+            if same.is_some_and(|h| h.from == from && h.to == to && h.channel_seq == seq) {
+                let step = ExploreStep::Deliver(index);
+                debug_assert_eq!(apply_action(world, self.action), Some(step));
+                return Some(step);
+            }
+        }
+        apply_action(world, self.action)
+    }
 }
 
 /// The node an action's handler runs at (`None` = crash or detection:
@@ -249,14 +294,15 @@ impl Engine {
     /// The controller: replay the recorded prefix, then explore.
     fn step(&mut self, world: &mut World<SvmAgent>) -> ExploreStep {
         if self.depth < self.path.len() {
-            let a = self.path[self.depth];
+            let t = self.path[self.depth];
             self.depth += 1;
-            return match apply_action(world, a) {
+            return match t.replay(world) {
                 Some(s) => s,
                 None => {
                     self.error = Some(format!(
-                        "replay diverged at depth {}: `{a}` not applicable",
-                        self.depth - 1
+                        "replay diverged at depth {}: `{}` not applicable",
+                        self.depth - 1,
+                        t.action
                     ));
                     ExploreStep::Stop
                 }
@@ -265,20 +311,25 @@ impl Engine {
         self.frontier(world)
     }
 
+    /// The actions on the current path: the schedule that reaches here.
+    fn schedule(&self) -> Vec<Action> {
+        self.path.iter().map(|t| t.action).collect()
+    }
+
     /// Enumerate the enabled actions: first the *progress* actions
     /// (deliveries and pending detections — the ones whose absence defines
     /// a terminal state; a detection verdict is its own explored action, it
     /// races with ongoing survivor traffic but never with the dead node's
     /// own messages), then the crash injections the budget still allows.
-    /// Returns the actions' stable keys and how many of them are progress
-    /// actions.
-    fn enumerate(&self, world: &World<SvmAgent>) -> (Vec<Key>, usize) {
-        let mut keys: Vec<Key> = enabled(world).into_iter().map(|(k, _)| k).collect();
+    /// Returns the actions' stable keys with their steps, and how many of
+    /// them are progress actions.
+    fn enumerate(&self, world: &World<SvmAgent>) -> (Vec<(Key, ExploreStep)>, usize) {
+        let mut keys = enabled(world);
         let progress = keys.len();
         let crashed_so_far = self
             .path
             .iter()
-            .filter(|a| matches!(a, Action::Crash(_)))
+            .filter(|t| matches!(t.action, Action::Crash(_)))
             .count();
         if world.agent.cfg.recovery.enabled && crashed_so_far < self.opts.max_crashes {
             let live = live_nodes(world);
@@ -289,7 +340,7 @@ impl Engine {
                     if world.machine.app_phase(n) == AppPhase::Finished {
                         continue;
                     }
-                    keys.push((Action::Crash(n), 0));
+                    keys.push(((Action::Crash(n), 0), ExploreStep::Crash(n)));
                 }
             }
         }
@@ -301,7 +352,7 @@ impl Engine {
         let viol = invariant_violations(world);
         if !viol.is_empty() {
             self.counterexample = Some(Counterexample {
-                schedule: self.path.clone(),
+                schedule: self.schedule(),
                 what: viol,
             });
             return ExploreStep::Stop;
@@ -317,7 +368,7 @@ impl Engine {
             let tv = terminal_violations(world);
             if !tv.is_empty() {
                 self.counterexample = Some(Counterexample {
-                    schedule: self.path.clone(),
+                    schedule: self.schedule(),
                     what: tv,
                 });
             }
@@ -355,11 +406,15 @@ impl Engine {
             return ExploreStep::Stop;
         }
 
-        let open: Vec<Key> = keys.into_iter().filter(|k| !sleep.contains(k)).collect();
-        let Some(&(a, _)) = open.first() else {
+        let open: Vec<(Key, ExploreStep)> = keys
+            .into_iter()
+            .filter(|(k, _)| !sleep.contains(k))
+            .collect();
+        let Some(&first) = open.first() else {
             // Every enabled action is asleep: all covered on other paths.
             return ExploreStep::Stop;
         };
+        let ((a, _), step) = first;
         self.next_sleep = self.child_sleep(&sleep, &BTreeSet::new(), a);
         self.stack.push(Frame {
             keys: open,
@@ -367,17 +422,11 @@ impl Engine {
             sleep,
             explored: BTreeSet::new(),
         });
-        self.path.push(a);
+        self.path.push(Taken::new(first));
         self.depth = self.path.len();
         self.peak_depth = self.peak_depth.max(self.path.len());
         self.transitions += 1;
-        match apply_action(world, a) {
-            Some(s) => s,
-            None => {
-                self.error = Some(format!("enumerated action `{a}` not applicable"));
-                ExploreStep::Stop
-            }
-        }
+        step
     }
 
     /// Backtrack to the next unexplored sibling. `false` = space exhausted.
@@ -386,7 +435,7 @@ impl Engine {
             let Some(f) = self.stack.last_mut() else {
                 return false;
             };
-            let k = f.keys[f.chosen];
+            let (k, _) = f.keys[f.chosen];
             f.explored.insert(k);
             self.path.pop();
             f.chosen += 1;
@@ -394,10 +443,10 @@ impl Engine {
                 self.stack.pop();
                 continue;
             }
-            let a = f.keys[f.chosen].0;
+            let next = f.keys[f.chosen];
             let (sleep, explored) = (f.sleep.clone(), f.explored.clone());
-            self.next_sleep = self.child_sleep(&sleep, &explored, a);
-            self.path.push(a);
+            self.next_sleep = self.child_sleep(&sleep, &explored, next.0 .0);
+            self.path.push(Taken::new(next));
             self.transitions += 1;
             return true;
         }
@@ -426,13 +475,16 @@ impl Explorer {
                 break;
             }
             if eng.counterexample.is_none() {
-                let crashed = eng.path.iter().any(|a| matches!(a, Action::Crash(_)));
+                let crashed = eng
+                    .path
+                    .iter()
+                    .any(|t| matches!(t.action, Action::Crash(_)));
                 let what = run_violations(run, crashed, eng.terminal);
                 if what.is_empty() {
                     eng.terminals += u64::from(eng.terminal);
                 } else {
                     eng.counterexample = Some(Counterexample {
-                        schedule: eng.path.clone(),
+                        schedule: eng.schedule(),
                         what,
                     });
                 }

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 use svm_core::protocol::state::TokenState;
-use svm_core::trace::Fnv64;
+use svm_core::trace::StateHasher;
 use svm_core::{Recording, SvmAgent};
 use svm_machine::{AppPhase, ExploreStep, NodeId, ProcAddr, World};
 
@@ -36,7 +36,7 @@ fn crashed(world: &World<SvmAgent>, n: NodeId) -> bool {
 /// observed so far), application phases, and the machine's hold pool.
 pub(crate) fn state_digest(world: &World<SvmAgent>) -> u64 {
     let (agent, m) = (&world.agent, &world.machine);
-    let mut d = Fnv64::default();
+    let mut d = StateHasher::default();
     agent.hash(&mut d);
 
     // Application phases and monotone progress.
@@ -51,13 +51,13 @@ pub(crate) fn state_digest(world: &World<SvmAgent>) -> u64 {
     let mut held: Vec<u64> = m
         .held_deliveries()
         .iter()
-        .map(|h| Fnv64::of((h.from, h.to, h.channel_seq, &h.msg)))
+        .map(|h| StateHasher::of((h.from, h.to, h.channel_seq, &h.msg)))
         .collect();
     held.sort_unstable();
     held.hash(&mut d);
 
     // Parked timers (messages to oneself), a multiset like the deliveries.
-    let mut timers: Vec<u64> = m.held_timers().map(Fnv64::of).collect();
+    let mut timers: Vec<u64> = m.held_timers().map(StateHasher::of).collect();
     timers.sort_unstable();
     timers.hash(&mut d);
     d.finish()

@@ -162,6 +162,7 @@ pub struct HeldDelivery<M> {
 
 /// One controller decision at an explore-mode quiescent point (see
 /// [`World::run_explore`]).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum ExploreStep {
     /// Release the held delivery at this index in
     /// [`Machine::held_deliveries`].

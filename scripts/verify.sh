@@ -125,6 +125,15 @@ if grep -rn 'fnv1a64' crates/checker/src --include='*.rs'; then
   exit 1
 fi
 
+# The explorer's state digest hashes a word at a time (svm_core::trace::
+# StateHasher, DESIGN §16). Naming the byte-serial FNV hasher in svm-explore
+# brings back one multiply per byte of every explored state.
+echo "== the explorer digests states with StateHasher"
+if grep -rnE '\b(Fnv64|fnv1a64)\b' crates/explore/src --include='*.rs'; then
+  echo "crates/explore/src names Fnv64 or fnv1a64 (above): hash explored states with svm_core::trace::StateHasher" >&2
+  exit 1
+fi
+
 # A `#[expect(...)]` is a lint the code admits to breaking. The count may fall
 # but never rise: a new one means an invariant is asserted where the types
 # could carry it (ROADMAP item 11).
