@@ -191,7 +191,8 @@ impl RecoveryProfile {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SeededBug {
     /// Skip the `nth` diff application (0-based, counted across home
-    /// flushes and homeless fetch validation alike) while still raising
+    /// flushes, homeless fetch validation and GC validation alike: every
+    /// application is `SvmAgent::apply_diff`) while still raising
     /// the applied vector — the page silently keeps stale bytes that the
     /// version gate claims are current.
     SkipDiffApply {
@@ -233,7 +234,7 @@ pub enum SeededBug {
 /// `SvmAgent::seeded_bug` once.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum BugSite {
-    /// A diff application (home flush or homeless fetch validation).
+    /// A diff application (home flush, homeless fetch or GC validation).
     DiffApply,
     /// Logging a closed interval's write notices.
     IntervalClose,

@@ -13,7 +13,6 @@ use std::ops::Range;
 use svm_machine::{Category, NodeId};
 use svm_mem::{Access, PageBuf, PageNum};
 
-use crate::config::BugSite;
 use crate::msg::{DiffPacket, SvmMsg};
 
 use super::state::{FaultProgress, FaultStage, PageState};
@@ -60,11 +59,7 @@ impl SvmAgent {
             write,
             stage: FaultStage::AwaitHome,
         });
-        if self.homeless() {
-            self.start_lrc_fetch(ctx, n, page);
-        } else {
-            self.start_home_fetch(ctx, n, page);
-        }
+        self.start_fetch(ctx, n, page);
     }
 
     /// Twin + write-enable on a readable page.
@@ -123,11 +118,12 @@ impl SvmAgent {
         self.nodes_st[n.index()].fault.as_mut().expect("fault")
     }
 
-    // ---- homeless fetch ----
-
-    pub(crate) fn start_lrc_fetch(&mut self, ctx: &mut MCtx<'_>, n: NodeId, page: PageNum) {
-        let idx = n.index();
-        if self.nodes_st[idx].pages[page.0 as usize].buf.is_none() {
+    /// Fetch `page` for `n`'s outstanding fault: a home fetch, or homeless
+    /// diff collection after a base copy if `n` has none.
+    pub(crate) fn start_fetch(&mut self, ctx: &mut MCtx<'_>, n: NodeId, page: PageNum) {
+        if !self.homeless() {
+            self.start_home_fetch(ctx, n, page);
+        } else if self.nodes_st[n.index()].page(page).buf.is_none() {
             // Cold (or post-GC) miss: fetch a base copy first.
             let validator = self.dir[page.0 as usize];
             debug_assert_ne!(validator, n, "validator faulting on its own page");
@@ -222,20 +218,8 @@ impl SvmAgent {
             "diff request for {page:?} through interval {to_incl} reached writer {w:?} before its diff"
         );
         let diffs: Vec<DiffPacket> = self.nodes_st[idx]
-            .diff_store
-            .get(&page.0)
-            .map(|v| {
-                v.iter()
-                    .filter(|d| d.interval > from_excl && d.interval <= to_incl)
-                    .map(|d| DiffPacket {
-                        writer: w,
-                        interval: d.interval,
-                        vt: d.vt.clone(),
-                        diff: d.diff().clone(),
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+            .stored_diffs(w, page, from_excl + 1..=to_incl)
+            .collect();
         if self.cfg.trace.debug_log {
             let ks: Vec<_> = diffs
                 .iter()
@@ -391,25 +375,13 @@ impl SvmAgent {
         page: PageNum,
         mut stash: Vec<DiffPacket>,
     ) {
-        let idx = r.index();
-        causal_sort(&mut stash);
+        let apply = self.apply_in_causal_order(ctx, r, page, &mut stash);
         if self.cfg.trace.debug_log {
             let ks: Vec<_> = stash.iter().map(|p| (p.writer.0, p.interval)).collect();
             eprintln!("T validate {r:?} page {page:?} applying {ks:?}");
         }
-        for pkt in &stash {
-            let apply = ctx.cost().diff_apply(pkt.diff.payload_bytes());
-            ctx.work(apply, Category::Protocol);
-            if !self.seeded_bug(BugSite::DiffApply) {
-                // SAFETY: kernel phase: every body is suspended.
-                pkt.diff
-                    .apply(unsafe { self.private_copy(r, page).bytes_mut() });
-            }
-            let st = &mut self.nodes_st[idx].pages[page.0 as usize];
-            st.applied.raise(pkt.writer, pkt.interval);
-            self.counters[idx].diffs_applied += 1;
-        }
-        self.nodes_st[idx].pages[page.0 as usize].access = Access::ReadOnly;
+        ctx.work(apply, Category::Protocol);
+        self.nodes_st[r.index()].pages[page.0 as usize].access = Access::ReadOnly;
         self.finish_fault(ctx, r);
     }
 }

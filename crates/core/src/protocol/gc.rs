@@ -21,7 +21,6 @@ use svm_sim::SimDuration;
 
 use crate::msg::{diff_wire_bytes, DiffPacket};
 
-use super::fault::causal_sort;
 use super::{MCtx, SvmAgent};
 
 /// Bookkeeping cost to free one stored diff.
@@ -72,7 +71,6 @@ impl SvmAgent {
             // Gather the diffs the validator is missing, across writers.
             let vidx = validator.index();
             let mut missing: Vec<DiffPacket> = Vec::new();
-            let mut remote_bytes = 0usize;
             let mut remote_writers = 0u64;
             for (i, n) in self.nodes_st.iter().enumerate() {
                 let w = NodeId(i as u16);
@@ -80,26 +78,16 @@ impl SvmAgent {
                     continue;
                 }
                 let applied = self.nodes_st[vidx].pages[p as usize].applied.get(w);
-                if let Some(ds) = n.diff_store.get(&p) {
-                    let mut any = false;
-                    for d in ds.iter().filter(|d| d.interval > applied) {
-                        missing.push(DiffPacket {
-                            writer: w,
-                            interval: d.interval,
-                            vt: d.vt.clone(),
-                            diff: d.diff().clone(),
-                        });
-                        remote_bytes += diff_wire_bytes(d.diff());
-                        any = true;
-                    }
-                    if any {
-                        remote_writers += 1;
-                        cost[i] += ctx.cost().handler_overhead;
-                    }
+                let from = missing.len();
+                missing.extend(n.stored_diffs(w, PageNum(p), applied + 1..=u32::MAX));
+                if missing.len() > from {
+                    remote_writers += 1;
+                    cost[i] += ctx.cost().handler_overhead;
                 }
             }
             if !missing.is_empty() {
                 // Validation traffic and time at the validator.
+                let remote_bytes = missing.iter().map(|d| diff_wire_bytes(&d.diff)).sum();
                 ctx.record_traffic(validator, TrafficClass::Protocol, remote_writers, 24);
                 ctx.record_traffic(validator, TrafficClass::Data, remote_writers, remote_bytes);
                 // Round trips to each writer plus the diff transfer time.
@@ -108,24 +96,12 @@ impl SvmAgent {
                         .cost()
                         .transit(remote_bytes)
                         .saturating_sub(ctx.cost().msg_latency);
-                causal_sort(&mut missing);
-                for pkt in &missing {
-                    cost[vidx] += ctx.cost().diff_apply(pkt.diff.payload_bytes());
-                    // SAFETY: kernel phase: every body is suspended (here, at
-                    // the barrier).
-                    pkt.diff
-                        .apply(unsafe { self.private_copy(validator, PageNum(p)).bytes_mut() });
-                    let st = &mut self.nodes_st[vidx].pages[p as usize];
-                    st.applied.raise(pkt.writer, pkt.interval);
-                    self.counters[vidx].diffs_applied += 1;
-                }
+                cost[vidx] += self.apply_in_causal_order(ctx, validator, PageNum(p), &mut missing);
             }
             // The validator's copy is now current.
-            {
-                let st = &mut self.nodes_st[vidx].pages[p as usize];
-                if st.access == Access::Invalid {
-                    st.access = Access::ReadOnly;
-                }
+            let st = &mut self.nodes_st[vidx].pages[p as usize];
+            if st.access == Access::Invalid {
+                st.access = Access::ReadOnly;
             }
             self.dir[p as usize] = validator;
 

@@ -163,27 +163,12 @@ impl SvmAgent {
         diff: Rc<Diff>,
     ) {
         debug_assert_eq!(self.dir[page.0 as usize], h, "flush reached non-home");
-        // Software diff application cost — except under AURC, whose updates
-        // land in memory by hardware DMA (software pays nothing).
-        if !self.cfg.protocol.auto_update() {
-            let apply = ctx.cost().diff_apply(diff.payload_bytes());
-            ctx.work(apply, Category::Protocol);
-        }
-        let idx = h.index();
-        if !self.seeded_bug(BugSite::DiffApply) {
-            // SAFETY: kernel phase: every body is suspended. The home's copy
-            // is the master; applying in place is the protocol (Section
-            // 2.3), so fetchers that share its block keep the old version.
-            diff.apply(unsafe { self.private_copy(h, page).bytes_mut() });
-        }
-        self.nodes_st[idx].pages[page.0 as usize]
-            .applied
-            .raise(writer, interval);
+        let apply = self.apply_diff(ctx, h, page, writer, interval, &diff);
+        ctx.work(apply, Category::Protocol);
         // The diff dies here (homes apply and discard, Section 2.3); hand
         // its buffers back to the pools unless the sender's unacked copy
         // still shares them (the ack that clears it recycles them then).
         recycle_if_last(diff);
-        self.counters[idx].diffs_applied += 1;
         self.after_home_progress(ctx, h, page);
     }
 

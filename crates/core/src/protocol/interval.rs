@@ -3,9 +3,9 @@
 //! An interval on node P ends when (i) P performs a remote acquire, (ii) P
 //! produces a grant for a remote lock request, or (iii) P enters a barrier
 //! (paper Section 2.1). Ending an interval turns the dirty-page set into a
-//! write-notice record and resolves every twin into a diff: stored locally
-//! (homeless), flushed to the page's home (home-based), or posted to the
-//! co-processor (overlapped variants).
+//! write-notice record and resolves every twin into a diff, routed inline
+//! or posted to the co-processor (overlapped variants); the rest of a
+//! diff's life is in `diffs.rs`.
 
 use std::rc::Rc;
 
@@ -13,10 +13,9 @@ use svm_machine::{Category, NodeId, ProcKind};
 use svm_mem::{Access, Diff, PageNum};
 
 use crate::config::BugSite;
-use crate::msg::{diff_heap_bytes, IntervalRec, SvmMsg};
+use crate::msg::{IntervalRec, SvmMsg};
 use crate::vt::VectorTime;
 
-use super::state::StoredDiff;
 use super::{MCtx, SvmAgent};
 
 impl SvmAgent {
@@ -58,8 +57,6 @@ impl SvmAgent {
 
         let overlapped = self.overlapped();
         let homeless = self.homeless();
-        let auto_update = self.cfg.protocol.auto_update();
-        let ps = self.page_size();
         let mut task_items: Vec<(PageNum, Diff)> = Vec::new();
 
         for &p in &rec.pages {
@@ -88,45 +85,21 @@ impl SvmAgent {
                 reason = "INVARIANT: a page enters the dirty list only via make_writable, which \
                           installs the twin."
             )]
-            let twin = self.nodes_st[idx].pages[p.0 as usize]
-                .twin
-                .take()
+            let twin = self
+                .retire_twin(n, p)
                 .expect("dirty non-home page must have a twin");
-            if !auto_update {
-                self.counters[idx].mem.twins(-(ps as i64));
-            }
-
-            if overlapped {
-                // Freeze the diff content now (the page may be rewritten or
-                // receive foreign diffs before the co-processor runs); the
-                // computation time is charged when the task executes.
-                let diff = {
-                    let st = &self.nodes_st[idx].pages[p.0 as usize];
-                    // SAFETY: kernel phase: every body is suspended.
-                    let cur = unsafe { st.copy().bytes() };
-                    Diff::create(&twin, cur)
-                };
-                svm_mem::pool::put_bytes(twin);
-                task_items.push((p, diff));
-                continue;
-            }
-
-            // Non-overlapped: the compute processor diffs right here — for
-            // free under AURC, where the snooping hardware already
-            // propagated the writes (the "diff" below only reconstructs
-            // what the hardware sent; see the module docs).
-            if !auto_update {
-                let create = ctx.cost().diff_create(ps);
-                ctx.work(create, Category::Protocol);
-            }
-            let diff = {
-                let st = &self.nodes_st[idx].pages[p.0 as usize];
-                // SAFETY: kernel phase: every body is suspended.
-                let cur = unsafe { st.copy().bytes() };
-                Diff::create(&twin, cur)
-            };
+            // SAFETY: kernel phase: every body is suspended.
+            let cur = unsafe { self.nodes_st[idx].pages[p.0 as usize].copy().bytes() };
+            let diff = Diff::create(&twin, cur);
             svm_mem::pool::put_bytes(twin);
-            self.finish_diff(ctx, n, p, interval, &vt, diff);
+            if overlapped {
+                // The diff is frozen now (the page may be rewritten or
+                // receive foreign diffs before the co-processor runs); its
+                // creation is charged when the task executes.
+                task_items.push((p, diff));
+            } else {
+                self.finish_diff(ctx, n, p, interval, &vt, diff);
+            }
         }
 
         if !task_items.is_empty() {
@@ -142,79 +115,6 @@ impl SvmAgent {
                     items: task_items,
                 }),
             );
-        }
-    }
-
-    /// Account a freshly created diff and route it (store or flush home).
-    fn finish_diff(
-        &mut self,
-        ctx: &mut MCtx<'_>,
-        n: NodeId,
-        page: PageNum,
-        interval: u32,
-        vt: &Rc<VectorTime>,
-        diff: Diff,
-    ) {
-        let idx = n.index();
-        self.counters[idx].diffs_created += 1;
-        self.counters[idx].diff_bytes_created += diff.payload_bytes() as u64;
-        if self.homeless() {
-            let bytes = (diff_heap_bytes(&diff) + vt.bytes()) as i64;
-            self.counters[idx].mem.diffs(bytes);
-            self.nodes_st[idx]
-                .diff_store
-                .entry(page.0)
-                .or_default()
-                .push(StoredDiff::new(interval, Rc::clone(vt), diff));
-        } else {
-            let home = self.dir[page.0 as usize];
-            debug_assert_ne!(home, n, "home pages produce no diffs");
-            // HLRC flushes to the home's compute processor; OHLRC to its
-            // co-processor (which also applies it there); AURC's hardware
-            // delivers into the home's network interface (modeled as the
-            // co-processor) with write-through amplification: one burst per
-            // run plus ~40% re-write traffic (Section 2.2's bandwidth
-            // cost).
-            let to = if self.cfg.protocol.auto_update() {
-                svm_machine::ProcAddr::coproc(home)
-            } else {
-                self.data_proc(home)
-            };
-            if self.cfg.protocol.auto_update() && home != n {
-                let extra_msgs = (diff.run_count() as u64).saturating_sub(1);
-                let extra_bytes = diff.payload_bytes() * 2 / 5;
-                ctx.record_traffic(
-                    n,
-                    svm_machine::TrafficClass::Data,
-                    extra_msgs.max(1),
-                    extra_bytes,
-                );
-            }
-            let msg = SvmMsg::DiffFlush {
-                page,
-                writer: n,
-                interval,
-                diff: Rc::new(diff),
-            };
-            self.send_or_local(ctx, to, msg);
-        }
-    }
-
-    /// Co-processor execution of a posted diff task (overlapped variants):
-    /// charge the diff-scan time, then store or flush the frozen diff.
-    pub(crate) fn on_diff_task(
-        &mut self,
-        ctx: &mut MCtx<'_>,
-        n: NodeId,
-        interval: u32,
-        vt: Rc<VectorTime>,
-        items: Vec<(PageNum, Diff)>,
-    ) {
-        let ps = self.page_size();
-        for (p, diff) in items {
-            let create = ctx.cost().diff_create(ps);
-            ctx.work(create, Category::Protocol);
-            self.finish_diff(ctx, n, p, interval, &vt, diff);
         }
     }
 

@@ -20,6 +20,7 @@
 )]
 
 pub mod clock;
+pub mod diffs;
 pub mod fault;
 pub mod gc;
 pub mod home;
@@ -291,7 +292,7 @@ impl BarrierState {
 /// instead of vacuously passing).
 #[derive(Default, Hash)]
 pub struct MutationState {
-    /// Diff applications performed so far (flush + fetch validation).
+    /// Diff applications so far (every `SvmAgent::apply_diff`).
     pub diff_applies: u32,
     /// Intervals closed so far (with a non-empty write set).
     pub interval_closes: u32,
@@ -605,7 +606,10 @@ impl SvmAgent {
             } => {
                 debug_assert_eq!(at.kind, ProcKind::CoProc);
                 debug_assert_eq!(from.node, at.node);
-                self.on_diff_task(ctx, at.node, interval, vt, items)
+                // An overlapped interval's frozen diffs, on its co-processor.
+                for (page, diff) in items {
+                    self.finish_diff(ctx, at.node, page, interval, &vt, diff);
+                }
             }
             SvmMsg::NodeDown { dead } => self.on_node_down(ctx, at.node, dead),
         }

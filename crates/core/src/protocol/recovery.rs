@@ -431,8 +431,6 @@ impl SvmAgent {
         for &(page, w, i, _) in &self.recovery.pending_flushes {
             harvest.entry(page.0).or_default().push((w, i));
         }
-        let ps = self.page_size() as i64;
-        let auto = self.cfg.protocol.auto_update();
         for pg in 0..self.num_pages {
             if self.dir[pg as usize] != dead {
                 continue;
@@ -480,13 +478,8 @@ impl SvmAgent {
             self.recovery.stats.rehomed_pages += 1;
             // The new home's copy becomes the master: in-place writes, no
             // twin (matching a home page's steady state).
-            let taken = self.nodes_st[c.index()].pages[pg as usize].twin.take();
-            let had_twin = taken.is_some();
-            if let Some(t) = taken {
-                svm_mem::pool::put_bytes(t);
-            }
-            if had_twin && !auto {
-                self.counters[c.index()].mem.twins(-ps);
+            if let Some(twin) = self.retire_twin(c, PageNum(pg)) {
+                svm_mem::pool::put_bytes(twin);
             }
             if bug {
                 // Mutation: claim coverage without the bytes.
@@ -577,11 +570,7 @@ impl SvmAgent {
         self.recovery.refetch = rest;
         for (_, page) in mine {
             self.recovery.stats.refetches += 1;
-            if self.homeless() {
-                self.start_lrc_fetch(ctx, n, page);
-            } else {
-                self.start_home_fetch(ctx, n, page);
-            }
+            self.start_fetch(ctx, n, page);
         }
         // 5. Fetches parked at this node's home seats whose version
         //    requirements can now never be met: every harvested in-flight

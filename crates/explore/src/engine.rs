@@ -9,8 +9,8 @@
 //! descends freely, so the number of full replays equals the number of
 //! backtracks, not the number of states. A replayed delivery releases the
 //! hold-pool index recorded when the engine first took it (checked against
-//! its channel and `channel_seq`), so a replay does not re-enumerate the
-//! enabled actions at every step.
+//! its channel and `channel_seq`; a mismatch is a replay divergence), so a
+//! replay does not re-enumerate the enabled actions at every step.
 //!
 //! Soundness of the two reductions (argued in DESIGN.md §16):
 //!
@@ -174,20 +174,22 @@ impl Taken {
         Taken { action, held }
     }
 
-    /// The step that takes this decision again on a replay: the recorded
-    /// hold-pool entry if it still holds the same channel's message at the
-    /// same position, else whatever [`apply_action`] resolves (`None` = the
-    /// replay diverged).
+    /// The step that takes this decision again on a replay: a delivery
+    /// releases its recorded hold-pool entry, which must still hold the same
+    /// channel's message at the same position; a crash or detection is
+    /// resolved by [`apply_action`]. `None` = the replay diverged: a
+    /// deterministic prefix reaches the same state, so a moved delivery is
+    /// nondeterminism, not something to pick again.
     fn replay(self, world: &World<SvmAgent>) -> Option<ExploreStep> {
-        if let (Action::Deliver { from, to }, Some((index, seq))) = (self.action, self.held) {
-            let same = world.machine.held_deliveries().get(index);
-            if same.is_some_and(|h| h.from == from && h.to == to && h.channel_seq == seq) {
-                let step = ExploreStep::Deliver(index);
-                debug_assert_eq!(apply_action(world, self.action), Some(step));
-                return Some(step);
-            }
-        }
-        apply_action(world, self.action)
+        let (Action::Deliver { from, to }, Some((index, seq))) = (self.action, self.held) else {
+            return apply_action(world, self.action);
+        };
+        let same = world.machine.held_deliveries().get(index);
+        let step = same
+            .is_some_and(|h| h.from == from && h.to == to && h.channel_seq == seq)
+            .then_some(ExploreStep::Deliver(index));
+        debug_assert!(step.is_none() || apply_action(world, self.action) == step);
+        step
     }
 }
 

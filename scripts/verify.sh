@@ -96,6 +96,20 @@ if awk '/fn private_copy\(/ { inside = 1 }
   exit 1
 fi
 
+# A diff has one lifecycle (DESIGN §4.2): protocol/ creates a diff in one
+# place (`end_interval`) and applies one in one place (`SvmAgent::apply_diff`,
+# the one site of the seeded `SkipDiffApply`). A second copy of either step
+# brings back its own AURC exemption, accounting and `unsafe` page access,
+# and a second application is one the mutation does not reach.
+echo "== one Diff::create, one Diff::apply and one DiffApply seeded-bug site in protocol/"
+for pat in 'Diff::create\(' '(\.|Diff::)apply\(' 'seeded_bug\(BugSite::DiffApply\)'; do
+  if [[ "$(grep -rnE "$pat" crates/core/src/protocol --include='*.rs' | wc -l)" -ne 1 ]]; then
+    grep -rnE "$pat" crates/core/src/protocol --include='*.rs' >&2
+    echo "protocol/ matches '$pat' other than once (above): create diffs in end_interval, apply them through SvmAgent::apply_diff" >&2
+    exit 1
+  fi
+done
+
 # Network faults are decided in one place, svm-machine's fault plan (DESIGN
 # §10): the reliable-delivery layer under the protocols only sequences, acks
 # and retransmits. A drop or duplicate decided in protocol/ is a second fault
