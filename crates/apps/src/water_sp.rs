@@ -320,6 +320,23 @@ impl Benchmark for WaterSp {
 
         let body = move |ctx: &svm_core::SvmCtx<'_>, l: &Layout| {
             let mine = owned_cells(ctx.node(), ctx.nodes());
+            // My cells and their neighbours, ascending and duplicate-free:
+            // the cells every step snapshots. `mine` never changes.
+            let needed: Vec<usize> = {
+                let mut near = vec![false; ncells];
+                for &c in &mine {
+                    let (cx, cy, cz) = cell_coords(c);
+                    for dx in [GRID - 1, 0, 1] {
+                        for dy in [GRID - 1, 0, 1] {
+                            for dz in [GRID - 1, 0, 1] {
+                                near[(((cx + dx) % GRID) * GRID + ((cy + dy) % GRID)) * GRID
+                                    + (cz + dz) % GRID] = true;
+                            }
+                        }
+                    }
+                }
+                (0..ncells).filter(|&c| near[c]).collect()
+            };
             let mut barrier = 0u32;
             let read_list = |ctx: &svm_core::SvmCtx<'_>, c: usize| -> Vec<u32> {
                 let cnt = l.counts.get(ctx, c) as usize;
@@ -331,22 +348,6 @@ impl Benchmark for WaterSp {
             for _ in 0..steps {
                 // Phase A: forces for molecules in my cells, from a local
                 // snapshot of my cells + their neighbours.
-                let mut needed: Vec<usize> = Vec::new();
-                for &c in &mine {
-                    let (cx, cy, cz) = cell_coords(c);
-                    for dx in [GRID - 1, 0, 1] {
-                        for dy in [GRID - 1, 0, 1] {
-                            for dz in [GRID - 1, 0, 1] {
-                                needed.push(
-                                    (((cx + dx) % GRID) * GRID + ((cy + dy) % GRID)) * GRID
-                                        + (cz + dz) % GRID,
-                                );
-                            }
-                        }
-                    }
-                }
-                needed.sort_unstable();
-                needed.dedup();
                 let mut local_lists: Vec<Vec<u32>> = vec![Vec::new(); ncells];
                 let mut local_pos = vec![0.0f64; 3 * n];
                 for &c in &needed {

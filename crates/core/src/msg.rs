@@ -119,7 +119,7 @@ pub enum SvmResp {
 /// vector times are `Rc`-shared and page payloads share their block
 /// ([`PageBuf`]), so a clone copies no diff or page bytes. Whoever holds a
 /// flushed diff last hands its buffers back to the pools
-/// ([`SvmMsg::release`]).
+/// (`SvmMsg::release`).
 #[derive(Clone, Debug, Hash)]
 pub enum SvmMsg {
     // ---- synchronization (always serviced by the compute processor) ----

@@ -6,10 +6,10 @@
 //! schedules and closed-loop think times). Both are deliberately
 //! measurement-neutral:
 //!
-//! * [`SvmReq::Clock`] completes at the cursor with zero charged work —
+//! * [`SvmReq::Clock`](crate::msg::SvmReq::Clock) completes at the cursor with zero charged work —
 //!   a program that timestamps every operation is bit-identical in
 //!   virtual time to one that does not.
-//! * [`SvmReq::SleepUntil`] blocks the application as **idle** (not
+//! * [`SvmReq::SleepUntil`](crate::msg::SvmReq::SleepUntil) blocks the application as **idle** (not
 //!   protocol wait) and arms a machine timer for the deadline
 //!   ([`Timer::Wake`]). The node's protocol layer keeps servicing remote
 //!   faults, diff flushes, and lock traffic while the application sleeps,

@@ -11,7 +11,7 @@
 //!    `miss_threshold × heartbeat_us` is declared dead; that window is the
 //!    one detector input. Detection is a pure function of virtual time, so
 //!    the same seed detects the same death at the same instant, every run.
-//! 2. **Declaration** ([`SvmAgent::declare_dead`]). In fail-fast mode the
+//! 2. **Declaration** (`SvmAgent::declare_dead`). In fail-fast mode the
 //!    run halts with a structured [`ProtocolError::NodeFailed`]. In
 //!    graceful mode the detector performs the *state* surgery — channel
 //!    harvest, home failover, unrecoverability scan — and broadcasts

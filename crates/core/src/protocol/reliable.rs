@@ -26,7 +26,7 @@
 //!
 //! The steady path allocates nothing. An arrival that is next in sequence
 //! with nothing parked is acked and dispatched straight away
-//! ([`RecvChannel::accept`]); only out-of-order and duplicate arrivals
+//! (`RecvChannel::accept`); only out-of-order and duplicate arrivals
 //! reach the reorder buffer. A sender's unacknowledged messages are a FIFO
 //! of `(seq, msg)` pushed in sequence order, and a cumulative ack pops
 //! its prefix from the front; the FIFO hashes as the ordered map it

@@ -122,8 +122,8 @@ fn fmix64(mut h: u64) -> u64 {
 /// [`TraceEvent::Read`] carries and what `svm-checker` recomputes over the
 /// legal bytes, so both sides call this one function.
 ///
-/// Eight bytes a step ([`word_step`]); the tail is zero-padded, the length
-/// is folded into the seed, and [`fmix64`] mixes the result. Every step is
+/// Eight bytes a step (`word_step`); the tail is zero-padded, the length
+/// is folded into the seed, and `fmix64` mixes the result. Every step is
 /// a bijection of the state, so two equal-length inputs that differ in one
 /// word (and so in one byte) never collide. Not streaming: a merged read
 /// is digested once, whole.
@@ -144,9 +144,9 @@ pub fn read_digest(bytes: &[u8]) -> u64 {
 
 /// The explorer's state digest as a [`Hasher`] (DESIGN §16): what turns the
 /// protocol types' `Hash` impls into one canonical `u64`. It hashes the
-/// byte stream it is fed eight bytes a step ([`word_step`]), buffering a
+/// byte stream it is fed eight bytes a step (`word_step`), buffering a
 /// partial word across calls, and folds the stream length in before
-/// [`fmix64`] at [`Hasher::finish`]; so its value depends only on the
+/// `fmix64` at [`Hasher::finish`]; so its value depends only on the
 /// bytes, never on how they were split into calls. Integers are fed as
 /// fixed-width little-endian bytes and `usize` as a `u64`, so a digest
 /// committed under `results/` does not depend on the host's pointer width.

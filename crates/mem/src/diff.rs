@@ -18,7 +18,7 @@
 //! What the model charges for a diff on the wire and in memory is
 //! `svm-core`'s (`svm_core::msg`). A diff that dies within its interval's
 //! handling (a flush the home applies) builds into and returns to the
-//! thread-local [`pool`](crate::pool)'s scratch vectors ([`Diff::create`],
+//! thread-local [`pool`]'s scratch vectors ([`Diff::create`],
 //! [`Diff::recycle`]): zero allocations once they cycle. A diff that is
 //! kept (a homeless writer's store, until garbage collection) is first
 //! copied into exact-size vectors by [`Diff::into_exact`], because a pooled

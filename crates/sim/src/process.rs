@@ -14,7 +14,7 @@
 //! [`SimProcess::next_yield`]. That is a fact about one thread, not a
 //! convention between several: a body runs on a stack of its own, and
 //! `request`, `next_yield` and `resume` put a value in a one-request,
-//! one-response cell and [`switch`] stacks — a few dozen instructions, no
+//! one-response cell and `switch` stacks — a few dozen instructions, no
 //! system call, no thread to wake. What one side wrote before a switch the
 //! other reads after it in program order, so the two share state through
 //! plain `Rc<Cell<_>>`/`Rc<RefCell<_>>`: no bound here asks for `Send`, and
@@ -23,14 +23,14 @@
 //! the sequence of yields.
 //!
 //! A stack is a mapping of its own, not from the global allocator: a guard
-//! page (running off the end is a bare `SIGSEGV`), then [`STACK_BYTES`] with
-//! the [`Start`] record at the top and the first `switch`'s frame below it
+//! page (running off the end is a bare `SIGSEGV`), then `STACK_BYTES` with
+//! the `Start` record at the top and the first `switch`'s frame below it
 //! (DESIGN §17). Mappings come from a per-thread LIFO pool of at most
 //! `POOL_CAP` (module `stacks`), so a spawn after a drop costs no system
-//! call. [`entry`] runs exactly once per spawn: it drops the body and any
+//! call. `entry` runs exactly once per spawn: it drops the body and any
 //! panic payload, posts the final yield, switches out and is never resumed.
 //! A `SimProcess` dropped before that sets `kernel_gone` and switches in: a
-//! parked `request` raises the quiet [`KernelShutdown`] panic for `entry` to
+//! parked `request` raises the quiet `KernelShutdown` panic for `entry` to
 //! catch, a body never started is dropped uncalled. Then the stack goes back
 //! to the pool, or is unmapped if the pool is full or already destroyed.
 
@@ -309,7 +309,7 @@ pub struct SimProcess<Req, Resp> {
 /// switches to it and returns its first request, so alternation with the
 /// kernel is strict from the start (the kernel may build its world between
 /// the two calls without a body running beside it). Panics inside the body
-/// are caught and reported as [`Yielded::Finished(Err(..))`].
+/// are caught and reported as [`Yielded::Finished`]`(Err(..))`.
 pub fn spawn_process<Req, Resp, F>(name: &str, body: F) -> SimProcess<Req, Resp>
 where
     Req: 'static,

@@ -4,7 +4,10 @@
 //! the same instant fire in the order they were scheduled (a monotonically
 //! increasing sequence number breaks ties), so runs are fully reproducible.
 //! Events can be cancelled by [`EventId`], which names the event's slot:
-//! cancelling drops the closure in place, and the pop skips the emptied slot.
+//! cancelling drops the closure in place and leaves its heap key behind.
+//! Once more than `PURGE_FLOOR` (16) such dead keys make up over half the
+//! heap, one pass drops them all, frees their slots and re-heapifies in
+//! O(n); a dead key that pops first frees its slot then.
 //!
 //! Storage is allocation-free and copy-free: [`Scheduler::at`] writes the
 //! closure straight into the inline buffer of a free slot in a slab, beside
@@ -21,10 +24,11 @@
 //! the slab, or panic, and no closure is read or dropped twice.
 //!
 //! Events pop in `(at, seq)` order, a total order because `seq` is unique,
-//! so neither the heap's shape nor where a closure lives can change which
-//! event runs next. The engine's virtual-time results are pinned against
-//! `results/engine_fingerprints.txt` (recorded on the box-per-event engine
-//! this one replaced) by `crates/bench/tests/engine_fingerprints.rs`.
+//! so neither the heap's shape, nor a purge, nor where a closure lives can
+//! change which event runs next. The engine's virtual-time results are
+//! pinned against `results/engine_fingerprints.txt` (recorded on the
+//! box-per-event engine this one replaced) by
+//! `crates/bench/tests/engine_fingerprints.rs`.
 
 use std::mem::MaybeUninit;
 
@@ -76,6 +80,10 @@ impl EventId {
 const INLINE_BYTES: usize = 80;
 /// Maximum supported alignment for inline closures.
 const INLINE_ALIGN: usize = 16;
+/// Dead (cancelled) heap keys are purged once there are more than this
+/// many and they outnumber the live ones, so the heap never holds more
+/// than `max(PURGE_FLOOR, live)` dead keys.
+const PURGE_FLOOR: usize = 16;
 
 /// The inline closure buffer. `#[repr(align(16))]` so any closure whose
 /// alignment is <= [`INLINE_ALIGN`] can be written at offset 0.
@@ -184,6 +192,8 @@ pub struct Scheduler<W> {
     next_seq: u64,
     /// Min-heap of `(at, seq)` keys into `slots`.
     heap: Vec<HeapKey>,
+    /// How many keys in `heap` belong to cancelled events.
+    dead: usize,
     /// Slab of event slots; freed slots are reused via `free`.
     slots: Vec<Slot<W>>,
     free: Vec<u32>,
@@ -203,6 +213,7 @@ impl<W> Scheduler<W> {
             now: SimTime::ZERO,
             next_seq: 0,
             heap: Vec::new(),
+            dead: 0,
             slots: Vec::new(),
             free: Vec::new(),
             executed: 0,
@@ -265,12 +276,18 @@ impl<W> Scheduler<W> {
     /// Cancel a previously scheduled event.
     ///
     /// Returns `true` if the event had not yet fired (or been cancelled).
-    /// The closure is dropped now; the slot is freed when its heap key pops.
+    /// The closure is dropped now; the slot is freed when its heap key pops
+    /// or a purge drops the key, whichever comes first.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.slots.get_mut(id.slot as usize) {
+        let cancelled = match self.slots.get_mut(id.slot as usize) {
             Some(slot) if slot.seq == id.seq => slot.clear(),
             _ => false,
+        };
+        if cancelled {
+            self.dead += 1;
+            self.purge_if_dead_dominate();
         }
+        cancelled
     }
 
     /// Run a single event. Returns `false` when the queue is empty.
@@ -278,12 +295,16 @@ impl<W> Scheduler<W> {
         while let Some(key) = self.heap_pop() {
             let slot = &mut self.slots[key.slot as usize];
             debug_assert_eq!(slot.seq, key.seq, "slot/heap desync");
-            let entry = slot.entry.take();
-            let buf = slot.buf.0.as_mut_ptr().cast();
-            self.free.push(key.slot);
-            let Some(entry) = entry else {
+            let Some(entry) = slot.entry.take() else {
+                self.free.push(key.slot);
+                self.dead -= 1;
                 continue; // cancelled
             };
+            // One live key fewer can tip the balance towards the dead. A
+            // purge frees its slots first, so this one is still handed out next.
+            self.purge_if_dead_dominate();
+            let buf = self.slots[key.slot as usize].buf.0.as_mut_ptr().cast();
+            self.free.push(key.slot);
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
             self.executed += 1;
@@ -300,6 +321,30 @@ impl<W> Scheduler<W> {
     /// Run until no events remain.
     pub fn run(&mut self, world: &mut W) {
         while self.step(world) {}
+    }
+
+    /// Drop every dead key in one pass once more than [`PURGE_FLOOR`] of
+    /// them make up over half the heap: their slots go to the free list and
+    /// the rest is re-heapified. Pop order is `(at, seq)`, a total order, so
+    /// the purge cannot move which event runs next.
+    fn purge_if_dead_dominate(&mut self) {
+        if self.dead <= PURGE_FLOOR || 2 * self.dead <= self.heap.len() {
+            return;
+        }
+        let (slots, free) = (&self.slots, &mut self.free);
+        let before = self.heap.len();
+        self.heap.retain(|key| {
+            let live = slots[key.slot as usize].entry.is_some();
+            if !live {
+                free.push(key.slot);
+            }
+            live
+        });
+        debug_assert_eq!(before - self.heap.len(), self.dead, "dead-key count");
+        self.dead = 0;
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, self.heap[i]);
+        }
     }
 
     // --- index heap (min-heap on `(at, seq)`) -------------------------------
@@ -324,8 +369,13 @@ impl<W> Scheduler<W> {
         let Some(&top) = self.heap.first() else {
             return Some(last);
         };
+        self.sift_down(0, last);
+        Some(top)
+    }
+
+    /// Place `key` at or below the hole at `i`.
+    fn sift_down(&mut self, mut i: usize, key: HeapKey) {
         let len = self.heap.len();
-        let mut i = 0;
         loop {
             let l = 2 * i + 1;
             if l >= len {
@@ -337,20 +387,21 @@ impl<W> Scheduler<W> {
             } else {
                 l
             };
-            if last.order() <= self.heap[child].order() {
+            if key.order() <= self.heap[child].order() {
                 break;
             }
             self.heap[i] = self.heap[child];
             i = child;
         }
-        self.heap[i] = last;
-        Some(top)
+        self.heap[i] = key;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use std::rc::Rc;
 
     #[test]
     fn fires_in_time_order() {
@@ -477,7 +528,6 @@ mod tests {
     /// scheduler drop with events still queued.
     #[test]
     fn closures_are_dropped_exactly_once() {
-        use std::rc::Rc;
         let token = Rc::new(());
         let mut s: Scheduler<u32> = Scheduler::new();
         let mut w = 0u32;
@@ -508,7 +558,6 @@ mod tests {
     #[test]
     fn a_panicking_event_drops_its_captures_once_and_frees_its_slot() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::rc::Rc;
         let token = Rc::new(());
         let mut s: Scheduler<Vec<u32>> = Scheduler::new();
         let mut w = Vec::new();
@@ -528,6 +577,245 @@ mod tests {
         assert_eq!((s.slots.len(), s.free.len()), (3, 3));
         drop(s);
         assert_eq!(Rc::strong_count(&token), 1);
+    }
+
+    /// Cancelling a majority of the queue purges their keys at the
+    /// crossing and frees their slots, and the survivors still pop in order.
+    #[test]
+    fn a_dead_majority_is_purged_at_once() {
+        let mut s: Scheduler<Vec<u64>> = Scheduler::new();
+        let mut w = Vec::new();
+        let ids: Vec<EventId> = (0..40u64)
+            .map(|i| {
+                s.after(
+                    SimDuration::from_nanos(40 - i),
+                    move |_, w: &mut Vec<u64>| w.push(i),
+                )
+            })
+            .collect();
+        for (n, &id) in ids.iter().step_by(2).chain(&ids[1..2]).enumerate() {
+            assert!(s.cancel(id));
+            // The 21st cancel makes 21 of 40 keys dead: past the floor, and a majority.
+            let dead = if n + 1 < 21 { n + 1 } else { 0 };
+            assert_eq!((s.dead, s.heap.len()), (dead, 40 - (n + 1 - dead)));
+        }
+        assert_eq!(s.free.len(), 21, "the purge freed every dead slot");
+        s.run(&mut w);
+        assert_eq!(w, (3..40).rev().step_by(2).collect::<Vec<u64>>());
+        assert_eq!(s.executed(), 19);
+    }
+
+    /// A generated event: when it fires it schedules `children` and then
+    /// cancels ids, each a raw index into every id minted so far.
+    #[derive(Debug)]
+    struct Ev {
+        delay: u64,
+        children: Vec<Rc<Ev>>,
+        cancels: Vec<u64>,
+    }
+
+    #[derive(Debug)]
+    enum Op {
+        Schedule {
+            absolute: bool,
+            ev: Rc<Ev>,
+        },
+        /// `n` childless events, then the last `k` ids minted cancelled.
+        Burst {
+            n: usize,
+            delay: u64,
+            k: usize,
+        },
+        Cancel(u64),
+        Synthetic(u64),
+        Step,
+    }
+
+    fn gen_ev(src: &mut svm_testkit::Source, depth: u32) -> Rc<Ev> {
+        let delay = src.u64_in(0..200);
+        let children = match depth {
+            0 => Vec::new(),
+            _ => src.vec(0..3, |s| gen_ev(s, depth - 1)),
+        };
+        let cancels = src.vec(0..3, |s| s.u64_in(0..1 << 16));
+        Rc::new(Ev {
+            delay,
+            children,
+            cancels,
+        })
+    }
+
+    fn leaf(delay: u64) -> Rc<Ev> {
+        Rc::new(Ev {
+            delay,
+            children: Vec::new(),
+            cancels: Vec::new(),
+        })
+    }
+
+    /// The scheduler's side; an event's label is its index in `ids`.
+    #[derive(Default)]
+    struct World {
+        fired: Vec<u64>,
+        ids: Vec<EventId>,
+        cancels: Vec<bool>,
+    }
+
+    fn schedule(s: &mut Scheduler<World>, w: &mut World, absolute: bool, ev: &Rc<Ev>) {
+        let label = w.ids.len() as u64;
+        let delay = SimDuration::from_nanos(ev.delay);
+        let ev = ev.clone();
+        let f = move |s: &mut Scheduler<World>, w: &mut World| {
+            w.fired.push(label);
+            for child in &ev.children {
+                schedule(s, w, false, child);
+            }
+            for &raw in &ev.cancels {
+                let cancelled = s.cancel(w.ids[raw as usize % w.ids.len()]);
+                w.cancels.push(cancelled);
+                assert_dead_keys_bounded(s);
+            }
+        };
+        let id = if absolute {
+            s.at(s.now() + delay, f)
+        } else {
+            s.after(delay, f)
+        };
+        w.ids.push(id);
+    }
+
+    /// `dead` counts exactly the heap's cancelled keys, and there are
+    /// never more of them than `max(PURGE_FLOOR, live)`.
+    fn assert_dead_keys_bounded<W>(s: &Scheduler<W>) {
+        let live = s
+            .heap
+            .iter()
+            .filter(|k| s.slots[k.slot as usize].entry.is_some())
+            .count();
+        assert_eq!(s.dead, s.heap.len() - live, "dead-key count");
+        assert!(
+            s.dead <= PURGE_FLOOR.max(live),
+            "{} dead beside {live} live",
+            s.dead
+        );
+    }
+
+    /// The reference: a map sorted by `(at, seq)`, `seq` counted as the labels are.
+    #[derive(Default)]
+    struct Model {
+        now: u64,
+        queue: BTreeMap<(u64, u64), Rc<Ev>>,
+        ids: Vec<(u64, u64)>,
+        fired: Vec<u64>,
+        cancels: Vec<bool>,
+    }
+
+    impl Model {
+        fn schedule(&mut self, ev: &Rc<Ev>) {
+            let key = (self.now + ev.delay, self.ids.len() as u64);
+            self.queue.insert(key, ev.clone());
+            self.ids.push(key);
+        }
+
+        fn cancel(&mut self, raw: u64) -> bool {
+            let key = self.ids[raw as usize % self.ids.len()];
+            self.queue.remove(&key).is_some()
+        }
+
+        fn step(&mut self) -> bool {
+            let Some(((at, seq), ev)) = self.queue.pop_first() else {
+                return false;
+            };
+            self.now = at;
+            self.fired.push(seq);
+            for child in &ev.children {
+                self.schedule(child);
+            }
+            for &raw in &ev.cancels {
+                let cancelled = self.cancel(raw);
+                self.cancels.push(cancelled);
+            }
+            true
+        }
+    }
+
+    /// Random interleavings of `at`/`after`/`cancel`/`step`, with backlogs
+    /// of cancels, cancels from inside events, and stale and synthetic ids,
+    /// pop exactly as the sorted-map reference does, return what it returns
+    /// from every `cancel`, and after every call leave at most
+    /// `max(PURGE_FLOOR, live)` dead keys in the heap.
+    #[test]
+    fn purges_keep_the_reference_order_and_bound_dead_keys() {
+        use svm_testkit::check;
+        check(
+            "purges_keep_the_reference_order_and_bound_dead_keys",
+            |src| {
+                src.vec(1..120, |s| match s.usize_in(0..6) {
+                    0 | 1 => Op::Schedule {
+                        absolute: s.bool(),
+                        ev: gen_ev(s, 1),
+                    },
+                    2 => {
+                        let n = s.usize_in(0..48);
+                        let delay = s.u64_in(0..200);
+                        let k = s.usize_in(0..n + 1);
+                        Op::Burst { n, delay, k }
+                    }
+                    3 => Op::Cancel(s.u64_in(0..1 << 16)),
+                    4 => Op::Synthetic(s.u64_in(0..1 << 16)),
+                    _ => Op::Step,
+                })
+            },
+            |ops| {
+                let mut s: Scheduler<World> = Scheduler::new();
+                let mut w = World::default();
+                let mut m = Model::default();
+                let agree = |s: &Scheduler<World>, w: &World, m: &Model| {
+                    assert_eq!(w.fired, m.fired);
+                    assert_eq!(w.cancels, m.cancels);
+                    assert_eq!(s.executed(), m.fired.len() as u64);
+                    assert_eq!(s.now().as_nanos(), m.now);
+                    assert_eq!(s.heap.len() - s.dead, m.queue.len(), "live keys");
+                    assert_dead_keys_bounded(s);
+                };
+                for op in ops {
+                    match op {
+                        Op::Schedule { absolute, ev } => {
+                            schedule(&mut s, &mut w, *absolute, ev);
+                            m.schedule(ev);
+                        }
+                        Op::Burst { n, delay, k } => {
+                            let ev = leaf(*delay);
+                            for _ in 0..*n {
+                                schedule(&mut s, &mut w, false, &ev);
+                                m.schedule(&ev);
+                                agree(&s, &w, &m);
+                            }
+                            for j in 0..*k {
+                                let raw = (w.ids.len() - 1 - j) as u64;
+                                assert!(s.cancel(w.ids[raw as usize]));
+                                assert!(m.cancel(raw));
+                                agree(&s, &w, &m);
+                            }
+                        }
+                        Op::Cancel(raw) if !w.ids.is_empty() => {
+                            let id = w.ids[*raw as usize % w.ids.len()];
+                            assert_eq!(s.cancel(id), m.cancel(*raw), "{op:?}");
+                        }
+                        Op::Cancel(_) => {}
+                        Op::Synthetic(key) => assert!(!s.cancel(EventId::synthetic(*key))),
+                        Op::Step => assert_eq!(s.step(&mut w), m.step()),
+                    }
+                    agree(&s, &w, &m);
+                }
+                while m.step() {
+                    assert!(s.step(&mut w));
+                    agree(&s, &w, &m);
+                }
+                assert!(!s.step(&mut w));
+                assert_eq!((s.heap.len(), s.dead), (0, 0));
+            },
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   default seed from the property name, runs `TESTKIT_CASES` generated
 //!   cases (64 by default), and on failure greedily shrinks the recorded
 //!   choice sequence and prints the seed that reproduces the run.
-//! * [`bench`] — a std-only timing harness (`Harness`, `Stopwatch`) for the
+//! * [`bench`](mod@bench) — a std-only timing harness (`Harness`, `Stopwatch`) for the
 //!   `benchmark/` driver's unit costs and for stage timing.
 //!
 //! # Writing a property

@@ -8,7 +8,7 @@
 #   standalone benchmark crate build and lint, the regeneration of nine
 #   results/*_s025.txt tables, the serve matrix, the two node-count probes and the paper-scale
 #   64-node Table 2, and the robustness matrix's pinned seed sweeps, but
-#   always keeps the workspace clippy, the exploration gate and the pinned
+#   always keeps the workspace clippy and rustdoc, the exploration gate and the pinned
 #   default robustness matrix — the cheap gates that catch whole bug
 #   classes.
 set -euo pipefail
@@ -201,6 +201,11 @@ fi
 # [workspace.lints] in Cargo.toml, the banned paths from the clippy.toml files.
 echo "== clippy, warnings denied (offline)"
 clippy_gate --workspace --all-targets -- -D warnings
+
+# Intra-doc links that do not resolve, or that point public docs at private
+# items, are rustdoc warnings: denied, so they cannot pile up unseen.
+echo "== rustdoc, warnings denied (offline)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The gates below are commands of the one svm-bench executable
 # (crates/bench/src/cmd/), built by tier-1; a second link target must not return.
