@@ -632,7 +632,7 @@ impl Agent for SvmAgent {
     }
 
     fn on_init(&mut self, ctx: &mut MCtx<'_>, _node: NodeId) {
-        // Arming the detector only when recovery is configured keeps
+        // Starting the detector only when recovery is configured keeps
         // recovery-off runs event-for-event identical to the pre-recovery
         // protocol.
         if self.recovery_active() {

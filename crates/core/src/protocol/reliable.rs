@@ -24,6 +24,14 @@
 //! recovered by the sender's retransmission, which the receiver answers
 //! with a fresh cumulative ack.
 //!
+//! A channel's retransmit timer is a machine timer
+//! ([`svm_machine::Ctx::set_timer`]), held as the [`svm_machine::TimerId`]
+//! it returns. Disarming cancels it, and a cancelled timer is never
+//! handled, even one already waiting in the processor's service queue
+//! ([`svm_machine::Ctx::cancel_timer`]); so every expiry that reaches
+//! `on_net_timer` is its channel's armed timer, and the layer keeps no
+//! stamp to tell a stale expiry from a live one.
+//!
 //! The steady path allocates nothing. An arrival that is next in sequence
 //! with nothing parked is acked and dispatched straight away
 //! (`RecvChannel::accept`); only out-of-order and duplicate arrivals
@@ -43,8 +51,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
-use svm_machine::{Category, Message, ProcAddr, TrafficClass};
-use svm_sim::{EventId, SimDuration};
+use svm_machine::{Category, Message, ProcAddr, TimerId, TrafficClass};
+use svm_sim::SimDuration;
 
 use crate::metrics::NodeCounters;
 use crate::msg::SvmMsg;
@@ -86,31 +94,12 @@ pub enum Timer {
     /// The deadline of this node's pending [`crate::msg::SvmReq::SleepUntil`].
     Wake,
     /// The retransmit timeout of the send channel from this processor to
-    /// `to`; stale unless `arming` is still the channel's live one.
+    /// `to`. Only the channel's armed timer is ever handled: disarming
+    /// cancels it for good ([`svm_machine::Ctx::cancel_timer`]).
     Retransmit {
         /// The channel's far end.
         to: ProcAddr,
-        /// Which arming of the channel's timer this expiry belongs to.
-        arming: Arming,
     },
-}
-
-/// One arming of a retransmit timer. An expiry can already sit in its
-/// processor's service queue when an ack disarms or re-arms the channel; this
-/// number, never a modular generation, tells it from the live arming. Arm
-/// order is history, not state (DESIGN §16), so it hashes as nothing.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Arming(u64);
-
-impl Hash for Arming {
-    fn hash<H: Hasher>(&self, _: &mut H) {}
-}
-
-impl Arming {
-    /// Hand out this arming and step to the next: never reset, never reused.
-    fn take(&mut self) -> Arming {
-        std::mem::replace(self, Arming(self.0 + 1))
-    }
 }
 
 impl Message for Wire {
@@ -149,13 +138,12 @@ pub(crate) struct SendChannel {
     /// `(seq, message)` sent but not yet acknowledged, oldest first:
     /// sequence numbers are pushed ascending and an ack pops a prefix.
     pub(crate) unacked: VecDeque<(u32, SvmMsg)>,
-    /// The armed retransmit timer, if any: its scheduler event (for
-    /// cancellation) and the arming its expiry will carry.
-    armed: Option<(EventId, Arming)>,
+    /// The armed retransmit timer, if any.
+    armed: Option<TimerId>,
     backoff: u32,
 }
 
-/// Whether a timer is armed is state; which event and which arming is not.
+/// Whether a timer is armed is state; which timer is not.
 impl Hash for SendChannel {
     fn hash<H: Hasher>(&self, h: &mut H) {
         let SendChannel {
@@ -171,25 +159,16 @@ impl Hash for SendChannel {
 impl SendChannel {
     /// Arm the retransmit timer at the current backoff, on the handler's
     /// processor. The channel must not already be armed (callers disarm first).
-    fn arm(&mut self, ctx: &mut MCtx<'_>, to: ProcAddr, next: &mut Arming) {
-        let arming = next.take();
-        let expiry = Wire::Timer(Timer::Retransmit { to, arming });
-        let ev = ctx.set_timer(timeout(self.backoff), expiry);
-        self.armed = Some((ev, arming));
+    fn arm(&mut self, ctx: &mut MCtx<'_>, to: ProcAddr) {
+        let expiry = Wire::Timer(Timer::Retransmit { to });
+        self.armed = Some(ctx.set_timer(timeout(self.backoff), expiry));
     }
 
-    /// Cancel the pending timer, if any. An expiry already queued for
-    /// service still arrives, and finds no live arming.
+    /// Cancel the armed timer, if any: it will never be handled.
     pub(crate) fn disarm(&mut self, ctx: &mut MCtx<'_>) {
-        if let Some((ev, _)) = self.armed.take() {
-            ctx.cancel_timer(ev);
+        if let Some(timer) = self.armed.take() {
+            ctx.cancel_timer(timer);
         }
-    }
-
-    /// An expiry reached service: if `arming` is the live one consume it,
-    /// otherwise (`false`) the expiry is stale.
-    fn expire(&mut self, arming: Arming) -> bool {
-        self.armed.take_if(|(_, live)| *live == arming).is_some()
     }
 }
 
@@ -250,17 +229,17 @@ impl RecvChannel {
     }
 }
 
-/// Reliable-delivery state for one run.
+/// Reliable-delivery state for one run. Every field is state.
+#[derive(Hash)]
 pub struct ReliableNet {
     /// Whether the layer is on (any fault source configured, or crash
     /// recovery enabled — recovery's in-flight harvest needs the sequenced
     /// envelopes and unacked buffers).
     pub enabled: bool,
+    /// Receive channels by `(from, to)`.
+    pub(crate) recv: BTreeMap<(ProcAddr, ProcAddr), RecvChannel>,
     /// Send channels by `(from, to)`.
     pub(crate) send: BTreeMap<(ProcAddr, ProcAddr), SendChannel>,
-    pub(crate) recv: BTreeMap<(ProcAddr, ProcAddr), RecvChannel>,
-    /// The next retransmit-timer arming, over all channels.
-    next_arming: Arming,
 }
 
 impl ReliableNet {
@@ -268,9 +247,8 @@ impl ReliableNet {
     pub fn new(enabled: bool) -> Self {
         ReliableNet {
             enabled,
-            send: BTreeMap::new(),
             recv: BTreeMap::new(),
-            next_arming: Arming(0),
+            send: BTreeMap::new(),
         }
     }
 
@@ -279,19 +257,6 @@ impl ReliableNet {
         self.send
             .iter()
             .map(|(&(from, to), ch)| (from, to, ch.unacked.len()))
-    }
-}
-
-/// `next_arming` counts how many timers were ever armed — history, not state.
-impl Hash for ReliableNet {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        let ReliableNet {
-            enabled,
-            send,
-            recv,
-            next_arming: _,
-        } = self;
-        (enabled, recv, send).hash(h);
     }
 }
 
@@ -340,7 +305,7 @@ impl SvmAgent {
         );
         ch.unacked.push_back((seq, msg));
         if ch.armed.is_none() {
-            ch.arm(ctx, to, &mut self.net.next_arming);
+            ch.arm(ctx, to);
         }
     }
 
@@ -388,29 +353,29 @@ impl SvmAgent {
                     ch.disarm(ctx);
                 }
                 if !empty && progress {
-                    ch.arm(ctx, from, &mut self.net.next_arming);
+                    ch.arm(ctx, from);
                 }
             }
             Wire::Timer(Timer::HeartbeatTick) => self.on_heartbeat_tick(ctx, at),
             // Void once the sleeper's node has crashed: the machine drops
             // a timer aimed at a crashed node.
             Wire::Timer(Timer::Wake) => ctx.ack_app(at.node),
-            Wire::Timer(Timer::Retransmit { to, arming }) => self.on_net_timer(ctx, at, to, arming),
+            Wire::Timer(Timer::Retransmit { to }) => self.on_net_timer(ctx, at, to),
         }
     }
 
-    /// The retransmit timer of channel `at -> to` reached service: resend
-    /// everything unacked, double the backoff, rearm.
-    fn on_net_timer(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, to: ProcAddr, arming: Arming) {
+    /// The armed retransmit timer of channel `at -> to` reached service:
+    /// resend everything unacked, double the backoff, rearm.
+    fn on_net_timer(&mut self, ctx: &mut MCtx<'_>, at: ProcAddr, to: ProcAddr) {
         let Some(ch) = self.net.send.get_mut(&(at, to)) else {
             return;
         };
-        if !ch.expire(arming) {
-            return; // stale: disarmed or re-armed after this expiry was queued
-        }
-        // Armed only while something is unacked: `net_send` arms after
-        // inserting, an ack re-arms only if some remain, and the ack that
-        // empties the buffer (or `harvest_channels`) disarms the channel.
+        // Handled only while armed, and armed only while something is
+        // unacked: `net_send` arms after inserting, an ack re-arms only if
+        // some remain, and the ack that empties the buffer (or
+        // `harvest_channels`) disarms the channel.
+        let handled = ch.armed.take();
+        debug_assert!(handled.is_some(), "a disarmed timer was handled");
         debug_assert!(
             !ch.unacked.is_empty(),
             "retransmit timer on an empty channel"
@@ -430,7 +395,7 @@ impl SvmAgent {
             );
         }
         ch.backoff = (ch.backoff + 1).min(BACKOFF_CAP);
-        ch.arm(ctx, to, &mut self.net.next_arming);
+        ch.arm(ctx, to);
     }
 }
 
@@ -477,36 +442,28 @@ mod tests {
         assert_eq!(Wire::Ack { cum: 3 }.class(), TrafficClass::Protocol);
     }
 
+    /// `ReliableNet` derives `Hash` in field order, the order its
+    /// hand-written impl hashed: `(enabled, recv, send)`. A retransmit
+    /// expiry hashes as its variant and channel, as it did while it also
+    /// carried an arming stamp that hashed as nothing.
     #[test]
-    fn net_hash_is_channels_and_unacked_never_arm_order() {
+    fn net_hash_is_the_enabled_recv_send_tuple() {
         let [x, y] = [0, 1].map(|n| ProcAddr::cpu(svm_machine::NodeId(n)));
-        let opened = || {
-            let mut net = ReliableNet::new(true);
-            net.send.entry((x, y)).or_default();
-            net
-        };
-        let (a, mut b) = (opened(), opened());
-        b.next_arming.take();
-        assert_eq!(
-            StateHasher::of(&a),
-            StateHasher::of(&b),
-            "arm order is history"
-        );
+        let was = |net: &ReliableNet| StateHasher::of((net.enabled, &net.recv, &net.send));
+        let empty = ReliableNet::new(true);
+        let mut net = ReliableNet::new(true);
         let msg = SvmMsg::NodeDown { dead: y.node };
-        b.send
-            .entry((x, y))
-            .or_default()
-            .unacked
-            .push_back((1, msg));
-        assert_ne!(
-            StateHasher::of(&a),
-            StateHasher::of(&b),
-            "one unacked entry is state"
-        );
+        let ch = net.send.entry((x, y)).or_default();
+        ch.sent = 1;
+        ch.unacked.push_back((1, msg.clone()));
+        net.recv.entry((y, x)).or_default().buffered.insert(2, msg);
+        assert_eq!(StateHasher::of(&empty), was(&empty));
+        assert_eq!(StateHasher::of(&net), was(&net));
+        assert_ne!(StateHasher::of(&net), StateHasher::of(&empty));
 
-        let expiry = |to, arming| StateHasher::of(Timer::Retransmit { to, arming });
-        assert_eq!(expiry(y, Arming(0)), expiry(y, Arming(9)));
-        assert_ne!(expiry(y, Arming(0)), expiry(x, Arming(0)));
+        let expiry = |to| StateHasher::of(Timer::Retransmit { to });
+        assert_eq!(expiry(y), StateHasher::of((2isize, y)));
+        assert_ne!(expiry(y), expiry(x));
     }
 
     /// The digest is the one the `BTreeMap<u32, SvmMsg>` this FIFO replaced
@@ -569,29 +526,6 @@ mod tests {
                 assert_eq!(counters.dup_suppressed, dups);
             },
         );
-    }
-
-    /// Successor of the timer-token wrap regression: an expiry is stale by
-    /// comparison with the channel's one live arming, never by a counter
-    /// that could come round again.
-    #[test]
-    fn only_the_live_arming_expires() {
-        let mut next = Arming(u64::from(u32::MAX)); // where a u32 would wrap
-        let mut ch = SendChannel::default();
-        let mut arm = |ch: &mut SendChannel| {
-            ch.armed = Some((EventId::synthetic(0), next.take()));
-            ch.armed.map(|(_, arming)| arming).unwrap()
-        };
-        let first = arm(&mut ch);
-        ch.armed = None; // an ack emptied the channel
-        assert!(!ch.expire(first), "disarmed: a queued expiry is ignored");
-
-        let (second, third) = (arm(&mut ch), arm(&mut ch)); // re-armed on progress
-        assert!(first != second && second != third && first != third);
-        assert!(!ch.expire(first) && !ch.expire(second));
-        assert!(ch.armed.is_some(), "a stale expiry leaves the live arming");
-        assert!(ch.expire(third), "the live arming fires");
-        assert!(ch.armed.is_none() && !ch.expire(third), "and is consumed");
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use accounting::{Breakdown, Category};
 pub use cost::CostModel;
 pub use machine::{
     Agent, AppPhase, AppRequest, AppResponse, Ctx, ExploreStep, Halt, HeldDelivery, Machine,
-    RunError, RunOutcome, World,
+    RunError, RunOutcome, TimerId, World,
 };
 pub use netfault::{FaultPlan, NetFaultConfig, NetFaultStats};
 pub use nodefault::{CrashSpec, NodeFaultConfig, NodeFaultPlan, NodeFaultStats};

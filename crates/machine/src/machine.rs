@@ -59,6 +59,7 @@ pub trait Agent: Sized + 'static {
 
     /// A message has reached the head of `at`'s service queue. `from == at`
     /// marks a timer: a message `at` sent itself through [`Ctx::set_timer`].
+    /// A timer cancelled with [`Ctx::cancel_timer`] never arrives.
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, at: ProcAddr, from: ProcAddr, msg: Self::Msg);
 
     /// The application on `node` issued a custom request.
@@ -127,10 +128,22 @@ struct Service {
     cursor: usize,
 }
 
+/// One entry of a processor's service queue.
+enum Queued<M> {
+    /// A message from `from`.
+    Message(ProcAddr, M),
+    /// A timer that fired, by its event: a message from the processor to
+    /// itself.
+    Timer(EventId, M),
+    /// A timer cancelled while it waited here: dispatched, and charged, like
+    /// any entry, but handled by no one.
+    Void,
+}
+
 struct ProcUnit<M> {
     service: Option<Service>,
-    /// `(from, message)` in arrival order; a timer is a message from itself.
-    queue: VecDeque<(ProcAddr, M)>,
+    /// Entries in arrival order.
+    queue: VecDeque<Queued<M>>,
 }
 
 impl<M> ProcUnit<M> {
@@ -140,6 +153,30 @@ impl<M> ProcUnit<M> {
             queue: VecDeque::new(),
         }
     }
+
+    /// Void the queued expiry of the timer event `ev`; `false` if none
+    /// waits here.
+    fn void_timer(&mut self, ev: EventId) -> bool {
+        let queued = |e: &&mut Queued<M>| matches!(e, Queued::Timer(id, _) if *id == ev);
+        let Some(entry) = self.queue.iter_mut().find(queued) else {
+            return false;
+        };
+        *entry = Queued::Void;
+        true
+    }
+}
+
+/// A timer armed by [`Ctx::set_timer`], for [`Ctx::cancel_timer`].
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct TimerId(TimerKey);
+
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum TimerKey {
+    /// A timed run's timer: its event, and the processor whose service
+    /// queue it joins when it fires.
+    Scheduled(EventId, ProcAddr),
+    /// An explore-mode timer: its key among the parked timers.
+    Parked(u64),
 }
 
 /// The kernel endpoint of a node's application process.
@@ -186,9 +223,9 @@ pub enum ExploreStep {
 /// explicit driver choice (see [`World::run_explore`]).
 struct ExploreHold<M> {
     deliveries: Vec<HeldDelivery<M>>,
-    /// Parked timers keyed by synthetic-[`EventId`] key: explore mode never
-    /// fires them (timeouts are modeled as explicit choices), but
-    /// [`Ctx::cancel_timer`] must still resolve them.
+    /// Parked timers by the key their [`TimerId`] carries: explore mode
+    /// never fires them (timeouts are modeled as explicit choices), and
+    /// [`Ctx::cancel_timer`] removes one.
     timers: BTreeMap<u64, (ProcAddr, M)>,
     next_timer_key: u64,
     channel_seqs: BTreeMap<(ProcAddr, ProcAddr), u64>,
@@ -488,7 +525,7 @@ impl<A: Agent> Machine<A> {
 
     /// Parked timers as `(processor, message)` pairs, in park order (explore
     /// mode; empty otherwise). They never fire — digests and orphan checks
-    /// still want to see them.
+    /// still want to see them — and a cancelled one leaves the pool.
     pub fn held_timers(&self) -> impl Iterator<Item = &(ProcAddr, A::Msg)> {
         self.explore.iter().flat_map(|h| h.timers.values())
     }
@@ -668,7 +705,9 @@ impl<A: Agent> World<A> {
                     // orders are (DESIGN.md §16).
                     let HeldDelivery { to, from, msg, .. } = held;
                     let now = sched.now();
-                    sched.at(now, move |s, w: &mut World<A>| w.deliver(s, to, from, msg));
+                    sched.at(now, move |s, w: &mut World<A>| {
+                        w.deliver(s, to, Queued::Message(from, msg))
+                    });
                 }
                 ExploreStep::Crash(node) => self.explore_crash(sched, node),
                 ExploreStep::Detect(node) => self.explore_detect(sched, node),
@@ -792,8 +831,9 @@ impl<A: Agent> World<A> {
     /// application has made progress for a full window while some still
     /// wait, halt with a structured error — the "never a hang" guarantee.
     /// It re-arms while any application is live, so the queue cannot drain
-    /// under a plan, and a window after its own last check, so it halts one
-    /// to two windows after the last progress.
+    /// under a plan, and one window after the last progress, so it halts
+    /// exactly one window after it. A tick that does not halt changes no
+    /// state.
     fn watchdog_tick(&mut self, sched: &mut Scheduler<World<A>>) {
         if self.machine.halted {
             return;
@@ -822,7 +862,8 @@ impl<A: Agent> World<A> {
             self.machine.halted = true;
             return;
         }
-        sched.after(limit, |s, w: &mut World<A>| w.watchdog_tick(s));
+        let due = self.machine.last_progress + limit;
+        sched.at(due, |s, w: &mut World<A>| w.watchdog_tick(s));
     }
 
     /// Resume a blocked application with `resp` and handle its next yield.
@@ -929,14 +970,8 @@ impl<A: Agent> World<A> {
         });
     }
 
-    /// A message arrived at `to`; queue it and service if possible.
-    fn deliver(
-        &mut self,
-        sched: &mut Scheduler<World<A>>,
-        to: ProcAddr,
-        from: ProcAddr,
-        msg: A::Msg,
-    ) {
+    /// A message or timer arrived at `to`; queue it and service if possible.
+    fn deliver(&mut self, sched: &mut Scheduler<World<A>>, to: ProcAddr, entry: Queued<A::Msg>) {
         self.machine.note_activity(sched.now());
         let i = to.node.index();
         if self.machine.nodes[i].crashed {
@@ -945,11 +980,11 @@ impl<A: Agent> World<A> {
             }
             return;
         }
-        self.machine.unit_mut(to).queue.push_back((from, msg));
+        self.machine.unit_mut(to).queue.push_back(entry);
         self.try_dispatch(sched, to);
     }
 
-    /// If `at` is free and has queued messages, service the next one.
+    /// If `at` is free and has queued entries, service the next one.
     fn try_dispatch(&mut self, sched: &mut Scheduler<World<A>>, at: ProcAddr) {
         let i = at.node.index();
         let now = sched.now();
@@ -957,7 +992,7 @@ impl<A: Agent> World<A> {
         if unit.service.is_some() {
             return;
         }
-        let Some((from, msg)) = unit.queue.pop_front() else {
+        let Some(entry) = unit.queue.pop_front() else {
             return;
         };
 
@@ -993,7 +1028,11 @@ impl<A: Agent> World<A> {
 
         self.serve(sched, at, |agent, ctx| {
             ctx.work(prelude, Category::Protocol);
-            agent.on_message(ctx, at, from, msg)
+            match entry {
+                Queued::Message(from, msg) => agent.on_message(ctx, at, from, msg),
+                Queued::Timer(_, msg) => agent.on_message(ctx, at, at, msg),
+                Queued::Void => {}
+            }
         });
     }
 
@@ -1195,8 +1234,9 @@ impl<'a, A: Agent> Ctx<'a, A> {
         let at = self.now() + transit;
         match &mut self.machine.fault {
             None => {
-                self.sched
-                    .at(at, move |s, w: &mut World<A>| w.deliver(s, to, from, msg));
+                self.sched.at(at, move |s, w: &mut World<A>| {
+                    w.deliver(s, to, Queued::Message(from, msg))
+                });
             }
             Some(plan) => {
                 let arrivals = plan.route(to.node, at, msg.kind());
@@ -1207,11 +1247,13 @@ impl<'a, A: Agent> Ctx<'a, A> {
                 if let Some((&last, rest)) = arrivals.as_slice().split_last() {
                     for &t in rest {
                         let m = msg.clone();
-                        self.sched
-                            .at(t, move |s, w: &mut World<A>| w.deliver(s, to, from, m));
+                        self.sched.at(t, move |s, w: &mut World<A>| {
+                            w.deliver(s, to, Queued::Message(from, m))
+                        });
                     }
-                    self.sched
-                        .at(last, move |s, w: &mut World<A>| w.deliver(s, to, from, msg));
+                    self.sched.at(last, move |s, w: &mut World<A>| {
+                        w.deliver(s, to, Queued::Message(from, msg))
+                    });
                 }
             }
         }
@@ -1220,36 +1262,41 @@ impl<'a, A: Agent> Ctx<'a, A> {
     /// Arm a timer: `delay` after the cursor, `msg` joins `here()`'s service
     /// queue as a message from itself ([`Agent::on_message`], `from == at`).
     /// It is not network traffic (uncounted, unseen by a fault plan) and is
-    /// void once the node has crashed. Returns the event for
-    /// [`Ctx::cancel_timer`].
-    pub fn set_timer(&mut self, delay: SimDuration, msg: A::Msg) -> EventId {
+    /// void once the node has crashed. In explore mode it is parked instead
+    /// ([`Machine::held_timers`]) and never fires: timeout-driven machinery
+    /// (heartbeats, retransmits) is replaced by explicit driver actions.
+    pub fn set_timer(&mut self, delay: SimDuration, msg: A::Msg) -> TimerId {
         let at = self.at;
         if let Some(hold) = &mut self.machine.explore {
-            // Explore mode: park the timer under a synthetic id. It never
-            // fires — timeout-driven machinery (heartbeats, retransmits) is
-            // replaced by explicit driver actions — but cancel_timer still
-            // resolves it through the hold map.
-            let key = hold.park_timer(at, msg);
-            return EventId::synthetic(key);
+            return TimerId(TimerKey::Parked(hold.park_timer(at, msg)));
         }
         let when = self.now() + delay;
-        self.sched.at(when, move |s, w: &mut World<A>| {
+        let ev = self.sched.at(when, move |s, w: &mut World<A>| {
             if w.machine.stale(at.node) {
                 return;
             }
-            w.deliver(s, at, at, msg)
-        })
+            let ev = s.running().expect("a timer fires as an event");
+            w.deliver(s, at, Queued::Timer(ev, msg))
+        });
+        TimerId(TimerKey::Scheduled(ev, at))
     }
 
-    /// Cancel a pending timer; returns `false` if it already fired.
-    pub fn cancel_timer(&mut self, id: EventId) -> bool {
-        if id.is_synthetic() {
-            return match &mut self.machine.explore {
-                Some(hold) => hold.timers.remove(&id.synthetic_key()).is_some(),
-                None => false,
-            };
+    /// Cancel a timer: `true` means it will never be handled. A timer that
+    /// already fired into its processor's service queue is voided there: it
+    /// keeps its place and is charged the dispatch any queued entry is, but
+    /// reaches no handler. `false` if the timer was handled, cancelled
+    /// before, or died with its node.
+    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
+        match id.0 {
+            TimerKey::Scheduled(ev, at) => {
+                self.sched.cancel(ev) || self.machine.unit_mut(at).void_timer(ev)
+            }
+            TimerKey::Parked(key) => self
+                .machine
+                .explore
+                .as_mut()
+                .is_some_and(|hold| hold.timers.remove(&key).is_some()),
         }
-        self.sched.cancel(id)
     }
 
     /// Whether every application has finished (or crashed). Standing timers
@@ -1287,7 +1334,7 @@ impl<'a, A: Agent> Ctx<'a, A> {
             if w.machine.stale(to.node) {
                 return;
             }
-            w.deliver(s, to, from, msg)
+            w.deliver(s, to, Queued::Message(from, msg))
         });
     }
 

@@ -7,7 +7,9 @@
 //! cancelling drops the closure in place and leaves its heap key behind.
 //! Once more than `PURGE_FLOOR` (16) such dead keys make up over half the
 //! heap, one pass drops them all, frees their slots and re-heapifies in
-//! O(n); a dead key that pops first frees its slot then.
+//! O(n); a dead key that pops first frees its slot then. Every `EventId`
+//! names an event this scheduler scheduled, and a running event reads its
+//! own through [`Scheduler::running`].
 //!
 //! Storage is allocation-free and copy-free: [`Scheduler::at`] writes the
 //! closure straight into the inline buffer of a free slot in a slab, beside
@@ -40,37 +42,6 @@ pub struct EventId {
     seq: u64,
     /// Where the event's closure lives while it is pending.
     slot: u32,
-}
-
-impl EventId {
-    /// Marks ids minted outside the scheduler (see [`EventId::synthetic`]).
-    const SYNTHETIC_BIT: u64 = 1 << 63;
-
-    /// Mint an id no scheduled event will ever carry.
-    ///
-    /// Explore-mode machines park timers instead of scheduling them but must
-    /// still hand their callers an `EventId`. Synthetic ids live in a
-    /// reserved range (bit 63 set, far above any reachable sequence number),
-    /// so passing one to [`Scheduler::cancel`] is a safe no-op: no slot ever
-    /// holds its sequence number.
-    pub fn synthetic(key: u64) -> EventId {
-        debug_assert!(key & Self::SYNTHETIC_BIT == 0, "synthetic key too large");
-        EventId {
-            seq: Self::SYNTHETIC_BIT | key,
-            slot: 0,
-        }
-    }
-
-    /// Whether this id came from [`EventId::synthetic`].
-    pub fn is_synthetic(self) -> bool {
-        self.seq & Self::SYNTHETIC_BIT != 0
-    }
-
-    /// The `key` this synthetic id was minted with.
-    pub fn synthetic_key(self) -> u64 {
-        debug_assert!(self.is_synthetic());
-        self.seq & !Self::SYNTHETIC_BIT
-    }
 }
 
 /// Inline closure capacity per slot: a multiple of [`INLINE_ALIGN`] that
@@ -188,7 +159,9 @@ impl HeapKey {
 /// assert_eq!(world, vec![1, 2, 3]);
 /// ```
 pub struct Scheduler<W> {
-    now: SimTime,
+    /// The key of the event `step` ran last: its time is the clock, its
+    /// `seq` and `slot` that event's id (see [`Scheduler::running`]).
+    last: HeapKey,
     next_seq: u64,
     /// Min-heap of `(at, seq)` keys into `slots`.
     heap: Vec<HeapKey>,
@@ -210,7 +183,11 @@ impl<W> Scheduler<W> {
     /// Create an empty scheduler at t = 0.
     pub fn new() -> Self {
         Scheduler {
-            now: SimTime::ZERO,
+            last: HeapKey {
+                at: SimTime::ZERO,
+                seq: 0,
+                slot: 0,
+            },
             next_seq: 0,
             heap: Vec::new(),
             dead: 0,
@@ -222,12 +199,19 @@ impl<W> Scheduler<W> {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.last.at
     }
 
     /// Number of events executed so far (diagnostics).
     pub fn executed(&self) -> u64 {
         self.executed
+    }
+
+    /// The event [`Scheduler::step`] ran last: called from inside an event,
+    /// that event's own id. `None` before the first step.
+    pub fn running(&self) -> Option<EventId> {
+        let HeapKey { seq, slot, .. } = self.last;
+        (self.executed > 0).then_some(EventId { seq, slot })
     }
 
     /// Schedule `f` at absolute time `at`.
@@ -240,11 +224,11 @@ impl<W> Scheduler<W> {
         f: impl FnOnce(&mut Scheduler<W>, &mut W) + 'static,
     ) -> EventId {
         debug_assert!(
-            at >= self.now,
+            at >= self.last.at,
             "scheduling into the past: {at:?} < {:?}",
-            self.now
+            self.last.at
         );
-        let at = at.max(self.now);
+        let at = at.max(self.last.at);
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
@@ -270,7 +254,7 @@ impl<W> Scheduler<W> {
         delay: SimDuration,
         f: impl FnOnce(&mut Scheduler<W>, &mut W) + 'static,
     ) -> EventId {
-        self.at(self.now + delay, f)
+        self.at(self.last.at + delay, f)
     }
 
     /// Cancel a previously scheduled event.
@@ -305,8 +289,8 @@ impl<W> Scheduler<W> {
             self.purge_if_dead_dominate();
             let buf = self.slots[key.slot as usize].buf.0.as_mut_ptr().cast();
             self.free.push(key.slot);
-            debug_assert!(key.at >= self.now, "time went backwards");
-            self.now = key.at;
+            debug_assert!(key.at >= self.last.at, "time went backwards");
+            self.last = key;
             self.executed += 1;
             // SAFETY: `buf` holds `entry`'s closure, which the slot (emptied
             // above) no longer owns, so this is its one read. The entry reads
@@ -492,18 +476,20 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_ids_are_inert() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        let mut w = 0u32;
-        let real = s.after(SimDuration::from_nanos(1), |_, w: &mut u32| *w += 1);
-        let fake = EventId::synthetic(real.seq); // same low bits and slot as a live event
-        assert!(fake.is_synthetic());
-        assert!(!real.is_synthetic());
-        assert_eq!(fake.synthetic_key(), real.seq);
-        // Cancelling the synthetic id must not cancel the real event.
-        assert!(!s.cancel(fake));
+    fn running_names_the_event_in_progress() {
+        let mut s: Scheduler<Vec<EventId>> = Scheduler::new();
+        let mut w = Vec::new();
+        assert_eq!(s.running(), None);
+        let record = |s: &mut Scheduler<Vec<EventId>>, w: &mut Vec<EventId>| {
+            w.extend(s.running());
+        };
+        let ids = [
+            s.after(SimDuration::from_nanos(2), record),
+            s.after(SimDuration::from_nanos(1), record),
+        ];
         s.run(&mut w);
-        assert_eq!(w, 1, "real event still fired");
+        assert_eq!(w, [ids[1], ids[0]]);
+        assert_eq!(s.running(), Some(ids[0]), "the last event run");
     }
 
     #[test]
@@ -627,7 +613,6 @@ mod tests {
             k: usize,
         },
         Cancel(u64),
-        Synthetic(u64),
         Step,
     }
 
@@ -740,7 +725,7 @@ mod tests {
     }
 
     /// Random interleavings of `at`/`after`/`cancel`/`step`, with backlogs
-    /// of cancels, cancels from inside events, and stale and synthetic ids,
+    /// of cancels, cancels from inside events, and stale ids,
     /// pop exactly as the sorted-map reference does, return what it returns
     /// from every `cancel`, and after every call leave at most
     /// `max(PURGE_FLOOR, live)` dead keys in the heap.
@@ -750,7 +735,7 @@ mod tests {
         check(
             "purges_keep_the_reference_order_and_bound_dead_keys",
             |src| {
-                src.vec(1..120, |s| match s.usize_in(0..6) {
+                src.vec(1..120, |s| match s.usize_in(0..5) {
                     0 | 1 => Op::Schedule {
                         absolute: s.bool(),
                         ev: gen_ev(s, 1),
@@ -762,7 +747,6 @@ mod tests {
                         Op::Burst { n, delay, k }
                     }
                     3 => Op::Cancel(s.u64_in(0..1 << 16)),
-                    4 => Op::Synthetic(s.u64_in(0..1 << 16)),
                     _ => Op::Step,
                 })
             },
@@ -803,7 +787,6 @@ mod tests {
                             assert_eq!(s.cancel(id), m.cancel(*raw), "{op:?}");
                         }
                         Op::Cancel(_) => {}
-                        Op::Synthetic(key) => assert!(!s.cancel(EventId::synthetic(*key))),
                         Op::Step => assert_eq!(s.step(&mut w), m.step()),
                     }
                     agree(&s, &w, &m);

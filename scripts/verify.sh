@@ -120,6 +120,18 @@ if grep -rnE '\b(drop_first|drop_rate|dup_rate|FaultPlan)' crates/core/src/proto
   exit 1
 fi
 
+# A timer's identity is the machine's (DESIGN §10): `Ctx::cancel_timer` means
+# the timer is never handled, even one already queued for service. A protocol
+# that names a scheduler event or stamps its armings is checking that contract
+# a second time, and a scheduler id minted outside the queue ("synthetic") is
+# an event no one scheduled.
+echo "== timers are the machine's: no EventId or Arming in svm-core, no synthetic ids in svm-sim"
+if grep -rnwE 'EventId|Arming' crates/core/src --include='*.rs' ||
+  grep -rni 'synthetic' crates/sim/src --include='*.rs'; then
+  echo "svm-core names a scheduler event or an arming stamp, or svm-sim mints synthetic ids (above): hold the svm_machine::TimerId that Ctx::set_timer returns, and cancel it with Ctx::cancel_timer" >&2
+  exit 1
+fi
+
 # svm-mem holds diffs as the host stores them; what the model charges for a
 # diff on the wire and in memory (paper Tables 5 and 6, the GC trigger) is
 # declared once, in svm-core's msg.rs. A charge in svm-mem is a second
